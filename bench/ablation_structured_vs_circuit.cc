@@ -19,6 +19,7 @@
 #include "bench/bench_common.h"
 #include "core/quantize.h"
 #include "core/sqm.h"
+#include "core/sqm_plan.h"
 #include "mpc/ops.h"
 #include "sampling/rng.h"
 #include "vfl/logistic.h"
@@ -40,17 +41,22 @@ struct PathCost {
   std::vector<int64_t> release;
 };
 
-/// Circuit path: the generic SQM evaluator over the expanded polynomial.
-PathCost RunCircuitPath(const Matrix& batch,
-                        const std::vector<double>& weights, double gamma) {
-  const PolynomialVector f = BuildLogisticGradientPolynomial(weights);
+/// SQM options shared by both paths, so they quantize identically.
+SqmOptions PathOptions(double gamma) {
   SqmOptions options;
   options.gamma = gamma;
   options.mu = 0.0;
   options.backend = MpcBackend::kBgw;
   options.max_f_l2 = 0.75;
   options.seed = 5;
-  SqmEvaluator evaluator(options);
+  return options;
+}
+
+/// Circuit path: the generic SQM evaluator over the expanded polynomial.
+PathCost RunCircuitPath(const Matrix& batch,
+                        const std::vector<double>& weights, double gamma) {
+  const PolynomialVector f = BuildLogisticGradientPolynomial(weights);
+  SqmEvaluator evaluator(PathOptions(gamma));
   const auto start = std::chrono::steady_clock::now();
   const SqmReport report = evaluator.Evaluate(f, batch).ValueOrDie();
   PathCost cost;
@@ -61,19 +67,18 @@ PathCost RunCircuitPath(const Matrix& batch,
   return cost;
 }
 
-/// Structured path: quantize identically, then SecureOps.
+/// Structured path: the circuit path's SqmPlan quantizes the data, and its
+/// coefficient stream rounds the structured coefficients; then SecureOps.
 PathCost RunStructuredPath(const Matrix& batch,
                            const std::vector<double>& weights,
                            double gamma) {
   const size_t d = weights.size();
-  const size_t m = batch.rows();
-
-  // Quantize with the same discipline as the circuit path (same seed
-  // splits as SqmEvaluator with quantize_coefficients=true).
-  Rng rng(5);
-  Rng coeff_rng = rng.Split(0x0c0eff);
-  Rng data_rng = rng.Split(0xda7a);
-  const QuantizedDatabase db = QuantizeDatabase(batch, gamma, data_rng);
+  const SqmPlan plan =
+      SqmPlan::Create(BuildLogisticGradientPolynomial(weights),
+                      PathOptions(gamma), batch.rows(), batch.cols())
+          .ValueOrDie();
+  const QuantizedDatabase db = plan.PrepareInputs(batch).db;
+  Rng coeff_rng = plan.coefficient_stream();
 
   SecureOps::LogisticGradientInputs inputs;
   inputs.feature_columns.resize(d);
@@ -97,7 +102,6 @@ PathCost RunStructuredPath(const Matrix& batch,
   cost.seconds = SecondsSince(start);
   cost.elements = network.stats().field_elements;
   cost.rounds = network.stats().rounds;
-  (void)m;
   return cost;
 }
 

@@ -1,41 +1,26 @@
 #include "core/party_sqm.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "core/logging.h"
-#include "core/quantize.h"
-#include "core/sensitivity.h"
-#include "dp/accountant.h"
-#include "dp/skellam.h"
+#include "core/sqm_plan.h"
 #include "mpc/beaver.h"
 #include "mpc/checkpoint_store.h"
 #include "mpc/circuit.h"
 #include "mpc/field.h"
-#include "mpc/network.h"
 #include "mpc/party_protocol.h"
-#include "mpc/protocol.h"
-#include "mpc/shamir.h"
 #include "net/liveness.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
 #include "poly/parser.h"
-#include "sampling/skellam_sampler.h"
 
 namespace sqm {
 namespace {
-
-double SecondsSince(const std::chrono::steady_clock::time_point& start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 /// Identity of the computation a durable checkpoint belongs to: every
 /// config field that determines the circuit structure, the synthetic
@@ -133,132 +118,29 @@ Result<SqmReport> RunPartySqm(const DeploymentConfig& config, size_t me,
     return Status::InvalidArgument(
         "transport party count does not match the deployment roster");
   }
-  SQM_ASSIGN_OR_RETURN(const DropoutPolicy policy,
-                       DropoutPolicyFromString(config.dropout_policy));
-  SQM_ASSIGN_OR_RETURN(const MulBackend mul_backend,
-                       MulBackendFromString(config.mul_backend));
+  SQM_ASSIGN_OR_RETURN(const SqmOptions options,
+                       SqmOptionsFromDeployment(config));
   SQM_ASSIGN_OR_RETURN(const PolynomialVector f,
                        ParsePolynomialVector(config.polynomial));
-
   const size_t cols = DeploymentCols(config);
-  // Validation mirror of SqmEvaluator::Evaluate — same failure, same
-  // message class, before any traffic.
-  if (f.output_dim() == 0) {
-    return Status::InvalidArgument("polynomial has no output dimensions");
-  }
-  if (f.MinArity() > cols) {
-    return Status::InvalidArgument(
-        "polynomial references more variables than the database has columns");
-  }
-  if (num_clients > cols) {
-    return Status::InvalidArgument(
-        "more clients than columns: every client must own >= 1 column");
-  }
-  if (num_clients < 3) {
-    return Status::InvalidArgument(
-        "the BGW backend needs >= 3 clients (threshold < n/2 with "
-        "threshold >= 1)");
-  }
-  if (config.gamma < 1.0) {
-    return Status::InvalidArgument("gamma must be >= 1");
-  }
-  if (config.mu < 0.0) {
-    return Status::InvalidArgument("mu must be >= 0");
-  }
-  if (config.check_capacity) {
-    SQM_RETURN_NOT_OK(CheckFieldCapacity(config.rows, config.gamma,
-                                         f.Degree(), config.max_f_l2,
-                                         config.mu));
-  }
+  // The same plan, and so the same validation, as SqmEvaluator — before
+  // any traffic.
+  SQM_ASSIGN_OR_RETURN(const SqmPlan plan,
+                       SqmPlan::Create(f, options, config.rows, cols));
+  const DropoutPolicy policy = options.dropout_policy;
 
   const Matrix x = GenerateDeploymentMatrix(config.rows, cols,
                                             config.data_seed);
-  Rng rng(config.seed);
 
   obs::Span evaluate_span("sqm.party_evaluate", "sqm");
   evaluate_span.AddArg("party", static_cast<int64_t>(me));
   evaluate_span.AddArg("clients", static_cast<int64_t>(num_clients));
   evaluate_span.AddArg("rows", static_cast<int64_t>(config.rows));
 
-  // ---- Step 1: quantization. Coefficients are public, so every party
-  // derives the same quantized polynomial from the shared seed's
-  // coefficient stream. Data columns: this party replays the driver's
-  // per-column split sequence and stochastically rounds ONLY its own
-  // columns — the splits consume parent draws but never data, so the
-  // values equal what driver mode assigns to this party.
-  const auto quantize_start = std::chrono::steady_clock::now();
-  QuantizedPolynomial qf;
-  if (config.quantize_coefficients) {
-    Rng coeff_rng = rng.Split(0x0c0eff);
-    SQM_ASSIGN_OR_RETURN(qf,
-                         QuantizePolynomial(f, config.gamma, coeff_rng));
-  } else {
-    for (const Polynomial& p : f.dims()) {
-      for (const Monomial& term : p.terms()) {
-        if (term.Degree() != f.Degree()) {
-          return Status::InvalidArgument(
-              "quantize_coefficients=false requires all monomials to have "
-              "the polynomial's degree");
-        }
-        const double c = term.coefficient();
-        if (c != std::floor(c)) {
-          return Status::InvalidArgument(
-              "quantize_coefficients=false requires integer coefficients");
-        }
-      }
-    }
-    qf.degree = f.Degree();
-    qf.output_scale =
-        std::pow(config.gamma, static_cast<double>(qf.degree));
-    qf.dims.resize(f.output_dim());
-    for (size_t t = 0; t < f.output_dim(); ++t) {
-      for (const Monomial& term : f.dims()[t].terms()) {
-        QuantizedMonomial qm;
-        qm.coefficient = static_cast<int64_t>(term.coefficient());
-        qm.exponents = term.exponents();
-        qf.dims[t].push_back(std::move(qm));
-      }
-    }
-  }
-  Rng data_rng = rng.Split(0xda7a);
-  const auto [col_begin, col_end] =
-      ClientColumnRange(me, cols, num_clients);
-  std::vector<std::vector<int64_t>> my_columns(cols);
-  for (size_t j = 0; j < cols; ++j) {
-    Rng client_rng = data_rng.Split(j);
-    if (j >= col_begin && j < col_end) {
-      my_columns[j] = StochasticRoundVector(x.Col(j), config.gamma,
-                                            client_rng);
-    }
-  }
-  const double quantize_seconds = SecondsSince(quantize_start);
-
-  // ---- Step 2: local Skellam noise — own stream only, same replay.
-  const auto noise_start = std::chrono::steady_clock::now();
-  const size_t d = f.output_dim();
-  std::vector<int64_t> my_noise(d, 0);
-  if (config.mu > 0.0) {
-    const SkellamSampler sampler(config.mu /
-                                 static_cast<double>(num_clients));
-    for (size_t j = 0; j < num_clients; ++j) {
-      Rng client_rng = rng.Split(0x4015e + j);
-      if (j == me) my_noise = sampler.SampleVector(client_rng, d);
-    }
-  }
-  const double noise_seconds = SecondsSince(noise_start);
-
-  SensitivityBound sensitivity;
-  if (config.mu > 0.0) {
-    sensitivity = PolynomialSensitivity(f, config.gamma,
-                                        config.record_norm_bound,
-                                        config.max_f_l2,
-                                        config.quantize_coefficients);
-  }
-
-  const size_t threshold = config.bgw_threshold == 0
-                               ? (num_clients - 1) / 2
-                               : config.bgw_threshold;
-  SQM_RETURN_NOT_OK(ShamirScheme::Validate(num_clients, threshold));
+  // ---- Steps 1-2: this party rounds ONLY its own columns and samples
+  // ONLY its own Skellam share, from its own streams of the plan's RNG
+  // schedule — the values driver mode assigns to this party.
+  const SqmPlan::Inputs inputs = plan.PrepareInputs(x, me);
 
   if (obs::Enabled()) {
     obs::Tracer::Global().SetTrackName(static_cast<int32_t>(me),
@@ -267,67 +149,18 @@ Result<SqmReport> RunPartySqm(const DeploymentConfig& config, size_t me,
   obs::TrackScope party_track(static_cast<int32_t>(me));
   obs::Span bgw_span("sqm.bgw", "sqm");
   bgw_span.AddArg("parties", static_cast<int64_t>(num_clients));
-  bgw_span.AddArg("threshold", static_cast<int64_t>(threshold));
+  bgw_span.AddArg("threshold", static_cast<int64_t>(plan.threshold()));
 
-  // ---- Step 3: the same circuit SqmEvaluator::EvaluateBgw builds — the
-  // structure is a pure function of (qf, rows, cols, partition, d), all
-  // public. Only this party's input VALUES are filled in.
-  Circuit circuit;
-  std::vector<std::vector<Circuit::WireId>> column_wires(cols);
-  std::vector<int64_t> my_inputs;
-  for (size_t j = 0; j < num_clients; ++j) {
-    const auto [begin, end] = ClientColumnRange(j, cols, num_clients);
-    for (size_t col = begin; col < end; ++col) {
-      column_wires[col].resize(config.rows);
-      for (size_t i = 0; i < config.rows; ++i) {
-        column_wires[col][i] = circuit.AddInput(j);
-        if (j == me) my_inputs.push_back(my_columns[col][i]);
-      }
-    }
-  }
-  std::vector<std::vector<Circuit::WireId>> noise_wires(num_clients);
-  for (size_t j = 0; j < num_clients; ++j) {
-    noise_wires[j].resize(d);
-    for (size_t t = 0; t < d; ++t) {
-      noise_wires[j][t] = circuit.AddInput(j);
-      if (j == me) my_inputs.push_back(my_noise[t]);
-    }
-  }
-  for (size_t t = 0; t < d; ++t) {
-    Circuit::WireId acc = circuit.AddConstant(0);
-    for (size_t i = 0; i < config.rows; ++i) {
-      for (const QuantizedMonomial& term : qf.dims[t]) {
-        Circuit::WireId prod = 0;
-        bool have_prod = false;
-        for (const auto& [var, exp] : term.exponents) {
-          for (uint32_t e = 0; e < exp; ++e) {
-            if (!have_prod) {
-              prod = column_wires[var][i];
-              have_prod = true;
-            } else {
-              prod = circuit.AddMul(prod, column_wires[var][i]);
-            }
-          }
-        }
-        const Field::Element coeff = Field::Encode(term.coefficient);
-        const Circuit::WireId scaled =
-            have_prod ? circuit.AddMulConst(prod, coeff)
-                      : circuit.AddConstant(coeff);
-        acc = circuit.AddAdd(acc, scaled);
-      }
-    }
-    for (size_t j = 0; j < num_clients; ++j) {
-      acc = circuit.AddAdd(acc, noise_wires[j][t]);
-    }
-    circuit.MarkOutput(acc);
-  }
-
-  PartyEngine engine(ShamirScheme(num_clients, threshold), transport,
-                     config.seed ^ 0xb9d7, me);
+  // ---- Step 3: the plan's circuit (public structure) with only this
+  // party's input VALUES filled in.
+  const Circuit circuit = plan.BuildCircuit();
+  const std::vector<int64_t> my_inputs = plan.CircuitInputs(inputs, me);
+  PartyEngine engine(plan.scheme(), transport, plan.protocol_seed(), me);
+  engine.protocol().set_noise_inputs(plan.output_dim());
   if (hooks.mul_level_hook) {
     engine.set_mul_level_hook(hooks.mul_level_hook);
   }
-  const size_t quorum = 2 * threshold + 1;
+  const size_t quorum = 2 * plan.threshold() + 1;
   LivenessTracker tracker(num_clients);
   if (policy != DropoutPolicy::kAbort) engine.set_liveness(&tracker);
 
@@ -391,30 +224,23 @@ Result<SqmReport> RunPartySqm(const DeploymentConfig& config, size_t me,
     }
   }
 
-  // Beaver backend: every party pre-deals the SAME pool from the shared
-  // (scheme, seed, capacity) — offline work, before the online clock.
-  // A checkpoint resume replays Mul levels, so the pool is provisioned
-  // for mpc_max_attempts full passes. Supervised recovery is rejected:
-  // the pool cursor is not part of the durable checkpoint, so a restarted
+  // Beaver backend: every party pre-deals the SAME pool — offline work,
+  // before the online clock. Supervised recovery is rejected: the pool
+  // cursor is not part of the durable checkpoint, so a restarted
   // incarnation could not realign its triple stream.
-  std::unique_ptr<BeaverTriplePool> beaver_pool;
-  if (mul_backend == MulBackend::kBeaver) {
-    if (recovery_enabled) {
-      return Status::InvalidArgument(
-          "mul_backend=beaver is not supported with supervised recovery: "
-          "the Beaver pool cursor is not part of the durable checkpoint");
-    }
-    const size_t pool_attempts =
-        policy != DropoutPolicy::kAbort
-            ? std::max<size_t>(config.mpc_max_attempts, 1)
-            : 1;
-    beaver_pool = std::make_unique<BeaverTriplePool>(
-        ShamirScheme(num_clients, threshold), config.seed ^ 0xbea7e5,
-        circuit.num_multiplications() * pool_attempts);
+  if (options.mul_backend == MulBackend::kBeaver && recovery_enabled) {
+    return Status::InvalidArgument(
+        "mul_backend=beaver is not supported with supervised recovery: "
+        "the Beaver pool cursor is not part of the durable checkpoint");
+  }
+  const std::unique_ptr<BeaverTriplePool> beaver_pool =
+      plan.MakeBeaverPool(circuit);
+  if (beaver_pool != nullptr) {
     engine.protocol().set_beaver_pool(beaver_pool.get());
   }
 
-  const auto compute_start = std::chrono::steady_clock::now();
+  SqmPlan::Execution run;
+  run.compute_start = std::chrono::steady_clock::now();
 
   // Meets every peer at the resume barrier and redoes from the minimum
   // announced level: 0 = someone lost its input phase, full redo.
@@ -445,56 +271,34 @@ Result<SqmReport> RunPartySqm(const DeploymentConfig& config, size_t me,
   // NORMAL rendezvous with a restarted peer.
   PartyCheckpoint* checkpoint_ptr =
       policy != DropoutPolicy::kAbort ? &checkpoint : nullptr;
-  const size_t max_attempts =
-      policy != DropoutPolicy::kAbort
-          ? std::max<size_t>(config.mpc_max_attempts, 1)
-          : 1;
   PartyProtocol::Shares out_shares;
-  std::vector<int64_t> raw;
-  double topup_mu = 0.0;
-  size_t attempts = 0;
-  size_t resumed_from_level = 0;
   if (recovery_enabled && hooks.incarnation > 0) {
     // The peers of this killed-and-respawned party are already waiting at
     // their barriers; answer before the first attempt.
     SQM_RETURN_NOT_OK(reconcile());
-    resumed_from_level = checkpoint.valid ? checkpoint.next_level : 0;
+    run.resumed_from_level = checkpoint.valid ? checkpoint.next_level : 0;
   }
 
-  // kTopUp: replay the driver's survivor-ordered top-up split sequence;
-  // this party samples only its own compensating share. Survivor sets
-  // agree across parties under the crash-stop model (a dead TCP link is
-  // kUnavailable for every peer). Deterministic seeds, so re-running it
+  // kTopUp: every party walks the plan's survivor-ordered top-up schedule
+  // and samples only its own compensating share. Survivor sets agree
+  // across parties under the crash-stop model (a dead TCP link is
+  // kUnavailable for every peer). Deterministic streams, so re-running it
   // on a fresh out_shares after a recovery retry adds the same values.
   const auto run_topup = [&](PartyProtocol::Shares* shares_io,
                              double* mu_out) -> Status {
     *mu_out = 0.0;
-    const size_t num_dropped =
-        policy != DropoutPolicy::kAbort ? tracker.num_dead() : 0;
-    if (policy != DropoutPolicy::kTopUp || config.mu <= 0.0 ||
-        num_dropped == 0) {
-      return Status::OK();
-    }
-    const std::vector<size_t> survivors = tracker.Survivors();
-    const double per_survivor_mu =
-        config.mu * static_cast<double>(num_dropped) /
-        (static_cast<double>(num_clients) *
-         static_cast<double>(survivors.size()));
-    const SkellamSampler sampler(per_survivor_mu);
-    Rng topup_root(config.seed ^ 0x70bu);
-    for (size_t j : survivors) {
-      Rng survivor_rng = topup_root.Split(j);
+    const SqmPlan::TopUp topup = plan.PlanTopUp(tracker);
+    for (size_t k = 0; k < topup.dealers.size(); ++k) {
+      const size_t j = topup.dealers[k].first;
       std::vector<Field::Element> encoded;
-      if (j == me) {
-        encoded = Field::EncodeVector(sampler.SampleVector(survivor_rng, d));
-      }
-      SQM_ASSIGN_OR_RETURN(
-          const PartyProtocol::Shares extra_shares,
-          engine.protocol().ShareFromParty(j, encoded, d, "topup"));
+      if (j == me) encoded = Field::EncodeVector(plan.SampleTopUp(topup, k));
+      SQM_ASSIGN_OR_RETURN(const PartyProtocol::Shares extra_shares,
+                           engine.protocol().ShareFromParty(
+                               j, encoded, plan.output_dim(), "topup"));
       SQM_ASSIGN_OR_RETURN(*shares_io,
                            engine.protocol().Add(*shares_io, extra_shares));
-      *mu_out += per_survivor_mu;
     }
+    *mu_out = topup.total_mu;
     return Status::OK();
   };
 
@@ -505,7 +309,7 @@ Result<SqmReport> RunPartySqm(const DeploymentConfig& config, size_t me,
   // with nobody answering its barrier. Each retry recomputes out_shares
   // from the (possibly rewound) checkpoint, so nothing is double-added.
   while (true) {
-    ++attempts;
+    ++run.attempts;
     Status failure = Status::OK();
     Result<PartyProtocol::Shares> shares =
         engine.EvaluateToShares(circuit, my_inputs, checkpoint_ptr);
@@ -513,7 +317,7 @@ Result<SqmReport> RunPartySqm(const DeploymentConfig& config, size_t me,
       failure = shares.status();
     } else {
       out_shares = std::move(shares).ValueOrDie();
-      const Status topup_status = run_topup(&out_shares, &topup_mu);
+      const Status topup_status = run_topup(&out_shares, &run.topup_mu);
       if (!topup_status.ok()) {
         // Without recovery this keeps the pre-recovery contract: a topup
         // or open failure is terminal, never retried.
@@ -522,17 +326,17 @@ Result<SqmReport> RunPartySqm(const DeploymentConfig& config, size_t me,
       } else {
         Result<std::vector<int64_t>> opened = engine.OpenOutputs(out_shares);
         if (opened.ok()) {
-          raw = std::move(opened).ValueOrDie();
+          run.raw = std::move(opened).ValueOrDie();
           break;
         }
         if (!recovery_enabled) return opened.status();
         failure = opened.status();
       }
     }
-    SQM_LOG(kInfo) << "party " << me << " attempt " << attempts
+    SQM_LOG(kInfo) << "party " << me << " attempt " << run.attempts
                    << " failed: " << failure;
-    bool retryable =
-        policy != DropoutPolicy::kAbort && attempts < max_attempts;
+    bool retryable = policy != DropoutPolicy::kAbort &&
+                     run.attempts < plan.max_attempts();
     if (retryable && recovery_enabled) {
       // The barrier may revive a restarted party or declare a vanished
       // one positively dead, so the quorum check comes after it.
@@ -541,97 +345,16 @@ Result<SqmReport> RunPartySqm(const DeploymentConfig& config, size_t me,
     retryable = retryable && (checkpoint.valid || recovery_enabled) &&
                 tracker.num_alive() >= quorum;
     if (!retryable) return failure;
-    resumed_from_level = checkpoint.valid ? checkpoint.next_level : 0;
+    run.resumed_from_level = checkpoint.valid ? checkpoint.next_level : 0;
   }
-  const double compute_seconds = SecondsSince(compute_start);
-  const size_t num_dropped_final =
-      policy != DropoutPolicy::kAbort ? tracker.num_dead() : 0;
-  if (num_dropped_final > 0) {
+  run.noise_deal_seconds = engine.protocol().noise_deal_seconds();
+  run.transport = transport;
+  run.tracker = &tracker;
+  SQM_ASSIGN_OR_RETURN(SqmReport report, plan.Finish(inputs, std::move(run)));
+  if (report.dropout.num_dropped > 0) {
     SQM_FLIGHT_EVENT2("degrade", config.dropout_policy.c_str(),
-                      static_cast<int64_t>(num_dropped_final),
-                      static_cast<int64_t>(attempts));
-  }
-
-  // Noise-injection timing probe, same shape as the driver's but with
-  // zero vectors for the other parties (their noise is private to them);
-  // the timing is representative, the values are never compared.
-  const auto inject_start = std::chrono::steady_clock::now();
-  {
-    SimulatedNetwork scratch(num_clients, 0.0);
-    scratch.set_registry_accounting(false);
-    BgwProtocol protocol(ShamirScheme(num_clients, threshold), &scratch,
-                         config.seed ^ 0x5c4a7c);
-    SharedVector sum(num_clients, d);
-    const std::vector<int64_t> zero(d, 0);
-    for (size_t j = 0; j < num_clients; ++j) {
-      const SharedVector share = protocol.ShareFromParty(
-          j, Field::EncodeVector(j == me ? my_noise : zero));
-      SQM_ASSIGN_OR_RETURN(sum, protocol.Add(sum, share));
-    }
-  }
-  const double inject_seconds = SecondsSince(inject_start);
-
-  SqmReport report;
-  report.raw = std::move(raw);
-  report.estimate.resize(d);
-  for (size_t t = 0; t < d; ++t) {
-    report.estimate[t] =
-        static_cast<double>(report.raw[t]) / qf.output_scale;
-  }
-  report.network = transport->stats();
-  report.transport = transport->Snapshot();
-  report.timing.quantize_seconds = quantize_seconds;
-  report.timing.noise_sampling_seconds = noise_seconds;
-  report.timing.mpc_compute_seconds = compute_seconds;
-  report.timing.simulated_network_seconds = transport->SimulatedSeconds();
-  report.timing.noise_injection_seconds = noise_seconds + inject_seconds;
-
-  // ---- Dropout accounting: byte-for-byte the driver's computation —
-  // every input (survivor census, mu, sensitivities, delta) is public, so
-  // all surviving parties report the same realized guarantee.
-  DropoutReport& dropout = report.dropout;
-  dropout.policy = policy;
-  dropout.num_parties = num_clients;
-  dropout.num_dropped = num_dropped_final;
-  if (policy != DropoutPolicy::kAbort) {
-    dropout.survivors = tracker.Survivors();
-  } else {
-    dropout.survivors.resize(num_clients);
-    for (size_t j = 0; j < num_clients; ++j) dropout.survivors[j] = j;
-  }
-  dropout.configured_mu = config.mu;
-  dropout.topup_mu = topup_mu;
-  dropout.realized_mu =
-      config.mu > 0.0
-          ? SkellamMuWithDropouts(config.mu, num_clients,
-                                  num_dropped_final) +
-                topup_mu
-          : 0.0;
-  dropout.delta = config.dp_delta;
-  dropout.mpc_attempts = attempts;
-  dropout.resumed_from_level = resumed_from_level;
-  if (config.mu > 0.0) {
-    dropout.configured_epsilon = SkellamEpsilonSingleRelease(
-        config.mu, sensitivity.l1, sensitivity.l2, config.dp_delta);
-    if (dropout.realized_mu > 0.0) {
-      PrivacyAccountant accountant;
-      accountant.SetLedgerContext(config.dp_delta, config.gamma, d);
-      accountant.AddSkellamWithDropouts(
-          "sqm_release", sensitivity.l1, sensitivity.l2, config.mu,
-          num_clients, num_dropped_final);
-      if (topup_mu > 0.0) {
-        accountant.Reset();
-        accountant.AddSkellam("sqm_release", sensitivity.l1,
-                              sensitivity.l2, dropout.realized_mu);
-      }
-      SQM_ASSIGN_OR_RETURN(const PrivacyGuarantee guarantee,
-                           accountant.TotalGuarantee(config.dp_delta));
-      dropout.realized_epsilon = guarantee.epsilon;
-      dropout.best_alpha = guarantee.best_alpha;
-      report.ledger = accountant.ledger();
-    } else {
-      dropout.realized_epsilon = std::numeric_limits<double>::infinity();
-    }
+                      static_cast<int64_t>(report.dropout.num_dropped),
+                      static_cast<int64_t>(report.dropout.mpc_attempts));
   }
   return report;
 }

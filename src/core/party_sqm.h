@@ -20,7 +20,7 @@ size_t DeploymentCols(const DeploymentConfig& config);
 /// `data_seed` with every record normalized to ||x||_2 <= 1 (the paper's
 /// precondition with the default record_norm_bound). Deterministic, so the
 /// coordinator's in-process comparison run and every party generate the
-/// SAME matrix; a party then keeps only its own ClientColumnRange columns.
+/// SAME matrix; a party then rounds only its own columns.
 Matrix GenerateDeploymentMatrix(size_t rows, size_t cols,
                                 uint64_t data_seed);
 
@@ -52,25 +52,24 @@ struct PartySqmHooks {
 
 /// Runs party `me`'s side of the full SQM mechanism (Algorithm 3) over
 /// `transport` and returns this party's copy of the report. The networked
-/// counterpart of SqmEvaluator::Evaluate with backend kBgw:
+/// counterpart of SqmEvaluator::Evaluate with backend kBgw: both build the
+/// same SqmPlan (core/sqm_plan.h) from SqmOptionsFromDeployment(config),
+/// so they validate identically and
 ///
-///  - quantizes the public coefficients identically to the driver (the
-///    coefficient RNG stream is derived from the shared seed),
-///  - quantizes ONLY its own columns and samples ONLY its own Skellam
-///    noise share, replaying the driver's RNG split sequence so the values
-///    equal the ones driver mode would have assigned to this party,
-///  - builds the same arithmetic circuit (public structure) and evaluates
-///    it with PartyEngine, so the released values are BIT-IDENTICAL to a
-///    driver-mode run of the same config,
-///  - reproduces the driver's dropout accounting: every input to the
-///    realized-(epsilon, delta) computation is public (survivor census,
-///    mu, sensitivities), so all surviving parties — and the coordinator —
+///  - quantize the public coefficients identically,
+///  - round ONLY this party's own columns and sample ONLY its own Skellam
+///    noise share, from this party's streams of the plan's RNG schedule,
+///    so the values equal the ones driver mode assigns to this party,
+///  - evaluate the plan's circuit with PartyEngine, so the released values
+///    are BIT-IDENTICAL to a driver-mode run of the same config,
+///  - account dropouts with the plan: every input to the realized-
+///    (epsilon, delta) computation is public (survivor census, mu,
+///    sensitivities), so all surviving parties — and the coordinator —
 ///    report the same guarantee.
 ///
-/// The report's noise_injection timing comes from a local zero-noise probe
-/// of the same shape as the driver's (a party cannot know the other
-/// parties' noise vectors): the TIMING is representative, the probe values
-/// are not compared anywhere.
+/// The report's noise_injection_seconds is this party's noise sampling
+/// plus the time it spent dealing its own noise inputs inside the real
+/// input round (a party never sees the other parties' noise).
 ///
 /// `transport` must already be connected (see TcpTransport::Create) and
 /// have num_parties() == config.parties.size().

@@ -1,58 +1,161 @@
 #include "core/sqm.h"
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <limits>
 #include <memory>
 
-#include "core/logging.h"
-#include "dp/accountant.h"
-#include "dp/skellam.h"
+#include "core/sqm_plan.h"
 #include "mpc/beaver.h"
 #include "mpc/bgw.h"
-#include "mpc/circuit.h"
 #include "mpc/field.h"
-#include "mpc/protocol.h"
-#include "mpc/shamir.h"
 #include "net/liveness.h"
 #include "obs/trace.h"
-#include "sampling/skellam_sampler.h"
 
 namespace sqm {
 namespace {
 
-double SecondsSince(
-    const std::chrono::steady_clock::time_point& start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
+/// Plaintext executor: the same quantized integers and noise shares,
+/// evaluated in the clear (MPC is exact, so the release is identical).
+Result<SqmReport> EvaluatePlaintext(const SqmPlan& plan,
+                                    const SqmPlan::Inputs& inputs) {
+  const QuantizedPolynomial& qf = plan.polynomial();
+  SqmPlan::Execution run;
+  run.compute_start = std::chrono::steady_clock::now();
+  for (const std::vector<QuantizedMonomial>& dim : qf.dims) {
+    __int128 acc = 0;
+    for (size_t i = 0; i < inputs.db.rows; ++i) {
+      SQM_ASSIGN_OR_RETURN(int64_t value,
+                           EvaluateQuantizedDim(dim, inputs.db, i));
+      acc += value;
+    }
+    if (acc > Field::kMaxCentered || acc < -Field::kMaxCentered) {
+      return Status::OutOfRange(
+          "aggregate exceeds field capacity; lower gamma or split the data");
+    }
+    run.raw.push_back(static_cast<int64_t>(acc));
+  }
+  // Noise injection: the aggregation of the clients' noise shares — the
+  // quantity Tables II/IV/V isolate as the "time for DP".
+  SQM_RETURN_NOT_OK(plan.AddNoiseInClear(inputs, &run));
+  return plan.Finish(inputs, std::move(run));
 }
 
-/// Emits a completed span [start_micros, now) on the current track —
-/// used where a pipeline step's extent is delimited by statements, not a
-/// scope, so RAII Span cannot bound it.
-void EmitPhaseSpan(const char* name, uint64_t start_micros) {
-  if (!obs::Enabled()) return;
-  obs::TraceEvent event;
-  event.name = name;
-  event.category = "sqm";
-  event.track = obs::Tracer::CurrentTrack();
-  event.ts_micros = start_micros;
-  event.dur_micros = obs::NowMicros() - start_micros;
-  obs::Tracer::Global().Emit(event);
+/// Driver-mode BGW executor: every party runs in this process over one
+/// lockstep or threaded transport.
+Result<SqmReport> EvaluateBgw(const SqmPlan& plan,
+                              const SqmPlan::Inputs& inputs) {
+  const SqmOptions& options = plan.options();
+  const size_t num_clients = plan.num_clients();
+
+  // Name the party tracks so the exported trace renders one labeled row
+  // per party; the driver's own spans go on the track after the parties.
+  if (obs::Enabled()) {
+    for (size_t j = 0; j < num_clients; ++j) {
+      obs::Tracer::Global().SetTrackName(static_cast<int32_t>(j),
+                                         "party " + std::to_string(j));
+    }
+    obs::Tracer::Global().SetTrackName(static_cast<int32_t>(num_clients),
+                                       "driver");
+  }
+  obs::TrackScope driver_track(static_cast<int32_t>(num_clients));
+  obs::Span bgw_span("sqm.bgw", "sqm");
+  bgw_span.AddArg("parties", static_cast<int64_t>(num_clients));
+  bgw_span.AddArg("threshold", static_cast<int64_t>(plan.threshold()));
+
+  const Circuit circuit = plan.BuildCircuit();
+  std::vector<std::vector<int64_t>> inputs_per_party(num_clients);
+  for (size_t j = 0; j < num_clients; ++j) {
+    inputs_per_party[j] = plan.CircuitInputs(inputs, j);
+  }
+
+  // The protocol code is transport-agnostic; the options pick the
+  // execution model (deterministic lock-step vs concurrent mailboxes with
+  // optional fault injection).
+  std::unique_ptr<Transport> network;
+  if (options.transport == TransportMode::kThreaded) {
+    ThreadedTransportOptions threaded = options.threaded;
+    threaded.per_round_latency_seconds = options.network_latency_seconds;
+    threaded.element_wire_bytes = Field::kWireBytes;
+    network = std::make_unique<ThreadedTransport>(num_clients, threaded);
+  } else {
+    auto lockstep = std::make_unique<SimulatedNetwork>(
+        num_clients, options.network_latency_seconds);
+    // Lockstep honors the crash component of the fault options, so the
+    // same dropout scenario runs under both transports.
+    lockstep->ScheduleCrashes(options.threaded.faults.EffectiveCrashes());
+    network = std::move(lockstep);
+  }
+  if (options.interceptor != nullptr) {
+    network->SetInterceptor(options.interceptor);
+  }
+  BgwEngine engine(plan.scheme(), network.get(), plan.protocol_seed());
+  engine.protocol().set_noise_inputs(plan.output_dim());
+  const DropoutPolicy policy = options.dropout_policy;
+  if (options.verify_sharings && policy == DropoutPolicy::kAbort) {
+    engine.set_verify_sharings(true);
+  }
+  const size_t quorum = 2 * plan.threshold() + 1;
+  LivenessTracker tracker(num_clients);
+  if (policy != DropoutPolicy::kAbort) engine.set_liveness(&tracker);
+
+  // Beaver backend: the whole circuit's triples are dealt offline, before
+  // the online clock starts.
+  const std::unique_ptr<BeaverTriplePool> beaver_pool =
+      plan.MakeBeaverPool(circuit);
+  if (beaver_pool != nullptr) {
+    engine.protocol().set_beaver_pool(beaver_pool.get());
+  }
+
+  SqmPlan::Execution run;
+  run.compute_start = std::chrono::steady_clock::now();
+  {
+    obs::Span compute_span("sqm.mpc_compute", "sqm");
+    // BGW phases 1+2 with phase-level checkpointing: a run that loses a
+    // multiplication level to flaky links retries from the last completed
+    // level instead of restarting quantization or input sharing. A quorum
+    // shortfall (alive < 2t+1) is unrecoverable and surfaces immediately.
+    BgwCheckpoint checkpoint;
+    BgwCheckpoint* checkpoint_ptr =
+        policy != DropoutPolicy::kAbort ? &checkpoint : nullptr;
+    SharedVector out_shares;
+    while (true) {
+      ++run.attempts;
+      Result<SharedVector> shares =
+          engine.EvaluateToShares(circuit, inputs_per_party, checkpoint_ptr);
+      if (shares.ok()) {
+        out_shares = std::move(shares).ValueOrDie();
+        break;
+      }
+      const bool retryable = policy != DropoutPolicy::kAbort &&
+                             checkpoint.valid &&
+                             run.attempts < plan.max_attempts() &&
+                             tracker.num_alive() >= quorum;
+      if (!retryable) return shares.status();
+      run.resumed_from_level = checkpoint.next_level;
+    }
+
+    // kTopUp: before opening, the survivors deal compensating Skellam
+    // noise, restoring the release to the full Sk(mu). It reacts only to
+    // deaths known before the release.
+    const SqmPlan::TopUp topup = plan.PlanTopUp(tracker);
+    for (size_t k = 0; k < topup.dealers.size(); ++k) {
+      SQM_ASSIGN_OR_RETURN(
+          SharedVector extra_shares,
+          engine.protocol().TryShareFromParty(
+              topup.dealers[k].first,
+              Field::EncodeVector(plan.SampleTopUp(topup, k)), "topup"));
+      SQM_ASSIGN_OR_RETURN(out_shares,
+                           engine.protocol().Add(out_shares, extra_shares));
+    }
+    run.topup_mu = topup.total_mu;
+    SQM_ASSIGN_OR_RETURN(run.raw, engine.OpenOutputs(out_shares));
+  }
+  run.noise_deal_seconds = engine.protocol().noise_deal_seconds();
+  run.transport = network.get();
+  run.tracker = &tracker;
+  return plan.Finish(inputs, std::move(run));
 }
 
 }  // namespace
-
-std::pair<size_t, size_t> ClientColumnRange(size_t j, size_t cols,
-                                            size_t num_clients) {
-  const size_t base = cols / num_clients;
-  const size_t extra = cols % num_clients;
-  const size_t begin = j * base + std::min(j, extra);
-  const size_t count = base + (j < extra ? 1 : 0);
-  return {begin, begin + count};
-}
 
 const char* DropoutPolicyToString(DropoutPolicy policy) {
   switch (policy) {
@@ -96,476 +199,18 @@ SqmEvaluator::SqmEvaluator(SqmOptions options)
 
 Result<SqmReport> SqmEvaluator::Evaluate(const PolynomialVector& f,
                                          const Matrix& x) {
-  if (f.output_dim() == 0) {
-    return Status::InvalidArgument("polynomial has no output dimensions");
-  }
-  if (f.MinArity() > x.cols()) {
-    return Status::InvalidArgument(
-        "polynomial references more variables than the database has columns");
-  }
-  if (x.rows() == 0) {
-    return Status::InvalidArgument("empty database");
-  }
-  const size_t num_clients =
-      options_.num_clients == 0 ? x.cols() : options_.num_clients;
-  if (num_clients < 2) {
-    return Status::InvalidArgument(
-        "SQM needs >= 2 clients (a single client is the centralized "
-        "setting)");
-  }
-  if (num_clients > x.cols()) {
-    return Status::InvalidArgument(
-        "more clients than columns: every client must own >= 1 column");
-  }
-  if (options_.gamma < 1.0) {
-    return Status::InvalidArgument("gamma must be >= 1");
-  }
-  if (options_.mu < 0.0) {
-    return Status::InvalidArgument("mu must be >= 0");
-  }
-  if (options_.check_capacity) {
-    SQM_RETURN_NOT_OK(CheckFieldCapacity(x.rows(), options_.gamma, f.Degree(),
-                                         options_.max_f_l2, options_.mu));
-  }
-
-  Rng rng(options_.seed);
-
+  SQM_ASSIGN_OR_RETURN(const SqmPlan plan,
+                       SqmPlan::Create(f, options_, x.rows(), x.cols()));
   obs::Span evaluate_span("sqm.evaluate", "sqm");
-  evaluate_span.AddArg("clients", static_cast<int64_t>(num_clients));
+  evaluate_span.AddArg("clients", static_cast<int64_t>(plan.num_clients()));
   evaluate_span.AddArg("rows", static_cast<int64_t>(x.rows()));
   evaluate_span.AddArg("output_dim", static_cast<int64_t>(f.output_dim()));
 
-  // ---- Step 1: quantization (Algorithm 3 lines 1-5). Coefficients are
-  // public; data columns are rounded privately per client.
-  const auto quantize_start = std::chrono::steady_clock::now();
-  const uint64_t quantize_ts = obs::NowMicros();
-  QuantizedPolynomial qf;
-  if (options_.quantize_coefficients) {
-    Rng coeff_rng = rng.Split(0x0c0eff);
-    SQM_ASSIGN_OR_RETURN(qf, QuantizePolynomial(f, options_.gamma,
-                                                coeff_rng));
-  } else {
-    // PCA-style: coefficients are already integers of a single-degree
-    // polynomial; keep them and down-scale by gamma^lambda only.
-    for (const Polynomial& p : f.dims()) {
-      for (const Monomial& term : p.terms()) {
-        if (term.Degree() != f.Degree()) {
-          return Status::InvalidArgument(
-              "quantize_coefficients=false requires all monomials to have "
-              "the polynomial's degree");
-        }
-        const double c = term.coefficient();
-        if (c != std::floor(c)) {
-          return Status::InvalidArgument(
-              "quantize_coefficients=false requires integer coefficients");
-        }
-      }
-    }
-    qf.degree = f.Degree();
-    qf.output_scale = std::pow(options_.gamma,
-                               static_cast<double>(qf.degree));
-    qf.dims.resize(f.output_dim());
-    for (size_t t = 0; t < f.output_dim(); ++t) {
-      for (const Monomial& term : f.dims()[t].terms()) {
-        QuantizedMonomial qm;
-        qm.coefficient = static_cast<int64_t>(term.coefficient());
-        qm.exponents = term.exponents();
-        qf.dims[t].push_back(std::move(qm));
-      }
-    }
-  }
-  Rng data_rng = rng.Split(0xda7a);
-  QuantizedDatabase db = QuantizeDatabase(x, options_.gamma, data_rng);
-  const double quantize_seconds = SecondsSince(quantize_start);
-  EmitPhaseSpan("sqm.quantize", quantize_ts);
-
-  // ---- Step 2: local noise sampling (Algorithm 3 lines 6-8): each client
-  // draws Sk(mu / n) per output dimension, privately, before the MPC phase
-  // (which is what makes the mechanism robust to timing attacks).
-  const auto noise_start = std::chrono::steady_clock::now();
-  const uint64_t noise_ts = obs::NowMicros();
-  const size_t d = f.output_dim();
-  std::vector<std::vector<int64_t>> noise_per_client(
-      num_clients, std::vector<int64_t>(d, 0));
-  if (options_.mu > 0.0) {
-    const SkellamSampler sampler(options_.mu /
-                                 static_cast<double>(num_clients));
-    for (size_t j = 0; j < num_clients; ++j) {
-      Rng client_rng = rng.Split(0x4015e + j);
-      noise_per_client[j] = sampler.SampleVector(client_rng, d);
-    }
-  }
-  const double noise_seconds = SecondsSince(noise_start);
-  EmitPhaseSpan("sqm.noise_sample", noise_ts);
-
-  // ---- Step 3: secure evaluation + perturbation, then server
-  // post-processing.
+  const SqmPlan::Inputs inputs = plan.PrepareInputs(x);
   if (options_.backend == MpcBackend::kPlaintext) {
-    return EvaluatePlaintext(qf, db, noise_per_client, quantize_seconds,
-                             noise_seconds);
+    return EvaluatePlaintext(plan, inputs);
   }
-  // Sensitivity of the release, needed by the dropout accounting to turn a
-  // realized noise level back into an honest (epsilon, delta).
-  SensitivityBound sensitivity;
-  if (options_.mu > 0.0) {
-    sensitivity = PolynomialSensitivity(f, options_.gamma,
-                                        options_.record_norm_bound,
-                                        options_.max_f_l2,
-                                        options_.quantize_coefficients);
-  }
-  return EvaluateBgw(qf, db, noise_per_client, quantize_seconds,
-                     noise_seconds, sensitivity);
-}
-
-Result<SqmReport> SqmEvaluator::EvaluatePlaintext(
-    const QuantizedPolynomial& qf, const QuantizedDatabase& db,
-    const std::vector<std::vector<int64_t>>& noise_per_client,
-    double quantize_seconds, double noise_seconds) {
-  const size_t d = qf.dims.size();
-  SqmReport report;
-  report.raw.resize(d, 0);
-
-  const auto compute_start = std::chrono::steady_clock::now();
-  for (size_t t = 0; t < d; ++t) {
-    __int128 acc = 0;
-    for (size_t i = 0; i < db.rows; ++i) {
-      SQM_ASSIGN_OR_RETURN(int64_t value,
-                           EvaluateQuantizedDim(qf.dims[t], db, i));
-      acc += value;
-    }
-    if (acc > Field::kMaxCentered || acc < -Field::kMaxCentered) {
-      return Status::OutOfRange(
-          "aggregate exceeds field capacity; lower gamma or split the data");
-    }
-    report.raw[t] = static_cast<int64_t>(acc);
-  }
-  const double compute_seconds = SecondsSince(compute_start);
-
-  // Noise injection: the aggregation of the clients' noise shares — the
-  // quantity Tables II/IV/V isolate as the "time for DP".
-  const auto inject_start = std::chrono::steady_clock::now();
-  for (size_t t = 0; t < d; ++t) {
-    __int128 acc = report.raw[t];
-    for (const auto& client_noise : noise_per_client) {
-      acc += client_noise[t];
-    }
-    if (acc > Field::kMaxCentered || acc < -Field::kMaxCentered) {
-      return Status::OutOfRange("noisy aggregate exceeds field capacity");
-    }
-    report.raw[t] = static_cast<int64_t>(acc);
-  }
-  const double inject_seconds = SecondsSince(inject_start);
-
-  report.estimate.resize(d);
-  for (size_t t = 0; t < d; ++t) {
-    report.estimate[t] =
-        static_cast<double>(report.raw[t]) / qf.output_scale;
-  }
-  report.timing.quantize_seconds = quantize_seconds;
-  report.timing.noise_sampling_seconds = noise_seconds;
-  report.timing.mpc_compute_seconds = compute_seconds + inject_seconds;
-  report.timing.noise_injection_seconds = noise_seconds + inject_seconds;
-  return report;
-}
-
-Result<SqmReport> SqmEvaluator::EvaluateBgw(
-    const QuantizedPolynomial& qf, const QuantizedDatabase& db,
-    const std::vector<std::vector<int64_t>>& noise_per_client,
-    double quantize_seconds, double noise_seconds,
-    const SensitivityBound& sensitivity) {
-  const size_t num_clients = noise_per_client.size();
-  const size_t d = qf.dims.size();
-  if (num_clients < 3) {
-    return Status::InvalidArgument(
-        "the BGW backend needs >= 3 clients (threshold < n/2 with "
-        "threshold >= 1); use more columns/clients or the plaintext "
-        "backend");
-  }
-  const size_t threshold = options_.bgw_threshold == 0
-                               ? (num_clients - 1) / 2
-                               : options_.bgw_threshold;
-  SQM_RETURN_NOT_OK(ShamirScheme::Validate(num_clients, threshold));
-
-  // Name the party tracks so the exported trace renders one labeled row
-  // per party; the driver's own spans go on the track after the parties.
-  if (obs::Enabled()) {
-    for (size_t j = 0; j < num_clients; ++j) {
-      obs::Tracer::Global().SetTrackName(static_cast<int32_t>(j),
-                                         "party " + std::to_string(j));
-    }
-    obs::Tracer::Global().SetTrackName(static_cast<int32_t>(num_clients),
-                                       "driver");
-  }
-  obs::TrackScope driver_track(static_cast<int32_t>(num_clients));
-  obs::Span bgw_span("sqm.bgw", "sqm");
-  bgw_span.AddArg("parties", static_cast<int64_t>(num_clients));
-  bgw_span.AddArg("threshold", static_cast<int64_t>(threshold));
-
-  // ---- Build one circuit: data inputs per client (its columns), noise
-  // inputs per client (one per output dimension), d outputs.
-  Circuit circuit;
-  // column_wires[col][row].
-  std::vector<std::vector<Circuit::WireId>> column_wires(db.cols);
-  std::vector<std::vector<int64_t>> inputs_per_party(num_clients);
-  for (size_t j = 0; j < num_clients; ++j) {
-    const auto [begin, end] = ClientColumnRange(j, db.cols, num_clients);
-    for (size_t col = begin; col < end; ++col) {
-      column_wires[col].resize(db.rows);
-      for (size_t i = 0; i < db.rows; ++i) {
-        column_wires[col][i] = circuit.AddInput(j);
-        inputs_per_party[j].push_back(db.at(i, col));
-      }
-    }
-  }
-  // noise_wires[j][t].
-  std::vector<std::vector<Circuit::WireId>> noise_wires(num_clients);
-  for (size_t j = 0; j < num_clients; ++j) {
-    noise_wires[j].resize(d);
-    for (size_t t = 0; t < d; ++t) {
-      noise_wires[j][t] = circuit.AddInput(j);
-      inputs_per_party[j].push_back(noise_per_client[j][t]);
-    }
-  }
-
-  for (size_t t = 0; t < d; ++t) {
-    Circuit::WireId acc = circuit.AddConstant(0);
-    for (size_t i = 0; i < db.rows; ++i) {
-      for (const QuantizedMonomial& term : qf.dims[t]) {
-        // Product of variable powers, then scale by the public quantized
-        // coefficient.
-        Circuit::WireId prod = 0;
-        bool have_prod = false;
-        for (const auto& [var, exp] : term.exponents) {
-          for (uint32_t e = 0; e < exp; ++e) {
-            if (!have_prod) {
-              prod = column_wires[var][i];
-              have_prod = true;
-            } else {
-              prod = circuit.AddMul(prod, column_wires[var][i]);
-            }
-          }
-        }
-        const Field::Element coeff = Field::Encode(term.coefficient);
-        const Circuit::WireId scaled =
-            have_prod ? circuit.AddMulConst(prod, coeff)
-                      : circuit.AddConstant(coeff);
-        acc = circuit.AddAdd(acc, scaled);
-      }
-    }
-    for (size_t j = 0; j < num_clients; ++j) {
-      acc = circuit.AddAdd(acc, noise_wires[j][t]);
-    }
-    circuit.MarkOutput(acc);
-  }
-
-  // The protocol code is transport-agnostic; the options pick the
-  // execution model (deterministic lock-step vs concurrent mailboxes with
-  // optional fault injection).
-  std::unique_ptr<Transport> network;
-  if (options_.transport == TransportMode::kThreaded) {
-    ThreadedTransportOptions threaded = options_.threaded;
-    threaded.per_round_latency_seconds = options_.network_latency_seconds;
-    threaded.element_wire_bytes = Field::kWireBytes;
-    network = std::make_unique<ThreadedTransport>(num_clients, threaded);
-  } else {
-    auto lockstep = std::make_unique<SimulatedNetwork>(
-        num_clients, options_.network_latency_seconds);
-    // Lockstep honors the crash component of the fault options, so the
-    // same dropout scenario runs under both transports.
-    lockstep->ScheduleCrashes(options_.threaded.faults.EffectiveCrashes());
-    network = std::move(lockstep);
-  }
-  if (options_.interceptor != nullptr) {
-    network->SetInterceptor(options_.interceptor);
-  }
-  BgwEngine engine(ShamirScheme(num_clients, threshold), network.get(),
-                   options_.seed ^ 0xb9d7);
-  const DropoutPolicy policy = options_.dropout_policy;
-  if (options_.verify_sharings && policy == DropoutPolicy::kAbort) {
-    engine.set_verify_sharings(true);
-  }
-  const size_t quorum = 2 * threshold + 1;
-  LivenessTracker tracker(num_clients);
-  if (policy != DropoutPolicy::kAbort) engine.set_liveness(&tracker);
-
-  // Beaver backend: deal the whole circuit's triples offline, before the
-  // online clock starts. A checkpoint resume replays Mul levels, so the
-  // pool is provisioned for max_attempts full passes; exhaustion inside
-  // the protocol is a kFailedPrecondition, never a silent online deal.
-  std::unique_ptr<BeaverTriplePool> beaver_pool;
-  if (options_.mul_backend == MulBackend::kBeaver) {
-    const size_t max_pool_attempts =
-        policy != DropoutPolicy::kAbort
-            ? std::max<size_t>(options_.mpc_max_attempts, 1)
-            : 1;
-    beaver_pool = std::make_unique<BeaverTriplePool>(
-        ShamirScheme(num_clients, threshold), options_.seed ^ 0xbea7e5,
-        circuit.num_multiplications() * max_pool_attempts);
-    engine.protocol().set_beaver_pool(beaver_pool.get());
-  }
-
-  const auto compute_start = std::chrono::steady_clock::now();
-  const uint64_t compute_ts = obs::NowMicros();
-
-  // BGW phases 1+2 with phase-level checkpointing: a run that loses a
-  // multiplication level to flaky links retries from the last completed
-  // level instead of restarting quantization or input sharing. A quorum
-  // shortfall (alive < 2t+1) is unrecoverable and surfaces immediately.
-  BgwCheckpoint checkpoint;
-  BgwCheckpoint* checkpoint_ptr =
-      policy != DropoutPolicy::kAbort ? &checkpoint : nullptr;
-  const size_t max_attempts =
-      policy != DropoutPolicy::kAbort
-          ? std::max<size_t>(options_.mpc_max_attempts, 1)
-          : 1;
-  SharedVector out_shares;
-  size_t attempts = 0;
-  size_t resumed_from_level = 0;
-  while (true) {
-    ++attempts;
-    Result<SharedVector> shares =
-        engine.EvaluateToShares(circuit, inputs_per_party, checkpoint_ptr);
-    if (shares.ok()) {
-      out_shares = std::move(shares).ValueOrDie();
-      break;
-    }
-    const bool retryable = policy != DropoutPolicy::kAbort &&
-                           checkpoint.valid && attempts < max_attempts &&
-                           tracker.num_alive() >= quorum;
-    if (!retryable) return shares.status();
-    resumed_from_level = checkpoint.next_level;
-  }
-
-  // kTopUp: before opening, the survivors deal compensating Skellam noise
-  // totalling Sk(d/n * mu), restoring the release to the full Sk(mu).
-  double topup_mu = 0.0;
-  const size_t num_dropped =
-      policy != DropoutPolicy::kAbort ? tracker.num_dead() : 0;
-  if (policy == DropoutPolicy::kTopUp && options_.mu > 0.0 &&
-      num_dropped > 0) {
-    const std::vector<size_t> survivors = tracker.Survivors();
-    const double per_survivor_mu =
-        options_.mu * static_cast<double>(num_dropped) /
-        (static_cast<double>(num_clients) *
-         static_cast<double>(survivors.size()));
-    const SkellamSampler sampler(per_survivor_mu);
-    Rng topup_root(options_.seed ^ 0x70bu);
-    for (size_t j : survivors) {
-      Rng survivor_rng = topup_root.Split(j);
-      const std::vector<int64_t> extra =
-          sampler.SampleVector(survivor_rng, d);
-      SQM_ASSIGN_OR_RETURN(
-          SharedVector extra_shares,
-          engine.protocol().TryShareFromParty(
-              j, Field::EncodeVector(extra), "topup"));
-      SQM_ASSIGN_OR_RETURN(out_shares,
-                           engine.protocol().Add(out_shares, extra_shares));
-      topup_mu += per_survivor_mu;
-    }
-  }
-
-  SQM_ASSIGN_OR_RETURN(std::vector<int64_t> raw,
-                       engine.OpenOutputs(out_shares));
-  const double compute_seconds = SecondsSince(compute_start);
-  EmitPhaseSpan("sqm.mpc_compute", compute_ts);
-  // The census must include parties that died during the open itself, so
-  // it is taken only now. (The top-up above used the pre-open count: noise
-  // compensation can only react to deaths known before release.)
-  const size_t num_dropped_final =
-      policy != DropoutPolicy::kAbort ? tracker.num_dead() : 0;
-
-  // Measure the marginal cost of DP enforcement the way the paper does:
-  // wall time for secret-sharing and summing the P noise vectors alone,
-  // on a scratch network so the main run's counters stay clean.
-  const auto inject_start = std::chrono::steady_clock::now();
-  const uint64_t inject_ts = obs::NowMicros();
-  {
-    SimulatedNetwork scratch(num_clients, 0.0);
-    // The probe's traffic must not pollute the registry's "net.*"
-    // counters: those reconcile exactly against the main transport's
-    // TransportStats (see docs/OBSERVABILITY.md).
-    scratch.set_registry_accounting(false);
-    BgwProtocol protocol(ShamirScheme(num_clients, threshold), &scratch,
-                         options_.seed ^ 0x5c4a7c);
-    SharedVector sum(num_clients, d);
-    for (size_t j = 0; j < num_clients; ++j) {
-      const SharedVector share = protocol.ShareFromParty(
-          j, Field::EncodeVector(noise_per_client[j]));
-      SQM_ASSIGN_OR_RETURN(sum, protocol.Add(sum, share));
-    }
-  }
-  const double inject_seconds = SecondsSince(inject_start);
-  EmitPhaseSpan("sqm.noise_probe", inject_ts);
-
-  SqmReport report;
-  report.raw = std::move(raw);
-  report.estimate.resize(d);
-  for (size_t t = 0; t < d; ++t) {
-    report.estimate[t] =
-        static_cast<double>(report.raw[t]) / qf.output_scale;
-  }
-  report.network = network->stats();
-  report.transport = network->Snapshot();
-  report.timing.quantize_seconds = quantize_seconds;
-  report.timing.noise_sampling_seconds = noise_seconds;
-  report.timing.mpc_compute_seconds = compute_seconds;
-  report.timing.simulated_network_seconds = network->SimulatedSeconds();
-  report.timing.noise_injection_seconds =
-      noise_seconds + inject_seconds;
-
-  // ---- Dropout accounting: record who survived and, when noise was
-  // configured, recompute the realized (epsilon, delta) from the noise the
-  // release actually carried.
-  DropoutReport& dropout = report.dropout;
-  dropout.policy = policy;
-  dropout.num_parties = num_clients;
-  dropout.num_dropped = num_dropped_final;
-  if (policy != DropoutPolicy::kAbort) {
-    dropout.survivors = tracker.Survivors();
-  } else {
-    dropout.survivors.resize(num_clients);
-    for (size_t j = 0; j < num_clients; ++j) dropout.survivors[j] = j;
-  }
-  dropout.configured_mu = options_.mu;
-  dropout.topup_mu = topup_mu;
-  dropout.realized_mu =
-      options_.mu > 0.0
-          ? SkellamMuWithDropouts(options_.mu, num_clients,
-                                  num_dropped_final) +
-                topup_mu
-          : 0.0;
-  dropout.delta = options_.dp_delta;
-  dropout.mpc_attempts = attempts;
-  dropout.resumed_from_level = resumed_from_level;
-  if (options_.mu > 0.0) {
-    dropout.configured_epsilon = SkellamEpsilonSingleRelease(
-        options_.mu, sensitivity.l1, sensitivity.l2, options_.dp_delta);
-    if (dropout.realized_mu > 0.0) {
-      PrivacyAccountant accountant;
-      accountant.SetLedgerContext(options_.dp_delta, options_.gamma, d);
-      accountant.AddSkellamWithDropouts(
-          "sqm_release", sensitivity.l1, sensitivity.l2, options_.mu,
-          num_clients, num_dropped_final);
-      if (topup_mu > 0.0) {
-        // The top-up restores noise without adding a release: account the
-        // single release at its total realized noise instead.
-        accountant.Reset();
-        accountant.AddSkellam("sqm_release", sensitivity.l1, sensitivity.l2,
-                              dropout.realized_mu);
-      }
-      SQM_ASSIGN_OR_RETURN(const PrivacyGuarantee guarantee,
-                           accountant.TotalGuarantee(options_.dp_delta));
-      dropout.realized_epsilon = guarantee.epsilon;
-      dropout.best_alpha = guarantee.best_alpha;
-      // Every spend the accountant witnessed, as report data: the ledger
-      // rides along in SqmReport and serializes as "privacy_ledger".
-      report.ledger = accountant.ledger();
-    } else {
-      // Every noise contributor dropped: the release is unprotected.
-      dropout.realized_epsilon = std::numeric_limits<double>::infinity();
-    }
-  }
-  return report;
+  return EvaluateBgw(plan, inputs);
 }
 
 }  // namespace sqm

@@ -63,14 +63,6 @@ const char* MulBackendToString(MulBackend backend);
 /// Inverse of MulBackendToString; kInvalidArgument on unknown names.
 Result<MulBackend> MulBackendFromString(const std::string& name);
 
-/// Columns owned by client `j` when `cols` attributes are evenly split
-/// among `num_clients` clients (contiguous blocks, remainder to the first
-/// clients). Shared by the driver evaluator and the per-party session
-/// (core/party_sqm.h): both must carve the same partition or their circuit
-/// input schedules diverge.
-std::pair<size_t, size_t> ClientColumnRange(size_t j, size_t cols,
-                                            size_t num_clients);
-
 /// Inverse of DropoutPolicyToString; kInvalidArgument on unknown names.
 Result<DropoutPolicy> DropoutPolicyFromString(const std::string& name);
 
@@ -119,9 +111,10 @@ struct SqmOptions {
 
   /// Multiplication backend for the BGW phase. kBeaver pre-deals a triple
   /// pool sized for the whole circuit (num_multiplications x
-  /// mpc_max_attempts) from seed `seed ^ 0xbea7e5` — offline work excluded
-  /// from the online timing — and halves the online round count per Mul on
-  /// the networked path. Releases are bit-identical to kGrr.
+  /// mpc_max_attempts) from its own stream of the SqmPlan RNG schedule —
+  /// offline work excluded from the online timing — and halves the online
+  /// round count per Mul on the networked path. Releases are bit-identical
+  /// to kGrr.
   MulBackend mul_backend = MulBackend::kGrr;
 
   /// Delta at which degraded-mode (epsilon, delta) guarantees are
@@ -180,8 +173,10 @@ struct SqmTiming {
   double mpc_compute_seconds = 0.0;
   /// Simulated network latency (rounds * per-round latency).
   double simulated_network_seconds = 0.0;
-  /// Wall time spent aggregating the noise shares inside the protocol —
-  /// the paper's "time for noise injection" column.
+  /// The paper's "time for noise injection" column: noise sampling plus
+  /// the time spent dealing the noise inputs inside the real input round
+  /// (BGW; the top-up dealing counts too), or adding them in the clear
+  /// (plaintext). In party mode only this party's own dealing is timed.
   double noise_injection_seconds = 0.0;
 
   double TotalSeconds() const {
@@ -260,19 +255,6 @@ class SqmEvaluator {
   const SqmOptions& options() const { return options_; }
 
  private:
-  Result<SqmReport> EvaluatePlaintext(const QuantizedPolynomial& qf,
-                                      const QuantizedDatabase& db,
-                                      const std::vector<std::vector<int64_t>>&
-                                          noise_per_client,
-                                      double quantize_seconds,
-                                      double noise_seconds);
-  Result<SqmReport> EvaluateBgw(const QuantizedPolynomial& qf,
-                                const QuantizedDatabase& db,
-                                const std::vector<std::vector<int64_t>>&
-                                    noise_per_client,
-                                double quantize_seconds, double noise_seconds,
-                                const SensitivityBound& sensitivity);
-
   SqmOptions options_;
 };
 

@@ -99,7 +99,9 @@ Result<PartyProtocol::Shares> PartyProtocol::ShareFromParty(
   if (dealer == me_) {
     SQM_CHECK(values.size() == count);
     std::vector<std::vector<Field::Element>> outbound =
-        scheme_.ShareBatch(values, my_rng_);
+        scheme_.ShareBatchWithTail(values, std::min(noise_inputs_, count),
+                                   my_rng_, static_cast<int32_t>(me_),
+                                   &noise_deal_seconds_);
     for (size_t j = 0; j < n; ++j) {
       if (liveness_ != nullptr && j != me_ && PartyDead(j)) continue;
       network_->Send(me_, j, std::move(outbound[j]));

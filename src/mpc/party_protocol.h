@@ -111,6 +111,11 @@ class PartyProtocol {
   /// Beaver triples consumed by Mul since construction (0 under GRR).
   size_t beaver_triples_used() const { return beaver_triples_used_; }
 
+  /// Marks the trailing `count` elements of this party's dealings as its
+  /// noise; see BgwProtocol::set_noise_inputs.
+  void set_noise_inputs(size_t count) { noise_inputs_ = count; }
+  double noise_deal_seconds() const { return noise_deal_seconds_; }
+
   /// Opens to every party (one round) and returns the plaintext. With a
   /// tracker, dead parties are skipped and reconstruction interpolates
   /// over whichever survivors delivered (any t+1 agree on the value).
@@ -203,6 +208,8 @@ class PartyProtocol {
   LivenessTracker* liveness_ = nullptr;
   BeaverTriplePool* beaver_pool_ = nullptr;
   size_t beaver_triples_used_ = 0;
+  size_t noise_inputs_ = 0;
+  double noise_deal_seconds_ = 0.0;
   const size_t me_;
   Rng my_rng_;
   std::vector<Field::Element> degree2t_lagrange_;

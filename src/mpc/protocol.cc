@@ -1,5 +1,6 @@
 #include "mpc/protocol.h"
 
+#include <algorithm>
 #include <numeric>
 
 #include "core/logging.h"
@@ -35,7 +36,7 @@ SharedVector BgwProtocol::ShareFromParty(
   span.AddArg("elements", static_cast<int64_t>(values.size()));
   // The owner deals every recipient's row in one table-driven batch.
   std::vector<std::vector<Field::Element>> outbound =
-      scheme_.ShareBatch(values, party_rngs_[party]);
+      DealInputs(party, values);
   for (size_t j = 0; j < n; ++j) {
     network_->Send(party, j, std::move(outbound[j]));
   }
@@ -46,6 +47,13 @@ SharedVector BgwProtocol::ShareFromParty(
     result.shares(j) = network_->Receive(party, j).ValueOrDie();
   }
   return result;
+}
+
+std::vector<std::vector<Field::Element>> BgwProtocol::DealInputs(
+    size_t party, const std::vector<Field::Element>& values) {
+  return scheme_.ShareBatchWithTail(
+      values, std::min(noise_inputs_, values.size()), party_rngs_[party],
+      static_cast<int32_t>(party), &noise_deal_seconds_);
 }
 
 SharedVector BgwProtocol::SharePublic(
@@ -344,7 +352,7 @@ Result<SharedVector> BgwProtocol::TryShareFromParty(
   span.AddArg("party", static_cast<int64_t>(party));
   span.AddArg("elements", static_cast<int64_t>(values.size()));
   std::vector<std::vector<Field::Element>> outbound =
-      scheme_.ShareBatch(values, party_rngs_[party]);
+      DealInputs(party, values);
   for (size_t j = 0; j < n; ++j) {
     if (j != party && PartyDead(j)) continue;
     network_->Send(party, j, std::move(outbound[j]));
@@ -532,7 +540,7 @@ Result<SharedVector> BgwProtocol::ShareFromPartyChecked(
   span.AddArg("party", static_cast<int64_t>(party));
   span.AddArg("elements", static_cast<int64_t>(values.size()));
   std::vector<std::vector<Field::Element>> outbound =
-      scheme_.ShareBatch(values, party_rngs_[party]);
+      DealInputs(party, values);
   for (size_t j = 0; j < n; ++j) {
     network_->Send(party, j, std::move(outbound[j]));
   }

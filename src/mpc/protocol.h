@@ -154,6 +154,14 @@ class BgwProtocol {
   /// Beaver triples consumed by Mul since construction (0 under GRR).
   size_t beaver_triples_used() const { return beaver_triples_used_; }
 
+  /// Marks the trailing `count` elements of every dealing (input phase and
+  /// top-up) as the dealer's noise: they are dealt as a second batch into
+  /// the same message (ShamirScheme::ShareBatchWithTail), so traffic and
+  /// randomness are unchanged, and their dealing time accumulates in
+  /// noise_deal_seconds(). 0 (the default) deals every input in one batch.
+  void set_noise_inputs(size_t count) { noise_inputs_ = count; }
+  double noise_deal_seconds() const { return noise_deal_seconds_; }
+
   /// Conformance check: every element of `a` must be a consistent
   /// degree-threshold sharing across all parties (or across the alive
   /// parties when a liveness tracker is attached). kIntegrityViolation
@@ -217,6 +225,11 @@ class BgwProtocol {
   std::vector<Field::Element> OpenInPhase(const SharedVector& a);
   Result<std::vector<Field::Element>> TryOpenInPhase(const SharedVector& a);
 
+  /// Party `party`'s dealing of `values`, one row per recipient, with the
+  /// trailing noise inputs dealt and timed separately.
+  std::vector<std::vector<Field::Element>> DealInputs(
+      size_t party, const std::vector<Field::Element>& values);
+
   bool PartyDead(size_t party) const {
     return liveness_ != nullptr && liveness_->IsDead(party);
   }
@@ -227,6 +240,8 @@ class BgwProtocol {
   BeaverTriplePool* beaver_pool_ = nullptr;
   bool verify_sharings_ = false;
   size_t beaver_triples_used_ = 0;
+  size_t noise_inputs_ = 0;
+  double noise_deal_seconds_ = 0.0;
   std::vector<Rng> party_rngs_;  // Independent randomness per party.
   std::vector<Field::Element> degree2t_lagrange_;
 };

@@ -1,8 +1,10 @@
 #include "mpc/shamir.h"
 
+#include <chrono>
 #include <numeric>
 
 #include "core/logging.h"
+#include "obs/trace.h"
 
 namespace sqm {
 
@@ -120,6 +122,30 @@ std::vector<std::vector<Field::Element>> ShamirScheme::ShareBatch(
                        vandermonde_[j][e + 1], d);
     }
   }
+  return rows;
+}
+
+std::vector<std::vector<Field::Element>> ShamirScheme::ShareBatchWithTail(
+    const std::vector<Field::Element>& secrets, size_t tail, Rng& rng,
+    int32_t track, double* tail_seconds) const {
+  if (tail == 0) return ShareBatch(secrets, rng);
+  SQM_CHECK(tail <= secrets.size());
+  const auto split = secrets.end() - static_cast<std::ptrdiff_t>(tail);
+  std::vector<std::vector<Field::Element>> rows =
+      ShareBatch({secrets.begin(), split}, rng);
+  const auto start = std::chrono::steady_clock::now();
+  {
+    obs::Span span("bgw.share.noise", "mpc", track);
+    span.AddArg("elements", static_cast<int64_t>(tail));
+    const std::vector<std::vector<Field::Element>> tail_rows =
+        ShareBatch({split, secrets.end()}, rng);
+    for (size_t j = 0; j < num_parties_; ++j) {
+      rows[j].insert(rows[j].end(), tail_rows[j].begin(), tail_rows[j].end());
+    }
+  }
+  *tail_seconds += std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
   return rows;
 }
 

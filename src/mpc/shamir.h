@@ -46,6 +46,17 @@ class ShamirScheme {
   std::vector<std::vector<Field::Element>> ShareBatch(
       const std::vector<Field::Element>& secrets, Rng& rng) const;
 
+  /// ShareBatch with the trailing `tail` secrets dealt as a second batch
+  /// into the same rows: bit-identical to ShareBatch(secrets, rng), since
+  /// ShareBatch draws secret-major. The tail's dealing runs in a
+  /// "bgw.share.noise" span on trace track `track`, and its wall time is
+  /// added to *tail_seconds (measured with obs off too). SQM deals each
+  /// party's noise inputs this way, timing noise injection inside the real
+  /// input round.
+  std::vector<std::vector<Field::Element>> ShareBatchWithTail(
+      const std::vector<Field::Element>& secrets, size_t tail, Rng& rng,
+      int32_t track, double* tail_seconds) const;
+
   /// Reconstructs the secret from the full share vector (degree-t
   /// interpolation using the first threshold+1 shares). When
   /// verify_reconstruction is set (wired from the protocol layer's

@@ -33,7 +33,7 @@ void LockstepTransport::Send(size_t from, size_t to, Payload payload) {
   CheckParty(from, to);
   if (from != to && HasCrashed(from)) {
     RecordCrashLoss();
-    if (obs::Enabled() && registry_accounting()) {
+    if (obs::Enabled()) {
       obs::TraceEvent event;
       event.name = "net.fault.crash_loss";
       event.category = "net";

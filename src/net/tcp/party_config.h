@@ -48,8 +48,8 @@ struct DeploymentConfig {
   uint64_t seed = 42;
   std::string dropout_policy = "abort";
   /// Multiplication backend: "grr" (online degree reduction) or "beaver"
-  /// (offline triple pool; every party pre-deals the same pool from
-  /// seed ^ 0xbea7e5 before the online phase, halving per-Mul rounds).
+  /// (offline triple pool; every party pre-deals the same pool from the
+  /// seed before the online phase, halving per-Mul rounds).
   /// Not combinable with supervised recovery (max_restarts > 0): the pool
   /// cursor is not part of the durable checkpoint.
   std::string mul_backend = "grr";

@@ -132,7 +132,7 @@ std::vector<Transport::Payload> Transport::InterceptSend(size_t from,
 }
 
 void Transport::MirrorToRegistry(const char* name, uint64_t n) {
-  if (!obs::Enabled() || !registry_accounting()) return;
+  if (!obs::Enabled()) return;
   // No static cache here: the metric name varies per call site, and these
   // paths already pay a mutex, so one registry map lookup is in the noise.
   obs::Registry::Global().GetCounter(name).Add(n);
@@ -157,7 +157,7 @@ void Transport::RecordSend(size_t from, size_t to, size_t elements) {
   }
   // Mirror the same quantities into the metrics registry (outside mu_ —
   // counters are atomic) so TransportStats and the registry agree exactly.
-  if (obs::Enabled() && registry_accounting()) {
+  if (obs::Enabled()) {
     static obs::Counter& messages =
         obs::Registry::Global().GetCounter("net.send.messages");
     static obs::Counter& field_elements =

@@ -1,7 +1,6 @@
 #ifndef SQM_NET_TRANSPORT_H_
 #define SQM_NET_TRANSPORT_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -141,18 +140,6 @@ class Transport {
   void SetInterceptor(MessageInterceptor* interceptor);
   MessageInterceptor* interceptor() const;
 
-  /// Whether this transport mirrors its accounting into the global
-  /// obs::Registry ("net.send.*", "net.fault.*", ... — on by default).
-  /// Scratch transports (e.g. the SQM driver's noise-injection timing
-  /// probe) turn this off so the registry's traffic counters stay exactly
-  /// reconcilable with the main transport's TransportStats.
-  void set_registry_accounting(bool on) {
-    registry_accounting_.store(on, std::memory_order_relaxed);
-  }
-  bool registry_accounting() const {
-    return registry_accounting_.load(std::memory_order_relaxed);
-  }
-
  protected:
   /// Bounds-check helper: aborts on an out-of-range party index.
   void CheckParty(size_t from, size_t to) const;
@@ -204,15 +191,13 @@ class Transport {
                                      Payload payload);
 
  private:
-  /// Adds to the "net.*" registry counter `name` iff observability is on
-  /// and this transport participates in registry accounting.
+  /// Adds to the "net.*" registry counter `name` iff observability is on.
   void MirrorToRegistry(const char* name, uint64_t n);
 
   const size_t num_parties_;
   const double per_round_latency_;
   const size_t element_wire_bytes_;
   const std::chrono::steady_clock::time_point start_;
-  std::atomic<bool> registry_accounting_{true};
 
   mutable Mutex mu_;
   MessageInterceptor* interceptor_ SQM_GUARDED_BY(mu_) = nullptr;

@@ -1,5 +1,7 @@
 #include "sampling/poisson.h"
 
+#include <math.h>
+
 #include <cmath>
 
 #include "core/logging.h"
@@ -62,7 +64,10 @@ int64_t PoissonSampler::SamplePtrs(Rng& rng) const {
     const double k = kf;
     const double lhs =
         std::log(v * inv_alpha_ / (a_ / (us * us) + b_));
-    const double rhs = k * log_mu_ - mu_ - std::lgamma(k + 1.0);
+    // lgamma_r, not std::lgamma: glibc's lgamma writes the global
+    // `signgam`, a data race when parties sample noise concurrently.
+    int sign = 0;
+    const double rhs = k * log_mu_ - mu_ - ::lgamma_r(k + 1.0, &sign);
     if (lhs <= rhs) return static_cast<int64_t>(kf);
     SQM_OBS_COUNTER_INC("sampler.poisson.ptrs_rejections");
   }

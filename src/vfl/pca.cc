@@ -5,15 +5,14 @@
 
 #include "core/baseline.h"
 #include "core/logging.h"
-#include "core/quantize.h"
 #include "mpc/field.h"
 #include "core/sensitivity.h"
+#include "core/sqm_plan.h"
 #include "dp/gaussian.h"
 #include "dp/skellam.h"
 #include "math/eigen.h"
 #include "math/linalg.h"
 #include "sampling/gaussian_sampler.h"
-#include "sampling/skellam_sampler.h"
 #include "vfl/dataset.h"
 #include "vfl/metrics.h"
 
@@ -56,12 +55,6 @@ Result<PcaResult> FinishFromCovariance(const Matrix& x,
   return result;
 }
 
-double SecondsSince(const std::chrono::steady_clock::time_point& start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 }  // namespace
 
 Result<PcaResult> SqmPca(const Matrix& x, const PcaOptions& options) {
@@ -81,119 +74,77 @@ Result<PcaResult> SqmPca(const Matrix& x, const PcaOptions& options) {
       const double mu,
       CalibrateSkellamMuSingleRelease(options.epsilon, options.delta,
                                       sens.l1, sens.l2));
-  SQM_RETURN_NOT_OK(CheckFieldCapacity(
-      clean.rows(), options.gamma, /*degree=*/2,
-      options.record_norm_bound * options.record_norm_bound, mu));
 
-  if (options.backend == MpcBackend::kBgw) {
-    // Faithful path: the generic SQM evaluator over the upper-triangle
-    // outer-product polynomial, run through the BGW engine.
-    PolynomialVector f;
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i; j < n; ++j) {
-        Polynomial p;
-        p.AddTerm(i == j ? Monomial::Power(1.0, i, 2)
-                         : Monomial(1.0, {{i, 1}, {j, 1}}));
-        f.AddDimension(std::move(p));
-      }
-    }
-    SqmOptions sqm_options;
-    sqm_options.gamma = options.gamma;
-    sqm_options.mu = mu;
-    sqm_options.num_clients = num_clients;
-    sqm_options.backend = MpcBackend::kBgw;
-    sqm_options.network_latency_seconds = options.network_latency_seconds;
-    sqm_options.seed = options.seed;
-    sqm_options.max_f_l2 =
-        options.record_norm_bound * options.record_norm_bound;
-    sqm_options.quantize_coefficients = false;  // Section V-A.
-    SqmEvaluator evaluator(sqm_options);
-    SQM_ASSIGN_OR_RETURN(SqmReport report, evaluator.Evaluate(f, clean));
-
-    Matrix covariance(n, n);
-    size_t t = 0;
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i; j < n; ++j, ++t) {
-        covariance(i, j) = report.estimate[t];
-        covariance(j, i) = report.estimate[t];
-      }
-    }
-    SQM_ASSIGN_OR_RETURN(
-        PcaResult result,
-        FinishFromCovariance(clean, covariance, options.k, options.seed));
-    result.mu = mu;
-    result.timing = report.timing;
-    result.network = report.network;
-    return result;
-  }
-
-  // Fast plaintext path: Algorithm 3 specialized to the Gram polynomial.
-  // Identical RNG discipline to SqmEvaluator (same seed splits), so the two
-  // paths produce bit-identical releases — asserted by the integration
-  // tests.
-  const auto quantize_start = std::chrono::steady_clock::now();
-  Rng rng(options.seed);
-  Rng data_rng = rng.Split(0xda7a);
-  const QuantizedDatabase db = QuantizeDatabase(clean, options.gamma,
-                                                data_rng);
-  const double quantize_seconds = SecondsSince(quantize_start);
-
-  const size_t d = n * (n + 1) / 2;
-  const auto noise_start = std::chrono::steady_clock::now();
-  std::vector<std::vector<int64_t>> noise_per_client(num_clients);
-  {
-    const SkellamSampler sampler(mu / static_cast<double>(num_clients));
-    for (size_t j = 0; j < num_clients; ++j) {
-      Rng client_rng = rng.Split(0x4015e + j);
-      noise_per_client[j] = sampler.SampleVector(client_rng, d);
-    }
-  }
-  const double noise_seconds = SecondsSince(noise_start);
-
-  // Integer Gram matrix of the quantized columns.
-  const auto compute_start = std::chrono::steady_clock::now();
-  const double gamma_sq = options.gamma * options.gamma;
-  Matrix covariance(n, n);
+  // The upper-triangle outer-product polynomial. Its coefficients are all 1
+  // and its monomials all of degree 2, so they are not pre-processed
+  // (Section V-A).
+  PolynomialVector f;
   for (size_t i = 0; i < n; ++i) {
-    const auto& col_i = db.columns[i];
     for (size_t j = i; j < n; ++j) {
-      const auto& col_j = db.columns[j];
-      __int128 acc = 0;
-      for (size_t r = 0; r < db.rows; ++r) {
-        acc += static_cast<__int128>(col_i[r]) * col_j[r];
-      }
-      if (acc > Field::kMaxCentered || acc < -Field::kMaxCentered) {
-        return Status::OutOfRange(
-            "Gram entry exceeds field capacity; lower gamma");
-      }
-      covariance(i, j) = static_cast<double>(static_cast<int64_t>(acc));
+      Polynomial p;
+      p.AddTerm(i == j ? Monomial::Power(1.0, i, 2)
+                       : Monomial(1.0, {{i, 1}, {j, 1}}));
+      f.AddDimension(std::move(p));
     }
   }
-  const double compute_seconds = SecondsSince(compute_start);
+  SqmOptions sqm_options;
+  sqm_options.gamma = options.gamma;
+  sqm_options.mu = mu;
+  sqm_options.num_clients = num_clients;
+  sqm_options.backend = options.backend;
+  sqm_options.network_latency_seconds = options.network_latency_seconds;
+  sqm_options.seed = options.seed;
+  sqm_options.max_f_l2 =
+      options.record_norm_bound * options.record_norm_bound;
+  sqm_options.quantize_coefficients = false;
 
-  const auto inject_start = std::chrono::steady_clock::now();
+  SqmReport report;
+  if (options.backend == MpcBackend::kBgw) {
+    // Faithful path: the generic SQM evaluator, through the BGW engine.
+    SQM_ASSIGN_OR_RETURN(report, SqmEvaluator(sqm_options).Evaluate(f, clean));
+  } else {
+    // Fast plaintext path: the same plan — so the same quantized columns,
+    // noise and down-scaling, and a release bit-identical to the BGW
+    // path's — with the generic per-row evaluation replaced by the integer
+    // Gram matrix of the quantized columns.
+    SQM_ASSIGN_OR_RETURN(const SqmPlan plan,
+                         SqmPlan::Create(f, sqm_options, clean.rows(), n));
+    const SqmPlan::Inputs inputs = plan.PrepareInputs(clean);
+    SqmPlan::Execution run;
+    run.compute_start = std::chrono::steady_clock::now();
+    for (size_t i = 0; i < n; ++i) {
+      const std::vector<int64_t>& col_i = inputs.db.columns[i];
+      for (size_t j = i; j < n; ++j) {
+        const std::vector<int64_t>& col_j = inputs.db.columns[j];
+        __int128 acc = 0;
+        for (size_t r = 0; r < inputs.db.rows; ++r) {
+          acc += static_cast<__int128>(col_i[r]) * col_j[r];
+        }
+        if (acc > Field::kMaxCentered || acc < -Field::kMaxCentered) {
+          return Status::OutOfRange(
+              "Gram entry exceeds field capacity; lower gamma");
+        }
+        run.raw.push_back(static_cast<int64_t>(acc));
+      }
+    }
+    SQM_RETURN_NOT_OK(plan.AddNoiseInClear(inputs, &run));
+    SQM_ASSIGN_OR_RETURN(report, plan.Finish(inputs, std::move(run)));
+  }
+
+  Matrix covariance(n, n);
   size_t t = 0;
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = i; j < n; ++j, ++t) {
-      int64_t noise = 0;
-      for (size_t c = 0; c < num_clients; ++c) noise += noise_per_client[c][t];
-      const double noisy = (covariance(i, j) +
-                            static_cast<double>(noise)) /
-                           gamma_sq;
-      covariance(i, j) = noisy;
-      covariance(j, i) = noisy;
+      covariance(i, j) = report.estimate[t];
+      covariance(j, i) = report.estimate[t];
     }
   }
-  const double inject_seconds = SecondsSince(inject_start);
-
   SQM_ASSIGN_OR_RETURN(
       PcaResult result,
       FinishFromCovariance(clean, covariance, options.k, options.seed));
   result.mu = mu;
-  result.timing.quantize_seconds = quantize_seconds;
-  result.timing.noise_sampling_seconds = noise_seconds;
-  result.timing.mpc_compute_seconds = compute_seconds + inject_seconds;
-  result.timing.noise_injection_seconds = noise_seconds + inject_seconds;
+  result.timing = report.timing;
+  result.network = report.network;
   return result;
 }
 

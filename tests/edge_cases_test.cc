@@ -165,7 +165,7 @@ TEST(SqmEdgeTest, GammaExactlyOneIsCoarsestLegalQuantization) {
 
 TEST(SqmEdgeTest, UnevenColumnPartitioning) {
   // 5 columns over 3 clients: blocks of 2, 2, 1. BGW and plaintext must
-  // agree (exercises ClientColumnRange's remainder handling).
+  // agree (exercises SqmPlan::ColumnRange's remainder handling).
   Matrix x(4, 5);
   Rng gen(6);
   for (auto& v : x.data()) v = gen.NextDouble() - 0.5;

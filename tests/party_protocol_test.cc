@@ -7,6 +7,7 @@
 // process, which keeps the suite hermetic while exercising the identical
 // code the sqm-party daemon runs.
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -16,9 +17,12 @@
 
 #include "core/party_sqm.h"
 #include "core/sqm.h"
+#include "net/lockstep.h"
 #include "net/tcp/party_config.h"
 #include "net/tcp/socket.h"
 #include "net/tcp/tcp_transport.h"
+#include "obs/obs.h"
+#include "obs/trace.h"
 #include "poly/parser.h"
 
 namespace {
@@ -262,6 +266,140 @@ TEST(PartyProtocol, FourPartiesWithThresholdOne) {
   EXPECT_EQ(reports[0].raw, reference.raw);
   // Nothing dropped: full noise, full quorum.
   EXPECT_EQ(reports[0].dropout.num_dropped, 0u);
+}
+
+/// Both modes build one SqmPlan, so they reject the same configs with the
+/// same StatusCode — before any traffic.
+TEST(SqmPlanParity, DriverAndPartyRejectTheSameConfigs) {
+  struct Case {
+    const char* name;
+    std::function<void(sqm::DeploymentConfig*)> mutate;
+    sqm::StatusCode expected;
+  };
+  const std::vector<Case> cases = {
+      {"rows = 0", [](sqm::DeploymentConfig* c) { c->rows = 0; },
+       sqm::StatusCode::kInvalidArgument},
+      // Deployment text cannot spell a zero-output polynomial: the parser
+      // rejects it, and the driver gets the empty PolynomialVector.
+      {"no outputs", [](sqm::DeploymentConfig* c) { c->polynomial = ""; },
+       sqm::StatusCode::kInvalidArgument},
+      {"arity > cols",
+       [](sqm::DeploymentConfig* c) { c->polynomial = "x0*x5"; },
+       sqm::StatusCode::kInvalidArgument},
+      {"clients > cols",
+       [](sqm::DeploymentConfig* c) {
+         c->parties.assign(4, {"127.0.0.1", 0});
+       },
+       sqm::StatusCode::kInvalidArgument},
+      {"< 3 clients",
+       [](sqm::DeploymentConfig* c) {
+         c->parties.assign(2, {"127.0.0.1", 0});
+         c->cols = 2;
+         c->polynomial = "x0*x1";
+       },
+       sqm::StatusCode::kInvalidArgument},
+      {"gamma < 1", [](sqm::DeploymentConfig* c) { c->gamma = 0.5; },
+       sqm::StatusCode::kInvalidArgument},
+      {"mu < 0", [](sqm::DeploymentConfig* c) { c->mu = -1.0; },
+       sqm::StatusCode::kInvalidArgument},
+      {"non-integer coefficient",
+       [](sqm::DeploymentConfig* c) {
+         c->quantize_coefficients = false;
+         c->polynomial = "0.5*x0*x1; x1*x2";
+       },
+       sqm::StatusCode::kInvalidArgument},
+      {"capacity overflow", [](sqm::DeploymentConfig* c) { c->gamma = 1e9; },
+       sqm::StatusCode::kOutOfRange},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    sqm::DeploymentConfig config = BaseConfig(3);
+    c.mutate(&config);
+
+    const sqm::Result<sqm::SqmOptions> options =
+        sqm::SqmOptionsFromDeployment(config);
+    ASSERT_TRUE(options.ok()) << options.status().ToString();
+    ASSERT_EQ(options.ValueOrDie().backend, sqm::MpcBackend::kBgw);
+    const sqm::Matrix x = sqm::GenerateDeploymentMatrix(
+        config.rows, sqm::DeploymentCols(config), config.data_seed);
+    sqm::Result<sqm::PolynomialVector> f =
+        sqm::ParsePolynomialVector(config.polynomial);
+    const sqm::PolynomialVector polynomial =
+        f.ok() ? f.ValueOrDie() : sqm::PolynomialVector();
+    const sqm::Status driver =
+        sqm::SqmEvaluator(options.ValueOrDie()).Evaluate(polynomial, x).status();
+
+    sqm::LockstepTransport transport(config.parties.size(), 0.0, 8);
+    const sqm::Status party =
+        sqm::RunPartySqm(config, 0, &transport).status();
+    EXPECT_EQ(driver.code(), c.expected) << driver.ToString();
+    EXPECT_EQ(party.code(), c.expected) << party.ToString();
+    EXPECT_EQ(transport.stats().messages, 0u) << "rejected after traffic";
+  }
+}
+
+/// noise_injection_seconds is the sampling time plus the time spent
+/// dealing the noise inputs inside the real input round — measured with
+/// steady_clock, so it is there with observability off too.
+TEST(PartyProtocol, NoiseInjectionTimesTheRealNoiseDealingWithObsOff) {
+  if (!TcpSupported()) GTEST_SKIP() << "no POSIX sockets on this platform";
+  sqm::obs::SetEnabled(false);
+  sqm::DeploymentConfig config = BaseConfig(3);
+  config.run_id = 23;
+  config.mu = 30.0;
+  const sqm::SqmReport driver = RunLockstep(config);
+  const std::vector<sqm::SqmReport> reports = RunNetworked(config);
+  sqm::obs::SetEnabled(true);
+  EXPECT_GT(driver.timing.noise_injection_seconds,
+            driver.timing.noise_sampling_seconds);
+  for (const sqm::SqmReport& report : reports) {
+    EXPECT_GT(report.timing.noise_injection_seconds,
+              report.timing.noise_sampling_seconds);
+  }
+}
+
+/// In a traced run every party track carries its noise dealing as a
+/// bgw.share.noise span nested inside its bgw.share, in driver and party
+/// mode alike, and nothing re-shares the noise afterwards.
+TEST(PartyProtocol, NoiseDealingSpanNestsInsideShareOnEveryPartyTrack) {
+  if (!TcpSupported()) GTEST_SKIP() << "no POSIX sockets on this platform";
+  sqm::obs::SetEnabled(true);
+  if (!sqm::obs::Enabled()) GTEST_SKIP() << "observability compiled out";
+  sqm::DeploymentConfig config = BaseConfig(3);
+  config.run_id = 29;
+  config.mu = 30.0;
+  const auto check_trace = [&](const char* mode) {
+    SCOPED_TRACE(mode);
+    const std::vector<sqm::obs::TraceEvent> events =
+        sqm::obs::Tracer::Global().Collect();
+    for (size_t j = 0; j < config.parties.size(); ++j) {
+      const auto track = static_cast<int32_t>(j);
+      bool nested = false;
+      for (const sqm::obs::TraceEvent& deal : events) {
+        if (std::string(deal.name) != "bgw.share.noise" ||
+            deal.track != track) {
+          continue;
+        }
+        for (const sqm::obs::TraceEvent& share : events) {
+          nested = nested ||
+                   (std::string(share.name) == "bgw.share" &&
+                    share.track == track && share.ts_micros <= deal.ts_micros &&
+                    deal.ts_micros + deal.dur_micros <=
+                        share.ts_micros + share.dur_micros);
+        }
+      }
+      EXPECT_TRUE(nested) << "no nested noise dealing on party " << j;
+    }
+    for (const sqm::obs::TraceEvent& event : events) {
+      EXPECT_NE(std::string(event.name), "sqm.noise_probe");
+    }
+  };
+  sqm::obs::Tracer::Global().Clear();
+  RunLockstep(config);
+  check_trace("driver");
+  sqm::obs::Tracer::Global().Clear();
+  RunNetworked(config);
+  check_trace("party");
 }
 
 }  // namespace

@@ -88,8 +88,9 @@ TEST(PcaTest, SqmUtilityImprovesWithGamma) {
 }
 
 TEST(PcaTest, BgwBackendMatchesPlaintextRelease) {
-  // Small instance: the BGW path must produce the same utility as the fast
-  // path given the same seed (identical quantization + noise draws).
+  // Small instance: the BGW path must release exactly what the fast path
+  // releases given the same seed (one SqmPlan: identical quantization,
+  // noise draws and down-scaling).
   SyntheticPcaSpec spec;
   spec.rows = 12;
   spec.cols = 5;
@@ -105,7 +106,8 @@ TEST(PcaTest, BgwBackendMatchesPlaintextRelease) {
   const PcaResult fast = SqmPca(x, options).ValueOrDie();
   options.backend = MpcBackend::kBgw;
   const PcaResult mpc = SqmPca(x, options).ValueOrDie();
-  EXPECT_NEAR(fast.utility, mpc.utility, 1e-9);
+  EXPECT_EQ(fast.subspace.data(), mpc.subspace.data());
+  EXPECT_EQ(fast.utility, mpc.utility);
   EXPECT_GT(mpc.network.messages, 0u);
 }
 

@@ -28,6 +28,25 @@ TEST(ShamirTest, ShareReconstructRoundTrip) {
   }
 }
 
+TEST(ShamirTest, ShareBatchWithTailIsBitIdenticalToShareBatch) {
+  // ShareBatch draws secret-major, so dealing the trailing secrets as a
+  // second batch yields the same rows and leaves the stream at the same
+  // cursor, for every split point including "all tail".
+  const ShamirScheme scheme(5, 2);
+  std::vector<Field::Element> secrets;
+  for (int64_t v = -3; v < 6; ++v) secrets.push_back(Field::Encode(v * 1000));
+  for (size_t tail = 0; tail <= secrets.size(); ++tail) {
+    Rng whole(77);
+    Rng split(77);
+    double tail_seconds = 0.0;
+    EXPECT_EQ(scheme.ShareBatchWithTail(secrets, tail, split, 0, &tail_seconds),
+              scheme.ShareBatch(secrets, whole))
+        << "tail " << tail;
+    EXPECT_EQ(split.NextUint64(), whole.NextUint64()) << "tail " << tail;
+    if (tail == 0) EXPECT_EQ(tail_seconds, 0.0);
+  }
+}
+
 TEST(ShamirTest, AnySubsetOfThresholdPlusOneReconstructs) {
   ShamirScheme scheme(5, 2);
   Rng rng(2);
