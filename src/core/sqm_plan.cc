@@ -215,18 +215,36 @@ std::vector<int64_t> SqmPlan::CircuitInputs(const Inputs& inputs,
 
 Circuit SqmPlan::BuildCircuit() const {
   const size_t d = output_dim();
+  // Exact sizes: per output, its zero accumulator, then per row and term a
+  // constant or MulConst (one constant each), the term's Muls and one Add,
+  // then one Add per client's noise.
+  size_t num_gates = rows_ * cols_ + num_clients_ * d;
+  size_t num_constants = 0;
+  for (size_t t = 0; t < d; ++t) {
+    size_t per_row = 0;
+    for (const QuantizedMonomial& term : qf_.dims[t]) {
+      size_t degree = 0;
+      for (const auto& [var, exp] : term.exponents) degree += exp;
+      per_row += (degree > 0 ? degree - 1 : 0) + 2;
+    }
+    num_gates += 1 + rows_ * per_row + num_clients_;
+    num_constants += 1 + rows_ * qf_.dims[t].size();
+  }
   Circuit circuit;
+  circuit.Reserve(num_gates, num_constants);
   std::vector<std::vector<Circuit::WireId>> column_wires(cols_);  // [col][row]
   std::vector<std::vector<Circuit::WireId>> noise_wires(num_clients_);
   for (size_t j = 0; j < num_clients_; ++j) {
     const auto [begin, end] = ColumnRange(j);
     for (size_t col = begin; col < end; ++col) {
+      column_wires[col].reserve(rows_);
       for (size_t i = 0; i < rows_; ++i) {
         column_wires[col].push_back(circuit.AddInput(j));
       }
     }
   }
   for (size_t j = 0; j < num_clients_; ++j) {
+    noise_wires[j].reserve(d);
     for (size_t t = 0; t < d; ++t) {
       noise_wires[j].push_back(circuit.AddInput(j));
     }

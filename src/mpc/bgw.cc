@@ -87,9 +87,9 @@ Result<SharedVector> BgwEngine::EvaluateToShares(
       size_t index = 0;
       for (size_t w = 0; w < gates.size(); ++w) {
         const Circuit::Gate& gate = gates[w];
-        if (gate.kind == Circuit::GateKind::kInput && gate.owner == j) {
+        if (gate.kind == Circuit::GateKind::kInput && gate.owner() == j) {
           for (size_t r = 0; r < n; ++r) {
-            ckpt->wire_shares[r][w] = shared.shares(r)[gate.input_index];
+            ckpt->wire_shares[r][w] = shared.shares(r)[gate.input_index()];
           }
           ++index;
         }
@@ -109,27 +109,9 @@ Result<SharedVector> BgwEngine::EvaluateToShares(
 
   // ---- Phase 2: evaluate gate levels. Multiplications of equal depth are
   // batched into one communication round.
-  std::vector<size_t> depth(gates.size(), 0);
-  size_t max_depth = 0;
-  for (size_t i = 0; i < gates.size(); ++i) {
-    const Circuit::Gate& gate = gates[i];
-    switch (gate.kind) {
-      case Circuit::GateKind::kInput:
-      case Circuit::GateKind::kConstant:
-        break;
-      case Circuit::GateKind::kAdd:
-      case Circuit::GateKind::kSub:
-        depth[i] = std::max(depth[gate.lhs], depth[gate.rhs]);
-        break;
-      case Circuit::GateKind::kMulConst:
-        depth[i] = depth[gate.lhs];
-        break;
-      case Circuit::GateKind::kMul:
-        depth[i] = std::max(depth[gate.lhs], depth[gate.rhs]) + 1;
-        break;
-    }
-    max_depth = std::max(max_depth, depth[i]);
-  }
+  const std::vector<uint32_t> depth = circuit.GateDepths();
+  const size_t max_depth =
+      depth.empty() ? 0 : *std::max_element(depth.begin(), depth.end());
 
   auto process_local_gate = [&](size_t w) {
     const Circuit::Gate& gate = gates[w];
@@ -138,7 +120,7 @@ Result<SharedVector> BgwEngine::EvaluateToShares(
       switch (gate.kind) {
         case Circuit::GateKind::kConstant:
           // Public constant = degree-0 sharing: everyone holds the value.
-          shares[w] = Field::Reduce(gate.constant);
+          shares[w] = Field::Reduce(circuit.constant(gate));
           break;
         case Circuit::GateKind::kAdd:
           shares[w] = Field::Add(shares[gate.lhs], shares[gate.rhs]);
@@ -148,7 +130,7 @@ Result<SharedVector> BgwEngine::EvaluateToShares(
           break;
         case Circuit::GateKind::kMulConst:
           shares[w] = Field::Mul(shares[gate.lhs],
-                                 Field::Reduce(gate.constant));
+                                 Field::Reduce(circuit.constant(gate)));
           break;
         case Circuit::GateKind::kInput:
         case Circuit::GateKind::kMul:

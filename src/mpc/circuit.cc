@@ -1,5 +1,6 @@
 #include "mpc/circuit.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "core/logging.h"
@@ -11,18 +12,26 @@ Circuit::WireId Circuit::Push(Gate gate) {
   return static_cast<WireId>(gates_.size() - 1);
 }
 
+void Circuit::Reserve(size_t num_gates, size_t num_constants) {
+  gates_.reserve(num_gates);
+  constants_.reserve(num_constants);
+}
+
 Circuit::WireId Circuit::AddInput(size_t party) {
+  SQM_CHECK(party < UINT32_MAX);
+  if (party >= inputs_per_party_.size()) inputs_per_party_.resize(party + 1);
   Gate gate{};
   gate.kind = GateKind::kInput;
-  gate.owner = party;
-  gate.input_index = NumInputsForParty(party);
+  gate.lhs = static_cast<WireId>(party);
+  gate.rhs = static_cast<WireId>(inputs_per_party_[party]++);
   return Push(gate);
 }
 
 Circuit::WireId Circuit::AddConstant(Field::Element value) {
   Gate gate{};
   gate.kind = GateKind::kConstant;
-  gate.constant = value;
+  gate.lhs = static_cast<WireId>(constants_.size());
+  constants_.push_back(value);
   return Push(gate);
 }
 
@@ -49,7 +58,8 @@ Circuit::WireId Circuit::AddMulConst(WireId lhs, Field::Element constant) {
   Gate gate{};
   gate.kind = GateKind::kMulConst;
   gate.lhs = lhs;
-  gate.constant = constant;
+  gate.rhs = static_cast<WireId>(constants_.size());
+  constants_.push_back(constant);
   return Push(gate);
 }
 
@@ -68,23 +78,13 @@ void Circuit::MarkOutput(WireId wire) {
   outputs_.push_back(wire);
 }
 
-size_t Circuit::NumInputsForParty(size_t party) const {
-  size_t count = 0;
-  for (const Gate& gate : gates_) {
-    if (gate.kind == GateKind::kInput && gate.owner == party) ++count;
-  }
-  return count;
-}
-
-size_t Circuit::MultiplicativeDepth() const {
-  std::vector<size_t> depth(gates_.size(), 0);
-  size_t max_depth = 0;
+std::vector<uint32_t> Circuit::GateDepths() const {
+  std::vector<uint32_t> depth(gates_.size(), 0);
   for (size_t i = 0; i < gates_.size(); ++i) {
     const Gate& gate = gates_[i];
     switch (gate.kind) {
       case GateKind::kInput:
       case GateKind::kConstant:
-        depth[i] = 0;
         break;
       case GateKind::kAdd:
       case GateKind::kSub:
@@ -97,9 +97,13 @@ size_t Circuit::MultiplicativeDepth() const {
         depth[i] = std::max(depth[gate.lhs], depth[gate.rhs]) + 1;
         break;
     }
-    max_depth = std::max(max_depth, depth[i]);
   }
-  return max_depth;
+  return depth;
+}
+
+size_t Circuit::MultiplicativeDepth() const {
+  const std::vector<uint32_t> depth = GateDepths();
+  return depth.empty() ? 0 : *std::max_element(depth.begin(), depth.end());
 }
 
 Status Circuit::Validate(size_t num_parties) const {
@@ -107,10 +111,10 @@ Status Circuit::Validate(size_t num_parties) const {
     const Gate& gate = gates_[i];
     switch (gate.kind) {
       case GateKind::kInput:
-        if (gate.owner >= num_parties) {
+        if (gate.owner() >= num_parties) {
           return Status::InvalidArgument(
               "input gate owned by out-of-range party " +
-              std::to_string(gate.owner));
+              std::to_string(gate.owner()));
         }
         break;
       case GateKind::kAdd:

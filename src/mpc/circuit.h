@@ -30,13 +30,19 @@ class Circuit {
     kMul,       ///< lhs * rhs (interactive).
   };
 
+  /// 12 bytes: a kind plus two operand slots whose meaning depends on it.
+  ///   kAdd / kSub / kMul: lhs, rhs are operand wires.
+  ///   kMulConst:          lhs is the operand wire, rhs indexes constants.
+  ///   kConstant:          lhs indexes constants.
+  ///   kInput:             lhs is the owning party, rhs the index into
+  ///                       that party's inputs.
   struct Gate {
     GateKind kind;
     WireId lhs = 0;
     WireId rhs = 0;
-    Field::Element constant = 0;  ///< kConstant / kMulConst payload.
-    size_t owner = 0;             ///< kInput: owning party.
-    size_t input_index = 0;       ///< kInput: index into that party's inputs.
+
+    size_t owner() const { return lhs; }
+    size_t input_index() const { return rhs; }
   };
 
   /// Declares a private input for `party`. Inputs are consumed from each
@@ -54,6 +60,10 @@ class Circuit {
   /// Marks a wire as a protocol output (opened to everyone at the end).
   void MarkOutput(WireId wire);
 
+  /// Pre-sizes the gate and constant storage (a builder that knows its
+  /// counts avoids every reallocation).
+  void Reserve(size_t num_gates, size_t num_constants);
+
   const std::vector<Gate>& gates() const { return gates_; }
   const std::vector<WireId>& outputs() const { return outputs_; }
 
@@ -61,7 +71,19 @@ class Circuit {
   size_t num_multiplications() const { return num_mul_; }
 
   /// Number of inputs declared for `party`.
-  size_t NumInputsForParty(size_t party) const;
+  size_t NumInputsForParty(size_t party) const {
+    return party < inputs_per_party_.size() ? inputs_per_party_[party] : 0;
+  }
+
+  /// The public constant of a kConstant or kMulConst gate.
+  Field::Element constant(const Gate& gate) const {
+    return constants_[gate.kind == GateKind::kConstant ? gate.lhs : gate.rhs];
+  }
+
+  /// Per wire, the most kMul gates on any path into it. The evaluators
+  /// batch the kMul gates of one depth into one round, so this schedule
+  /// fixes the message pattern.
+  std::vector<uint32_t> GateDepths() const;
 
   /// Longest chain of kMul gates — the protocol's round-depth driver.
   size_t MultiplicativeDepth() const;
@@ -75,9 +97,13 @@ class Circuit {
   WireId Push(Gate gate);
 
   std::vector<Gate> gates_;
+  std::vector<Field::Element> constants_;
   std::vector<WireId> outputs_;
+  std::vector<size_t> inputs_per_party_;  ///< [party] inputs declared.
   size_t num_mul_ = 0;
 };
+
+static_assert(sizeof(Circuit::Gate) <= 12, "Circuit::Gate is 12 bytes");
 
 }  // namespace sqm
 

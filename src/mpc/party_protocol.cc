@@ -675,8 +675,8 @@ Result<PartyProtocol::Shares> PartyEngine::EvaluateToShares(
           protocol_.ShareFromParty(j, encoded, count));
       for (size_t w = 0; w < gates.size(); ++w) {
         const Circuit::Gate& gate = gates[w];
-        if (gate.kind == Circuit::GateKind::kInput && gate.owner == j) {
-          ckpt->wire_shares[w] = shared[gate.input_index];
+        if (gate.kind == Circuit::GateKind::kInput && gate.owner() == j) {
+          ckpt->wire_shares[w] = shared[gate.input_index()];
         }
       }
     }
@@ -695,27 +695,9 @@ Result<PartyProtocol::Shares> PartyEngine::EvaluateToShares(
   // Phase 2: identical level schedule to BgwEngine — depth assignment and
   // wire order determine the message pattern, and both are pure functions
   // of the circuit.
-  std::vector<size_t> depth(gates.size(), 0);
-  size_t max_depth = 0;
-  for (size_t i = 0; i < gates.size(); ++i) {
-    const Circuit::Gate& gate = gates[i];
-    switch (gate.kind) {
-      case Circuit::GateKind::kInput:
-      case Circuit::GateKind::kConstant:
-        break;
-      case Circuit::GateKind::kAdd:
-      case Circuit::GateKind::kSub:
-        depth[i] = std::max(depth[gate.lhs], depth[gate.rhs]);
-        break;
-      case Circuit::GateKind::kMulConst:
-        depth[i] = depth[gate.lhs];
-        break;
-      case Circuit::GateKind::kMul:
-        depth[i] = std::max(depth[gate.lhs], depth[gate.rhs]) + 1;
-        break;
-    }
-    max_depth = std::max(max_depth, depth[i]);
-  }
+  const std::vector<uint32_t> depth = circuit.GateDepths();
+  const size_t max_depth =
+      depth.empty() ? 0 : *std::max_element(depth.begin(), depth.end());
 
   for (size_t level = ckpt->next_level; level <= max_depth; ++level) {
     if (level > 0) {
@@ -749,7 +731,7 @@ Result<PartyProtocol::Shares> PartyEngine::EvaluateToShares(
       }
       switch (gate.kind) {
         case Circuit::GateKind::kConstant:
-          shares[w] = Field::Reduce(gate.constant);
+          shares[w] = Field::Reduce(circuit.constant(gate));
           break;
         case Circuit::GateKind::kAdd:
           shares[w] = Field::Add(shares[gate.lhs], shares[gate.rhs]);
@@ -759,7 +741,7 @@ Result<PartyProtocol::Shares> PartyEngine::EvaluateToShares(
           break;
         case Circuit::GateKind::kMulConst:
           shares[w] = Field::Mul(shares[gate.lhs],
-                                 Field::Reduce(gate.constant));
+                                 Field::Reduce(circuit.constant(gate)));
           break;
         case Circuit::GateKind::kInput:
         case Circuit::GateKind::kMul:

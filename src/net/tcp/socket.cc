@@ -32,8 +32,9 @@ int MillisUntil(std::chrono::steady_clock::time_point deadline) {
   const auto ms =
       std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now)
           .count();
-  // Poll in bounded slices so a deadline far in the future still reacts to
-  // a concurrent ShutdownBoth within one slice.
+  // A listener shut down with ShutdownBoth wakes poll directly (POLLHUP on
+  // Linux); the slice bound only caps how long a caller's deadline check
+  // waits where shutdown(2) does not wake a listening socket.
   return ms > 200 ? 200 : static_cast<int>(ms);
 }
 #endif

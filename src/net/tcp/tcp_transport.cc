@@ -24,19 +24,6 @@ Clock::duration Seconds(double s) {
       std::chrono::duration<double>(s));
 }
 
-/// Slice-sleeps `total`, returning early (false) when `abort()` turns true.
-template <typename AbortFn>
-bool InterruptibleSleep(Clock::duration total, AbortFn abort) {
-  const Clock::time_point deadline = Clock::now() + total;
-  while (Clock::now() < deadline) {
-    if (abort()) return false;
-    const auto remaining = deadline - Clock::now();
-    std::this_thread::sleep_for(
-        std::min<Clock::duration>(remaining, std::chrono::milliseconds(50)));
-  }
-  return !abort();
-}
-
 /// SplitMix64 finalizer: stateless deterministic hashing for backoff
 /// jitter and chaos decisions (not protocol randomness — those streams
 /// live in sampling/rng.h and never touch the transport).
@@ -315,6 +302,14 @@ void TcpTransport::AcceptorMain() {
 
 void TcpTransport::DialerMain(size_t peer) {
   const TcpPeer& address = options_.peers[peer];
+  // Waits out a pause; true when Shutdown (which notifies link_cv_) began.
+  const auto pause_unless_shutdown = [this](Clock::duration pause) {
+    MutexLock lock(mu_);
+    return link_cv_.WaitUntil(mu_, Clock::now() + pause,
+                              [this]() SQM_REQUIRES(mu_) {
+                                return shutting_down_;
+                              });
+  };
   // Initial mesh phase: peers start in any order, so refusals are retried
   // until the connect window closes.
   const Clock::time_point initial_deadline =
@@ -346,10 +341,7 @@ void TcpTransport::DialerMain(size_t peer) {
       MarkDead(peer, "initial connect window exhausted");
       return;
     }
-    if (!InterruptibleSleep(std::chrono::milliseconds(20),
-                            [this] { return ShuttingDown(); })) {
-      return;
-    }
+    if (pause_unless_shutdown(std::chrono::milliseconds(20))) return;
   }
 
   // Reconnect phase: jittered exponential backoff inside an elapsed-time
@@ -368,10 +360,7 @@ void TcpTransport::DialerMain(size_t peer) {
     while (!ShuttingDown() && Clock::now() < window_end) {
       const double backoff = ReconnectBackoffSeconds(peer, cycle, attempt);
       ++attempt;
-      if (!InterruptibleSleep(Seconds(backoff),
-                              [this] { return ShuttingDown(); })) {
-        return;
-      }
+      if (pause_unless_shutdown(Seconds(backoff))) return;
       if (Clock::now() >= window_end) break;
       auto conn = std::make_shared<Conn>();
       Result<Socket> sock = ConnectTo(address.host, address.port,
@@ -831,14 +820,16 @@ void TcpTransport::Shutdown() {
     (void)sent;  // A peer that is already gone cannot hear the goodbye.
   }
 
-  // Wake blocked readers, then join everything. Sockets close when the
-  // last shared_ptr reference (reader or link slot) releases.
+  // Wake blocked readers and the acceptor (a shut-down listener makes its
+  // poll return POLLHUP at once), then join everything. Sockets close when
+  // the last shared_ptr reference (reader or link slot) releases.
   {
     MutexLock lock(mu_);
     for (Link& link : links_) {
       if (link.conn != nullptr) ShutdownBoth(link.conn->sock);
     }
   }
+  ShutdownBoth(listener_);
   for (std::thread& thread : threads_) {
     if (thread.joinable()) thread.join();
   }

@@ -4,7 +4,9 @@
 
 #include <cmath>
 
+#include "core/sqm_plan.h"
 #include "math/stats.h"
+#include "poly/parser.h"
 #include "sampling/rng.h"
 
 namespace sqm {
@@ -82,6 +84,30 @@ TEST(SqmTest, CoefficientQuantizationHandlesMixedDegrees) {
   SqmEvaluator evaluator(options);
   const SqmReport report = evaluator.Evaluate(f, x).ValueOrDie();
   EXPECT_NEAR(report.estimate[0], exact[0], 0.05);
+}
+
+TEST(SqmTest, PlanReservesTheExactCircuitSize) {
+  // Degrees 3 (with a squared variable), 1 and 0, plus a pure square: every
+  // branch of the gate count BuildCircuit reserves up front.
+  const PolynomialVector f =
+      ParsePolynomialVector("x0*x1^2 + 2*x2 - 3; x3^2").ValueOrDie();
+  SqmOptions options;
+  options.backend = MpcBackend::kBgw;
+  options.mu = 4.0;
+  options.gamma = 16.0;
+  options.max_f_l2 = 4.0;
+  const Matrix x = SmallDatabase(7, 4, 11);
+  const SqmPlan plan = SqmPlan::Create(f, options, x.rows(), x.cols())
+                           .ValueOrDie();
+  const Circuit circuit = plan.BuildCircuit();
+  EXPECT_EQ(circuit.gates().capacity(), circuit.gates().size());
+  // Every client declares exactly the inputs the plan hands it.
+  const SqmPlan::Inputs inputs = plan.PrepareInputs(x);
+  for (size_t j = 0; j < plan.num_clients(); ++j) {
+    EXPECT_EQ(circuit.NumInputsForParty(j),
+              plan.CircuitInputs(inputs, j).size())
+        << "client " << j;
+  }
 }
 
 TEST(SqmTest, NoiseHasRequestedVariance) {

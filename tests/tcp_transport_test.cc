@@ -3,7 +3,7 @@
 // listeners handed over by fd, so no test run can lose a bind race).
 // Verifies the Transport seam contract — delivery, ordering, self-sends,
 // the counting convention, Reset drain — plus the TCP-only surface:
-// graceful goodbye vs. timeout, and PeerDead.
+// graceful goodbye vs. timeout, PeerDead, and prompt teardown.
 
 #include "net/tcp/tcp_transport.h"
 
@@ -20,6 +20,7 @@
 
 namespace {
 
+using sqm::net::AcceptWithDeadline;
 using sqm::net::ListenOn;
 using sqm::net::LocalPort;
 using sqm::net::Socket;
@@ -29,6 +30,28 @@ using sqm::TcpPeer;
 using sqm::TcpTransport;
 using sqm::TcpTransportOptions;
 using Payload = sqm::Transport::Payload;
+using Clock = std::chrono::steady_clock;
+
+/// Milliseconds one transport's Shutdown() takes.
+double ShutdownMillis(TcpTransport& transport) {
+  const Clock::time_point start = Clock::now();
+  transport.Shutdown();
+  return std::chrono::duration<double, std::milli>(Clock::now() - start)
+      .count();
+}
+
+/// Reads one length-prefixed frame off `sock` and verifies it under `key`.
+sqm::Result<sqm::net::Frame> ReadFrame(const Socket& sock, uint64_t key) {
+  uint8_t len_bytes[4];
+  SQM_RETURN_NOT_OK(sqm::net::ReadAll(sock, len_bytes, 4));
+  uint32_t len = 0;
+  for (int i = 0; i < 4; ++i) {
+    len |= static_cast<uint32_t>(len_bytes[i]) << (8 * i);
+  }
+  std::vector<uint8_t> body(len);
+  SQM_RETURN_NOT_OK(sqm::net::ReadAll(sock, body.data(), len));
+  return sqm::net::DecodeFrame(body.data(), len, key);
+}
 
 /// Builds an n-party localhost mesh. Listeners are pre-bound on port 0
 /// and adopted via listen_fd; Create blocks until the mesh is up, so the
@@ -188,6 +211,12 @@ TEST_F(TcpTransportTest, MessagesSentBeforeGoodbyeStillDeliver) {
   EXPECT_EQ(got.ValueOrDie(), Payload({31, 32}));
 }
 
+TEST_F(TcpTransportTest, ShutdownDoesNotWaitOutTheAcceptPoll) {
+  // Party 0 runs an acceptor blocked in a 250 ms accept poll; shutting
+  // the listener down must wake it instead of waiting the poll out.
+  EXPECT_LT(ShutdownMillis(*mesh_[0]), 100.0);
+}
+
 TEST(TcpTransportMesh, FivePartyMeshComesUp) {
   if (!TcpSupported()) GTEST_SKIP() << "no POSIX sockets on this platform";
   auto mesh = MakeMesh(5, 0.3);
@@ -285,16 +314,7 @@ class FakePeerRejoinTest : public testing::Test {
     const std::vector<uint8_t> wire = sqm::net::EncodeFrame(hello, kKey);
     EXPECT_TRUE(sqm::net::WriteAll(sock, wire.data(), wire.size()).ok());
 
-    uint8_t len_bytes[4];
-    EXPECT_TRUE(sqm::net::ReadAll(sock, len_bytes, 4).ok());
-    uint32_t len = 0;
-    for (int i = 0; i < 4; ++i) {
-      len |= static_cast<uint32_t>(len_bytes[i]) << (8 * i);
-    }
-    std::vector<uint8_t> body(len);
-    EXPECT_TRUE(sqm::net::ReadAll(sock, body.data(), len).ok());
-    sqm::Result<sqm::net::Frame> ack =
-        sqm::net::DecodeFrame(body.data(), len, kKey);
+    sqm::Result<sqm::net::Frame> ack = ReadFrame(sock, kKey);
     EXPECT_TRUE(ack.ok()) << ack.status().ToString();
     if (ack.ok()) {
       EXPECT_EQ(ack.ValueOrDie().type, sqm::net::FrameType::kHelloAck);
@@ -403,6 +423,77 @@ TEST_F(FakePeerRejoinTest, StaleIncarnationHandshakeIsRefused) {
   sqm::Result<Payload> got = transport_->Receive(1, 0);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(got.ValueOrDie(), Payload({9}));
+}
+
+TEST_F(FakePeerRejoinTest, ShutdownWithThePeerGoneIsPrompt) {
+  Socket first = Handshake(/*incarnation=*/0);
+  creator_.join();
+  ASSERT_NE(transport_, nullptr) << error_;
+  // The peer vanishes without a goodbye: the link is down and party 0's
+  // acceptor waits for a rejoin inside the 20 s window.
+  first.Close();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ASSERT_FALSE(transport_->PeerDead(1));
+  EXPECT_LT(ShutdownMillis(*transport_), 100.0);
+}
+
+TEST(TcpTransportTeardown, ShutdownDuringReconnectBackoffIsPrompt) {
+  if (!TcpSupported()) GTEST_SKIP() << "no POSIX sockets on this platform";
+  constexpr uint64_t kKey = 0xbac0ffull;
+  constexpr uint64_t kRunId = 78;
+  // A fake party 0 over a raw listener; the real party 1 dials it (the
+  // higher index dials the lower), so party 1 owns the reconnects.
+  sqm::Result<Socket> fake = ListenOn("127.0.0.1", 0);
+  sqm::Result<Socket> own = ListenOn("127.0.0.1", 0);
+  ASSERT_TRUE(fake.ok() && own.ok());
+  TcpTransportOptions options;
+  options.local_party = 1;
+  options.peers = {{"127.0.0.1", LocalPort(fake.ValueOrDie()).ValueOrDie()},
+                   {"127.0.0.1", LocalPort(own.ValueOrDie()).ValueOrDie()}};
+  options.session_key = kKey;
+  options.run_id = kRunId;
+  options.connect_timeout_seconds = 10.0;
+  // Every backoff sleep lasts 0.25-0.5 s, inside a 20 s rejoin window.
+  options.reconnect_backoff_seconds = 0.5;
+  options.rejoin_window_seconds = 20.0;
+  options.listen_fd = own.ValueOrDie().Release();
+
+  std::unique_ptr<TcpTransport> transport;
+  std::thread creator([&transport, options] {
+    sqm::Result<std::unique_ptr<TcpTransport>> created =
+        TcpTransport::Create(options);
+    if (created.ok()) transport = std::move(created.ValueOrDie());
+  });
+  sqm::Result<Socket> accepted = AcceptWithDeadline(
+      fake.ValueOrDie(), Clock::now() + std::chrono::seconds(5));
+  if (accepted.ok()) {
+    // Answer the hello as party 0's acceptor would.
+    sqm::Result<sqm::net::Frame> hello =
+        ReadFrame(accepted.ValueOrDie(), kKey);
+    EXPECT_TRUE(hello.ok()) << hello.status().ToString();
+    sqm::net::Frame ack;
+    ack.type = sqm::net::FrameType::kHelloAck;
+    ack.from = 0;
+    ack.to = 1;
+    ack.run_id = kRunId;
+    const std::vector<uint8_t> wire = sqm::net::EncodeFrame(ack, kKey);
+    EXPECT_TRUE(sqm::net::WriteAll(accepted.ValueOrDie(), wire.data(),
+                                   wire.size())
+                    .ok());
+  }
+  // Joined before any ASSERT: a failed handshake makes Create give up
+  // when its connect window closes.
+  creator.join();
+  ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
+  ASSERT_NE(transport, nullptr);
+
+  // Party 0 vanishes, listener and all: every redial is refused and the
+  // dialer sits in its backoff sleep.
+  accepted.ValueOrDie().Close();
+  fake.ValueOrDie().Close();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ASSERT_FALSE(transport->PeerDead(0));
+  EXPECT_LT(ShutdownMillis(*transport), 100.0);
 }
 
 }  // namespace
