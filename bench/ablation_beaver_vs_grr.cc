@@ -21,7 +21,6 @@
 // BENCH_beaver_vs_grr.json).
 
 #include <chrono>
-#include "mpc/network.h"
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -33,6 +32,7 @@
 #include "core/sqm.h"
 #include "mpc/beaver.h"
 #include "mpc/protocol.h"
+#include "net/lockstep.h"
 #include "net/tcp/party_config.h"
 #include "net/tcp/socket.h"
 #include "net/tcp/tcp_transport.h"
@@ -52,7 +52,6 @@ struct Row {
   size_t batch = 0;
   double grr_seconds = 0.0;
   unsigned long long grr_elements = 0;
-  double dealer_seconds = 0.0;   ///< Beaver online + inline dealing.
   double offline_seconds = 0.0;  ///< Pool pre-dealing, per batch.
   double online_seconds = 0.0;   ///< Pool-backed online phase only.
   unsigned long long beaver_elements = 0;
@@ -175,12 +174,11 @@ void WriteJson(const std::string& path, bool paper_scale,
     std::fprintf(
         out,
         "%s{\"parties\":%zu,\"batch\":%zu,\"grr_seconds\":%.6f,"
-        "\"grr_elements\":%llu,\"beaver_dealer_seconds\":%.6f,"
-        "\"beaver_offline_seconds\":%.6f,\"beaver_online_seconds\":%.6f,"
-        "\"beaver_elements\":%llu}",
+        "\"grr_elements\":%llu,\"beaver_offline_seconds\":%.6f,"
+        "\"beaver_online_seconds\":%.6f,\"beaver_elements\":%llu}",
         i > 0 ? "," : "", row.parties, row.batch, row.grr_seconds,
-        row.grr_elements, row.dealer_seconds, row.offline_seconds,
-        row.online_seconds, row.beaver_elements);
+        row.grr_elements, row.offline_seconds, row.online_seconds,
+        row.beaver_elements);
   }
   std::fprintf(out, "],\"quorum_rounds\":{\"ok\":%s,\"grr\":%llu,"
                     "\"beaver\":%llu,\"grr_census_messages\":%llu,"
@@ -205,9 +203,9 @@ int main(int argc, char** argv) {
       "Ablation: GRR degree reduction vs Beaver triples (online phase)",
       "batched secure multiplication, mean over repeated batches");
 
-  std::printf("%-8s %-8s | %-12s %-14s | %-12s %-12s %-12s %-14s\n",
-              "parties", "batch", "GRR s", "GRR elements", "dealer s",
-              "offline s", "online s", "Beaver elems");
+  std::printf("%-8s %-8s | %-12s %-14s | %-12s %-12s %-14s\n", "parties",
+              "batch", "GRR s", "GRR elements", "offline s", "online s",
+              "Beaver elems");
   bench::PrintRule();
 
   std::vector<Row> json_rows;
@@ -216,15 +214,13 @@ int main(int argc, char** argv) {
                             ? std::vector<size_t>{1024, 16384}
                             : std::vector<size_t>{256, 4096}) {
       const size_t threshold = (parties - 1) / 2;
-      SimulatedNetwork network(parties, 0.0);
+      LockstepTransport network(parties, 0.0);
       BgwProtocol protocol(ShamirScheme(parties, threshold), &network, 3);
-      BeaverTripleDealer dealer(ShamirScheme(parties, threshold), 4);
-      BeaverMultiplier beaver(&protocol, &dealer);
 
       std::vector<Field::Element> values(batch);
       for (size_t i = 0; i < batch; ++i) values[i] = i + 1;
-      const SharedVector x = protocol.ShareFromParty(0, values);
-      const SharedVector y = protocol.ShareFromParty(1, values);
+      const SharedVector x = protocol.ShareFromParty(0, values).ValueOrDie();
+      const SharedVector y = protocol.ShareFromParty(1, values).ValueOrDie();
 
       // GRR timing.
       NetworkStats before = network.stats();
@@ -237,56 +233,45 @@ int main(int argc, char** argv) {
           (network.stats().field_elements - before.field_elements) /
           repeats;
 
-      // Beaver timing (dealing excluded: it is the offline phase; we
-      // pre-deal outside the timed region by warming the dealer's batch).
-      before = network.stats();
-      start = std::chrono::steady_clock::now();
-      for (int r = 0; r < repeats; ++r) {
-        (void)beaver.Mul(x, y).ValueOrDie();
-      }
-      const double beaver_seconds = SecondsSince(start) / repeats;
-      const uint64_t beaver_elements =
-          (network.stats().field_elements - before.field_elements) /
-          repeats;
-
-      // Pool-backed split: pre-deal the whole run's triples up front (the
-      // offline phase, timed separately), then time the pure online phase.
+      // Beaver: pre-deal the whole run's triples up front (the offline
+      // phase, timed separately), then time the pure online phase.
       start = std::chrono::steady_clock::now();
       BeaverTriplePool pool(ShamirScheme(parties, threshold), 5,
                             batch * static_cast<size_t>(repeats));
       const double offline_seconds = SecondsSince(start) / repeats;
-      BeaverMultiplier pooled(&protocol, &pool);
+      protocol.set_beaver_pool(&pool);
+      before = network.stats();
       start = std::chrono::steady_clock::now();
       for (int r = 0; r < repeats; ++r) {
-        (void)pooled.Mul(x, y).ValueOrDie();
+        (void)protocol.Mul(x, y).ValueOrDie();
       }
       const double online_seconds = SecondsSince(start) / repeats;
+      const uint64_t beaver_elements =
+          (network.stats().field_elements - before.field_elements) /
+          repeats;
 
       Row row;
       row.parties = parties;
       row.batch = batch;
       row.grr_seconds = grr_seconds;
       row.grr_elements = grr_elements;
-      row.dealer_seconds = beaver_seconds;
       row.offline_seconds = offline_seconds;
       row.online_seconds = online_seconds;
       row.beaver_elements = beaver_elements;
       json_rows.push_back(row);
 
       std::printf(
-          "%-8zu %-8zu | %-12.5f %-14llu | %-12.5f %-12.5f %-12.5f %-14llu\n",
+          "%-8zu %-8zu | %-12.5f %-14llu | %-12.5f %-12.5f %-14llu\n",
           parties, batch, grr_seconds,
-          static_cast<unsigned long long>(grr_elements), beaver_seconds,
-          offline_seconds, online_seconds,
-          static_cast<unsigned long long>(beaver_elements));
+          static_cast<unsigned long long>(grr_elements), offline_seconds,
+          online_seconds, static_cast<unsigned long long>(beaver_elements));
     }
   }
 
   std::printf(
-      "\nReading: `dealer s` is the legacy inline-dealer multiplier (deal "
-      "+ open on the critical path); `offline s` + `online s` split the "
-      "same work through the BeaverTriplePool — the pool is charged once "
-      "up front and the online phase is a single packed opening per batch. "
+      "\nReading: `offline s` + `online s` split Beaver multiplication "
+      "through the BeaverTriplePool — the pool is charged once up front "
+      "and the online phase is a single packed opening per batch. "
       "Per-batch traffic is the 2k-element opening vs GRR's k-element "
       "re-sharing — comparable volume, but Beaver needs no online "
       "randomness and composes with opening batches.\n");

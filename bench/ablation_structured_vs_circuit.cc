@@ -11,7 +11,6 @@
 // wins on rounds and engine overhead only.
 
 #include <chrono>
-#include "mpc/network.h"
 #include <cmath>
 #include <cstdio>
 #include <vector>
@@ -21,6 +20,7 @@
 #include "core/sqm.h"
 #include "core/sqm_plan.h"
 #include "mpc/ops.h"
+#include "net/lockstep.h"
 #include "sampling/rng.h"
 #include "vfl/logistic.h"
 #include "vfl/synthetic.h"
@@ -93,7 +93,7 @@ PathCost RunStructuredPath(const Matrix& batch,
       StochasticRound(-1.0, gamma, coeff_rng);
   inputs.noise_per_client.assign(d + 1, std::vector<int64_t>(d, 0));
 
-  SimulatedNetwork network(d + 1, 0.0);
+  LockstepTransport network(d + 1, 0.0);
   BgwProtocol protocol(ShamirScheme(d + 1, d / 2), &network, 5);
   SecureOps ops(&protocol);
   const auto start = std::chrono::steady_clock::now();

@@ -4,13 +4,13 @@
 // asymptotic complexities.
 
 #include <benchmark/benchmark.h>
-#include "mpc/network.h"
 
 #include "core/quantize.h"
 #include "math/eigen.h"
 #include "math/linalg.h"
 #include "mpc/field.h"
 #include "mpc/protocol.h"
+#include "net/lockstep.h"
 #include "sampling/gaussian_sampler.h"
 #include "sampling/poisson.h"
 #include "sampling/rng.h"
@@ -112,11 +112,11 @@ BENCHMARK(BM_StochasticRound);
 void BM_BgwMulBatch(benchmark::State& state) {
   const size_t parties = 4;
   const size_t batch = state.range(0);
-  SimulatedNetwork network(parties, 0.0);
+  LockstepTransport network(parties, 0.0);
   BgwProtocol protocol(ShamirScheme(parties, 1), &network, 10);
   std::vector<Field::Element> values(batch, 7);
-  const SharedVector a = protocol.ShareFromParty(0, values);
-  const SharedVector b = protocol.ShareFromParty(1, values);
+  const SharedVector a = protocol.ShareFromParty(0, values).ValueOrDie();
+  const SharedVector b = protocol.ShareFromParty(1, values).ValueOrDie();
   for (auto _ : state) {
     auto product = protocol.Mul(a, b);
     benchmark::DoNotOptimize(product);

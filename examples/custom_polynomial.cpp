@@ -10,13 +10,13 @@
 // (6) RDP -> (eps, delta) accounting for both adversaries.
 
 #include <cstdio>
-#include "mpc/network.h"
 
 #include "core/quantize.h"
 #include "core/sensitivity.h"
 #include "dp/rdp.h"
 #include "dp/skellam.h"
 #include "mpc/bgw.h"
+#include "net/lockstep.h"
 #include "sampling/rng.h"
 #include "sampling/skellam_sampler.h"
 
@@ -108,7 +108,7 @@ int main() {
   circuit.MarkOutput(acc);
   std::printf("\nCircuit: %s\n", circuit.Summary().c_str());
 
-  SimulatedNetwork network(num_clients, /*latency=*/0.1);
+  LockstepTransport network(num_clients, /*latency=*/0.1);
   BgwEngine engine(ShamirScheme(num_clients, 1), &network, 99);
   const std::vector<int64_t> raw =
       engine.Evaluate(circuit, inputs).ValueOrDie();

@@ -98,13 +98,14 @@ fi
 # silent corruption in the release build, and the batch differential
 # suite's threaded/TCP legs put the Beaver + batched hot path under the
 # race detector too, as do the concurrent sampler draws (parties sample
-# their Skellam shares at the same time), and the TCP transport suite
-# (listener shutdown waking the acceptor, then the thread joins). A
-# separate build tree keeps the instrumented objects out of the primary
-# build.
+# their Skellam shares at the same time), the TCP transport suite
+# (listener shutdown waking the acceptor, then the thread joins), and the
+# resilience suite (crash sweeps over the threaded transport through the
+# quorum and abort paths). A separate build tree keeps the instrumented
+# objects out of the primary build.
 tsan_dir="$build_dir-tsan"
 cmake -B "$tsan_dir" -S "$repo_root" -DSQM_SANITIZE=thread
 cmake --build "$tsan_dir" -j"$(nproc)"
-(cd "$tsan_dir" && ctest -L 'deploy|chaos|batch|sampler|tcp' --output-on-failure)
+(cd "$tsan_dir" && ctest -L 'deploy|chaos|batch|sampler|tcp|resilience' --output-on-failure)
 
 echo "check.sh: all gates passed"

@@ -7,6 +7,7 @@
 #include "mpc/beaver.h"
 #include "mpc/bgw.h"
 #include "mpc/field.h"
+#include "net/lockstep.h"
 #include "net/liveness.h"
 #include "obs/trace.h"
 
@@ -77,7 +78,7 @@ Result<SqmReport> EvaluateBgw(const SqmPlan& plan,
     threaded.element_wire_bytes = Field::kWireBytes;
     network = std::make_unique<ThreadedTransport>(num_clients, threaded);
   } else {
-    auto lockstep = std::make_unique<SimulatedNetwork>(
+    auto lockstep = std::make_unique<LockstepTransport>(
         num_clients, options.network_latency_seconds);
     // Lockstep honors the crash component of the fault options, so the
     // same dropout scenario runs under both transports.
@@ -140,7 +141,7 @@ Result<SqmReport> EvaluateBgw(const SqmPlan& plan,
     for (size_t k = 0; k < topup.dealers.size(); ++k) {
       SQM_ASSIGN_OR_RETURN(
           SharedVector extra_shares,
-          engine.protocol().TryShareFromParty(
+          engine.protocol().ShareFromParty(
               topup.dealers[k].first,
               Field::EncodeVector(plan.SampleTopUp(topup, k)), "topup"));
       SQM_ASSIGN_OR_RETURN(out_shares,

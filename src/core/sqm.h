@@ -8,7 +8,6 @@
 #include "core/sensitivity.h"
 #include "core/status.h"
 #include "math/matrix.h"
-#include "mpc/network.h"
 #include "net/threaded.h"
 #include "net/transport.h"
 #include "obs/ledger.h"

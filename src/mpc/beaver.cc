@@ -1,32 +1,9 @@
 #include "mpc/beaver.h"
 
-#include "core/logging.h"
 #include "mpc/field.h"
 #include "obs/metrics.h"
 
 namespace sqm {
-
-BeaverTripleDealer::BeaverTripleDealer(ShamirScheme scheme, uint64_t seed)
-    : scheme_(std::move(scheme)), rng_(seed) {}
-
-BeaverTripleDealer::TripleShares BeaverTripleDealer::Deal() {
-  const Field::Element a = rng_.NextBounded(Field::kModulus);
-  const Field::Element b = rng_.NextBounded(Field::kModulus);
-  const Field::Element c = Field::Mul(a, b);
-  TripleShares shares;
-  shares.a_shares = scheme_.Share(a, rng_);
-  shares.b_shares = scheme_.Share(b, rng_);
-  shares.c_shares = scheme_.Share(c, rng_);
-  return shares;
-}
-
-std::vector<BeaverTripleDealer::TripleShares> BeaverTripleDealer::DealBatch(
-    size_t count) {
-  std::vector<TripleShares> batch;
-  batch.reserve(count);
-  for (size_t i = 0; i < count; ++i) batch.push_back(Deal());
-  return batch;
-}
 
 BeaverTriplePool::BeaverTriplePool(ShamirScheme scheme, uint64_t seed,
                                    size_t capacity)
@@ -45,9 +22,8 @@ void BeaverTriplePool::DealInto(size_t count) {
     b_rows_[j].reserve(dealt_ + count);
     c_rows_[j].reserve(dealt_ + count);
   }
-  // Same draw order as BeaverTripleDealer::Deal, so a pool and a dealer
-  // with equal seeds produce byte-identical triple streams (pinned by
-  // golden_stream_test).
+  // Triple-major draw order: a, b, then the three scalar sharings (pinned
+  // by golden_stream_test).
   for (size_t i = 0; i < count; ++i) {
     const Field::Element a = rng_.NextBounded(Field::kModulus);
     const Field::Element b = rng_.NextBounded(Field::kModulus);
@@ -117,84 +93,6 @@ Status BeaverTriplePool::Refill(size_t count,
         " surviving dealers, have " + std::to_string(distinct));
   }
   return Refill(count);
-}
-
-BeaverMultiplier::BeaverMultiplier(BgwProtocol* protocol,
-                                   BeaverTripleDealer* dealer)
-    : protocol_(protocol), dealer_(dealer) {
-  SQM_CHECK(protocol != nullptr && dealer != nullptr);
-}
-
-BeaverMultiplier::BeaverMultiplier(BgwProtocol* protocol,
-                                   BeaverTriplePool* pool)
-    : protocol_(protocol), pool_(pool) {
-  SQM_CHECK(protocol != nullptr && pool != nullptr);
-}
-
-Result<SharedVector> BeaverMultiplier::Mul(const SharedVector& x,
-                                           const SharedVector& y) {
-  if (x.size() != y.size() || x.num_parties() != y.num_parties()) {
-    return Status::InvalidArgument("Beaver Mul: shape mismatch");
-  }
-  const size_t n = protocol_->num_parties();
-  const size_t k = x.size();
-  BeaverTriplePool::TripleBatch batch;
-  if (pool_ != nullptr) {
-    SQM_ASSIGN_OR_RETURN(batch, pool_->Take(k));
-  } else {
-    // Legacy inline dealing: online timing includes the dealer's work.
-    const std::vector<BeaverTripleDealer::TripleShares> triples =
-        dealer_->DealBatch(k);
-    batch.a = SharedVector(n, k);
-    batch.b = SharedVector(n, k);
-    batch.c = SharedVector(n, k);
-    for (size_t j = 0; j < n; ++j) {
-      for (size_t i = 0; i < k; ++i) {
-        batch.a.shares(j)[i] = triples[i].a_shares[j];
-        batch.b.shares(j)[i] = triples[i].b_shares[j];
-        batch.c.shares(j)[i] = triples[i].c_shares[j];
-      }
-    }
-  }
-  triples_used_ += k;
-  const SharedVector& a = batch.a;
-  const SharedVector& b = batch.b;
-  const SharedVector& c = batch.c;
-
-  // One round: jointly open d = x - a and e = y - b (packed together so a
-  // batch costs a single opening).
-  SQM_ASSIGN_OR_RETURN(const SharedVector dx, protocol_->Sub(x, a));
-  SQM_ASSIGN_OR_RETURN(const SharedVector ey, protocol_->Sub(y, b));
-  SharedVector packed(n, 2 * k);
-  for (size_t j = 0; j < n; ++j) {
-    auto& dst = packed.shares(j);
-    const auto& sx = dx.shares(j);
-    const auto& sy = ey.shares(j);
-    for (size_t i = 0; i < k; ++i) {
-      dst[i] = sx[i];
-      dst[k + i] = sy[i];
-    }
-  }
-  const std::vector<Field::Element> opened = protocol_->Open(packed);
-
-  // Local combination: [xy] = [c] + d*[b] + e*[a] + d*e, as three batched
-  // multiply-accumulate sweeps over the opened (d, e) halves.
-  const Field::Element* d = opened.data();
-  const Field::Element* e = opened.data() + k;
-  std::vector<Field::Element> de(k);
-  Field::MulVec(d, e, de.data(), k);
-  SharedVector out(n, k);
-  std::vector<Field::Element> term(k);
-  for (size_t j = 0; j < n; ++j) {
-    auto& dst = out.shares(j);
-    dst = c.shares(j);
-    Field::MulVec(d, b.shares(j).data(), term.data(), k);
-    Field::AddVec(dst.data(), term.data(), dst.data(), k);
-    Field::MulVec(e, a.shares(j).data(), term.data(), k);
-    Field::AddVec(dst.data(), term.data(), dst.data(), k);
-    Field::AddVec(dst.data(), de.data(), dst.data(), k);
-  }
-  return out;
 }
 
 }  // namespace sqm

@@ -20,48 +20,25 @@ namespace sqm {
 /// the price of consuming one triple per product.
 ///
 /// SQM treats the MPC as a black box (Section II), so this backend slots
-/// under the same SharedVector algebra; `bench/ablation_beaver_vs_grr`
-/// compares the online costs. The dealer here is the standard semi-honest
-/// preprocessing abstraction: in a deployment it would be replaced by an
-/// offline triple-generation protocol, which does not change the online
-/// phase measured here.
-class BeaverTripleDealer {
- public:
-  /// Shares of one multiplication triple: for each party j,
-  /// a_shares[j], b_shares[j], c_shares[j] are degree-t Shamir shares of
-  /// (a, b, a*b).
-  struct TripleShares {
-    std::vector<Field::Element> a_shares;
-    std::vector<Field::Element> b_shares;
-    std::vector<Field::Element> c_shares;
-  };
-
-  BeaverTripleDealer(ShamirScheme scheme, uint64_t seed);
-
-  /// Deals one random triple.
-  TripleShares Deal();
-
-  /// Deals `count` triples (one per element of a batched multiplication).
-  std::vector<TripleShares> DealBatch(size_t count);
-
- private:
-  ShamirScheme scheme_;
-  Rng rng_;
-};
-
-/// Offline-phase triple store: pre-deals a fixed budget of triples at
-/// construction and serves the online path from the queue, so online Mul
-/// timing and traffic contain zero dealing work. The triple stream is a
-/// pure function of (scheme, seed) and byte-identical to what a
-/// BeaverTripleDealer with the same seed would deal — every party (or the
-/// driver replaying all parties) derives the same pool independently,
-/// which is the standard semi-honest preprocessing abstraction.
+/// under the same SharedVector algebra: attach a pool with
+/// BgwProtocol::set_beaver_pool (or PartyProtocol's) and Mul runs the
+/// online path; `bench/ablation_beaver_vs_grr` compares the online costs.
+///
+/// The pool is the offline-phase triple store: it pre-deals a fixed budget
+/// of triples at construction and serves the online path from the queue,
+/// so online Mul timing and traffic contain zero dealing work. The dealer
+/// here is the standard semi-honest preprocessing abstraction: in a
+/// deployment it would be replaced by an offline triple-generation
+/// protocol, which does not change the online phase. The triple stream is
+/// a pure function of (scheme, seed) — every party (or the driver
+/// replaying all parties) derives the same pool independently.
 ///
 /// Exhaustion is a refusal, never a silent online re-deal: Take past the
 /// dealt budget fails with kFailedPrecondition. Refill is an explicit
 /// offline act, and on the quorum/dropout path it enforces the same
-/// 2t+1 dealer rule as MulQuorum: fewer than 2t+1 surviving parties can
-/// no longer deal degree-t sharings that recombine to a correct product.
+/// 2t+1 dealer rule as a GRR multiplication: fewer than 2t+1 surviving
+/// parties can no longer deal degree-t sharings that recombine to a
+/// correct product.
 class BeaverTriplePool {
  public:
   /// One Take's worth of triples in SharedVector layout: element i of
@@ -105,35 +82,6 @@ class BeaverTriplePool {
   std::vector<std::vector<Field::Element>> a_rows_;
   std::vector<std::vector<Field::Element>> b_rows_;
   std::vector<std::vector<Field::Element>> c_rows_;
-};
-
-/// Online Beaver multiplication over an existing BgwProtocol's network and
-/// sharing scheme.
-class BeaverMultiplier {
- public:
-  /// `protocol` supplies the parties, scheme, and network; `dealer` the
-  /// preprocessed triples. Both must outlive this object. Triples are
-  /// dealt inline during Mul — online timings therefore include dealing
-  /// cost; prefer the pool constructor for a true offline/online split.
-  BeaverMultiplier(BgwProtocol* protocol, BeaverTripleDealer* dealer);
-
-  /// Pool-backed variant: Mul consumes pre-dealt triples and fails with
-  /// the pool's kFailedPrecondition when the offline budget runs out.
-  BeaverMultiplier(BgwProtocol* protocol, BeaverTriplePool* pool);
-
-  /// Element-wise product of two shared vectors using one triple per
-  /// element: one communication round (the joint opening of d = x - a and
-  /// e = y - b), then the local combination [c] + d[b] + e[a] + d*e.
-  Result<SharedVector> Mul(const SharedVector& x, const SharedVector& y);
-
-  /// Triples consumed so far.
-  size_t triples_used() const { return triples_used_; }
-
- private:
-  BgwProtocol* protocol_;
-  BeaverTripleDealer* dealer_ = nullptr;
-  BeaverTriplePool* pool_ = nullptr;
-  size_t triples_used_ = 0;
 };
 
 }  // namespace sqm

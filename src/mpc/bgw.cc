@@ -70,19 +70,10 @@ Result<SharedVector> BgwEngine::EvaluateToShares(
     // parties, so a later resume never repeats this phase.
     for (size_t j = 0; j < n; ++j) {
       if (inputs_per_party[j].empty()) continue;
-      SharedVector shared;
-      if (protocol_.liveness() != nullptr) {
-        SQM_ASSIGN_OR_RETURN(
-            shared, protocol_.TryShareFromParty(
-                        j, Field::EncodeVector(inputs_per_party[j])));
-      } else if (protocol_.verify_sharings()) {
-        SQM_ASSIGN_OR_RETURN(
-            shared, protocol_.ShareFromPartyChecked(
-                        j, Field::EncodeVector(inputs_per_party[j])));
-      } else {
-        shared = protocol_.ShareFromParty(
-            j, Field::EncodeVector(inputs_per_party[j]));
-      }
+      SQM_ASSIGN_OR_RETURN(
+          const SharedVector shared,
+          protocol_.ShareFromParty(j,
+                                   Field::EncodeVector(inputs_per_party[j])));
       // Scatter this party's input shares onto its input wires.
       size_t index = 0;
       for (size_t w = 0; w < gates.size(); ++w) {
@@ -193,14 +184,8 @@ Result<SharedVector> BgwEngine::EvaluateToShares(
 Result<std::vector<int64_t>> BgwEngine::OpenOutputs(
     const SharedVector& out_shares) {
   // ---- Phase 3: open outputs.
-  std::vector<int64_t> outputs;
-  if (protocol_.liveness() != nullptr) {
-    SQM_ASSIGN_OR_RETURN(outputs, protocol_.TryOpenSigned(out_shares));
-  } else if (protocol_.verify_sharings()) {
-    SQM_ASSIGN_OR_RETURN(outputs, protocol_.OpenSignedChecked(out_shares));
-  } else {
-    outputs = protocol_.OpenSigned(out_shares);
-  }
+  SQM_ASSIGN_OR_RETURN(std::vector<int64_t> outputs,
+                       protocol_.OpenSigned(out_shares));
   // The network delta spans everything since the fresh EvaluateToShares
   // start, including any failed attempts retried from a checkpoint — that
   // is the traffic the run actually cost.

@@ -78,9 +78,8 @@ class BgwEngine {
       const std::vector<std::vector<int64_t>>& inputs_per_party,
       BgwCheckpoint* checkpoint = nullptr);
 
-  /// Phase 3: opens output shares to all parties and finalizes
-  /// last_report(). Uses the quorum opening path when a tracker is
-  /// attached.
+  /// Phase 3: opens output shares to all parties (over the survivors when
+  /// a tracker is attached) and finalizes last_report().
   Result<std::vector<int64_t>> OpenOutputs(const SharedVector& out_shares);
 
   /// Attaches a shared failure detector (forwarded to the protocol layer).
@@ -91,9 +90,8 @@ class BgwEngine {
   /// Enables conformance verification (forwarded to the protocol layer):
   /// input sharing, multiplication outputs, and opening all check
   /// degree-consistency and broadcast agreement, turning any single-message
-  /// wire tamper into a descriptive kIntegrityViolation. Ignored on code
-  /// paths that run with a liveness tracker (the quorum paths have their
-  /// own share-selection semantics).
+  /// wire tamper into a descriptive kIntegrityViolation. With a liveness
+  /// tracker the checks run over the alive parties.
   void set_verify_sharings(bool verify) {
     protocol_.set_verify_sharings(verify);
   }

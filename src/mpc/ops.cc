@@ -22,8 +22,10 @@ Result<std::vector<SharedVector>> SecureOps::ShareColumns(
     if (columns[j].size() != m) {
       return Status::InvalidArgument("ShareColumns: ragged columns");
     }
-    shared.push_back(
+    SQM_ASSIGN_OR_RETURN(
+        SharedVector column,
         protocol_->ShareFromParty(j, Field::EncodeVector(columns[j])));
+    shared.push_back(std::move(column));
   }
   return shared;
 }
@@ -47,8 +49,9 @@ Result<std::vector<int64_t>> SecureOps::NoisySum(
     // noise share — one sharing per party, as in Algorithm 1.
     std::vector<int64_t> noisy = contributions[j];
     for (size_t t = 0; t < d; ++t) noisy[t] += noise_per_client[j][t];
-    const SharedVector share =
-        protocol_->ShareFromParty(j, Field::EncodeVector(noisy));
+    SQM_ASSIGN_OR_RETURN(
+        const SharedVector share,
+        protocol_->ShareFromParty(j, Field::EncodeVector(noisy)));
     SQM_ASSIGN_OR_RETURN(total, protocol_->Add(total, share));
   }
   return protocol_->OpenSigned(total);
@@ -114,8 +117,9 @@ Result<std::vector<int64_t>> SecureOps::NoisyCovarianceUpper(
 
   // Add the clients' noise shares (one sharing round per client).
   for (size_t j = 0; j < n; ++j) {
-    const SharedVector noise = protocol_->ShareFromParty(
-        j, Field::EncodeVector(noise_per_client[j]));
+    SQM_ASSIGN_OR_RETURN(const SharedVector noise,
+                         protocol_->ShareFromParty(
+                             j, Field::EncodeVector(noise_per_client[j])));
     SQM_ASSIGN_OR_RETURN(gram, protocol_->Add(gram, noise));
   }
   return protocol_->OpenSigned(gram);
@@ -153,14 +157,12 @@ Result<std::vector<int64_t>> SecureOps::NoisyLogisticGradient(
 
   // Share the private inputs: feature columns from clients 0..d-1, labels
   // from the label client d.
-  std::vector<SharedVector> x_cols;
-  x_cols.reserve(d);
-  for (size_t j = 0; j < d; ++j) {
-    x_cols.push_back(protocol_->ShareFromParty(
-        j, Field::EncodeVector(inputs.feature_columns[j])));
-  }
-  const SharedVector y =
-      protocol_->ShareFromParty(d, Field::EncodeVector(inputs.labels));
+  std::vector<std::vector<int64_t>> columns = inputs.feature_columns;
+  columns.push_back(inputs.labels);
+  SQM_ASSIGN_OR_RETURN(std::vector<SharedVector> x_cols,
+                       ShareColumns(columns));
+  const SharedVector y = std::move(x_cols.back());
+  x_cols.pop_back();
 
   // u_i = sum_j w-hat[j] * x-hat_{i,j}: public weights => local on shares.
   SharedVector u(parties, m);
@@ -212,8 +214,10 @@ Result<std::vector<int64_t>> SecureOps::NoisyLogisticGradient(
 
   // Inject the per-client noise shares.
   for (size_t j = 0; j < parties; ++j) {
-    const SharedVector noise = protocol_->ShareFromParty(
-        j, Field::EncodeVector(inputs.noise_per_client[j]));
+    SQM_ASSIGN_OR_RETURN(
+        const SharedVector noise,
+        protocol_->ShareFromParty(
+            j, Field::EncodeVector(inputs.noise_per_client[j])));
     SQM_ASSIGN_OR_RETURN(grad, protocol_->Add(grad, noise));
   }
   return protocol_->OpenSigned(grad);
@@ -248,14 +252,12 @@ Result<std::vector<int64_t>> SecureOps::NoisyLinearGradient(
     }
   }
 
-  std::vector<SharedVector> x_cols;
-  x_cols.reserve(d);
-  for (size_t j = 0; j < d; ++j) {
-    x_cols.push_back(protocol_->ShareFromParty(
-        j, Field::EncodeVector(inputs.feature_columns[j])));
-  }
-  const SharedVector y =
-      protocol_->ShareFromParty(d, Field::EncodeVector(inputs.targets));
+  std::vector<std::vector<int64_t>> columns = inputs.feature_columns;
+  columns.push_back(inputs.targets);
+  SQM_ASSIGN_OR_RETURN(std::vector<SharedVector> x_cols,
+                       ShareColumns(columns));
+  const SharedVector y = std::move(x_cols.back());
+  x_cols.pop_back();
 
   // u_i = <w-hat, x-hat_i>: local, public weights.
   SharedVector u(parties, m);
@@ -300,8 +302,10 @@ Result<std::vector<int64_t>> SecureOps::NoisyLinearGradient(
     }
   }
   for (size_t j = 0; j < parties; ++j) {
-    const SharedVector noise = protocol_->ShareFromParty(
-        j, Field::EncodeVector(inputs.noise_per_client[j]));
+    SQM_ASSIGN_OR_RETURN(
+        const SharedVector noise,
+        protocol_->ShareFromParty(
+            j, Field::EncodeVector(inputs.noise_per_client[j])));
     SQM_ASSIGN_OR_RETURN(grad, protocol_->Add(grad, noise));
   }
   return protocol_->OpenSigned(grad);

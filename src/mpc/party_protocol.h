@@ -77,9 +77,9 @@ class PartyProtocol {
   /// Input phase for dealer `dealer` dealing `count` elements. When
   /// dealer == me, `values` holds the encoded plaintext inputs
   /// (values.size() == count); otherwise `values` is ignored. Every party
-  /// returns its own share row. Mirrors BgwProtocol::ShareFromParty /
-  /// TryShareFromParty: with a liveness tracker attached, a dead dealer or
-  /// a failed receive fails kUnavailable (a lost input has no quorum).
+  /// returns its own share row. Mirrors BgwProtocol::ShareFromParty: with
+  /// a liveness tracker attached, a dead dealer or a failed receive fails
+  /// kUnavailable (a lost input has no quorum).
   Result<Shares> ShareFromParty(size_t dealer,
                                 const std::vector<Field::Element>& values,
                                 size_t count,

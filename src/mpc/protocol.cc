@@ -24,36 +24,66 @@ BgwProtocol::BgwProtocol(ShamirScheme scheme, Transport* network,
   degree2t_lagrange_ = scheme_.LagrangeAtZero(all);
 }
 
-SharedVector BgwProtocol::ShareFromParty(
-    size_t party, const std::vector<Field::Element>& values) {
+Result<SharedVector> BgwProtocol::ShareFromParty(
+    size_t party, const std::vector<Field::Element>& values,
+    const std::string& phase_label) {
   const size_t n = num_parties();
   SQM_CHECK(party < n);
-  PhaseScope phase(network_, "input");
+  if (PartyDead(party)) {
+    return Status::Unavailable("input sharing impossible: dealer party " +
+                               std::to_string(party) + " is dead");
+  }
+  PhaseScope phase(network_, phase_label);
   // Pinned to the dealer's track: in driver mode one thread plays every
   // party, and the trace should still show who did the work.
   obs::Span span("bgw.share", "mpc", static_cast<int32_t>(party));
   span.AddArg("party", static_cast<int64_t>(party));
   span.AddArg("elements", static_cast<int64_t>(values.size()));
-  // The owner deals every recipient's row in one table-driven batch.
+  // The owner deals every recipient's row in one table-driven batch, the
+  // trailing noise inputs dealt and timed separately.
   std::vector<std::vector<Field::Element>> outbound =
-      DealInputs(party, values);
+      scheme_.ShareBatchWithTail(values,
+                                 std::min(noise_inputs_, values.size()),
+                                 party_rngs_[party],
+                                 static_cast<int32_t>(party),
+                                 &noise_deal_seconds_);
   for (size_t j = 0; j < n; ++j) {
+    if (j != party && PartyDead(j)) continue;
     network_->Send(party, j, std::move(outbound[j]));
   }
   network_->EndRound();
 
   SharedVector result(n, values.size());
   for (size_t j = 0; j < n; ++j) {
-    result.shares(j) = network_->Receive(party, j).ValueOrDie();
+    if (j != party && PartyDead(j)) continue;
+    Result<Transport::Payload> received = network_->Receive(party, j);
+    if (!received.ok()) {
+      if (liveness_ != nullptr) {
+        liveness_->RecordFailure(party, received.status().code());
+      }
+      // A lost input is not degradable: no quorum of other parties holds
+      // the dealer's secret. Surface kUnavailable and let the caller
+      // decide whether the run can proceed without this input.
+      return Status::Unavailable(
+          "input sharing from party " + std::to_string(party) +
+          " failed (" + received.status().message() +
+          "); inputs cannot be reconstructed by a quorum");
+    }
+    if (received.ValueOrDie().size() != values.size()) {
+      return Status::IntegrityViolation(
+          "input dealing from party " + std::to_string(party) + " to " +
+          std::to_string(j) + " has " +
+          std::to_string(received.ValueOrDie().size()) +
+          " elements, expected " + std::to_string(values.size()));
+    }
+    result.shares(j) = std::move(received).ValueOrDie();
+  }
+  if (liveness_ != nullptr) liveness_->RecordSuccess(party);
+  if (verify_sharings_) {
+    SQM_RETURN_NOT_OK(VerifySharing(
+        result, "input dealing from party " + std::to_string(party)));
   }
   return result;
-}
-
-std::vector<std::vector<Field::Element>> BgwProtocol::DealInputs(
-    size_t party, const std::vector<Field::Element>& values) {
-  return scheme_.ShareBatchWithTail(
-      values, std::min(noise_inputs_, values.size()), party_rngs_[party],
-      static_cast<int32_t>(party), &noise_deal_seconds_);
 }
 
 SharedVector BgwProtocol::SharePublic(
@@ -121,9 +151,9 @@ Result<SharedVector> BgwProtocol::Mul(const SharedVector& a,
     return Status::InvalidArgument("Mul: shape mismatch");
   }
   if (beaver_pool_ != nullptr) return MulBeaver(a, b);
-  if (liveness_ != nullptr) return MulQuorum(a, b);
   const size_t n = num_parties();
   const size_t k = a.size();
+  const size_t needed = 2 * scheme_.threshold() + 1;
   PhaseScope phase(network_, "mul");
   obs::Span span("bgw.mul", "mpc");
   span.AddArg("elements", static_cast<int64_t>(k));
@@ -132,70 +162,10 @@ Result<SharedVector> BgwProtocol::Mul(const SharedVector& a,
   // degree-2t polynomial with the right free coefficient.
   // Step 2 (re-share): each party deals a fresh degree-t sharing of its
   // degree-2t share batch and distributes the sub-shares — one message per
-  // pair carrying all k elements.
-  std::vector<Field::Element> products(k);
-  for (size_t j = 0; j < n; ++j) {
-    obs::Span deal("bgw.mul.deal", "mpc", static_cast<int32_t>(j));
-    deal.AddArg("party", static_cast<int64_t>(j));
-    Field::MulVec(a.shares(j).data(), b.shares(j).data(), products.data(),
-                  k);
-    std::vector<std::vector<Field::Element>> outbound =
-        scheme_.ShareBatch(products, party_rngs_[j]);
-    for (size_t r = 0; r < n; ++r) {
-      network_->Send(j, r, std::move(outbound[r]));
-    }
-  }
-  network_->EndRound();
-
-  // Step 3 (local): recombine sub-shares with the degree-2t Lagrange
-  // weights. Only the first 2t+1 dealers are needed; the rest are received
-  // and discarded, as in the standard description.
-  const size_t needed = 2 * scheme_.threshold() + 1;
-  SharedVector out(n, k);
-  for (size_t r = 0; r < n; ++r) {
-    obs::Span recombine("bgw.mul.recombine", "mpc", static_cast<int32_t>(r));
-    recombine.AddArg("party", static_cast<int64_t>(r));
-    auto& acc = out.shares(r);
-    for (size_t j = 0; j < n; ++j) {
-      // A failed receive (timed-out retries, crashed dealer) aborts the
-      // multiplication gracefully — the caller decides how to recover.
-      SQM_ASSIGN_OR_RETURN(const std::vector<Field::Element> received,
-                           network_->Receive(j, r));
-      if (received.size() != k) {
-        // A wrong-length sub-share batch means the channel is desynced —
-        // a replayed or stale message — and must never be recombined.
-        return Status::IntegrityViolation(
-            "Mul sub-share batch from dealer " + std::to_string(j) +
-            " to party " + std::to_string(r) + " has " +
-            std::to_string(received.size()) + " elements, expected " +
-            std::to_string(k) + " (replayed or stale message)");
-      }
-      if (j >= needed) continue;
-      Field::MulAddVec(acc.data(), received.data(), degree2t_lagrange_[j],
-                       k);
-    }
-  }
-  if (verify_sharings_) {
-    SQM_RETURN_NOT_OK(VerifySharing(out, "Mul output"));
-  }
-  return out;
-}
-
-Result<SharedVector> BgwProtocol::MulQuorum(const SharedVector& a,
-                                            const SharedVector& b) {
-  const size_t n = num_parties();
-  const size_t k = a.size();
-  const size_t needed = 2 * scheme_.threshold() + 1;
-  PhaseScope phase(network_, "mul");
-  obs::Span span("bgw.mul", "mpc");
-  span.AddArg("elements", static_cast<int64_t>(k));
-  span.AddArg("quorum", 1);
-
-  // Dealing: dead parties neither compute nor send (their RNG streams are
-  // independent, so skipping them leaves the survivors' randomness — and
-  // hence the recombined free coefficients — untouched). Sends to dead
-  // recipients are skipped too; a real sender has removed them from its
-  // view.
+  // pair carrying all k elements. Dead parties neither compute nor send
+  // (their RNG streams are independent, so skipping them leaves the
+  // survivors' randomness — and hence the recombined free coefficients —
+  // untouched), and nobody sends to them.
   std::vector<Field::Element> products(k);
   for (size_t j = 0; j < n; ++j) {
     if (PartyDead(j)) continue;
@@ -215,18 +185,24 @@ Result<SharedVector> BgwProtocol::MulQuorum(const SharedVector& a,
   // Collection, dealer-outer: a dealer is usable only if EVERY alive
   // recipient received its sub-share vector — all parties must recombine
   // with the same dealer set and weights or the result is not a consistent
-  // degree-t sharing. Payloads are buffered and only accumulated once the
-  // dealer set is final.
-  std::vector<size_t> usable;
-  std::vector<std::vector<std::vector<Field::Element>>> payloads(n);
+  // degree-t sharing. Only the first 2t+1 usable dealers' rows are kept;
+  // the rest are received and dropped at once, as in the standard
+  // description.
+  std::vector<size_t> dealers;
+  std::vector<std::vector<std::vector<Field::Element>>> rows;
   for (size_t j = 0; j < n; ++j) {
     if (PartyDead(j)) continue;
+    const bool keep = dealers.size() < needed;
+    std::vector<std::vector<Field::Element>> dealer_rows(keep ? n : 0);
     bool dealer_ok = true;
-    std::vector<std::vector<Field::Element>> received_rows(n);
     for (size_t r = 0; r < n; ++r) {
       if (r != j && PartyDead(r)) continue;
       Result<Transport::Payload> received = network_->Receive(j, r);
       if (!received.ok()) {
+        // Without a tracker a failed receive (timed-out retries, crashed
+        // dealer) fails the multiplication — the caller decides how to
+        // recover; with one, the dealer is dropped.
+        if (liveness_ == nullptr) return received.status();
         liveness_->RecordFailure(j, received.status().code());
         if (obs::Enabled()) {
           obs::TraceEvent event;
@@ -240,47 +216,50 @@ Result<SharedVector> BgwProtocol::MulQuorum(const SharedVector& a,
         break;
       }
       if (received.ValueOrDie().size() != k) {
+        // A wrong-length sub-share batch means the channel is desynced —
+        // a replayed or stale message — and must never be recombined.
         return Status::IntegrityViolation(
-            "quorum Mul sub-share batch from dealer " + std::to_string(j) +
+            "Mul sub-share batch from dealer " + std::to_string(j) +
             " to party " + std::to_string(r) + " has " +
             std::to_string(received.ValueOrDie().size()) +
             " elements, expected " + std::to_string(k) +
             " (replayed or stale message)");
       }
-      received_rows[r] = std::move(received).ValueOrDie();
+      if (keep) dealer_rows[r] = std::move(received).ValueOrDie();
     }
     if (!dealer_ok) continue;
-    liveness_->RecordSuccess(j);
-    usable.push_back(j);
-    payloads[j] = std::move(received_rows);
+    if (liveness_ != nullptr) liveness_->RecordSuccess(j);
+    if (keep) {
+      dealers.push_back(j);
+      rows.push_back(std::move(dealer_rows));
+    }
   }
-
-  if (usable.size() < needed) {
+  if (dealers.size() < needed) {
     return Status::Unavailable(
         "Mul quorum shortfall: degree-2t recombination needs 2t+1 = " +
         std::to_string(needed) + " dealers, only " +
-        std::to_string(usable.size()) + " of " + std::to_string(n) +
+        std::to_string(dealers.size()) + " of " + std::to_string(n) +
         " delivered (dead: " + std::to_string(liveness_->num_dead()) + ")");
   }
 
-  // Recombine over the first 2t+1 usable dealers with Lagrange weights for
-  // exactly those evaluation points. Any such subset yields the same free
+  // Step 3 (local): recombine with the Lagrange weights for exactly those
+  // dealers' evaluation points. Any 2t+1 of them yield the same free
   // coefficient, so degraded outputs equal the no-crash outputs.
-  const std::vector<size_t> dealers(usable.begin(), usable.begin() + needed);
-  const std::vector<Field::Element> weights = scheme_.LagrangeAtZero(dealers);
+  const std::vector<Field::Element> weights =
+      dealers.back() + 1 == needed ? degree2t_lagrange_
+                                   : scheme_.LagrangeAtZero(dealers);
   SharedVector out(n, k);
   for (size_t r = 0; r < n; ++r) {
     if (PartyDead(r)) continue;
     obs::Span recombine("bgw.mul.recombine", "mpc", static_cast<int32_t>(r));
     recombine.AddArg("party", static_cast<int64_t>(r));
     auto& acc = out.shares(r);
-    for (size_t d = 0; d < dealers.size(); ++d) {
-      Field::MulAddVec(acc.data(), payloads[dealers[d]][r].data(),
-                       weights[d], k);
+    for (size_t d = 0; d < needed; ++d) {
+      Field::MulAddVec(acc.data(), rows[d][r].data(), weights[d], k);
     }
   }
   if (verify_sharings_) {
-    SQM_RETURN_NOT_OK(VerifySharing(out, "quorum Mul output"));
+    SQM_RETURN_NOT_OK(VerifySharing(out, "Mul output"));
   }
   return out;
 }
@@ -301,97 +280,22 @@ Result<SharedVector> BgwProtocol::InnerProduct(const SharedVector& a,
   return SumElements(products);
 }
 
-std::vector<Field::Element> BgwProtocol::Open(const SharedVector& a) {
+Result<std::vector<Field::Element>> BgwProtocol::Open(const SharedVector& a) {
   PhaseScope phase(network_, "open");
   return OpenInPhase(a);
 }
 
-std::vector<Field::Element> BgwProtocol::OpenInPhase(const SharedVector& a) {
-  const size_t n = num_parties();
-  obs::Span span("bgw.open", "mpc");
-  span.AddArg("elements", static_cast<int64_t>(a.size()));
-  for (size_t j = 0; j < n; ++j) {
-    obs::Span broadcast("bgw.open.broadcast", "mpc", static_cast<int32_t>(j));
-    broadcast.AddArg("party", static_cast<int64_t>(j));
-    for (size_t r = 0; r < n; ++r) {
-      network_->Send(j, r, a.shares(j));
-    }
-  }
-  network_->EndRound();
-
-  // Every party receives all shares and interpolates; we compute the value
-  // once from party 0's viewpoint and drain the rest.
-  std::vector<std::vector<Field::Element>> all(n);
-  for (size_t j = 0; j < n; ++j) {
-    for (size_t r = 0; r < n; ++r) {
-      auto received = network_->Receive(j, r).ValueOrDie();
-      if (r == 0) all[j] = std::move(received);
-    }
-  }
-  // One table-driven recombination sweep instead of a.size() scalar
-  // interpolations (bit-identical; see ShamirScheme::ReconstructBatch).
-  return scheme_.ReconstructBatch(all);
+Result<std::vector<int64_t>> BgwProtocol::OpenSigned(const SharedVector& a) {
+  SQM_ASSIGN_OR_RETURN(const std::vector<Field::Element> opened, Open(a));
+  return Field::DecodeVector(opened);
 }
 
-std::vector<int64_t> BgwProtocol::OpenSigned(const SharedVector& a) {
-  return Field::DecodeVector(Open(a));
-}
-
-Result<SharedVector> BgwProtocol::TryShareFromParty(
-    size_t party, const std::vector<Field::Element>& values,
-    const std::string& phase_label) {
-  const size_t n = num_parties();
-  SQM_CHECK(party < n);
-  SQM_CHECK(liveness_ != nullptr);
-  if (PartyDead(party)) {
-    return Status::Unavailable("input sharing impossible: dealer party " +
-                               std::to_string(party) + " is dead");
-  }
-  PhaseScope phase(network_, phase_label);
-  obs::Span span("bgw.share", "mpc", static_cast<int32_t>(party));
-  span.AddArg("party", static_cast<int64_t>(party));
-  span.AddArg("elements", static_cast<int64_t>(values.size()));
-  std::vector<std::vector<Field::Element>> outbound =
-      DealInputs(party, values);
-  for (size_t j = 0; j < n; ++j) {
-    if (j != party && PartyDead(j)) continue;
-    network_->Send(party, j, std::move(outbound[j]));
-  }
-  network_->EndRound();
-
-  SharedVector result(n, values.size());
-  for (size_t j = 0; j < n; ++j) {
-    if (j != party && PartyDead(j)) continue;
-    Result<Transport::Payload> received = network_->Receive(party, j);
-    if (!received.ok()) {
-      liveness_->RecordFailure(party, received.status().code());
-      // A lost input is not degradable: no quorum of other parties holds
-      // the dealer's secret. Surface kUnavailable and let the caller
-      // decide whether the run can proceed without this input.
-      return Status::Unavailable(
-          "input sharing from party " + std::to_string(party) +
-          " failed (" + received.status().message() +
-          "); inputs cannot be reconstructed by a quorum");
-    }
-    result.shares(j) = std::move(received).ValueOrDie();
-  }
-  liveness_->RecordSuccess(party);
-  return result;
-}
-
-Result<std::vector<Field::Element>> BgwProtocol::TryOpen(
-    const SharedVector& a) {
-  PhaseScope phase(network_, "open");
-  return TryOpenInPhase(a);
-}
-
-Result<std::vector<Field::Element>> BgwProtocol::TryOpenInPhase(
+Result<std::vector<Field::Element>> BgwProtocol::OpenInPhase(
     const SharedVector& a) {
   const size_t n = num_parties();
-  SQM_CHECK(liveness_ != nullptr);
+  const size_t k = a.size();
   obs::Span span("bgw.open", "mpc");
-  span.AddArg("elements", static_cast<int64_t>(a.size()));
-  span.AddArg("quorum", 1);
+  span.AddArg("elements", static_cast<int64_t>(k));
   for (size_t j = 0; j < n; ++j) {
     if (PartyDead(j)) continue;
     obs::Span broadcast("bgw.open.broadcast", "mpc", static_cast<int32_t>(j));
@@ -403,45 +307,65 @@ Result<std::vector<Field::Element>> BgwProtocol::TryOpenInPhase(
   }
   network_->EndRound();
 
-  // Collect each usable broadcaster's share vector and drain the other
-  // recipients' copies so no stale messages linger. A broadcaster sends the
-  // SAME vector to every recipient, so the first successfully received copy
-  // serves as everyone's view — this stays correct even when a party dies
-  // in the middle of this very round (its pending copies simply fail).
-  if (liveness_->num_alive() == 0) {
-    return Status::Unavailable("open impossible: every party is dead");
-  }
-  std::vector<bool> have(n, false);
-  std::vector<std::vector<Field::Element>> all(n);
+  // Collect every alive recipient's copy of every broadcast. A broadcaster
+  // sends the SAME vector to every recipient, so the first copy serves as
+  // everyone's view; equivocation — different shares to different
+  // recipients — is visible only across copies, so under verify_sharings
+  // each copy must equal the first. With a tracker a failed receive drops
+  // the broadcaster, which stays correct even when a party dies in the
+  // middle of this very round.
+  std::vector<std::vector<Field::Element>> view(n);
+  std::vector<size_t> survivors;
   for (size_t j = 0; j < n; ++j) {
     if (PartyDead(j)) continue;
     bool broadcaster_ok = true;
-    bool have_copy = false;
-    std::vector<Field::Element> kept;
+    size_t first = n;  // The recipient whose copy is view[j].
     for (size_t r = 0; r < n; ++r) {
       if (r != j && PartyDead(r)) continue;
       Result<Transport::Payload> received = network_->Receive(j, r);
       if (!received.ok()) {
+        if (liveness_ == nullptr) return received.status();
         liveness_->RecordFailure(j, received.status().code());
         broadcaster_ok = false;
         break;
       }
-      if (!have_copy) {
-        kept = std::move(received).ValueOrDie();
-        have_copy = true;
+      if (received.ValueOrDie().size() != k) {
+        return Status::IntegrityViolation(
+            "opened broadcast from party " + std::to_string(j) + " to " +
+            std::to_string(r) + " has " +
+            std::to_string(received.ValueOrDie().size()) +
+            " elements, expected " + std::to_string(k));
+      }
+      if (first == n) {
+        view[j] = std::move(received).ValueOrDie();
+        first = r;
+      } else if (verify_sharings_ && received.ValueOrDie() != view[j]) {
+        return Status::IntegrityViolation(
+            "equivocation: party " + std::to_string(j) +
+            " broadcast different share vectors to recipients " +
+            std::to_string(first) + " and " + std::to_string(r));
       }
     }
-    if (!broadcaster_ok || !have_copy) continue;
-    liveness_->RecordSuccess(j);
-    have[j] = true;
-    all[j] = std::move(kept);
+    if (!broadcaster_ok) continue;
+    if (liveness_ != nullptr) liveness_->RecordSuccess(j);
+    survivors.push_back(j);
   }
 
-  std::vector<size_t> survivors;
-  for (size_t j = 0; j < n; ++j) {
-    if (have[j]) survivors.push_back(j);
+  if (verify_sharings_) {
+    std::vector<Field::Element> shares(n);
+    for (size_t i = 0; i < k; ++i) {
+      for (size_t j : survivors) shares[j] = view[j][i];
+      const Status status = scheme_.CheckConsistentSharing(
+          shares, survivors, scheme_.threshold());
+      if (!status.ok()) {
+        return Status(status.code(), "open, element " + std::to_string(i) +
+                                         ": " + status.message());
+      }
+    }
   }
-  return scheme_.ReconstructBatchFromSurvivors(all, survivors,
+  // One table-driven recombination sweep over the survivors instead of k
+  // scalar interpolations.
+  return scheme_.ReconstructBatchFromSurvivors(view, survivors,
                                                scheme_.threshold());
 }
 
@@ -469,19 +393,15 @@ Result<SharedVector> BgwProtocol::MulBeaver(const SharedVector& a,
     Field::SubVec(b.shares(j).data(), triples.b.shares(j).data(),
                   dst.data() + k, k);
   }
-  std::vector<Field::Element> opened;
-  if (liveness_ != nullptr) {
-    // Quorum opening, but no census round: the opened values are PUBLIC,
-    // so any threshold+1 survivor shares of a consistent sharing agree —
-    // survivor-set agreement across parties is unnecessary. This is why
-    // the Beaver online path costs one round where quorum GRR costs two.
-    SQM_ASSIGN_OR_RETURN(opened, TryOpenInPhase(packed));
-  } else {
-    opened = OpenInPhase(packed);
-  }
+  // With a tracker this is a quorum opening, but with no census round: the
+  // opened values are PUBLIC, so any threshold+1 survivor shares of a
+  // consistent sharing agree — survivor-set agreement across parties is
+  // unnecessary. This is why the Beaver online path costs one round where
+  // quorum GRR costs two.
+  SQM_ASSIGN_OR_RETURN(const std::vector<Field::Element> opened,
+                       OpenInPhase(packed));
 
-  // Local combination [xy] = [c] + d*[b] + e*[a] + d*e (same accumulation
-  // order as BeaverMultiplier, hence bit-identical results).
+  // Local combination [xy] = [c] + d*[b] + e*[a] + d*e.
   const Field::Element* d = opened.data();
   const Field::Element* e = opened.data() + k;
   std::vector<Field::Element> de(k);
@@ -504,12 +424,6 @@ Result<SharedVector> BgwProtocol::MulBeaver(const SharedVector& a,
   return out;
 }
 
-Result<std::vector<int64_t>> BgwProtocol::TryOpenSigned(
-    const SharedVector& a) {
-  SQM_ASSIGN_OR_RETURN(const std::vector<Field::Element> opened, TryOpen(a));
-  return Field::DecodeVector(opened);
-}
-
 Status BgwProtocol::VerifySharing(const SharedVector& a,
                                   const std::string& where) const {
   const size_t n = num_parties();
@@ -529,104 +443,6 @@ Status BgwProtocol::VerifySharing(const SharedVector& a,
     }
   }
   return Status::OK();
-}
-
-Result<SharedVector> BgwProtocol::ShareFromPartyChecked(
-    size_t party, const std::vector<Field::Element>& values) {
-  const size_t n = num_parties();
-  SQM_CHECK(party < n);
-  PhaseScope phase(network_, "input");
-  obs::Span span("bgw.share", "mpc", static_cast<int32_t>(party));
-  span.AddArg("party", static_cast<int64_t>(party));
-  span.AddArg("elements", static_cast<int64_t>(values.size()));
-  std::vector<std::vector<Field::Element>> outbound =
-      DealInputs(party, values);
-  for (size_t j = 0; j < n; ++j) {
-    network_->Send(party, j, std::move(outbound[j]));
-  }
-  network_->EndRound();
-
-  SharedVector result(n, values.size());
-  for (size_t j = 0; j < n; ++j) {
-    SQM_ASSIGN_OR_RETURN(Transport::Payload received,
-                         network_->Receive(party, j));
-    if (received.size() != values.size()) {
-      return Status::IntegrityViolation(
-          "input dealing from party " + std::to_string(party) + " to " +
-          std::to_string(j) + " has " + std::to_string(received.size()) +
-          " elements, expected " + std::to_string(values.size()));
-    }
-    result.shares(j) = std::move(received);
-  }
-  if (verify_sharings_) {
-    SQM_RETURN_NOT_OK(VerifySharing(
-        result, "input dealing from party " + std::to_string(party)));
-  }
-  return result;
-}
-
-Result<std::vector<Field::Element>> BgwProtocol::OpenChecked(
-    const SharedVector& a) {
-  const size_t n = num_parties();
-  PhaseScope phase(network_, "open");
-  obs::Span span("bgw.open", "mpc");
-  span.AddArg("elements", static_cast<int64_t>(a.size()));
-  span.AddArg("checked", 1);
-  for (size_t j = 0; j < n; ++j) {
-    obs::Span broadcast("bgw.open.broadcast", "mpc", static_cast<int32_t>(j));
-    broadcast.AddArg("party", static_cast<int64_t>(j));
-    for (size_t r = 0; r < n; ++r) {
-      network_->Send(j, r, a.shares(j));
-    }
-  }
-  network_->EndRound();
-
-  // Collect EVERY recipient's copy of every broadcast (Open keeps only
-  // party 0's): equivocation — a broadcaster telling different recipients
-  // different shares — is visible only across copies.
-  std::vector<std::vector<Field::Element>> view(n);
-  for (size_t j = 0; j < n; ++j) {
-    for (size_t r = 0; r < n; ++r) {
-      SQM_ASSIGN_OR_RETURN(Transport::Payload received,
-                           network_->Receive(j, r));
-      if (received.size() != a.size()) {
-        return Status::IntegrityViolation(
-            "opened broadcast from party " + std::to_string(j) + " to " +
-            std::to_string(r) + " has " + std::to_string(received.size()) +
-            " elements, expected " + std::to_string(a.size()));
-      }
-      if (r == 0) {
-        view[j] = std::move(received);
-      } else if (received != view[j]) {
-        return Status::IntegrityViolation(
-            "equivocation: party " + std::to_string(j) +
-            " broadcast different share vectors to recipients 0 and " +
-            std::to_string(r));
-      }
-    }
-  }
-
-  std::vector<Field::Element> out(a.size());
-  std::vector<Field::Element> shares(n);
-  for (size_t i = 0; i < a.size(); ++i) {
-    for (size_t j = 0; j < n; ++j) shares[j] = view[j][i];
-    const Status status =
-        scheme_.CheckConsistentSharing(shares, scheme_.threshold());
-    if (!status.ok()) {
-      return Status(status.code(),
-                    "open, element " + std::to_string(i) + ": " +
-                        status.message());
-    }
-    out[i] = scheme_.Reconstruct(shares);
-  }
-  return out;
-}
-
-Result<std::vector<int64_t>> BgwProtocol::OpenSignedChecked(
-    const SharedVector& a) {
-  SQM_ASSIGN_OR_RETURN(const std::vector<Field::Element> opened,
-                       OpenChecked(a));
-  return Field::DecodeVector(opened);
 }
 
 size_t BgwProtocol::DrainPending() {

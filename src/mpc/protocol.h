@@ -58,22 +58,20 @@ class SharedVector {
 /// The protocol is transport-agnostic: over LockstepTransport it reproduces
 /// the paper's deterministic simulation; over ThreadedTransport the same
 /// message pattern runs with blocking receives, and fault-injected drops
-/// are recovered by the transport's retry path. `Mul` surfaces transport
-/// failures (e.g. a crashed party) as an error Status; `ShareFromParty` and
-/// `Open` assume delivery eventually succeeds (retries included) and abort
-/// on an exhausted channel, which in a correct configuration indicates a
-/// protocol bug rather than a recoverable fault.
+/// are recovered by the transport's retry path. Every communicating entry
+/// point returns a Status on failure: a receive that fails even after the
+/// transport's retries (e.g. from a crashed party) fails the call.
 ///
-/// Dropout tolerance: attach a LivenessTracker via set_liveness() to switch
-/// Mul into its quorum path and enable TryShareFromParty / TryOpen /
-/// TryOpenSigned. Parties the tracker declares dead are skipped entirely
-/// (no sends, no timeout windows burned), and recombination / opening
+/// Dropout tolerance: attach a LivenessTracker via set_liveness(). Parties
+/// the tracker declares dead are skipped entirely (no sends, no timeout
+/// windows burned), a failed receive drops that Mul dealer or open
+/// broadcaster instead of failing the call, and recombination / opening
 /// interpolate over the surviving evaluation points: any 2t+1 usable
 /// dealers recombine a product to the same degree-t sharing free
 /// coefficient, so a degraded run's released values are bit-identical to
 /// the no-crash run's. Fewer than 2t+1 usable dealers fails with
-/// kUnavailable naming the quorum shortfall. Without a tracker the legacy
-/// behavior (and traffic pattern) is unchanged.
+/// kUnavailable naming the quorum shortfall. Without a tracker the skips
+/// do nothing, so the traffic pattern is the same.
 class BgwProtocol {
  public:
   /// `network` must outlive the protocol and have the same party count as
@@ -84,8 +82,14 @@ class BgwProtocol {
   const ShamirScheme& scheme() const { return scheme_; }
 
   /// Party `party` inputs plaintext `values`; everyone ends up with shares.
-  SharedVector ShareFromParty(size_t party,
-                              const std::vector<Field::Element>& values);
+  /// `phase_label` tags the traffic (e.g. "input", "topup"). A dead
+  /// dealer, or a failed receive during the round, fails with kUnavailable
+  /// — a lost *input* cannot be degraded around (the secret is gone), only
+  /// the dealing party excluded by the caller. A dealing of the wrong
+  /// length fails with kIntegrityViolation.
+  Result<SharedVector> ShareFromParty(
+      size_t party, const std::vector<Field::Element>& values,
+      const std::string& phase_label = "input");
 
   /// Shares a public constant vector (deterministic degree-0 "sharing";
   /// no communication — every party just adopts the constant).
@@ -102,8 +106,8 @@ class BgwProtocol {
   Result<SharedVector> AddPublic(const SharedVector& a,
                                  const std::vector<Field::Element>& pub) const;
 
-  /// Element-wise product with GRR degree reduction; one communication
-  /// round.
+  /// Element-wise product with GRR degree reduction (or the Beaver online
+  /// path when a pool is attached); one communication round.
   Result<SharedVector> Mul(const SharedVector& a, const SharedVector& b);
 
   /// Sum of all elements into a 1-element shared vector; local.
@@ -115,30 +119,25 @@ class BgwProtocol {
                                     const SharedVector& b);
 
   /// Opens the shared vector to all parties (one round) and returns the
-  /// plaintext.
-  std::vector<Field::Element> Open(const SharedVector& a);
+  /// plaintext, interpolated over any threshold+1 usable broadcasters
+  /// (kFailedPrecondition below that).
+  Result<std::vector<Field::Element>> Open(const SharedVector& a);
 
   /// Convenience: opens and decodes to centered signed integers.
-  std::vector<int64_t> OpenSigned(const SharedVector& a);
+  Result<std::vector<int64_t>> OpenSigned(const SharedVector& a);
 
   /// Enables conformance verification (default off, so benchmark timings
-  /// and traffic are unchanged): Mul additionally checks that the
-  /// recombined product is a consistent degree-t sharing, and the Checked
-  /// entry points below become the preferred input/open paths. With
-  /// verification on, every single-message wire tamper (additive
-  /// perturbation, bit flip, wrong-degree dealing, equivocation, replay,
-  /// swallow) surfaces as a descriptive error Status instead of a silent
-  /// wrong open — the property tests/adversary_test.cc asserts per policy.
-  /// A real deployment would get the same guarantee from verifiable secret
-  /// sharing / authenticated shares; in this single-process simulation the
-  /// global view makes the check direct.
-  void set_verify_sharings(bool verify) {
-    verify_sharings_ = verify;
-    // Also arm the scheme-level debug assert: Reconstruct checks that ALL
-    // n shares lie on the interpolated polynomial instead of silently
-    // using only the first threshold+1.
-    scheme_.set_verify_reconstruction(verify);
-  }
+  /// and traffic are unchanged): input dealings and Mul outputs must be
+  /// consistent degree-t sharings, and Open additionally compares every
+  /// recipient's copy of a broadcast and checks the opened shares'
+  /// degree. With verification on, every single-message wire tamper
+  /// (additive perturbation, bit flip, wrong-degree dealing, equivocation,
+  /// replay, swallow) surfaces as a descriptive error Status instead of a
+  /// silent wrong open — the property tests/adversary_test.cc asserts per
+  /// policy. A real deployment would get the same guarantee from
+  /// verifiable secret sharing / authenticated shares; in this
+  /// single-process simulation the global view makes the check direct.
+  void set_verify_sharings(bool verify) { verify_sharings_ = verify; }
   bool verify_sharings() const { return verify_sharings_; }
 
   /// Attaches an offline-dealt BeaverTriplePool (nullptr detaches); Mul
@@ -168,40 +167,10 @@ class BgwProtocol {
   /// names `where` and the offending element on failure.
   Status VerifySharing(const SharedVector& a, const std::string& where) const;
 
-  /// Input sharing that surfaces transport failures and (when verification
-  /// is enabled) inconsistent dealings as a Status instead of aborting:
-  /// the conformance-hardened replacement for ShareFromParty.
-  Result<SharedVector> ShareFromPartyChecked(
-      size_t party, const std::vector<Field::Element>& values);
-
-  /// Opening hardened against byzantine broadcasters: receives every
-  /// recipient's copy, fails with kIntegrityViolation when a broadcaster
-  /// equivocated (sent different share vectors to different recipients) or
-  /// when the collected shares are not a consistent degree-t sharing, and
-  /// surfaces receive failures as their transport Status. Traffic pattern
-  /// is identical to Open.
-  Result<std::vector<Field::Element>> OpenChecked(const SharedVector& a);
-  Result<std::vector<int64_t>> OpenSignedChecked(const SharedVector& a);
-
   /// Attaches (or detaches, with nullptr) a shared failure detector. Must
-  /// outlive the protocol while attached. With a tracker, Mul runs its
-  /// quorum path and the Try* entry points become dropout-tolerant.
+  /// outlive the protocol while attached.
   void set_liveness(LivenessTracker* tracker) { liveness_ = tracker; }
   LivenessTracker* liveness() const { return liveness_; }
-
-  /// Dropout-tolerant input sharing. A dead dealer, or a receive failure
-  /// during the round, fails with kUnavailable — a lost *input* cannot be
-  /// degraded around (the secret is gone), only the dealing party excluded
-  /// by the caller. `phase_label` tags the traffic (e.g. "input", "topup").
-  Result<SharedVector> TryShareFromParty(
-      size_t party, const std::vector<Field::Element>& values,
-      const std::string& phase_label = "input");
-
-  /// Dropout-tolerant opening: dead parties neither broadcast nor receive,
-  /// and reconstruction interpolates over any threshold+1 usable
-  /// survivors' shares (kFailedPrecondition below that).
-  Result<std::vector<Field::Element>> TryOpen(const SharedVector& a);
-  Result<std::vector<int64_t>> TryOpenSigned(const SharedVector& a);
 
   /// Discards every currently deliverable queued message. Called when
   /// resuming from a checkpoint after a failed round, so stale sub-shares
@@ -210,25 +179,14 @@ class BgwProtocol {
   size_t DrainPending();
 
  private:
-  /// Quorum-path multiplication used when a tracker is attached.
-  Result<SharedVector> MulQuorum(const SharedVector& a,
-                                 const SharedVector& b);
-
   /// Beaver online multiplication used when a pool is attached: one
   /// opening (tagged to the "mul" phase) plus local combination.
   Result<SharedVector> MulBeaver(const SharedVector& a,
                                  const SharedVector& b);
 
-  /// Broadcast-and-reconstruct bodies shared by Open/TryOpen and
-  /// MulBeaver; the caller owns the PhaseScope so the traffic lands in
-  /// the right phase bucket.
-  std::vector<Field::Element> OpenInPhase(const SharedVector& a);
-  Result<std::vector<Field::Element>> TryOpenInPhase(const SharedVector& a);
-
-  /// Party `party`'s dealing of `values`, one row per recipient, with the
-  /// trailing noise inputs dealt and timed separately.
-  std::vector<std::vector<Field::Element>> DealInputs(
-      size_t party, const std::vector<Field::Element>& values);
+  /// Broadcast-and-reconstruct body of Open and MulBeaver; the caller owns
+  /// the PhaseScope so the traffic lands in the right phase bucket.
+  Result<std::vector<Field::Element>> OpenInPhase(const SharedVector& a);
 
   bool PartyDead(size_t party) const {
     return liveness_ != nullptr && liveness_->IsDead(party);

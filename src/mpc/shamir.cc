@@ -74,14 +74,6 @@ std::vector<Field::Element> ShamirScheme::Share(Field::Element secret,
 Field::Element ShamirScheme::Reconstruct(
     const std::vector<Field::Element>& shares) const {
   SQM_CHECK(shares.size() == num_parties_);
-  if (verify_reconstruction_) {
-    // Debug mode: interpolation uses only the first t+1 shares, so a
-    // tampered trailing share would otherwise pass silently. Check the
-    // full n-point sharing before trusting it.
-    const Status consistent = CheckConsistentSharing(shares, threshold_);
-    if (!consistent.ok()) SQM_LOG(kError) << consistent.ToString();
-    SQM_CHECK(consistent.ok());
-  }
   Field::Element acc = 0;
   for (size_t j = 0; j <= threshold_; ++j) {
     acc = Field::Add(acc, Field::Mul(lagrange_t_[j], shares[j]));
@@ -91,13 +83,8 @@ Field::Element ShamirScheme::Reconstruct(
 
 Result<Field::Element> ShamirScheme::ReconstructChecked(
     const std::vector<Field::Element>& shares) const {
-  SQM_CHECK(shares.size() == num_parties_);
   SQM_RETURN_NOT_OK(CheckConsistentSharing(shares, threshold_));
-  Field::Element acc = 0;
-  for (size_t j = 0; j <= threshold_; ++j) {
-    acc = Field::Add(acc, Field::Mul(lagrange_t_[j], shares[j]));
-  }
-  return acc;
+  return Reconstruct(shares);
 }
 
 std::vector<std::vector<Field::Element>> ShamirScheme::ShareBatch(
@@ -155,15 +142,6 @@ std::vector<Field::Element> ShamirScheme::ReconstructBatch(
   const size_t d = rows.empty() ? 0 : rows[0].size();
   for (const std::vector<Field::Element>& row : rows) {
     SQM_CHECK(row.size() == d);
-  }
-  if (verify_reconstruction_) {
-    std::vector<Field::Element> column(num_parties_);
-    for (size_t i = 0; i < d; ++i) {
-      for (size_t j = 0; j < num_parties_; ++j) column[j] = rows[j][i];
-      const Status consistent = CheckConsistentSharing(column, threshold_);
-      if (!consistent.ok()) SQM_LOG(kError) << consistent.ToString();
-      SQM_CHECK(consistent.ok());
-    }
   }
   std::vector<Field::Element> out(d, 0);
   for (size_t j = 0; j <= threshold_; ++j) {

@@ -58,11 +58,8 @@ class ShamirScheme {
       int32_t track, double* tail_seconds) const;
 
   /// Reconstructs the secret from the full share vector (degree-t
-  /// interpolation using the first threshold+1 shares). When
-  /// verify_reconstruction is set (wired from the protocol layer's
-  /// verify_sharings option), first checks that ALL n shares lie on the
-  /// interpolated degree-t polynomial and aborts on a tampered share —
-  /// by default the trailing n-t-1 shares are silently ignored.
+  /// interpolation using the first threshold+1 shares; the trailing n-t-1
+  /// shares are ignored — see ReconstructChecked).
   Field::Element Reconstruct(
       const std::vector<Field::Element>& shares) const;
 
@@ -88,14 +85,6 @@ class ShamirScheme {
   Result<std::vector<Field::Element>> ReconstructBatchFromSurvivors(
       const std::vector<std::vector<Field::Element>>& rows,
       const std::vector<size_t>& survivors, size_t degree) const;
-
-  /// Debug-mode consistency assert for Reconstruct/ReconstructBatch (see
-  /// Reconstruct). Off by default; the protocol layer's set_verify_sharings
-  /// forwards here.
-  void set_verify_reconstruction(bool verify) {
-    verify_reconstruction_ = verify;
-  }
-  bool verify_reconstruction() const { return verify_reconstruction_; }
 
   /// Reconstructs from an arbitrary subset of (party index, share) pairs.
   /// Needs at least threshold+1 pairs with distinct parties.
@@ -160,7 +149,6 @@ class ShamirScheme {
 
   size_t num_parties_;
   size_t threshold_;
-  bool verify_reconstruction_ = false;
 
   /// Precomputed coefficient tables (see docs/PROTOCOL.md "Batched
   /// evaluation"): vandermonde_[j][e] = alpha_j^e for e <= threshold, and

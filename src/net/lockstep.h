@@ -9,11 +9,15 @@
 namespace sqm {
 
 /// Deterministic single-threaded transport reproducing the paper's
-/// single-machine simulation (and the seed `SimulatedNetwork` semantics
-/// bit-for-bit): messages queue in program order per directed channel, a
-/// Receive with nothing pending hard-fails — in a correct synchronous
-/// protocol every receive is matched by a send in the same round — and the
-/// simulated clock advances by the per-round latency at every EndRound.
+/// single-machine simulation ("each party is assumed to have a secure and
+/// noiseless channel", with a fixed 0.1 s message-passing latency):
+/// messages queue in program order per directed channel, a Receive with
+/// nothing pending hard-fails — in a correct synchronous protocol every
+/// receive is matched by a send in the same round — and the simulated
+/// clock advances by the per-round latency at every EndRound (all messages
+/// of a round fly in parallel, as in the standard synchronous MPC model).
+/// Tables II/IV/V report simulated latency plus measured compute time. The
+/// default 8-byte element width is the field's (Field::kWireBytes).
 ///
 /// Not thread-safe for Send/Receive (accounting snapshots are); use
 /// ThreadedTransport for concurrent parties.

@@ -14,8 +14,8 @@ namespace sqm {
 
 /// Which Transport implementation a pipeline should construct.
 enum class TransportMode {
-  /// Deterministic single-threaded queues, seed `SimulatedNetwork`
-  /// semantics: Receive hard-fails when no message is pending.
+  /// Deterministic single-threaded queues (the paper's simulation):
+  /// Receive hard-fails when no message is pending.
   kLockstep,
   /// Thread-safe bounded mailboxes with blocking receives, timeouts,
   /// retry/backoff and optional fault injection (src/net/threaded.h).

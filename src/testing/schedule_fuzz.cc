@@ -77,14 +77,15 @@ Status ScheduleFuzzer::RunIteration(uint64_t iteration_seed) {
                        std::vector<int64_t>* outputs) -> Status {
     BgwProtocol protocol(ShamirScheme(n, options_.threshold), net,
                          iteration_seed ^ 0xb9d7);
-    const SharedVector a =
-        protocol.ShareFromParty(0, Field::EncodeVector(x0));
-    const SharedVector b =
-        protocol.ShareFromParty(1, Field::EncodeVector(x1));
+    SQM_ASSIGN_OR_RETURN(const SharedVector a,
+                         protocol.ShareFromParty(0, Field::EncodeVector(x0)));
+    SQM_ASSIGN_OR_RETURN(const SharedVector b,
+                         protocol.ShareFromParty(1, Field::EncodeVector(x1)));
     SQM_ASSIGN_OR_RETURN(const SharedVector prod, protocol.Mul(a, b));
     SQM_ASSIGN_OR_RETURN(const SharedVector ip, protocol.InnerProduct(a, b));
-    *outputs = protocol.OpenSigned(prod);
-    const std::vector<int64_t> ip_open = protocol.OpenSigned(ip);
+    SQM_ASSIGN_OR_RETURN(*outputs, protocol.OpenSigned(prod));
+    SQM_ASSIGN_OR_RETURN(const std::vector<int64_t> ip_open,
+                         protocol.OpenSigned(ip));
     outputs->insert(outputs->end(), ip_open.begin(), ip_open.end());
     return Status::OK();
   };

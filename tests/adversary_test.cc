@@ -37,9 +37,9 @@ const std::vector<int64_t> kInputB = {-7, 2, 9};
 // Element-wise product and its sum, what the probe releases.
 const std::vector<int64_t> kExpected = {-21, -8, 45, 16};
 
-/// The conformance probe: checked input sharing for two parties, a batched
-/// multiplication (verified at exit when verify_sharings is on), an inner
-/// product, and checked opens of both results.
+/// The conformance probe, with verify_sharings on: input sharing for two
+/// parties, a batched multiplication, an inner product, and opens of both
+/// results — every step checked.
 Result<std::vector<int64_t>> RunCheckedProbe(
     MessageInterceptor* interceptor) {
   LockstepTransport network(kParties, 0.0, Field::kWireBytes);
@@ -48,35 +48,35 @@ Result<std::vector<int64_t>> RunCheckedProbe(
   protocol.set_verify_sharings(true);
   SQM_ASSIGN_OR_RETURN(
       const SharedVector a,
-      protocol.ShareFromPartyChecked(0, Field::EncodeVector(kInputA)));
+      protocol.ShareFromParty(0, Field::EncodeVector(kInputA)));
   SQM_ASSIGN_OR_RETURN(
       const SharedVector b,
-      protocol.ShareFromPartyChecked(1, Field::EncodeVector(kInputB)));
+      protocol.ShareFromParty(1, Field::EncodeVector(kInputB)));
   SQM_ASSIGN_OR_RETURN(const SharedVector prod, protocol.Mul(a, b));
   SQM_ASSIGN_OR_RETURN(const SharedVector ip, protocol.InnerProduct(a, b));
   SQM_ASSIGN_OR_RETURN(std::vector<int64_t> outputs,
-                       protocol.OpenSignedChecked(prod));
+                       protocol.OpenSigned(prod));
   SQM_ASSIGN_OR_RETURN(const std::vector<int64_t> ip_open,
-                       protocol.OpenSignedChecked(ip));
+                       protocol.OpenSigned(ip));
   outputs.insert(outputs.end(), ip_open.begin(), ip_open.end());
   network.SetInterceptor(nullptr);
   return outputs;
 }
 
-/// Same probe through the legacy unchecked entry points (no verification),
-/// to document what a tamper does when nobody checks.
+/// Same probe with verification off, to document what a tamper does when
+/// nobody checks.
 std::vector<int64_t> RunUncheckedProbe(MessageInterceptor* interceptor) {
   LockstepTransport network(kParties, 0.0, Field::kWireBytes);
   network.SetInterceptor(interceptor);
   BgwProtocol protocol(ShamirScheme(kParties, kThreshold), &network, 77);
   const SharedVector a =
-      protocol.ShareFromParty(0, Field::EncodeVector(kInputA));
+      protocol.ShareFromParty(0, Field::EncodeVector(kInputA)).ValueOrDie();
   const SharedVector b =
-      protocol.ShareFromParty(1, Field::EncodeVector(kInputB));
+      protocol.ShareFromParty(1, Field::EncodeVector(kInputB)).ValueOrDie();
   const SharedVector prod = protocol.Mul(a, b).ValueOrDie();
   const SharedVector ip = protocol.InnerProduct(a, b).ValueOrDie();
-  std::vector<int64_t> outputs = protocol.OpenSigned(prod);
-  const std::vector<int64_t> ip_open = protocol.OpenSigned(ip);
+  std::vector<int64_t> outputs = protocol.OpenSigned(prod).ValueOrDie();
+  const std::vector<int64_t> ip_open = protocol.OpenSigned(ip).ValueOrDie();
   outputs.insert(outputs.end(), ip_open.begin(), ip_open.end());
   network.SetInterceptor(nullptr);
   return outputs;
@@ -162,7 +162,7 @@ TEST(AdversaryTest, WrongDegreeDealingIsDetected) {
 
 TEST(AdversaryTest, EquivocationOnOpenIsDetected) {
   // Party 2 broadcasts recipient-dependent share vectors during the open.
-  // OpenChecked collects every recipient's copy and must call it out.
+  // Open collects every recipient's copy and must call it out.
   TamperPolicy policy;
   policy.kind = TamperPolicy::Kind::kEquivocate;
   policy.target.phase = "open";
@@ -176,6 +176,27 @@ TEST(AdversaryTest, EquivocationOnOpenIsDetected) {
   EXPECT_EQ(result.status().code(), StatusCode::kIntegrityViolation)
       << result.status().ToString();
   EXPECT_NE(result.status().message().find("equivocation"),
+            std::string::npos)
+      << result.status().ToString();
+}
+
+TEST(AdversaryTest, TamperedTrailingShareIsDetectedByOpen) {
+  // Party 4 broadcasts the same off-polynomial share to everyone, so no
+  // copy disagrees. Interpolation uses only the first t+1 shares and never
+  // sees it; the verified Open checks every survivor's share and must.
+  LockstepTransport network(kParties, 0.0, Field::kWireBytes);
+  BgwProtocol protocol(ShamirScheme(kParties, kThreshold), &network, 77);
+  SharedVector a =
+      protocol.ShareFromParty(0, Field::EncodeVector(kInputA)).ValueOrDie();
+  a.shares(kParties - 1)[1] = Field::Add(a.shares(kParties - 1)[1], 1);
+  EXPECT_EQ(protocol.OpenSigned(a).ValueOrDie(), kInputA);
+
+  protocol.set_verify_sharings(true);
+  const auto result = protocol.OpenSigned(a);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kIntegrityViolation)
+      << result.status().ToString();
+  EXPECT_NE(result.status().message().find("open, element 1"),
             std::string::npos)
       << result.status().ToString();
 }

@@ -21,9 +21,9 @@
 #include "core/sqm.h"
 #include "mpc/beaver.h"
 #include "mpc/field.h"
-#include "mpc/network.h"
 #include "mpc/protocol.h"
 #include "mpc/shamir.h"
+#include "net/lockstep.h"
 #include "net/tcp/party_config.h"
 #include "net/tcp/socket.h"
 #include "net/tcp/tcp_transport.h"
@@ -407,21 +407,23 @@ TEST(GrrVsBeaver, BeaverHalvesQuorumMulRoundsOnTcp) {
 TEST(GrrVsBeaver, ProtocolCountsTriplesAndPinsPoolToDealerStream) {
   const size_t n = 5;
   const ShamirScheme scheme(n, 2);
-  sqm::SimulatedNetwork network(n, 0.0);
+  sqm::LockstepTransport network(n, 0.0);
   sqm::BgwProtocol protocol(scheme, &network, 77);
   BeaverTriplePool pool(scheme, 1234, 8);
   protocol.set_beaver_pool(&pool);
 
   const sqm::SharedVector a =
-      protocol.ShareFromParty(0, {Field::Encode(6), Field::Encode(-3)});
+      protocol.ShareFromParty(0, {Field::Encode(6), Field::Encode(-3)})
+          .ValueOrDie();
   const sqm::SharedVector b =
-      protocol.ShareFromParty(1, {Field::Encode(7), Field::Encode(11)});
+      protocol.ShareFromParty(1, {Field::Encode(7), Field::Encode(11)})
+          .ValueOrDie();
   sqm::Result<sqm::SharedVector> product = protocol.Mul(a, b);
   ASSERT_TRUE(product.ok()) << product.status().ToString();
   EXPECT_EQ(protocol.beaver_triples_used(), 2u);
   EXPECT_EQ(pool.taken(), 2u);
   const std::vector<int64_t> opened =
-      protocol.OpenSigned(product.ValueOrDie());
+      protocol.OpenSigned(product.ValueOrDie()).ValueOrDie();
   EXPECT_EQ(opened, (std::vector<int64_t>{42, -33}));
 }
 

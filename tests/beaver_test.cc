@@ -1,8 +1,8 @@
 #include "mpc/beaver.h"
-#include "mpc/network.h"
 
 #include <gtest/gtest.h>
 
+#include "net/lockstep.h"
 #include "sampling/rng.h"
 
 namespace sqm {
@@ -16,67 +16,76 @@ class BeaverTest : public ::testing::Test {
   BeaverTest()
       : network_(kParties, 0.0),
         protocol_(ShamirScheme(kParties, kThreshold), &network_, 21),
-        dealer_(ShamirScheme(kParties, kThreshold), 22),
-        multiplier_(&protocol_, &dealer_) {}
+        pool_(ShamirScheme(kParties, kThreshold), 22, 16) {
+    protocol_.set_beaver_pool(&pool_);
+  }
 
-  SimulatedNetwork network_;
+  SharedVector Share(size_t party, const std::vector<int64_t>& values) {
+    return protocol_.ShareFromParty(party, Field::EncodeVector(values))
+        .ValueOrDie();
+  }
+
+  LockstepTransport network_;
   BgwProtocol protocol_;
-  BeaverTripleDealer dealer_;
-  BeaverMultiplier multiplier_;
+  BeaverTriplePool pool_;
 };
 
 TEST_F(BeaverTest, DealtTriplesAreConsistent) {
   ShamirScheme scheme(kParties, kThreshold);
-  BeaverTripleDealer dealer(scheme, 3);
-  for (int i = 0; i < 50; ++i) {
-    const auto triple = dealer.Deal();
-    const Field::Element a = scheme.Reconstruct(triple.a_shares);
-    const Field::Element b = scheme.Reconstruct(triple.b_shares);
-    const Field::Element c = scheme.Reconstruct(triple.c_shares);
+  BeaverTriplePool pool(scheme, 3, 50);
+  const BeaverTriplePool::TripleBatch batch = pool.Take(50).ValueOrDie();
+  std::vector<Field::Element> a_shares(kParties);
+  std::vector<Field::Element> b_shares(kParties);
+  std::vector<Field::Element> c_shares(kParties);
+  for (size_t i = 0; i < 50; ++i) {
+    for (size_t j = 0; j < kParties; ++j) {
+      a_shares[j] = batch.a.shares(j)[i];
+      b_shares[j] = batch.b.shares(j)[i];
+      c_shares[j] = batch.c.shares(j)[i];
+    }
+    const Field::Element a = scheme.ReconstructChecked(a_shares).ValueOrDie();
+    const Field::Element b = scheme.ReconstructChecked(b_shares).ValueOrDie();
+    const Field::Element c = scheme.ReconstructChecked(c_shares).ValueOrDie();
     EXPECT_EQ(Field::Mul(a, b), c);
   }
 }
 
 TEST_F(BeaverTest, TriplesAreFresh) {
-  const auto t1 = dealer_.Deal();
-  const auto t2 = dealer_.Deal();
-  EXPECT_NE(t1.a_shares, t2.a_shares);
+  const BeaverTriplePool::TripleBatch batch = pool_.Take(2).ValueOrDie();
+  EXPECT_NE(batch.a.shares(0)[0], batch.a.shares(0)[1]);
 }
 
 TEST_F(BeaverTest, MulIsExact) {
-  const SharedVector x =
-      protocol_.ShareFromParty(0, Field::EncodeVector({3, -4, 0, 123456}));
-  const SharedVector y =
-      protocol_.ShareFromParty(1, Field::EncodeVector({7, 9, 5, -1000}));
-  const SharedVector product = multiplier_.Mul(x, y).ValueOrDie();
-  EXPECT_EQ(protocol_.OpenSigned(product),
+  const SharedVector x = Share(0, {3, -4, 0, 123456});
+  const SharedVector y = Share(1, {7, 9, 5, -1000});
+  const SharedVector product = protocol_.Mul(x, y).ValueOrDie();
+  EXPECT_EQ(protocol_.OpenSigned(product).ValueOrDie(),
             (std::vector<int64_t>{21, -36, 0, -123456000}));
-  EXPECT_EQ(multiplier_.triples_used(), 4u);
+  EXPECT_EQ(protocol_.beaver_triples_used(), 4u);
 }
 
 TEST_F(BeaverTest, MulChainsAndMatchesGrr) {
   // Beaver output stays a degree-t sharing: products chain, and the result
   // matches GRR multiplication of the same inputs.
-  const SharedVector x =
-      protocol_.ShareFromParty(0, Field::EncodeVector({6}));
-  const SharedVector y =
-      protocol_.ShareFromParty(1, Field::EncodeVector({-7}));
-  const SharedVector beaver1 = multiplier_.Mul(x, y).ValueOrDie();
-  const SharedVector beaver2 = multiplier_.Mul(beaver1, x).ValueOrDie();
-  EXPECT_EQ(protocol_.OpenSigned(beaver2), (std::vector<int64_t>{-252}));
+  const SharedVector x = Share(0, {6});
+  const SharedVector y = Share(1, {-7});
+  const SharedVector beaver1 = protocol_.Mul(x, y).ValueOrDie();
+  const SharedVector beaver2 = protocol_.Mul(beaver1, x).ValueOrDie();
+  EXPECT_EQ(protocol_.OpenSigned(beaver2).ValueOrDie(),
+            (std::vector<int64_t>{-252}));
 
+  protocol_.set_beaver_pool(nullptr);
   const SharedVector grr =
       protocol_.Mul(protocol_.Mul(x, y).ValueOrDie(), x).ValueOrDie();
-  EXPECT_EQ(protocol_.OpenSigned(grr), (std::vector<int64_t>{-252}));
+  EXPECT_EQ(protocol_.OpenSigned(grr).ValueOrDie(),
+            (std::vector<int64_t>{-252}));
 }
 
 TEST_F(BeaverTest, OnlineTrafficIsOneOpening) {
-  const SharedVector x =
-      protocol_.ShareFromParty(0, Field::EncodeVector({1, 2, 3}));
-  const SharedVector y =
-      protocol_.ShareFromParty(1, Field::EncodeVector({4, 5, 6}));
+  const SharedVector x = Share(0, {1, 2, 3});
+  const SharedVector y = Share(1, {4, 5, 6});
   const NetworkStats before = network_.stats();
-  (void)multiplier_.Mul(x, y).ValueOrDie();
+  (void)protocol_.Mul(x, y).ValueOrDie();
   const NetworkStats after = network_.stats();
   // One round; the opening broadcasts 2*k elements per ordered pair.
   EXPECT_EQ(after.rounds - before.rounds, 1u);
@@ -85,45 +94,48 @@ TEST_F(BeaverTest, OnlineTrafficIsOneOpening) {
 }
 
 TEST_F(BeaverTest, ShapeMismatchRejected) {
-  const SharedVector x =
-      protocol_.ShareFromParty(0, Field::EncodeVector({1, 2}));
-  const SharedVector y =
-      protocol_.ShareFromParty(1, Field::EncodeVector({3}));
-  EXPECT_FALSE(multiplier_.Mul(x, y).ok());
+  const SharedVector x = Share(0, {1, 2});
+  const SharedVector y = Share(1, {3});
+  EXPECT_FALSE(protocol_.Mul(x, y).ok());
 }
 
 TEST_F(BeaverTest, PoolStreamMatchesDealerStream) {
-  // A pool and a dealer with equal seeds must produce byte-identical
-  // triple streams: the pool is the same dealing loop run offline.
+  // The pool is the reference scalar dealer run offline: per triple, draw
+  // a and b, then Shamir-share a, b and a*b in turn from the same stream.
   const ShamirScheme scheme(kParties, kThreshold);
   BeaverTriplePool pool(scheme, 97, 6);
-  BeaverTripleDealer dealer(scheme, 97);
+  Rng dealer(97);
   const BeaverTriplePool::TripleBatch batch = pool.Take(6).ValueOrDie();
   for (size_t i = 0; i < 6; ++i) {
-    const BeaverTripleDealer::TripleShares triple = dealer.Deal();
+    const Field::Element a = dealer.NextBounded(Field::kModulus);
+    const Field::Element b = dealer.NextBounded(Field::kModulus);
+    const std::vector<Field::Element> a_shares = scheme.Share(a, dealer);
+    const std::vector<Field::Element> b_shares = scheme.Share(b, dealer);
+    const std::vector<Field::Element> c_shares =
+        scheme.Share(Field::Mul(a, b), dealer);
     for (size_t j = 0; j < kParties; ++j) {
-      EXPECT_EQ(batch.a.shares(j)[i], triple.a_shares[j])
+      EXPECT_EQ(batch.a.shares(j)[i], a_shares[j])
           << "a triple " << i << " party " << j;
-      EXPECT_EQ(batch.b.shares(j)[i], triple.b_shares[j])
+      EXPECT_EQ(batch.b.shares(j)[i], b_shares[j])
           << "b triple " << i << " party " << j;
-      EXPECT_EQ(batch.c.shares(j)[i], triple.c_shares[j])
+      EXPECT_EQ(batch.c.shares(j)[i], c_shares[j])
           << "c triple " << i << " party " << j;
     }
   }
 }
 
-TEST_F(BeaverTest, PoolBackedMultiplierMatchesDealerBacked) {
-  const SharedVector x =
-      protocol_.ShareFromParty(0, Field::EncodeVector({3, -4, 0, 123456}));
-  const SharedVector y =
-      protocol_.ShareFromParty(1, Field::EncodeVector({7, 9, 5, -1000}));
+TEST_F(BeaverTest, PoolBackedMulDrainsThePool) {
+  const SharedVector x = Share(0, {3, -4, 0, 123456});
+  const SharedVector y = Share(1, {7, 9, 5, -1000});
   BeaverTriplePool pool(ShamirScheme(kParties, kThreshold), 23, 4);
-  BeaverMultiplier pooled(&protocol_, &pool);
-  const SharedVector product = pooled.Mul(x, y).ValueOrDie();
-  EXPECT_EQ(protocol_.OpenSigned(product),
+  protocol_.set_beaver_pool(&pool);
+  const SharedVector product = protocol_.Mul(x, y).ValueOrDie();
+  EXPECT_EQ(protocol_.OpenSigned(product).ValueOrDie(),
             (std::vector<int64_t>{21, -36, 0, -123456000}));
-  EXPECT_EQ(pooled.triples_used(), 4u);
+  EXPECT_EQ(protocol_.beaver_triples_used(), 4u);
   EXPECT_EQ(pool.available(), 0u);
+  EXPECT_EQ(protocol_.Mul(x, y).status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST_F(BeaverTest, PoolExhaustionRefusesWithoutStateChange) {
@@ -142,13 +154,12 @@ TEST_F(BeaverTest, PoolExhaustionRefusesWithoutStateChange) {
   EXPECT_EQ(pool.capacity(), 3u);
 
   // The remaining triple is still the third of the seed's stream.
-  BeaverTripleDealer dealer(ShamirScheme(kParties, kThreshold), 5);
-  dealer.Deal();
-  dealer.Deal();
-  const BeaverTripleDealer::TripleShares expected = dealer.Deal();
+  BeaverTriplePool straight(ShamirScheme(kParties, kThreshold), 5, 3);
+  const BeaverTriplePool::TripleBatch expected =
+      straight.Take(3).ValueOrDie();
   const BeaverTriplePool::TripleBatch last = pool.Take(1).ValueOrDie();
   for (size_t j = 0; j < kParties; ++j) {
-    EXPECT_EQ(last.c.shares(j)[0], expected.c_shares[j]);
+    EXPECT_EQ(last.c.shares(j)[0], expected.c.shares(j)[2]);
   }
   EXPECT_EQ(pool.Take(1).status().code(), StatusCode::kFailedPrecondition);
 }
@@ -194,15 +205,16 @@ TEST_F(BeaverTest, RefillUnderDropoutEnforcesDealerQuorum) {
 }
 
 TEST(BeaverThreePartyTest, WorksAtMinimalConfiguration) {
-  SimulatedNetwork network(3, 0.0);
+  LockstepTransport network(3, 0.0);
   BgwProtocol protocol(ShamirScheme(3, 1), &network, 31);
-  BeaverTripleDealer dealer(ShamirScheme(3, 1), 32);
-  BeaverMultiplier multiplier(&protocol, &dealer);
+  BeaverTriplePool pool(ShamirScheme(3, 1), 32, 1);
+  protocol.set_beaver_pool(&pool);
   const SharedVector x =
-      protocol.ShareFromParty(0, Field::EncodeVector({11}));
+      protocol.ShareFromParty(0, Field::EncodeVector({11})).ValueOrDie();
   const SharedVector y =
-      protocol.ShareFromParty(2, Field::EncodeVector({-3}));
-  EXPECT_EQ(protocol.OpenSigned(multiplier.Mul(x, y).ValueOrDie()),
+      protocol.ShareFromParty(2, Field::EncodeVector({-3})).ValueOrDie();
+  const SharedVector product = protocol.Mul(x, y).ValueOrDie();
+  EXPECT_EQ(protocol.OpenSigned(product).ValueOrDie(),
             (std::vector<int64_t>{-33}));
 }
 

@@ -1,5 +1,5 @@
 #include "mpc/bgw.h"
-#include "mpc/network.h"
+#include "net/lockstep.h"
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,7 @@ class BgwTest : public ::testing::Test {
       : network_(kParties, 0.0),
         engine_(ShamirScheme(kParties, kThreshold), &network_, 1234) {}
 
-  SimulatedNetwork network_;
+  LockstepTransport network_;
   BgwEngine engine_;
 };
 
@@ -103,7 +103,7 @@ TEST_F(BgwTest, MultipleInputsPerPartyConsumeInOrder)
 
 TEST(BgwThreePartyTest, InnerProductAcrossParties) {
   // <x, y> for 3-vectors owned by parties 0 and 1.
-  SimulatedNetwork network(3, 0.0);
+  LockstepTransport network(3, 0.0);
   BgwEngine engine(ShamirScheme(3, 1), &network, 5);
   Circuit c;
   std::vector<Circuit::WireId> x, y;
@@ -118,7 +118,7 @@ TEST(BgwThreePartyTest, InnerProductAcrossParties) {
 }
 
 TEST(BgwLatencyTest, SimulatedTimeTracksRounds) {
-  SimulatedNetwork network(3, 0.1);
+  LockstepTransport network(3, 0.1);
   BgwEngine engine(ShamirScheme(3, 1), &network, 5);
   Circuit c;
   const auto a = c.AddInput(0);

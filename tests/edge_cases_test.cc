@@ -12,8 +12,8 @@
 #include "core/sqm.h"
 #include "math/matrix.h"
 #include "mpc/field.h"
-#include "mpc/network.h"
 #include "mpc/shamir.h"
+#include "net/lockstep.h"
 #include "sampling/rng.h"
 
 namespace sqm {
@@ -59,13 +59,13 @@ TEST(ShamirEdgeDeathTest, InvalidParametersAbortConstruction) {
 // --------------------------------------------------------------- network
 
 TEST(NetworkEdgeDeathTest, OutOfRangePartyAborts) {
-  SimulatedNetwork net(2, 0.0);
+  LockstepTransport net(2, 0.0);
   EXPECT_DEATH(net.Send(0, 5, {1}), "Check failed");
   EXPECT_DEATH(net.Send(7, 0, {1}), "Check failed");
 }
 
 TEST(NetworkEdgeTest, EmptyPayloadIsLegal) {
-  SimulatedNetwork net(2, 0.0);
+  LockstepTransport net(2, 0.0);
   net.Send(0, 1, {});
   EXPECT_EQ(net.Receive(0, 1).ValueOrDie().size(), 0u);
   EXPECT_EQ(net.stats().field_elements, 0u);

@@ -3,7 +3,6 @@
 // the privacy accountant.
 
 #include <gtest/gtest.h>
-#include "mpc/network.h"
 
 #include <cmath>
 #include <sstream>
@@ -13,6 +12,7 @@
 #include "dp/gaussian.h"
 #include "mpc/beaver.h"
 #include "mpc/ops.h"
+#include "net/lockstep.h"
 #include "poly/parser.h"
 #include "sampling/rng.h"
 
@@ -63,12 +63,11 @@ class BeaverEqualsGrrTest
 
 TEST_P(BeaverEqualsGrrTest, RandomVectorsMultiplyIdentically) {
   const auto [parties, threshold] = GetParam();
-  SimulatedNetwork network(parties, 0.0);
+  LockstepTransport network(parties, 0.0);
   BgwProtocol protocol(ShamirScheme(parties, threshold), &network,
                        parties * 13 + threshold);
-  BeaverTripleDealer dealer(ShamirScheme(parties, threshold),
-                            parties * 17 + threshold);
-  BeaverMultiplier beaver(&protocol, &dealer);
+  BeaverTriplePool pool(ShamirScheme(parties, threshold),
+                        parties * 17 + threshold, 8);
 
   Rng rng(parties + threshold);
   std::vector<int64_t> xs(8), ys(8), expected(8);
@@ -78,13 +77,16 @@ TEST_P(BeaverEqualsGrrTest, RandomVectorsMultiplyIdentically) {
     expected[i] = xs[i] * ys[i];
   }
   const SharedVector x =
-      protocol.ShareFromParty(0, Field::EncodeVector(xs));
+      protocol.ShareFromParty(0, Field::EncodeVector(xs)).ValueOrDie();
   const SharedVector y =
-      protocol.ShareFromParty(1 % parties, Field::EncodeVector(ys));
+      protocol.ShareFromParty(1 % parties, Field::EncodeVector(ys))
+          .ValueOrDie();
 
-  EXPECT_EQ(protocol.OpenSigned(protocol.Mul(x, y).ValueOrDie()),
-            expected);
-  EXPECT_EQ(protocol.OpenSigned(beaver.Mul(x, y).ValueOrDie()), expected);
+  const SharedVector grr = protocol.Mul(x, y).ValueOrDie();
+  protocol.set_beaver_pool(&pool);
+  const SharedVector beaver = protocol.Mul(x, y).ValueOrDie();
+  EXPECT_EQ(protocol.OpenSigned(grr).ValueOrDie(), expected);
+  EXPECT_EQ(protocol.OpenSigned(beaver).ValueOrDie(), expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Configs, BeaverEqualsGrrTest,
@@ -101,7 +103,7 @@ class OpsCovariancePropertyTest : public ::testing::TestWithParam<size_t> {
 TEST_P(OpsCovariancePropertyTest, MatchesPlaintextOnRandomColumns) {
   const size_t n = GetParam();  // Clients = attributes.
   const size_t m = 9;
-  SimulatedNetwork network(n, 0.0);
+  LockstepTransport network(n, 0.0);
   BgwProtocol protocol(ShamirScheme(n, (n - 1) / 2), &network, n * 7);
   SecureOps ops(&protocol);
 

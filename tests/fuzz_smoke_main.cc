@@ -55,12 +55,12 @@ bool DetectOrUnchanged(TamperPolicy policy, std::string* what) {
   auto run = [&]() -> sqm::Result<std::vector<int64_t>> {
     SQM_ASSIGN_OR_RETURN(
         const SharedVector a,
-        protocol.ShareFromPartyChecked(0, Field::EncodeVector(x0)));
+        protocol.ShareFromParty(0, Field::EncodeVector(x0)));
     SQM_ASSIGN_OR_RETURN(
         const SharedVector b,
-        protocol.ShareFromPartyChecked(1, Field::EncodeVector(x1)));
+        protocol.ShareFromParty(1, Field::EncodeVector(x1)));
     SQM_ASSIGN_OR_RETURN(const SharedVector prod, protocol.Mul(a, b));
-    return protocol.OpenSignedChecked(prod);
+    return protocol.OpenSigned(prod);
   };
   const auto result = run();
   network.SetInterceptor(nullptr);

@@ -3,7 +3,6 @@
 // and the cross-mechanism comparisons the paper's evaluation rests on.
 
 #include <gtest/gtest.h>
-#include "mpc/network.h"
 
 #include <cmath>
 
@@ -11,6 +10,7 @@
 #include "dp/skellam.h"
 #include "math/stats.h"
 #include "mpc/bgw.h"
+#include "net/lockstep.h"
 #include "vfl/logistic.h"
 #include "vfl/pca.h"
 #include "vfl/synthetic.h"
@@ -166,7 +166,7 @@ TEST(IntegrationTest, ServerEpsilonIndependentOfClientCount) {
 
 TEST(IntegrationTest, BgwRoundStructureMatchesCircuitDepth) {
   // Input rounds (contributing parties) + mul rounds (depth) + open round.
-  SimulatedNetwork network(5, 0.0);
+  LockstepTransport network(5, 0.0);
   BgwEngine engine(ShamirScheme(5, 2), &network, 3);
   Circuit c;
   const auto a = c.AddInput(0);

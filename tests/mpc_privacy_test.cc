@@ -6,7 +6,6 @@
 // leaking a secret into a deterministic share.
 
 #include <gtest/gtest.h>
-#include "mpc/network.h"
 
 #include <cmath>
 #include <vector>
@@ -14,6 +13,7 @@
 #include "mpc/field.h"
 #include "mpc/protocol.h"
 #include "mpc/shamir.h"
+#include "net/lockstep.h"
 #include "sampling/rng.h"
 
 namespace sqm {
@@ -84,13 +84,13 @@ TEST(MpcPrivacyTest, MulResharingMessagesAreUniform) {
   constexpr size_t kParties = 5;
   std::vector<Field::Element> observed;
   for (int run = 0; run < 4000; ++run) {
-    SimulatedNetwork network(kParties, 0.0);
+    LockstepTransport network(kParties, 0.0);
     BgwProtocol protocol(ShamirScheme(kParties, 2), &network,
                          1000 + run);
     const SharedVector a =
-        protocol.ShareFromParty(0, Field::EncodeVector({7}));
+        protocol.ShareFromParty(0, Field::EncodeVector({7})).ValueOrDie();
     const SharedVector b =
-        protocol.ShareFromParty(1, Field::EncodeVector({-13}));
+        protocol.ShareFromParty(1, Field::EncodeVector({-13})).ValueOrDie();
     (void)protocol.Mul(a, b).ValueOrDie();
     // Party 2's share of the product is one "observation" of the
     // post-reduction transcript.
@@ -115,14 +115,14 @@ TEST(MpcPrivacyTest, FreshRandomnessAcrossSharings) {
 TEST(MpcPrivacyTest, DistinctProtocolSeedsGiveDistinctTranscripts) {
   // Two executions with different seeds must not produce the same share
   // pattern (a frozen RNG would silently break secrecy).
-  SimulatedNetwork net_a(3, 0.0);
-  SimulatedNetwork net_b(3, 0.0);
+  LockstepTransport net_a(3, 0.0);
+  LockstepTransport net_b(3, 0.0);
   BgwProtocol proto_a(ShamirScheme(3, 1), &net_a, 1);
   BgwProtocol proto_b(ShamirScheme(3, 1), &net_b, 2);
   const SharedVector a =
-      proto_a.ShareFromParty(0, Field::EncodeVector({5}));
+      proto_a.ShareFromParty(0, Field::EncodeVector({5})).ValueOrDie();
   const SharedVector b =
-      proto_b.ShareFromParty(0, Field::EncodeVector({5}));
+      proto_b.ShareFromParty(0, Field::EncodeVector({5})).ValueOrDie();
   EXPECT_NE(a.shares(1)[0], b.shares(1)[0]);
 }
 

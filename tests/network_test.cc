@@ -1,12 +1,14 @@
-#include "mpc/network.h"
+#include "net/lockstep.h"
 
 #include <gtest/gtest.h>
+
+#include "mpc/field.h"
 
 namespace sqm {
 namespace {
 
 TEST(NetworkTest, SendReceiveFifo) {
-  SimulatedNetwork net(3, 0.1);
+  LockstepTransport net(3, 0.1);
   net.Send(0, 1, {10, 20});
   net.Send(0, 1, {30});
   EXPECT_TRUE(net.HasPending(0, 1));
@@ -18,13 +20,13 @@ TEST(NetworkTest, SendReceiveFifo) {
 }
 
 TEST(NetworkTest, ReceiveOnEmptyChannelFails) {
-  SimulatedNetwork net(2, 0.0);
+  LockstepTransport net(2, 0.0);
   EXPECT_EQ(net.Receive(0, 1).status().code(),
             StatusCode::kFailedPrecondition);
 }
 
 TEST(NetworkTest, ChannelsAreIndependent) {
-  SimulatedNetwork net(3, 0.0);
+  LockstepTransport net(3, 0.0);
   net.Send(0, 1, {1});
   net.Send(1, 0, {2});
   net.Send(2, 1, {3});
@@ -34,7 +36,7 @@ TEST(NetworkTest, ChannelsAreIndependent) {
 }
 
 TEST(NetworkTest, SelfSendDoesNotCountAsTraffic) {
-  SimulatedNetwork net(2, 0.0);
+  LockstepTransport net(2, 0.0);
   net.Send(0, 0, {1, 2, 3});
   EXPECT_EQ(net.stats().messages, 0u);
   EXPECT_EQ(net.stats().field_elements, 0u);
@@ -42,7 +44,7 @@ TEST(NetworkTest, SelfSendDoesNotCountAsTraffic) {
 }
 
 TEST(NetworkTest, StatsCountMessagesAndElements) {
-  SimulatedNetwork net(3, 0.0);
+  LockstepTransport net(3, 0.0);
   net.Send(0, 1, {1, 2});
   net.Send(1, 2, {3});
   EXPECT_EQ(net.stats().messages, 2u);
@@ -51,7 +53,7 @@ TEST(NetworkTest, StatsCountMessagesAndElements) {
 }
 
 TEST(NetworkTest, SimulatedClockAdvancesPerRound) {
-  SimulatedNetwork net(2, 0.1);
+  LockstepTransport net(2, 0.1);
   EXPECT_DOUBLE_EQ(net.SimulatedSeconds(), 0.0);
   net.EndRound();
   net.EndRound();
@@ -61,7 +63,7 @@ TEST(NetworkTest, SimulatedClockAdvancesPerRound) {
 }
 
 TEST(NetworkTest, ResetClearsEverything) {
-  SimulatedNetwork net(2, 0.1);
+  LockstepTransport net(2, 0.1);
   net.Send(0, 1, {1});
   net.EndRound();
   net.Reset();

@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "mpc/network.h"
+#include "net/lockstep.h"
 #include "sampling/rng.h"
 
 namespace sqm {
@@ -19,7 +19,7 @@ class OpsTest : public ::testing::Test {
         protocol_(ShamirScheme(kParties, 2), &network_, 71),
         ops_(&protocol_) {}
 
-  SimulatedNetwork network_;
+  LockstepTransport network_;
   BgwProtocol protocol_;
   SecureOps ops_;
 };
@@ -32,7 +32,7 @@ TEST_F(OpsTest, ShareColumnsRoundTrip) {
   const auto shared = ops_.ShareColumns(columns).ValueOrDie();
   ASSERT_EQ(shared.size(), kParties);
   for (size_t j = 0; j < kParties; ++j) {
-    EXPECT_EQ(protocol_.OpenSigned(shared[j]), columns[j]);
+    EXPECT_EQ(protocol_.OpenSigned(shared[j]).ValueOrDie(), columns[j]);
   }
 }
 
@@ -116,7 +116,7 @@ TEST(OpsLogisticTest, GradientMatchesPlaintextFormula) {
   // d = 3 feature clients + 1 label client.
   const size_t d = 3;
   const size_t m = 6;
-  SimulatedNetwork network(d + 1, 0.0);
+  LockstepTransport network(d + 1, 0.0);
   BgwProtocol protocol(ShamirScheme(d + 1, 1), &network, 9);
   SecureOps ops(&protocol);
 
@@ -163,7 +163,7 @@ TEST(OpsLogisticTest, GradientUsesTwoInteractiveSteps) {
   // the inner product with public weights costs nothing.
   const size_t d = 4;
   const size_t m = 5;
-  SimulatedNetwork network(d + 1, 0.0);
+  LockstepTransport network(d + 1, 0.0);
   BgwProtocol protocol(ShamirScheme(d + 1, 2), &network, 10);
   SecureOps ops(&protocol);
 
@@ -182,7 +182,7 @@ TEST(OpsLogisticTest, GradientUsesTwoInteractiveSteps) {
 }
 
 TEST(OpsLogisticTest, ValidatesShapes) {
-  SimulatedNetwork network(4, 0.0);
+  LockstepTransport network(4, 0.0);
   BgwProtocol protocol(ShamirScheme(4, 1), &network, 11);
   SecureOps ops(&protocol);
 
@@ -198,7 +198,7 @@ TEST(OpsLogisticTest, ValidatesShapes) {
 TEST(OpsLinearTest, GradientMatchesPlaintextFormula) {
   const size_t d = 3;
   const size_t m = 5;
-  SimulatedNetwork network(d + 1, 0.0);
+  LockstepTransport network(d + 1, 0.0);
   BgwProtocol protocol(ShamirScheme(d + 1, 1), &network, 12);
   SecureOps ops(&protocol);
 
@@ -239,7 +239,7 @@ TEST(OpsLinearTest, GradientMatchesPlaintextFormula) {
 }
 
 TEST(OpsLinearTest, ValidatesShapes) {
-  SimulatedNetwork network(4, 0.0);
+  LockstepTransport network(4, 0.0);
   BgwProtocol protocol(ShamirScheme(4, 1), &network, 13);
   SecureOps ops(&protocol);
   SecureOps::LinearGradientInputs inputs;

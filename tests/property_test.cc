@@ -5,7 +5,6 @@
 //  - SQM's estimate converges to the exact polynomial sum as gamma grows.
 
 #include <gtest/gtest.h>
-#include "mpc/network.h"
 
 #include <cmath>
 #include <tuple>
@@ -17,6 +16,7 @@
 #include "dp/skellam.h"
 #include "math/stats.h"
 #include "mpc/bgw.h"
+#include "net/lockstep.h"
 #include "sampling/rng.h"
 
 namespace sqm {
@@ -52,7 +52,7 @@ class BgwConfigTest
 
 TEST_P(BgwConfigTest, RandomArithmeticCircuitEvaluatesExactly) {
   const auto [parties, threshold] = GetParam();
-  SimulatedNetwork network(parties, 0.0);
+  LockstepTransport network(parties, 0.0);
   BgwEngine engine(ShamirScheme(parties, threshold), &network,
                    parties * 100 + threshold);
 

@@ -17,10 +17,10 @@
 #include "core/sqm.h"
 #include "mpc/bgw.h"
 #include "mpc/circuit.h"
-#include "mpc/network.h"
 #include "mpc/protocol.h"
 #include "mpc/shamir.h"
 #include "net/liveness.h"
+#include "net/lockstep.h"
 #include "net/threaded.h"
 
 namespace sqm {
@@ -213,10 +213,10 @@ TEST(ResilienceTest, DropoutReportSerializesToJson) {
 // Lockstep network that times out a fixed set of dealers once each, after
 // the input phase — a transient flake (kDeadlineExceeded), not a crash: the
 // parties stay alive and the retried level succeeds.
-class FlakyOnceNetwork : public SimulatedNetwork {
+class FlakyOnceNetwork : public LockstepTransport {
  public:
   FlakyOnceNetwork(size_t num_parties, std::vector<size_t> flaky_dealers)
-      : SimulatedNetwork(num_parties, 0.0),
+      : LockstepTransport(num_parties, 0.0),
         pending_(std::move(flaky_dealers)) {}
 
   Result<Payload> Receive(size_t from, size_t to) override {
@@ -227,7 +227,7 @@ class FlakyOnceNetwork : public SimulatedNetwork {
         return Status::DeadlineExceeded("injected transient timeout");
       }
     }
-    return SimulatedNetwork::Receive(from, to);
+    return LockstepTransport::Receive(from, to);
   }
 
  private:
@@ -250,7 +250,7 @@ TEST(ResilienceTest, CheckpointResumesAfterTransientTimeouts) {
       {3}, {-4}, {5}, {7}, {-2}};
   const int64_t expected = (3 * -4) * 5 + 7 - 2;
 
-  SimulatedNetwork clean_net(5, 0.0);
+  LockstepTransport clean_net(5, 0.0);
   BgwEngine clean_engine(ShamirScheme(5, 1), &clean_net, 99);
   LivenessTracker clean_tracker(5);
   clean_engine.set_liveness(&clean_tracker);
@@ -280,12 +280,11 @@ TEST(ResilienceTest, CheckpointResumesAfterTransientTimeouts) {
 }
 
 TEST(ResilienceTest, CrashSweepEveryPartyEveryPhase) {
-  // Crash each party at each protocol phase boundary over the threaded
-  // transport: every run must either finish with the no-crash release and a
-  // consistent dropout report, or fail with kUnavailable — never hang,
-  // never release corrupted values. n = 5, t = 1: rounds 0..4 are input
-  // rounds (party j deals in round j), round 5 is the mul, round 6 the
-  // open.
+  // Crash each party at each protocol phase boundary: every run must either
+  // finish with the no-crash release and a consistent dropout report, or
+  // fail with kUnavailable — never hang, never abort the process, never
+  // release corrupted values. n = 5, t = 1: rounds 0..4 are input rounds
+  // (party j deals in round j), round 5 is the mul, round 6 the open.
   PolynomialVector f;
   Polynomial p;
   p.AddTerm(Monomial(1.0, {{0, 1}, {1, 1}}));
@@ -336,6 +335,35 @@ TEST(ResilienceTest, CrashSweepEveryPartyEveryPhase) {
   // before it they refuse: 12 completions, 8 refusals.
   EXPECT_EQ(completed, 12u);
   EXPECT_EQ(refused, 8u);
+
+  // kAbort (no tracker) over both transports, at every round through the
+  // open: a crash before the party's own input round, mid-Mul, or during
+  // the open has nothing to degrade around and must surface as
+  // kUnavailable — 35 refusals per transport.
+  size_t abort_refused = 0;
+  for (const TransportMode mode :
+       {TransportMode::kLockstep, TransportMode::kThreaded}) {
+    for (size_t party = 0; party < 5; ++party) {
+      for (uint64_t after_rounds = 0; after_rounds <= 6; ++after_rounds) {
+        SqmOptions crashed = options;
+        crashed.transport = mode;
+        crashed.threaded = FastOptions();
+        crashed.threaded.faults.crashes = {{party, after_rounds}};
+        const auto result = SqmEvaluator(crashed).Evaluate(f, x);
+        if (result.ok()) {
+          EXPECT_EQ(result.ValueOrDie().raw, baseline.raw)
+              << "kAbort, party " << party << " after " << after_rounds
+              << " rounds";
+        } else {
+          ++abort_refused;
+          EXPECT_EQ(result.status().code(), StatusCode::kUnavailable)
+              << "kAbort, party " << party << " after " << after_rounds
+              << " rounds: " << result.status().ToString();
+        }
+      }
+    }
+  }
+  EXPECT_EQ(abort_refused, 70u);
 }
 
 }  // namespace

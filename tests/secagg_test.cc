@@ -1,5 +1,5 @@
 #include "mpc/secagg.h"
-#include "mpc/network.h"
+#include "net/lockstep.h"
 
 #include <gtest/gtest.h>
 
@@ -153,7 +153,7 @@ TEST(SecAggTest, SingleSurvivorIsRefused) {
 }
 
 TEST(SecAggTest, UnmaskTrafficAccountedWhenNetworkAttached) {
-  SimulatedNetwork network(5, 0.0);
+  LockstepTransport network(5, 0.0);
   SecureAggregation secagg(5, 51, &network);
   std::vector<std::optional<std::vector<Field::Element>>> uploads(5);
   for (size_t j = 0; j < 5; ++j) {
@@ -168,7 +168,7 @@ TEST(SecAggTest, UnmaskTrafficAccountedWhenNetworkAttached) {
 }
 
 TEST(SecAggTest, TrafficAccountedWhenNetworkAttached) {
-  SimulatedNetwork network(4, 0.0);
+  LockstepTransport network(4, 0.0);
   SecureAggregation secagg(4, 5, &network);
   for (size_t j = 0; j < 4; ++j) {
     (void)secagg.MaskedUpload(j, {1, 2, 3}).ValueOrDie();

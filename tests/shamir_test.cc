@@ -208,29 +208,6 @@ TEST(ShamirTest, ReconstructCheckedDetectsTamperedTrailingShare) {
       << tampered.status().ToString();
 }
 
-TEST(ShamirTest, VerifyReconstructionAssertsOnTamperedTrailingShare) {
-  // The debug-mode flag (wired from the protocol's verify_sharings
-  // option) turns the silent ignore into a loud abort.
-  ShamirScheme scheme(5, 2);
-  scheme.set_verify_reconstruction(true);
-  Rng rng(31);
-  std::vector<Field::Element> shares = scheme.Share(Field::Encode(77), rng);
-  EXPECT_EQ(Field::Decode(scheme.Reconstruct(shares)), 77);  // Clean: fine.
-  shares.back() = Field::Add(shares.back(), 1);
-  EXPECT_DEATH(scheme.Reconstruct(shares), "Check failed");
-
-  // Same guarantee on the batched path.
-  ShamirScheme batch_scheme(5, 2);
-  batch_scheme.set_verify_reconstruction(true);
-  Rng batch_rng(32);
-  std::vector<std::vector<Field::Element>> rows =
-      batch_scheme.ShareBatch({Field::Encode(1), Field::Encode(2)},
-                              batch_rng);
-  EXPECT_EQ(batch_scheme.ReconstructBatch(rows).size(), 2u);
-  rows[4][1] = Field::Add(rows[4][1], 1);
-  EXPECT_DEATH(batch_scheme.ReconstructBatch(rows), "Check failed");
-}
-
 TEST(ShamirTest, LagrangeCoefficientsSumToOneForConstantPolynomial) {
   // For the constant polynomial phi == 1 every share is 1, so the Lagrange
   // weights must sum to 1.

@@ -15,9 +15,9 @@
 
 #include "core/sqm.h"
 #include "mpc/field.h"
-#include "mpc/network.h"
 #include "mpc/protocol.h"
 #include "mpc/shamir.h"
+#include "net/lockstep.h"
 #include "net/runner.h"
 
 namespace sqm {
@@ -51,13 +51,15 @@ TEST(ThreadedTransportTest, DriverModeBgwMatchesLockstep) {
   // opened and every traffic counter must agree (faults disabled).
   auto run = [](Transport* network) {
     BgwProtocol protocol(ShamirScheme(5, 2), network, 77);
-    SharedVector a = protocol.ShareFromParty(0, Field::EncodeVector({9, -2}));
-    SharedVector b = protocol.ShareFromParty(3, Field::EncodeVector({4, 11}));
+    SharedVector a =
+        protocol.ShareFromParty(0, Field::EncodeVector({9, -2})).ValueOrDie();
+    SharedVector b =
+        protocol.ShareFromParty(3, Field::EncodeVector({4, 11})).ValueOrDie();
     SharedVector product = protocol.Mul(a, b).ValueOrDie();
-    return protocol.OpenSigned(product);
+    return protocol.OpenSigned(product).ValueOrDie();
   };
 
-  SimulatedNetwork lockstep(5, 0.1);
+  LockstepTransport lockstep(5, 0.1);
   ThreadedTransportOptions options = FastOptions();
   options.per_round_latency_seconds = 0.1;
   options.element_wire_bytes = Field::kWireBytes;
@@ -115,8 +117,10 @@ TEST(ThreadedTransportTest, CrashedPartyMidMulFailsWithUnavailable) {
   ThreadedTransport net(3, options);
 
   BgwProtocol protocol(ShamirScheme(3, 1), &net, 5);
-  SharedVector a = protocol.ShareFromParty(0, Field::EncodeVector({6}));
-  SharedVector b = protocol.ShareFromParty(1, Field::EncodeVector({7}));
+  SharedVector a =
+      protocol.ShareFromParty(0, Field::EncodeVector({6})).ValueOrDie();
+  SharedVector b =
+      protocol.ShareFromParty(1, Field::EncodeVector({7})).ValueOrDie();
   const Result<SharedVector> product = protocol.Mul(a, b);
   ASSERT_FALSE(product.ok());
   EXPECT_EQ(product.status().code(), StatusCode::kUnavailable);

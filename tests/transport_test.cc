@@ -1,6 +1,6 @@
 // Tests of the lock-step transport and the accounting layer shared by all
-// Transport implementations: equivalence with the seed SimulatedNetwork
-// semantics, out-of-order channel draining, per-channel and per-phase
+// Transport implementations: the default wire width is the field's,
+// out-of-order channel draining, per-channel and per-phase
 // breakdowns, configurable wire widths, and Reset's dropped-message report.
 
 #include "net/lockstep.h"
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "mpc/field.h"
-#include "mpc/network.h"
 #include "mpc/protocol.h"
 #include "mpc/shamir.h"
 
@@ -29,24 +28,27 @@ struct ProgramResult {
 ProgramResult RunBgwProgram(Transport* network) {
   const size_t n = network->num_parties();
   BgwProtocol protocol(ShamirScheme(n, (n - 1) / 2), network, 1234);
-  SharedVector a = protocol.ShareFromParty(0, Field::EncodeVector({3, -4}));
-  SharedVector b = protocol.ShareFromParty(1, Field::EncodeVector({-5, 6}));
+  SharedVector a =
+      protocol.ShareFromParty(0, Field::EncodeVector({3, -4})).ValueOrDie();
+  SharedVector b =
+      protocol.ShareFromParty(1, Field::EncodeVector({-5, 6})).ValueOrDie();
   SharedVector product = protocol.Mul(a, b).ValueOrDie();
   ProgramResult result;
-  result.opened = protocol.OpenSigned(product);
+  result.opened = protocol.OpenSigned(product).ValueOrDie();
   result.stats = network->stats();
   result.simulated_seconds = network->SimulatedSeconds();
   return result;
 }
 
-TEST(LockstepTransportTest, BgwMatchesSimulatedNetworkExactly) {
-  // The acceptance bar for the transport refactor: the drop-in lock-step
-  // transport must reproduce the seed SimulatedNetwork bit for bit —
+TEST(LockstepTransportTest, BgwDefaultWidthMatchesFieldWidthExactly) {
+  // LockstepTransport(n, latency) is the paper's simulated network: its
+  // default element width is the field's serialized width, so it must
+  // agree bit for bit with an explicit Field::kWireBytes transport —
   // identical openings, message counts, round counts, byte counts, clock.
-  SimulatedNetwork seed_network(5, 0.1);
-  LockstepTransport lockstep(5, 0.1, Field::kWireBytes);
-  const ProgramResult expected = RunBgwProgram(&seed_network);
-  const ProgramResult actual = RunBgwProgram(&lockstep);
+  LockstepTransport field_width(5, 0.1, Field::kWireBytes);
+  LockstepTransport default_width(5, 0.1);
+  const ProgramResult expected = RunBgwProgram(&field_width);
+  const ProgramResult actual = RunBgwProgram(&default_width);
 
   EXPECT_EQ(actual.opened, expected.opened);
   EXPECT_EQ(actual.opened, (std::vector<int64_t>{-15, -24}));
@@ -86,7 +88,7 @@ TEST(LockstepTransportTest, HasPendingAfterPartialRound) {
 }
 
 TEST(LockstepTransportTest, ResetReportsDroppedMessages) {
-  SimulatedNetwork net(3, 0.0);
+  LockstepTransport net(3, 0.0);
   net.Send(0, 1, {1});
   net.Send(0, 1, {2});
   net.Send(2, 0, {3});
@@ -178,7 +180,7 @@ TEST(LockstepTransportTest, WireBytesFollowConfiguredElementWidth) {
   // The 61-bit field needs ceil(61/8) = 8 bytes per element; that this
   // coincides with sizeof(Element) is an accident of the Mersenne prime.
   static_assert(Field::kWireBytes == (61 + 7) / 8);
-  SimulatedNetwork net(2, 0.0);
+  LockstepTransport net(2, 0.0);
   net.Send(0, 1, {1, 2, 3});
   EXPECT_EQ(net.stats().bytes(), 3 * Field::kWireBytes);
 }
