@@ -45,7 +45,7 @@ lint_status=0
     --baseline="$baseline" \
     --json="$build_dir/sqmlint.json" \
     --sarif="$build_dir/sqmlint.sarif" \
-    "$repo_root/src" "$repo_root/tests" \
+    "$repo_root/src" "$repo_root/tests" "$repo_root/tools" \
     > "$build_dir/sqmlint_baseline_delta.txt") || lint_status=$?
 cat "$build_dir/sqmlint_baseline_delta.txt"
 if [ "$lint_status" != 0 ]; then

@@ -15,7 +15,6 @@
 #include "mpc/field.h"
 #include "mpc/party_protocol.h"
 #include "net/liveness.h"
-#include "obs/flight_recorder.h"
 #include "obs/trace.h"
 #include "poly/parser.h"
 
@@ -54,6 +53,18 @@ uint64_t ConfigFingerprint(const DeploymentConfig& config) {
     mix(static_cast<uint8_t>(c));
   }
   return h;
+}
+
+/// A party-level instant (sqm.ckpt_saved, sqm.resume_barrier, ...) with
+/// two integer arguments, on the calling thread's track.
+void TraceInstant(const char* name, const char* key_a, int64_t a,
+                  const char* key_b, int64_t b) {
+  if (!obs::Enabled()) return;
+  obs::TraceEvent event;
+  event.name = name;
+  event.AddArg(key_a, a);
+  event.AddArg(key_b, b);
+  obs::Tracer::Global().Instant(event);
 }
 
 }  // namespace
@@ -189,9 +200,10 @@ Result<SqmReport> RunPartySqm(const DeploymentConfig& config, size_t me,
       snap.wire_shares = ckpt.wire_shares;
       engine.protocol().SaveRngState(snap.rng_state);
       const Status saved = store.Save(snap);
-      SQM_FLIGHT_EVENT2("ckpt", saved.ok() ? "saved" : "save_failed",
-                        static_cast<int64_t>(ckpt.next_level),
-                        static_cast<int64_t>(ckpt.mul_rounds_done));
+      TraceInstant(saved.ok() ? "sqm.ckpt_saved" : "sqm.ckpt_save_failed",
+                   "next_level", static_cast<int64_t>(ckpt.next_level),
+                   "mul_rounds_done",
+                   static_cast<int64_t>(ckpt.mul_rounds_done));
       if (!saved.ok()) {
         // A failed save degrades a future restart to a full redo; this
         // run continues unharmed.
@@ -257,9 +269,9 @@ Result<SqmReport> RunPartySqm(const DeploymentConfig& config, size_t me,
       // min includes our own announcement, so min - 1 <= next_level.
       checkpoint.next_level = static_cast<size_t>(min_encoded - 1);
     }
-    SQM_FLIGHT_EVENT2("resume_barrier", "",
-                      static_cast<int64_t>(my_encoded),
-                      static_cast<int64_t>(min_encoded));
+    TraceInstant("sqm.resume_barrier", "announced",
+                 static_cast<int64_t>(my_encoded), "agreed",
+                 static_cast<int64_t>(min_encoded));
     return Status::OK();
   };
 
@@ -352,9 +364,10 @@ Result<SqmReport> RunPartySqm(const DeploymentConfig& config, size_t me,
   run.tracker = &tracker;
   SQM_ASSIGN_OR_RETURN(SqmReport report, plan.Finish(inputs, std::move(run)));
   if (report.dropout.num_dropped > 0) {
-    SQM_FLIGHT_EVENT2("degrade", config.dropout_policy.c_str(),
-                      static_cast<int64_t>(report.dropout.num_dropped),
-                      static_cast<int64_t>(report.dropout.mpc_attempts));
+    TraceInstant("sqm.degrade", "num_dropped",
+                 static_cast<int64_t>(report.dropout.num_dropped),
+                 "mpc_attempts",
+                 static_cast<int64_t>(report.dropout.mpc_attempts));
   }
   return report;
 }

@@ -47,7 +47,7 @@ enum class FrameType : uint8_t {
   /// Periodic party -> coordinator state snapshot. The payload packs a
   /// JSON document as [byte_len, ceil(len/8) * u64 words]; see
   /// docs/OBSERVABILITY.md for the schema (phase, metrics registry,
-  /// transport totals, flight-recorder ring).
+  /// transport totals).
   kTelemetrySnapshot = 7,
 };
 

@@ -69,9 +69,9 @@ struct DeploymentConfig {
 
   /// Runtime observability kill switch for the whole fleet: false makes
   /// every process call obs::SetEnabled(false) before any protocol work,
-  /// so no spans, metrics, flight events or telemetry streams exist and
-  /// the wire carries no trace context. Released values are bit-identical
-  /// either way (obs_distributed_test proves it).
+  /// so no spans, metrics or telemetry streams exist and the wire carries
+  /// no trace context. Released values are bit-identical either way
+  /// (obs_distributed_test proves it).
   bool obs_enabled = true;
   /// Cadence of the party -> coordinator telemetry snapshots (and of the
   /// durable trace rewrites that keep pre-crash spans on disk).

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/logging.h"
-#include "obs/flight_recorder.h"
 #include "obs/trace.h"
 
 namespace sqm {
@@ -18,6 +17,17 @@ using Clock = std::chrono::steady_clock;
 /// Exactly one reader owns a link at a time, so recv spans on one track
 /// never overlap (party tracks are 0..n-1, anonymous threads >= 1000).
 constexpr int32_t kRecvTrackBase = 100;
+
+/// Link-state instant (net.link_up / net.link_down / net.link_dead) with
+/// the peer index as its one argument.
+void TraceLink(const char* name, size_t peer) {
+  if (!obs::Enabled()) return;
+  obs::TraceEvent event;
+  event.name = name;
+  event.category = "net";
+  event.AddArg("peer", static_cast<int64_t>(peer));
+  obs::Tracer::Global().Instant(event);
+}
 
 Clock::duration Seconds(double s) {
   return std::chrono::duration_cast<Clock::duration>(
@@ -143,7 +153,7 @@ void TcpTransport::InstallConn(size_t peer, std::shared_ptr<Conn> conn) {
   links_[peer].state = LinkState::kUp;
   link_cv_.NotifyAll();
   if (was_down) RecordRetry();  // A successful reconnect is a recovery.
-  SQM_FLIGHT_EVENT("link_up", "", static_cast<int64_t>(peer));
+  TraceLink("net.link_up", peer);
 }
 
 void TcpTransport::MarkDown(size_t peer) {
@@ -156,7 +166,7 @@ void TcpTransport::MarkDown(size_t peer) {
   links_[peer].down_since = Clock::now();
   links_[peer].conn.reset();
   link_cv_.NotifyAll();
-  SQM_FLIGHT_EVENT("link_down", "", static_cast<int64_t>(peer));
+  TraceLink("net.link_down", peer);
 }
 
 void TcpTransport::MarkDead(size_t peer, const char* reason) {
@@ -166,7 +176,7 @@ void TcpTransport::MarkDead(size_t peer, const char* reason) {
   links_[peer].conn.reset();
   link_cv_.NotifyAll();
   recv_cv_.NotifyAll();  // Blocked receives must fail kUnavailable now.
-  SQM_FLIGHT_EVENT("link_dead", reason, static_cast<int64_t>(peer));
+  TraceLink("net.link_dead", peer);
   SQM_LOG(kInfo) << "TcpTransport party " << me_ << ": peer " << peer
                  << " declared dead (" << reason << ")";
 }
@@ -552,9 +562,6 @@ Status TcpTransport::ReadLoop(size_t peer,
       if (frame.has_trace) {
         obs::Tracer::Global().FlowFinish("net.link", "net", frame.span_id);
       }
-      SQM_FLIGHT_EVENT2("recv", frame.phase.c_str(),
-                        static_cast<int64_t>(peer),
-                        static_cast<int64_t>(frame.seq));
     }
     inboxes_[peer].push_back(std::move(frame.payload));
     recv_cv_.NotifyAll();
@@ -632,11 +639,6 @@ void TcpTransport::Send(size_t from, size_t to, Payload payload) {
       frame.trace_id = obs::Tracer::TraceId();
       frame.span_id = send_span.id();
       obs::Tracer::Global().FlowStart("net.link", "net", send_span.id());
-    }
-    if (obs::Enabled()) {
-      SQM_FLIGHT_EVENT2("send", phase_label.c_str(),
-                        static_cast<int64_t>(to),
-                        static_cast<int64_t>(seq));
     }
     const std::vector<uint8_t> wire =
         EncodeFrame(frame, options_.session_key);

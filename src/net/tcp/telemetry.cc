@@ -69,8 +69,8 @@ Result<Frame> ReadTelemetryFrame(const Socket& sock, uint64_t session_key,
 }
 
 /// Re-serializes a parsed JsonValue, preserving exact integers. Lets the
-/// fleet document embed a party's snapshot (and its flight sub-document)
-/// as a real JSON value instead of splicing raw text.
+/// fleet document embed a party's snapshot as a real JSON value instead
+/// of splicing raw text.
 void WriteJsonValueInto(JsonWriter& writer, const JsonValue& value) {
   switch (value.kind) {
     case JsonValue::Kind::kNull:
@@ -498,31 +498,6 @@ Result<int64_t> TelemetryServer::ClockOffsetMicros(
                             std::to_string(incarnation));
   }
   return it->second;
-}
-
-Result<std::string> TelemetryServer::LatestFlightJson(size_t party) const {
-  std::string latest;
-  {
-    MutexLock lock(mu_);
-    if (party >= parties_.size()) {
-      return Status::InvalidArgument("party out of range");
-    }
-    latest = parties_[party].latest_json;
-  }
-  if (latest.empty()) {
-    return Status::NotFound("party " + std::to_string(party) +
-                            " never sent a snapshot");
-  }
-  Result<JsonValue> parsed = ParseJson(latest);
-  if (!parsed.ok()) return parsed.status();
-  const JsonValue* flight = parsed.ValueOrDie().Find("flight");
-  if (flight == nullptr || flight->kind != JsonValue::Kind::kObject) {
-    return Status::NotFound("party " + std::to_string(party) +
-                            " snapshot carries no flight member");
-  }
-  JsonWriter writer;
-  WriteJsonValueInto(writer, *flight);
-  return writer.str();
 }
 
 std::string TelemetryServer::FleetMetricsJson() const {

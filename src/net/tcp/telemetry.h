@@ -127,12 +127,6 @@ class TelemetryServer {
   /// completed a probe.
   Result<int64_t> ClockOffsetMicros(size_t party, uint32_t incarnation) const;
 
-  /// The "flight" member of the party's latest snapshot — the same
-  /// document FlightRecorder::ToJson() produces — so the supervisor can
-  /// write flight_<j>.json for a party that died by SIGKILL and never got
-  /// to dump its own ring. kNotFound when no snapshot carried one.
-  Result<std::string> LatestFlightJson(size_t party) const;
-
   /// fleet_metrics.json: {"run_id":..,"parties":[{"party":..,
   /// "connected":..,"final":..,"incarnation":..,"snapshots":..,
   /// "clock_offset_micros":..,"clock_rtt_micros":..,"phase":"..",

@@ -1,7 +1,6 @@
 #include "net/transport.h"
 
 #include "core/logging.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
 namespace sqm {
@@ -71,22 +70,18 @@ TransportStats Transport::Snapshot() const {
 }
 
 void Transport::SetPhase(const std::string& phase) {
-  {
-    MutexLock lock(mu_);
-    size_t index = phases_.size();
-    for (size_t i = 0; i < phases_.size(); ++i) {
-      if (phases_[i].phase == phase) {
-        index = i;
-        break;
-      }
+  MutexLock lock(mu_);
+  size_t index = phases_.size();
+  for (size_t i = 0; i < phases_.size(); ++i) {
+    if (phases_[i].phase == phase) {
+      index = i;
+      break;
     }
-    if (index == phases_.size()) {
-      phases_.push_back(PhaseStats{phase, NetworkStats{}});
-    }
-    if (index == current_phase_) return;  // No transition, nothing to log.
-    current_phase_ = index;
   }
-  SQM_FLIGHT_EVENT("phase", phase.c_str(), 0);
+  if (index == phases_.size()) {
+    phases_.push_back(PhaseStats{phase, NetworkStats{}});
+  }
+  current_phase_ = index;
 }
 
 std::string Transport::phase() const {

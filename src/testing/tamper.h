@@ -20,7 +20,7 @@ struct TamperTarget {
   size_t from = kAnyParty;
   size_t to = kAnyParty;
   /// Empty matches every phase; otherwise must equal the transport's phase
-  /// label at send time ("input", "mul", "open", "secagg_upload", ...).
+  /// label at send time ("input", "mul", "open", ...).
   std::string phase;
   uint64_t min_round = 0;
   uint64_t max_round = std::numeric_limits<uint64_t>::max();

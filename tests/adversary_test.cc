@@ -1,7 +1,7 @@
 // Adversarial conformance tests: every single-message wire tamper against
-// BGW / SecAgg / the SQM pipeline must either surface as a descriptive
-// error Status (kIntegrityViolation or a transport failure) or provably
-// leave the opened release unchanged. The tamper policies run through the
+// BGW or the SQM pipeline must either surface as a descriptive error Status
+// (kIntegrityViolation or a transport failure) or provably leave the opened
+// release unchanged. The tamper policies run through the
 // ByzantineInterceptor man-in-the-middle decorator on the Transport seam,
 // so the protocol code under test is exactly the production code.
 
@@ -15,7 +15,6 @@
 #include "core/sqm.h"
 #include "mpc/field.h"
 #include "mpc/protocol.h"
-#include "mpc/secagg.h"
 #include "mpc/shamir.h"
 #include "net/lockstep.h"
 #include "testing/transcript.h"
@@ -285,86 +284,6 @@ TEST(AdversaryTest, EverySinglePolicyDetectsOrLeavesReleaseUnchanged) {
       }
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// SecAgg wire integrity.
-
-TEST(AdversaryTest, SecAggUploadsSurviveCleanTransport) {
-  LockstepTransport network(4, 0.0, Field::kWireBytes);
-  SecureAggregation secagg(4, 123, &network);
-  const std::vector<std::vector<int64_t>> inputs = {
-      {1, 2, 3}, {-4, 5, -6}, {7, -8, 9}, {0, 11, -12}};
-  for (size_t j = 0; j < 4; ++j) {
-    ASSERT_TRUE(secagg.UploadOverTransport(j, inputs[j]).ok());
-  }
-  network.EndRound();
-  const auto uploads = secagg.CollectUploads(3);
-  ASSERT_TRUE(uploads.ok()) << uploads.status().ToString();
-  const auto sum = secagg.Aggregate(uploads.ValueOrDie());
-  ASSERT_TRUE(sum.ok());
-  EXPECT_EQ(sum.ValueOrDie(), (std::vector<int64_t>{4, 10, -6}));
-}
-
-TEST(AdversaryTest, SecAggBitFlipOnWireIsDetected) {
-  // Linear masking has no redundancy of its own — a flipped bit would
-  // silently shift the aggregate — so uploads carry an integrity digest
-  // the server recomputes.
-  LockstepTransport network(4, 0.0, Field::kWireBytes);
-  TamperPolicy policy;
-  policy.kind = TamperPolicy::Kind::kBitFlip;
-  policy.target.phase = "secagg_upload";
-  policy.element = 1;
-  policy.bit = 7;
-  ByzantineInterceptor byzantine({policy});
-  network.SetInterceptor(&byzantine);
-  SecureAggregation secagg(4, 123, &network);
-  for (size_t j = 0; j < 4; ++j) {
-    ASSERT_TRUE(secagg.UploadOverTransport(j, {1, 2, 3}).ok());
-  }
-  network.EndRound();
-  const auto uploads = secagg.CollectUploads(3);
-  EXPECT_EQ(byzantine.total_applications(), 1u);
-  ASSERT_FALSE(uploads.ok());
-  EXPECT_EQ(uploads.status().code(), StatusCode::kIntegrityViolation)
-      << uploads.status().ToString();
-  network.SetInterceptor(nullptr);
-}
-
-TEST(AdversaryTest, SecAggTamperedDigestElementIsDetected) {
-  // Corrupting the digest itself must fail the same way.
-  LockstepTransport network(4, 0.0, Field::kWireBytes);
-  TamperPolicy policy;
-  policy.kind = TamperPolicy::Kind::kAdditive;
-  policy.target.phase = "secagg_upload";
-  policy.element = 3;  // vector_length = 3, so index 3 is the digest.
-  ByzantineInterceptor byzantine({policy});
-  network.SetInterceptor(&byzantine);
-  SecureAggregation secagg(4, 123, &network);
-  for (size_t j = 0; j < 4; ++j) {
-    ASSERT_TRUE(secagg.UploadOverTransport(j, {1, 2, 3}).ok());
-  }
-  const auto uploads = secagg.CollectUploads(3);
-  ASSERT_FALSE(uploads.ok());
-  EXPECT_EQ(uploads.status().code(), StatusCode::kIntegrityViolation);
-  network.SetInterceptor(nullptr);
-}
-
-TEST(AdversaryTest, SecAggSwallowedUploadFailsFast) {
-  LockstepTransport network(4, 0.0, Field::kWireBytes);
-  TamperPolicy policy;
-  policy.kind = TamperPolicy::Kind::kSwallow;
-  policy.target.phase = "secagg_upload";
-  policy.target.from = 2;
-  ByzantineInterceptor byzantine({policy});
-  network.SetInterceptor(&byzantine);
-  SecureAggregation secagg(4, 123, &network);
-  for (size_t j = 0; j < 4; ++j) {
-    ASSERT_TRUE(secagg.UploadOverTransport(j, {1, 2, 3}).ok());
-  }
-  const auto uploads = secagg.CollectUploads(3);
-  ASSERT_FALSE(uploads.ok());
-  network.SetInterceptor(nullptr);
 }
 
 // ---------------------------------------------------------------------------

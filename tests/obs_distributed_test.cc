@@ -209,17 +209,6 @@ TEST(ObsDistributed, RestartKeepsOnePartyTrackWithFreshSpanIds) {
             std::string::npos)
       << result.coordinator_json;
 
-  // The SIGKILLed incarnation never dumped its own flight ring, so the
-  // supervisor must have preserved the black box from the last telemetry
-  // snapshot at restart time — even though the respawn finished cleanly.
-  const std::string flight_text =
-      ReadFileOrEmpty(result.dir + "/flight_2.json");
-  ASSERT_FALSE(flight_text.empty()) << "flight recorder lost to SIGKILL";
-  EXPECT_NE(flight_text.find("\"party\":2"), std::string::npos)
-      << flight_text;
-  EXPECT_NE(flight_text.find("\"events\":["), std::string::npos)
-      << flight_text;
-
   // The pre-crash incarnation's trace survived the SIGKILL (the telemetry
   // tick rewrites it durably), and the respawn wrote its own file.
   const std::string pre_text =
@@ -228,6 +217,23 @@ TEST(ObsDistributed, RestartKeepsOnePartyTrackWithFreshSpanIds) {
       ReadFileOrEmpty(result.dir + "/party_2.inc1.trace.json");
   ASSERT_FALSE(pre_text.empty()) << "pre-crash trace lost";
   ASSERT_FALSE(post_text.empty()) << "post-crash trace missing";
+
+  // That durable trace is the black box: it holds the killed
+  // incarnation's link-state events, a net.link_up instant for every peer.
+  const JsonValue pre_doc = ParseJson(pre_text).ValueOrDie();
+  std::set<int64_t> linked_peers;
+  for (const JsonValue& event : pre_doc.Find("traceEvents")->items) {
+    const JsonValue* name = event.Find("name");
+    const JsonValue* ph = event.Find("ph");
+    const JsonValue* args = event.Find("args");
+    if (name == nullptr || name->string_value != "net.link_up" ||
+        ph == nullptr || ph->string_value != "i" || args == nullptr ||
+        args->Find("peer") == nullptr) {
+      continue;
+    }
+    linked_peers.insert(args->Find("peer")->int_value);
+  }
+  EXPECT_EQ(linked_peers, (std::set<int64_t>{0, 1, 3, 4}));
 
   // No span-id collisions across the crash: the respawn draws from an
   // incarnation-keyed namespace, so the flow ids (net.send span ids) of
@@ -292,8 +298,6 @@ TEST(ObsDistributed, KillSwitchLeavesNoArtifactsAndIdenticalRelease) {
   for (int j = 0; j < 5; ++j) {
     EXPECT_FALSE(FileExists(result.dir + "/party_" + std::to_string(j) +
                             ".inc0.trace.json"));
-    EXPECT_FALSE(FileExists(result.dir + "/flight_" + std::to_string(j) +
-                            ".json"));
   }
 }
 

@@ -572,15 +572,6 @@ void f(const char* phase) {
   EXPECT_EQ(Active(findings, "obs-discipline"), 1);
 }
 
-TEST(ObsDiscipline, FiresOnSecretFlightArgument) {
-  const auto findings = Lint("src/mpc/x.cc", R"cpp(
-void f(uint64_t mask_value) {
-  SQM_FLIGHT_EVENT2("mul.level", 3, mask_value);
-}
-)cpp");
-  EXPECT_EQ(Active(findings, "obs-discipline"), 1);
-}
-
 TEST(ObsDiscipline, FiresOnSecretSpanAnnotation) {
   const auto findings = Lint("src/mpc/x.cc", R"cpp(
 void f(Span& span, uint64_t share_count) {
@@ -596,7 +587,6 @@ void f(size_t level) {
   Span span("bgw.mul", "mpc");
   span.AddArg("level", static_cast<int64_t>(level));
   SQM_OBS_COUNTER_INC("mpc.mul.levels");
-  SQM_FLIGHT_EVENT("mul.level", static_cast<int64_t>(level));
 }
 )cpp");
   EXPECT_EQ(Active(findings, "obs-discipline"), 0);

@@ -8,6 +8,7 @@
 #include "net/tcp/tcp_transport.h"
 
 #include <chrono>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -17,6 +18,8 @@
 
 #include "net/tcp/frame.h"
 #include "net/tcp/socket.h"
+#include "obs/obs.h"
+#include "obs/trace.h"
 
 namespace {
 
@@ -215,6 +218,29 @@ TEST_F(TcpTransportTest, ShutdownDoesNotWaitOutTheAcceptPoll) {
   // Party 0 runs an acceptor blocked in a 250 ms accept poll; shutting
   // the listener down must wake it instead of waiting the poll out.
   EXPECT_LT(ShutdownMillis(*mesh_[0]), 100.0);
+}
+
+TEST(TcpTransportMesh, LinkUpIsATraceInstantPerPeer) {
+  if (!TcpSupported()) GTEST_SKIP() << "no POSIX sockets on this platform";
+  if (!sqm::obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  sqm::obs::SetEnabled(true);
+  sqm::obs::Tracer::Global().Clear();
+  auto mesh = MakeMesh(3, 0.3);
+  for (const auto& transport : mesh) ASSERT_NE(transport, nullptr);
+  for (const auto& transport : mesh) transport->Shutdown();
+
+  // Every party links to both others, so each peer index shows up in two
+  // net.link_up instants (one per transport that connected to it).
+  std::map<int64_t, int> link_ups_by_peer;
+  for (const sqm::obs::TraceEvent& event :
+       sqm::obs::Tracer::Global().Collect()) {
+    if (std::string(event.name) != "net.link_up") continue;
+    EXPECT_EQ(event.type, sqm::obs::TraceEvent::Type::kInstant);
+    ASSERT_EQ(event.num_args, 1);
+    EXPECT_STREQ(event.args[0].key, "peer");
+    ++link_ups_by_peer[event.args[0].value];
+  }
+  EXPECT_EQ(link_ups_by_peer, (std::map<int64_t, int>{{0, 2}, {1, 2}, {2, 2}}));
 }
 
 TEST(TcpTransportMesh, FivePartyMeshComesUp) {

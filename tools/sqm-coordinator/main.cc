@@ -18,8 +18,6 @@
 //   - aggregates the parties' live telemetry into a fleet view
 //     (<out-dir>/fleet_metrics.json; --stats-interval=S prints an
 //     sqm-top-style table every S seconds while the run is live),
-//   - writes flight_<j>.json for any party that died by signal and never
-//     dumped its own flight recorder (from its last telemetry snapshot),
 //   - optionally (--compare-lockstep) replays the same config in-process
 //     on the deterministic lockstep transport and requires the networked
 //     release to match it bit for bit,
@@ -143,11 +141,6 @@ bool WriteFile(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::trunc);
   out << content;
   return static_cast<bool>(out);
-}
-
-bool FileExists(const std::string& path) {
-  std::ifstream in(path);
-  return static_cast<bool>(in);
 }
 
 /// --trace-validate: structural checks over a (merged) Chrome trace.
@@ -463,7 +456,6 @@ int main(int argc, char** argv) {
 
   std::vector<PartyOutcome> outcomes(n);
   std::vector<std::string> report_paths(n);
-  std::vector<std::string> flight_paths(n);
   // One trace file per (party, incarnation): a respawn must never
   // overwrite its pre-crash incarnation's spans — the merge puts both
   // documents on the SAME party track, so a restart reads as a gap.
@@ -474,8 +466,6 @@ int main(int argc, char** argv) {
   for (size_t j = 0; j < n; ++j) {
     report_paths[j] =
         args.out_dir + "/party_" + std::to_string(j) + ".json";
-    flight_paths[j] =
-        args.out_dir + "/flight_" + std::to_string(j) + ".json";
   }
 
   // Forks sqm-party j handing it `listener`; incarnation > 0 marks a
@@ -490,7 +480,6 @@ int main(int argc, char** argv) {
         "--listen-fd=" + std::to_string(listener.fd()),
         "--report=" + report_paths[j],
         "--trace=" + trace_path(j, incarnation),
-        "--flight=" + flight_paths[j],
     };
     if (telemetry_port != 0) {
       child_args.push_back("--telemetry-port=" +
@@ -542,17 +531,6 @@ int main(int argc, char** argv) {
               << " signal=" << outcomes[j].term_signal << "), restart "
               << (outcomes[j].restarts + 1) << "/" << config.max_restarts
               << "\n";
-    // A signal-killed child had no chance to dump its flight ring; write
-    // the black box from its last telemetry snapshot NOW, before the
-    // respawned incarnation makes the run look healthy again.
-    if (outcomes[j].term_signal != 0 && telemetry &&
-        !FileExists(flight_paths[j])) {
-      sqm::Result<std::string> flight = telemetry->LatestFlightJson(j);
-      if (flight.ok() && WriteFile(flight_paths[j], flight.ValueOrDie())) {
-        std::cerr << "supervisor: wrote " << flight_paths[j]
-                  << " from party " << j << "'s last telemetry snapshot\n";
-      }
-    }
     std::this_thread::sleep_for(
         std::chrono::duration<double>(config.restart_backoff_seconds));
     sqm::Result<sqm::net::Socket> listener = sqm::net::ListenOn(
@@ -701,20 +679,6 @@ int main(int argc, char** argv) {
                   << "\n";
         telemetry_reconciles = false;
         ok = false;
-      }
-    }
-    // A party that died by signal and never dumped its own flight ring
-    // still gets a post-mortem: its last telemetry snapshot carried the
-    // ring, so the supervisor writes flight_<j>.json on its behalf.
-    for (size_t j = 0; j < n; ++j) {
-      if (outcomes[j].term_signal == 0 || FileExists(flight_paths[j])) {
-        continue;
-      }
-      sqm::Result<std::string> flight = telemetry->LatestFlightJson(j);
-      if (flight.ok()) {
-        WriteFile(flight_paths[j], flight.ValueOrDie());
-        std::cerr << "supervisor: wrote " << flight_paths[j]
-                  << " from party " << j << "'s last telemetry snapshot\n";
       }
     }
   }

@@ -9,7 +9,7 @@
 //   sqm-party --config=deploy.json --party=2
 //       [--listen-fd=7] [--report=party2.json] [--trace=party2.trace.json]
 //       [--crash-at-mul-level=L] [--checkpoint-dir=DIR] [--incarnation=K]
-//       [--telemetry-port=P] [--telemetry-host=H] [--flight=FILE]
+//       [--telemetry-port=P] [--telemetry-host=H]
 //
 // --listen-fd adopts a pre-bound listening socket (the coordinator binds
 // every roster port before forking so no party can lose a bind race).
@@ -22,8 +22,8 @@
 // --telemetry-port connects the live telemetry channel back to the
 // coordinator: clock-offset probes, periodic state snapshots, and (via the
 // periodic durable trace rewrite) pre-crash spans that survive SIGKILL.
-// --flight names the crash flight-recorder dump file, written on fatal
-// exits, SIGTERM, and degrade (docs/OBSERVABILITY.md).
+// --trace is also the crash dump: fatal exits and SIGTERM flush the trace
+// there (docs/OBSERVABILITY.md).
 // See docs/DEPLOYMENT.md.
 
 #include <csignal>
@@ -40,7 +40,6 @@
 #include "net/tcp/party_config.h"
 #include "net/tcp/tcp_transport.h"
 #include "net/tcp/telemetry.h"
-#include "obs/flight_recorder.h"
 #include "obs/ledger.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
@@ -54,7 +53,6 @@ struct Args {
   int listen_fd = -1;
   std::string report_path;
   std::string trace_path;
-  std::string flight_path;
   std::string telemetry_host = "127.0.0.1";
   long telemetry_port = 0;
   long crash_at_mul_level = -1;
@@ -83,8 +81,7 @@ int Usage(const char* argv0) {
             << " --config=FILE --party=N [--listen-fd=FD] [--report=FILE]"
                " [--trace=FILE] [--crash-at-mul-level=L]"
                " [--checkpoint-dir=DIR] [--incarnation=K]"
-               " [--telemetry-port=P] [--telemetry-host=H]"
-               " [--flight=FILE]\n";
+               " [--telemetry-port=P] [--telemetry-host=H]\n";
   return 2;
 }
 
@@ -97,21 +94,13 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Trace path for the SIGTERM flush; set once before the handler installs.
-std::string* g_term_trace_path = nullptr;
-
-/// Supervisor-initiated shutdown: flush the same artifacts the fatal path
-/// would (trace + flight ring), then exit with the conventional 128+15.
-/// Not strictly async-signal-safe (the writers allocate), but SIGTERM here
-/// only ever means "the supervisor is done with you" — the alternative is
-/// losing the timeline of a cleanly-terminated party.
+/// Supervisor-initiated shutdown: flush the trace as the fatal path would,
+/// then exit with the conventional 128+15. Not strictly async-signal-safe
+/// (the writer allocates), but SIGTERM here only ever means "the
+/// supervisor is done with you" — the alternative is losing the timeline
+/// of a cleanly-terminated party.
 extern "C" void HandleSigTerm(int) {
-  if (sqm::obs::Enabled()) {
-    if (g_term_trace_path != nullptr && !g_term_trace_path->empty()) {
-      sqm::obs::Tracer::Global().WriteChromeTraceFile(*g_term_trace_path);
-    }
-    sqm::obs::FlightRecorder::Global().DumpForCrash();
-  }
+  sqm::obs::Tracer::Global().FlushForCrash();
   _exit(143);
 }
 
@@ -143,14 +132,10 @@ std::string BuildSnapshot(uint64_t run_id, size_t party,
   const sqm::obs::Gauge* pool =
       sqm::obs::Registry::Global().FindGauge("mpc.beaver.pool_remaining");
   w.Field("beaver_pool_depth", pool == nullptr ? -1.0 : pool->Get());
-  // The metrics registry and the flight ring ride along whole; "flight"
-  // stays the LAST member (TelemetryServer::LatestFlightJson relies on the
-  // document, not the position, but keeping it last keeps diffs stable).
+  // The metrics registry rides along whole.
   w.Key("metrics");
   std::string doc = w.str();
   doc += sqm::obs::Registry::Global().SnapshotJson();
-  doc += ",\"flight\":";
-  doc += sqm::obs::FlightRecorder::Global().ToJson();
   doc += "}";
   return doc;
 }
@@ -166,7 +151,6 @@ int main(int argc, char** argv) {
         ParseLongFlag(arg, "party", &args.party) ||
         ParseFlag(arg, "report", &args.report_path) ||
         ParseFlag(arg, "trace", &args.trace_path) ||
-        ParseFlag(arg, "flight", &args.flight_path) ||
         ParseFlag(arg, "telemetry-host", &args.telemetry_host) ||
         ParseLongFlag(arg, "telemetry-port", &args.telemetry_port) ||
         ParseLongFlag(arg, "crash-at-mul-level",
@@ -205,8 +189,8 @@ int main(int argc, char** argv) {
   const auto incarnation = static_cast<uint32_t>(args.incarnation);
 
   // The fleet-wide runtime kill switch: with obs_enabled=false this
-  // process runs with zero observability (no spans, no metrics, no flight
-  // ring, no telemetry stream, context-free frames) and must release
+  // process runs with zero observability (no spans, no metrics, no
+  // telemetry stream, context-free frames) and must release
   // bit-identical values.
   if (!config.obs_enabled) sqm::obs::SetEnabled(false);
 
@@ -218,19 +202,12 @@ int main(int argc, char** argv) {
         ((static_cast<uint64_t>(me) + 1) << 48) |
         (static_cast<uint64_t>(incarnation & 0xFF) << 40) | 1);
     sqm::obs::Tracer::SetTraceId(Mix64(config.run_id) | 1);
-    sqm::obs::FlightRecorder::Global().SetIdentity(config.run_id,
-                                                   static_cast<uint32_t>(me),
-                                                   incarnation);
-    if (!args.flight_path.empty()) {
-      sqm::obs::FlightRecorder::Global().SetDumpPath(args.flight_path);
-    }
     if (!args.trace_path.empty()) {
       // Fatal exits and SIGTERM flush to the SAME file the coordinator
       // merges, so a crashed incarnation still contributes its spans.
       sqm::obs::Tracer::Global().SetCrashDumpPath(args.trace_path);
     }
   }
-  g_term_trace_path = new std::string(args.trace_path);
   std::signal(SIGTERM, HandleSigTerm);
 
   sqm::Result<std::unique_ptr<sqm::net::TcpTransport>> transport =
@@ -319,12 +296,6 @@ int main(int argc, char** argv) {
         report.ok() ? report.ValueOrDie().transport.totals : wire->stats(),
         /*final_doc=*/true));
     delete telemetry;
-  }
-  if (sqm::obs::Enabled() && report.ok() &&
-      report.ValueOrDie().dropout.num_dropped > 0) {
-    // A degraded run is a post-mortem-worthy event even though the
-    // process survives: dump the ring alongside the report.
-    sqm::obs::FlightRecorder::Global().DumpForCrash();
   }
   if (!report.ok()) {
     std::cerr << "party " << me << ": " << report.status().ToString()

@@ -19,7 +19,7 @@ struct Finding {
   std::string path;     ///< As the file was given to the tool.
   int line = 0;         ///< 1-based.
   std::string message;  ///< One sentence; no trailing period needed.
-  bool suppressed = false;  ///< True when a sqmlint:allow directive covers it.
+  bool suppressed = false;  ///< True when a suppression directive covers it.
 };
 
 /// A source file after lexing, with its suppression directives resolved.
@@ -27,7 +27,7 @@ struct Finding {
 /// Suppression syntax:  // sqmlint:allow(check-a, check-b)
 /// A directive covers its own line and the line immediately after it (so it
 /// works both trailing the offending line and on its own line above). A
-/// "sqmlint:allow" without a parenthesized, non-empty check list is itself
+/// directive without a parenthesized, non-empty check list is itself
 /// reported under the non-suppressible check "suppression-syntax" — every
 /// suppression must carry the name of the check it silences.
 struct SourceFile {

@@ -712,20 +712,20 @@ void CheckBatchDiscipline(const Project& /*project*/, const SourceFile& file,
 
 // ---------------------------------------------------------------------------
 // obs-discipline: observability names are static identity, not data. The
-// tracer and flight recorder buffer `const char*` names raw (no copy), and
-// dynamic metric names explode registry cardinality — so the name argument
-// of every SQM_OBS_* metric macro, SQM_FLIGHT_EVENT*, and Span declaration
-// must be a string literal. Span/flight argument regions are exported into
-// traces and telemetry snapshots that leave the process, so secret-lexicon
-// identifiers must not appear there (the same rule secret-taint enforces
-// on the metric macros and AddArg).
+// tracer buffers `const char*` names raw (no copy), and dynamic metric
+// names explode registry cardinality — so the name argument of every
+// SQM_OBS_* metric macro and Span declaration must be a string literal.
+// Span argument regions are exported into traces and telemetry snapshots
+// that leave the process, so secret-lexicon identifiers must not appear
+// there (the same rule secret-taint enforces on the metric macros and
+// AddArg).
 // ---------------------------------------------------------------------------
 void CheckObsDiscipline(const Project& /*project*/, const SourceFile& file,
                         std::vector<Finding>* findings) {
   if (PathInModule(file.path, "src/testing/")) return;
   static const std::set<std::string> kNameFirstMacros = {
       "SQM_OBS_COUNTER_ADD", "SQM_OBS_COUNTER_INC", "SQM_OBS_GAUGE_SET",
-      "SQM_OBS_HISTOGRAM_RECORD", "SQM_FLIGHT_EVENT", "SQM_FLIGHT_EVENT2"};
+      "SQM_OBS_HISTOGRAM_RECORD"};
 
   // src/obs/ is where the macros and Span are DEFINED: their parameter
   // lists and forwarding bodies are not call sites, so the literal-name
@@ -773,7 +773,7 @@ void CheckObsDiscipline(const Project& /*project*/, const SourceFile& file,
       Report(findings, "obs-discipline", file, toks[i].line,
              "name passed to '" + name +
                  "' is not a string literal; observability names are "
-                 "static identity (the tracer/flight buffers keep the "
+                 "static identity (the tracer buffers keep the "
                  "pointer raw, and dynamic metric names explode "
                  "cardinality)");
     }
@@ -783,7 +783,7 @@ void CheckObsDiscipline(const Project& /*project*/, const SourceFile& file,
       Report(findings, "obs-discipline", file, toks[j].line,
              "secret-lexicon identifier '" + toks[j].text +
                  "' reaches the exported argument region of '" + name +
-                 "'; span annotations, flight events and metrics leave "
+                 "'; span annotations and metrics leave "
                  "the process via traces and telemetry snapshots");
       break;  // One secret finding per argument region.
     }
@@ -844,7 +844,7 @@ const std::vector<Check>& AllChecks() {
        CheckBatchDiscipline},
       {"obs-discipline",
        "non-literal observability names, or secret-lexicon identifiers in "
-       "exported span/flight/metric argument regions",
+       "exported span/metric argument regions",
        CheckObsDiscipline},
   };
   return kChecks;

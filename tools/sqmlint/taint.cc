@@ -26,13 +26,12 @@ bool IsIdent(const Token& t) { return t.kind == TokenKind::kIdentifier; }
 
 /// Calls whose *name alone* marks the result secret, independent of
 /// resolution — the protocol boundary API: Shamir sharing, Beaver triple
-/// deals, SecAgg pair masks, sampler draws. Resolution-based sources
+/// deals, sampler draws. Resolution-based sources
 /// (anything defined under src/sampling/ whose name starts with Sample)
 /// extend this set per project.
 const std::set<std::string>& SourceCallNames() {
   static const std::set<std::string> kNames = {
-      "Share",     "ShareBatch", "Sample",  "SampleVector",
-      "Deal",      "DealBatch",  "PairMask"};
+      "Share", "ShareBatch", "Sample", "SampleVector", "Deal", "DealBatch"};
   return kNames;
 }
 
@@ -64,12 +63,11 @@ const std::set<std::string>& StatementSinks() {
 }
 
 /// Call-shaped sinks whose argument region leaves the process through the
-/// observability plane (traces, telemetry snapshots, flight rings, JSON
-/// artifacts).
+/// observability plane (traces, telemetry snapshots, JSON artifacts).
 const std::set<std::string>& ObsCallSinks() {
   static const std::set<std::string> kNames = {
       "SQM_OBS_COUNTER_ADD", "SQM_OBS_COUNTER_INC", "SQM_OBS_GAUGE_SET",
-      "SQM_OBS_HISTOGRAM_RECORD", "SQM_FLIGHT_EVENT", "SQM_FLIGHT_EVENT2"};
+      "SQM_OBS_HISTOGRAM_RECORD"};
   return kNames;
 }
 
