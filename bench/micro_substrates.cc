@@ -109,21 +109,56 @@ void BM_StochasticRound(benchmark::State& state) {
 }
 BENCHMARK(BM_StochasticRound);
 
+// out = sum_r w_r * row_r over k = 54,400 elements: the shape of one
+// party's Shamir dealing (t+1 rows) and GRR recombination (2t+1 rows) in
+// the Sec. V-A covariance level.
+void BM_LinearCombination(benchmark::State& state) {
+  const size_t num_rows = state.range(0);
+  const size_t k = 54400;
+  Rng rng(14);
+  std::vector<std::vector<Field::Element>> rows(
+      num_rows, std::vector<Field::Element>(k));
+  std::vector<const Field::Element*> pointers;
+  std::vector<Field::Element> weights;
+  for (auto& row : rows) {
+    for (auto& v : row) v = rng.NextBounded(Field::kModulus);
+    pointers.push_back(row.data());
+    weights.push_back(rng.NextBounded(Field::kModulus));
+  }
+  std::vector<Field::Element> out(k);
+  for (auto _ : state) {
+    Field::LinearCombination(pointers.data(), weights.data(), num_rows,
+                             out.data(), k);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * k);
+}
+BENCHMARK(BM_LinearCombination)->Arg(3)->Arg(5);
+
+// Args: parties (threshold (parties-1)/2), batch size. {5, 54400} is the
+// Sec. V-A covariance level that pca_lockstep multiplies per release.
 void BM_BgwMulBatch(benchmark::State& state) {
-  const size_t parties = 4;
-  const size_t batch = state.range(0);
+  const size_t parties = state.range(0);
+  const size_t batch = state.range(1);
   LockstepTransport network(parties, 0.0);
-  BgwProtocol protocol(ShamirScheme(parties, 1), &network, 10);
+  BgwProtocol protocol(ShamirScheme(parties, (parties - 1) / 2), &network,
+                       10);
   std::vector<Field::Element> values(batch, 7);
   const SharedVector a = protocol.ShareFromParty(0, values).ValueOrDie();
   const SharedVector b = protocol.ShareFromParty(1, values).ValueOrDie();
   for (auto _ : state) {
+    // Mul consumes its operands: passing the lvalues copies both per
+    // iteration, and that copy is part of the measured time.
     auto product = protocol.Mul(a, b);
     benchmark::DoNotOptimize(product);
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }
-BENCHMARK(BM_BgwMulBatch)->Arg(64)->Arg(1024)->Arg(16384);
+BENCHMARK(BM_BgwMulBatch)
+    ->Args({4, 64})
+    ->Args({4, 1024})
+    ->Args({4, 16384})
+    ->Args({5, 54400});
 
 void BM_Gram(benchmark::State& state) {
   const size_t n = state.range(0);

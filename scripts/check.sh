@@ -86,6 +86,15 @@ fi
 "$build_dir"/bench/ablation_beaver_vs_grr --scale=small \
     --json="$build_dir/BENCH_beaver_vs_grr.json"
 
+# Archive the substrate microbenchmarks (field kernels incl. the
+# LinearCombination rows, Shamir, samplers, the pca-shaped BGW Mul batch)
+# as google-benchmark JSON: five repetitions, aggregates only, so each row
+# carries its mean/median/stddev as the before/after evidence for
+# kernel-level changes.
+"$build_dir"/bench/micro_substrates --benchmark_format=json \
+    --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
+    > "$build_dir/BENCH_micro_substrates.json"
+
 # Archive the observability-overhead record (in-process collection cost
 # plus the tcp-localhost wire path, where the traced leg also carries
 # trace context in every frame header): the telemetry-never-changes-

@@ -55,48 +55,43 @@ Result<SharedVector> BgwEngine::EvaluateToShares(
     obs::Tracer::Global().Instant(event);
   }
 
+  std::vector<Field::Element>& table = ckpt->wire_shares;
+  auto shares = [&](size_t wire) { return &table[wire * n]; };
   if (!resuming) {
     stats_before_ = network_->stats();
     ckpt->next_level = 0;
     ckpt->mul_rounds_done = 0;
-    // wire_shares[party][wire] lives inside the checkpoint: each completed
-    // level's results are persisted in place, no copies.
-    ckpt->wire_shares.assign(n,
-                             std::vector<Field::Element>(gates.size(), 0));
+    // The wire-major share table lives inside the checkpoint: each
+    // completed level's results are persisted in place, no copies.
+    table.assign(gates.size() * n, 0);
 
     // ---- Phase 1: input sharing (one protocol round per contributing
     // party; each party's inputs are batched into a single message per
     // recipient). Crashed parties' input shares survive among the live
     // parties, so a later resume never repeats this phase.
+    std::vector<SharedVector> dealt(n);
     for (size_t j = 0; j < n; ++j) {
       if (inputs_per_party[j].empty()) continue;
       SQM_ASSIGN_OR_RETURN(
-          const SharedVector shared,
+          dealt[j],
           protocol_.ShareFromParty(j,
                                    Field::EncodeVector(inputs_per_party[j])));
-      // Scatter this party's input shares onto its input wires.
-      size_t index = 0;
-      for (size_t w = 0; w < gates.size(); ++w) {
-        const Circuit::Gate& gate = gates[w];
-        if (gate.kind == Circuit::GateKind::kInput && gate.owner() == j) {
-          for (size_t r = 0; r < n; ++r) {
-            ckpt->wire_shares[r][w] = shared.shares(r)[gate.input_index()];
-          }
-          ++index;
-        }
+    }
+    // Scatter every party's input shares onto its input wires in one pass.
+    for (size_t w = 0; w < gates.size(); ++w) {
+      const Circuit::Gate& gate = gates[w];
+      if (gate.kind != Circuit::GateKind::kInput) continue;
+      for (size_t r = 0; r < n; ++r) {
+        shares(w)[r] = dealt[gate.owner()].shares(r)[gate.input_index()];
       }
-      SQM_CHECK(index == inputs_per_party[j].size());
     }
     ckpt->valid = true;
   } else {
-    SQM_CHECK(ckpt->wire_shares.size() == n);
-    SQM_CHECK(ckpt->wire_shares[0].size() == gates.size());
+    SQM_CHECK(table.size() == gates.size() * n);
     // Stale sub-shares queued by the aborted round must not mix into the
     // retry's fresh resharing randomness.
     protocol_.DrainPending();
   }
-
-  std::vector<std::vector<Field::Element>>& wire_shares = ckpt->wire_shares;
 
   // ---- Phase 2: evaluate gate levels. Multiplications of equal depth are
   // batched into one communication round.
@@ -106,27 +101,24 @@ Result<SharedVector> BgwEngine::EvaluateToShares(
 
   auto process_local_gate = [&](size_t w) {
     const Circuit::Gate& gate = gates[w];
-    for (size_t r = 0; r < n; ++r) {
-      auto& shares = wire_shares[r];
-      switch (gate.kind) {
-        case Circuit::GateKind::kConstant:
-          // Public constant = degree-0 sharing: everyone holds the value.
-          shares[w] = Field::Reduce(circuit.constant(gate));
-          break;
-        case Circuit::GateKind::kAdd:
-          shares[w] = Field::Add(shares[gate.lhs], shares[gate.rhs]);
-          break;
-        case Circuit::GateKind::kSub:
-          shares[w] = Field::Sub(shares[gate.lhs], shares[gate.rhs]);
-          break;
-        case Circuit::GateKind::kMulConst:
-          shares[w] = Field::Mul(shares[gate.lhs],
-                                 Field::Reduce(circuit.constant(gate)));
-          break;
-        case Circuit::GateKind::kInput:
-        case Circuit::GateKind::kMul:
-          break;  // Inputs done in phase 1; muls handled per level.
-      }
+    switch (gate.kind) {
+      case Circuit::GateKind::kConstant:
+        // Public constant = degree-0 sharing: everyone holds the value.
+        std::fill_n(shares(w), n, Field::Reduce(circuit.constant(gate)));
+        break;
+      case Circuit::GateKind::kAdd:
+        Field::AddVec(shares(gate.lhs), shares(gate.rhs), shares(w), n);
+        break;
+      case Circuit::GateKind::kSub:
+        Field::SubVec(shares(gate.lhs), shares(gate.rhs), shares(w), n);
+        break;
+      case Circuit::GateKind::kMulConst:
+        Field::ScaleVec(shares(gate.lhs),
+                        Field::Reduce(circuit.constant(gate)), shares(w), n);
+        break;
+      case Circuit::GateKind::kInput:
+      case Circuit::GateKind::kMul:
+        break;  // Inputs done in phase 1; muls handled per level.
     }
   };
 
@@ -142,19 +134,22 @@ Result<SharedVector> BgwEngine::EvaluateToShares(
       if (!mul_wires.empty()) {
         SharedVector lhs(n, mul_wires.size());
         SharedVector rhs(n, mul_wires.size());
-        for (size_t r = 0; r < n; ++r) {
-          for (size_t i = 0; i < mul_wires.size(); ++i) {
-            lhs.shares(r)[i] = wire_shares[r][gates[mul_wires[i]].lhs];
-            rhs.shares(r)[i] = wire_shares[r][gates[mul_wires[i]].rhs];
+        for (size_t i = 0; i < mul_wires.size(); ++i) {
+          const Field::Element* l = shares(gates[mul_wires[i]].lhs);
+          const Field::Element* r = shares(gates[mul_wires[i]].rhs);
+          for (size_t p = 0; p < n; ++p) {
+            lhs.shares(p)[i] = l[p];
+            rhs.shares(p)[i] = r[p];
           }
         }
-        // A failed Mul leaves wire_shares at the previous level and
-        // ckpt->next_level == level: exactly where a retry must resume.
-        SQM_ASSIGN_OR_RETURN(SharedVector products, protocol_.Mul(lhs, rhs));
-        for (size_t r = 0; r < n; ++r) {
-          for (size_t i = 0; i < mul_wires.size(); ++i) {
-            wire_shares[r][mul_wires[i]] = products.shares(r)[i];
-          }
+        // The operands are gathered copies, so a failed Mul leaves the
+        // table at the previous level and ckpt->next_level == level:
+        // exactly where a retry must resume.
+        SQM_ASSIGN_OR_RETURN(const SharedVector products,
+                             protocol_.Mul(std::move(lhs), std::move(rhs)));
+        for (size_t i = 0; i < mul_wires.size(); ++i) {
+          Field::Element* out = shares(mul_wires[i]);
+          for (size_t p = 0; p < n; ++p) out[p] = products.shares(p)[i];
         }
         ++ckpt->mul_rounds_done;
       }
@@ -171,10 +166,9 @@ Result<SharedVector> BgwEngine::EvaluateToShares(
   }
 
   SharedVector out_shares(n, circuit.outputs().size());
-  for (size_t r = 0; r < n; ++r) {
-    for (size_t i = 0; i < circuit.outputs().size(); ++i) {
-      out_shares.shares(r)[i] = wire_shares[r][circuit.outputs()[i]];
-    }
+  for (size_t i = 0; i < circuit.outputs().size(); ++i) {
+    const Field::Element* wire = shares(circuit.outputs()[i]);
+    for (size_t r = 0; r < n; ++r) out_shares.shares(r)[i] = wire[r];
   }
   last_report_.multiplications = circuit.num_multiplications();
   last_report_.mul_rounds = ckpt->mul_rounds_done;

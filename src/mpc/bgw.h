@@ -29,7 +29,8 @@ struct BgwExecutionReport {
 struct BgwCheckpoint {
   bool valid = false;    ///< Inputs shared; wire_shares meaningful.
   size_t next_level = 0; ///< First multiplication level not yet completed.
-  std::vector<std::vector<Field::Element>> wire_shares;  ///< [party][wire].
+  /// One wire-major table: wire w's n shares sit at [w * n, w * n + n).
+  std::vector<Field::Element> wire_shares;
   size_t mul_rounds_done = 0;
 };
 

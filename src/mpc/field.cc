@@ -129,9 +129,25 @@ void Field::ScaleVec(const Element* a, Element c, Element* out, size_t n) {
   for (size_t i = 0; i < n; ++i) out[i] = MulOneBranchless(a[i], c);
 }
 
-void Field::MulAddVec(Element* acc, const Element* v, Element w, size_t n) {
+void Field::LinearCombination(const Element* const* rows,
+                              const Element* weights, size_t num_rows,
+                              Element* out, size_t n) {
+  // 64 products of sub-2^61 operands plus a folded carry (< 2^63) stay
+  // below 2^128; the fold sums the 128-bit total's three 61-bit limbs
+  // (2^61 == 1 mod p). The loop bounds depend on public counts only.
   for (size_t i = 0; i < n; ++i) {
-    acc[i] = CanonicalizeBranchless(acc[i] + MulOneBranchless(v[i], w));
+    uint64_t folded = 0;
+    for (size_t base = 0; base < num_rows; base += 64) {
+      const size_t end = base + 64 < num_rows ? base + 64 : num_rows;
+      __uint128_t acc = folded;
+      for (size_t r = base; r < end; ++r) {
+        acc += static_cast<__uint128_t>(rows[r][i]) * weights[r];
+      }
+      folded = (static_cast<uint64_t>(acc) & kModulus) +
+               (static_cast<uint64_t>(acc >> 61) & kModulus) +
+               static_cast<uint64_t>(acc >> 122);
+    }
+    out[i] = Reduce(folded);
   }
 }
 

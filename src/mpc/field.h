@@ -80,8 +80,11 @@ class Field {
                      size_t n);
   /// out[i] = a[i] * c.
   static void ScaleVec(const Element* a, Element c, Element* out, size_t n);
-  /// acc[i] += w * v[i] — the Lagrange-recombination axpy.
-  static void MulAddVec(Element* acc, const Element* v, Element w, size_t n);
+  /// out[i] = sum_r weights[r] * rows[r][i] over inputs below 2^61, each
+  /// element reduced once (folded every 64 rows); `out` may alias a row.
+  static void LinearCombination(const Element* const* rows,
+                                const Element* weights, size_t num_rows,
+                                Element* out, size_t n);
   /// Sum of a[0..n) in the field. Field addition is exact mod p, so the
   /// reduction order cannot change the result.
   static Element SumVec(const Element* a, size_t n);

@@ -103,7 +103,7 @@ Result<std::vector<int64_t>> SecureOps::NoisyCovarianceUpper(
     }
   }
   SQM_ASSIGN_OR_RETURN(const SharedVector products,
-                       protocol_->Mul(lhs, rhs));
+                       protocol_->Mul(std::move(lhs), std::move(rhs)));
 
   // Local per-pair summation over the m records.
   SharedVector gram(n, d);
@@ -193,21 +193,22 @@ Result<std::vector<int64_t>> SecureOps::NoisyLogisticGradient(
     }
   }
   SQM_ASSIGN_OR_RETURN(const SharedVector products,
-                       protocol_->Mul(lhs, rhs));
+                       protocol_->Mul(std::move(lhs), std::move(rhs)));
 
   // grad[t] = sum_i (c-hat x_{i,t} + (u x)_{i,t} + l-hat (y x)_{i,t}).
   const Field::Element c_hat = Field::Encode(inputs.half_coefficient);
   const Field::Element l_hat = Field::Encode(inputs.label_coefficient);
+  const Field::Element weights[3] = {c_hat, 1, l_hat};
   SharedVector grad(parties, d);
   std::vector<Field::Element> row(m);
   for (size_t party = 0; party < parties; ++party) {
     const auto& prod = products.shares(party);
     auto& out = grad.shares(party);
     for (size_t t = 0; t < d; ++t) {
-      const auto& x_sh = x_cols[t].shares(party);
-      Field::ScaleVec(x_sh.data(), c_hat, row.data(), m);
-      Field::AddVec(row.data(), prod.data() + t * m, row.data(), m);
-      Field::MulAddVec(row.data(), prod.data() + (d + t) * m, l_hat, m);
+      const Field::Element* terms[3] = {x_cols[t].shares(party).data(),
+                                        prod.data() + t * m,
+                                        prod.data() + (d + t) * m};
+      Field::LinearCombination(terms, weights, 3, row.data(), m);
       out[t] = Field::SumVec(row.data(), m);
     }
   }
@@ -286,18 +287,19 @@ Result<std::vector<int64_t>> SecureOps::NoisyLinearGradient(
     }
   }
   SQM_ASSIGN_OR_RETURN(const SharedVector products,
-                       protocol_->Mul(lhs, rhs));
+                       protocol_->Mul(std::move(lhs), std::move(rhs)));
 
   const Field::Element t_hat = Field::Encode(inputs.target_coefficient);
+  const Field::Element weights[2] = {1, t_hat};
   SharedVector grad(parties, d);
   std::vector<Field::Element> row(m);
   for (size_t party = 0; party < parties; ++party) {
     const auto& prod = products.shares(party);
     auto& out = grad.shares(party);
     for (size_t t = 0; t < d; ++t) {
-      row.assign(prod.begin() + static_cast<std::ptrdiff_t>(t * m),
-                 prod.begin() + static_cast<std::ptrdiff_t>((t + 1) * m));
-      Field::MulAddVec(row.data(), prod.data() + (d + t) * m, t_hat, m);
+      const Field::Element* terms[2] = {prod.data() + t * m,
+                                        prod.data() + (d + t) * m};
+      Field::LinearCombination(terms, weights, 2, row.data(), m);
       out[t] = Field::SumVec(row.data(), m);
     }
   }

@@ -201,10 +201,9 @@ Result<PartyProtocol::Shares> PartyProtocol::Mul(const Shares& a,
   // weights; later dealers' batches are received and discarded, exactly as
   // in the driver.
   const size_t needed = 2 * scheme_.threshold() + 1;
-  Shares out(k, 0);
+  std::vector<Shares> kept(needed);
   for (size_t j = 0; j < n; ++j) {
-    SQM_ASSIGN_OR_RETURN(const std::vector<Field::Element> received,
-                         RecvData(j));
+    SQM_ASSIGN_OR_RETURN(Shares received, RecvData(j));
     if (received.size() != k) {
       return Status::IntegrityViolation(
           "Mul sub-share batch from dealer " + std::to_string(j) +
@@ -212,9 +211,13 @@ Result<PartyProtocol::Shares> PartyProtocol::Mul(const Shares& a,
           std::to_string(received.size()) + " elements, expected " +
           std::to_string(k) + " (replayed or stale message)");
     }
-    if (j >= needed) continue;
-    Field::MulAddVec(out.data(), received.data(), degree2t_lagrange_[j], k);
+    if (j < needed) kept[j] = std::move(received);
   }
+  std::vector<const Field::Element*> rows;
+  for (const Shares& row : kept) rows.push_back(row.data());
+  Shares out(k);
+  Field::LinearCombination(rows.data(), degree2t_lagrange_.data(), needed,
+                           out.data(), k);
   return out;
 }
 
@@ -369,10 +372,11 @@ Result<PartyProtocol::Shares> PartyProtocol::MulQuorum(const Shares& a,
   // path, so degraded outputs equal the no-crash outputs.
   const std::vector<size_t> dealers(usable.begin(), usable.begin() + needed);
   const std::vector<Field::Element> weights = scheme_.LagrangeAtZero(dealers);
-  Shares out(k, 0);
-  for (size_t d = 0; d < dealers.size(); ++d) {
-    Field::MulAddVec(out.data(), payloads[dealers[d]].data(), weights[d], k);
-  }
+  std::vector<const Field::Element*> rows;
+  for (size_t dealer : dealers) rows.push_back(payloads[dealer].data());
+  Shares out(k);
+  Field::LinearCombination(rows.data(), weights.data(), rows.size(),
+                           out.data(), k);
   return out;
 }
 

@@ -145,8 +145,7 @@ Result<SharedVector> BgwProtocol::AddPublic(
   return out;
 }
 
-Result<SharedVector> BgwProtocol::Mul(const SharedVector& a,
-                                      const SharedVector& b) {
+Result<SharedVector> BgwProtocol::Mul(SharedVector a, SharedVector b) {
   if (a.size() != b.size() || a.num_parties() != b.num_parties()) {
     return Status::InvalidArgument("Mul: shape mismatch");
   }
@@ -158,21 +157,21 @@ Result<SharedVector> BgwProtocol::Mul(const SharedVector& a,
   obs::Span span("bgw.mul", "mpc");
   span.AddArg("elements", static_cast<int64_t>(k));
 
-  // Step 1 (local): each party multiplies its shares, yielding a share of a
-  // degree-2t polynomial with the right free coefficient.
+  // Step 1 (local): each party multiplies its shares in place in `a` (and
+  // frees its row of `b`), yielding a degree-2t sharing of the product.
   // Step 2 (re-share): each party deals a fresh degree-t sharing of its
   // degree-2t share batch and distributes the sub-shares — one message per
   // pair carrying all k elements. Dead parties neither compute nor send
   // (their RNG streams are independent, so skipping them leaves the
   // survivors' randomness — and hence the recombined free coefficients —
   // untouched), and nobody sends to them.
-  std::vector<Field::Element> products(k);
   for (size_t j = 0; j < n; ++j) {
     if (PartyDead(j)) continue;
     obs::Span deal("bgw.mul.deal", "mpc", static_cast<int32_t>(j));
     deal.AddArg("party", static_cast<int64_t>(j));
-    Field::MulVec(a.shares(j).data(), b.shares(j).data(), products.data(),
-                  k);
+    std::vector<Field::Element>& products = a.shares(j);
+    Field::MulVec(products.data(), b.shares(j).data(), products.data(), k);
+    std::vector<Field::Element>().swap(b.shares(j));
     std::vector<std::vector<Field::Element>> outbound =
         scheme_.ShareBatch(products, party_rngs_[j]);
     for (size_t r = 0; r < n; ++r) {
@@ -242,26 +241,30 @@ Result<SharedVector> BgwProtocol::Mul(const SharedVector& a,
         " delivered (dead: " + std::to_string(liveness_->num_dead()) + ")");
   }
 
-  // Step 3 (local): recombine with the Lagrange weights for exactly those
-  // dealers' evaluation points. Any 2t+1 of them yield the same free
-  // coefficient, so degraded outputs equal the no-crash outputs.
+  // Step 3 (local): recombine into `a`'s rows (dead parties' are zeroed)
+  // with the Lagrange weights for exactly those dealers' evaluation points.
+  // Any 2t+1 of them yield the same free coefficient, so degraded outputs
+  // equal the no-crash outputs.
   const std::vector<Field::Element> weights =
       dealers.back() + 1 == needed ? degree2t_lagrange_
                                    : scheme_.LagrangeAtZero(dealers);
-  SharedVector out(n, k);
+  std::vector<const Field::Element*> sub_shares(needed);
   for (size_t r = 0; r < n; ++r) {
-    if (PartyDead(r)) continue;
+    std::vector<Field::Element>& out = a.shares(r);
+    if (PartyDead(r)) {
+      std::fill(out.begin(), out.end(), 0);
+      continue;
+    }
     obs::Span recombine("bgw.mul.recombine", "mpc", static_cast<int32_t>(r));
     recombine.AddArg("party", static_cast<int64_t>(r));
-    auto& acc = out.shares(r);
-    for (size_t d = 0; d < needed; ++d) {
-      Field::MulAddVec(acc.data(), rows[d][r].data(), weights[d], k);
-    }
+    for (size_t d = 0; d < needed; ++d) sub_shares[d] = rows[d][r].data();
+    Field::LinearCombination(sub_shares.data(), weights.data(), needed,
+                             out.data(), k);
   }
   if (verify_sharings_) {
-    SQM_RETURN_NOT_OK(VerifySharing(out, "Mul output"));
+    SQM_RETURN_NOT_OK(VerifySharing(a, "Mul output"));
   }
-  return out;
+  return a;
 }
 
 SharedVector BgwProtocol::SumElements(const SharedVector& a) const {

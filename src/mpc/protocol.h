@@ -107,8 +107,9 @@ class BgwProtocol {
                                  const std::vector<Field::Element>& pub) const;
 
   /// Element-wise product with GRR degree reduction (or the Beaver online
-  /// path when a pool is attached); one communication round.
-  Result<SharedVector> Mul(const SharedVector& a, const SharedVector& b);
+  /// path when a pool is attached); one communication round. Consumes its
+  /// operands: the product is returned in `a`'s storage.
+  Result<SharedVector> Mul(SharedVector a, SharedVector b);
 
   /// Sum of all elements into a 1-element shared vector; local.
   SharedVector SumElements(const SharedVector& a) const;

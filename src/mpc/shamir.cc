@@ -92,22 +92,21 @@ std::vector<std::vector<Field::Element>> ShamirScheme::ShareBatch(
   const size_t d = secrets.size();
   // Draw every polynomial's coefficients first, secret-major — the exact
   // order d scalar Share calls consume the stream — then evaluate all d
-  // polynomials per party as one table multiply-accumulate sweep per
-  // coefficient index.
-  std::vector<std::vector<Field::Element>> coeffs(
-      threshold_, std::vector<Field::Element>(d));
+  // polynomials per party as one linear combination of the coefficient
+  // rows {secrets, c_1, ..., c_t} weighted by that party's Vandermonde row.
+  std::vector<Field::Element> coeffs(threshold_ * d);
   for (size_t i = 0; i < d; ++i) {
     for (size_t e = 0; e < threshold_; ++e) {
-      coeffs[e][i] = rng.NextBounded(Field::kModulus);
+      coeffs[e * d + i] = rng.NextBounded(Field::kModulus);
     }
   }
-  std::vector<std::vector<Field::Element>> rows(num_parties_);
+  std::vector<const Field::Element*> terms(threshold_ + 1, secrets.data());
+  for (size_t e = 0; e < threshold_; ++e) terms[e + 1] = coeffs.data() + e * d;
+  std::vector<std::vector<Field::Element>> rows(
+      num_parties_, std::vector<Field::Element>(d));
   for (size_t j = 0; j < num_parties_; ++j) {
-    rows[j] = secrets;  // vandermonde_[j][0] == 1: constant term.
-    for (size_t e = 0; e < threshold_; ++e) {
-      Field::MulAddVec(rows[j].data(), coeffs[e].data(),
-                       vandermonde_[j][e + 1], d);
-    }
+    Field::LinearCombination(terms.data(), vandermonde_[j].data(),
+                             terms.size(), rows[j].data(), d);
   }
   return rows;
 }
@@ -143,10 +142,11 @@ std::vector<Field::Element> ShamirScheme::ReconstructBatch(
   for (const std::vector<Field::Element>& row : rows) {
     SQM_CHECK(row.size() == d);
   }
-  std::vector<Field::Element> out(d, 0);
-  for (size_t j = 0; j <= threshold_; ++j) {
-    Field::MulAddVec(out.data(), rows[j].data(), lagrange_t_[j], d);
-  }
+  std::vector<const Field::Element*> basis;
+  for (size_t j = 0; j <= threshold_; ++j) basis.push_back(rows[j].data());
+  std::vector<Field::Element> out(d);
+  Field::LinearCombination(basis.data(), lagrange_t_.data(), basis.size(),
+                           out.data(), d);
   return out;
 }
 
@@ -157,6 +157,7 @@ Result<std::vector<Field::Element>> ShamirScheme::ReconstructBatchFromSurvivors(
   std::vector<size_t> parties;
   SQM_ASSIGN_OR_RETURN(parties, SelectSurvivorBasis(survivors, degree));
   size_t d = rows[parties[0]].size();
+  std::vector<const Field::Element*> basis;
   for (size_t party : parties) {
     if (rows[party].size() != d) {
       return Status::IntegrityViolation(
@@ -164,12 +165,12 @@ Result<std::vector<Field::Element>> ShamirScheme::ReconstructBatchFromSurvivors(
           " sent a batch of length " + std::to_string(rows[party].size()) +
           ", expected " + std::to_string(d));
     }
+    basis.push_back(rows[party].data());
   }
   const std::vector<Field::Element> lagrange = LagrangeAtZero(parties);
-  std::vector<Field::Element> out(d, 0);
-  for (size_t j = 0; j < parties.size(); ++j) {
-    Field::MulAddVec(out.data(), rows[parties[j]].data(), lagrange[j], d);
-  }
+  std::vector<Field::Element> out(d);
+  Field::LinearCombination(basis.data(), lagrange.data(), basis.size(),
+                           out.data(), d);
   return out;
 }
 

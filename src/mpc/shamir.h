@@ -38,11 +38,13 @@ class ShamirScheme {
   std::vector<Field::Element> Share(Field::Element secret, Rng& rng) const;
 
   /// Batched sharing: splits a d-vector of secrets into one d-row per
-  /// party, evaluating against the precomputed Vandermonde table instead of
-  /// d Horner walks. Draws randomness in exactly the order d scalar Share
-  /// calls would (secret-major, coefficient-minor), so a driver issuing
-  /// ShareBatch and a replayer issuing d Share calls stay bit-identical and
-  /// leave `rng` at the same cursor.
+  /// party. Party j's row is one Field::LinearCombination of the rows
+  /// {secrets, c_1, ..., c_t} weighted by its precomputed Vandermonde row
+  /// (alpha_j^0..alpha_j^t), instead of d Horner walks. Draws randomness in
+  /// exactly the order d scalar Share calls would (secret-major,
+  /// coefficient-minor), so a driver issuing ShareBatch and a replayer
+  /// issuing d Share calls stay bit-identical and leave `rng` at the same
+  /// cursor.
   std::vector<std::vector<Field::Element>> ShareBatch(
       const std::vector<Field::Element>& secrets, Rng& rng) const;
 
@@ -71,8 +73,8 @@ class ShamirScheme {
       const std::vector<Field::Element>& shares) const;
 
   /// Batched reconstruction of d secrets from per-party d-rows
-  /// (`rows[party][i]`), using the precomputed degree-t Lagrange weights —
-  /// one multiply-accumulate sweep per basis party instead of d
+  /// (`rows[party][i]`): one Field::LinearCombination of the first t+1
+  /// rows under the precomputed degree-t Lagrange weights instead of d
   /// interpolations. Bit-identical to d scalar Reconstruct calls.
   std::vector<Field::Element> ReconstructBatch(
       const std::vector<std::vector<Field::Element>>& rows) const;

@@ -1,7 +1,5 @@
 #include "sampling/rng.h"
 
-#include "core/logging.h"
-
 namespace sqm {
 namespace {
 
@@ -14,8 +12,6 @@ uint64_t SplitMix64(uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -24,29 +20,6 @@ Rng::Rng(uint64_t seed) {
   // All-zero state is a fixed point of xoshiro; splitmix cannot produce four
   // zero outputs from any seed, but guard anyway.
   if ((state_[0] | state_[1] | state_[2] | state_[3]) == 0) state_[0] = 1;
-}
-
-uint64_t Rng::NextUint64() {
-  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-uint64_t Rng::NextBounded(uint64_t bound) {
-  SQM_CHECK(bound > 0);
-  // Lemire-style rejection: accept only draws in the largest multiple of
-  // `bound` to avoid modulo bias.
-  const uint64_t threshold = -bound % bound;
-  for (;;) {
-    const uint64_t r = NextUint64();
-    if (r >= threshold) return r % bound;
-  }
 }
 
 double Rng::NextDouble() {

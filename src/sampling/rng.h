@@ -3,6 +3,8 @@
 
 #include <cstdint>
 
+#include "core/logging.h"
+
 namespace sqm {
 
 /// Deterministic 64-bit random engine (xoshiro256**), seeded via splitmix64.
@@ -23,11 +25,30 @@ class Rng {
   explicit Rng(uint64_t seed);
 
   /// Returns the next raw 64-bit output.
-  uint64_t NextUint64();
+  uint64_t NextUint64() {
+    const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
+    const uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = Rotl(state_[3], 45);
+    return result;
+  }
 
   /// Returns an unbiased draw from {0, ..., bound - 1}. `bound` must be > 0.
-  /// Uses rejection to avoid modulo bias.
-  uint64_t NextBounded(uint64_t bound);
+  /// Inline, so a constant bound's two divisions compile to multiplies.
+  uint64_t NextBounded(uint64_t bound) {
+    SQM_CHECK(bound > 0);
+    // Lemire-style rejection: accept only draws in the largest multiple of
+    // `bound` to avoid modulo bias.
+    const uint64_t threshold = -bound % bound;
+    for (;;) {
+      const uint64_t r = NextUint64();
+      if (r >= threshold) return r % bound;
+    }
+  }
 
   /// Returns a double uniform in [0, 1) with 53 bits of precision.
   double NextDouble();
@@ -51,6 +72,8 @@ class Rng {
   static Rng FromState(const uint64_t state[4]);
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
   uint64_t state_[4];
 };
 

@@ -86,16 +86,81 @@ TEST(FieldVecEquivalence, AddSubMulScaleMatchScalarBitForBit) {
   }
 }
 
-TEST(FieldVecEquivalence, MulAddVecMatchesScalarAccumulation) {
-  const std::vector<Field::Element> v = AdversarialOperands(303);
-  const Field::Element w = (Field::kModulus - 1) / 3;
-  std::vector<Field::Element> acc_vec = AdversarialOperands(404);
-  std::vector<Field::Element> acc_ref = acc_vec;
-  Field::MulAddVec(acc_vec.data(), v.data(), w, v.size());
-  for (size_t i = 0; i < v.size(); ++i) {
-    acc_ref[i] = Field::Add(acc_ref[i], Field::Mul(v[i], w));
+// Scalar ground truth for Field::LinearCombination: a Field::Add /
+// Field::Mul chain reduced after every term.
+std::vector<Field::Element> ScalarLinearCombination(
+    const std::vector<std::vector<Field::Element>>& rows,
+    const std::vector<Field::Element>& weights, size_t n) {
+  std::vector<Field::Element> out(n, 0);
+  for (size_t r = 0; r < rows.size(); ++r) {
+    for (size_t i = 0; i < n; ++i) {
+      out[i] = Field::Add(out[i], Field::Mul(weights[r], rows[r][i]));
+    }
   }
-  EXPECT_EQ(acc_vec, acc_ref);
+  return out;
+}
+
+std::vector<const Field::Element*> RowPointers(
+    const std::vector<std::vector<Field::Element>>& rows) {
+  std::vector<const Field::Element*> pointers;
+  for (const std::vector<Field::Element>& row : rows) {
+    pointers.push_back(row.data());
+  }
+  return pointers;
+}
+
+TEST(FieldVecEquivalence, LinearCombinationMatchesScalarAccumulation) {
+  // Row counts straddle the kernel's 64-term fold boundary.
+  const size_t n = AdversarialOperands(0).size();
+  for (const size_t num_rows : {0, 1, 3, 5, 64, 65, 200}) {
+    std::vector<std::vector<Field::Element>> rows;
+    for (size_t r = 0; r < num_rows; ++r) {
+      rows.push_back(AdversarialOperands(303 + r));
+    }
+    std::vector<Field::Element> weights = AdversarialOperands(404);
+    while (weights.size() < num_rows) weights.push_back(weights.size() * 7919);
+    std::vector<Field::Element> got(n, 12345);
+    const std::vector<const Field::Element*> pointers = RowPointers(rows);
+    Field::LinearCombination(pointers.data(), weights.data(), num_rows,
+                             got.data(), n);
+    EXPECT_EQ(got, ScalarLinearCombination(rows, weights, n))
+        << num_rows << " rows";
+  }
+}
+
+TEST(FieldVecEquivalence, LinearCombinationWorstCaseOperands) {
+  // Every element and weight at p-1 maximizes each unreduced product, so
+  // 200 rows overflow 128 bits unless the accumulator folds in time.
+  const size_t n = 17;
+  for (const size_t num_rows : {1, 64, 65, 200}) {
+    const std::vector<std::vector<Field::Element>> rows(
+        num_rows, std::vector<Field::Element>(n, Field::kModulus - 1));
+    const std::vector<Field::Element> weights(num_rows, Field::kModulus - 1);
+    std::vector<Field::Element> got(n);
+    const std::vector<const Field::Element*> pointers = RowPointers(rows);
+    Field::LinearCombination(pointers.data(), weights.data(), num_rows,
+                             got.data(), n);
+    // (p-1)^2 == 1 (mod p): the sum is num_rows.
+    EXPECT_EQ(got, std::vector<Field::Element>(n, num_rows))
+        << num_rows << " rows";
+    EXPECT_EQ(got, ScalarLinearCombination(rows, weights, n));
+  }
+}
+
+TEST(FieldVecEquivalence, LinearCombinationOutputMayAliasFirstRow) {
+  std::vector<std::vector<Field::Element>> rows;
+  for (uint64_t seed : {505, 606, 707}) {
+    rows.push_back(AdversarialOperands(seed));
+  }
+  const std::vector<Field::Element> weights = {Field::kModulus - 1, 3,
+                                               (Field::kModulus - 1) / 3};
+  const size_t n = rows[0].size();
+  const std::vector<Field::Element> expected =
+      ScalarLinearCombination(rows, weights, n);
+  const std::vector<const Field::Element*> pointers = RowPointers(rows);
+  Field::LinearCombination(pointers.data(), weights.data(), rows.size(),
+                           rows[0].data(), n);
+  EXPECT_EQ(rows[0], expected);
 }
 
 TEST(FieldVecEquivalence, ReduceVecMatchesScalarReduceAboveModulus) {

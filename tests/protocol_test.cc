@@ -1,4 +1,5 @@
 #include "mpc/protocol.h"
+#include "net/liveness.h"
 #include "net/lockstep.h"
 
 #include <gtest/gtest.h>
@@ -96,6 +97,42 @@ TEST_F(ProtocolTest, MulIsExactIncludingNegatives) {
   const SharedVector product = protocol_.Mul(a, b).ValueOrDie();
   EXPECT_EQ(protocol_.OpenSigned(product).ValueOrDie(),
             (std::vector<int64_t>{15, -24, 0, -1000000}));
+}
+
+TEST_F(ProtocolTest, MulLeavesLvalueOperandsUnchanged) {
+  // Mul takes its operands by value and works in place in them; an lvalue
+  // caller's vectors must come through as copies, untouched.
+  const SharedVector a =
+      protocol_.ShareFromParty(0, Field::EncodeVector({3, -4, 7})).ValueOrDie();
+  SharedVector b =
+      protocol_.ShareFromParty(1, Field::EncodeVector({5, 6, -2})).ValueOrDie();
+  const SharedVector a_before = a;
+  const SharedVector b_before = b;
+  const SharedVector product = protocol_.Mul(a, b).ValueOrDie();
+  for (size_t j = 0; j < kParties; ++j) {
+    EXPECT_EQ(a.shares(j), a_before.shares(j)) << "party " << j;
+    EXPECT_EQ(b.shares(j), b_before.shares(j)) << "party " << j;
+  }
+  EXPECT_EQ(protocol_.OpenSigned(product).ValueOrDie(),
+            (std::vector<int64_t>{15, -24, -14}));
+}
+
+TEST(ProtocolDropoutTest, DeadPartyRowIsZeroedAndSurvivorsOpenTheProduct) {
+  // n = 5, t = 1: 2t+1 = 3 dealers suffice, so one dead party degrades
+  // the Mul instead of failing it.
+  LockstepTransport network(5, 0.0);
+  BgwProtocol protocol(ShamirScheme(5, 1), &network, 21);
+  const SharedVector a =
+      protocol.ShareFromParty(0, Field::EncodeVector({6, -9, 0})).ValueOrDie();
+  const SharedVector b =
+      protocol.ShareFromParty(1, Field::EncodeVector({7, 11, 5})).ValueOrDie();
+  LivenessTracker tracker(5);
+  tracker.MarkDead(3);
+  protocol.set_liveness(&tracker);
+  const SharedVector product = protocol.Mul(a, b).ValueOrDie();
+  EXPECT_EQ(product.shares(3), (std::vector<Field::Element>(3, 0)));
+  EXPECT_EQ(protocol.OpenSigned(product).ValueOrDie(),
+            (std::vector<int64_t>{42, -99, 0}));
 }
 
 TEST_F(ProtocolTest, MulCostsOneRoundAndQuadraticMessages) {

@@ -607,9 +607,9 @@ void CheckRetryDiscipline(const Project& /*project*/, const SourceFile& file,
 // multiply/open, the Beaver pool, the SQM driver) must not loop scalar
 // Field::Add/Sub/Mul/Neg over an induction-indexed element — that is the
 // pattern the span kernels (Field::AddVec/SubVec/MulVec/ScaleVec/
-// MulAddVec/SumVec) and the Shamir *Batch entry points replaced. A scalar
-// call in a counted loop whose arguments index by the loop variable is a
-// de-vectorization regression; genuinely scalar sites carry
+// LinearCombination/SumVec) and the Shamir *Batch entry points replaced.
+// A scalar call in a counted loop whose arguments index by the loop
+// variable is a de-vectorization regression; genuinely scalar sites carry
 // // sqmlint:allow(batch-discipline).
 // ---------------------------------------------------------------------------
 void CheckBatchDiscipline(const Project& /*project*/, const SourceFile& file,
@@ -703,9 +703,9 @@ void CheckBatchDiscipline(const Project& /*project*/, const SourceFile& file,
              "scalar Field::" + toks[j + 2].text + " indexed by loop "
              "variable '" + loop_var + "' in an MPC hot path; use the "
              "span kernels (Field::AddVec/SubVec/MulVec/ScaleVec/"
-             "MulAddVec/SumVec) or the Shamir ShareBatch/ReconstructBatch "
-             "entry points — element-wise loops forfeit the batched "
-             "lazy-reduction fast path");
+             "LinearCombination/SumVec) or the Shamir ShareBatch/"
+             "ReconstructBatch entry points — element-wise loops forfeit "
+             "the batched lazy-reduction fast path");
     }
   }
 }
