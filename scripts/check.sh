@@ -117,4 +117,10 @@ cmake -B "$tsan_dir" -S "$repo_root" -DSQM_SANITIZE=thread
 cmake --build "$tsan_dir" -j"$(nproc)"
 (cd "$tsan_dir" && ctest -L 'deploy|chaos|batch|sampler|tcp|resilience' --output-on-failure)
 
+# Program size: lines of the .h/.cc files under src/ and tools/, the
+# figure net line deltas are quoted against.
+program_lines=$(find "$repo_root/src" "$repo_root/tools" \
+    \( -name '*.h' -o -name '*.cc' \) -exec cat {} + | wc -l)
+echo "check.sh: src/+tools/ .h/.cc lines: $program_lines"
+
 echo "check.sh: all gates passed"

@@ -185,10 +185,10 @@ Result<SqmReport> RunPartySqm(const DeploymentConfig& config, size_t me,
                                 policy != DropoutPolicy::kAbort;
   const uint64_t fingerprint = ConfigFingerprint(config);
   const CheckpointStore store(hooks.checkpoint_dir);
-  PartyCheckpoint checkpoint;
+  BgwCheckpoint checkpoint;
   if (recovery_enabled) {
     engine.protocol().set_recovery_mode(true);
-    engine.set_checkpoint_sink([&](const PartyCheckpoint& ckpt) {
+    engine.set_checkpoint_sink([&](const BgwCheckpoint& ckpt) {
       DurableCheckpoint snap;
       snap.run_id = config.run_id;
       snap.party = static_cast<uint32_t>(me);
@@ -264,7 +264,7 @@ Result<SqmReport> RunPartySqm(const DeploymentConfig& config, size_t me,
                          engine.protocol().ResumeBarrier(
                              config.recovery_deadline_seconds, my_encoded));
     if (min_encoded == 0) {
-      checkpoint = PartyCheckpoint{};
+      checkpoint = BgwCheckpoint{};
     } else {
       // min includes our own announcement, so min - 1 <= next_level.
       checkpoint.next_level = static_cast<size_t>(min_encoded - 1);
@@ -281,7 +281,7 @@ Result<SqmReport> RunPartySqm(const DeploymentConfig& config, size_t me,
   // are rare — the loop exists for schedule parity and for transports
   // with transient faults. With recovery enabled, a failed level is the
   // NORMAL rendezvous with a restarted peer.
-  PartyCheckpoint* checkpoint_ptr =
+  BgwCheckpoint* checkpoint_ptr =
       policy != DropoutPolicy::kAbort ? &checkpoint : nullptr;
   PartyProtocol::Shares out_shares;
   if (recovery_enabled && hooks.incarnation > 0) {

@@ -89,7 +89,7 @@ Status BeaverTriplePool::Refill(size_t count,
   if (distinct < needed) {
     return Status::FailedPrecondition(
         "Beaver refill refused: dealing degree-t triples that recombine "
-        "under MulQuorum needs 2t+1 = " + std::to_string(needed) +
+        "under a quorum Mul needs 2t+1 = " + std::to_string(needed) +
         " surviving dealers, have " + std::to_string(distinct));
   }
   return Refill(count);

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "core/status.h"
-#include "mpc/protocol.h"
+#include "mpc/shamir.h"
 #include "sampling/rng.h"
 
 namespace sqm {
@@ -66,7 +66,7 @@ class BeaverTriplePool {
   Status Refill(size_t count);
 
   /// Quorum-path refill: refuses with kFailedPrecondition unless at least
-  /// 2t+1 distinct valid parties survive in `survivors` (the MulQuorum
+  /// 2t+1 distinct valid parties survive in `survivors` (the quorum Mul
   /// dealer rule); otherwise deals exactly as Refill(count).
   Status Refill(size_t count, const std::vector<size_t>& survivors);
 

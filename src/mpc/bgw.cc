@@ -1,15 +1,12 @@
 #include "mpc/bgw.h"
 
-#include <algorithm>
-
-#include "core/logging.h"
 #include "obs/trace.h"
 
 namespace sqm {
 
 BgwEngine::BgwEngine(ShamirScheme scheme, Transport* network,
                      uint64_t seed)
-    : protocol_(std::move(scheme), network, seed), network_(network) {}
+    : protocol_(std::move(scheme), network, seed) {}
 
 Result<std::vector<int64_t>> BgwEngine::Evaluate(
     const Circuit& circuit,
@@ -58,7 +55,6 @@ Result<SharedVector> BgwEngine::EvaluateToShares(
   std::vector<Field::Element>& table = ckpt->wire_shares;
   auto shares = [&](size_t wire) { return &table[wire * n]; };
   if (!resuming) {
-    stats_before_ = network_->stats();
     ckpt->next_level = 0;
     ckpt->mul_rounds_done = 0;
     // The wire-major share table lives inside the checkpoint: each
@@ -87,83 +83,35 @@ Result<SharedVector> BgwEngine::EvaluateToShares(
     }
     ckpt->valid = true;
   } else {
-    SQM_CHECK(table.size() == gates.size() * n);
     // Stale sub-shares queued by the aborted round must not mix into the
     // retry's fresh resharing randomness.
     protocol_.DrainPending();
   }
 
-  // ---- Phase 2: evaluate gate levels. Multiplications of equal depth are
-  // batched into one communication round.
-  const std::vector<uint32_t> depth = circuit.GateDepths();
-  const size_t max_depth =
-      depth.empty() ? 0 : *std::max_element(depth.begin(), depth.end());
-
-  auto process_local_gate = [&](size_t w) {
-    const Circuit::Gate& gate = gates[w];
-    switch (gate.kind) {
-      case Circuit::GateKind::kConstant:
-        // Public constant = degree-0 sharing: everyone holds the value.
-        std::fill_n(shares(w), n, Field::Reduce(circuit.constant(gate)));
-        break;
-      case Circuit::GateKind::kAdd:
-        Field::AddVec(shares(gate.lhs), shares(gate.rhs), shares(w), n);
-        break;
-      case Circuit::GateKind::kSub:
-        Field::SubVec(shares(gate.lhs), shares(gate.rhs), shares(w), n);
-        break;
-      case Circuit::GateKind::kMulConst:
-        Field::ScaleVec(shares(gate.lhs),
-                        Field::Reduce(circuit.constant(gate)), shares(w), n);
-        break;
-      case Circuit::GateKind::kInput:
-      case Circuit::GateKind::kMul:
-        break;  // Inputs done in phase 1; muls handled per level.
+  // ---- Phase 2: the shared level loop. A level's products are gathered
+  // copies of the table, so a failed Mul leaves the table at the previous
+  // level and ckpt->next_level == level: exactly where a retry resumes.
+  const auto mul = [&](size_t, const std::vector<Circuit::WireId>& wires)
+      -> Status {
+    SharedVector lhs(n, wires.size());
+    SharedVector rhs(n, wires.size());
+    for (size_t i = 0; i < wires.size(); ++i) {
+      const Field::Element* l = shares(gates[wires[i]].lhs);
+      const Field::Element* r = shares(gates[wires[i]].rhs);
+      for (size_t p = 0; p < n; ++p) {
+        lhs.shares(p)[i] = l[p];
+        rhs.shares(p)[i] = r[p];
+      }
     }
+    SQM_ASSIGN_OR_RETURN(const SharedVector products,
+                         protocol_.Mul(std::move(lhs), std::move(rhs)));
+    for (size_t i = 0; i < wires.size(); ++i) {
+      Field::Element* out = shares(wires[i]);
+      for (size_t p = 0; p < n; ++p) out[p] = products.shares(p)[i];
+    }
+    return Status::OK();
   };
-
-  for (size_t level = ckpt->next_level; level <= max_depth; ++level) {
-    if (level > 0) {
-      // Batch all multiplications at this depth into one round.
-      std::vector<size_t> mul_wires;
-      for (size_t w = 0; w < gates.size(); ++w) {
-        if (gates[w].kind == Circuit::GateKind::kMul && depth[w] == level) {
-          mul_wires.push_back(w);
-        }
-      }
-      if (!mul_wires.empty()) {
-        SharedVector lhs(n, mul_wires.size());
-        SharedVector rhs(n, mul_wires.size());
-        for (size_t i = 0; i < mul_wires.size(); ++i) {
-          const Field::Element* l = shares(gates[mul_wires[i]].lhs);
-          const Field::Element* r = shares(gates[mul_wires[i]].rhs);
-          for (size_t p = 0; p < n; ++p) {
-            lhs.shares(p)[i] = l[p];
-            rhs.shares(p)[i] = r[p];
-          }
-        }
-        // The operands are gathered copies, so a failed Mul leaves the
-        // table at the previous level and ckpt->next_level == level:
-        // exactly where a retry must resume.
-        SQM_ASSIGN_OR_RETURN(const SharedVector products,
-                             protocol_.Mul(std::move(lhs), std::move(rhs)));
-        for (size_t i = 0; i < mul_wires.size(); ++i) {
-          Field::Element* out = shares(mul_wires[i]);
-          for (size_t p = 0; p < n; ++p) out[p] = products.shares(p)[i];
-        }
-        ++ckpt->mul_rounds_done;
-      }
-    }
-    // Local gates at this depth, in id order (intra-level dependencies
-    // always point backwards).
-    for (size_t w = 0; w < gates.size(); ++w) {
-      if (gates[w].kind != Circuit::GateKind::kMul &&
-          gates[w].kind != Circuit::GateKind::kInput && depth[w] == level) {
-        process_local_gate(w);
-      }
-    }
-    ckpt->next_level = level + 1;
-  }
+  SQM_RETURN_NOT_OK(EvaluateLevels(circuit, n, ckpt, mul, nullptr));
 
   SharedVector out_shares(n, circuit.outputs().size());
   for (size_t i = 0; i < circuit.outputs().size(); ++i) {
@@ -178,13 +126,7 @@ Result<SharedVector> BgwEngine::EvaluateToShares(
 Result<std::vector<int64_t>> BgwEngine::OpenOutputs(
     const SharedVector& out_shares) {
   // ---- Phase 3: open outputs.
-  SQM_ASSIGN_OR_RETURN(std::vector<int64_t> outputs,
-                       protocol_.OpenSigned(out_shares));
-  // The network delta spans everything since the fresh EvaluateToShares
-  // start, including any failed attempts retried from a checkpoint — that
-  // is the traffic the run actually cost.
-  last_report_.network = network_->stats() - stats_before_;
-  return outputs;
+  return protocol_.OpenSigned(out_shares);
 }
 
 }  // namespace sqm

@@ -13,33 +13,19 @@
 
 namespace sqm {
 
-/// Traffic/round report for one circuit evaluation.
+/// Multiplication counts for one circuit evaluation.
 struct BgwExecutionReport {
-  NetworkStats network;
   size_t multiplications = 0;
   size_t mul_rounds = 0;  ///< Communication rounds spent on multiplications.
-};
-
-/// Phase-level checkpoint of one circuit evaluation: the wire shares after
-/// the last fully completed multiplication level. A Mul that fails (quorum
-/// shortfall, timed-out links) leaves the checkpoint at the preceding
-/// level; passing the same checkpoint back into EvaluateToShares resumes
-/// there — input sharing and all completed levels are skipped, and stale
-/// queued sub-shares from the aborted round are drained first.
-struct BgwCheckpoint {
-  bool valid = false;    ///< Inputs shared; wire_shares meaningful.
-  size_t next_level = 0; ///< First multiplication level not yet completed.
-  /// One wire-major table: wire w's n shares sit at [w * n, w * n + n).
-  std::vector<Field::Element> wire_shares;
-  size_t mul_rounds_done = 0;
 };
 
 /// Gate-level BGW evaluator (the paper's Appendix B, three-phase execution).
 ///
 /// Phase 1: every party Shamir-shares its private inputs. Phase 2: the
-/// circuit is evaluated on shares — linear gates locally, multiplication
-/// gates via GRR degree reduction, with all multiplications of equal
-/// multiplicative depth batched into a single communication round. Phase 3:
+/// circuit is evaluated on shares by EvaluateLevels (mpc/circuit.h) — the
+/// level loop PartyEngine runs too — over a wire-major table of all n
+/// parties' shares; each level's multiplications are gathered into one
+/// BgwProtocol::Mul (one communication round) and scattered back. Phase 3:
 /// output wires are opened to all parties.
 ///
 /// SQM uses this engine as a black box: it hands the engine the quantized
@@ -73,14 +59,15 @@ class BgwEngine {
   /// previously valid checkpoint resumes instead of restarting — input
   /// sharing is never repeated. An input-phase failure is fatal (a lost
   /// input has no quorum to reconstruct it) and leaves the checkpoint
-  /// invalid.
+  /// invalid. A valid checkpoint taken on another circuit fails with
+  /// kInvalidArgument.
   Result<SharedVector> EvaluateToShares(
       const Circuit& circuit,
       const std::vector<std::vector<int64_t>>& inputs_per_party,
       BgwCheckpoint* checkpoint = nullptr);
 
   /// Phase 3: opens output shares to all parties (over the survivors when
-  /// a tracker is attached) and finalizes last_report().
+  /// a tracker is attached).
   Result<std::vector<int64_t>> OpenOutputs(const SharedVector& out_shares);
 
   /// Attaches a shared failure detector (forwarded to the protocol layer).
@@ -99,14 +86,12 @@ class BgwEngine {
 
   BgwProtocol& protocol() { return protocol_; }
 
-  /// Report for the most recent Evaluate call.
+  /// Report for the most recent EvaluateToShares call.
   const BgwExecutionReport& last_report() const { return last_report_; }
 
  private:
   BgwProtocol protocol_;
-  Transport* network_;
   BgwExecutionReport last_report_;
-  NetworkStats stats_before_;  ///< Captured at fresh EvaluateToShares start.
 };
 
 }  // namespace sqm

@@ -10,10 +10,10 @@
 namespace sqm {
 
 /// Everything a restarted party needs to resume its side of the protocol
-/// bit-identically: the in-memory PartyCheckpoint phase state plus the
-/// party's RNG-split cursor (so re-dealt sub-shares and noise come out of
-/// the same stream positions) and enough identity to refuse a snapshot
-/// from the wrong run, party, or circuit.
+/// bit-identically: the in-memory BgwCheckpoint phase state (one share per
+/// wire) plus the party's RNG-split cursor (so re-dealt sub-shares and
+/// noise come out of the same stream positions) and enough identity to
+/// refuse a snapshot from the wrong run, party, or circuit.
 struct DurableCheckpoint {
   uint64_t run_id = 0;
   uint32_t party = 0;
@@ -24,7 +24,7 @@ struct DurableCheckpoint {
   /// roster size, ... mixed by the caller); a mismatch means the config
   /// changed under the run and the snapshot must be refused.
   uint64_t fingerprint = 0;
-  /// Mirrors PartyCheckpoint: valid == false means the input phase had not
+  /// Mirrors BgwCheckpoint: valid == false means the input phase had not
   /// completed when the snapshot was taken.
   bool valid = false;
   uint64_t next_level = 0;

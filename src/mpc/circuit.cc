@@ -8,12 +8,33 @@
 namespace sqm {
 
 Circuit::WireId Circuit::Push(Gate gate) {
+  // Operands always precede their gate, so their depths are known; the
+  // operand slots of kInput, kConstant (and kMulConst's rhs) are not wires.
+  uint32_t depth = 0;
+  switch (gate.kind) {
+    case GateKind::kInput:
+    case GateKind::kConstant:
+      break;
+    case GateKind::kAdd:
+    case GateKind::kSub:
+      depth = std::max(depth_[gate.lhs], depth_[gate.rhs]);
+      break;
+    case GateKind::kMulConst:
+      depth = depth_[gate.lhs];
+      break;
+    case GateKind::kMul:
+      depth = std::max(depth_[gate.lhs], depth_[gate.rhs]) + 1;
+      break;
+  }
+  max_depth_ = std::max(max_depth_, depth);
   gates_.push_back(gate);
+  depth_.push_back(depth);
   return static_cast<WireId>(gates_.size() - 1);
 }
 
 void Circuit::Reserve(size_t num_gates, size_t num_constants) {
   gates_.reserve(num_gates);
+  depth_.reserve(num_gates);
   constants_.reserve(num_constants);
 }
 
@@ -78,68 +99,16 @@ void Circuit::MarkOutput(WireId wire) {
   outputs_.push_back(wire);
 }
 
-std::vector<uint32_t> Circuit::GateDepths() const {
-  std::vector<uint32_t> depth(gates_.size(), 0);
-  for (size_t i = 0; i < gates_.size(); ++i) {
-    const Gate& gate = gates_[i];
-    switch (gate.kind) {
-      case GateKind::kInput:
-      case GateKind::kConstant:
-        break;
-      case GateKind::kAdd:
-      case GateKind::kSub:
-        depth[i] = std::max(depth[gate.lhs], depth[gate.rhs]);
-        break;
-      case GateKind::kMulConst:
-        depth[i] = depth[gate.lhs];
-        break;
-      case GateKind::kMul:
-        depth[i] = std::max(depth[gate.lhs], depth[gate.rhs]) + 1;
-        break;
-    }
-  }
-  return depth;
-}
-
-size_t Circuit::MultiplicativeDepth() const {
-  const std::vector<uint32_t> depth = GateDepths();
-  return depth.empty() ? 0 : *std::max_element(depth.begin(), depth.end());
-}
-
 Status Circuit::Validate(size_t num_parties) const {
-  for (size_t i = 0; i < gates_.size(); ++i) {
-    const Gate& gate = gates_[i];
-    switch (gate.kind) {
-      case GateKind::kInput:
-        if (gate.owner() >= num_parties) {
-          return Status::InvalidArgument(
-              "input gate owned by out-of-range party " +
-              std::to_string(gate.owner()));
-        }
-        break;
-      case GateKind::kAdd:
-      case GateKind::kSub:
-      case GateKind::kMul:
-        if (gate.lhs >= i || gate.rhs >= i) {
-          return Status::InvalidArgument("gate references a later wire");
-        }
-        break;
-      case GateKind::kMulConst:
-        if (gate.lhs >= i) {
-          return Status::InvalidArgument("gate references a later wire");
-        }
-        break;
-      case GateKind::kConstant:
-        break;
-    }
+  // The builders already check that every operand and output names an
+  // earlier wire; only the party count is unknown until evaluation.
+  if (inputs_per_party_.size() > num_parties) {
+    return Status::InvalidArgument(
+        "input gate owned by out-of-range party " +
+        std::to_string(inputs_per_party_.size() - 1));
   }
   if (outputs_.empty()) {
     return Status::InvalidArgument("circuit has no outputs");
-  }
-  for (WireId w : outputs_) {
-    if (w >= gates_.size()) {
-      return Status::InvalidArgument("output references unknown wire");
-    }
   }
   return Status::OK();
 }
@@ -150,6 +119,70 @@ std::string Circuit::Summary() const {
      << ", depth=" << MultiplicativeDepth() << ", outputs=" << outputs_.size()
      << "}";
   return os.str();
+}
+
+Status EvaluateLevels(
+    const Circuit& circuit, size_t rows, BgwCheckpoint* checkpoint,
+    const MulLevelFn& mul,
+    const std::function<void(const BgwCheckpoint&)>& on_level) {
+  using GateKind = Circuit::GateKind;
+  const std::vector<Circuit::Gate>& gates = circuit.gates();
+  if (checkpoint->wire_shares.size() != gates.size() * rows) {
+    return Status::InvalidArgument(
+        "checkpoint holds " + std::to_string(checkpoint->wire_shares.size()) +
+        " wire shares, the circuit needs " + std::to_string(gates.size()) +
+        " wires x " + std::to_string(rows) + " rows");
+  }
+
+  const std::vector<uint32_t>& depth = circuit.GateDepths();
+  Field::Element* table = checkpoint->wire_shares.data();
+  const auto shares = [table, rows](size_t wire) {
+    return table + wire * rows;
+  };
+  std::vector<Circuit::WireId> mul_wires;
+  for (size_t level = checkpoint->next_level;
+       level <= circuit.MultiplicativeDepth(); ++level) {
+    // This level's bucket: its kMul gates as one batch, then its local
+    // gates in id order (a local gate's operands are lower ids, so id
+    // order is an evaluation order).
+    mul_wires.clear();
+    for (size_t w = 0; w < gates.size(); ++w) {
+      if (gates[w].kind == GateKind::kMul && depth[w] == level) {
+        mul_wires.push_back(static_cast<Circuit::WireId>(w));
+      }
+    }
+    if (!mul_wires.empty()) {
+      SQM_RETURN_NOT_OK(mul(level, mul_wires));
+      ++checkpoint->mul_rounds_done;
+    }
+    for (size_t w = 0; w < gates.size(); ++w) {
+      if (depth[w] != level) continue;
+      const Circuit::Gate& gate = gates[w];
+      switch (gate.kind) {
+        case GateKind::kConstant:
+          // Public constant = degree-0 sharing: every share is the value.
+          std::fill_n(shares(w), rows, Field::Reduce(circuit.constant(gate)));
+          break;
+        case GateKind::kAdd:
+          Field::AddVec(shares(gate.lhs), shares(gate.rhs), shares(w), rows);
+          break;
+        case GateKind::kSub:
+          Field::SubVec(shares(gate.lhs), shares(gate.rhs), shares(w), rows);
+          break;
+        case GateKind::kMulConst:
+          Field::ScaleVec(shares(gate.lhs),
+                          Field::Reduce(circuit.constant(gate)), shares(w),
+                          rows);
+          break;
+        case GateKind::kInput:
+        case GateKind::kMul:
+          break;  // Inputs are dealt before the loop; muls ran above.
+      }
+    }
+    checkpoint->next_level = level + 1;
+    if (on_level) on_level(*checkpoint);
+  }
+  return Status::OK();
 }
 
 }  // namespace sqm

@@ -2,6 +2,7 @@
 #define SQM_MPC_CIRCUIT_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -80,13 +81,13 @@ class Circuit {
     return constants_[gate.kind == GateKind::kConstant ? gate.lhs : gate.rhs];
   }
 
-  /// Per wire, the most kMul gates on any path into it. The evaluators
-  /// batch the kMul gates of one depth into one round, so this schedule
-  /// fixes the message pattern.
-  std::vector<uint32_t> GateDepths() const;
+  /// Per wire, the most kMul gates on any path into it, recorded as each
+  /// gate is pushed. EvaluateLevels batches the kMul gates of one depth
+  /// into one round, so this schedule fixes the message pattern.
+  const std::vector<uint32_t>& GateDepths() const { return depth_; }
 
   /// Longest chain of kMul gates — the protocol's round-depth driver.
-  size_t MultiplicativeDepth() const;
+  size_t MultiplicativeDepth() const { return max_depth_; }
 
   /// Structural sanity: wire references in range, outputs exist.
   Status Validate(size_t num_parties) const;
@@ -97,6 +98,8 @@ class Circuit {
   WireId Push(Gate gate);
 
   std::vector<Gate> gates_;
+  std::vector<uint32_t> depth_;  ///< [wire] multiplicative depth.
+  uint32_t max_depth_ = 0;
   std::vector<Field::Element> constants_;
   std::vector<WireId> outputs_;
   std::vector<size_t> inputs_per_party_;  ///< [party] inputs declared.
@@ -104,6 +107,39 @@ class Circuit {
 };
 
 static_assert(sizeof(Circuit::Gate) <= 12, "Circuit::Gate is 12 bytes");
+
+/// Phase-level checkpoint of one circuit evaluation: the wire shares after
+/// the last fully completed level. A Mul that fails (quorum shortfall,
+/// timed-out links) leaves the checkpoint at the preceding level; passing
+/// the same checkpoint back into an engine's EvaluateToShares resumes
+/// there — input sharing and all completed levels are skipped.
+struct BgwCheckpoint {
+  bool valid = false;    ///< Inputs shared; wire_shares meaningful.
+  size_t next_level = 0; ///< First level not yet completed.
+  /// One wire-major table of `rows` shares per wire (n in the driver, one
+  /// per party): wire w's shares sit at [w * rows, w * rows + rows).
+  std::vector<Field::Element> wire_shares;
+  size_t mul_rounds_done = 0;
+};
+
+/// Evaluates one batch of kMul gates (the wires of one level, in id order)
+/// on the checkpoint's share table: gather operands, multiply, scatter.
+using MulLevelFn =
+    std::function<Status(size_t level, const std::vector<Circuit::WireId>&)>;
+
+/// Phase 2 of the paper's Appendix B, the one level loop both engines run:
+/// from checkpoint->next_level up to the multiplicative depth, every level
+/// first hands its kMul gates to `mul` as one batch (one communication
+/// round), then evaluates its local gates (constants, Add, Sub, MulConst)
+/// in id order as span kernels over each wire's `rows` shares. After every
+/// level it advances next_level (and mul_rounds_done when a batch ran)
+/// and calls `on_level`, if set. The checkpoint must hold the input
+/// phase's share table; a table sized for another circuit fails with
+/// kInvalidArgument. A failed `mul` returns its status with the
+/// checkpoint still at that level, which is where a retry resumes.
+Status EvaluateLevels(const Circuit& circuit, size_t rows,
+                      BgwCheckpoint* checkpoint, const MulLevelFn& mul,
+                      const std::function<void(const BgwCheckpoint&)>& on_level);
 
 }  // namespace sqm
 

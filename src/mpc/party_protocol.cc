@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <numeric>
 
 #include "core/logging.h"
@@ -28,6 +29,14 @@ Rng DeriveMyStream(uint64_t seed, size_t me) {
 /// payloads and markers are size-3, so those cannot collide either.
 constexpr uint64_t kRecoveryMagic0 = 0x53514d5245434f56ULL;  // "SQMRECOV"
 constexpr uint64_t kRecoveryMagic1 = 0xfa11bacca5e00001ULL;
+
+/// A census bitmask as "0x" plus lowercase hex digits.
+std::string HexMask(uint64_t mask) {
+  char buffer[2 + 16 + 1];
+  std::snprintf(buffer, sizeof(buffer), "0x%llx",
+                static_cast<unsigned long long>(mask));
+  return buffer;
+}
 
 }  // namespace
 
@@ -122,7 +131,7 @@ Result<PartyProtocol::Shares> PartyProtocol::ShareFromParty(
   }
   if (received.ValueOrDie().size() != count) {
     if (recovery_mode_) {
-      // Lost-frame skew (see MulQuorum): fail the phase retryably so the
+      // Lost-frame skew (see Mul): fail the phase retryably so the
       // resume barrier can flush and redo it, instead of treating the
       // dealer's next frame as a forgery.
       return Status::Unavailable(
@@ -140,12 +149,6 @@ Result<PartyProtocol::Shares> PartyProtocol::ShareFromParty(
   return std::move(received).ValueOrDie();
 }
 
-PartyProtocol::Shares PartyProtocol::SharePublic(
-    const std::vector<Field::Element>& values) const {
-  // Degree-0 sharing: every party's share is the value itself.
-  return values;
-}
-
 Result<PartyProtocol::Shares> PartyProtocol::Add(const Shares& a,
                                                  const Shares& b) const {
   if (a.size() != b.size()) {
@@ -156,87 +159,27 @@ Result<PartyProtocol::Shares> PartyProtocol::Add(const Shares& a,
   return out;
 }
 
-Result<PartyProtocol::Shares> PartyProtocol::Sub(const Shares& a,
-                                                 const Shares& b) const {
-  if (a.size() != b.size()) {
-    return Status::InvalidArgument("Sub: shape mismatch");
-  }
-  Shares out(a.size());
-  Field::SubVec(a.data(), b.data(), out.data(), a.size());
-  return out;
-}
-
-PartyProtocol::Shares PartyProtocol::ScaleConst(const Shares& a,
-                                                Field::Element c) const {
-  Shares out(a.size());
-  Field::ScaleVec(a.data(), c, out.data(), a.size());
-  return out;
-}
-
-Result<PartyProtocol::Shares> PartyProtocol::Mul(const Shares& a,
-                                                 const Shares& b) {
+Result<PartyProtocol::Shares> PartyProtocol::Mul(Shares a, Shares b) {
   if (a.size() != b.size()) {
     return Status::InvalidArgument("Mul: shape mismatch");
   }
   if (beaver_pool_ != nullptr) return MulBeaver(a, b);
-  if (liveness_ != nullptr) return MulQuorum(a, b);
-  const size_t n = num_parties();
-  const size_t k = a.size();
-  PhaseScope phase(network_, "mul");
-  obs::Span span("bgw.mul", "mpc", static_cast<int32_t>(me_));
-  span.AddArg("elements", static_cast<int64_t>(k));
-
-  // Local product batch (shares of a degree-2t sharing), re-shared at
-  // degree t with this party's driver-identical randomness stream.
-  std::vector<Field::Element> products(k);
-  Field::MulVec(a.data(), b.data(), products.data(), k);
-  std::vector<std::vector<Field::Element>> outbound =
-      scheme_.ShareBatch(products, my_rng_);
-  for (size_t r = 0; r < n; ++r) {
-    network_->Send(me_, r, std::move(outbound[r]));
-  }
-  EndRound();
-
-  // Recombine the first 2t+1 dealers with the precomputed degree-2t
-  // weights; later dealers' batches are received and discarded, exactly as
-  // in the driver.
-  const size_t needed = 2 * scheme_.threshold() + 1;
-  std::vector<Shares> kept(needed);
-  for (size_t j = 0; j < n; ++j) {
-    SQM_ASSIGN_OR_RETURN(Shares received, RecvData(j));
-    if (received.size() != k) {
-      return Status::IntegrityViolation(
-          "Mul sub-share batch from dealer " + std::to_string(j) +
-          " to party " + std::to_string(me_) + " has " +
-          std::to_string(received.size()) + " elements, expected " +
-          std::to_string(k) + " (replayed or stale message)");
-    }
-    if (j < needed) kept[j] = std::move(received);
-  }
-  std::vector<const Field::Element*> rows;
-  for (const Shares& row : kept) rows.push_back(row.data());
-  Shares out(k);
-  Field::LinearCombination(rows.data(), degree2t_lagrange_.data(), needed,
-                           out.data(), k);
-  return out;
-}
-
-Result<PartyProtocol::Shares> PartyProtocol::MulQuorum(const Shares& a,
-                                                       const Shares& b) {
   const size_t n = num_parties();
   const size_t k = a.size();
   const size_t needed = 2 * scheme_.threshold() + 1;
   PhaseScope phase(network_, "mul");
   obs::Span span("bgw.mul", "mpc", static_cast<int32_t>(me_));
   span.AddArg("elements", static_cast<int64_t>(k));
-  span.AddArg("quorum", 1);
+  if (liveness_ != nullptr) span.AddArg("quorum", 1);
 
-  // Deal to the parties this party believes alive.
+  // The local product batch (shares of a degree-2t sharing) overwrites
+  // `a` and `b` is freed; it is re-shared at degree t with this party's
+  // driver-identical randomness stream, to the parties believed alive.
   {
-    std::vector<Field::Element> products(k);
-    Field::MulVec(a.data(), b.data(), products.data(), k);
+    Field::MulVec(a.data(), b.data(), a.data(), k);
+    Shares().swap(b);
     std::vector<std::vector<Field::Element>> outbound =
-        scheme_.ShareBatch(products, my_rng_);
+        scheme_.ShareBatch(a, my_rng_);
     for (size_t r = 0; r < n; ++r) {
       if (r != me_ && PartyDead(r)) continue;
       network_->Send(me_, r, std::move(outbound[r]));
@@ -244,14 +187,16 @@ Result<PartyProtocol::Shares> PartyProtocol::MulQuorum(const Shares& a,
   }
   EndRound();
 
-  // Collect sub-share batches; the receipt bitmask is this party's census
-  // vote.
-  uint64_t my_mask = 0;
-  std::vector<std::vector<Field::Element>> payloads(n);
+  // Collect sub-share batches. Without a tracker a failed receive fails
+  // the Mul — the caller decides how to recover; with one, the dealer is
+  // recorded and skipped. The receipt bitmask is this party's census vote.
+  uint64_t agreed = 0;
+  std::vector<Shares> payloads(n);
   for (size_t j = 0; j < n; ++j) {
     if (PartyDead(j)) continue;
     Result<Transport::Payload> received = RecvData(j);
     if (!received.ok()) {
+      if (liveness_ == nullptr) return received.status();
       RecordRecvFailure(j, received.status().code());
       if (obs::Enabled()) {
         obs::TraceEvent event;
@@ -269,23 +214,57 @@ Result<PartyProtocol::Shares> PartyProtocol::MulQuorum(const Shares& a,
         // and the link comes back, the dealer's NEXT frame — typically its
         // census vote — arrives where the batch was expected. Consuming it
         // keeps this channel aligned with the dealer's send stream, and
-        // leaving dealer j out of my_mask makes the census fail the level
+        // leaving dealer j out of the vote makes the census fail the level
         // for everyone; the resume barrier then flushes both sides.
         continue;
       }
       return Status::IntegrityViolation(
-          "quorum Mul sub-share batch from dealer " + std::to_string(j) +
+          "Mul sub-share batch from dealer " + std::to_string(j) +
           " to party " + std::to_string(me_) + " has " +
           std::to_string(received.ValueOrDie().size()) +
           " elements, expected " + std::to_string(k) +
           " (replayed or stale message)");
     }
     payloads[j] = std::move(received).ValueOrDie();
-    my_mask |= uint64_t{1} << j;
+    agreed |= uint64_t{1} << j;
+  }
+  if (liveness_ != nullptr) {
+    SQM_ASSIGN_OR_RETURN(agreed, Census(agreed));
   }
 
-  // Census round: every survivor broadcasts which dealers it received and
-  // the intersection becomes the agreed dealer set. The driver gets this
+  // The first 2t+1 agreed dealers — the same selection rule as the
+  // driver, so degraded outputs equal the no-crash outputs.
+  std::vector<size_t> dealers;
+  size_t usable = 0;
+  for (size_t j = 0; j < n; ++j) {
+    if (((agreed >> j) & 1) == 0) continue;
+    ++usable;
+    if (liveness_ != nullptr) liveness_->RecordSuccess(j);
+    if (dealers.size() < needed) dealers.push_back(j);
+  }
+  if (dealers.size() < needed) {
+    return Status::Unavailable(
+        "Mul quorum shortfall: degree-2t recombination needs 2t+1 = " +
+        std::to_string(needed) + " dealers, only " + std::to_string(usable) +
+        " of " + std::to_string(n) + " agreed by census (dead: " +
+        std::to_string(liveness_->num_dead()) + ")");
+  }
+
+  // Recombine into `a` with the Lagrange weights for exactly those
+  // dealers' evaluation points.
+  const std::vector<Field::Element> weights =
+      dealers.back() + 1 == needed ? degree2t_lagrange_
+                                   : scheme_.LagrangeAtZero(dealers);
+  std::vector<const Field::Element*> rows;
+  for (size_t dealer : dealers) rows.push_back(payloads[dealer].data());
+  Field::LinearCombination(rows.data(), weights.data(), needed, a.data(), k);
+  return a;
+}
+
+Result<uint64_t> PartyProtocol::Census(uint64_t my_mask) {
+  const size_t n = num_parties();
+  // Every survivor broadcasts which dealers it received and the
+  // intersection becomes the agreed dealer set. The driver gets this
   // agreement for free (one process sees every channel); distributed
   // parties must exchange it, or two survivors could recombine over
   // different dealer subsets and the result would not be a consistent
@@ -310,7 +289,7 @@ Result<PartyProtocol::Shares> PartyProtocol::MulQuorum(const Shares& a,
       if (vote.ValueOrDie().size() != 1) {
         if (recovery_mode_) {
           // Mis-sized under recovery = the voter's stream lost a frame
-          // upstream (see the batch-collect case above); excluding the
+          // upstream (see the batch-collect case in Mul); excluding the
           // voter fails the full-quorum check below, which is the safe
           // symmetric outcome.
           continue;
@@ -344,40 +323,13 @@ Result<PartyProtocol::Shares> PartyProtocol::MulQuorum(const Shares& a,
     }
     if (agreed != full || voters != alive) {
       return Status::Unavailable(
-          "Mul full-quorum failure under recovery: census agreed 0x" +
-          std::to_string(agreed) + " of expected 0x" + std::to_string(full) +
-          ", " + std::to_string(voters) + "/" + std::to_string(alive) +
+          "Mul full-quorum failure under recovery: census agreed " +
+          HexMask(agreed) + " of expected " + HexMask(full) + ", " +
+          std::to_string(voters) + "/" + std::to_string(alive) +
           " alive parties voted; failing the level for a resume barrier");
     }
   }
-
-  std::vector<size_t> usable;
-  for (size_t j = 0; j < n; ++j) {
-    if ((agreed >> j) & 1) {
-      usable.push_back(j);
-      liveness_->RecordSuccess(j);
-    }
-  }
-  if (usable.size() < needed) {
-    return Status::Unavailable(
-        "Mul quorum shortfall: degree-2t recombination needs 2t+1 = " +
-        std::to_string(needed) + " dealers, only " +
-        std::to_string(usable.size()) + " of " + std::to_string(n) +
-        " agreed by census (dead: " + std::to_string(liveness_->num_dead()) +
-        ")");
-  }
-
-  // First 2t+1 agreed dealers, fresh Lagrange weights for exactly those
-  // evaluation points — the same selection rule as the driver's quorum
-  // path, so degraded outputs equal the no-crash outputs.
-  const std::vector<size_t> dealers(usable.begin(), usable.begin() + needed);
-  const std::vector<Field::Element> weights = scheme_.LagrangeAtZero(dealers);
-  std::vector<const Field::Element*> rows;
-  for (size_t dealer : dealers) rows.push_back(payloads[dealer].data());
-  Shares out(k);
-  Field::LinearCombination(rows.data(), weights.data(), rows.size(),
-                           out.data(), k);
-  return out;
+  return agreed;
 }
 
 Result<std::vector<Field::Element>> PartyProtocol::Open(const Shares& a) {
@@ -391,30 +343,17 @@ Result<std::vector<Field::Element>> PartyProtocol::OpenInPhase(
   obs::Span span("bgw.open", "mpc", static_cast<int32_t>(me_));
   span.AddArg("elements", static_cast<int64_t>(a.size()));
   for (size_t r = 0; r < n; ++r) {
-    if (liveness_ != nullptr && r != me_ && PartyDead(r)) continue;
+    if (r != me_ && PartyDead(r)) continue;
     network_->Send(me_, r, a);
   }
   EndRound();
 
-  if (liveness_ == nullptr) {
-    std::vector<std::vector<Field::Element>> all(n);
-    for (size_t j = 0; j < n; ++j) {
-      SQM_ASSIGN_OR_RETURN(all[j], RecvData(j));
-      if (all[j].size() != a.size()) {
-        return Status::IntegrityViolation(
-            "opened broadcast from party " + std::to_string(j) + " has " +
-            std::to_string(all[j].size()) + " elements, expected " +
-            std::to_string(a.size()));
-      }
-    }
-    return scheme_.ReconstructBatch(all);
-  }
-
-  // Quorum opening: collect whichever survivors deliver and interpolate
-  // over their evaluation points. Any t+1 shares of a consistent sharing
-  // agree on the value, so every party — and the driver — opens the same
-  // plaintext regardless of which subset delivered to it.
-  std::vector<bool> have(n, false);
+  // Collect whichever parties deliver and interpolate over the first t+1
+  // of them. Without a tracker a failed receive fails the open, so all n
+  // deliver and the basis is parties 0..t. With one, dead parties are
+  // skipped; any t+1 shares of a consistent sharing agree on the value, so
+  // every party — and the driver — opens the same plaintext regardless of
+  // which subset delivered to it.
   std::vector<std::vector<Field::Element>> all(n);
   std::vector<size_t> survivors;
   size_t expected = 0;
@@ -423,13 +362,14 @@ Result<std::vector<Field::Element>> PartyProtocol::OpenInPhase(
     ++expected;
     Result<Transport::Payload> received = RecvData(j);
     if (!received.ok()) {
+      if (liveness_ == nullptr) return received.status();
       RecordRecvFailure(j, received.status().code());
       continue;
     }
     if (received.ValueOrDie().size() != a.size()) {
       if (recovery_mode_) {
-        // Same lost-frame skew as in MulQuorum: consume the stray frame
-        // to realign with party j's send stream and count j undelivered,
+        // Same lost-frame skew as in Mul: consume the stray frame to
+        // realign with party j's send stream and count j undelivered,
         // which fails the full-quorum check below.
         continue;
       }
@@ -438,8 +378,7 @@ Result<std::vector<Field::Element>> PartyProtocol::OpenInPhase(
           std::to_string(received.ValueOrDie().size()) +
           " elements, expected " + std::to_string(a.size()));
     }
-    liveness_->RecordSuccess(j);
-    have[j] = true;
+    if (liveness_ != nullptr) liveness_->RecordSuccess(j);
     all[j] = std::move(received).ValueOrDie();
     survivors.push_back(j);
   }
@@ -641,7 +580,7 @@ PartyEngine::PartyEngine(ShamirScheme scheme, Transport* network,
 
 Result<PartyProtocol::Shares> PartyEngine::EvaluateToShares(
     const Circuit& circuit, const std::vector<int64_t>& my_inputs,
-    PartyCheckpoint* checkpoint) {
+    BgwCheckpoint* checkpoint) {
   const size_t n = protocol_.num_parties();
   const size_t me = protocol_.me();
   SQM_RETURN_NOT_OK(circuit.Validate(n));
@@ -652,8 +591,8 @@ Result<PartyProtocol::Shares> PartyEngine::EvaluateToShares(
         std::to_string(circuit.NumInputsForParty(me)));
   }
 
-  PartyCheckpoint scratch;
-  PartyCheckpoint* ckpt = checkpoint != nullptr ? checkpoint : &scratch;
+  BgwCheckpoint scratch;
+  BgwCheckpoint* ckpt = checkpoint != nullptr ? checkpoint : &scratch;
   const bool resuming = ckpt->valid;
   const auto& gates = circuit.gates();
 
@@ -661,10 +600,11 @@ Result<PartyProtocol::Shares> PartyEngine::EvaluateToShares(
   evaluate.AddArg("gates", static_cast<int64_t>(gates.size()));
   evaluate.AddArg("resuming", resuming ? 1 : 0);
 
+  std::vector<Field::Element>& shares = ckpt->wire_shares;
   if (!resuming) {
     ckpt->next_level = 0;
     ckpt->mul_rounds_done = 0;
-    ckpt->wire_shares.assign(gates.size(), 0);
+    shares.assign(gates.size(), 0);
 
     // Phase 1: one sharing round per contributing dealer, in party order —
     // the same schedule as the driver, with every other dealer's input
@@ -680,81 +620,36 @@ Result<PartyProtocol::Shares> PartyEngine::EvaluateToShares(
       for (size_t w = 0; w < gates.size(); ++w) {
         const Circuit::Gate& gate = gates[w];
         if (gate.kind == Circuit::GateKind::kInput && gate.owner() == j) {
-          ckpt->wire_shares[w] = shared[gate.input_index()];
+          shares[w] = shared[gate.input_index()];
         }
       }
     }
     ckpt->valid = true;
     if (checkpoint_sink_) checkpoint_sink_(*ckpt);
-  } else {
-    SQM_CHECK(ckpt->wire_shares.size() == gates.size());
+  } else if (!protocol_.recovery_mode()) {
     // In recovery mode the resume barrier already flushed the failed
     // level's in-flight state, and a fast peer may ALREADY have dealt
-    // fresh sub-shares for the redo level — draining here would eat them.
-    if (!protocol_.recovery_mode()) protocol_.DrainPending();
+    // fresh sub-shares for the redo level — draining there would eat them.
+    protocol_.DrainPending();
   }
 
-  std::vector<Field::Element>& shares = ckpt->wire_shares;
-
-  // Phase 2: identical level schedule to BgwEngine — depth assignment and
-  // wire order determine the message pattern, and both are pure functions
-  // of the circuit.
-  const std::vector<uint32_t> depth = circuit.GateDepths();
-  const size_t max_depth =
-      depth.empty() ? 0 : *std::max_element(depth.begin(), depth.end());
-
-  for (size_t level = ckpt->next_level; level <= max_depth; ++level) {
-    if (level > 0) {
-      std::vector<size_t> mul_wires;
-      for (size_t w = 0; w < gates.size(); ++w) {
-        if (gates[w].kind == Circuit::GateKind::kMul && depth[w] == level) {
-          mul_wires.push_back(w);
-        }
-      }
-      if (!mul_wires.empty()) {
-        if (mul_level_hook_) mul_level_hook_(level);
-        PartyProtocol::Shares lhs(mul_wires.size());
-        PartyProtocol::Shares rhs(mul_wires.size());
-        for (size_t i = 0; i < mul_wires.size(); ++i) {
-          lhs[i] = shares[gates[mul_wires[i]].lhs];
-          rhs[i] = shares[gates[mul_wires[i]].rhs];
-        }
-        SQM_ASSIGN_OR_RETURN(const PartyProtocol::Shares products,
-                             protocol_.Mul(lhs, rhs));
-        for (size_t i = 0; i < mul_wires.size(); ++i) {
-          shares[mul_wires[i]] = products[i];
-        }
-        ++ckpt->mul_rounds_done;
-      }
+  // Phase 2: the driver's level loop on a one-row table, so depth
+  // assignment and wire order — and hence the message pattern — match.
+  const auto mul = [&](size_t level, const std::vector<Circuit::WireId>& wires)
+      -> Status {
+    if (mul_level_hook_) mul_level_hook_(level);
+    PartyProtocol::Shares lhs(wires.size());
+    PartyProtocol::Shares rhs(wires.size());
+    for (size_t i = 0; i < wires.size(); ++i) {
+      lhs[i] = shares[gates[wires[i]].lhs];
+      rhs[i] = shares[gates[wires[i]].rhs];
     }
-    for (size_t w = 0; w < gates.size(); ++w) {
-      const Circuit::Gate& gate = gates[w];
-      if (gate.kind == Circuit::GateKind::kMul ||
-          gate.kind == Circuit::GateKind::kInput || depth[w] != level) {
-        continue;
-      }
-      switch (gate.kind) {
-        case Circuit::GateKind::kConstant:
-          shares[w] = Field::Reduce(circuit.constant(gate));
-          break;
-        case Circuit::GateKind::kAdd:
-          shares[w] = Field::Add(shares[gate.lhs], shares[gate.rhs]);
-          break;
-        case Circuit::GateKind::kSub:
-          shares[w] = Field::Sub(shares[gate.lhs], shares[gate.rhs]);
-          break;
-        case Circuit::GateKind::kMulConst:
-          shares[w] = Field::Mul(shares[gate.lhs],
-                                 Field::Reduce(circuit.constant(gate)));
-          break;
-        case Circuit::GateKind::kInput:
-        case Circuit::GateKind::kMul:
-          break;
-      }
-    }
-    ckpt->next_level = level + 1;
-    if (checkpoint_sink_) checkpoint_sink_(*ckpt);
-  }
+    SQM_ASSIGN_OR_RETURN(const PartyProtocol::Shares products,
+                         protocol_.Mul(std::move(lhs), std::move(rhs)));
+    for (size_t i = 0; i < wires.size(); ++i) shares[wires[i]] = products[i];
+    return Status::OK();
+  };
+  SQM_RETURN_NOT_OK(EvaluateLevels(circuit, 1, ckpt, mul, checkpoint_sink_));
 
   PartyProtocol::Shares out(circuit.outputs().size());
   for (size_t i = 0; i < circuit.outputs().size(); ++i) {

@@ -39,15 +39,18 @@ class BeaverTriplePool;
 /// party threads sharing one ThreadedTransport must instead arrive at the
 /// transport's round barrier — inject that via set_round_barrier.
 ///
-/// Dropout tolerance mirrors the driver's quorum paths with one genuinely
-/// distributed addition: after a multiplication's sub-share exchange the
+/// One Mul and one open serve every mode, as in the driver: without a
+/// liveness tracker a failed receive fails the call; with one, the failed
+/// peer is recorded and skipped. Dropout tolerance then adds one genuinely
+/// distributed step: after a multiplication's sub-share exchange the
 /// survivors run a census round (phase "census"), broadcasting a bitmask of
 /// the dealers they received and intersecting the masks, so every survivor
 /// recombines over the SAME 2t+1 dealer set — the property the driver gets
 /// for free from its global view. The census is agreement under the
 /// documented failure model (crash-stop, reliable links among survivors,
 /// failures detected by every survivor within its timeout window); it is
-/// not Byzantine consensus.
+/// not Byzantine consensus. Every open interpolates over the first t+1
+/// parties that delivered, which with all n present is the first t+1.
 class PartyProtocol {
  public:
   using Shares = std::vector<Field::Element>;
@@ -61,13 +64,11 @@ class PartyProtocol {
 
   size_t num_parties() const { return scheme_.num_parties(); }
   size_t me() const { return me_; }
-  const ShamirScheme& scheme() const { return scheme_; }
 
   /// Attaches (or detaches) the local failure detector. Each party holds
   /// its OWN tracker — liveness is a local view, reconciled where it must
   /// be (multiplications) by the census round.
   void set_liveness(LivenessTracker* tracker) { liveness_ = tracker; }
-  LivenessTracker* liveness() const { return liveness_; }
 
   /// Overrides how a round end is signaled (default:
   /// transport->EndRound()). Party threads sharing one ThreadedTransport
@@ -85,19 +86,20 @@ class PartyProtocol {
                                 size_t count,
                                 const std::string& phase_label = "input");
 
-  /// Local linear algebra on own share rows (identical to the driver's
-  /// per-row arithmetic).
-  Shares SharePublic(const std::vector<Field::Element>& values) const;
+  /// Local addition of own share rows (identical to the driver's per-row
+  /// arithmetic); the top-up adds its extra noise shares with it.
   Result<Shares> Add(const Shares& a, const Shares& b) const;
-  Result<Shares> Sub(const Shares& a, const Shares& b) const;
-  Shares ScaleConst(const Shares& a, Field::Element c) const;
 
   /// Element-wise product with GRR degree reduction; one communication
-  /// round without a tracker, two (sub-shares + census) with one. With a
-  /// Beaver pool attached, the online path is instead one opening round in
-  /// BOTH cases: the opened (x-a, y-b) values are public, so any t+1
-  /// survivor shares agree and no census/agreement round is needed.
-  Result<Shares> Mul(const Shares& a, const Shares& b);
+  /// round without a tracker, two (sub-shares + census) with one. Consumes
+  /// its operands: the product is computed and recombined in `a`'s storage
+  /// and `b` is freed once used. Recombines the first 2t+1 agreed dealers
+  /// with the degree-2t weights when they are dealers 0..2t, else with
+  /// fresh Lagrange weights for exactly their points. With a Beaver pool
+  /// attached, the online path is instead one opening round in BOTH cases:
+  /// the opened (x-a, y-b) values are public, so any t+1 survivor shares
+  /// agree and no census/agreement round is needed.
+  Result<Shares> Mul(Shares a, Shares b);
 
   /// Attaches this party's offline triple pool (nullptr detaches). Every
   /// party constructs its pool from the same (scheme, seed, capacity), so
@@ -106,7 +108,6 @@ class PartyProtocol {
   /// Must outlive the protocol while attached. Not supported together with
   /// recovery mode: the pool cursor is not part of the durable checkpoint.
   void set_beaver_pool(BeaverTriplePool* pool) { beaver_pool_ = pool; }
-  BeaverTriplePool* beaver_pool() const { return beaver_pool_; }
 
   /// Beaver triples consumed by Mul since construction (0 under GRR).
   size_t beaver_triples_used() const { return beaver_triples_used_; }
@@ -128,7 +129,7 @@ class PartyProtocol {
 
   /// Recovery mode changes two behaviors, both needed for supervised
   /// restart+rejoin (see docs/DEPLOYMENT.md "Recovery & supervision"):
-  ///  - Full-quorum multiplications: MulQuorum fails the level unless the
+  ///  - Full-quorum multiplications: Mul fails the level unless the
   ///    census agreed on EVERY non-dead party's dealing and every alive
   ///    party voted, so all parties fail a level together and meet at the
   ///    same resume barrier instead of partitioning into a degraded
@@ -177,7 +178,11 @@ class PartyProtocol {
   }
 
  private:
-  Result<Shares> MulQuorum(const Shares& a, const Shares& b);
+  /// The census round of a tracked Mul: broadcasts `my_mask` (the dealers
+  /// this party received) and returns the intersection of every delivered
+  /// vote. In recovery mode anything short of every non-dead party dealing
+  /// and voting fails the level with kUnavailable.
+  Result<uint64_t> Census(uint64_t my_mask);
 
   /// Beaver online multiplication (pool attached): one opening round,
   /// tagged to the "mul" phase, plus local combination.
@@ -217,20 +222,12 @@ class PartyProtocol {
   bool recovery_mode_ = false;
 };
 
-/// Checkpoint of one per-party circuit evaluation: this party's wire shares
-/// after the last completed multiplication level (the per-party slice of
-/// BgwCheckpoint).
-struct PartyCheckpoint {
-  bool valid = false;
-  size_t next_level = 0;
-  std::vector<Field::Element> wire_shares;  ///< [wire], own row only.
-  size_t mul_rounds_done = 0;
-};
-
 /// Per-party gate-level evaluator: the distributed counterpart of
-/// BgwEngine. Evaluates the SAME circuit the driver builds, on this party's
-/// share row, with the same level batching — so the message schedule, and
-/// therefore the released values, match driver-mode bit for bit.
+/// BgwEngine. Evaluates the SAME circuit the driver builds with the same
+/// level loop (EvaluateLevels, mpc/circuit.h) on a one-row share table —
+/// this party's share per wire — so the message schedule, and therefore
+/// the released values, match driver-mode bit for bit. Its checkpoint is a
+/// BgwCheckpoint with rows = 1.
 class PartyEngine {
  public:
   PartyEngine(ShamirScheme scheme, Transport* network, uint64_t seed,
@@ -241,7 +238,7 @@ class PartyEngine {
   /// parties' input counts are read from the circuit — public structure.
   Result<PartyProtocol::Shares> EvaluateToShares(
       const Circuit& circuit, const std::vector<int64_t>& my_inputs,
-      PartyCheckpoint* checkpoint = nullptr);
+      BgwCheckpoint* checkpoint = nullptr);
 
   Result<std::vector<int64_t>> OpenOutputs(
       const PartyProtocol::Shares& out_shares);
@@ -262,7 +259,7 @@ class PartyEngine {
   /// attaches a sink that persists a durable snapshot (wire shares + RNG
   /// cursor) at each of these phase boundaries, so a kill -9 at any point
   /// loses at most the level in flight.
-  void set_checkpoint_sink(std::function<void(const PartyCheckpoint&)> sink) {
+  void set_checkpoint_sink(std::function<void(const BgwCheckpoint&)> sink) {
     checkpoint_sink_ = std::move(sink);
   }
 
@@ -271,7 +268,7 @@ class PartyEngine {
  private:
   PartyProtocol protocol_;
   std::function<void(size_t)> mul_level_hook_;
-  std::function<void(const PartyCheckpoint&)> checkpoint_sink_;
+  std::function<void(const BgwCheckpoint&)> checkpoint_sink_;
 };
 
 }  // namespace sqm

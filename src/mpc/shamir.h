@@ -10,6 +10,28 @@
 
 namespace sqm {
 
+/// A secret-shared vector: element i is Shamir-shared across all parties,
+/// shares(party)[i] being party's share. The driver's (BgwProtocol) and the
+/// Beaver pool's all-parties layout; callers never see plaintext until
+/// Open().
+class SharedVector {
+ public:
+  SharedVector() = default;
+  SharedVector(size_t num_parties, size_t size)
+      : shares_(num_parties, std::vector<Field::Element>(size, 0)) {}
+
+  size_t num_parties() const { return shares_.size(); }
+  size_t size() const { return shares_.empty() ? 0 : shares_[0].size(); }
+
+  std::vector<Field::Element>& shares(size_t party) { return shares_[party]; }
+  const std::vector<Field::Element>& shares(size_t party) const {
+    return shares_[party];
+  }
+
+ private:
+  std::vector<std::vector<Field::Element>> shares_;
+};
+
 /// Shamir (t, n) secret sharing over Z_{2^61-1} — the building block of the
 /// BGW protocol (Appendix B of the paper).
 ///

@@ -37,19 +37,6 @@ struct NetworkStats {
     wire_bytes += other.wire_bytes;
     return *this;
   }
-
-  NetworkStats& operator-=(const NetworkStats& other) {
-    messages -= other.messages;
-    field_elements -= other.field_elements;
-    rounds -= other.rounds;
-    wire_bytes -= other.wire_bytes;
-    return *this;
-  }
-
-  friend NetworkStats operator-(NetworkStats lhs, const NetworkStats& rhs) {
-    lhs -= rhs;
-    return lhs;
-  }
 };
 
 /// Per-directed-channel traffic counters (rounds are global, not per-link).

@@ -20,10 +20,15 @@
 #include "core/party_sqm.h"
 #include "core/sqm.h"
 #include "mpc/beaver.h"
+#include "mpc/bgw.h"
 #include "mpc/field.h"
+#include "mpc/party_protocol.h"
 #include "mpc/protocol.h"
 #include "mpc/shamir.h"
+#include "net/liveness.h"
 #include "net/lockstep.h"
+#include "net/runner.h"
+#include "net/threaded.h"
 #include "net/tcp/party_config.h"
 #include "net/tcp/socket.h"
 #include "net/tcp/tcp_transport.h"
@@ -490,6 +495,115 @@ TEST(GrrVsBeaver, ProtocolCountsTriplesAndPinsPoolToDealerStream) {
   const std::vector<int64_t> opened =
       protocol.OpenSigned(product.ValueOrDie()).ValueOrDie();
   EXPECT_EQ(opened, (std::vector<int64_t>{42, -33}));
+}
+
+// ---------------------------------------------------------------------------
+// Driver vs per-party evaluation of one circuit through the shared level
+// loop: BgwEngine (rows = n, one process) against n PartyEngines (rows = 1,
+// one thread each) must open the same values and, without trackers, put
+// the same traffic on the wire.
+
+constexpr size_t kLoopParties = 5;
+constexpr size_t kLoopThreshold = 2;
+constexpr uint64_t kLoopSeed = 2024;
+
+// Depth 3, one input per party; every level holds a constant, a Sub, a
+// MulConst and an Add feeding that level's products (and, at the top, the
+// outputs).
+sqm::Circuit LevelLoopCircuit() {
+  sqm::Circuit c;
+  std::vector<sqm::Circuit::WireId> inputs;
+  for (size_t j = 0; j < kLoopParties; ++j) inputs.push_back(c.AddInput(j));
+  std::vector<sqm::Circuit::WireId> wires = inputs;
+  for (size_t level = 0; level <= 3; ++level) {
+    const sqm::Circuit::WireId k = c.AddConstant(Field::Encode(level + 1));
+    std::vector<sqm::Circuit::WireId> local;
+    for (size_t i = 0; i < kLoopParties; ++i) {
+      const sqm::Circuit::WireId scaled =
+          c.AddMulConst(c.AddSub(wires[i], k), Field::Encode(-2));
+      local.push_back(c.AddAdd(scaled, inputs[i]));
+    }
+    for (size_t i = 0; i < kLoopParties; ++i) {
+      if (level == 3) {
+        c.MarkOutput(local[i]);
+      } else {
+        wires[i] = c.AddMul(local[i], local[(i + 1) % kLoopParties]);
+      }
+    }
+  }
+  return c;
+}
+
+std::vector<std::vector<int64_t>> LevelLoopInputs() {
+  return {{3}, {-2}, {1}, {4}, {-1}};
+}
+
+struct LoopRun {
+  std::vector<std::vector<int64_t>> outputs;  ///< [party] opened outputs.
+  sqm::NetworkStats stats;
+};
+
+LoopRun RunLoopDriver(bool trackers) {
+  sqm::LockstepTransport network(kLoopParties, 0.0);
+  sqm::BgwEngine engine(ShamirScheme(kLoopParties, kLoopThreshold), &network,
+                        kLoopSeed);
+  sqm::LivenessTracker tracker(kLoopParties);
+  if (trackers) engine.set_liveness(&tracker);
+  sqm::Result<std::vector<int64_t>> outputs =
+      engine.Evaluate(LevelLoopCircuit(), LevelLoopInputs());
+  EXPECT_TRUE(outputs.ok()) << outputs.status().ToString();
+  EXPECT_EQ(engine.last_report().mul_rounds, 3u);
+  LoopRun run;
+  run.outputs.assign(kLoopParties, outputs.ok() ? outputs.ValueOrDie()
+                                                : std::vector<int64_t>{});
+  run.stats = network.stats();
+  return run;
+}
+
+// Every party on its own thread over one ThreadedTransport, with the
+// transport's round barrier as each party's round end; each party keeps
+// its own tracker when `trackers` is set (so the census runs).
+LoopRun RunLoopParties(bool trackers) {
+  sqm::ThreadedTransport network(kLoopParties, sqm::ThreadedTransportOptions{});
+  const sqm::Circuit circuit = LevelLoopCircuit();
+  const std::vector<std::vector<int64_t>> inputs = LevelLoopInputs();
+  LoopRun run;
+  run.outputs.resize(kLoopParties);
+  const sqm::Status status =
+      sqm::PartyRunner(kLoopParties).Run([&](size_t me) -> sqm::Status {
+        sqm::PartyEngine engine(ShamirScheme(kLoopParties, kLoopThreshold),
+                                &network, kLoopSeed, me);
+        engine.protocol().set_round_barrier(
+            [&network, me] { network.ArriveRound(me); });
+        sqm::LivenessTracker tracker(kLoopParties);
+        if (trackers) engine.set_liveness(&tracker);
+        SQM_ASSIGN_OR_RETURN(const sqm::PartyProtocol::Shares shares,
+                             engine.EvaluateToShares(circuit, inputs[me]));
+        SQM_ASSIGN_OR_RETURN(run.outputs[me], engine.OpenOutputs(shares));
+        return sqm::Status::OK();
+      });
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  run.stats = network.stats();
+  return run;
+}
+
+TEST(LevelLoopEquivalence, PartyEnginesMatchDriverOutputsAndTraffic) {
+  const LoopRun driver = RunLoopDriver(/*trackers=*/false);
+  ASSERT_EQ(driver.outputs[0].size(), kLoopParties);
+  const LoopRun parties = RunLoopParties(/*trackers=*/false);
+  EXPECT_EQ(parties.outputs, driver.outputs);
+  EXPECT_EQ(parties.stats.messages, driver.stats.messages);
+  EXPECT_EQ(parties.stats.bytes(), driver.stats.bytes());
+  EXPECT_EQ(parties.stats.rounds, driver.stats.rounds);
+}
+
+TEST(LevelLoopEquivalence, PartyEnginesWithCensusMatchDriverOutputs) {
+  const LoopRun driver = RunLoopDriver(/*trackers=*/true);
+  EXPECT_EQ(driver.outputs, RunLoopDriver(/*trackers=*/false).outputs);
+  const LoopRun parties = RunLoopParties(/*trackers=*/true);
+  EXPECT_EQ(parties.outputs, driver.outputs);
+  // One census round per multiplication level on top of the driver's.
+  EXPECT_EQ(parties.stats.rounds, driver.stats.rounds + 3);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "mpc/protocol.h"
 #include "net/lockstep.h"
 #include "sampling/rng.h"
 
@@ -183,7 +184,7 @@ TEST_F(BeaverTest, RefillExtendsTheSameStream) {
 }
 
 TEST_F(BeaverTest, RefillUnderDropoutEnforcesDealerQuorum) {
-  // Dealing degree-t triples that recombine under MulQuorum needs the
+  // Dealing degree-t triples that recombine under a quorum Mul needs the
   // 2t+1 dealer rule, exactly like a GRR level: with t = 2 that is 5
   // distinct surviving dealers.
   BeaverTriplePool pool(ShamirScheme(kParties, kThreshold), 13, 1);

@@ -101,6 +101,26 @@ TEST_F(BgwTest, MultipleInputsPerPartyConsumeInOrder)
   EXPECT_EQ(out, (std::vector<int64_t>{6}));
 }
 
+TEST_F(BgwTest, CheckpointOfAnotherCircuitIsRejected) {
+  // Circuit A's completed checkpoint holds A's share table; resuming
+  // circuit B (more wires) from it must fail cleanly, not abort.
+  Circuit a;
+  const auto x = a.AddInput(0);
+  a.MarkOutput(a.AddMul(x, x));
+  BgwCheckpoint checkpoint;
+  ASSERT_TRUE(
+      engine_.EvaluateToShares(a, {{3}, {}, {}, {}, {}}, &checkpoint).ok());
+  ASSERT_TRUE(checkpoint.valid);
+
+  Circuit b;
+  const auto y = b.AddInput(0);
+  b.MarkOutput(b.AddMul(b.AddAdd(y, y), y));
+  const Result<SharedVector> resumed =
+      engine_.EvaluateToShares(b, {{3}, {}, {}, {}, {}}, &checkpoint);
+  EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument)
+      << resumed.status().ToString();
+}
+
 TEST(BgwThreePartyTest, InnerProductAcrossParties) {
   // <x, y> for 3-vectors owned by parties 0 and 1.
   LockstepTransport network(3, 0.0);

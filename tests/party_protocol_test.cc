@@ -17,10 +17,14 @@
 
 #include "core/party_sqm.h"
 #include "core/sqm.h"
+#include "mpc/party_protocol.h"
+#include "net/liveness.h"
 #include "net/lockstep.h"
+#include "net/runner.h"
 #include "net/tcp/party_config.h"
 #include "net/tcp/socket.h"
 #include "net/tcp/tcp_transport.h"
+#include "net/threaded.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
 #include "poly/parser.h"
@@ -210,6 +214,46 @@ TEST(DeploymentConfigJson, NegativeChaosStallSecondsIsRejected) {
       sqm::ParseDeploymentConfig(sqm::DeploymentConfigToJson(config));
   EXPECT_EQ(parsed.status().code(), sqm::StatusCode::kInvalidArgument)
       << parsed.status().ToString();
+}
+
+TEST(PartyProtocol, FullQuorumFailurePrintsCensusMasksInHex) {
+  // Five parties on one threaded transport in recovery mode, each with its
+  // own tracker. Parties 0-3 multiply; party 4 only arrives at the two
+  // round barriers (sub-shares, census) and never deals or votes. Its
+  // missing batch times out without killing it (recovery mode), so every
+  // multiplier's census agrees on dealers 0-3 against five alive parties.
+  constexpr size_t kParties = 5;
+  sqm::ThreadedTransportOptions options;
+  options.receive_timeout_seconds = 0.02;
+  options.max_retries = 0;
+  sqm::ThreadedTransport transport(kParties, options);
+  std::vector<sqm::Status> results(kParties);
+  const sqm::Status run =
+      sqm::PartyRunner(kParties).Run([&](size_t me) -> sqm::Status {
+        if (me == 4) {
+          transport.ArriveRound(me);
+          transport.ArriveRound(me);
+          return sqm::Status::OK();
+        }
+        sqm::LivenessTracker tracker(kParties);
+        sqm::PartyProtocol protocol(sqm::ShamirScheme(kParties, 2),
+                                    &transport, 99, me);
+        protocol.set_liveness(&tracker);
+        protocol.set_recovery_mode(true);
+        protocol.set_round_barrier(
+            [&transport, me] { transport.ArriveRound(me); });
+        results[me] = protocol.Mul({1, 2}, {3, 4}).status();
+        return sqm::Status::OK();
+      });
+  ASSERT_TRUE(run.ok()) << run.ToString();
+  for (size_t me = 0; me < 4; ++me) {
+    EXPECT_EQ(results[me].code(), sqm::StatusCode::kUnavailable)
+        << results[me].ToString();
+    EXPECT_NE(results[me].message().find("agreed 0xf "), std::string::npos)
+        << results[me].message();
+    EXPECT_NE(results[me].message().find("expected 0x1f,"), std::string::npos)
+        << results[me].message();
+  }
 }
 
 TEST(PartyProtocol, NoiselessTcpRunMatchesLockstepBitForBit) {
