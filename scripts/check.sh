@@ -77,14 +77,10 @@ fi
 "$build_dir"/bench/table2_transport_modes --scale=small \
     --json="$build_dir/BENCH_transport_modes.json"
 
-# Archive the batched-hot-path and Beaver-vs-GRR records alongside it:
-# the scalar-vs-batched Shamir sweep (batched must win by d >= 16) and
-# the offline/online Beaver split with quorum-path round counts (Beaver
-# halves the per-Mul rounds by dropping the census).
+# Archive the batched-hot-path record alongside it: the scalar-vs-batched
+# Shamir sweep (batched must win by d >= 16).
 "$build_dir"/bench/table1_complexity_scaling --scale=small \
     --json="$build_dir/BENCH_complexity_scaling.json"
-"$build_dir"/bench/ablation_beaver_vs_grr --scale=small \
-    --json="$build_dir/BENCH_beaver_vs_grr.json"
 
 # Archive the substrate microbenchmarks (field kernels incl. the
 # LinearCombination rows, Shamir, samplers, the pca-shaped BGW Mul batch)
@@ -105,7 +101,7 @@ fi
 # Recovery gate under ThreadSanitizer: the deploy + chaos suites exercise
 # SIGKILL, reconnect and resume-barrier paths where a data race would be
 # silent corruption in the release build, and the batch differential
-# suite's threaded/TCP legs put the Beaver + batched hot path under the
+# suite's threaded/TCP legs put the batched hot path under the
 # race detector too, as do the concurrent sampler draws (parties sample
 # their Skellam shares at the same time), the TCP transport suite
 # (listener shutdown waking the acceptor, then the thread joins), and the

@@ -3,13 +3,11 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "core/logging.h"
 #include "core/sqm_plan.h"
-#include "mpc/beaver.h"
 #include "mpc/checkpoint_store.h"
 #include "mpc/circuit.h"
 #include "mpc/field.h"
@@ -45,10 +43,6 @@ uint64_t ConfigFingerprint(const DeploymentConfig& config) {
   mix_double(config.gamma);
   mix_double(config.mu);
   mix(config.quantize_coefficients ? 1 : 0);
-  // The mul backend changes the RNG consumption schedule (Beaver Mul
-  // never draws re-sharing randomness), so checkpoints do not transfer
-  // across backends.
-  mix(config.mul_backend == "beaver" ? 1 : 0);
   for (const char c : config.polynomial) {
     mix(static_cast<uint8_t>(c));
   }
@@ -105,8 +99,6 @@ Result<SqmOptions> SqmOptionsFromDeployment(const DeploymentConfig& config) {
   options.seed = config.seed;
   SQM_ASSIGN_OR_RETURN(options.dropout_policy,
                        DropoutPolicyFromString(config.dropout_policy));
-  SQM_ASSIGN_OR_RETURN(options.mul_backend,
-                       MulBackendFromString(config.mul_backend));
   options.dp_delta = config.dp_delta;
   options.record_norm_bound = config.record_norm_bound;
   options.mpc_max_attempts = config.mpc_max_attempts;
@@ -234,21 +226,6 @@ Result<SqmReport> RunPartySqm(const DeploymentConfig& config, size_t me,
             << "); announcing a full redo at the resume barrier";
       }
     }
-  }
-
-  // Beaver backend: every party pre-deals the SAME pool — offline work,
-  // before the online clock. Supervised recovery is rejected: the pool
-  // cursor is not part of the durable checkpoint, so a restarted
-  // incarnation could not realign its triple stream.
-  if (options.mul_backend == MulBackend::kBeaver && recovery_enabled) {
-    return Status::InvalidArgument(
-        "mul_backend=beaver is not supported with supervised recovery: "
-        "the Beaver pool cursor is not part of the durable checkpoint");
-  }
-  const std::unique_ptr<BeaverTriplePool> beaver_pool =
-      plan.MakeBeaverPool(circuit);
-  if (beaver_pool != nullptr) {
-    engine.protocol().set_beaver_pool(beaver_pool.get());
   }
 
   SqmPlan::Execution run;

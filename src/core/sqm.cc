@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "core/sqm_plan.h"
-#include "mpc/beaver.h"
 #include "mpc/bgw.h"
 #include "mpc/field.h"
 #include "net/lockstep.h"
@@ -98,14 +97,6 @@ Result<SqmReport> EvaluateBgw(const SqmPlan& plan,
   LivenessTracker tracker(num_clients);
   if (policy != DropoutPolicy::kAbort) engine.set_liveness(&tracker);
 
-  // Beaver backend: the whole circuit's triples are dealt offline, before
-  // the online clock starts.
-  const std::unique_ptr<BeaverTriplePool> beaver_pool =
-      plan.MakeBeaverPool(circuit);
-  if (beaver_pool != nullptr) {
-    engine.protocol().set_beaver_pool(beaver_pool.get());
-  }
-
   SqmPlan::Execution run;
   run.compute_start = std::chrono::steady_clock::now();
   {
@@ -176,23 +167,6 @@ Result<DropoutPolicy> DropoutPolicyFromString(const std::string& name) {
   if (name == "topup") return DropoutPolicy::kTopUp;
   return Status::InvalidArgument("unknown dropout policy \"" + name +
                                  "\" (expected abort, degrade, or topup)");
-}
-
-const char* MulBackendToString(MulBackend backend) {
-  switch (backend) {
-    case MulBackend::kGrr:
-      return "grr";
-    case MulBackend::kBeaver:
-      return "beaver";
-  }
-  return "unknown";
-}
-
-Result<MulBackend> MulBackendFromString(const std::string& name) {
-  if (name == "grr") return MulBackend::kGrr;
-  if (name == "beaver") return MulBackend::kBeaver;
-  return Status::InvalidArgument("unknown mul backend \"" + name +
-                                 "\" (expected grr or beaver)");
 }
 
 SqmEvaluator::SqmEvaluator(SqmOptions options)

@@ -43,24 +43,10 @@ enum class DropoutPolicy {
 
 const char* DropoutPolicyToString(DropoutPolicy policy);
 
-/// How the BGW backend multiplies shares.
-enum class MulBackend {
-  /// GRR degree reduction: every Mul re-shares the local product online.
-  /// One driver round per Mul; two rounds (sub-shares + census) per Mul on
-  /// the networked quorum path.
-  kGrr,
-  /// Offline-dealt Beaver triples: a BeaverTriplePool is pre-dealt before
-  /// the protocol starts and each online Mul costs exactly one opening of
-  /// the packed (x-a, y-b) batch — no census round even under dropout,
-  /// since the opened values are public. Releases are bit-identical to
-  /// kGrr (MPC is exact; randomness streams are disjoint by construction).
-  kBeaver,
-};
-
-const char* MulBackendToString(MulBackend backend);
-
-/// Inverse of MulBackendToString; kInvalidArgument on unknown names.
-Result<MulBackend> MulBackendFromString(const std::string& name);
+/// GRR degree reduction is the only BGW multiplication. This enum and
+/// SqmOptions::mul_backend remain only because the perfbench workloads
+/// still set the field; nothing in src/ reads it.
+enum class MulBackend { kGrr };
 
 /// Inverse of DropoutPolicyToString; kInvalidArgument on unknown names.
 Result<DropoutPolicy> DropoutPolicyFromString(const std::string& name);
@@ -108,12 +94,7 @@ struct SqmOptions {
   /// resume a failed multiplication level from the phase checkpoint.
   DropoutPolicy dropout_policy = DropoutPolicy::kAbort;
 
-  /// Multiplication backend for the BGW phase. kBeaver pre-deals a triple
-  /// pool sized for the whole circuit (num_multiplications x
-  /// mpc_max_attempts) from its own stream of the SqmPlan RNG schedule —
-  /// offline work excluded from the online timing — and halves the online
-  /// round count per Mul on the networked path. Releases are bit-identical
-  /// to kGrr.
+  /// Unused; see MulBackend.
   MulBackend mul_backend = MulBackend::kGrr;
 
   /// Delta at which degraded-mode (epsilon, delta) guarantees are

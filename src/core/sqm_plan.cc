@@ -17,7 +17,6 @@
 // and as separate roots:
 //   seed ^ 0xb9d7       BGW sharing randomness (Split(j) per party, inside
 //                       BgwProtocol / PartyProtocol)
-//   seed ^ 0xbea7e5     the offline Beaver triple pool
 //   seed ^ 0x70b        top-up noise, Split(j) per survivor j in order
 // Splits consume parent draws but never data, so deriving every stream up
 // front equals replaying the splits where the streams are used — which is
@@ -276,17 +275,6 @@ Circuit SqmPlan::BuildCircuit() const {
     circuit.MarkOutput(acc);
   }
   return circuit;
-}
-
-std::unique_ptr<BeaverTriplePool> SqmPlan::MakeBeaverPool(
-    const Circuit& circuit) const {
-  if (options_.mul_backend != MulBackend::kBeaver) return nullptr;
-  // A checkpoint resume replays Mul levels, so the pool covers every
-  // attempt; exhaustion inside the protocol is a kFailedPrecondition,
-  // never a silent online deal.
-  return std::make_unique<BeaverTriplePool>(
-      scheme(), options_.seed ^ 0xbea7e5,
-      circuit.num_multiplications() * max_attempts());
 }
 
 uint64_t SqmPlan::protocol_seed() const { return options_.seed ^ 0xb9d7; }

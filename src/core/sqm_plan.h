@@ -3,7 +3,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -12,7 +11,6 @@
 #include "core/sqm.h"
 #include "core/status.h"
 #include "math/matrix.h"
-#include "mpc/beaver.h"
 #include "mpc/circuit.h"
 #include "mpc/shamir.h"
 #include "net/liveness.h"
@@ -62,11 +60,6 @@ class SqmPlan {
   /// The BGW circuit: every client's column inputs, then its noise inputs;
   /// output t sums quantized dimension t over the rows plus the noise.
   Circuit BuildCircuit() const;
-
-  /// kBeaver: the triple pool every party pre-deals identically, sized for
-  /// max_attempts() passes over `circuit`. nullptr under kGrr.
-  std::unique_ptr<BeaverTriplePool> MakeBeaverPool(
-      const Circuit& circuit) const;
 
   /// kTopUp compensation for the deaths `tracker` knows of: each survivor
   /// deals Sk(dropped / (n * survivors) * mu). No dealers when none is due.

@@ -6,7 +6,6 @@
 #include <numeric>
 
 #include "core/logging.h"
-#include "mpc/beaver.h"
 #include "obs/trace.h"
 
 namespace sqm {
@@ -163,7 +162,6 @@ Result<PartyProtocol::Shares> PartyProtocol::Mul(Shares a, Shares b) {
   if (a.size() != b.size()) {
     return Status::InvalidArgument("Mul: shape mismatch");
   }
-  if (beaver_pool_ != nullptr) return MulBeaver(a, b);
   const size_t n = num_parties();
   const size_t k = a.size();
   const size_t needed = 2 * scheme_.threshold() + 1;
@@ -333,13 +331,8 @@ Result<uint64_t> PartyProtocol::Census(uint64_t my_mask) {
 }
 
 Result<std::vector<Field::Element>> PartyProtocol::Open(const Shares& a) {
-  PhaseScope phase(network_, "open");
-  return OpenInPhase(a);
-}
-
-Result<std::vector<Field::Element>> PartyProtocol::OpenInPhase(
-    const Shares& a) {
   const size_t n = num_parties();
+  PhaseScope phase(network_, "open");
   obs::Span span("bgw.open", "mpc", static_cast<int32_t>(me_));
   span.AddArg("elements", static_cast<int64_t>(a.size()));
   for (size_t r = 0; r < n; ++r) {
@@ -403,47 +396,6 @@ Result<std::vector<Field::Element>> PartyProtocol::OpenInPhase(
   }
   return scheme_.ReconstructBatchFromSurvivors(all, survivors,
                                                scheme_.threshold());
-}
-
-Result<PartyProtocol::Shares> PartyProtocol::MulBeaver(const Shares& a,
-                                                       const Shares& b) {
-  const size_t k = a.size();
-  PhaseScope phase(network_, "mul");
-  obs::Span span("bgw.mul", "mpc", static_cast<int32_t>(me_));
-  span.AddArg("elements", static_cast<int64_t>(k));
-  span.AddArg("beaver", 1);
-
-  BeaverTriplePool::TripleBatch triples;
-  SQM_ASSIGN_OR_RETURN(triples, beaver_pool_->Take(k));
-  beaver_triples_used_ += k;
-  const std::vector<Field::Element>& ta = triples.a.shares(me_);
-  const std::vector<Field::Element>& tb = triples.b.shares(me_);
-  const std::vector<Field::Element>& tc = triples.c.shares(me_);
-
-  // One round: jointly open [x - a | y - b], packed so the batch costs a
-  // single broadcast tagged to the "mul" phase. The opened values are
-  // public, so even on the quorum path any t+1 survivor shares agree and
-  // no census round is needed — this is where Beaver halves the per-Mul
-  // round count relative to GRR's sub-share + census exchanges.
-  Shares packed(2 * k);
-  Field::SubVec(a.data(), ta.data(), packed.data(), k);
-  Field::SubVec(b.data(), tb.data(), packed.data() + k, k);
-  SQM_ASSIGN_OR_RETURN(const std::vector<Field::Element> opened,
-                       OpenInPhase(packed));
-
-  // [xy] = [c] + d*[b] + e*[a] + d*e, accumulated in the same order as the
-  // driver's combine so releases are bit-identical across execution modes.
-  const Field::Element* d = opened.data();
-  const Field::Element* e = opened.data() + k;
-  Shares out = tc;
-  std::vector<Field::Element> term(k);
-  Field::MulVec(d, tb.data(), term.data(), k);
-  Field::AddVec(out.data(), term.data(), out.data(), k);
-  Field::MulVec(e, ta.data(), term.data(), k);
-  Field::AddVec(out.data(), term.data(), out.data(), k);
-  Field::MulVec(d, e, term.data(), k);
-  Field::AddVec(out.data(), term.data(), out.data(), k);
-  return out;
 }
 
 Result<std::vector<int64_t>> PartyProtocol::OpenSigned(const Shares& a) {

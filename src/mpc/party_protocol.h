@@ -16,8 +16,6 @@
 
 namespace sqm {
 
-class BeaverTriplePool;
-
 /// Per-party BGW primitives: the distributed counterpart of BgwProtocol.
 ///
 /// BgwProtocol executes every party in one process — it owns all n RNG
@@ -95,22 +93,8 @@ class PartyProtocol {
   /// its operands: the product is computed and recombined in `a`'s storage
   /// and `b` is freed once used. Recombines the first 2t+1 agreed dealers
   /// with the degree-2t weights when they are dealers 0..2t, else with
-  /// fresh Lagrange weights for exactly their points. With a Beaver pool
-  /// attached, the online path is instead one opening round in BOTH cases:
-  /// the opened (x-a, y-b) values are public, so any t+1 survivor shares
-  /// agree and no census/agreement round is needed.
+  /// fresh Lagrange weights for exactly their points.
   Result<Shares> Mul(Shares a, Shares b);
-
-  /// Attaches this party's offline triple pool (nullptr detaches). Every
-  /// party constructs its pool from the same (scheme, seed, capacity), so
-  /// the pools' triple streams — and hence each party's rows — agree
-  /// without communication (the semi-honest preprocessing abstraction).
-  /// Must outlive the protocol while attached. Not supported together with
-  /// recovery mode: the pool cursor is not part of the durable checkpoint.
-  void set_beaver_pool(BeaverTriplePool* pool) { beaver_pool_ = pool; }
-
-  /// Beaver triples consumed by Mul since construction (0 under GRR).
-  size_t beaver_triples_used() const { return beaver_triples_used_; }
 
   /// Marks the trailing `count` elements of this party's dealings as its
   /// noise; see BgwProtocol::set_noise_inputs.
@@ -184,14 +168,6 @@ class PartyProtocol {
   /// and voting fails the level with kUnavailable.
   Result<uint64_t> Census(uint64_t my_mask);
 
-  /// Beaver online multiplication (pool attached): one opening round,
-  /// tagged to the "mul" phase, plus local combination.
-  Result<Shares> MulBeaver(const Shares& a, const Shares& b);
-
-  /// Broadcast-and-reconstruct body shared by Open and MulBeaver; the
-  /// caller owns the PhaseScope.
-  Result<std::vector<Field::Element>> OpenInPhase(const Shares& a);
-
   /// Receive that discards late resume-barrier markers in recovery mode.
   /// ALL protocol receive sites must go through this: a peer that left the
   /// barrier first may push one final marker round into our next phase.
@@ -211,8 +187,6 @@ class PartyProtocol {
   ShamirScheme scheme_;
   Transport* network_;
   LivenessTracker* liveness_ = nullptr;
-  BeaverTriplePool* beaver_pool_ = nullptr;
-  size_t beaver_triples_used_ = 0;
   size_t noise_inputs_ = 0;
   double noise_deal_seconds_ = 0.0;
   const size_t me_;

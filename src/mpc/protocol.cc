@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "core/logging.h"
-#include "mpc/beaver.h"
 #include "obs/trace.h"
 
 namespace sqm {
@@ -149,7 +148,6 @@ Result<SharedVector> BgwProtocol::Mul(SharedVector a, SharedVector b) {
   if (a.size() != b.size() || a.num_parties() != b.num_parties()) {
     return Status::InvalidArgument("Mul: shape mismatch");
   }
-  if (beaver_pool_ != nullptr) return MulBeaver(a, b);
   const size_t n = num_parties();
   const size_t k = a.size();
   const size_t needed = 2 * scheme_.threshold() + 1;
@@ -284,19 +282,9 @@ Result<SharedVector> BgwProtocol::InnerProduct(const SharedVector& a,
 }
 
 Result<std::vector<Field::Element>> BgwProtocol::Open(const SharedVector& a) {
-  PhaseScope phase(network_, "open");
-  return OpenInPhase(a);
-}
-
-Result<std::vector<int64_t>> BgwProtocol::OpenSigned(const SharedVector& a) {
-  SQM_ASSIGN_OR_RETURN(const std::vector<Field::Element> opened, Open(a));
-  return Field::DecodeVector(opened);
-}
-
-Result<std::vector<Field::Element>> BgwProtocol::OpenInPhase(
-    const SharedVector& a) {
   const size_t n = num_parties();
   const size_t k = a.size();
+  PhaseScope phase(network_, "open");
   obs::Span span("bgw.open", "mpc");
   span.AddArg("elements", static_cast<int64_t>(k));
   for (size_t j = 0; j < n; ++j) {
@@ -372,59 +360,9 @@ Result<std::vector<Field::Element>> BgwProtocol::OpenInPhase(
                                                scheme_.threshold());
 }
 
-Result<SharedVector> BgwProtocol::MulBeaver(const SharedVector& a,
-                                            const SharedVector& b) {
-  const size_t n = num_parties();
-  const size_t k = a.size();
-  PhaseScope phase(network_, "mul");
-  obs::Span span("bgw.mul", "mpc");
-  span.AddArg("elements", static_cast<int64_t>(k));
-  span.AddArg("beaver", 1);
-
-  BeaverTriplePool::TripleBatch triples;
-  SQM_ASSIGN_OR_RETURN(triples, beaver_pool_->Take(k));
-  beaver_triples_used_ += k;
-
-  // Local masking: pack d = x - a and e = y - b into one 2k-element shared
-  // vector so the whole Mul costs exactly one opening round.
-  SharedVector packed(n, 2 * k);
-  for (size_t j = 0; j < n; ++j) {
-    if (PartyDead(j)) continue;
-    auto& dst = packed.shares(j);
-    Field::SubVec(a.shares(j).data(), triples.a.shares(j).data(),
-                  dst.data(), k);
-    Field::SubVec(b.shares(j).data(), triples.b.shares(j).data(),
-                  dst.data() + k, k);
-  }
-  // With a tracker this is a quorum opening, but with no census round: the
-  // opened values are PUBLIC, so any threshold+1 survivor shares of a
-  // consistent sharing agree — survivor-set agreement across parties is
-  // unnecessary. This is why the Beaver online path costs one round where
-  // quorum GRR costs two.
-  SQM_ASSIGN_OR_RETURN(const std::vector<Field::Element> opened,
-                       OpenInPhase(packed));
-
-  // Local combination [xy] = [c] + d*[b] + e*[a] + d*e.
-  const Field::Element* d = opened.data();
-  const Field::Element* e = opened.data() + k;
-  std::vector<Field::Element> de(k);
-  Field::MulVec(d, e, de.data(), k);
-  std::vector<Field::Element> term(k);
-  SharedVector out(n, k);
-  for (size_t j = 0; j < n; ++j) {
-    if (PartyDead(j)) continue;
-    auto& dst = out.shares(j);
-    dst = triples.c.shares(j);
-    Field::MulVec(d, triples.b.shares(j).data(), term.data(), k);
-    Field::AddVec(dst.data(), term.data(), dst.data(), k);
-    Field::MulVec(e, triples.a.shares(j).data(), term.data(), k);
-    Field::AddVec(dst.data(), term.data(), dst.data(), k);
-    Field::AddVec(dst.data(), de.data(), dst.data(), k);
-  }
-  if (verify_sharings_) {
-    SQM_RETURN_NOT_OK(VerifySharing(out, "Beaver Mul output"));
-  }
-  return out;
+Result<std::vector<int64_t>> BgwProtocol::OpenSigned(const SharedVector& a) {
+  SQM_ASSIGN_OR_RETURN(const std::vector<Field::Element> opened, Open(a));
+  return Field::DecodeVector(opened);
 }
 
 Status BgwProtocol::VerifySharing(const SharedVector& a,

@@ -14,8 +14,6 @@
 
 namespace sqm {
 
-class BeaverTriplePool;
-
 /// Vectorized semi-honest BGW primitives over an abstract transport.
 ///
 /// Executes all parties in one process, exactly following the message
@@ -85,9 +83,9 @@ class BgwProtocol {
   Result<SharedVector> AddPublic(const SharedVector& a,
                                  const std::vector<Field::Element>& pub) const;
 
-  /// Element-wise product with GRR degree reduction (or the Beaver online
-  /// path when a pool is attached); one communication round. Consumes its
-  /// operands: the product is returned in `a`'s storage.
+  /// Element-wise product with GRR degree reduction; one communication
+  /// round. Consumes its operands: the product is returned in `a`'s
+  /// storage.
   Result<SharedVector> Mul(SharedVector a, SharedVector b);
 
   /// Sum of all elements into a 1-element shared vector; local.
@@ -120,19 +118,6 @@ class BgwProtocol {
   void set_verify_sharings(bool verify) { verify_sharings_ = verify; }
   bool verify_sharings() const { return verify_sharings_; }
 
-  /// Attaches an offline-dealt BeaverTriplePool (nullptr detaches); Mul
-  /// switches from GRR degree reduction to the Beaver online path: one
-  /// opening of (x-a, y-b) per Mul, consuming one triple per element, and
-  /// no census round on the quorum path (the opened values are public, so
-  /// any t+1 survivor shares agree without a dealer-set agreement round).
-  /// The pool must outlive the protocol while attached; exhaustion
-  /// surfaces as the pool's kFailedPrecondition.
-  void set_beaver_pool(BeaverTriplePool* pool) { beaver_pool_ = pool; }
-  BeaverTriplePool* beaver_pool() const { return beaver_pool_; }
-
-  /// Beaver triples consumed by Mul since construction (0 under GRR).
-  size_t beaver_triples_used() const { return beaver_triples_used_; }
-
   /// Marks the trailing `count` elements of every dealing (input phase and
   /// top-up) as the dealer's noise: they are dealt as a second batch into
   /// the same message (ShamirScheme::ShareBatchWithTail), so traffic and
@@ -159,15 +144,6 @@ class BgwProtocol {
   size_t DrainPending();
 
  private:
-  /// Beaver online multiplication used when a pool is attached: one
-  /// opening (tagged to the "mul" phase) plus local combination.
-  Result<SharedVector> MulBeaver(const SharedVector& a,
-                                 const SharedVector& b);
-
-  /// Broadcast-and-reconstruct body of Open and MulBeaver; the caller owns
-  /// the PhaseScope so the traffic lands in the right phase bucket.
-  Result<std::vector<Field::Element>> OpenInPhase(const SharedVector& a);
-
   bool PartyDead(size_t party) const {
     return liveness_ != nullptr && liveness_->IsDead(party);
   }
@@ -175,9 +151,7 @@ class BgwProtocol {
   ShamirScheme scheme_;
   Transport* network_;
   LivenessTracker* liveness_ = nullptr;
-  BeaverTriplePool* beaver_pool_ = nullptr;
   bool verify_sharings_ = false;
-  size_t beaver_triples_used_ = 0;
   size_t noise_inputs_ = 0;
   double noise_deal_seconds_ = 0.0;
   std::vector<Rng> party_rngs_;  // Independent randomness per party.

@@ -11,9 +11,8 @@
 namespace sqm {
 
 /// A secret-shared vector: element i is Shamir-shared across all parties,
-/// shares(party)[i] being party's share. The driver's (BgwProtocol) and the
-/// Beaver pool's all-parties layout; callers never see plaintext until
-/// Open().
+/// shares(party)[i] being party's share. The driver's (BgwProtocol)
+/// all-parties layout; callers never see plaintext until Open().
 class SharedVector {
  public:
   SharedVector() = default;

@@ -112,7 +112,6 @@ Result<DeploymentConfig> ParseDeploymentConfig(const std::string& json) {
   SQM_RETURN_NOT_OK(ReadUint(root, "seed", &config.seed));
   SQM_RETURN_NOT_OK(
       ReadString(root, "dropout_policy", &config.dropout_policy));
-  SQM_RETURN_NOT_OK(ReadString(root, "mul_backend", &config.mul_backend));
   SQM_RETURN_NOT_OK(ReadDouble(root, "dp_delta", &config.dp_delta));
   SQM_RETURN_NOT_OK(ReadSize(root, "bgw_threshold", &config.bgw_threshold));
   SQM_RETURN_NOT_OK(
@@ -183,17 +182,6 @@ Result<DeploymentConfig> ParseDeploymentConfig(const std::string& json) {
         "party waits for a restarted peer; without it survivors would "
         "degrade before the respawn can rejoin)");
   }
-  if (config.mul_backend != "grr" && config.mul_backend != "beaver") {
-    return Status::InvalidArgument(
-        "deployment config: unknown mul_backend \"" + config.mul_backend +
-        "\" (expected grr or beaver)");
-  }
-  if (config.mul_backend == "beaver" && config.max_restarts > 0) {
-    return Status::InvalidArgument(
-        "deployment config: mul_backend=beaver cannot be combined with "
-        "supervised recovery (max_restarts > 0): the Beaver pool cursor "
-        "is not part of the durable checkpoint");
-  }
   if (config.restart_backoff_seconds < 0.0 ||
       config.recovery_deadline_seconds < 0.0) {
     return Status::InvalidArgument(
@@ -237,7 +225,6 @@ std::string DeploymentConfigToJson(const DeploymentConfig& config) {
   w.Field("mu", config.mu);
   w.Field("seed", config.seed);
   w.Field("dropout_policy", config.dropout_policy);
-  w.Field("mul_backend", config.mul_backend);
   w.Field("dp_delta", config.dp_delta);
   w.Field("bgw_threshold", static_cast<uint64_t>(config.bgw_threshold));
   w.Field("record_norm_bound", config.record_norm_bound);

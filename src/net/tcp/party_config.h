@@ -47,12 +47,6 @@ struct DeploymentConfig {
   double mu = 0.0;
   uint64_t seed = 42;
   std::string dropout_policy = "abort";
-  /// Multiplication backend: "grr" (online degree reduction) or "beaver"
-  /// (offline triple pool; every party pre-deals the same pool from the
-  /// seed before the online phase, halving per-Mul rounds).
-  /// Not combinable with supervised recovery (max_restarts > 0): the pool
-  /// cursor is not part of the durable checkpoint.
-  std::string mul_backend = "grr";
   double dp_delta = 1e-5;
   size_t bgw_threshold = 0;
   double record_norm_bound = 1.0;

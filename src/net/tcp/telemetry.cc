@@ -470,8 +470,6 @@ void TelemetryServer::ApplySnapshot(uint32_t party, const std::string& json) {
   }
   state.ledger_epsilon =
       NumberOr(doc.Find("ledger_epsilon"), state.ledger_epsilon);
-  state.beaver_pool_depth =
-      NumberOr(doc.Find("beaver_pool_depth"), state.beaver_pool_depth);
 }
 
 PartyTelemetry TelemetryServer::Party(size_t party) const {
@@ -525,7 +523,6 @@ std::string TelemetryServer::FleetMetricsJson() const {
     writer.Field("rounds", state.net_rounds);
     writer.EndObject();
     writer.Field("ledger_epsilon", state.ledger_epsilon);
-    writer.Field("beaver_pool_depth", state.beaver_pool_depth);
     if (!state.latest_json.empty()) {
       Result<JsonValue> parsed = ParseJson(state.latest_json);
       if (parsed.ok()) {

@@ -99,7 +99,6 @@ struct PartyTelemetry {
   uint64_t net_wire_bytes = 0;
   uint64_t net_rounds = 0;
   double ledger_epsilon = 0.0;
-  double beaver_pool_depth = -1.0;  ///< -1 = party reported no pool.
   std::string latest_json;  ///< Last full snapshot document, verbatim.
   std::map<uint32_t, int64_t> offsets_by_incarnation;
 };
@@ -131,7 +130,7 @@ class TelemetryServer {
   /// "connected":..,"final":..,"incarnation":..,"snapshots":..,
   /// "clock_offset_micros":..,"clock_rtt_micros":..,"phase":"..",
   /// "net":{"messages":..,"field_elements":..,"wire_bytes":..,
-  /// "rounds":..},"ledger_epsilon":..,"beaver_pool_depth":..,
+  /// "rounds":..},"ledger_epsilon":..,
   /// "state":<latest snapshot document or null>},...]}.
   std::string FleetMetricsJson() const;
 

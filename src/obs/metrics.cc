@@ -77,24 +77,6 @@ Histogram& Registry::GetHistogram(const std::string& name) {
   return *slot;
 }
 
-const Counter* Registry::FindCounter(const std::string& name) const {
-  MutexLock lock(mu_);
-  auto it = counters_.find(name);
-  return it == counters_.end() ? nullptr : it->second.get();
-}
-
-const Gauge* Registry::FindGauge(const std::string& name) const {
-  MutexLock lock(mu_);
-  auto it = gauges_.find(name);
-  return it == gauges_.end() ? nullptr : it->second.get();
-}
-
-const Histogram* Registry::FindHistogram(const std::string& name) const {
-  MutexLock lock(mu_);
-  auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : it->second.get();
-}
-
 MetricsSnapshot Registry::Snapshot() const {
   MutexLock lock(mu_);
   MetricsSnapshot snapshot;

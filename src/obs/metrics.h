@@ -143,11 +143,6 @@ class Registry {
   Gauge& GetGauge(const std::string& name);
   Histogram& GetHistogram(const std::string& name);
 
-  /// Lookup without creating; nullptr when the metric does not exist.
-  const Counter* FindCounter(const std::string& name) const;
-  const Gauge* FindGauge(const std::string& name) const;
-  const Histogram* FindHistogram(const std::string& name) const;
-
   MetricsSnapshot Snapshot() const;
   std::string SnapshotJson() const { return Snapshot().ToJson(); }
 

@@ -1,11 +1,11 @@
 // Differential-equivalence harness for the batched hot path: every batched
 // kernel (Field *Vec, Shamir ShareBatch/ReconstructBatch) must be
-// bit-identical to the element-at-a-time reference it replaced, and the
-// Beaver-pool Mul backend must release bit-identical values to GRR degree
-// reduction across all three transports (lockstep, threaded, TCP) under
-// identical seeds. These are not statistical comparisons — a single
-// differing bit anywhere is a failure, because every recorded transcript,
-// golden pin, and published experiment depends on exact reproducibility.
+// bit-identical to the element-at-a-time reference it replaced, and one
+// release must come out bit-identical across all three transports
+// (lockstep, threaded, TCP) and both dropout paths under identical seeds.
+// These are not statistical comparisons — a single differing bit anywhere
+// is a failure, because every recorded transcript, golden pin, and
+// published experiment depends on exact reproducibility.
 //
 // docs/TESTING.md "Differential equivalence" describes the tier; the
 // companion pins live in golden_stream_test.cc.
@@ -19,7 +19,7 @@
 
 #include "core/party_sqm.h"
 #include "core/sqm.h"
-#include "mpc/beaver.h"
+#include "core/sqm_plan.h"
 #include "mpc/bgw.h"
 #include "mpc/field.h"
 #include "mpc/party_protocol.h"
@@ -37,7 +37,6 @@
 
 namespace {
 
-using sqm::BeaverTriplePool;
 using sqm::Field;
 using sqm::Rng;
 using sqm::ShamirScheme;
@@ -290,16 +289,16 @@ TEST(ShamirBatchEquivalence, SurvivorShortfallFailsLikeScalar) {
 }
 
 // ---------------------------------------------------------------------------
-// GRR vs Beaver, driver transports. The MPC is exact — the release is a
+// One release across execution modes. The MPC is exact — the release is a
 // deterministic function of the quantized inputs and the externally
-// sampled noise, neither of which depends on how products are reduced —
-// so switching the Mul backend must not move a single bit of the release.
+// sampled noise — so neither the transport, the dropout path nor the
+// process layout may move a single bit of it.
 
-sqm::SqmOptions DriverOptions(sqm::MulBackend backend,
-                              sqm::TransportMode transport) {
+constexpr char kPolynomial[] = "x0*x1 + x2; x2*x2";
+
+sqm::SqmOptions DriverOptions(sqm::TransportMode transport) {
   sqm::SqmOptions options;
   options.backend = sqm::MpcBackend::kBgw;
-  options.mul_backend = backend;
   options.transport = transport;
   options.gamma = 64.0;
   options.mu = 4.0;
@@ -309,67 +308,43 @@ sqm::SqmOptions DriverOptions(sqm::MulBackend backend,
 
 sqm::Result<sqm::SqmReport> RunDriver(const sqm::SqmOptions& options) {
   sqm::Result<sqm::PolynomialVector> f =
-      sqm::ParsePolynomialVector("x0*x1 + x2; x2*x2");
+      sqm::ParsePolynomialVector(kPolynomial);
   EXPECT_TRUE(f.ok()) << f.status().ToString();
   const sqm::Matrix x = sqm::GenerateDeploymentMatrix(8, 3, 7);
   sqm::SqmEvaluator evaluator(options);
   return evaluator.Evaluate(f.ValueOrDie(), x);
 }
 
-TEST(GrrVsBeaver, LockstepReleasesAreBitIdentical) {
-  const sqm::Result<sqm::SqmReport> grr = RunDriver(
-      DriverOptions(sqm::MulBackend::kGrr, sqm::TransportMode::kLockstep));
-  ASSERT_TRUE(grr.ok()) << grr.status().ToString();
-  const sqm::Result<sqm::SqmReport> beaver = RunDriver(
-      DriverOptions(sqm::MulBackend::kBeaver, sqm::TransportMode::kLockstep));
-  ASSERT_TRUE(beaver.ok()) << beaver.status().ToString();
-  ASSERT_FALSE(grr.ValueOrDie().raw.empty());
-  EXPECT_EQ(beaver.ValueOrDie().raw, grr.ValueOrDie().raw);
-  EXPECT_EQ(beaver.ValueOrDie().estimate, grr.ValueOrDie().estimate);
-}
-
-TEST(GrrVsBeaver, ThreadedReleasesMatchLockstepBothBackends) {
-  const sqm::Result<sqm::SqmReport> reference = RunDriver(
-      DriverOptions(sqm::MulBackend::kGrr, sqm::TransportMode::kLockstep));
+TEST(ExecutionModeEquivalence, ThreadedReleasesMatchLockstep) {
+  const sqm::Result<sqm::SqmReport> reference =
+      RunDriver(DriverOptions(sqm::TransportMode::kLockstep));
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  for (const sqm::MulBackend backend :
-       {sqm::MulBackend::kGrr, sqm::MulBackend::kBeaver}) {
-    const sqm::Result<sqm::SqmReport> threaded =
-        RunDriver(DriverOptions(backend, sqm::TransportMode::kThreaded));
-    ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
-    EXPECT_EQ(threaded.ValueOrDie().raw, reference.ValueOrDie().raw)
-        << "backend " << sqm::MulBackendToString(backend);
-  }
+  const sqm::Result<sqm::SqmReport> threaded =
+      RunDriver(DriverOptions(sqm::TransportMode::kThreaded));
+  ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
+  ASSERT_FALSE(reference.ValueOrDie().raw.empty());
+  EXPECT_EQ(threaded.ValueOrDie().raw, reference.ValueOrDie().raw);
 }
 
-TEST(GrrVsBeaver, QuorumPathReleasesAreBitIdentical) {
-  // Degrade policy with no crashes: the quorum machinery runs (census for
-  // GRR, censusless opens for Beaver) but every party survives, so the
-  // release must equal the kAbort run bit for bit under both backends.
-  sqm::SqmOptions grr_options =
-      DriverOptions(sqm::MulBackend::kGrr, sqm::TransportMode::kLockstep);
-  grr_options.dropout_policy = sqm::DropoutPolicy::kDegrade;
-  sqm::SqmOptions beaver_options = grr_options;
-  beaver_options.mul_backend = sqm::MulBackend::kBeaver;
-  const sqm::Result<sqm::SqmReport> grr = RunDriver(grr_options);
-  ASSERT_TRUE(grr.ok()) << grr.status().ToString();
-  const sqm::Result<sqm::SqmReport> beaver = RunDriver(beaver_options);
-  ASSERT_TRUE(beaver.ok()) << beaver.status().ToString();
-  EXPECT_EQ(beaver.ValueOrDie().raw, grr.ValueOrDie().raw);
-
-  const sqm::Result<sqm::SqmReport> abort_run = RunDriver(
-      DriverOptions(sqm::MulBackend::kGrr, sqm::TransportMode::kLockstep));
+TEST(ExecutionModeEquivalence, QuorumPathReleaseEqualsAbort) {
+  // Degrade policy with no crashes: the quorum machinery runs but every
+  // party survives, so the release must equal the kAbort run bit for bit.
+  sqm::SqmOptions degrade_options =
+      DriverOptions(sqm::TransportMode::kLockstep);
+  degrade_options.dropout_policy = sqm::DropoutPolicy::kDegrade;
+  const sqm::Result<sqm::SqmReport> degrade = RunDriver(degrade_options);
+  ASSERT_TRUE(degrade.ok()) << degrade.status().ToString();
+  const sqm::Result<sqm::SqmReport> abort_run =
+      RunDriver(DriverOptions(sqm::TransportMode::kLockstep));
   ASSERT_TRUE(abort_run.ok()) << abort_run.status().ToString();
-  EXPECT_EQ(grr.ValueOrDie().raw, abort_run.ValueOrDie().raw);
+  EXPECT_EQ(degrade.ValueOrDie().raw, abort_run.ValueOrDie().raw);
 }
 
 // ---------------------------------------------------------------------------
-// GRR vs Beaver over real loopback TCP: every party its own thread with
-// real sockets, exactly as the sqm-party daemon runs. Same helpers as
-// party_protocol_test.cc.
+// Real loopback TCP: every party its own thread with real sockets, exactly
+// as the sqm-party daemon runs. Same helpers as party_protocol_test.cc.
 
-sqm::DeploymentConfig TcpConfig(const std::string& mul_backend,
-                                uint64_t run_id) {
+sqm::DeploymentConfig TcpConfig(uint64_t run_id) {
   sqm::DeploymentConfig config;
   config.run_id = run_id;
   config.session_key = 0xbea7e5;
@@ -377,11 +352,10 @@ sqm::DeploymentConfig TcpConfig(const std::string& mul_backend,
   config.rows = 8;
   config.cols = 3;
   config.data_seed = 7;
-  config.polynomial = "x0*x1 + x2; x2*x2";
+  config.polynomial = kPolynomial;
   config.gamma = 64;
   config.mu = 4.0;
   config.seed = 42;
-  config.mul_backend = mul_backend;
   config.receive_timeout_seconds = 1.0;
   config.connect_timeout_seconds = 10.0;
   return config;
@@ -428,73 +402,64 @@ std::vector<sqm::SqmReport> RunNetworked(sqm::DeploymentConfig config) {
   return reports;
 }
 
-TEST(GrrVsBeaver, TcpReleasesMatchDriverBitForBitBothBackends) {
+TEST(ExecutionModeEquivalence, TcpReleasesMatchDriverBitForBit) {
   if (!TcpSupported()) GTEST_SKIP() << "no POSIX sockets on this platform";
-  const sqm::Result<sqm::SqmReport> reference = RunDriver(
-      DriverOptions(sqm::MulBackend::kGrr, sqm::TransportMode::kLockstep));
+  const sqm::Result<sqm::SqmReport> reference =
+      RunDriver(DriverOptions(sqm::TransportMode::kLockstep));
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
-  const std::vector<sqm::SqmReport> grr = RunNetworked(TcpConfig("grr", 31));
-  ASSERT_EQ(grr.size(), 3u);
-  const std::vector<sqm::SqmReport> beaver =
-      RunNetworked(TcpConfig("beaver", 32));
-  ASSERT_EQ(beaver.size(), 3u);
-
+  const std::vector<sqm::SqmReport> parties = RunNetworked(TcpConfig(31));
+  ASSERT_EQ(parties.size(), 3u);
   for (size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(grr[i].raw, reference.ValueOrDie().raw)
-        << "grr party " << i << " differs from driver";
-    EXPECT_EQ(beaver[i].raw, reference.ValueOrDie().raw)
-        << "beaver party " << i << " differs from driver";
+    EXPECT_EQ(parties[i].raw, reference.ValueOrDie().raw)
+        << "party " << i << " differs from driver";
   }
 }
 
-TEST(GrrVsBeaver, BeaverHalvesQuorumMulRoundsOnTcp) {
+TEST(ExecutionModeEquivalence, LeftoverMulBackendKeyLeavesTheConfigAlone) {
+  // Configs written while the multiplication backend was selectable may
+  // still carry the key. Whatever it names, the parser skips it, so the
+  // parties run exactly the config TcpReleasesMatchDriverBitForBit runs.
+  const std::string json = sqm::DeploymentConfigToJson(TcpConfig(31));
+  ASSERT_EQ(json.front(), '{') << json;
+  sqm::Result<sqm::DeploymentConfig> parsed = sqm::ParseDeploymentConfig(
+      "{\"mul_backend\":\"preprocessed\"," + json.substr(1));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(sqm::DeploymentConfigToJson(parsed.ValueOrDie()), json);
+}
+
+TEST(ExecutionModeEquivalence, QuorumCensusCostsOneRoundPerMulLevelOnTcp) {
   if (!TcpSupported()) GTEST_SKIP() << "no POSIX sockets on this platform";
-  // Under the quorum path a GRR Mul costs two rounds (sub-shares +
-  // census) while a Beaver Mul costs one (the opened values are public,
-  // so no dealer-set agreement is needed). With the input and output
-  // rounds identical, the Beaver run must finish in strictly fewer
-  // rounds and release the same values.
-  sqm::DeploymentConfig grr_config = TcpConfig("grr", 33);
-  grr_config.dropout_policy = "degrade";
-  sqm::DeploymentConfig beaver_config = TcpConfig("beaver", 34);
-  beaver_config.dropout_policy = "degrade";
-  const std::vector<sqm::SqmReport> grr = RunNetworked(grr_config);
-  ASSERT_EQ(grr.size(), 3u);
-  const std::vector<sqm::SqmReport> beaver = RunNetworked(beaver_config);
-  ASSERT_EQ(beaver.size(), 3u);
-  EXPECT_EQ(beaver[0].raw, grr[0].raw);
-  EXPECT_LT(beaver[0].network.rounds, grr[0].network.rounds);
-  // The census phase disappears entirely under Beaver.
-  for (const auto& phase : beaver[0].transport.phases) {
-    EXPECT_NE(phase.phase, "census") << "Beaver run still ran a census";
+  // On the quorum path every Mul level adds one census round to the
+  // sub-share round; nothing else about the run changes.
+  sqm::Result<sqm::PolynomialVector> f =
+      sqm::ParsePolynomialVector(kPolynomial);
+  ASSERT_TRUE(f.ok()) << f.status().ToString();
+  sqm::Result<sqm::SqmPlan> plan = sqm::SqmPlan::Create(
+      f.ValueOrDie(), DriverOptions(sqm::TransportMode::kLockstep), 8, 3);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const size_t mul_levels =
+      plan.ValueOrDie().BuildCircuit().MultiplicativeDepth();
+  ASSERT_GT(mul_levels, 0u);
+
+  const std::vector<sqm::SqmReport> abort_run = RunNetworked(TcpConfig(33));
+  ASSERT_EQ(abort_run.size(), 3u);
+  sqm::DeploymentConfig degrade_config = TcpConfig(34);
+  degrade_config.dropout_policy = "degrade";
+  const std::vector<sqm::SqmReport> degrade = RunNetworked(degrade_config);
+  ASSERT_EQ(degrade.size(), 3u);
+
+  EXPECT_EQ(degrade[0].raw, abort_run[0].raw);
+  EXPECT_EQ(degrade[0].network.rounds,
+            abort_run[0].network.rounds + mul_levels);
+  bool census = false;
+  for (const auto& phase : degrade[0].transport.phases) {
+    if (phase.phase == "census") {
+      census = true;
+      EXPECT_EQ(phase.traffic.rounds, mul_levels);
+    }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Pool-backed protocol details observable at this level.
-
-TEST(GrrVsBeaver, ProtocolCountsTriplesAndPinsPoolToDealerStream) {
-  const size_t n = 5;
-  const ShamirScheme scheme(n, 2);
-  sqm::LockstepTransport network(n, 0.0);
-  sqm::BgwProtocol protocol(scheme, &network, 77);
-  BeaverTriplePool pool(scheme, 1234, 8);
-  protocol.set_beaver_pool(&pool);
-
-  const sqm::SharedVector a =
-      protocol.ShareFromParty(0, {Field::Encode(6), Field::Encode(-3)})
-          .ValueOrDie();
-  const sqm::SharedVector b =
-      protocol.ShareFromParty(1, {Field::Encode(7), Field::Encode(11)})
-          .ValueOrDie();
-  sqm::Result<sqm::SharedVector> product = protocol.Mul(a, b);
-  ASSERT_TRUE(product.ok()) << product.status().ToString();
-  EXPECT_EQ(protocol.beaver_triples_used(), 2u);
-  EXPECT_EQ(pool.taken(), 2u);
-  const std::vector<int64_t> opened =
-      protocol.OpenSigned(product.ValueOrDie()).ValueOrDie();
-  EXPECT_EQ(opened, (std::vector<int64_t>{42, -33}));
+  EXPECT_TRUE(census) << "degrade run did not record a census phase";
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 // Second property-sweep suite, covering the extension modules: the
-// polynomial parser, Beaver multiplication, the structured secure ops, and
+// polynomial parser, GRR multiplication, the structured secure ops, and
 // the privacy accountant.
 
 #include <gtest/gtest.h>
@@ -10,8 +10,8 @@
 
 #include "dp/accountant.h"
 #include "dp/gaussian.h"
-#include "mpc/beaver.h"
 #include "mpc/ops.h"
+#include "mpc/protocol.h"
 #include "net/lockstep.h"
 #include "poly/parser.h"
 #include "sampling/rng.h"
@@ -56,18 +56,16 @@ TEST_P(ParserRoundTripTest, RandomPolynomialSurvivesFormatParse) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserRoundTripTest,
                          ::testing::Range(uint64_t{0}, uint64_t{20}));
 
-// ------------------------------------------------------------ beaver
+// ------------------------------------------------------------ mul
 
-class BeaverEqualsGrrTest
+class GrrMulPropertyTest
     : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
 
-TEST_P(BeaverEqualsGrrTest, RandomVectorsMultiplyIdentically) {
+TEST_P(GrrMulPropertyTest, RandomVectorsMultiplyExactly) {
   const auto [parties, threshold] = GetParam();
   LockstepTransport network(parties, 0.0);
   BgwProtocol protocol(ShamirScheme(parties, threshold), &network,
                        parties * 13 + threshold);
-  BeaverTriplePool pool(ShamirScheme(parties, threshold),
-                        parties * 17 + threshold, 8);
 
   Rng rng(parties + threshold);
   std::vector<int64_t> xs(8), ys(8), expected(8);
@@ -82,14 +80,11 @@ TEST_P(BeaverEqualsGrrTest, RandomVectorsMultiplyIdentically) {
       protocol.ShareFromParty(1 % parties, Field::EncodeVector(ys))
           .ValueOrDie();
 
-  const SharedVector grr = protocol.Mul(x, y).ValueOrDie();
-  protocol.set_beaver_pool(&pool);
-  const SharedVector beaver = protocol.Mul(x, y).ValueOrDie();
-  EXPECT_EQ(protocol.OpenSigned(grr).ValueOrDie(), expected);
-  EXPECT_EQ(protocol.OpenSigned(beaver).ValueOrDie(), expected);
+  const SharedVector product = protocol.Mul(x, y).ValueOrDie();
+  EXPECT_EQ(protocol.OpenSigned(product).ValueOrDie(), expected);
 }
 
-INSTANTIATE_TEST_SUITE_P(Configs, BeaverEqualsGrrTest,
+INSTANTIATE_TEST_SUITE_P(Configs, GrrMulPropertyTest,
                          ::testing::Values(std::make_tuple(3u, 1u),
                                            std::make_tuple(5u, 2u),
                                            std::make_tuple(7u, 3u),

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/quantize.h"
-#include "mpc/beaver.h"
 #include "mpc/field.h"
 #include "mpc/shamir.h"
 #include "sampling/rng.h"
@@ -118,53 +117,6 @@ TEST(GoldenStreamTest, ShamirShareBatchStream) {
   EXPECT_EQ(Field::Decode(secrets[0]), 42);
   EXPECT_EQ(Field::Decode(secrets[1]), -7);
   EXPECT_EQ(Field::Decode(secrets[2]), 1000000007);
-}
-
-TEST(GoldenStreamTest, BeaverPoolTripleStream) {
-  // The offline pool's triple stream for a fixed seed, pinned end to end.
-  // Every party's shares of (a, b, c) are part of the deterministic replay
-  // contract: a seed-4242 pool must hand out these exact shares forever.
-  BeaverTriplePool pool(ShamirScheme(5, 2), 4242, 2);
-  const BeaverTriplePool::TripleBatch batch = pool.Take(2).ValueOrDie();
-  const std::vector<std::vector<Field::Element>> expected_a = {
-      {1156198552247118895ULL, 711273587708044440ULL},
-      {1705491641041966133ULL, 1392391941948312783ULL},
-      {2272682223285477541ULL, 55636982904808001ULL},
-      {551927289763959168ULL, 1312694729004917996ULL},
-      {1154912858904798916ULL, 551879161821254866ULL},
-  };
-  const std::vector<std::vector<Field::Element>> expected_b = {
-      {758286593360335874ULL, 1478351140677974869ULL},
-      {1467318294389616872ULL, 545864227197743332ULL},
-      {980404277712518404ULL, 2230068641420382427ULL},
-      {1603387552542734421ULL, 1919278364918504252ULL},
-      {1030425109666570972ULL, 1919336406905802758ULL},
-  };
-  const std::vector<std::vector<Field::Element>> expected_c = {
-      {1516838377061997254ULL, 1483514692084005341ULL},
-      {183068127407078727ULL, 1126594411282514958ULL},
-      {1760918351818857212ULL, 110984569425916338ULL},
-      {1638703031869944807ULL, 742528175727903432ULL},
-      {2122265176774035463ULL, 715382220974782289ULL},
-  };
-  const ShamirScheme scheme(5, 2);
-  for (size_t j = 0; j < 5; ++j) {
-    EXPECT_EQ(batch.a.shares(j), expected_a[j]) << "party " << j;
-    EXPECT_EQ(batch.b.shares(j), expected_b[j]) << "party " << j;
-    EXPECT_EQ(batch.c.shares(j), expected_c[j]) << "party " << j;
-  }
-  // And the pinned triples are in fact multiplication triples.
-  for (size_t i = 0; i < 2; ++i) {
-    std::vector<Field::Element> a_col(5), b_col(5), c_col(5);
-    for (size_t j = 0; j < 5; ++j) {
-      a_col[j] = expected_a[j][i];
-      b_col[j] = expected_b[j][i];
-      c_col[j] = expected_c[j][i];
-    }
-    EXPECT_EQ(Field::Mul(scheme.Reconstruct(a_col),
-                         scheme.Reconstruct(b_col)),
-              scheme.Reconstruct(c_col));
-  }
 }
 
 TEST(GoldenStreamTest, SkellamSampleStream) {

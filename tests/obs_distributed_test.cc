@@ -165,7 +165,7 @@ TEST(ObsDistributed, FleetTelemetryAndMergedTraceEndToEnd) {
               report.transport.totals.field_elements);
     EXPECT_EQ(net->Find("rounds")->uint_value,
               report.transport.totals.rounds);
-    // The ledger and the Beaver/phase state rode along.
+    // The phase and clock-offset state rode along.
     EXPECT_NE(entry.Find("phase"), nullptr);
     EXPECT_NE(entry.Find("clock_offset_micros"), nullptr);
   }

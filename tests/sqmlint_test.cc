@@ -737,6 +737,17 @@ void f(ShamirScheme& scheme) {
   EXPECT_EQ(Active(findings, "secret-taint"), 0);
 }
 
+TEST(TaintFlow, ShareBatchWithTailIsASource) {
+  // The dealing call both protocols' ShareFromParty make.
+  const auto findings = Lint("src/dp/x.cc", R"cpp(
+void f(ShamirScheme& scheme, const std::vector<uint64_t>& v, Rng& rng) {
+  auto blob = scheme.ShareBatchWithTail(v, 2, rng);
+  SQM_LOG(kInfo) << blob[0];
+}
+)cpp");
+  EXPECT_EQ(Active(findings, "taint-flow"), 1);
+}
+
 TEST(TaintFlow, InterproceduralSourceInCalleeSinkInCaller) {
   // The source lives in one function, the sink in its caller: the return
   // summary of MakeBlob carries the secret bit across the call.

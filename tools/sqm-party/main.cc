@@ -129,9 +129,6 @@ std::string BuildSnapshot(uint64_t run_id, size_t party,
       sqm::obs::PrivacyLedger::Global().Entries();
   w.Field("ledger_epsilon",
           spends.empty() ? 0.0 : spends.back().cumulative_epsilon);
-  const sqm::obs::Gauge* pool =
-      sqm::obs::Registry::Global().FindGauge("mpc.beaver.pool_remaining");
-  w.Field("beaver_pool_depth", pool == nullptr ? -1.0 : pool->Get());
   // The metrics registry rides along whole.
   w.Key("metrics");
   std::string doc = w.str();

@@ -604,7 +604,7 @@ void CheckRetryDiscipline(const Project& /*project*/, const SourceFile& file,
 
 // ---------------------------------------------------------------------------
 // batch-discipline: the MPC hot paths (circuit evaluation, protocol
-// multiply/open, the Beaver pool, the SQM driver) must not loop scalar
+// multiply/open, the SQM driver) must not loop scalar
 // Field::Add/Sub/Mul/Neg over an induction-indexed element — that is the
 // pattern the span kernels (Field::AddVec/SubVec/MulVec/ScaleVec/
 // LinearCombination/SumVec) and the Shamir *Batch entry points replaced.
@@ -616,7 +616,7 @@ void CheckBatchDiscipline(const Project& /*project*/, const SourceFile& file,
                           std::vector<Finding>* findings) {
   static const char* const kHotPaths[] = {
       "src/mpc/bgw.cc", "src/mpc/protocol.cc", "src/mpc/party_protocol.cc",
-      "src/mpc/beaver.cc", "src/core/sqm.cc"};
+      "src/core/sqm.cc"};
   bool scoped = false;
   for (const char* path : kHotPaths) {
     scoped = scoped || PathInModule(file.path, path);

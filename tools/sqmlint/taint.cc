@@ -25,13 +25,13 @@ bool IsPunct(const Token& t, const char* text) {
 bool IsIdent(const Token& t) { return t.kind == TokenKind::kIdentifier; }
 
 /// Calls whose *name alone* marks the result secret, independent of
-/// resolution — the protocol boundary API: Shamir sharing, Beaver triple
-/// deals, sampler draws. Resolution-based sources
+/// resolution — the protocol boundary API: Shamir dealing (ShareBatchWithTail
+/// is the one the protocols call) and sampler draws. Resolution-based sources
 /// (anything defined under src/sampling/ whose name starts with Sample)
 /// extend this set per project.
 const std::set<std::string>& SourceCallNames() {
   static const std::set<std::string> kNames = {
-      "Share", "ShareBatch", "Sample", "SampleVector", "Deal", "DealBatch"};
+      "Share", "ShareBatch", "ShareBatchWithTail", "Sample", "SampleVector"};
   return kNames;
 }
 
@@ -125,10 +125,6 @@ struct Engine {
     for (const FunctionIR* def : symbols.Resolve(call.callee)) {
       if (PathInModule(def->file->path, "src/sampling/") &&
           def->name.rfind("Sample", 0) == 0) {
-        return true;
-      }
-      if (PathInModule(def->file->path, "src/mpc/beaver.cc") &&
-          (def->name == "Deal" || def->name == "DealBatch")) {
         return true;
       }
     }

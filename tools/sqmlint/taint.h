@@ -31,10 +31,10 @@ struct FlowFinding {
 ///      its return value carries — bit 0 for "derived from a secret
 ///      source inside the callee (or below)", bit i+1 for "flows from
 ///      parameter i". Computed to a global fixpoint.
-///   2. *Real taint*: sources (ShamirScheme::Share*, Beaver deals, sampler
-///      draws) seed concrete taint, which flows through assignments, call
-///      returns (via the summaries) and call arguments (marking callee
-///      parameters tainted, with provenance), again to a fixpoint.
+///   2. *Real taint*: sources (ShamirScheme::Share*, sampler draws) seed
+///      concrete taint, which flows through assignments, call returns (via
+///      the summaries) and call arguments (marking callee parameters
+///      tainted, with provenance), again to a fixpoint.
 ///   3. *Checks* read the converged state: sink regions (logging, obs
 ///      export, un-MACed wire sends) holding real taint, secret values
 ///      steering control flow or indexing in src/mpc/, and sampler draws
