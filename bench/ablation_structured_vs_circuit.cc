@@ -1,12 +1,13 @@
 // Ablation (Table I footnote): generic circuit evaluation of the expanded
-// polynomial versus the structured vectorized operations in mpc/ops.h.
+// polynomial versus the structured circuit of mpc/ops.h.
 //
 // For the LR gradient, the expanded degree-2 polynomial has O(d^2)
 // monomials per record, so the circuit engine performs O(m d^2) secure
-// multiplications. The structured path computes the inner product
-// u_i = <w-hat, x-hat_i> locally on shares (public weights) and only
-// multiplies u * x and y * x — O(m d) secure products in one batched
-// round — which is how the paper's O(m (n-1)) LR complexity row arises.
+// multiplications. The structured circuit computes the record factor
+// v_i = c-hat + <w-hat, x-hat_i> + l-hat y-hat_i locally on shares (public
+// coefficients) and only multiplies v * x — m d secure products in one
+// batched round — which is how the paper's O(m (n-1)) LR complexity row
+// arises.
 // For PCA both paths perform m * n(n+1)/2 products; the structured path
 // wins on rounds and engine overhead only.
 
@@ -19,6 +20,7 @@
 #include "core/quantize.h"
 #include "core/sqm.h"
 #include "core/sqm_plan.h"
+#include "mpc/bgw.h"
 #include "mpc/ops.h"
 #include "net/lockstep.h"
 #include "sampling/rng.h"
@@ -68,7 +70,8 @@ PathCost RunCircuitPath(const Matrix& batch,
 }
 
 /// Structured path: the circuit path's SqmPlan quantizes the data, and its
-/// coefficient stream rounds the structured coefficients; then SecureOps.
+/// coefficient stream rounds the structured coefficients; then the
+/// structured circuit on the BGW engine.
 PathCost RunStructuredPath(const Matrix& batch,
                            const std::vector<double>& weights,
                            double gamma) {
@@ -80,7 +83,7 @@ PathCost RunStructuredPath(const Matrix& batch,
   const QuantizedDatabase db = plan.PrepareInputs(batch).db;
   Rng coeff_rng = plan.coefficient_stream();
 
-  SecureOps::LogisticGradientInputs inputs;
+  StructuredGradientInputs inputs;
   inputs.feature_columns.resize(d);
   for (size_t j = 0; j < d; ++j) inputs.feature_columns[j] = db.columns[j];
   inputs.labels = db.columns[d];
@@ -94,11 +97,11 @@ PathCost RunStructuredPath(const Matrix& batch,
   inputs.noise_per_client.assign(d + 1, std::vector<int64_t>(d, 0));
 
   LockstepTransport network(d + 1, 0.0);
-  BgwProtocol protocol(ShamirScheme(d + 1, d / 2), &network, 5);
-  SecureOps ops(&protocol);
+  BgwEngine engine(ShamirScheme(d + 1, d / 2), &network, 5);
   const auto start = std::chrono::steady_clock::now();
+  const StructuredCircuit op = NoisyStructuredGradient(inputs).ValueOrDie();
   PathCost cost;
-  cost.release = ops.NoisyLogisticGradient(inputs).ValueOrDie();
+  cost.release = engine.Evaluate(op.circuit, op.inputs).ValueOrDie();
   cost.seconds = SecondsSince(start);
   cost.elements = network.stats().field_elements;
   cost.rounds = network.stats().rounds;

@@ -9,7 +9,7 @@
 #include "math/eigen.h"
 #include "math/linalg.h"
 #include "mpc/field.h"
-#include "mpc/protocol.h"
+#include "mpc/bgw.h"
 #include "net/lockstep.h"
 #include "sampling/gaussian_sampler.h"
 #include "sampling/poisson.h"
@@ -141,15 +141,31 @@ void BM_BgwMulBatch(benchmark::State& state) {
   const size_t parties = state.range(0);
   const size_t batch = state.range(1);
   LockstepTransport network(parties, 0.0);
-  BgwProtocol protocol(ShamirScheme(parties, (parties - 1) / 2), &network,
-                       10);
-  std::vector<Field::Element> values(batch, 7);
-  const SharedVector a = protocol.ShareFromParty(0, values).ValueOrDie();
-  const SharedVector b = protocol.ShareFromParty(1, values).ValueOrDie();
+  BgwEngine engine(ShamirScheme(parties, (parties - 1) / 2), &network, 10);
+  // One Mul level of `batch` products of party 0's and party 1's inputs.
+  Circuit circuit;
+  std::vector<Circuit::WireId> a(batch);
+  for (auto& wire : a) wire = circuit.AddInput(0);
+  for (size_t i = 0; i < batch; ++i) {
+    const Circuit::WireId product = circuit.AddMul(a[i], circuit.AddInput(1));
+    if (i == 0) circuit.MarkOutput(product);
+  }
+  std::vector<std::vector<int64_t>> inputs(parties);
+  inputs[0].assign(batch, 7);
+  inputs[1].assign(batch, 7);
+  // The checkpoint the engine hands its sink right after the input phase.
+  BgwCheckpoint after_inputs;
+  engine.set_checkpoint_sink([&](const BgwCheckpoint& checkpoint) {
+    if (!after_inputs.valid) after_inputs = checkpoint;
+  });
+  (void)engine.EvaluateToShares(circuit, inputs).ValueOrDie();
+  engine.set_checkpoint_sink(nullptr);
   for (auto _ : state) {
-    // Mul consumes its operands: passing the lvalues copies both per
-    // iteration, and that copy is part of the measured time.
-    auto product = protocol.Mul(a, b);
+    // Resuming a copy of the post-input checkpoint runs just the Mul
+    // level; the table copy and the level's gather/scatter are part of
+    // the measured time.
+    BgwCheckpoint checkpoint = after_inputs;
+    auto product = engine.EvaluateToShares(circuit, inputs, &checkpoint);
     benchmark::DoNotOptimize(product);
   }
   state.SetItemsProcessed(state.iterations() * batch);

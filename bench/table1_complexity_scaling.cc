@@ -195,8 +195,8 @@ int main(int argc, char** argv) {
   std::printf(
       "\n* The generic circuit path evaluates the expanded degree-2 "
       "polynomial (n^2 monomials); the paper's O(m n) LR figure assumes "
-      "the structured inner-product evaluation, which the vectorized "
-      "protocol layer (mpc/protocol.h InnerProduct) provides.\n");
+      "the structured inner-product evaluation, which the structured "
+      "gradient circuit (mpc/ops.h NoisyStructuredGradient) provides.\n");
 
   std::printf(
       "\nBatched Shamir hot path (scheme (5,2); per-batch seconds, mean of "

@@ -113,6 +113,16 @@ cmake -B "$tsan_dir" -S "$repo_root" -DSQM_SANITIZE=thread
 cmake --build "$tsan_dir" -j"$(nproc)"
 (cd "$tsan_dir" && ctest -L 'deploy|chaos|batch|sampler|tcp|resilience' --output-on-failure)
 
+# The benchmark gate: perfbench is a separate CMake project that compiles
+# src/ against its public headers (SqmOptions, SqmReport::timing and
+# ::transport, RunPartySqm, TcpOptionsFromDeployment, the bgw.* span
+# names) and checks every release against the plaintext reference. A
+# short run of both workloads catches an API or span change that would
+# leave the benchmark unable to build or run. set -e fails the gate on a
+# non-zero exit.
+python3 "$repo_root/perfbench/run.py" --check-transport
+python3 "$repo_root/perfbench/run.py" --workload all --seconds 1
+
 # Program size: lines of the .h/.cc files under src/ and tools/, the
 # figure net line deltas are quoted against.
 program_lines=$(find "$repo_root/src" "$repo_root/tools" \

@@ -8,10 +8,9 @@
 
 #include "core/logging.h"
 #include "core/sqm_plan.h"
+#include "mpc/bgw.h"
 #include "mpc/checkpoint_store.h"
 #include "mpc/circuit.h"
-#include "mpc/field.h"
-#include "mpc/party_protocol.h"
 #include "net/liveness.h"
 #include "obs/trace.h"
 #include "poly/parser.h"
@@ -158,8 +157,9 @@ Result<SqmReport> RunPartySqm(const DeploymentConfig& config, size_t me,
   // party's input VALUES filled in.
   const Circuit circuit = plan.BuildCircuit();
   const std::vector<int64_t> my_inputs = plan.CircuitInputs(inputs, me);
-  PartyEngine engine(plan.scheme(), transport, plan.protocol_seed(), me);
-  engine.protocol().set_noise_inputs(plan.output_dim());
+  BgwEngine engine(plan.scheme(), transport, plan.protocol_seed(), me);
+  PartyProtocol& party = engine.party(0);
+  engine.set_noise_inputs(plan.output_dim());
   if (hooks.mul_level_hook) {
     engine.set_mul_level_hook(hooks.mul_level_hook);
   }
@@ -179,7 +179,7 @@ Result<SqmReport> RunPartySqm(const DeploymentConfig& config, size_t me,
   const CheckpointStore store(hooks.checkpoint_dir);
   BgwCheckpoint checkpoint;
   if (recovery_enabled) {
-    engine.protocol().set_recovery_mode(true);
+    engine.set_recovery_mode(true);
     engine.set_checkpoint_sink([&](const BgwCheckpoint& ckpt) {
       DurableCheckpoint snap;
       snap.run_id = config.run_id;
@@ -190,7 +190,7 @@ Result<SqmReport> RunPartySqm(const DeploymentConfig& config, size_t me,
       snap.next_level = ckpt.next_level;
       snap.mul_rounds_done = ckpt.mul_rounds_done;
       snap.wire_shares = ckpt.wire_shares;
-      engine.protocol().SaveRngState(snap.rng_state);
+      party.SaveRngState(snap.rng_state);
       const Status saved = store.Save(snap);
       TraceInstant(saved.ok() ? "sqm.ckpt_saved" : "sqm.ckpt_save_failed",
                    "next_level", static_cast<int64_t>(ckpt.next_level),
@@ -218,7 +218,7 @@ Result<SqmReport> RunPartySqm(const DeploymentConfig& config, size_t me,
         checkpoint.mul_rounds_done =
             static_cast<size_t>(snap.mul_rounds_done);
         checkpoint.wire_shares = std::move(snap.wire_shares);
-        engine.protocol().RestoreRngState(snap.rng_state);
+        party.RestoreRngState(snap.rng_state);
       } else {
         SQM_LOG(kWarning)
             << "party " << me << ": no usable durable checkpoint ("
@@ -238,8 +238,8 @@ Result<SqmReport> RunPartySqm(const DeploymentConfig& config, size_t me,
         checkpoint.valid ? static_cast<uint64_t>(checkpoint.next_level) + 1
                          : 0;
     SQM_ASSIGN_OR_RETURN(const uint64_t min_encoded,
-                         engine.protocol().ResumeBarrier(
-                             config.recovery_deadline_seconds, my_encoded));
+                         party.ResumeBarrier(config.recovery_deadline_seconds,
+                                             my_encoded));
     if (min_encoded == 0) {
       checkpoint = BgwCheckpoint{};
     } else {
@@ -260,36 +260,13 @@ Result<SqmReport> RunPartySqm(const DeploymentConfig& config, size_t me,
   // NORMAL rendezvous with a restarted peer.
   BgwCheckpoint* checkpoint_ptr =
       policy != DropoutPolicy::kAbort ? &checkpoint : nullptr;
-  PartyProtocol::Shares out_shares;
+  SharedVector out_shares;
   if (recovery_enabled && hooks.incarnation > 0) {
     // The peers of this killed-and-respawned party are already waiting at
     // their barriers; answer before the first attempt.
     SQM_RETURN_NOT_OK(reconcile());
     run.resumed_from_level = checkpoint.valid ? checkpoint.next_level : 0;
   }
-
-  // kTopUp: every party walks the plan's survivor-ordered top-up schedule
-  // and samples only its own compensating share. Survivor sets agree
-  // across parties under the crash-stop model (a dead TCP link is
-  // kUnavailable for every peer). Deterministic streams, so re-running it
-  // on a fresh out_shares after a recovery retry adds the same values.
-  const auto run_topup = [&](PartyProtocol::Shares* shares_io,
-                             double* mu_out) -> Status {
-    *mu_out = 0.0;
-    const SqmPlan::TopUp topup = plan.PlanTopUp(tracker);
-    for (size_t k = 0; k < topup.dealers.size(); ++k) {
-      const size_t j = topup.dealers[k].first;
-      std::vector<Field::Element> encoded;
-      if (j == me) encoded = Field::EncodeVector(plan.SampleTopUp(topup, k));
-      SQM_ASSIGN_OR_RETURN(const PartyProtocol::Shares extra_shares,
-                           engine.protocol().ShareFromParty(
-                               j, encoded, plan.output_dim(), "topup"));
-      SQM_ASSIGN_OR_RETURN(*shares_io,
-                           engine.protocol().Add(*shares_io, extra_shares));
-    }
-    *mu_out = topup.total_mu;
-    return Status::OK();
-  };
 
   // The retry loop covers evaluate AND the output opening. The opening is
   // the protocol's last exchange: under recovery its full-quorum failure
@@ -300,19 +277,25 @@ Result<SqmReport> RunPartySqm(const DeploymentConfig& config, size_t me,
   while (true) {
     ++run.attempts;
     Status failure = Status::OK();
-    Result<PartyProtocol::Shares> shares =
-        engine.EvaluateToShares(circuit, my_inputs, checkpoint_ptr);
+    Result<SharedVector> shares =
+        engine.EvaluateToShares(circuit, {my_inputs}, checkpoint_ptr);
     if (!shares.ok()) {
       failure = shares.status();
     } else {
       out_shares = std::move(shares).ValueOrDie();
-      const Status topup_status = run_topup(&out_shares, &run.topup_mu);
-      if (!topup_status.ok()) {
+      // kTopUp: every party walks the plan's survivor-ordered schedule and
+      // samples only its own compensating share. Survivor sets agree across
+      // parties under the crash-stop model (a dead TCP link is kUnavailable
+      // for every peer). Deterministic streams, so re-running it on a fresh
+      // out_shares after a recovery retry adds the same values.
+      Result<double> topup_mu = plan.AddTopUp(tracker, &engine, &out_shares);
+      if (!topup_mu.ok()) {
         // Without recovery this keeps the pre-recovery contract: a topup
         // or open failure is terminal, never retried.
-        if (!recovery_enabled) return topup_status;
-        failure = topup_status;
+        if (!recovery_enabled) return topup_mu.status();
+        failure = topup_mu.status();
       } else {
+        run.topup_mu = topup_mu.ValueOrDie();
         Result<std::vector<int64_t>> opened = engine.OpenOutputs(out_shares);
         if (opened.ok()) {
           run.raw = std::move(opened).ValueOrDie();
@@ -336,7 +319,7 @@ Result<SqmReport> RunPartySqm(const DeploymentConfig& config, size_t me,
     if (!retryable) return failure;
     run.resumed_from_level = checkpoint.valid ? checkpoint.next_level : 0;
   }
-  run.noise_deal_seconds = engine.protocol().noise_deal_seconds();
+  run.noise_deal_seconds = engine.noise_deal_seconds();
   run.transport = transport;
   run.tracker = &tracker;
   SQM_ASSIGN_OR_RETURN(SqmReport report, plan.Finish(inputs, std::move(run)));

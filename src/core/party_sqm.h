@@ -31,7 +31,7 @@ Result<SqmOptions> SqmOptionsFromDeployment(const DeploymentConfig& config);
 
 /// Test/chaos hooks threaded into the per-party engine.
 struct PartySqmHooks {
-  /// Forwarded to PartyEngine::set_mul_level_hook; the sqm-party daemon's
+  /// Forwarded to BgwEngine::set_mul_level_hook; the sqm-party daemon's
   /// --crash-at-mul-level uses it to raise SIGKILL mid-protocol.
   std::function<void(size_t)> mul_level_hook;
 
@@ -60,8 +60,9 @@ struct PartySqmHooks {
 ///  - round ONLY this party's own columns and sample ONLY its own Skellam
 ///    noise share, from this party's streams of the plan's RNG schedule,
 ///    so the values equal the ones driver mode assigns to this party,
-///  - evaluate the plan's circuit with PartyEngine, so the released values
-///    are BIT-IDENTICAL to a driver-mode run of the same config,
+///  - evaluate the plan's circuit with a BgwEngine hosting only this
+///    party, so the released values are BIT-IDENTICAL to a driver-mode
+///    run of the same config,
 ///  - account dropouts with the plan: every input to the realized-
 ///    (epsilon, delta) computation is public (survivor census, mu,
 ///    sensitivities), so all surviving parties — and the coordinator —

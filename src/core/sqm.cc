@@ -88,7 +88,7 @@ Result<SqmReport> EvaluateBgw(const SqmPlan& plan,
     network->SetInterceptor(options.interceptor);
   }
   BgwEngine engine(plan.scheme(), network.get(), plan.protocol_seed());
-  engine.protocol().set_noise_inputs(plan.output_dim());
+  engine.set_noise_inputs(plan.output_dim());
   const DropoutPolicy policy = options.dropout_policy;
   if (options.verify_sharings && policy == DropoutPolicy::kAbort) {
     engine.set_verify_sharings(true);
@@ -128,20 +128,11 @@ Result<SqmReport> EvaluateBgw(const SqmPlan& plan,
     // kTopUp: before opening, the survivors deal compensating Skellam
     // noise, restoring the release to the full Sk(mu). It reacts only to
     // deaths known before the release.
-    const SqmPlan::TopUp topup = plan.PlanTopUp(tracker);
-    for (size_t k = 0; k < topup.dealers.size(); ++k) {
-      SQM_ASSIGN_OR_RETURN(
-          SharedVector extra_shares,
-          engine.protocol().ShareFromParty(
-              topup.dealers[k].first,
-              Field::EncodeVector(plan.SampleTopUp(topup, k)), "topup"));
-      SQM_ASSIGN_OR_RETURN(out_shares,
-                           engine.protocol().Add(out_shares, extra_shares));
-    }
-    run.topup_mu = topup.total_mu;
+    SQM_ASSIGN_OR_RETURN(run.topup_mu,
+                         plan.AddTopUp(tracker, &engine, &out_shares));
     SQM_ASSIGN_OR_RETURN(run.raw, engine.OpenOutputs(out_shares));
   }
-  run.noise_deal_seconds = engine.protocol().noise_deal_seconds();
+  run.noise_deal_seconds = engine.noise_deal_seconds();
   run.transport = network.get();
   run.tracker = &tracker;
   return plan.Finish(inputs, std::move(run));

@@ -220,7 +220,7 @@ struct SqmReport {
 ///          communication O(m(n-1) P log m log gamma),
 ///          time O(m(n-1) log m).
 /// The LR row assumes the structured inner-product evaluation
-/// (mpc/ops.h NoisyLogisticGradient); the generic circuit path used by
+/// (mpc/ops.h NoisyStructuredGradient); the generic circuit path used by
 /// this evaluator expands the polynomial and costs one extra factor of n
 /// in products (bench/table1_complexity_scaling and
 /// bench/ablation_structured_vs_circuit measure both).

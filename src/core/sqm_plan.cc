@@ -15,8 +15,8 @@
 //   Split(0xda7a)       data rounding; its Split(col) rounds column col
 //   Split(0x4015e + j)  client j's Sk(mu/n) noise share
 // and as separate roots:
-//   seed ^ 0xb9d7       BGW sharing randomness (Split(j) per party, inside
-//                       BgwProtocol / PartyProtocol)
+//   seed ^ 0xb9d7       BGW sharing randomness (Split(j) per party, taken
+//                       by BgwEngine / PartyProtocol::DeriveStream)
 //   seed ^ 0x70b        top-up noise, Split(j) per survivor j in order
 // Splits consume parent draws but never data, so deriving every stream up
 // front equals replaying the splits where the streams are used — which is
@@ -94,6 +94,15 @@ Result<SqmPlan> SqmPlan::Create(const PolynomialVector& f,
         "the BGW backend needs >= 3 clients (threshold < n/2 with "
         "threshold >= 1); use more columns/clients or the plaintext "
         "backend");
+  }
+  if (bgw && options.dropout_policy != DropoutPolicy::kAbort &&
+      num_clients > 64) {
+    return Status::InvalidArgument(
+        "dropout policy " +
+        std::string(DropoutPolicyToString(options.dropout_policy)) +
+        " supports at most 64 clients (its Mul census votes are one 64-bit "
+        "dealer mask), got " + std::to_string(num_clients) +
+        "; use the abort policy or fewer clients");
   }
   if (options.gamma < 1.0) {
     return Status::InvalidArgument("gamma must be >= 1");
@@ -285,30 +294,34 @@ size_t SqmPlan::max_attempts() const {
              : 1;
 }
 
-SqmPlan::TopUp SqmPlan::PlanTopUp(const LivenessTracker& tracker) const {
-  TopUp topup;
+Result<double> SqmPlan::AddTopUp(const LivenessTracker& tracker,
+                                 BgwEngine* engine,
+                                 SharedVector* shares) const {
   const size_t num_dropped = tracker.num_dead();
   if (options_.dropout_policy != DropoutPolicy::kTopUp || options_.mu <= 0.0 ||
       num_dropped == 0) {
-    return topup;
+    return 0.0;
   }
   const std::vector<size_t> survivors = tracker.Survivors();
-  topup.per_survivor_mu = options_.mu * static_cast<double>(num_dropped) /
-                          (static_cast<double>(num_clients_) *
-                           static_cast<double>(survivors.size()));
+  const double per_survivor_mu =
+      options_.mu * static_cast<double>(num_dropped) /
+      (static_cast<double>(num_clients_) *
+       static_cast<double>(survivors.size()));
   Rng topup_root(options_.seed ^ 0x70bu);
+  double total_mu = 0.0;
   for (size_t j : survivors) {
-    topup.dealers.emplace_back(j, topup_root.Split(j));
-    topup.total_mu += topup.per_survivor_mu;
+    Rng stream = topup_root.Split(j);
+    std::vector<Field::Element> encoded;
+    if (engine->Hosts(j)) {
+      encoded = Field::EncodeVector(
+          SkellamSampler(per_survivor_mu).SampleVector(stream, output_dim()));
+    }
+    SQM_ASSIGN_OR_RETURN(const SharedVector extra,
+                         engine->ShareFrom(j, encoded, output_dim(), "topup"));
+    shares->Add(extra);
+    total_mu += per_survivor_mu;
   }
-  return topup;
-}
-
-std::vector<int64_t> SqmPlan::SampleTopUp(const TopUp& topup,
-                                          size_t k) const {
-  Rng stream = topup.dealers[k].second;
-  return SkellamSampler(topup.per_survivor_mu)
-      .SampleVector(stream, output_dim());
+  return total_mu;
 }
 
 Status SqmPlan::AddNoiseInClear(const Inputs& inputs, Execution* run) const {

@@ -11,6 +11,7 @@
 #include "core/sqm.h"
 #include "core/status.h"
 #include "math/matrix.h"
+#include "mpc/bgw.h"
 #include "mpc/circuit.h"
 #include "mpc/shamir.h"
 #include "net/liveness.h"
@@ -61,15 +62,12 @@ class SqmPlan {
   /// output t sums quantized dimension t over the rows plus the noise.
   Circuit BuildCircuit() const;
 
-  /// kTopUp compensation for the deaths `tracker` knows of: each survivor
-  /// deals Sk(dropped / (n * survivors) * mu). No dealers when none is due.
-  struct TopUp {
-    double per_survivor_mu = 0.0;
-    double total_mu = 0.0;
-    std::vector<std::pair<size_t, Rng>> dealers;  ///< In dealing order.
-  };
-  TopUp PlanTopUp(const LivenessTracker& tracker) const;
-  std::vector<int64_t> SampleTopUp(const TopUp& topup, size_t k) const;
+  /// kTopUp compensation for the deaths `tracker` knows of: each survivor,
+  /// in order, deals Sk(dropped / (n * survivors) * mu) through `engine`
+  /// (sampled only where the engine hosts it) and the dealing is added to
+  /// `shares`. Returns the mu added, 0 when none is due.
+  Result<double> AddTopUp(const LivenessTracker& tracker, BgwEngine* engine,
+                          SharedVector* shares) const;
 
   /// What one execution measured; Finish turns it into the report.
   struct Execution {
@@ -99,7 +97,7 @@ class SqmPlan {
   size_t output_dim() const { return qf_.dims.size(); }
   size_t threshold() const { return threshold_; }
   ShamirScheme scheme() const { return ShamirScheme(num_clients_, threshold_); }
-  /// Seed of the BGW sharing randomness (BgwEngine / PartyEngine).
+  /// Seed of the BGW sharing randomness (every BgwEngine hosting).
   uint64_t protocol_seed() const;
   /// Evaluation attempts (first run + checkpoint resumes): 1 under kAbort.
   size_t max_attempts() const;

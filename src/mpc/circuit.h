@@ -116,8 +116,8 @@ static_assert(sizeof(Circuit::Gate) <= 12, "Circuit::Gate is 12 bytes");
 struct BgwCheckpoint {
   bool valid = false;    ///< Inputs shared; wire_shares meaningful.
   size_t next_level = 0; ///< First level not yet completed.
-  /// One wire-major table of `rows` shares per wire (n in the driver, one
-  /// per party): wire w's shares sit at [w * rows, w * rows + rows).
+  /// One wire-major table of `rows` shares per wire (one per hosted party):
+  /// wire w's shares sit at [w * rows, w * rows + rows).
   std::vector<Field::Element> wire_shares;
   size_t mul_rounds_done = 0;
 };
@@ -127,8 +127,8 @@ struct BgwCheckpoint {
 using MulLevelFn =
     std::function<Status(size_t level, const std::vector<Circuit::WireId>&)>;
 
-/// Phase 2 of the paper's Appendix B, the one level loop both engines run:
-/// from checkpoint->next_level up to the multiplicative depth, every level
+/// Phase 2 of the paper's Appendix B, BgwEngine's level loop: from
+/// checkpoint->next_level up to the multiplicative depth, every level
 /// first hands its kMul gates to `mul` as one batch (one communication
 /// round), then evaluates its local gates (constants, Add, Sub, MulConst)
 /// in id order as span kernels over each wire's `rows` shares. After every

@@ -5,102 +5,71 @@
 #include <vector>
 
 #include "core/status.h"
-#include "mpc/protocol.h"
+#include "mpc/circuit.h"
 
 namespace sqm {
 
-/// Structured secure operations on top of BgwProtocol — the vectorized
-/// evaluation strategies behind the paper's Table I complexities.
+/// Structured secure operations as circuits for BgwEngine::Evaluate — the
+/// evaluation strategies behind the paper's Table I complexities. The
+/// generic SQM path (core/sqm.h) expands the LR gradient into O(m n^2)
+/// product gates; here public weights become MulConst gates, so only m*d
+/// products remain, in one level (the paper's O(m (n-1)) LR row). The
+/// covariance likewise puts all m * n(n+1)/2 pair products in one level.
 ///
-/// The generic circuit engine (mpc/bgw.h) evaluates the *expanded*
-/// polynomial: for LR that is O(m n^2) multiplications, because every
-/// monomial w_j x_j x_t becomes its own product gate. The operations here
-/// exploit structure instead:
-///  - the inner product u_i = <w-hat, x-hat_i> with *public* quantized
-///    weights is a local linear combination of shares (no interaction),
-///  - the remaining products u_i * x-hat_{i,t} and y-hat_i * x-hat_{i,t}
-///    are two batched multiplication rounds of m*d elements,
-/// giving the O(m (n-1)) multiplication count of the paper's LR row.
-/// Likewise the covariance op batches all m * n(n+1)/2 pair products into
-/// one round.
-///
-/// All operations assume the paper's canonical partitioning: one attribute
-/// column per client (client j inputs column j), plus — for LR — a label
-/// client owning the label column.
-class SecureOps {
- public:
-  /// `protocol` must outlive this object.
-  explicit SecureOps(BgwProtocol* protocol);
-
-  /// Shares column j from party j. `columns.size()` must equal the number
-  /// of parties; `columns[j]` are party j's private values (all columns
-  /// must have equal length).
-  Result<std::vector<SharedVector>> ShareColumns(
-      const std::vector<std::vector<int64_t>>& columns);
-
-  /// Sums per-client contributions plus per-client noise shares and opens
-  /// the result: out[t] = sum_j contributions[j][t] + sum_j noise[j][t].
-  /// One sharing round per party plus one open round.
-  Result<std::vector<int64_t>> NoisySum(
-      const std::vector<std::vector<int64_t>>& contributions,
-      const std::vector<std::vector<int64_t>>& noise_per_client);
-
-  /// Noisy quantized covariance, upper triangle in row-major (i, j >= i)
-  /// order: out[(i,j)] = sum_r X[r,i] X[r,j] + sum_c noise[c][(i,j)].
-  /// `columns[j]` is client j's quantized column (m entries); noise shares
-  /// have n(n+1)/2 entries per client. One batched multiplication round.
-  Result<std::vector<int64_t>> NoisyCovarianceUpper(
-      const std::vector<std::vector<int64_t>>& columns,
-      const std::vector<std::vector<int64_t>>& noise_per_client);
-
-  /// Inputs for the structured LR gradient release (Eq. 9 quantized as in
-  /// Lemma 7: data scaled by gamma, weights pre-scaled by gamma * w/4,
-  /// the 1/2 coefficient by gamma^2 / 2, the label coefficient by -gamma).
-  struct LogisticGradientInputs {
-    /// d feature columns; client j owns column j (each m entries).
-    std::vector<std::vector<int64_t>> feature_columns;
-    /// Quantized labels, owned by the label client (party index d).
-    std::vector<int64_t> labels;
-    /// Public quantized weights w-hat[j] ~ gamma * w[j] / 4.
-    std::vector<int64_t> weights;
-    /// Public quantized coefficient c-hat ~ gamma^2 / 2.
-    int64_t half_coefficient = 0;
-    /// Public quantized label coefficient ~ -gamma.
-    int64_t label_coefficient = 0;
-    /// Per-client Skellam noise shares, d entries each; one vector per
-    /// party (d feature clients + 1 label client).
-    std::vector<std::vector<int64_t>> noise_per_client;
-  };
-
-  /// Computes the noisy quantized gradient sum
-  ///   g[t] = sum_i (c-hat x-hat_{i,t} + u_i x-hat_{i,t}
-  ///                 + l-hat y-hat_i x-hat_{i,t}) + sum_c Z_c[t],
-  ///   u_i = sum_j w-hat[j] x-hat_{i,j}   (local on shares),
-  /// in two batched multiplication rounds — O(m d) secure products versus
-  /// the circuit path's O(m d^2).
-  Result<std::vector<int64_t>> NoisyLogisticGradient(
-      const LogisticGradientInputs& inputs);
-
-  /// Inputs for the structured linear-regression gradient (vfl/linear.h's
-  /// exactly-polynomial gradient <w, x> x - y x, quantized: weights
-  /// pre-scaled by gamma * w, targets by gamma, label coefficient -gamma).
-  struct LinearGradientInputs {
-    std::vector<std::vector<int64_t>> feature_columns;
-    std::vector<int64_t> targets;   ///< Owned by the target client (d).
-    std::vector<int64_t> weights;   ///< Public, ~ gamma * w[j].
-    int64_t target_coefficient = 0; ///< Public, ~ -gamma.
-    std::vector<std::vector<int64_t>> noise_per_client;
-  };
-
-  /// g[t] = sum_i (u_i x_{i,t} + t-hat y_i x_{i,t}) + sum_c Z_c[t] with
-  /// u_i = sum_j w-hat[j] x_{i,j} local on shares — the ridge-regression
-  /// analogue of NoisyLogisticGradient (same O(m d) product count).
-  Result<std::vector<int64_t>> NoisyLinearGradient(
-      const LinearGradientInputs& inputs);
-
- private:
-  BgwProtocol* protocol_;
+/// The builders assume the paper's partitioning: client j owns column j,
+/// plus — for LR — a label client owning the labels. Each client's noise
+/// share is its last inputs, so it rides that client's input round.
+struct StructuredCircuit {
+  Circuit circuit;
+  /// [party] its private inputs as SqmPlan::CircuitInputs lays them out:
+  /// its columns, then its noise share.
+  std::vector<std::vector<int64_t>> inputs;
 };
+
+/// out[t] = sum_j contributions[j][t] + sum_j noise[j][t], with one
+/// contribution and one noise vector per party. No multiplications.
+Result<StructuredCircuit> NoisySum(
+    const std::vector<std::vector<int64_t>>& contributions,
+    const std::vector<std::vector<int64_t>>& noise_per_client);
+
+/// Noisy quantized covariance, upper triangle in row-major (i, j >= i)
+/// order: out[(i,j)] = sum_r X[r,i] X[r,j] + sum_c noise[c][(i,j)].
+/// `columns[j]` is client j's quantized column (m entries); noise shares
+/// have n(n+1)/2 entries per client. One multiplication level.
+Result<StructuredCircuit> NoisyCovarianceUpper(
+    const std::vector<std::vector<int64_t>>& columns,
+    const std::vector<std::vector<int64_t>>& noise_per_client);
+
+/// Inputs for a structured gradient release. Logistic regression (Eq. 9
+/// quantized as in Lemma 7): data scaled by gamma, weights pre-scaled by
+/// gamma * w/4, the 1/2 coefficient by gamma^2 / 2, the label coefficient
+/// by -gamma. Linear regression (vfl/linear.h's <w, x> x - y x): weights
+/// ~ gamma * w, targets ~ gamma, label coefficient ~ -gamma and
+/// half_coefficient = 0 — the logistic gradient without its c x term.
+struct StructuredGradientInputs {
+  /// d feature columns; client j owns column j (each m entries).
+  std::vector<std::vector<int64_t>> feature_columns;
+  /// Quantized labels (or regression targets), owned by the label client
+  /// (party index d).
+  std::vector<int64_t> labels;
+  /// Public quantized weights w-hat[j].
+  std::vector<int64_t> weights;
+  /// Public quantized coefficient c-hat ~ gamma^2 / 2 (0 for linear).
+  int64_t half_coefficient = 0;
+  /// Public quantized label coefficient l-hat ~ -gamma.
+  int64_t label_coefficient = 0;
+  /// Per-client Skellam noise shares, d entries each; one vector per
+  /// party (d feature clients + 1 label client).
+  std::vector<std::vector<int64_t>> noise_per_client;
+};
+
+/// The noisy quantized gradient sum
+///   g[t] = sum_i v_i x-hat_{i,t} + sum_c Z_c[t],
+///   v_i = c-hat + sum_j w-hat[j] x-hat_{i,j} + l-hat y-hat_i,
+/// with v_i local on shares and one level of m*d secure products — versus
+/// the expanded circuit's O(m d^2).
+Result<StructuredCircuit> NoisyStructuredGradient(
+    const StructuredGradientInputs& inputs);
 
 }  // namespace sqm
 

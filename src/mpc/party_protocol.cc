@@ -3,25 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <numeric>
 
 #include "core/logging.h"
 #include "obs/trace.h"
 
 namespace sqm {
 namespace {
-
-/// Replays the driver's per-party Split sequence and keeps stream `me`:
-/// BgwProtocol's constructor does root.Split(j) for j = 0..n-1 in order,
-/// and each Split consumes parent draws, so the prefix must be consumed
-/// identically for stream `me` to match the driver's party_rngs_[me].
-Rng DeriveMyStream(uint64_t seed, size_t me) {
-  Rng root(seed);
-  for (size_t j = 0; j < me; ++j) {
-    (void)root.Split(j);
-  }
-  return root.Split(me);
-}
 
 /// Resume-barrier marker words. Both exceed the field modulus 2^61 - 1, so
 /// no share or opening payload can contain them; census votes are size-1
@@ -39,27 +26,24 @@ std::string HexMask(uint64_t mask) {
 
 }  // namespace
 
-PartyProtocol::PartyProtocol(ShamirScheme scheme, Transport* transport,
-                             uint64_t seed, size_t me)
-    : scheme_(std::move(scheme)),
-      network_(transport),
-      me_(me),
-      my_rng_(DeriveMyStream(seed, me)) {
+PartyProtocol::PartyProtocol(const ShamirScheme& scheme, Transport* transport,
+                             Rng stream, size_t me)
+    : scheme_(scheme), network_(transport), me_(me), my_rng_(stream) {
   SQM_CHECK(network_ != nullptr);
   SQM_CHECK(network_->num_parties() == scheme_.num_parties());
   SQM_CHECK(me_ < scheme_.num_parties());
-  SQM_CHECK(scheme_.num_parties() <= 64);  // Census masks are one u64.
-  std::vector<size_t> all(2 * scheme_.threshold() + 1);
-  std::iota(all.begin(), all.end(), 0);
-  degree2t_lagrange_ = scheme_.LagrangeAtZero(all);
 }
 
-void PartyProtocol::EndRound() {
-  if (round_fn_) {
-    round_fn_();
-  } else {
-    network_->EndRound();
-  }
+Rng PartyProtocol::DeriveStream(uint64_t seed, size_t me) {
+  Rng root(seed);
+  for (size_t j = 0; j < me; ++j) (void)root.Split(j);
+  return root.Split(me);
+}
+
+void PartyProtocol::set_liveness(LivenessTracker* tracker) {
+  // Census votes are one u64 bitmask per party.
+  SQM_CHECK(tracker == nullptr || num_parties() <= 64);
+  liveness_ = tracker;
 }
 
 bool PartyProtocol::IsRecoveryMarker(const Transport::Payload& payload) {
@@ -91,46 +75,36 @@ void PartyProtocol::RecordRecvFailure(size_t party, StatusCode code) {
   liveness_->RecordFailure(party, code);
 }
 
-Result<PartyProtocol::Shares> PartyProtocol::ShareFromParty(
-    size_t dealer, const std::vector<Field::Element>& values, size_t count,
-    const std::string& phase_label) {
+void PartyProtocol::DealInput(const std::vector<Field::Element>& values) {
   const size_t n = num_parties();
-  SQM_CHECK(dealer < n);
-  if (liveness_ != nullptr && PartyDead(dealer)) {
-    return Status::Unavailable("input sharing impossible: dealer party " +
-                               std::to_string(dealer) + " is dead");
+  std::vector<std::vector<Field::Element>> outbound =
+      scheme_.ShareBatchWithTail(values, std::min(noise_inputs_, values.size()),
+                                 my_rng_, static_cast<int32_t>(me_),
+                                 &noise_deal_seconds_);
+  for (size_t j = 0; j < n; ++j) {
+    if (j != me_ && PartyDead(j)) continue;
+    network_->Send(me_, j, std::move(outbound[j]));
   }
-  PhaseScope phase(network_, phase_label);
-  obs::Span span("bgw.share", "mpc", static_cast<int32_t>(me_));
-  span.AddArg("party", static_cast<int64_t>(dealer));
-  span.AddArg("elements", static_cast<int64_t>(count));
-  if (dealer == me_) {
-    SQM_CHECK(values.size() == count);
-    std::vector<std::vector<Field::Element>> outbound =
-        scheme_.ShareBatchWithTail(values, std::min(noise_inputs_, count),
-                                   my_rng_, static_cast<int32_t>(me_),
-                                   &noise_deal_seconds_);
-    for (size_t j = 0; j < n; ++j) {
-      if (liveness_ != nullptr && j != me_ && PartyDead(j)) continue;
-      network_->Send(me_, j, std::move(outbound[j]));
-    }
-  }
-  EndRound();
+}
 
+Result<PartyProtocol::Shares> PartyProtocol::ReceiveInput(size_t dealer,
+                                                          size_t count) {
   Result<Transport::Payload> received = RecvData(dealer);
   if (!received.ok()) {
     if (liveness_ != nullptr) {
       RecordRecvFailure(dealer, received.status().code());
-      return Status::Unavailable(
-          "input sharing from party " + std::to_string(dealer) + " failed (" +
-          received.status().message() +
-          "); inputs cannot be reconstructed by a quorum");
     }
-    return received.status();
+    // A lost input is not degradable: no quorum of other parties holds
+    // the dealer's secret. Surface kUnavailable and let the caller decide
+    // whether the run can proceed without this input.
+    return Status::Unavailable(
+        "input sharing from party " + std::to_string(dealer) + " to " +
+        std::to_string(me_) + " failed (" + received.status().message() +
+        "); inputs cannot be reconstructed by a quorum");
   }
   if (received.ValueOrDie().size() != count) {
     if (recovery_mode_) {
-      // Lost-frame skew (see Mul): fail the phase retryably so the
+      // Lost-frame skew (see MulCollect): fail the phase retryably so the
       // resume barrier can flush and redo it, instead of treating the
       // dealer's next frame as a forgery.
       return Status::Unavailable(
@@ -140,7 +114,8 @@ Result<PartyProtocol::Shares> PartyProtocol::ShareFromParty(
           "expected " + std::to_string(count) + "); retry via barrier");
     }
     return Status::IntegrityViolation(
-        "input dealing from party " + std::to_string(dealer) + " has " +
+        "input dealing from party " + std::to_string(dealer) + " to " +
+        std::to_string(me_) + " has " +
         std::to_string(received.ValueOrDie().size()) +
         " elements, expected " + std::to_string(count));
   }
@@ -148,48 +123,27 @@ Result<PartyProtocol::Shares> PartyProtocol::ShareFromParty(
   return std::move(received).ValueOrDie();
 }
 
-Result<PartyProtocol::Shares> PartyProtocol::Add(const Shares& a,
-                                                 const Shares& b) const {
-  if (a.size() != b.size()) {
-    return Status::InvalidArgument("Add: shape mismatch");
+void PartyProtocol::MulDeal(Shares* a, Shares* b) {
+  const size_t n = num_parties();
+  Field::MulVec(a->data(), b->data(), a->data(), a->size());
+  Shares().swap(*b);
+  std::vector<std::vector<Field::Element>> outbound =
+      scheme_.ShareBatch(*a, my_rng_);
+  for (size_t r = 0; r < n; ++r) {
+    if (r != me_ && PartyDead(r)) continue;
+    network_->Send(me_, r, std::move(outbound[r]));
   }
-  Shares out(a.size());
-  Field::AddVec(a.data(), b.data(), out.data(), a.size());
-  return out;
 }
 
-Result<PartyProtocol::Shares> PartyProtocol::Mul(Shares a, Shares b) {
-  if (a.size() != b.size()) {
-    return Status::InvalidArgument("Mul: shape mismatch");
-  }
+Status PartyProtocol::MulCollect(size_t k) {
   const size_t n = num_parties();
-  const size_t k = a.size();
   const size_t needed = 2 * scheme_.threshold() + 1;
-  PhaseScope phase(network_, "mul");
-  obs::Span span("bgw.mul", "mpc", static_cast<int32_t>(me_));
-  span.AddArg("elements", static_cast<int64_t>(k));
-  if (liveness_ != nullptr) span.AddArg("quorum", 1);
-
-  // The local product batch (shares of a degree-2t sharing) overwrites
-  // `a` and `b` is freed; it is re-shared at degree t with this party's
-  // driver-identical randomness stream, to the parties believed alive.
-  {
-    Field::MulVec(a.data(), b.data(), a.data(), k);
-    Shares().swap(b);
-    std::vector<std::vector<Field::Element>> outbound =
-        scheme_.ShareBatch(a, my_rng_);
-    for (size_t r = 0; r < n; ++r) {
-      if (r != me_ && PartyDead(r)) continue;
-      network_->Send(me_, r, std::move(outbound[r]));
-    }
-  }
-  EndRound();
-
-  // Collect sub-share batches. Without a tracker a failed receive fails
-  // the Mul — the caller decides how to recover; with one, the dealer is
-  // recorded and skipped. The receipt bitmask is this party's census vote.
-  uint64_t agreed = 0;
-  std::vector<Shares> payloads(n);
+  // Without a tracker every dealer must deliver, so the dealers are 0..2t
+  // and later batches are received and dropped at once. With one, every
+  // batch is kept until the census agrees which to recombine; the receipt
+  // bitmask is this party's vote.
+  sub_shares_.assign(n, Shares());
+  vote_ = 0;
   for (size_t j = 0; j < n; ++j) {
     if (PartyDead(j)) continue;
     Result<Transport::Payload> received = RecvData(j);
@@ -223,83 +177,51 @@ Result<PartyProtocol::Shares> PartyProtocol::Mul(Shares a, Shares b) {
           " elements, expected " + std::to_string(k) +
           " (replayed or stale message)");
     }
-    payloads[j] = std::move(received).ValueOrDie();
-    agreed |= uint64_t{1} << j;
+    if (liveness_ != nullptr) {
+      vote_ |= uint64_t{1} << j;
+    } else if (j >= needed) {
+      continue;
+    }
+    sub_shares_[j] = std::move(received).ValueOrDie();
   }
-  if (liveness_ != nullptr) {
-    SQM_ASSIGN_OR_RETURN(agreed, Census(agreed));
-  }
-
-  // The first 2t+1 agreed dealers — the same selection rule as the
-  // driver, so degraded outputs equal the no-crash outputs.
-  std::vector<size_t> dealers;
-  size_t usable = 0;
-  for (size_t j = 0; j < n; ++j) {
-    if (((agreed >> j) & 1) == 0) continue;
-    ++usable;
-    if (liveness_ != nullptr) liveness_->RecordSuccess(j);
-    if (dealers.size() < needed) dealers.push_back(j);
-  }
-  if (dealers.size() < needed) {
-    return Status::Unavailable(
-        "Mul quorum shortfall: degree-2t recombination needs 2t+1 = " +
-        std::to_string(needed) + " dealers, only " + std::to_string(usable) +
-        " of " + std::to_string(n) + " agreed by census (dead: " +
-        std::to_string(liveness_->num_dead()) + ")");
-  }
-
-  // Recombine into `a` with the Lagrange weights for exactly those
-  // dealers' evaluation points.
-  const std::vector<Field::Element> weights =
-      dealers.back() + 1 == needed ? degree2t_lagrange_
-                                   : scheme_.LagrangeAtZero(dealers);
-  std::vector<const Field::Element*> rows;
-  for (size_t dealer : dealers) rows.push_back(payloads[dealer].data());
-  Field::LinearCombination(rows.data(), weights.data(), needed, a.data(), k);
-  return a;
+  agreed_ = vote_;
+  return Status::OK();
 }
 
-Result<uint64_t> PartyProtocol::Census(uint64_t my_mask) {
+void PartyProtocol::CensusSend() {
+  // Without agreement two survivors could recombine over different dealer
+  // subsets, and the result would not be a consistent degree-t sharing.
+  for (size_t r = 0; r < num_parties(); ++r) {
+    if (r != me_ && PartyDead(r)) continue;
+    network_->Send(me_, r, Transport::Payload{vote_});
+  }
+}
+
+Status PartyProtocol::CensusTally() {
+  // A voter that fails to deliver its mask is treated as failed for this
+  // round and excluded from the electorate.
   const size_t n = num_parties();
-  // Every survivor broadcasts which dealers it received and the
-  // intersection becomes the agreed dealer set. The driver gets this
-  // agreement for free (one process sees every channel); distributed
-  // parties must exchange it, or two survivors could recombine over
-  // different dealer subsets and the result would not be a consistent
-  // degree-t sharing. A voter that fails to deliver its mask is treated as
-  // failed for this round and excluded from the electorate.
-  uint64_t agreed = my_mask;
   size_t voters = 0;
-  {
-    PhaseScope census_phase(network_, "census");
-    for (size_t r = 0; r < n; ++r) {
-      if (r != me_ && PartyDead(r)) continue;
-      network_->Send(me_, r, Transport::Payload{my_mask});
+  for (size_t r = 0; r < n; ++r) {
+    if (PartyDead(r)) continue;
+    Result<Transport::Payload> vote = RecvData(r);
+    if (!vote.ok()) {
+      RecordRecvFailure(r, vote.status().code());
+      continue;
     }
-    EndRound();
-    for (size_t r = 0; r < n; ++r) {
-      if (PartyDead(r)) continue;
-      Result<Transport::Payload> vote = RecvData(r);
-      if (!vote.ok()) {
-        RecordRecvFailure(r, vote.status().code());
+    if (vote.ValueOrDie().size() != 1) {
+      if (recovery_mode_) {
+        // Mis-sized under recovery = the voter's stream lost a frame
+        // upstream (see MulCollect); excluding the voter fails the
+        // full-quorum check below, which is the safe symmetric outcome.
         continue;
       }
-      if (vote.ValueOrDie().size() != 1) {
-        if (recovery_mode_) {
-          // Mis-sized under recovery = the voter's stream lost a frame
-          // upstream (see the batch-collect case in Mul); excluding the
-          // voter fails the full-quorum check below, which is the safe
-          // symmetric outcome.
-          continue;
-        }
-        return Status::IntegrityViolation(
-            "census vote from party " + std::to_string(r) + " has " +
-            std::to_string(vote.ValueOrDie().size()) +
-            " elements, expected 1");
-      }
-      agreed &= vote.ValueOrDie()[0];
-      ++voters;
+      return Status::IntegrityViolation(
+          "census vote from party " + std::to_string(r) + " has " +
+          std::to_string(vote.ValueOrDie().size()) + " elements, expected 1");
     }
+    agreed_ &= vote.ValueOrDie()[0];
+    ++voters;
   }
 
   if (recovery_mode_) {
@@ -319,36 +241,65 @@ Result<uint64_t> PartyProtocol::Census(uint64_t my_mask) {
         ++alive;
       }
     }
-    if (agreed != full || voters != alive) {
+    if (agreed_ != full || voters != alive) {
       return Status::Unavailable(
           "Mul full-quorum failure under recovery: census agreed " +
-          HexMask(agreed) + " of expected " + HexMask(full) + ", " +
+          HexMask(agreed_) + " of expected " + HexMask(full) + ", " +
           std::to_string(voters) + "/" + std::to_string(alive) +
           " alive parties voted; failing the level for a resume barrier");
     }
   }
-  return agreed;
+  return Status::OK();
 }
 
-Result<std::vector<Field::Element>> PartyProtocol::Open(const Shares& a) {
+Status PartyProtocol::Recombine(Shares* a) {
   const size_t n = num_parties();
-  PhaseScope phase(network_, "open");
-  obs::Span span("bgw.open", "mpc", static_cast<int32_t>(me_));
-  span.AddArg("elements", static_cast<int64_t>(a.size()));
-  for (size_t r = 0; r < n; ++r) {
+  const size_t needed = 2 * scheme_.threshold() + 1;
+  // The first 2t+1 agreed dealers, so degraded outputs equal the no-crash
+  // outputs (any 2t+1 recombine to the same free coefficient).
+  std::vector<size_t> dealers;
+  size_t usable = 0;
+  for (size_t j = 0; j < n; ++j) {
+    if (liveness_ == nullptr) {
+      if (j == needed) break;
+    } else {
+      if (((agreed_ >> j) & 1) == 0) continue;
+      liveness_->RecordSuccess(j);
+    }
+    ++usable;
+    if (dealers.size() < needed) dealers.push_back(j);
+  }
+  if (dealers.size() < needed) {
+    return Status::Unavailable(
+        "Mul quorum shortfall: degree-2t recombination needs 2t+1 = " +
+        std::to_string(needed) + " dealers, only " + std::to_string(usable) +
+        " of " + std::to_string(n) + " agreed by census (dead: " +
+        std::to_string(liveness_->num_dead()) + ")");
+  }
+  std::vector<Field::Element> fresh;
+  if (dealers.back() + 1 != needed) fresh = scheme_.LagrangeAtZero(dealers);
+  const std::vector<Field::Element>& weights =
+      fresh.empty() ? scheme_.degree2t_weights() : fresh;
+  std::vector<const Field::Element*> rows;
+  rows.reserve(needed);
+  for (size_t dealer : dealers) rows.push_back(sub_shares_[dealer].data());
+  Field::LinearCombination(rows.data(), weights.data(), needed, a->data(),
+                           a->size());
+  std::vector<Shares>().swap(sub_shares_);
+  return Status::OK();
+}
+
+void PartyProtocol::OpenSend(const Shares& a) {
+  for (size_t r = 0; r < num_parties(); ++r) {
     if (r != me_ && PartyDead(r)) continue;
     network_->Send(me_, r, a);
   }
-  EndRound();
+}
 
-  // Collect whichever parties deliver and interpolate over the first t+1
-  // of them. Without a tracker a failed receive fails the open, so all n
-  // deliver and the basis is parties 0..t. With one, dead parties are
-  // skipped; any t+1 shares of a consistent sharing agree on the value, so
-  // every party — and the driver — opens the same plaintext regardless of
-  // which subset delivered to it.
-  std::vector<std::vector<Field::Element>> all(n);
-  std::vector<size_t> survivors;
+Result<PartyProtocol::Opening> PartyProtocol::OpenCollect(size_t k) {
+  const size_t n = num_parties();
+  Opening opening;
+  opening.broadcasts.resize(n);
   size_t expected = 0;
   for (size_t j = 0; j < n; ++j) {
     if (PartyDead(j)) continue;
@@ -359,23 +310,24 @@ Result<std::vector<Field::Element>> PartyProtocol::Open(const Shares& a) {
       RecordRecvFailure(j, received.status().code());
       continue;
     }
-    if (received.ValueOrDie().size() != a.size()) {
+    if (received.ValueOrDie().size() != k) {
       if (recovery_mode_) {
-        // Same lost-frame skew as in Mul: consume the stray frame to
-        // realign with party j's send stream and count j undelivered,
+        // Same lost-frame skew as in MulCollect: consume the stray frame
+        // to realign with party j's send stream and count j undelivered,
         // which fails the full-quorum check below.
         continue;
       }
       return Status::IntegrityViolation(
-          "opened broadcast from party " + std::to_string(j) + " has " +
+          "opened broadcast from party " + std::to_string(j) + " to " +
+          std::to_string(me_) + " has " +
           std::to_string(received.ValueOrDie().size()) +
-          " elements, expected " + std::to_string(a.size()));
+          " elements, expected " + std::to_string(k));
     }
     if (liveness_ != nullptr) liveness_->RecordSuccess(j);
-    all[j] = std::move(received).ValueOrDie();
-    survivors.push_back(j);
+    opening.broadcasts[j] = std::move(received).ValueOrDie();
+    opening.survivors.push_back(j);
   }
-  if (recovery_mode_ && survivors.size() != expected) {
+  if (recovery_mode_ && opening.survivors.size() != expected) {
     // Full-quorum rule, Open edition. The output opening is the LAST
     // exchange, so it is the one place a delivery asymmetry cannot
     // self-heal through the next level's census: any t+1 shares open the
@@ -388,19 +340,14 @@ Result<std::vector<Field::Element>> PartyProtocol::Open(const Shares& a) {
     // the barrier and re-open together.
     return Status::Unavailable(
         "open full-quorum failure under recovery: " +
-        std::to_string(survivors.size()) + "/" + std::to_string(expected) +
+        std::to_string(opening.survivors.size()) + "/" +
+        std::to_string(expected) +
         " non-dead parties delivered; failing for a resume barrier");
   }
-  if (survivors.empty()) {
+  if (opening.survivors.empty()) {
     return Status::Unavailable("open impossible: no broadcast delivered");
   }
-  return scheme_.ReconstructBatchFromSurvivors(all, survivors,
-                                               scheme_.threshold());
-}
-
-Result<std::vector<int64_t>> PartyProtocol::OpenSigned(const Shares& a) {
-  SQM_ASSIGN_OR_RETURN(const std::vector<Field::Element> opened, Open(a));
-  return Field::DecodeVector(opened);
+  return opening;
 }
 
 size_t PartyProtocol::DrainPending() {
@@ -524,95 +471,6 @@ Result<uint64_t> PartyProtocol::ResumeBarrier(double deadline_seconds,
                  << " peer(s) timed out and declared dead, "
                  << liveness_->num_alive() << "/" << n << " alive";
   return min_level;
-}
-
-PartyEngine::PartyEngine(ShamirScheme scheme, Transport* network,
-                         uint64_t seed, size_t me)
-    : protocol_(std::move(scheme), network, seed, me) {}
-
-Result<PartyProtocol::Shares> PartyEngine::EvaluateToShares(
-    const Circuit& circuit, const std::vector<int64_t>& my_inputs,
-    BgwCheckpoint* checkpoint) {
-  const size_t n = protocol_.num_parties();
-  const size_t me = protocol_.me();
-  SQM_RETURN_NOT_OK(circuit.Validate(n));
-  if (my_inputs.size() != circuit.NumInputsForParty(me)) {
-    return Status::InvalidArgument(
-        "party " + std::to_string(me) + " supplied " +
-        std::to_string(my_inputs.size()) + " inputs, circuit expects " +
-        std::to_string(circuit.NumInputsForParty(me)));
-  }
-
-  BgwCheckpoint scratch;
-  BgwCheckpoint* ckpt = checkpoint != nullptr ? checkpoint : &scratch;
-  const bool resuming = ckpt->valid;
-  const auto& gates = circuit.gates();
-
-  obs::Span evaluate("bgw.evaluate", "mpc", static_cast<int32_t>(me));
-  evaluate.AddArg("gates", static_cast<int64_t>(gates.size()));
-  evaluate.AddArg("resuming", resuming ? 1 : 0);
-
-  std::vector<Field::Element>& shares = ckpt->wire_shares;
-  if (!resuming) {
-    ckpt->next_level = 0;
-    ckpt->mul_rounds_done = 0;
-    shares.assign(gates.size(), 0);
-
-    // Phase 1: one sharing round per contributing dealer, in party order —
-    // the same schedule as the driver, with every other dealer's input
-    // count read from the public circuit structure.
-    for (size_t j = 0; j < n; ++j) {
-      const size_t count = circuit.NumInputsForParty(j);
-      if (count == 0) continue;
-      std::vector<Field::Element> encoded;
-      if (j == me) encoded = Field::EncodeVector(my_inputs);
-      SQM_ASSIGN_OR_RETURN(
-          const PartyProtocol::Shares shared,
-          protocol_.ShareFromParty(j, encoded, count));
-      for (size_t w = 0; w < gates.size(); ++w) {
-        const Circuit::Gate& gate = gates[w];
-        if (gate.kind == Circuit::GateKind::kInput && gate.owner() == j) {
-          shares[w] = shared[gate.input_index()];
-        }
-      }
-    }
-    ckpt->valid = true;
-    if (checkpoint_sink_) checkpoint_sink_(*ckpt);
-  } else if (!protocol_.recovery_mode()) {
-    // In recovery mode the resume barrier already flushed the failed
-    // level's in-flight state, and a fast peer may ALREADY have dealt
-    // fresh sub-shares for the redo level — draining there would eat them.
-    protocol_.DrainPending();
-  }
-
-  // Phase 2: the driver's level loop on a one-row table, so depth
-  // assignment and wire order — and hence the message pattern — match.
-  const auto mul = [&](size_t level, const std::vector<Circuit::WireId>& wires)
-      -> Status {
-    if (mul_level_hook_) mul_level_hook_(level);
-    PartyProtocol::Shares lhs(wires.size());
-    PartyProtocol::Shares rhs(wires.size());
-    for (size_t i = 0; i < wires.size(); ++i) {
-      lhs[i] = shares[gates[wires[i]].lhs];
-      rhs[i] = shares[gates[wires[i]].rhs];
-    }
-    SQM_ASSIGN_OR_RETURN(const PartyProtocol::Shares products,
-                         protocol_.Mul(std::move(lhs), std::move(rhs)));
-    for (size_t i = 0; i < wires.size(); ++i) shares[wires[i]] = products[i];
-    return Status::OK();
-  };
-  SQM_RETURN_NOT_OK(EvaluateLevels(circuit, 1, ckpt, mul, checkpoint_sink_));
-
-  PartyProtocol::Shares out(circuit.outputs().size());
-  for (size_t i = 0; i < circuit.outputs().size(); ++i) {
-    out[i] = shares[circuit.outputs()[i]];
-  }
-  return out;
-}
-
-Result<std::vector<int64_t>> PartyEngine::OpenOutputs(
-    const PartyProtocol::Shares& out_shares) {
-  return protocol_.OpenSigned(out_shares);
 }
 
 }  // namespace sqm

@@ -2,12 +2,10 @@
 #define SQM_MPC_PARTY_PROTOCOL_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "core/status.h"
-#include "mpc/circuit.h"
 #include "mpc/field.h"
 #include "mpc/shamir.h"
 #include "net/liveness.h"
@@ -16,96 +14,97 @@
 
 namespace sqm {
 
-/// Per-party BGW primitives: the distributed counterpart of BgwProtocol.
+/// One BGW party: the only implementation of the protocol's messages. It
+/// holds party `me`'s dealing stream and its row of every shared vector.
+/// BgwEngine (mpc/bgw.h) hosts one per party it runs — all n in driver
+/// mode, `{me}` in a deployment — so both hostings release BIT-IDENTICAL
+/// values (tests/party_protocol_test.cc, deploy_smoke).
 ///
-/// BgwProtocol executes every party in one process — it owns all n RNG
-/// streams and all n share rows. PartyProtocol is what one OS process runs
-/// in a real deployment: it holds party `me`'s share row only, derives
-/// exactly the RNG stream the driver would have assigned to `me` (by
-/// replaying the driver's Split sequence, which consumes parent draws but
-/// never data), and exchanges the same messages over the transport. The
-/// consequence, asserted by tests/party_protocol_test.cc and the
-/// deploy_smoke target, is that n PartyProtocol processes release values
-/// BIT-IDENTICAL to one driver-mode run with the same seed.
-///
-/// A "shared vector" here is just this party's row:
-/// std::vector<Field::Element> with one share per element.
-///
-/// Rounds: the driver calls Transport::EndRound once per round. In
-/// per-party execution every party signals its own round end; over a
-/// TcpTransport that is a plain EndRound (per-process accounting), while n
-/// party threads sharing one ThreadedTransport must instead arrive at the
-/// transport's round barrier — inject that via set_round_barrier.
-///
-/// One Mul and one open serve every mode, as in the driver: without a
-/// liveness tracker a failed receive fails the call; with one, the failed
-/// peer is recorded and skipped. Dropout tolerance then adds one genuinely
-/// distributed step: after a multiplication's sub-share exchange the
-/// survivors run a census round (phase "census"), broadcasting a bitmask of
-/// the dealers they received and intersecting the masks, so every survivor
-/// recombines over the SAME 2t+1 dealer set — the property the driver gets
-/// for free from its global view. The census is agreement under the
-/// documented failure model (crash-stop, reliable links among survivors,
-/// failures detected by every survivor within its timeout window); it is
-/// not Byzantine consensus. Every open interpolates over the first t+1
-/// parties that delivered, which with all n present is the first t+1.
+/// Each communicating step is split at its round boundary into a send half
+/// and a receive half; the engine ends the round once for every party it
+/// hosts. Without a liveness tracker a failed receive fails the step; with
+/// one the peer is recorded and skipped, and a Mul adds a census round
+/// (phase "census"): survivors broadcast a bitmask of the dealers they
+/// received and all recombine over the intersection's first 2t+1 dealers.
+/// The census is agreement under crash-stop failures with reliable links
+/// among survivors, not Byzantine consensus. Masks are one u64, so a
+/// tracked run supports at most 64 parties (SqmPlan::Create refuses more).
 class PartyProtocol {
  public:
   using Shares = std::vector<Field::Element>;
-  using RoundFn = std::function<void()>;
 
-  /// `transport` must outlive the protocol. `seed` must equal the driver
-  /// seed (BgwEngine's protocol seed) for bit-identical execution; `me` is
-  /// this process's party index.
-  PartyProtocol(ShamirScheme scheme, Transport* transport, uint64_t seed,
+  /// What one party received in an open: `broadcasts[j]` is party j's share
+  /// vector (empty if it did not deliver) and `survivors` the parties that
+  /// delivered, ascending.
+  struct Opening {
+    std::vector<Shares> broadcasts;
+    std::vector<size_t> survivors;
+  };
+
+  /// `scheme` and `transport` must outlive the protocol. `stream` is this
+  /// party's dealing randomness (DeriveStream, or the engine's one-pass
+  /// split of all n streams).
+  PartyProtocol(const ShamirScheme& scheme, Transport* transport, Rng stream,
                 size_t me);
 
+  /// Party `me`'s dealing stream: stream `me` of Rng(seed).Split(0..n-1),
+  /// replayed in order (each Split consumes parent draws but never data),
+  /// so one party derives exactly the stream a driver hosting all n draws.
+  static Rng DeriveStream(uint64_t seed, size_t me);
+
   size_t num_parties() const { return scheme_.num_parties(); }
-  size_t me() const { return me_; }
 
-  /// Attaches (or detaches) the local failure detector. Each party holds
-  /// its OWN tracker — liveness is a local view, reconciled where it must
-  /// be (multiplications) by the census round.
-  void set_liveness(LivenessTracker* tracker) { liveness_ = tracker; }
-
-  /// Overrides how a round end is signaled (default:
-  /// transport->EndRound()). Party threads sharing one ThreadedTransport
-  /// pass [&] { transport.ArriveRound(me); }.
-  void set_round_barrier(RoundFn fn) { round_fn_ = std::move(fn); }
-
-  /// Input phase for dealer `dealer` dealing `count` elements. When
-  /// dealer == me, `values` holds the encoded plaintext inputs
-  /// (values.size() == count); otherwise `values` is ignored. Every party
-  /// returns its own share row. Mirrors BgwProtocol::ShareFromParty: with
-  /// a liveness tracker attached, a dead dealer or a failed receive fails
-  /// kUnavailable (a lost input has no quorum).
-  Result<Shares> ShareFromParty(size_t dealer,
-                                const std::vector<Field::Element>& values,
-                                size_t count,
-                                const std::string& phase_label = "input");
-
-  /// Local addition of own share rows (identical to the driver's per-row
-  /// arithmetic); the top-up adds its extra noise shares with it.
-  Result<Shares> Add(const Shares& a, const Shares& b) const;
-
-  /// Element-wise product with GRR degree reduction; one communication
-  /// round without a tracker, two (sub-shares + census) with one. Consumes
-  /// its operands: the product is computed and recombined in `a`'s storage
-  /// and `b` is freed once used. Recombines the first 2t+1 agreed dealers
-  /// with the degree-2t weights when they are dealers 0..2t, else with
-  /// fresh Lagrange weights for exactly their points.
-  Result<Shares> Mul(Shares a, Shares b);
+  /// Attaches (or detaches) the failure detector: a local view, reconciled
+  /// by the census. Parties hosted together share one.
+  void set_liveness(LivenessTracker* tracker);
 
   /// Marks the trailing `count` elements of this party's dealings as its
-  /// noise; see BgwProtocol::set_noise_inputs.
+  /// noise, dealt as a second batch into the same message
+  /// (ShamirScheme::ShareBatchWithTail) and timed in noise_deal_seconds().
   void set_noise_inputs(size_t count) { noise_inputs_ = count; }
   double noise_deal_seconds() const { return noise_deal_seconds_; }
 
-  /// Opens to every party (one round) and returns the plaintext. With a
-  /// tracker, dead parties are skipped and reconstruction interpolates
-  /// over whichever survivors delivered (any t+1 agree on the value).
-  Result<std::vector<Field::Element>> Open(const Shares& a);
-  Result<std::vector<int64_t>> OpenSigned(const Shares& a);
+  /// Input dealing, send half: deals `values` (this party is the dealer)
+  /// and sends every party believed alive its row.
+  void DealInput(const std::vector<Field::Element>& values);
+
+  /// Input dealing, receive half: this party's row of `dealer`'s
+  /// `count`-element dealing. With a tracker, a failed receive fails
+  /// kUnavailable (a lost input has no quorum); a dealing of the wrong
+  /// length fails kIntegrityViolation.
+  Result<Shares> ReceiveInput(size_t dealer, size_t count);
+
+  /// Mul, send half: multiplies the rows locally into `*a` (a degree-2t
+  /// sharing of the products), frees `*b`, re-shares the products at
+  /// degree t and sends the sub-shares to the parties believed alive.
+  void MulDeal(Shares* a, Shares* b);
+
+  /// Mul, receive half: collects `k`-element sub-share batches. Without a
+  /// tracker a failed receive fails the Mul; with one the dealer is
+  /// recorded, skipped and left out of this party's census vote.
+  Status MulCollect(size_t k);
+
+  /// Census round of a tracked Mul, send half: broadcasts the vote.
+  void CensusSend();
+
+  /// Census, receive half: intersects every delivered vote. In recovery
+  /// mode anything short of every non-dead party dealing and voting fails
+  /// the level with kUnavailable.
+  Status CensusTally();
+
+  /// Recombines the first 2t+1 agreed dealers (dealers 0..2t without a
+  /// tracker) into `*a`, with the degree-2t weights when they are dealers
+  /// 0..2t, else fresh Lagrange weights for exactly their points. Fewer
+  /// than 2t+1 agreed dealers fails kUnavailable naming the shortfall.
+  Status Recombine(Shares* a);
+
+  /// Open, send half: broadcasts this party's row.
+  void OpenSend(const Shares& a);
+
+  /// Open, receive half: every `k`-element broadcast this party received.
+  /// With a tracker dead or failed parties are skipped; any t+1 shares of
+  /// a consistent sharing agree on the value.
+  Result<Opening> OpenCollect(size_t k);
 
   /// Discards every deliverable message addressed to this party. Called
   /// between a failed multiplication level and its checkpoint retry.
@@ -121,11 +120,10 @@ class PartyProtocol {
   ///  - Marker tolerance: every receive site discards late resume-barrier
   ///    markers (a peer that finished its barrier first may send one final
   ///    marker round into our next protocol phase).
-  /// Requires a LivenessTracker and an immediate-delivery transport (TCP
-  /// or threaded; the lockstep transport defers delivery to EndRound and
-  /// cannot run the barrier's resend loop).
+  /// Requires a LivenessTracker, one hosted party per process and an
+  /// immediate-delivery transport (TCP or threaded; the lockstep transport
+  /// defers delivery to EndRound and cannot run the barrier's resend loop).
   void set_recovery_mode(bool on) { recovery_mode_ = on; }
-  bool recovery_mode() const { return recovery_mode_; }
 
   /// Resynchronization point after a failed level or a supervised restart.
   ///
@@ -162,12 +160,6 @@ class PartyProtocol {
   }
 
  private:
-  /// The census round of a tracked Mul: broadcasts `my_mask` (the dealers
-  /// this party received) and returns the intersection of every delivered
-  /// vote. In recovery mode anything short of every non-dead party dealing
-  /// and voting fails the level with kUnavailable.
-  Result<uint64_t> Census(uint64_t my_mask);
-
   /// Receive that discards late resume-barrier markers in recovery mode.
   /// ALL protocol receive sites must go through this: a peer that left the
   /// barrier first may push one final marker round into our next phase.
@@ -179,70 +171,24 @@ class PartyProtocol {
   /// must hold a non-null liveness_.
   void RecordRecvFailure(size_t party, StatusCode code);
 
-  void EndRound();
   bool PartyDead(size_t party) const {
     return liveness_ != nullptr && liveness_->IsDead(party);
   }
 
-  ShamirScheme scheme_;
+  const ShamirScheme& scheme_;
   Transport* network_;
   LivenessTracker* liveness_ = nullptr;
   size_t noise_inputs_ = 0;
   double noise_deal_seconds_ = 0.0;
-  const size_t me_;
+  size_t me_;
   Rng my_rng_;
-  std::vector<Field::Element> degree2t_lagrange_;
-  RoundFn round_fn_;
   bool recovery_mode_ = false;
-};
 
-/// Per-party gate-level evaluator: the distributed counterpart of
-/// BgwEngine. Evaluates the SAME circuit the driver builds with the same
-/// level loop (EvaluateLevels, mpc/circuit.h) on a one-row share table —
-/// this party's share per wire — so the message schedule, and therefore
-/// the released values, match driver-mode bit for bit. Its checkpoint is a
-/// BgwCheckpoint with rows = 1.
-class PartyEngine {
- public:
-  PartyEngine(ShamirScheme scheme, Transport* network, uint64_t seed,
-              size_t me);
-
-  /// `my_inputs` supplies only this party's private inputs (centered
-  /// signed), which must number circuit.NumInputsForParty(me). Other
-  /// parties' input counts are read from the circuit — public structure.
-  Result<PartyProtocol::Shares> EvaluateToShares(
-      const Circuit& circuit, const std::vector<int64_t>& my_inputs,
-      BgwCheckpoint* checkpoint = nullptr);
-
-  Result<std::vector<int64_t>> OpenOutputs(
-      const PartyProtocol::Shares& out_shares);
-
-  void set_liveness(LivenessTracker* tracker) {
-    protocol_.set_liveness(tracker);
-  }
-
-  /// Called at the start of every multiplication level with the level
-  /// index. The sqm-party daemon's --crash-at-mul-level hook (raising
-  /// SIGKILL mid-protocol for the resilience tests) attaches here.
-  void set_mul_level_hook(std::function<void(size_t)> hook) {
-    mul_level_hook_ = std::move(hook);
-  }
-
-  /// Called with the in-memory checkpoint after the input phase completes
-  /// and again after every completed circuit level. The recovery layer
-  /// attaches a sink that persists a durable snapshot (wire shares + RNG
-  /// cursor) at each of these phase boundaries, so a kill -9 at any point
-  /// loses at most the level in flight.
-  void set_checkpoint_sink(std::function<void(const BgwCheckpoint&)> sink) {
-    checkpoint_sink_ = std::move(sink);
-  }
-
-  PartyProtocol& protocol() { return protocol_; }
-
- private:
-  PartyProtocol protocol_;
-  std::function<void(size_t)> mul_level_hook_;
-  std::function<void(const BgwCheckpoint&)> checkpoint_sink_;
+  // A Mul between its halves: the kept sub-share batches by dealer, this
+  // party's census vote (the dealers it received) and the agreed set.
+  std::vector<Shares> sub_shares_;
+  uint64_t vote_ = 0;
+  uint64_t agreed_ = 0;
 };
 
 }  // namespace sqm

@@ -10,9 +10,10 @@
 
 namespace sqm {
 
-/// A secret-shared vector: element i is Shamir-shared across all parties,
-/// shares(party)[i] being party's share. The driver's (BgwProtocol)
-/// all-parties layout; callers never see plaintext until Open().
+/// A secret-shared vector as one process holds it: row r is the share row
+/// of the r-th party the process hosts (all n parties in driver mode, one
+/// in a deployment), shares(r)[i] being that party's share of element i.
+/// Callers never see plaintext until BgwEngine::OpenOutputs.
 class SharedVector {
  public:
   SharedVector() = default;
@@ -26,6 +27,9 @@ class SharedVector {
   const std::vector<Field::Element>& shares(size_t party) const {
     return shares_[party];
   }
+
+  /// Adds `other` row by row: local on every hosted party's shares.
+  void Add(const SharedVector& other);
 
  private:
   std::vector<std::vector<Field::Element>> shares_;
@@ -79,6 +83,12 @@ class ShamirScheme {
   std::vector<std::vector<Field::Element>> ShareBatchWithTail(
       const std::vector<Field::Element>& secrets, size_t tail, Rng& rng,
       int32_t track, double* tail_seconds) const;
+
+  /// Lagrange-at-zero weights of parties 0..2t: the GRR recombination
+  /// weights when the first 2t+1 dealers deliver.
+  const std::vector<Field::Element>& degree2t_weights() const {
+    return lagrange_2t_;
+  }
 
   /// Reconstructs the secret from the full share vector (degree-t
   /// interpolation using the first threshold+1 shares; the trailing n-t-1

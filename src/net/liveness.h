@@ -39,7 +39,7 @@ struct LivenessOptions {
 
 /// Shared failure detector for one protocol run.
 ///
-/// Protocol layers (BgwProtocol, BgwEngine, the SQM pipeline) feed every
+/// Protocol layers (PartyProtocol, BgwEngine, the SQM pipeline) feed every
 /// receive outcome into one tracker, so a party declared dead during the
 /// input phase is skipped — no further timeout windows burned on it — in
 /// every later multiplication and opening round. Thread-safe: per-party

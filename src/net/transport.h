@@ -60,7 +60,7 @@ class MessageInterceptor {
 
 /// Abstract pairwise message transport between `num_parties` parties.
 ///
-/// This is the seam between protocol logic (BgwProtocol, the SQM pipeline)
+/// This is the seam between protocol logic (BgwEngine, the SQM pipeline)
 /// and the execution model. The same protocol code runs over
 ///  - LockstepTransport: the paper's single-machine simulation — queues in
 ///    program order, a simulated clock advancing per round,

@@ -1,7 +1,7 @@
 #include "testing/schedule_fuzz.h"
 
+#include "mpc/bgw.h"
 #include "mpc/field.h"
-#include "mpc/protocol.h"
 #include "mpc/shamir.h"
 #include "net/lockstep.h"
 #include "net/runner.h"
@@ -32,6 +32,32 @@ uint64_t StormElement(uint64_t seed, uint64_t round, size_t from, size_t to,
 constexpr size_t kStormPayloadSize = 5;
 
 }  // namespace
+
+Circuit ProductProbeCircuit(size_t k) {
+  Circuit circuit;
+  std::vector<Circuit::WireId> a(k);
+  std::vector<Circuit::WireId> b(k);
+  for (size_t i = 0; i < k; ++i) a[i] = circuit.AddInput(0);
+  for (size_t i = 0; i < k; ++i) b[i] = circuit.AddInput(1);
+  std::vector<Circuit::WireId> products(k);
+  for (size_t i = 0; i < k; ++i) {
+    products[i] = circuit.AddMul(a[i], b[i]);
+    circuit.MarkOutput(products[i]);
+  }
+  Circuit::WireId inner = products[0];
+  for (size_t i = 1; i < k; ++i) inner = circuit.AddAdd(inner, products[i]);
+  circuit.MarkOutput(inner);
+  return circuit;
+}
+
+std::vector<std::vector<int64_t>> ProductProbeInputs(
+    size_t num_parties, const std::vector<int64_t>& a,
+    const std::vector<int64_t>& b) {
+  std::vector<std::vector<int64_t>> inputs(num_parties);
+  inputs[0] = a;
+  inputs[1] = b;
+  return inputs;
+}
 
 ScheduleFuzzer::ScheduleFuzzer(ScheduleFuzzOptions options)
     : options_(options) {}
@@ -70,23 +96,17 @@ Status ScheduleFuzzer::RunIteration(uint64_t iteration_seed) {
   for (auto& v : x0) v = static_cast<int64_t>(derive.NextBounded(2001)) - 1000;
   for (auto& v : x1) v = static_cast<int64_t>(derive.NextBounded(2001)) - 1000;
 
-  // The probe: input sharing, a batched Mul, an inner product, two opens.
+  // The probe: input sharing, a batched Mul, an inner product, one open.
   // Driver mode in both runs, so the global send order — and therefore the
   // transcript — must be identical regardless of the fault schedule.
+  const Circuit probe = ProductProbeCircuit(options_.vector_size);
+  const std::vector<std::vector<int64_t>> probe_inputs =
+      ProductProbeInputs(n, x0, x1);
   auto run_probe = [&](Transport* net,
                        std::vector<int64_t>* outputs) -> Status {
-    BgwProtocol protocol(ShamirScheme(n, options_.threshold), net,
-                         iteration_seed ^ 0xb9d7);
-    SQM_ASSIGN_OR_RETURN(const SharedVector a,
-                         protocol.ShareFromParty(0, Field::EncodeVector(x0)));
-    SQM_ASSIGN_OR_RETURN(const SharedVector b,
-                         protocol.ShareFromParty(1, Field::EncodeVector(x1)));
-    SQM_ASSIGN_OR_RETURN(const SharedVector prod, protocol.Mul(a, b));
-    SQM_ASSIGN_OR_RETURN(const SharedVector ip, protocol.InnerProduct(a, b));
-    SQM_ASSIGN_OR_RETURN(*outputs, protocol.OpenSigned(prod));
-    SQM_ASSIGN_OR_RETURN(const std::vector<int64_t> ip_open,
-                         protocol.OpenSigned(ip));
-    outputs->insert(outputs->end(), ip_open.begin(), ip_open.end());
+    BgwEngine engine(ShamirScheme(n, options_.threshold), net,
+                     iteration_seed ^ 0xb9d7);
+    SQM_ASSIGN_OR_RETURN(*outputs, engine.Evaluate(probe, probe_inputs));
     return Status::OK();
   };
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/status.h"
+#include "mpc/circuit.h"
 #include "testing/transcript.h"
 
 namespace sqm {
@@ -46,11 +47,22 @@ struct ScheduleFuzzReport {
   uint64_t retries = 0;
 };
 
+/// The conformance probe as a circuit: party 0 inputs a and party 1
+/// inputs b (k >= 1 values each); the outputs are a_i * b_i for every i,
+/// then their sum (the inner product). One multiplication level.
+Circuit ProductProbeCircuit(size_t k);
+
+/// The probe's per-party inputs: `a` for party 0, `b` for party 1, none
+/// for the others.
+std::vector<std::vector<int64_t>> ProductProbeInputs(
+    size_t num_parties, const std::vector<int64_t>& a,
+    const std::vector<int64_t>& b);
+
 /// Seeded schedule-exploration fuzzer for ThreadedTransport.
 ///
 /// Each iteration derives a fault mix and probe inputs from its seed, then
-/// runs the same BGW probe (input sharing, a batched multiplication, an
-/// inner product, opening) twice: once over a fault-free LockstepTransport
+/// runs the same BGW probe (ProductProbeCircuit: input sharing, a batched
+/// multiplication, an inner product, opening) twice: once over a fault-free LockstepTransport
 /// (the reference) and once over a ThreadedTransport with the drawn drops,
 /// delays and reorders. Both runs record transcripts. The invariants:
 ///

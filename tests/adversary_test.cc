@@ -13,10 +13,11 @@
 
 #include "core/report_io.h"
 #include "core/sqm.h"
+#include "mpc/bgw.h"
 #include "mpc/field.h"
-#include "mpc/protocol.h"
 #include "mpc/shamir.h"
 #include "net/lockstep.h"
+#include "testing/schedule_fuzz.h"
 #include "testing/transcript.h"
 
 namespace sqm {
@@ -36,28 +37,19 @@ const std::vector<int64_t> kInputB = {-7, 2, 9};
 // Element-wise product and its sum, what the probe releases.
 const std::vector<int64_t> kExpected = {-21, -8, 45, 16};
 
-/// The conformance probe, with verify_sharings on: input sharing for two
-/// parties, a batched multiplication, an inner product, and opens of both
-/// results — every step checked.
+/// The conformance probe (testing::ProductProbeCircuit), with
+/// verify_sharings on: input sharing for two parties, a batched
+/// multiplication, an inner product, and one open of both results — every
+/// step checked.
 Result<std::vector<int64_t>> RunCheckedProbe(
     MessageInterceptor* interceptor) {
   LockstepTransport network(kParties, 0.0, Field::kWireBytes);
   network.SetInterceptor(interceptor);
-  BgwProtocol protocol(ShamirScheme(kParties, kThreshold), &network, 77);
-  protocol.set_verify_sharings(true);
-  SQM_ASSIGN_OR_RETURN(
-      const SharedVector a,
-      protocol.ShareFromParty(0, Field::EncodeVector(kInputA)));
-  SQM_ASSIGN_OR_RETURN(
-      const SharedVector b,
-      protocol.ShareFromParty(1, Field::EncodeVector(kInputB)));
-  SQM_ASSIGN_OR_RETURN(const SharedVector prod, protocol.Mul(a, b));
-  SQM_ASSIGN_OR_RETURN(const SharedVector ip, protocol.InnerProduct(a, b));
-  SQM_ASSIGN_OR_RETURN(std::vector<int64_t> outputs,
-                       protocol.OpenSigned(prod));
-  SQM_ASSIGN_OR_RETURN(const std::vector<int64_t> ip_open,
-                       protocol.OpenSigned(ip));
-  outputs.insert(outputs.end(), ip_open.begin(), ip_open.end());
+  BgwEngine engine(ShamirScheme(kParties, kThreshold), &network, 77);
+  engine.set_verify_sharings(true);
+  Result<std::vector<int64_t>> outputs = engine.Evaluate(
+      testing::ProductProbeCircuit(kInputA.size()),
+      testing::ProductProbeInputs(kParties, kInputA, kInputB));
   network.SetInterceptor(nullptr);
   return outputs;
 }
@@ -67,16 +59,12 @@ Result<std::vector<int64_t>> RunCheckedProbe(
 std::vector<int64_t> RunUncheckedProbe(MessageInterceptor* interceptor) {
   LockstepTransport network(kParties, 0.0, Field::kWireBytes);
   network.SetInterceptor(interceptor);
-  BgwProtocol protocol(ShamirScheme(kParties, kThreshold), &network, 77);
-  const SharedVector a =
-      protocol.ShareFromParty(0, Field::EncodeVector(kInputA)).ValueOrDie();
-  const SharedVector b =
-      protocol.ShareFromParty(1, Field::EncodeVector(kInputB)).ValueOrDie();
-  const SharedVector prod = protocol.Mul(a, b).ValueOrDie();
-  const SharedVector ip = protocol.InnerProduct(a, b).ValueOrDie();
-  std::vector<int64_t> outputs = protocol.OpenSigned(prod).ValueOrDie();
-  const std::vector<int64_t> ip_open = protocol.OpenSigned(ip).ValueOrDie();
-  outputs.insert(outputs.end(), ip_open.begin(), ip_open.end());
+  BgwEngine engine(ShamirScheme(kParties, kThreshold), &network, 77);
+  std::vector<int64_t> outputs =
+      engine
+          .Evaluate(testing::ProductProbeCircuit(kInputA.size()),
+                    testing::ProductProbeInputs(kParties, kInputA, kInputB))
+          .ValueOrDie();
   network.SetInterceptor(nullptr);
   return outputs;
 }
@@ -184,14 +172,20 @@ TEST(AdversaryTest, TamperedTrailingShareIsDetectedByOpen) {
   // copy disagrees. Interpolation uses only the first t+1 shares and never
   // sees it; the verified Open checks every survivor's share and must.
   LockstepTransport network(kParties, 0.0, Field::kWireBytes);
-  BgwProtocol protocol(ShamirScheme(kParties, kThreshold), &network, 77);
+  BgwEngine engine(ShamirScheme(kParties, kThreshold), &network, 77);
+  Circuit circuit;
+  for (size_t i = 0; i < kInputA.size(); ++i) {
+    circuit.MarkOutput(circuit.AddInput(0));
+  }
   SharedVector a =
-      protocol.ShareFromParty(0, Field::EncodeVector(kInputA)).ValueOrDie();
+      engine.EvaluateToShares(circuit, testing::ProductProbeInputs(
+                                           kParties, kInputA, {}))
+          .ValueOrDie();
   a.shares(kParties - 1)[1] = Field::Add(a.shares(kParties - 1)[1], 1);
-  EXPECT_EQ(protocol.OpenSigned(a).ValueOrDie(), kInputA);
+  EXPECT_EQ(engine.OpenOutputs(a).ValueOrDie(), kInputA);
 
-  protocol.set_verify_sharings(true);
-  const auto result = protocol.OpenSigned(a);
+  engine.set_verify_sharings(true);
+  const auto result = engine.OpenOutputs(a);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kIntegrityViolation)
       << result.status().ToString();
@@ -236,13 +230,13 @@ TEST(AdversaryTest, ReplayedInputMessageIsDetectedDownstream) {
 }
 
 TEST(AdversaryTest, ReplayOnFinalOpenCannotChangeTheRelease) {
-  // A duplicate of the last open broadcast is never consumed: the opens
-  // receive exactly one message per channel in FIFO order, so the original
+  // A duplicate of the last open broadcast is never consumed: the open
+  // receives exactly one message per channel in FIFO order, so the original
   // is what every recipient reads. The release is provably unchanged.
   TamperPolicy policy;
   policy.kind = TamperPolicy::Kind::kReplay;
   policy.target.phase = "open";
-  policy.skip_matches = (kParties - 1) * kParties;  // Second (last) open.
+  policy.skip_matches = (kParties - 1) * kParties - 1;  // Its last message.
   ByzantineInterceptor byzantine({policy});
   const auto result = RunCheckedProbe(&byzantine);
   EXPECT_EQ(byzantine.total_applications(), 1u);

@@ -22,8 +22,6 @@
 #include "core/sqm_plan.h"
 #include "mpc/bgw.h"
 #include "mpc/field.h"
-#include "mpc/party_protocol.h"
-#include "mpc/protocol.h"
 #include "mpc/shamir.h"
 #include "net/liveness.h"
 #include "net/lockstep.h"
@@ -463,10 +461,10 @@ TEST(ExecutionModeEquivalence, QuorumCensusCostsOneRoundPerMulLevelOnTcp) {
 }
 
 // ---------------------------------------------------------------------------
-// Driver vs per-party evaluation of one circuit through the shared level
-// loop: BgwEngine (rows = n, one process) against n PartyEngines (rows = 1,
-// one thread each) must open the same values and, without trackers, put
-// the same traffic on the wire.
+// Driver vs per-party evaluation of one circuit: a BgwEngine hosting all n
+// parties (rows = n, one thread) against n BgwEngines hosting one party
+// each (rows = 1, one thread each) must open the same values and put the
+// same traffic on the wire, census included.
 
 constexpr size_t kLoopParties = 5;
 constexpr size_t kLoopThreshold = 2;
@@ -536,14 +534,13 @@ LoopRun RunLoopParties(bool trackers) {
   run.outputs.resize(kLoopParties);
   const sqm::Status status =
       sqm::PartyRunner(kLoopParties).Run([&](size_t me) -> sqm::Status {
-        sqm::PartyEngine engine(ShamirScheme(kLoopParties, kLoopThreshold),
-                                &network, kLoopSeed, me);
-        engine.protocol().set_round_barrier(
-            [&network, me] { network.ArriveRound(me); });
+        sqm::BgwEngine engine(ShamirScheme(kLoopParties, kLoopThreshold),
+                              &network, kLoopSeed, me);
+        engine.set_round_barrier([&network, me] { network.ArriveRound(me); });
         sqm::LivenessTracker tracker(kLoopParties);
         if (trackers) engine.set_liveness(&tracker);
-        SQM_ASSIGN_OR_RETURN(const sqm::PartyProtocol::Shares shares,
-                             engine.EvaluateToShares(circuit, inputs[me]));
+        SQM_ASSIGN_OR_RETURN(const sqm::SharedVector shares,
+                             engine.EvaluateToShares(circuit, {inputs[me]}));
         SQM_ASSIGN_OR_RETURN(run.outputs[me], engine.OpenOutputs(shares));
         return sqm::Status::OK();
       });
@@ -552,7 +549,7 @@ LoopRun RunLoopParties(bool trackers) {
   return run;
 }
 
-TEST(LevelLoopEquivalence, PartyEnginesMatchDriverOutputsAndTraffic) {
+TEST(LevelLoopEquivalence, PartyThreadsMatchDriverOutputsAndTraffic) {
   const LoopRun driver = RunLoopDriver(/*trackers=*/false);
   ASSERT_EQ(driver.outputs[0].size(), kLoopParties);
   const LoopRun parties = RunLoopParties(/*trackers=*/false);
@@ -562,13 +559,91 @@ TEST(LevelLoopEquivalence, PartyEnginesMatchDriverOutputsAndTraffic) {
   EXPECT_EQ(parties.stats.rounds, driver.stats.rounds);
 }
 
-TEST(LevelLoopEquivalence, PartyEnginesWithCensusMatchDriverOutputs) {
+TEST(LevelLoopEquivalence, PartyThreadsWithCensusMatchDriverOutputs) {
   const LoopRun driver = RunLoopDriver(/*trackers=*/true);
   EXPECT_EQ(driver.outputs, RunLoopDriver(/*trackers=*/false).outputs);
   const LoopRun parties = RunLoopParties(/*trackers=*/true);
   EXPECT_EQ(parties.outputs, driver.outputs);
-  // One census round per multiplication level on top of the driver's.
-  EXPECT_EQ(parties.stats.rounds, driver.stats.rounds + 3);
+  // Both hostings run the census, one round per multiplication level.
+  EXPECT_EQ(driver.stats.rounds,
+            RunLoopDriver(/*trackers=*/false).stats.rounds + 3);
+  EXPECT_EQ(parties.stats.rounds, driver.stats.rounds);
+  EXPECT_EQ(parties.stats.messages, driver.stats.messages);
+  EXPECT_EQ(parties.stats.bytes(), driver.stats.bytes());
+}
+
+
+// One post-input crash under a tracker: a driver hosting all five parties
+// on a LockstepTransport and five single-party engines on threads over one
+// ThreadedTransport both run the census, so they must agree on the
+// release, the survivors and the round count.
+TEST(LevelLoopEquivalence, CensusUnderAPostInputCrashMatchesAcrossHostings) {
+  constexpr size_t kThreshold = 1;  // Quorum 2t+1 = 3 of 5.
+  constexpr size_t kCrashed = 2;
+  constexpr uint64_t kAfterInputs = kLoopParties;  // One round per dealer.
+  constexpr size_t kPostInputRounds = 3 * 2 + 1;   // 3 Mul + census, open.
+  const sqm::Circuit circuit = LevelLoopCircuit();
+  const std::vector<std::vector<int64_t>> inputs = LevelLoopInputs();
+
+  sqm::LockstepTransport clean(kLoopParties, 0.0);
+  sqm::BgwEngine reference(ShamirScheme(kLoopParties, kThreshold), &clean,
+                           kLoopSeed);
+  const std::vector<int64_t> expected =
+      reference.Evaluate(circuit, inputs).ValueOrDie();
+
+  sqm::LockstepTransport lockstep(kLoopParties, 0.0);
+  lockstep.ScheduleCrashes({{kCrashed, kAfterInputs}});
+  sqm::BgwEngine driver(ShamirScheme(kLoopParties, kThreshold), &lockstep,
+                        kLoopSeed);
+  sqm::LivenessTracker driver_tracker(kLoopParties);
+  driver.set_liveness(&driver_tracker);
+  const sqm::Result<std::vector<int64_t>> driver_outputs =
+      driver.Evaluate(circuit, inputs);
+  ASSERT_TRUE(driver_outputs.ok()) << driver_outputs.status().ToString();
+  EXPECT_EQ(driver_outputs.ValueOrDie(), expected);
+  EXPECT_EQ(driver_tracker.Survivors(), (std::vector<size_t>{0, 1, 3, 4}));
+  EXPECT_EQ(lockstep.stats().rounds, kLoopParties + kPostInputRounds);
+
+  sqm::ThreadedTransportOptions options;
+  options.receive_timeout_seconds = 0.02;
+  options.max_retries = 2;
+  options.retry_backoff_seconds = 0.0005;
+  options.faults.crashes = {{kCrashed, kAfterInputs}};
+  sqm::ThreadedTransport threaded(kLoopParties, options);
+  std::vector<std::vector<int64_t>> outputs(kLoopParties);
+  std::vector<std::vector<size_t>> survivors(kLoopParties);
+  const sqm::Status status =
+      sqm::PartyRunner(kLoopParties).Run([&](size_t me) -> sqm::Status {
+        sqm::BgwEngine engine(ShamirScheme(kLoopParties, kThreshold),
+                              &threaded, kLoopSeed, me);
+        engine.set_round_barrier([&threaded, me] { threaded.ArriveRound(me); });
+        sqm::LivenessTracker tracker(kLoopParties);
+        engine.set_liveness(&tracker);
+        if (me == kCrashed) {
+          // The crashed party deals and receives the inputs, then goes
+          // silent: it only keeps the round barrier.
+          for (size_t j = 0; j < kLoopParties; ++j) {
+            std::vector<Field::Element> encoded;
+            if (j == me) encoded = Field::EncodeVector(inputs[me]);
+            SQM_RETURN_NOT_OK(engine.ShareFrom(j, encoded, 1).status());
+          }
+          for (size_t r = 0; r < kPostInputRounds; ++r) {
+            threaded.ArriveRound(me);
+          }
+          return sqm::Status::OK();
+        }
+        SQM_ASSIGN_OR_RETURN(outputs[me],
+                             engine.Evaluate(circuit, {inputs[me]}));
+        survivors[me] = tracker.Survivors();
+        return sqm::Status::OK();
+      });
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  for (size_t me = 0; me < kLoopParties; ++me) {
+    if (me == kCrashed) continue;
+    EXPECT_EQ(outputs[me], expected) << "party " << me;
+    EXPECT_EQ(survivors[me], driver_tracker.Survivors()) << "party " << me;
+  }
+  EXPECT_EQ(threaded.stats().rounds, lockstep.stats().rounds);
 }
 
 }  // namespace

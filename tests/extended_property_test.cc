@@ -10,8 +10,8 @@
 
 #include "dp/accountant.h"
 #include "dp/gaussian.h"
+#include "mpc/bgw.h"
 #include "mpc/ops.h"
-#include "mpc/protocol.h"
 #include "net/lockstep.h"
 #include "poly/parser.h"
 #include "sampling/rng.h"
@@ -64,8 +64,8 @@ class GrrMulPropertyTest
 TEST_P(GrrMulPropertyTest, RandomVectorsMultiplyExactly) {
   const auto [parties, threshold] = GetParam();
   LockstepTransport network(parties, 0.0);
-  BgwProtocol protocol(ShamirScheme(parties, threshold), &network,
-                       parties * 13 + threshold);
+  BgwEngine engine(ShamirScheme(parties, threshold), &network,
+                   parties * 13 + threshold);
 
   Rng rng(parties + threshold);
   std::vector<int64_t> xs(8), ys(8), expected(8);
@@ -74,14 +74,16 @@ TEST_P(GrrMulPropertyTest, RandomVectorsMultiplyExactly) {
     ys[i] = static_cast<int64_t>(rng.NextBounded(1u << 20)) - (1 << 19);
     expected[i] = xs[i] * ys[i];
   }
-  const SharedVector x =
-      protocol.ShareFromParty(0, Field::EncodeVector(xs)).ValueOrDie();
-  const SharedVector y =
-      protocol.ShareFromParty(1 % parties, Field::EncodeVector(ys))
-          .ValueOrDie();
-
-  const SharedVector product = protocol.Mul(x, y).ValueOrDie();
-  EXPECT_EQ(protocol.OpenSigned(product).ValueOrDie(), expected);
+  // Party 0 inputs xs, party 1 ys; one batched Mul level.
+  Circuit circuit;
+  std::vector<Circuit::WireId> x(8), y(8);
+  for (size_t i = 0; i < 8; ++i) x[i] = circuit.AddInput(0);
+  for (size_t i = 0; i < 8; ++i) y[i] = circuit.AddInput(1);
+  for (size_t i = 0; i < 8; ++i) circuit.MarkOutput(circuit.AddMul(x[i], y[i]));
+  std::vector<std::vector<int64_t>> inputs(parties);
+  inputs[0] = xs;
+  inputs[1] = ys;
+  EXPECT_EQ(engine.Evaluate(circuit, inputs).ValueOrDie(), expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Configs, GrrMulPropertyTest,
@@ -99,8 +101,7 @@ TEST_P(OpsCovariancePropertyTest, MatchesPlaintextOnRandomColumns) {
   const size_t n = GetParam();  // Clients = attributes.
   const size_t m = 9;
   LockstepTransport network(n, 0.0);
-  BgwProtocol protocol(ShamirScheme(n, (n - 1) / 2), &network, n * 7);
-  SecureOps ops(&protocol);
+  BgwEngine engine(ShamirScheme(n, (n - 1) / 2), &network, n * 7);
 
   Rng rng(n);
   std::vector<std::vector<int64_t>> columns(n, std::vector<int64_t>(m));
@@ -119,8 +120,10 @@ TEST_P(OpsCovariancePropertyTest, MatchesPlaintextOnRandomColumns) {
     }
   }
 
+  const StructuredCircuit op =
+      NoisyCovarianceUpper(columns, noise).ValueOrDie();
   const std::vector<int64_t> release =
-      ops.NoisyCovarianceUpper(columns, noise).ValueOrDie();
+      engine.Evaluate(op.circuit, op.inputs).ValueOrDie();
   size_t pair = 0;
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = i; j < n; ++j, ++pair) {

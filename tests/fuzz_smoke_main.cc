@@ -18,8 +18,8 @@
 #include <cstring>
 #include <vector>
 
+#include "mpc/bgw.h"
 #include "mpc/field.h"
-#include "mpc/protocol.h"
 #include "mpc/shamir.h"
 #include "net/lockstep.h"
 #include "testing/schedule_fuzz.h"
@@ -27,11 +27,10 @@
 
 namespace {
 
-using sqm::BgwProtocol;
+using sqm::BgwEngine;
 using sqm::Field;
 using sqm::LockstepTransport;
 using sqm::ShamirScheme;
-using sqm::SharedVector;
 using sqm::Status;
 using sqm::testing::ByzantineInterceptor;
 using sqm::testing::ScheduleFuzzOptions;
@@ -45,24 +44,16 @@ bool DetectOrUnchanged(TamperPolicy policy, std::string* what) {
   constexpr size_t kThreshold = 2;
   const std::vector<int64_t> x0 = {3, -4, 5};
   const std::vector<int64_t> x1 = {-7, 2, 9};
-  const std::vector<int64_t> expected = {-21, -8, 45};
+  const std::vector<int64_t> expected = {-21, -8, 45, 16};
 
   ByzantineInterceptor byzantine({policy});
   LockstepTransport network(kParties, 0.0, Field::kWireBytes);
   network.SetInterceptor(&byzantine);
-  BgwProtocol protocol(ShamirScheme(kParties, kThreshold), &network, 5);
-  protocol.set_verify_sharings(true);
-  auto run = [&]() -> sqm::Result<std::vector<int64_t>> {
-    SQM_ASSIGN_OR_RETURN(
-        const SharedVector a,
-        protocol.ShareFromParty(0, Field::EncodeVector(x0)));
-    SQM_ASSIGN_OR_RETURN(
-        const SharedVector b,
-        protocol.ShareFromParty(1, Field::EncodeVector(x1)));
-    SQM_ASSIGN_OR_RETURN(const SharedVector prod, protocol.Mul(a, b));
-    return protocol.OpenSigned(prod);
-  };
-  const auto result = run();
+  BgwEngine engine(ShamirScheme(kParties, kThreshold), &network, 5);
+  engine.set_verify_sharings(true);
+  const auto result = engine.Evaluate(
+      sqm::testing::ProductProbeCircuit(x0.size()),
+      sqm::testing::ProductProbeInputs(kParties, x0, x1));
   network.SetInterceptor(nullptr);
   if (!result.ok()) return true;  // Detected: fine.
   if (result.ValueOrDie() == expected) return true;  // Unchanged: fine.

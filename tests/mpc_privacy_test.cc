@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "mpc/field.h"
-#include "mpc/protocol.h"
+#include "mpc/bgw.h"
 #include "mpc/shamir.h"
 #include "net/lockstep.h"
 #include "sampling/rng.h"
@@ -85,16 +85,16 @@ TEST(MpcPrivacyTest, MulResharingMessagesAreUniform) {
   std::vector<Field::Element> observed;
   for (int run = 0; run < 4000; ++run) {
     LockstepTransport network(kParties, 0.0);
-    BgwProtocol protocol(ShamirScheme(kParties, 2), &network,
-                         1000 + run);
-    const SharedVector a =
-        protocol.ShareFromParty(0, Field::EncodeVector({7})).ValueOrDie();
-    const SharedVector b =
-        protocol.ShareFromParty(1, Field::EncodeVector({-13})).ValueOrDie();
-    (void)protocol.Mul(a, b).ValueOrDie();
+    BgwEngine engine(ShamirScheme(kParties, 2), &network, 1000 + run);
+    Circuit circuit;
+    circuit.MarkOutput(
+        circuit.AddMul(circuit.AddInput(0), circuit.AddInput(1)));
+    const SharedVector product =
+        engine.EvaluateToShares(circuit, {{7}, {-13}, {}, {}, {}})
+            .ValueOrDie();
     // Party 2's share of the product is one "observation" of the
     // post-reduction transcript.
-    observed.push_back(a.shares(2)[0]);
+    observed.push_back(product.shares(2)[0]);
   }
   ExpectRoughlyUniform(observed);
 }
@@ -117,12 +117,12 @@ TEST(MpcPrivacyTest, DistinctProtocolSeedsGiveDistinctTranscripts) {
   // pattern (a frozen RNG would silently break secrecy).
   LockstepTransport net_a(3, 0.0);
   LockstepTransport net_b(3, 0.0);
-  BgwProtocol proto_a(ShamirScheme(3, 1), &net_a, 1);
-  BgwProtocol proto_b(ShamirScheme(3, 1), &net_b, 2);
+  BgwEngine engine_a(ShamirScheme(3, 1), &net_a, 1);
+  BgwEngine engine_b(ShamirScheme(3, 1), &net_b, 2);
   const SharedVector a =
-      proto_a.ShareFromParty(0, Field::EncodeVector({5})).ValueOrDie();
+      engine_a.ShareFrom(0, Field::EncodeVector({5}), 1).ValueOrDie();
   const SharedVector b =
-      proto_b.ShareFromParty(0, Field::EncodeVector({5})).ValueOrDie();
+      engine_b.ShareFrom(0, Field::EncodeVector({5}), 1).ValueOrDie();
   EXPECT_NE(a.shares(1)[0], b.shares(1)[0]);
 }
 

@@ -4,43 +4,67 @@
 
 #include <cmath>
 
+#include "mpc/bgw.h"
 #include "net/lockstep.h"
 #include "sampling/rng.h"
 
 namespace sqm {
 namespace {
 
+/// Evaluates a structured circuit on a fresh lockstep driver; the network
+/// is returned through `network` for round counts.
+std::vector<int64_t> EvaluateOp(const Result<StructuredCircuit>& built,
+                         LockstepTransport* network, size_t threshold,
+                         uint64_t seed) {
+  const StructuredCircuit& op = built.ValueOrDie();
+  BgwEngine engine(ShamirScheme(network->num_parties(), threshold), network,
+                   seed);
+  return engine.Evaluate(op.circuit, op.inputs).ValueOrDie();
+}
+
 class OpsTest : public ::testing::Test {
  protected:
   static constexpr size_t kParties = 5;
 
-  OpsTest()
-      : network_(kParties, 0.0),
-        protocol_(ShamirScheme(kParties, 2), &network_, 71),
-        ops_(&protocol_) {}
+  OpsTest() : network_(kParties, 0.0) {}
+
+  std::vector<int64_t> Evaluate(const Result<StructuredCircuit>& built) {
+    return EvaluateOp(built, &network_, 2, 71);
+  }
 
   LockstepTransport network_;
-  BgwProtocol protocol_;
-  SecureOps ops_;
 };
 
 TEST_F(OpsTest, ShareColumnsRoundTrip) {
+  // Each party's inputs are its column, then its noise share — the layout
+  // SqmPlan::CircuitInputs uses.
   std::vector<std::vector<int64_t>> columns(kParties);
   for (size_t j = 0; j < kParties; ++j) {
     columns[j] = {static_cast<int64_t>(j), -static_cast<int64_t>(j), 7};
   }
-  const auto shared = ops_.ShareColumns(columns).ValueOrDie();
-  ASSERT_EQ(shared.size(), kParties);
+  const size_t d = kParties * (kParties + 1) / 2;
+  std::vector<std::vector<int64_t>> noise(kParties,
+                                          std::vector<int64_t>(d, 0));
+  noise[2][4] = 9;
+  const StructuredCircuit op =
+      NoisyCovarianceUpper(columns, noise).ValueOrDie();
+  ASSERT_EQ(op.inputs.size(), kParties);
   for (size_t j = 0; j < kParties; ++j) {
-    EXPECT_EQ(protocol_.OpenSigned(shared[j]).ValueOrDie(), columns[j]);
+    std::vector<int64_t> expected = columns[j];
+    expected.insert(expected.end(), noise[j].begin(), noise[j].end());
+    EXPECT_EQ(op.inputs[j], expected);
+    EXPECT_EQ(op.circuit.NumInputsForParty(j), expected.size());
   }
 }
 
 TEST_F(OpsTest, ShareColumnsValidatesShape) {
-  EXPECT_FALSE(ops_.ShareColumns({{1}, {2}}).ok());  // Wrong party count.
+  const std::vector<std::vector<int64_t>> noise(
+      kParties, std::vector<int64_t>(kParties * (kParties + 1) / 2, 0));
+  // Wrong noise-vector count for two columns.
+  EXPECT_FALSE(NoisyCovarianceUpper({{1}, {2}}, noise).ok());
   std::vector<std::vector<int64_t>> ragged(kParties, {1, 2});
   ragged[3] = {1};
-  EXPECT_FALSE(ops_.ShareColumns(ragged).ok());
+  EXPECT_FALSE(NoisyCovarianceUpper(ragged, noise).ok());
 }
 
 TEST_F(OpsTest, NoisySumMatchesPlaintext) {
@@ -56,7 +80,7 @@ TEST_F(OpsTest, NoisySumMatchesPlaintext) {
       expected[t] += contributions[j][t] + noise[j][t];
     }
   }
-  EXPECT_EQ(ops_.NoisySum(contributions, noise).ValueOrDie(), expected);
+  EXPECT_EQ(Evaluate(NoisySum(contributions, noise)), expected);
 }
 
 TEST_F(OpsTest, CovarianceMatchesPlaintextGram) {
@@ -73,7 +97,7 @@ TEST_F(OpsTest, CovarianceMatchesPlaintextGram) {
       kParties, std::vector<int64_t>(d, 0));
 
   const std::vector<int64_t> gram =
-      ops_.NoisyCovarianceUpper(columns, zero_noise).ValueOrDie();
+      Evaluate(NoisyCovarianceUpper(columns, zero_noise));
   size_t pair = 0;
   for (size_t i = 0; i < kParties; ++i) {
     for (size_t j = i; j < kParties; ++j, ++pair) {
@@ -92,8 +116,7 @@ TEST_F(OpsTest, CovarianceInjectsNoise) {
   const size_t d = kParties * (kParties + 1) / 2;
   std::vector<std::vector<int64_t>> noise(
       kParties, std::vector<int64_t>(d, 1));  // Each client adds 1.
-  const std::vector<int64_t> gram =
-      ops_.NoisyCovarianceUpper(columns, noise).ValueOrDie();
+  const std::vector<int64_t> gram = Evaluate(NoisyCovarianceUpper(columns, noise));
   for (int64_t value : gram) {
     EXPECT_EQ(value, static_cast<int64_t>(kParties));
   }
@@ -106,10 +129,10 @@ TEST_F(OpsTest, CovarianceUsesOneMultiplicationRound) {
   std::vector<std::vector<int64_t>> noise(
       kParties, std::vector<int64_t>(d, 0));
   const uint64_t rounds_before = network_.stats().rounds;
-  (void)ops_.NoisyCovarianceUpper(columns, noise).ValueOrDie();
+  (void)Evaluate(NoisyCovarianceUpper(columns, noise));
   const uint64_t rounds_used = network_.stats().rounds - rounds_before;
-  // n column sharings + 1 mul + n noise sharings + 1 open.
-  EXPECT_EQ(rounds_used, kParties + 1 + kParties + 1);
+  // n sharings (each client's column and noise in one) + 1 mul + 1 open.
+  EXPECT_EQ(rounds_used, kParties + 1 + 1);
 }
 
 TEST(OpsLogisticTest, GradientMatchesPlaintextFormula) {
@@ -117,11 +140,9 @@ TEST(OpsLogisticTest, GradientMatchesPlaintextFormula) {
   const size_t d = 3;
   const size_t m = 6;
   LockstepTransport network(d + 1, 0.0);
-  BgwProtocol protocol(ShamirScheme(d + 1, 1), &network, 9);
-  SecureOps ops(&protocol);
 
   Rng rng(8);
-  SecureOps::LogisticGradientInputs inputs;
+  StructuredGradientInputs inputs;
   inputs.feature_columns.resize(d);
   for (auto& col : inputs.feature_columns) {
     for (size_t i = 0; i < m; ++i) {
@@ -138,7 +159,7 @@ TEST(OpsLogisticTest, GradientMatchesPlaintextFormula) {
   inputs.noise_per_client[0][1] = 11;  // One nonzero noise share.
 
   const std::vector<int64_t> grad =
-      ops.NoisyLogisticGradient(inputs).ValueOrDie();
+      EvaluateOp(NoisyStructuredGradient(inputs), &network, 1, 9);
   ASSERT_EQ(grad.size(), d);
 
   for (size_t t = 0; t < d; ++t) {
@@ -164,10 +185,8 @@ TEST(OpsLogisticTest, GradientUsesTwoInteractiveSteps) {
   const size_t d = 4;
   const size_t m = 5;
   LockstepTransport network(d + 1, 0.0);
-  BgwProtocol protocol(ShamirScheme(d + 1, 2), &network, 10);
-  SecureOps ops(&protocol);
 
-  SecureOps::LogisticGradientInputs inputs;
+  StructuredGradientInputs inputs;
   inputs.feature_columns.assign(d, std::vector<int64_t>(m, 1));
   inputs.labels.assign(m, 1);
   inputs.weights.assign(d, 1);
@@ -175,23 +194,19 @@ TEST(OpsLogisticTest, GradientUsesTwoInteractiveSteps) {
   inputs.label_coefficient = 1;
   inputs.noise_per_client.assign(d + 1, std::vector<int64_t>(d, 0));
 
-  (void)ops.NoisyLogisticGradient(inputs).ValueOrDie();
-  // Rounds: d feature sharings + 1 label sharing + 1 mul + (d+1) noise
-  // sharings + 1 open.
-  EXPECT_EQ(network.stats().rounds, d + 1 + 1 + (d + 1) + 1);
+  (void)EvaluateOp(NoisyStructuredGradient(inputs), &network, 2, 10);
+  // Rounds: d feature sharings + 1 label sharing (each with its noise) +
+  // 1 mul + 1 open.
+  EXPECT_EQ(network.stats().rounds, d + 1 + 1 + 1);
 }
 
 TEST(OpsLogisticTest, ValidatesShapes) {
-  LockstepTransport network(4, 0.0);
-  BgwProtocol protocol(ShamirScheme(4, 1), &network, 11);
-  SecureOps ops(&protocol);
-
-  SecureOps::LogisticGradientInputs inputs;
+  StructuredGradientInputs inputs;
   inputs.feature_columns.assign(2, std::vector<int64_t>(3, 0));  // d=2 but
-  inputs.labels.assign(3, 0);                                    // 4 parties.
-  inputs.weights.assign(2, 1);
+  inputs.labels.assign(3, 0);                                    // 4 noise
+  inputs.weights.assign(2, 1);                                   // vectors.
   inputs.noise_per_client.assign(4, std::vector<int64_t>(2, 0));
-  EXPECT_FALSE(ops.NoisyLogisticGradient(inputs).ok());
+  EXPECT_FALSE(NoisyStructuredGradient(inputs).ok());
 }
 
 
@@ -199,11 +214,10 @@ TEST(OpsLinearTest, GradientMatchesPlaintextFormula) {
   const size_t d = 3;
   const size_t m = 5;
   LockstepTransport network(d + 1, 0.0);
-  BgwProtocol protocol(ShamirScheme(d + 1, 1), &network, 12);
-  SecureOps ops(&protocol);
 
+  // The linear gradient is the logistic one without the c x term.
   Rng rng(14);
-  SecureOps::LinearGradientInputs inputs;
+  StructuredGradientInputs inputs;
   inputs.feature_columns.resize(d);
   for (auto& col : inputs.feature_columns) {
     for (size_t i = 0; i < m; ++i) {
@@ -211,16 +225,16 @@ TEST(OpsLinearTest, GradientMatchesPlaintextFormula) {
     }
   }
   for (size_t i = 0; i < m; ++i) {
-    inputs.targets.push_back(static_cast<int64_t>(rng.NextBounded(33)) -
+    inputs.labels.push_back(static_cast<int64_t>(rng.NextBounded(33)) -
                              16);
   }
   inputs.weights = {2, -1, 4};
-  inputs.target_coefficient = -16;
+  inputs.label_coefficient = -16;
   inputs.noise_per_client.assign(d + 1, std::vector<int64_t>(d, 0));
   inputs.noise_per_client[2][0] = -7;
 
   const std::vector<int64_t> grad =
-      ops.NoisyLinearGradient(inputs).ValueOrDie();
+      EvaluateOp(NoisyStructuredGradient(inputs), &network, 1, 12);
   ASSERT_EQ(grad.size(), d);
   for (size_t t = 0; t < d; ++t) {
     int64_t expected = 0;
@@ -230,7 +244,7 @@ TEST(OpsLinearTest, GradientMatchesPlaintextFormula) {
         u += inputs.weights[j] * inputs.feature_columns[j][i];
       }
       expected += u * inputs.feature_columns[t][i];
-      expected += inputs.target_coefficient * inputs.targets[i] *
+      expected += inputs.label_coefficient * inputs.labels[i] *
                   inputs.feature_columns[t][i];
     }
     if (t == 0) expected += -7;
@@ -239,15 +253,12 @@ TEST(OpsLinearTest, GradientMatchesPlaintextFormula) {
 }
 
 TEST(OpsLinearTest, ValidatesShapes) {
-  LockstepTransport network(4, 0.0);
-  BgwProtocol protocol(ShamirScheme(4, 1), &network, 13);
-  SecureOps ops(&protocol);
-  SecureOps::LinearGradientInputs inputs;
+  StructuredGradientInputs inputs;
   inputs.feature_columns.assign(3, std::vector<int64_t>(2, 0));
-  inputs.targets.assign(2, 0);
+  inputs.labels.assign(2, 0);
   inputs.weights.assign(2, 1);  // Wrong length.
   inputs.noise_per_client.assign(4, std::vector<int64_t>(3, 0));
-  EXPECT_FALSE(ops.NoisyLinearGradient(inputs).ok());
+  EXPECT_FALSE(NoisyStructuredGradient(inputs).ok());
 }
 
 }  // namespace

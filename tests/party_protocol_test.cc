@@ -1,8 +1,8 @@
-// The per-party execution path (PartyProtocol / PartyEngine / RunPartySqm)
-// must be a bit-exact mirror of the driver path (BgwProtocol / BgwEngine /
-// SqmEvaluator): same seed, same config, same released values — down to
-// the last bit — even though one runs n processes over TCP and the other
-// runs single-threaded over the lockstep transport. These tests run the
+// The per-party execution path (a BgwEngine hosting one PartyProtocol,
+// RunPartySqm) must be a bit-exact mirror of the driver path (a BgwEngine
+// hosting all n, SqmEvaluator): same seed, same config, same released
+// values — down to the last bit — even though one runs n processes over
+// TCP and the other runs single-threaded over the lockstep transport. These tests run the
 // per-party side as three threads with real loopback sockets in one
 // process, which keeps the suite hermetic while exercising the identical
 // code the sqm-party daemon runs.
@@ -17,7 +17,7 @@
 
 #include "core/party_sqm.h"
 #include "core/sqm.h"
-#include "mpc/party_protocol.h"
+#include "mpc/bgw.h"
 #include "net/liveness.h"
 #include "net/lockstep.h"
 #include "net/runner.h"
@@ -218,8 +218,9 @@ TEST(DeploymentConfigJson, NegativeChaosStallSecondsIsRejected) {
 
 TEST(PartyProtocol, FullQuorumFailurePrintsCensusMasksInHex) {
   // Five parties on one threaded transport in recovery mode, each with its
-  // own tracker. Parties 0-3 multiply; party 4 only arrives at the two
-  // round barriers (sub-shares, census) and never deals or votes. Its
+  // own tracker. Parties 0-3 multiply two public constants (no input
+  // rounds); party 4 only arrives at the two round barriers (sub-shares,
+  // census) and never deals or votes. Its
   // missing batch times out without killing it (recovery mode), so every
   // multiplier's census agrees on dealers 0-3 against five alive parties.
   constexpr size_t kParties = 5;
@@ -236,13 +237,16 @@ TEST(PartyProtocol, FullQuorumFailurePrintsCensusMasksInHex) {
           return sqm::Status::OK();
         }
         sqm::LivenessTracker tracker(kParties);
-        sqm::PartyProtocol protocol(sqm::ShamirScheme(kParties, 2),
-                                    &transport, 99, me);
-        protocol.set_liveness(&tracker);
-        protocol.set_recovery_mode(true);
-        protocol.set_round_barrier(
+        sqm::BgwEngine engine(sqm::ShamirScheme(kParties, 2), &transport, 99,
+                              me);
+        engine.set_liveness(&tracker);
+        engine.set_recovery_mode(true);
+        engine.set_round_barrier(
             [&transport, me] { transport.ArriveRound(me); });
-        results[me] = protocol.Mul({1, 2}, {3, 4}).status();
+        sqm::Circuit circuit;
+        circuit.MarkOutput(circuit.AddMul(circuit.AddConstant(1),
+                                          circuit.AddConstant(3)));
+        results[me] = engine.EvaluateToShares(circuit, {{}}).status();
         return sqm::Status::OK();
       });
   ASSERT_TRUE(run.ok()) << run.ToString();
@@ -380,6 +384,42 @@ TEST(SqmPlanParity, DriverAndPartyRejectTheSameConfigs) {
     EXPECT_EQ(party.code(), c.expected) << party.ToString();
     EXPECT_EQ(transport.stats().messages, 0u) << "rejected after traffic";
   }
+}
+
+/// Census votes are one 64-bit dealer mask, so tracked (degrade, top-up)
+/// runs are refused above 64 clients before any traffic; abort runs run no
+/// census and take any client count.
+TEST(SqmPlanParity, CensusLimitRefusesOnlyTrackedRunsAbove64Clients) {
+  constexpr size_t kClients = 65;
+  sqm::DeploymentConfig config = BaseConfig(kClients);
+  config.rows = 2;
+  config.polynomial = "x0*x1; x63*x64";
+  const sqm::Matrix x = sqm::GenerateDeploymentMatrix(
+      config.rows, sqm::DeploymentCols(config), config.data_seed);
+  const sqm::PolynomialVector f =
+      sqm::ParsePolynomialVector(config.polynomial).ValueOrDie();
+
+  sqm::SqmOptions options = sqm::SqmOptionsFromDeployment(config).ValueOrDie();
+  const sqm::Result<sqm::SqmReport> abort_run =
+      sqm::SqmEvaluator(options).Evaluate(f, x);
+  ASSERT_TRUE(abort_run.ok()) << abort_run.status().ToString();
+  sqm::SqmOptions plaintext = options;
+  plaintext.backend = sqm::MpcBackend::kPlaintext;
+  EXPECT_EQ(abort_run.ValueOrDie().raw,
+            sqm::SqmEvaluator(plaintext).Evaluate(f, x).ValueOrDie().raw);
+
+  config.dropout_policy = "degrade";
+  options = sqm::SqmOptionsFromDeployment(config).ValueOrDie();
+  const sqm::Status driver = sqm::SqmEvaluator(options).Evaluate(f, x).status();
+  EXPECT_EQ(driver.code(), sqm::StatusCode::kInvalidArgument)
+      << driver.ToString();
+  EXPECT_NE(driver.message().find("at most 64 clients"), std::string::npos)
+      << driver.ToString();
+  sqm::LockstepTransport transport(kClients, 0.0, 8);
+  const sqm::Status party = sqm::RunPartySqm(config, 0, &transport).status();
+  EXPECT_EQ(party.code(), sqm::StatusCode::kInvalidArgument)
+      << party.ToString();
+  EXPECT_EQ(transport.stats().messages, 0u) << "rejected after traffic";
 }
 
 /// noise_injection_seconds is the sampling time plus the time spent

@@ -17,7 +17,6 @@
 #include "core/sqm.h"
 #include "mpc/bgw.h"
 #include "mpc/circuit.h"
-#include "mpc/protocol.h"
 #include "mpc/shamir.h"
 #include "net/liveness.h"
 #include "net/lockstep.h"

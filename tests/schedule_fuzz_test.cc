@@ -89,9 +89,10 @@ TEST(ScheduleFuzzTest, RecordedTranscriptReplaysToTheSameRelease) {
   replay.EndRound();
 
   // Collect the open-phase broadcasts addressed to party 0. The probe runs
-  // two opens (product vector, then inner product); each sends one message
-  // per ordered pair. Reconstruction needs threshold+1 = 3 points; parties
-  // 1..3 plus their shares addressed to party 0 are all on the wire.
+  // one open (the product vector followed by the inner product), which
+  // sends one message per ordered pair. Reconstruction needs threshold+1 =
+  // 3 points; parties 1..3 plus their shares addressed to party 0 are all
+  // on the wire.
   const ShamirScheme scheme(options.num_parties, options.threshold);
   std::vector<std::vector<uint64_t>> open_payloads;
   for (const auto& entry : transcript.entries) {
@@ -99,25 +100,21 @@ TEST(ScheduleFuzzTest, RecordedTranscriptReplaysToTheSameRelease) {
       open_payloads.push_back(entry.payload);
     }
   }
-  // Two opens, each with num_parties-1 messages into party 0.
-  ASSERT_EQ(open_payloads.size(), 2 * (options.num_parties - 1));
+  // One open, with num_parties-1 messages into party 0.
+  ASSERT_EQ(open_payloads.size(), options.num_parties - 1);
 
-  const size_t per_open = options.num_parties - 1;
   std::vector<int64_t> reconstructed;
-  for (size_t open = 0; open < 2; ++open) {
-    const size_t base = open * per_open;
-    const size_t length = open_payloads[base].size();
-    for (size_t t = 0; t < length; ++t) {
-      // Message order within an open is dealer-major: parties 1,2,3,4
-      // each broadcast their full share vector to party 0.
-      std::vector<std::pair<size_t, Field::Element>> points;
-      for (size_t j = 1; j <= options.threshold + 1; ++j) {
-        points.emplace_back(j, open_payloads[base + j - 1][t]);
-      }
-      const auto value = scheme.ReconstructFromSubset(points);
-      ASSERT_TRUE(value.ok()) << value.status().ToString();
-      reconstructed.push_back(Field::Decode(value.ValueOrDie()));
+  const size_t length = open_payloads[0].size();
+  for (size_t t = 0; t < length; ++t) {
+    // Message order within the open is dealer-major: parties 1,2,3,4 each
+    // broadcast their full share vector to party 0.
+    std::vector<std::pair<size_t, Field::Element>> points;
+    for (size_t j = 1; j <= options.threshold + 1; ++j) {
+      points.emplace_back(j, open_payloads[j - 1][t]);
     }
+    const auto value = scheme.ReconstructFromSubset(points);
+    ASSERT_TRUE(value.ok()) << value.status().ToString();
+    reconstructed.push_back(Field::Decode(value.ValueOrDie()));
   }
   EXPECT_EQ(reconstructed, released);
 }

@@ -532,7 +532,7 @@ void Walk(std::vector<Field::Element>& shares, const Circuit& circuit,
 }
 
 TEST(BatchDiscipline, RangeForIsNotACountedLoop) {
-  const auto findings = Lint("src/mpc/protocol.cc", R"cpp(
+  const auto findings = Lint("src/mpc/bgw.cc", R"cpp(
 void Sum(const std::vector<Field::Element>& xs, Field::Element& acc) {
   for (Field::Element s : xs) acc = Field::Add(acc, s);
 }
@@ -738,7 +738,7 @@ void f(ShamirScheme& scheme) {
 }
 
 TEST(TaintFlow, ShareBatchWithTailIsASource) {
-  // The dealing call both protocols' ShareFromParty make.
+  // The dealing call PartyProtocol::DealInput makes.
   const auto findings = Lint("src/dp/x.cc", R"cpp(
 void f(ShamirScheme& scheme, const std::vector<uint64_t>& v, Rng& rng) {
   auto blob = scheme.ShareBatchWithTail(v, 2, rng);

@@ -15,7 +15,7 @@
 
 #include "core/sqm.h"
 #include "mpc/field.h"
-#include "mpc/protocol.h"
+#include "mpc/bgw.h"
 #include "mpc/shamir.h"
 #include "net/lockstep.h"
 #include "net/runner.h"
@@ -50,13 +50,14 @@ TEST(ThreadedTransportTest, DriverModeBgwMatchesLockstep) {
   // The same single-driver BGW program over both transports: the values
   // opened and every traffic counter must agree (faults disabled).
   auto run = [](Transport* network) {
-    BgwProtocol protocol(ShamirScheme(5, 2), network, 77);
-    SharedVector a =
-        protocol.ShareFromParty(0, Field::EncodeVector({9, -2})).ValueOrDie();
-    SharedVector b =
-        protocol.ShareFromParty(3, Field::EncodeVector({4, 11})).ValueOrDie();
-    SharedVector product = protocol.Mul(a, b).ValueOrDie();
-    return protocol.OpenSigned(product).ValueOrDie();
+    BgwEngine engine(ShamirScheme(5, 2), network, 77);
+    Circuit circuit;
+    const Circuit::WireId a0 = circuit.AddInput(0);
+    const Circuit::WireId a1 = circuit.AddInput(0);
+    circuit.MarkOutput(circuit.AddMul(a0, circuit.AddInput(3)));
+    circuit.MarkOutput(circuit.AddMul(a1, circuit.AddInput(3)));
+    return engine.Evaluate(circuit, {{9, -2}, {}, {}, {4, 11}, {}})
+        .ValueOrDie();
   };
 
   LockstepTransport lockstep(5, 0.1);
@@ -116,12 +117,11 @@ TEST(ThreadedTransportTest, CrashedPartyMidMulFailsWithUnavailable) {
   options.faults.crash_after_rounds = 2;
   ThreadedTransport net(3, options);
 
-  BgwProtocol protocol(ShamirScheme(3, 1), &net, 5);
-  SharedVector a =
-      protocol.ShareFromParty(0, Field::EncodeVector({6})).ValueOrDie();
-  SharedVector b =
-      protocol.ShareFromParty(1, Field::EncodeVector({7})).ValueOrDie();
-  const Result<SharedVector> product = protocol.Mul(a, b);
+  BgwEngine engine(ShamirScheme(3, 1), &net, 5);
+  Circuit circuit;
+  circuit.MarkOutput(circuit.AddMul(circuit.AddInput(0), circuit.AddInput(1)));
+  const Result<SharedVector> product =
+      engine.EvaluateToShares(circuit, {{6}, {7}, {}});
   ASSERT_FALSE(product.ok());
   EXPECT_EQ(product.status().code(), StatusCode::kUnavailable);
   // The crashed party's two cross-party re-shares were swallowed.

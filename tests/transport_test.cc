@@ -9,8 +9,8 @@
 
 #include <vector>
 
+#include "mpc/bgw.h"
 #include "mpc/field.h"
-#include "mpc/protocol.h"
 #include "mpc/shamir.h"
 
 namespace sqm {
@@ -27,14 +27,17 @@ struct ProgramResult {
 
 ProgramResult RunBgwProgram(Transport* network) {
   const size_t n = network->num_parties();
-  BgwProtocol protocol(ShamirScheme(n, (n - 1) / 2), network, 1234);
-  SharedVector a =
-      protocol.ShareFromParty(0, Field::EncodeVector({3, -4})).ValueOrDie();
-  SharedVector b =
-      protocol.ShareFromParty(1, Field::EncodeVector({-5, 6})).ValueOrDie();
-  SharedVector product = protocol.Mul(a, b).ValueOrDie();
+  BgwEngine engine(ShamirScheme(n, (n - 1) / 2), network, 1234);
+  Circuit circuit;
+  const Circuit::WireId a0 = circuit.AddInput(0);
+  const Circuit::WireId a1 = circuit.AddInput(0);
+  circuit.MarkOutput(circuit.AddMul(a0, circuit.AddInput(1)));
+  circuit.MarkOutput(circuit.AddMul(a1, circuit.AddInput(1)));
+  std::vector<std::vector<int64_t>> inputs(n);
+  inputs[0] = {3, -4};
+  inputs[1] = {-5, 6};
   ProgramResult result;
-  result.opened = protocol.OpenSigned(product).ValueOrDie();
+  result.opened = engine.Evaluate(circuit, inputs).ValueOrDie();
   result.stats = network->stats();
   result.simulated_seconds = network->SimulatedSeconds();
   return result;

@@ -615,8 +615,7 @@ void CheckRetryDiscipline(const Project& /*project*/, const SourceFile& file,
 void CheckBatchDiscipline(const Project& /*project*/, const SourceFile& file,
                           std::vector<Finding>* findings) {
   static const char* const kHotPaths[] = {
-      "src/mpc/bgw.cc", "src/mpc/protocol.cc", "src/mpc/party_protocol.cc",
-      "src/core/sqm.cc"};
+      "src/mpc/bgw.cc", "src/mpc/party_protocol.cc", "src/core/sqm.cc"};
   bool scoped = false;
   for (const char* path : kHotPaths) {
     scoped = scoped || PathInModule(file.path, path);
