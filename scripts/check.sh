@@ -106,12 +106,13 @@ fi
 # their Skellam shares at the same time), the TCP transport suite
 # (listener shutdown waking the acceptor, then the thread joins), and the
 # resilience suite (crash sweeps over the threaded transport through the
-# quorum and abort paths). A separate build tree keeps the instrumented
-# objects out of the primary build.
+# quorum and abort paths), and the obs suites (the tracer's per-thread
+# buffers, and the durable trace rewritten while it is read). A separate
+# build tree keeps the instrumented objects out of the primary build.
 tsan_dir="$build_dir-tsan"
 cmake -B "$tsan_dir" -S "$repo_root" -DSQM_SANITIZE=thread
 cmake --build "$tsan_dir" -j"$(nproc)"
-(cd "$tsan_dir" && ctest -L 'deploy|chaos|batch|sampler|tcp|resilience' --output-on-failure)
+(cd "$tsan_dir" && ctest -L 'deploy|chaos|batch|sampler|tcp|resilience|obs' --output-on-failure)
 
 # The benchmark gate: perfbench is a separate CMake project that compiles
 # src/ against its public headers (SqmOptions, SqmReport::timing and

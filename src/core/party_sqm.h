@@ -53,20 +53,22 @@ struct PartySqmHooks {
 /// Runs party `me`'s side of the full SQM mechanism (Algorithm 3) over
 /// `transport` and returns this party's copy of the report. The networked
 /// counterpart of SqmEvaluator::Evaluate with backend kBgw: both build the
-/// same SqmPlan (core/sqm_plan.h) from SqmOptionsFromDeployment(config),
-/// so they validate identically and
+/// same SqmPlan (core/sqm_plan.h) from SqmOptionsFromDeployment(config)
+/// and execute it with SqmPlan::Run, so they validate, quantize, retry
+/// and account identically. This function only
 ///
-///  - quantize the public coefficients identically,
-///  - round ONLY this party's own columns and sample ONLY its own Skellam
-///    noise share, from this party's streams of the plan's RNG schedule,
-///    so the values equal the ones driver mode assigns to this party,
-///  - evaluate the plan's circuit with a BgwEngine hosting only this
-///    party, so the released values are BIT-IDENTICAL to a driver-mode
-///    run of the same config,
-///  - account dropouts with the plan: every input to the realized-
-///    (epsilon, delta) computation is public (survivor census, mu,
-///    sensitivities), so all surviving parties — and the coordinator —
-///    report the same guarantee.
+///  - rounds ONLY this party's own columns and samples ONLY its own
+///    Skellam noise share, from this party's streams of the plan's RNG
+///    schedule, so the values equal the ones driver mode assigns to it,
+///  - hands Run a BgwEngine hosting only this party, so the released
+///    values are BIT-IDENTICAL to a driver-mode run of the same config,
+///  - under supervised recovery (see PartySqmHooks) adds the durable
+///    checkpoint sink, and passes its checkpoint restore and resume
+///    barrier to Run as SqmPlan::Recovery hooks.
+///
+/// Every input to the realized-(epsilon, delta) computation is public
+/// (survivor census, mu, sensitivities), so all surviving parties — and
+/// the coordinator — report the same guarantee.
 ///
 /// The report's noise_injection_seconds is this party's noise sampling
 /// plus the time it spent dealing its own noise inputs inside the real

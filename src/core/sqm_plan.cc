@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "core/logging.h"
 #include "dp/accountant.h"
 #include "dp/skellam.h"
 #include "mpc/field.h"
@@ -288,12 +289,6 @@ Circuit SqmPlan::BuildCircuit() const {
 
 uint64_t SqmPlan::protocol_seed() const { return options_.seed ^ 0xb9d7; }
 
-size_t SqmPlan::max_attempts() const {
-  return options_.dropout_policy != DropoutPolicy::kAbort
-             ? std::max<size_t>(options_.mpc_max_attempts, 1)
-             : 1;
-}
-
 Result<double> SqmPlan::AddTopUp(const LivenessTracker& tracker,
                                  BgwEngine* engine,
                                  SharedVector* shares) const {
@@ -324,20 +319,128 @@ Result<double> SqmPlan::AddTopUp(const LivenessTracker& tracker,
   return total_mu;
 }
 
-Status SqmPlan::AddNoiseInClear(const Inputs& inputs, Execution* run) const {
+Result<SqmReport> SqmPlan::Run(const Inputs& inputs, BgwEngine* engine,
+                               const Transport& transport,
+                               const Recovery& recovery) const {
+  // One labeled trace row per party: a hosted party's spans go on its own
+  // track, a driver's on the track after the parties'.
+  const size_t track =
+      engine->hosts_all() ? num_clients_ : engine->party(0).me();
+  for (size_t j = 0; j <= num_clients_ && obs::Enabled(); ++j) {
+    if (!engine->Hosts(j) && j != track) continue;
+    obs::Tracer::Global().SetTrackName(
+        static_cast<int32_t>(j),
+        j == num_clients_ ? "driver" : "party " + std::to_string(j));
+  }
+  obs::TrackScope track_scope(static_cast<int32_t>(track));
+  obs::Span bgw_span("sqm.bgw", "sqm");
+  bgw_span.AddArg("parties", static_cast<int64_t>(num_clients_));
+  bgw_span.AddArg("threshold", static_cast<int64_t>(threshold_));
+
+  // The public circuit with only the hosted clients' input values.
+  const Circuit circuit = BuildCircuit();
+  std::vector<std::vector<int64_t>> hosted_inputs;
+  for (size_t j = 0; j < num_clients_; ++j) {
+    if (engine->Hosts(j)) hosted_inputs.push_back(CircuitInputs(inputs, j));
+  }
+  engine->set_noise_inputs(output_dim());
+  const DropoutPolicy policy = options_.dropout_policy;
+  LivenessTracker tracker(num_clients_);
+  if (policy != DropoutPolicy::kAbort) engine->set_liveness(&tracker);
+
+  Execution run;
+  run.compute_start = std::chrono::steady_clock::now();
+  {
+    obs::Span compute_span("sqm.mpc_compute", "sqm");
+    // Phase-level checkpointing: a run that loses a multiplication level
+    // to flaky links retries from the last completed level instead of
+    // restarting quantization or input sharing. A quorum shortfall
+    // (alive < 2t+1) is unrecoverable and surfaces immediately.
+    BgwCheckpoint checkpoint;
+    BgwCheckpoint* checkpoint_ptr =
+        policy != DropoutPolicy::kAbort ? &checkpoint : nullptr;
+    const bool recovering = static_cast<bool>(recovery.barrier);
+    if (recovery.restore) {
+      SQM_RETURN_NOT_OK(recovery.restore(circuit, &checkpoint));
+      run.resumed_from_level = checkpoint.valid ? checkpoint.next_level : 0;
+    }
+    while (true) {
+      ++run.attempts;
+      Result<SharedVector> shares =
+          engine->EvaluateToShares(circuit, hosted_inputs, checkpoint_ptr);
+      Status failure = shares.status();
+      if (shares.ok()) {
+        // kTopUp: before opening, the survivors deal compensating Skellam
+        // noise, restoring the release to the full Sk(mu). It reacts only
+        // to deaths known before the release; its streams are
+        // deterministic, so a retry on fresh shares adds the same values.
+        SharedVector out_shares = std::move(shares).ValueOrDie();
+        Result<double> topup_mu = AddTopUp(tracker, engine, &out_shares);
+        failure = topup_mu.status();
+        if (topup_mu.ok()) {
+          run.topup_mu = topup_mu.ValueOrDie();
+          Result<std::vector<int64_t>> opened = engine->OpenOutputs(out_shares);
+          if (opened.ok()) {
+            run.raw = std::move(opened).ValueOrDie();
+            break;
+          }
+          failure = opened.status();
+        }
+        // Only an evaluation is retried, except under recovery: there a
+        // full-quorum failure of the opening (a laggard peer still at its
+        // resume barrier) must go back through the barrier like any
+        // failed level, or nobody would answer the laggard's.
+        if (!recovering) return failure;
+      }
+      SQM_LOG(kInfo) << "release attempt " << run.attempts
+                     << " failed on track " << track << ": " << failure;
+      bool retryable = policy != DropoutPolicy::kAbort &&
+                       run.attempts < options_.mpc_max_attempts;
+      if (retryable && recovering) {
+        // The barrier may revive a restarted party or declare a vanished
+        // one positively dead, so the quorum check comes after it.
+        SQM_RETURN_NOT_OK(recovery.barrier(&checkpoint));
+      }
+      retryable = retryable && (checkpoint.valid || recovering) &&
+                  tracker.num_alive() >= 2 * threshold_ + 1;
+      if (!retryable) return failure;
+      run.resumed_from_level = checkpoint.valid ? checkpoint.next_level : 0;
+    }
+  }
+  run.noise_deal_seconds = engine->noise_deal_seconds();
+  run.transport = &transport;
+  run.tracker = &tracker;
+  SQM_ASSIGN_OR_RETURN(SqmReport report, Finish(inputs, std::move(run)));
+  if (report.dropout.num_dropped > 0) {
+    obs::Tracer::Global().Instant(
+        "sqm.degrade", "sqm",
+        {{"num_dropped", static_cast<int64_t>(report.dropout.num_dropped)},
+         {"mpc_attempts", static_cast<int64_t>(report.dropout.mpc_attempts)}});
+  }
+  return report;
+}
+
+Result<SqmReport> SqmPlan::ReleaseInClear(
+    const Inputs& inputs, std::chrono::steady_clock::time_point compute_start,
+    std::vector<int64_t> raw) const {
+  Execution run;
+  run.compute_start = compute_start;
+  run.raw = std::move(raw);
+  // Noise injection in the clear: the aggregation of the clients' noise
+  // shares, the quantity Tables II/IV/V isolate as the "time for DP".
   const auto start = std::chrono::steady_clock::now();
-  for (size_t t = 0; t < run->raw.size(); ++t) {
-    __int128 acc = run->raw[t];
+  for (size_t t = 0; t < run.raw.size(); ++t) {
+    __int128 acc = run.raw[t];
     for (const std::vector<int64_t>& client_noise : inputs.noise) {
       acc += client_noise[t];
     }
     if (acc > Field::kMaxCentered || acc < -Field::kMaxCentered) {
       return Status::OutOfRange("noisy aggregate exceeds field capacity");
     }
-    run->raw[t] = static_cast<int64_t>(acc);
+    run.raw[t] = static_cast<int64_t>(acc);
   }
-  run->noise_deal_seconds = SecondsSince(start);
-  return Status::OK();
+  run.noise_deal_seconds = SecondsSince(start);
+  return Finish(inputs, std::move(run));
 }
 
 Result<SqmReport> SqmPlan::Finish(const Inputs& inputs, Execution run) const {

@@ -3,6 +3,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -21,13 +22,14 @@
 
 namespace sqm {
 
-/// One SQM release (Algorithm 3) minus its execution: quantize, sample a
-/// local Sk(mu/n) share per client, evaluate on shares, down-scale,
-/// account. Built once per release from (f, options, rows, cols) — all
-/// public — so SqmEvaluator (plaintext, or BGW with every party in one
-/// process) and RunPartySqm (one party of a deployment) derive the same
-/// plan and differ only in their engine, transport, retry and recovery
-/// loop, and in which clients' private inputs they fill in.
+/// One SQM release (Algorithm 3): quantize, sample a local Sk(mu/n) share
+/// per client, evaluate on shares, down-scale, account. Built once per
+/// release from (f, options, rows, cols) — all public — so SqmEvaluator
+/// (plaintext, or BGW with every party in one process) and RunPartySqm
+/// (one party of a deployment) derive the same plan. Both BGW hostings
+/// execute it with Run, the one release loop; they differ only in the
+/// engine and transport they hand it, the recovery hooks a deployment
+/// adds, and which clients' private inputs they fill in.
 ///
 /// The plan is the only owner of the RNG split schedule (listed in
 /// sqm_plan.cc): every stream of a release is derived here, once.
@@ -62,6 +64,57 @@ class SqmPlan {
   /// output t sums quantized dimension t over the rows plus the noise.
   Circuit BuildCircuit() const;
 
+  /// Hooks of a supervised deployment (RunPartySqm); only an engine
+  /// hosting one party sets them.
+  struct Recovery {
+    /// A restarted process's first step: fills the checkpoint from its
+    /// durable snapshot of `circuit` (or leaves it empty) and meets the
+    /// peers at the resume barrier before the first attempt.
+    std::function<Status(const Circuit& circuit, BgwCheckpoint*)> restore;
+    /// After a failed attempt: meets the peers at the resume barrier and
+    /// rewinds the checkpoint to the level every party can redo from. Set
+    /// means recovery is on, and a failure anywhere in evaluate, top-up
+    /// or open goes back through it.
+    std::function<Status(BgwCheckpoint*)> barrier;
+  };
+
+  /// Algorithm 3 lines 9-11 for every BGW hosting: the circuit, evaluated
+  /// on the hosted clients' inputs through `engine` over `transport`, the
+  /// kTopUp noise, the opening and the report. Under kDegrade/kTopUp it
+  /// attaches a LivenessTracker and retries a failed evaluation from its
+  /// checkpoint, up to options().mpc_max_attempts, while 2t+1 parties are
+  /// alive; without recovery a top-up or open failure is terminal. The
+  /// tracker Run attaches to `engine` lives only as long as the call, so
+  /// the engine serves this one release and no other.
+  Result<SqmReport> Run(const Inputs& inputs, BgwEngine* engine,
+                        const Transport& transport,
+                        const Recovery& recovery = {}) const;
+
+  /// The plaintext executors' release: `raw` is the noiseless aggregate
+  /// computed in the clear since `compute_start`. Adds every client's
+  /// noise share (timed as the noise dealing) and reports.
+  Result<SqmReport> ReleaseInClear(
+      const Inputs& inputs, std::chrono::steady_clock::time_point compute_start,
+      std::vector<int64_t> raw) const;
+
+  const SqmOptions& options() const { return options_; }
+  size_t num_clients() const { return num_clients_; }
+  size_t output_dim() const { return qf_.dims.size(); }
+  ShamirScheme scheme() const { return ShamirScheme(num_clients_, threshold_); }
+  /// Seed of the BGW sharing randomness (every BgwEngine hosting).
+  uint64_t protocol_seed() const;
+  const QuantizedPolynomial& polynomial() const { return qf_; }
+  /// An unconsumed copy of the coefficient-rounding stream (meaningful
+  /// only with quantize_coefficients).
+  Rng coefficient_stream() const { return coefficient_rng_; }
+
+ private:
+  explicit SqmPlan(const SqmOptions& options) : options_(options) {}
+
+  /// Columns [begin, end) of client j: contiguous blocks, the remainder
+  /// going to the first clients.
+  std::pair<size_t, size_t> ColumnRange(size_t j) const;
+
   /// kTopUp compensation for the deaths `tracker` knows of: each survivor,
   /// in order, deals Sk(dropped / (n * survivors) * mu) through `engine`
   /// (sampled only where the engine hosts it) and the dealing is added to
@@ -82,36 +135,11 @@ class SqmPlan {
     size_t resumed_from_level = 0;
   };
 
-  /// Plaintext execution of Algorithm 3 line 9: adds every client's noise
-  /// to the noiseless aggregate run->raw, timing it as the noise dealing.
-  Status AddNoiseInClear(const Inputs& inputs, Execution* run) const;
-
   /// Ends the compute clock, down-scales the release (Algorithm 3 line
   /// 11) and fills the timing; for BGW also the traffic, the dropout
   /// outcome and the privacy ledger. Every input is public, so every
   /// party and the driver report the same realized (epsilon, delta).
   Result<SqmReport> Finish(const Inputs& inputs, Execution run) const;
-
-  const SqmOptions& options() const { return options_; }
-  size_t num_clients() const { return num_clients_; }
-  size_t output_dim() const { return qf_.dims.size(); }
-  size_t threshold() const { return threshold_; }
-  ShamirScheme scheme() const { return ShamirScheme(num_clients_, threshold_); }
-  /// Seed of the BGW sharing randomness (every BgwEngine hosting).
-  uint64_t protocol_seed() const;
-  /// Evaluation attempts (first run + checkpoint resumes): 1 under kAbort.
-  size_t max_attempts() const;
-  const QuantizedPolynomial& polynomial() const { return qf_; }
-  /// An unconsumed copy of the coefficient-rounding stream (meaningful
-  /// only with quantize_coefficients).
-  Rng coefficient_stream() const { return coefficient_rng_; }
-
- private:
-  explicit SqmPlan(const SqmOptions& options) : options_(options) {}
-
-  /// Columns [begin, end) of client j: contiguous blocks, the remainder
-  /// going to the first clients.
-  std::pair<size_t, size_t> ColumnRange(size_t j) const;
 
   SqmOptions options_;
   size_t rows_ = 0;

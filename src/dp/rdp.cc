@@ -100,7 +100,9 @@ double SubsampledRdp(size_t alpha, double q,
                         static_cast<double>(l) * logq +
                         (static_cast<double>(l) - 1.0) * tau_l);
   }
-  return LogSumExp(log_terms) / (a - 1.0);
+  // The terms' exact sum is >= 1 (it is 1 when every tau_l is 0), so RDP
+  // is never negative; the clamp removes only the rounding of tau_l ~ 0.
+  return std::max(0.0, LogSumExp(log_terms) / (a - 1.0));
 }
 
 }  // namespace sqm

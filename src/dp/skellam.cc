@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "core/logging.h"
 #include "dp/rdp.h"
@@ -90,6 +91,16 @@ Result<double> CalibrateMu(double epsilon, double delta,
   if (epsilon <= 0.0 || delta <= 0.0 || delta >= 1.0) {
     return Status::InvalidArgument(
         "Skellam calibration: need epsilon > 0 and delta in (0, 1)");
+  }
+  // Even infinite noise (tau = 0 at every order) converts to this epsilon
+  // on the alpha grid; no mu reaches a target at or below it.
+  const double floor = BestEpsilonFromCurve([](double) { return 0.0; },
+                                            DefaultAlphaGrid(), delta);
+  if (epsilon <= floor) {
+    return Status::InvalidArgument(
+        "Skellam calibration: epsilon " + std::to_string(epsilon) +
+        " is unreachable; Renyi orders up to 128 give at least " +
+        std::to_string(floor) + " at delta " + std::to_string(delta));
   }
   double lo = 1e-6;
   double hi = 1.0;

@@ -54,7 +54,9 @@ double SkellamSubsampledEpsilon(double mu, double l1_sensitivity,
                                 double delta);
 
 /// Smallest mu achieving (epsilon, delta) server-observed DP for a single
-/// release. Bisection; epsilon is decreasing in mu.
+/// release. Bisection; epsilon is decreasing in mu. Both calibrators
+/// return kInvalidArgument for an epsilon no mu reaches: at or below the
+/// alpha grid's floor (0.0446 at delta = 1e-5).
 Result<double> CalibrateSkellamMuSingleRelease(double epsilon, double delta,
                                                double l1_sensitivity,
                                                double l2_sensitivity);

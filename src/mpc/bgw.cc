@@ -185,14 +185,11 @@ Result<SharedVector> BgwEngine::EvaluateToShares(
   obs::Span evaluate("bgw.evaluate", "mpc", Track());
   evaluate.AddArg("gates", static_cast<int64_t>(gates.size()));
   evaluate.AddArg("resuming", resuming ? 1 : 0);
-  if (resuming && obs::Enabled()) {
-    obs::TraceEvent event;
-    event.name = "bgw.checkpoint_resume";
-    event.category = "mpc";
-    event.AddArg("next_level", static_cast<int64_t>(ckpt->next_level));
-    event.AddArg("mul_rounds_done",
-                 static_cast<int64_t>(ckpt->mul_rounds_done));
-    obs::Tracer::Global().Instant(event);
+  if (resuming) {
+    obs::Tracer::Global().Instant(
+        "bgw.checkpoint_resume", "mpc",
+        {{"next_level", static_cast<int64_t>(ckpt->next_level)},
+         {"mul_rounds_done", static_cast<int64_t>(ckpt->mul_rounds_done)}});
   }
 
   std::vector<Field::Element>& table = ckpt->wire_shares;

@@ -55,6 +55,8 @@ class BgwEngine {
   size_t num_parties() const { return scheme_.num_parties(); }
   /// True when `party` runs in this engine.
   bool Hosts(size_t party) const { return party - first_ < parties_.size(); }
+  /// True in driver mode.
+  bool hosts_all() const { return parties_.size() == num_parties(); }
 
   /// Evaluates `circuit` and opens its outputs. `inputs[i]` supplies the
   /// i-th hosted party's private inputs as centered signed integers, in
@@ -142,7 +144,6 @@ class BgwEngine {
   const BgwExecutionReport& last_report() const { return last_report_; }
 
  private:
-  bool hosts_all() const { return parties_.size() == num_parties(); }
   void EndRound();
   /// Discards every deliverable message addressed to a hosted party.
   size_t DrainPending();

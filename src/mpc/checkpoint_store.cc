@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <utility>
 
+#include "core/atomic_file.h"
+
 namespace sqm {
 namespace {
 
@@ -75,40 +77,23 @@ std::string CheckpointStore::path() const { return dir_ + "/checkpoint.bin"; }
 
 Status CheckpointStore::Save(const DurableCheckpoint& checkpoint) const {
   std::vector<uint8_t> buffer;
-  buffer.reserve(96 + 8 * checkpoint.wire_shares.size());
+  buffer.reserve(96 + 8 * checkpoint.phase.wire_shares.size());
   PutU64(&buffer, kMagic);
   PutU32(&buffer, kFormatVersion);
   PutU64(&buffer, checkpoint.run_id);
   PutU32(&buffer, checkpoint.party);
   PutU32(&buffer, checkpoint.incarnation);
   PutU64(&buffer, checkpoint.fingerprint);
-  PutU32(&buffer, checkpoint.valid ? 1 : 0);
-  PutU64(&buffer, checkpoint.next_level);
-  PutU64(&buffer, checkpoint.mul_rounds_done);
+  PutU32(&buffer, checkpoint.phase.valid ? 1 : 0);
+  PutU64(&buffer, checkpoint.phase.next_level);
+  PutU64(&buffer, checkpoint.phase.mul_rounds_done);
   for (int i = 0; i < 4; ++i) PutU64(&buffer, checkpoint.rng_state[i]);
-  PutU64(&buffer, checkpoint.wire_shares.size());
-  for (uint64_t word : checkpoint.wire_shares) PutU64(&buffer, word);
+  PutU64(&buffer, checkpoint.phase.wire_shares.size());
+  for (uint64_t word : checkpoint.phase.wire_shares) PutU64(&buffer, word);
   const uint32_t crc = Crc32(buffer.data(), buffer.size());
   PutU32(&buffer, crc);
 
-  const std::string final_path = path();
-  const std::string tmp_path = final_path + ".tmp";
-  std::FILE* f = std::fopen(tmp_path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IoError("cannot open " + tmp_path + " for writing");
-  }
-  const size_t written = std::fwrite(buffer.data(), 1, buffer.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-  const bool closed = std::fclose(f) == 0;
-  if (written != buffer.size() || !flushed || !closed) {
-    std::remove(tmp_path.c_str());
-    return Status::IoError("short write to " + tmp_path);
-  }
-  if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    return Status::IoError("cannot rename " + tmp_path + " into place");
-  }
-  return Status::OK();
+  return WriteFileAtomically(path(), buffer.data(), buffer.size());
 }
 
 Result<DurableCheckpoint> CheckpointStore::Load() const {
@@ -149,15 +134,18 @@ Result<DurableCheckpoint> CheckpointStore::Load() const {
   }
   DurableCheckpoint checkpoint;
   uint32_t valid_word = 0;
+  uint64_t next_level = 0;
+  uint64_t mul_rounds_done = 0;
   uint64_t count = 0;
   if (!reader.U64(&checkpoint.run_id) || !reader.U32(&checkpoint.party) ||
       !reader.U32(&checkpoint.incarnation) ||
       !reader.U64(&checkpoint.fingerprint) || !reader.U32(&valid_word) ||
-      !reader.U64(&checkpoint.next_level) ||
-      !reader.U64(&checkpoint.mul_rounds_done)) {
+      !reader.U64(&next_level) || !reader.U64(&mul_rounds_done)) {
     return Corrupt(file_path, "truncated header");
   }
-  checkpoint.valid = valid_word != 0;
+  checkpoint.phase.valid = valid_word != 0;
+  checkpoint.phase.next_level = static_cast<size_t>(next_level);
+  checkpoint.phase.mul_rounds_done = static_cast<size_t>(mul_rounds_done);
   for (int i = 0; i < 4; ++i) {
     if (!reader.U64(&checkpoint.rng_state[i])) {
       return Corrupt(file_path, "truncated rng state");
@@ -167,9 +155,9 @@ Result<DurableCheckpoint> CheckpointStore::Load() const {
       count * 8 != reader.remaining()) {
     return Corrupt(file_path, "wire count does not match file length");
   }
-  checkpoint.wire_shares.resize(count);
+  checkpoint.phase.wire_shares.resize(count);
   for (uint64_t i = 0; i < count; ++i) {
-    reader.U64(&checkpoint.wire_shares[i]);
+    reader.U64(&checkpoint.phase.wire_shares[i]);
   }
   return checkpoint;
 }

@@ -3,9 +3,9 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "core/status.h"
+#include "mpc/circuit.h"
 
 namespace sqm {
 
@@ -24,12 +24,9 @@ struct DurableCheckpoint {
   /// roster size, ... mixed by the caller); a mismatch means the config
   /// changed under the run and the snapshot must be refused.
   uint64_t fingerprint = 0;
-  /// Mirrors BgwCheckpoint: valid == false means the input phase had not
-  /// completed when the snapshot was taken.
-  bool valid = false;
-  uint64_t next_level = 0;
-  uint64_t mul_rounds_done = 0;
-  std::vector<uint64_t> wire_shares;
+  /// The protocol's phase state; phase.valid == false means the input
+  /// phase had not completed when the snapshot was taken.
+  BgwCheckpoint phase;
   /// Rng::SaveState words of the party's protocol stream at snapshot time.
   uint64_t rng_state[4] = {0, 0, 0, 0};
 };
@@ -37,11 +34,11 @@ struct DurableCheckpoint {
 /// Versioned, CRC-guarded on-disk snapshot of one party's protocol state.
 ///
 /// One file per party directory (`<dir>/checkpoint.bin`). Save is atomic
-/// (write to a temp file in the same directory, flush, rename), so a crash
-/// mid-save leaves either the previous snapshot or none — never a torn
-/// file. Load verifies magic, format version, length, and a CRC-32 over
-/// the whole payload before believing a single field, and then the caller
-/// re-checks run_id/party/fingerprint against the live config.
+/// (WriteFileAtomically), so a crash mid-save leaves either the previous
+/// snapshot or none — never a torn file. Load verifies magic, format
+/// version, length, and a CRC-32 over the whole payload before believing a
+/// single field, and then the caller re-checks run_id/party/fingerprint
+/// against the live config.
 class CheckpointStore {
  public:
   /// `dir` must exist; the store never creates directories.

@@ -150,14 +150,10 @@ Status PartyProtocol::MulCollect(size_t k) {
     if (!received.ok()) {
       if (liveness_ == nullptr) return received.status();
       RecordRecvFailure(j, received.status().code());
-      if (obs::Enabled()) {
-        obs::TraceEvent event;
-        event.name = "bgw.mul.dealer_failed";
-        event.category = "mpc";
-        event.AddArg("dealer", static_cast<int64_t>(j));
-        event.AddArg("recipient", static_cast<int64_t>(me_));
-        obs::Tracer::Global().Instant(event);
-      }
+      obs::Tracer::Global().Instant(
+          "bgw.mul.dealer_failed", "mpc",
+          {{"dealer", static_cast<int64_t>(j)},
+           {"recipient", static_cast<int64_t>(me_)}});
       continue;
     }
     if (received.ValueOrDie().size() != k) {

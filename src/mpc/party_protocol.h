@@ -53,6 +53,7 @@ class PartyProtocol {
   static Rng DeriveStream(uint64_t seed, size_t me);
 
   size_t num_parties() const { return scheme_.num_parties(); }
+  size_t me() const { return me_; }
 
   /// Attaches (or detaches) the failure detector: a local view, reconciled
   /// by the census. Parties hosted together share one.

@@ -33,14 +33,9 @@ void LockstepTransport::Send(size_t from, size_t to, Payload payload) {
   CheckParty(from, to);
   if (from != to && HasCrashed(from)) {
     RecordCrashLoss();
-    if (obs::Enabled()) {
-      obs::TraceEvent event;
-      event.name = "net.fault.crash_loss";
-      event.category = "net";
-      event.AddArg("from", static_cast<int64_t>(from));
-      event.AddArg("to", static_cast<int64_t>(to));
-      obs::Tracer::Global().Instant(event);
-    }
+    obs::Tracer::Global().Instant("net.fault.crash_loss", "net",
+                                  {{"from", static_cast<int64_t>(from)},
+                                   {"to", static_cast<int64_t>(to)}});
     return;
   }
   obs::Span span("net.send", "net");

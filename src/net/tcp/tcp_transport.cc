@@ -21,12 +21,8 @@ constexpr int32_t kRecvTrackBase = 100;
 /// Link-state instant (net.link_up / net.link_down / net.link_dead) with
 /// the peer index as its one argument.
 void TraceLink(const char* name, size_t peer) {
-  if (!obs::Enabled()) return;
-  obs::TraceEvent event;
-  event.name = name;
-  event.category = "net";
-  event.AddArg("peer", static_cast<int64_t>(peer));
-  obs::Tracer::Global().Instant(event);
+  obs::Tracer::Global().Instant(name, "net",
+                                {{"peer", static_cast<int64_t>(peer)}});
 }
 
 Clock::duration Seconds(double s) {

@@ -17,13 +17,9 @@ std::chrono::steady_clock::duration ToDuration(double seconds) {
 
 /// Fault-injection instant on the party track, with channel context.
 void TraceFault(const char* name, size_t from, size_t to) {
-  if (!sqm::obs::Enabled()) return;
-  obs::TraceEvent event;
-  event.name = name;
-  event.category = "net";
-  event.AddArg("from", static_cast<int64_t>(from));
-  event.AddArg("to", static_cast<int64_t>(to));
-  obs::Tracer::Global().Instant(event);
+  obs::Tracer::Global().Instant(name, "net",
+                                {{"from", static_cast<int64_t>(from)},
+                                 {"to", static_cast<int64_t>(to)}});
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 #include "obs/trace.h"
 
 #include <atomic>
-#include <fstream>
 #include <set>
 
+#include "core/atomic_file.h"
 #include "core/json.h"
 #include "core/logging.h"
 
@@ -76,20 +76,13 @@ void Tracer::Emit(const TraceEvent& event) {
   buffer.events.push_back(event);
 }
 
-void Tracer::Instant(const char* name, const char* category) {
+void Tracer::Instant(const char* name, const char* category,
+                     std::initializer_list<TraceEvent::Arg> args) {
   if (!Enabled()) return;
   TraceEvent event;
   event.name = name;
   event.category = category;
-  event.type = TraceEvent::Type::kInstant;
-  event.track = CurrentTrack();
-  event.ts_micros = NowMicros();
-  Emit(event);
-}
-
-void Tracer::Instant(const TraceEvent& proto) {
-  if (!Enabled()) return;
-  TraceEvent event = proto;
+  for (const TraceEvent::Arg& arg : args) event.AddArg(arg.key, arg.value);
   event.type = TraceEvent::Type::kInstant;
   event.track = CurrentTrack();
   event.ts_micros = NowMicros();
@@ -299,10 +292,8 @@ std::string Tracer::ToChromeTraceJson() const {
 }
 
 bool Tracer::WriteChromeTraceFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::out | std::ios::trunc);
-  if (!out) return false;
-  out << ToChromeTraceJson();
-  return static_cast<bool>(out);
+  const std::string json = ToChromeTraceJson();
+  return WriteFileAtomically(path, json.data(), json.size()).ok();
 }
 
 void Tracer::SetCrashDumpPath(std::string path) {

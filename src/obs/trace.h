@@ -2,6 +2,7 @@
 #define SQM_OBS_TRACE_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
@@ -69,9 +70,10 @@ class Tracer {
   /// counts it (see dropped_events).
   void Emit(const TraceEvent& event);
 
-  /// Convenience: a point event on the current track, stamped now.
-  void Instant(const char* name, const char* category = "sqm");
-  void Instant(const TraceEvent& proto);
+  /// Convenience: a point event on the current track, stamped now, with
+  /// up to TraceEvent::kMaxArgs integer arguments.
+  void Instant(const char* name, const char* category = "sqm",
+               std::initializer_list<TraceEvent::Arg> args = {});
 
   /// Convenience: a counter sample on the current track, stamped now.
   void CounterValue(const char* name, int64_t value);
@@ -124,7 +126,8 @@ class Tracer {
   /// {"traceEvents":[...],"displayTimeUnit":"ms"}.
   std::string ToChromeTraceJson() const;
 
-  /// Writes ToChromeTraceJson() to a file; false on I/O failure.
+  /// Writes ToChromeTraceJson() to a file through WriteFileAtomically, so
+  /// a concurrent reader never sees a torn document; false on I/O failure.
   bool WriteChromeTraceFile(const std::string& path) const;
 
   /// Where the fatal-path flush writes the active trace (default

@@ -110,8 +110,8 @@ Result<PcaResult> SqmPca(const Matrix& x, const PcaOptions& options) {
     SQM_ASSIGN_OR_RETURN(const SqmPlan plan,
                          SqmPlan::Create(f, sqm_options, clean.rows(), n));
     const SqmPlan::Inputs inputs = plan.PrepareInputs(clean);
-    SqmPlan::Execution run;
-    run.compute_start = std::chrono::steady_clock::now();
+    const auto compute_start = std::chrono::steady_clock::now();
+    std::vector<int64_t> gram;
     for (size_t i = 0; i < n; ++i) {
       const std::vector<int64_t>& col_i = inputs.db.columns[i];
       for (size_t j = i; j < n; ++j) {
@@ -124,11 +124,11 @@ Result<PcaResult> SqmPca(const Matrix& x, const PcaOptions& options) {
           return Status::OutOfRange(
               "Gram entry exceeds field capacity; lower gamma");
         }
-        run.raw.push_back(static_cast<int64_t>(acc));
+        gram.push_back(static_cast<int64_t>(acc));
       }
     }
-    SQM_RETURN_NOT_OK(plan.AddNoiseInClear(inputs, &run));
-    SQM_ASSIGN_OR_RETURN(report, plan.Finish(inputs, std::move(run)));
+    SQM_ASSIGN_OR_RETURN(report, plan.ReleaseInClear(inputs, compute_start,
+                                                     std::move(gram)));
   }
 
   Matrix covariance(n, n);

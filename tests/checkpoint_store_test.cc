@@ -39,10 +39,10 @@ sqm::DurableCheckpoint SampleCheckpoint() {
   snap.party = 3;
   snap.incarnation = 2;
   snap.fingerprint = 0x1234567890abcdefULL;
-  snap.valid = true;
-  snap.next_level = 5;
-  snap.mul_rounds_done = 7;
-  snap.wire_shares = {1, 2, (uint64_t{1} << 61) - 2, 0, 42};
+  snap.phase.valid = true;
+  snap.phase.next_level = 5;
+  snap.phase.mul_rounds_done = 7;
+  snap.phase.wire_shares = {1, 2, (uint64_t{1} << 61) - 2, 0, 42};
   snap.rng_state[0] = 11;
   snap.rng_state[1] = 22;
   snap.rng_state[2] = 33;
@@ -65,10 +65,10 @@ TEST(CheckpointStore, SaveLoadRoundTripsEveryField) {
   EXPECT_EQ(got.party, snap.party);
   EXPECT_EQ(got.incarnation, snap.incarnation);
   EXPECT_EQ(got.fingerprint, snap.fingerprint);
-  EXPECT_EQ(got.valid, snap.valid);
-  EXPECT_EQ(got.next_level, snap.next_level);
-  EXPECT_EQ(got.mul_rounds_done, snap.mul_rounds_done);
-  EXPECT_EQ(got.wire_shares, snap.wire_shares);
+  EXPECT_EQ(got.phase.valid, snap.phase.valid);
+  EXPECT_EQ(got.phase.next_level, snap.phase.next_level);
+  EXPECT_EQ(got.phase.mul_rounds_done, snap.phase.mul_rounds_done);
+  EXPECT_EQ(got.phase.wire_shares, snap.phase.wire_shares);
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(got.rng_state[i], snap.rng_state[i]);
   }
@@ -79,14 +79,14 @@ TEST(CheckpointStore, SaveOverwritesAtomically) {
   sqm::DurableCheckpoint snap = SampleCheckpoint();
   ASSERT_TRUE(store.Save(snap).ok());
 
-  snap.next_level = 9;
-  snap.wire_shares = {99};
+  snap.phase.next_level = 9;
+  snap.phase.wire_shares = {99};
   ASSERT_TRUE(store.Save(snap).ok());
 
   sqm::Result<sqm::DurableCheckpoint> loaded = store.Load();
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.ValueOrDie().next_level, 9u);
-  EXPECT_EQ(loaded.ValueOrDie().wire_shares, std::vector<uint64_t>{99});
+  EXPECT_EQ(loaded.ValueOrDie().phase.next_level, 9u);
+  EXPECT_EQ(loaded.ValueOrDie().phase.wire_shares, std::vector<uint64_t>{99});
 }
 
 TEST(CheckpointStore, MissingFileIsNotFound) {

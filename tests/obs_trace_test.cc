@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -327,6 +328,34 @@ TEST_F(TraceTest, WriteChromeTraceFileRoundTrips) {
   buffer << in.rdbuf();
   const JsonValue root = ParseJson(buffer.str()).ValueOrDie();
   ASSERT_NE(root.Find("traceEvents"), nullptr);
+  std::remove(path.c_str());
+}
+
+TEST_F(TraceTest, ReaderNeverSeesATornTraceFileWhileItIsRewritten) {
+  // sqm-party rewrites its durable trace while the coordinator may read
+  // it (or a crash may cut the write short): every read must parse.
+  for (int i = 0; i < 20000; ++i) Tracer::Global().Instant("test.filler");
+  const std::string path = ::testing::TempDir() + "/obs_trace_rewrite.json";
+  ASSERT_TRUE(Tracer::Global().WriteChromeTraceFile(path));
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int i = 0; i < 30; ++i) {
+      EXPECT_TRUE(Tracer::Global().WriteChromeTraceFile(path));
+    }
+    done.store(true);
+  });
+  size_t reads = 0;
+  size_t torn = 0;
+  while (!done.load()) {
+    std::ifstream in(path);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    if (!ParseJson(buffer.str()).ok()) ++torn;
+    ++reads;
+  }
+  writer.join();
+  EXPECT_GT(reads, 0u);
+  EXPECT_EQ(torn, 0u) << "of " << reads << " reads";
   std::remove(path.c_str());
 }
 

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <utility>
 
 #include "dp/gaussian.h"
 
@@ -139,6 +142,99 @@ TEST(SkellamDpTest, HugeSensitivitiesStayFinite) {
           .ValueOrDie();
   EXPECT_TRUE(std::isfinite(mu));
   EXPECT_GT(mu, 0.0);
+}
+
+TEST(SkellamDpTest, SubsampledAccountingSurvivesVanishingRdp) {
+  // Once tau_l rounds to 0 the subsampled log-sum-exp lands a hair below
+  // zero; RDP is never negative, so epsilon sits at the grid's floor.
+  const double eps = SkellamSubsampledEpsilon(1e15, 10.0, 3.0, 0.01, 10, 1e-5);
+  EXPECT_NEAR(eps, 0.0446, 1e-4);
+}
+
+TEST(SkellamDpTest, UnreachableTargetsReturnInvalidArgumentNamingTheFloor) {
+  // Orders up to 128 cannot convert any RDP curve below ~0.0446 at 1e-5.
+  for (const Result<double>& mu :
+       {CalibrateSkellamMuSubsampled(0.01, 1e-5, 10.0, 3.0, 0.01, 10),
+        CalibrateSkellamMuSingleRelease(0.01, 1e-5, 10.0, 3.0)}) {
+    ASSERT_FALSE(mu.ok());
+    EXPECT_EQ(mu.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(mu.status().message().find("0.0446"), std::string::npos)
+        << mu.status().ToString();
+  }
+  // Just above the floor is reachable.
+  EXPECT_TRUE(CalibrateSkellamMuSingleRelease(0.05, 1e-5, 10.0, 3.0).ok());
+}
+
+TEST(SkellamDpTest, SubsampledEpsilonRisesInSampleRate) {
+  const double d1 = 10.0;
+  const double d2 = 3.0;
+  const double e1 = SkellamSubsampledEpsilon(100.0, d1, d2, 0.001, 10, 1e-5);
+  const double e2 = SkellamSubsampledEpsilon(100.0, d1, d2, 0.01, 10, 1e-5);
+  const double e3 = SkellamSubsampledEpsilon(100.0, d1, d2, 0.1, 10, 1e-5);
+  EXPECT_NEAR(e1, 0.0446, 1e-3);
+  EXPECT_NEAR(e2, 0.0478, 1e-3);
+  EXPECT_NEAR(e3, 0.282, 1e-3);
+  EXPECT_LT(e1, e2);
+  EXPECT_LT(e2, e3);
+  for (const double mu : {10.0, 1e3, 1e5}) {
+    double previous = 0.0;
+    for (const double q : {1e-3, 1e-2, 0.1, 0.5, 1.0}) {
+      const double eps = SkellamSubsampledEpsilon(mu, d1, d2, q, 10, 1e-5);
+      EXPECT_LE(previous, eps) << "mu " << mu << " q " << q;
+      previous = eps;
+    }
+  }
+}
+
+TEST(SkellamDpTest, SubsampledEpsilonFallsInMuAndRisesInRounds) {
+  for (const double q : {0.01, 0.1}) {
+    double previous = std::numeric_limits<double>::infinity();
+    for (const double mu : {10.0, 100.0, 1e3, 1e4}) {
+      const double eps = SkellamSubsampledEpsilon(mu, 10.0, 3.0, q, 10, 1e-5);
+      EXPECT_LT(eps, previous) << "q " << q << " mu " << mu;
+      previous = eps;
+    }
+    previous = 0.0;
+    for (const size_t rounds : {1, 10, 100}) {
+      const double eps =
+          SkellamSubsampledEpsilon(100.0, 10.0, 3.0, q, rounds, 1e-5);
+      EXPECT_GT(eps, previous) << "q " << q << " rounds " << rounds;
+      previous = eps;
+    }
+  }
+}
+
+TEST(SkellamDpTest, CalibratorsReturnTheSmallestSufficientMu) {
+  // eps(mu*) <= target < eps(mu* (1 - 1e-9)): bisection to double
+  // precision, on a grid of targets, sensitivities and sample rates.
+  constexpr double kDelta = 1e-5;
+  constexpr double kBelow = 1.0 - 1e-9;
+  const std::pair<double, double> sensitivities[] = {{10.0, 3.0},
+                                                      {500.0, 50.0}};
+  for (const double target : {0.1, 1.0, 4.0}) {
+    for (const auto& [d1, d2] : sensitivities) {
+      SCOPED_TRACE("target " + std::to_string(target) + " d2 " +
+                   std::to_string(d2));
+      const double mu =
+          CalibrateSkellamMuSingleRelease(target, kDelta, d1, d2)
+              .ValueOrDie();
+      EXPECT_LE(SkellamEpsilonSingleRelease(mu, d1, d2, kDelta), target);
+      EXPECT_GT(SkellamEpsilonSingleRelease(mu * kBelow, d1, d2, kDelta),
+                target);
+      for (const double q : {0.01, 0.1}) {
+        const double sub_mu =
+            CalibrateSkellamMuSubsampled(target, kDelta, d1, d2, q, 10)
+                .ValueOrDie();
+        EXPECT_LE(SkellamSubsampledEpsilon(sub_mu, d1, d2, q, 10, kDelta),
+                  target)
+            << "q " << q;
+        EXPECT_GT(
+            SkellamSubsampledEpsilon(sub_mu * kBelow, d1, d2, q, 10, kDelta),
+            target)
+            << "q " << q;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -930,6 +930,21 @@ Result<SqmReport> SqmEvaluator::Evaluate(const Query& q) {
   EXPECT_EQ(Active(findings, "dp-spend-coverage"), 1);
 }
 
+TEST(DpSpendCoverage, SqmPlanRunIsARoot) {
+  // The one release executor is a root in its own right, so a draw below
+  // it is checked even when no driver in the scan calls it.
+  const auto findings = Lint("src/core/sqm_plan.cc", R"cpp(
+int64_t AddNoise(Rng& rng, double mu) {
+  return Sample(rng, mu);
+}
+Result<SqmReport> SqmPlan::Run(const Inputs& inputs) const {
+  int64_t noisy = AddNoise(rng_, 1.0);
+  return Ok(noisy);
+}
+)cpp");
+  EXPECT_EQ(Active(findings, "dp-spend-coverage"), 1);
+}
+
 TEST(DpSpendCoverage, SpendOnThePathCoversTheDraw) {
   const auto findings = Lint("src/core/sqm.cc", R"cpp(
 int64_t AddNoise(Rng& rng, double mu) {

@@ -218,6 +218,14 @@ int main(int argc, char** argv) {
   }
   sqm::net::TcpTransport* wire = transport.ValueOrDie().get();
 
+  // Baseline durable trace before any protocol work: even a party killed
+  // in its very first phase leaves this incarnation's file for the
+  // coordinator's merge. Written before the telemetry client starts, whose
+  // tick keeps rewriting it after: one thread writes the file at a time.
+  if (sqm::obs::Enabled() && !args.trace_path.empty()) {
+    sqm::obs::Tracer::Global().WriteChromeTraceFile(args.trace_path);
+  }
+
   // Live telemetry channel back to the coordinator (observational only: a
   // refused connection or a dead coordinator never stops the protocol).
   sqm::net::TelemetryClient* telemetry = nullptr;
@@ -253,13 +261,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Baseline durable trace before any protocol work: even a party killed
-  // in its very first phase leaves this incarnation's file for the
-  // coordinator's merge (the telemetry tick keeps rewriting it after).
-  if (sqm::obs::Enabled() && !args.trace_path.empty()) {
-    sqm::obs::Tracer::Global().WriteChromeTraceFile(args.trace_path);
-  }
-
   sqm::PartySqmHooks hooks;
   hooks.checkpoint_dir = args.checkpoint_dir;
   hooks.incarnation = incarnation;
@@ -278,21 +279,22 @@ int main(int argc, char** argv) {
       sqm::RunPartySqm(config, me, wire, hooks);
   wire->Shutdown();
 
-  if (!args.trace_path.empty() && sqm::obs::Enabled()) {
-    if (!sqm::obs::Tracer::Global().WriteChromeTraceFile(args.trace_path)) {
-      std::cerr << "party " << me << ": cannot write trace "
-                << args.trace_path << "\n";
-    }
-  }
   if (telemetry != nullptr) {
     // Final snapshot from the report's FROZEN totals (the transport is
     // shut down), so fleet_metrics.json reconciles byte-for-byte with
-    // this party's own report.
+    // this party's own report. Stopping joins the tick thread before the
+    // final trace write below.
     telemetry->Stop(BuildSnapshot(
         config.run_id, me, incarnation, "done",
         report.ok() ? report.ValueOrDie().transport.totals : wire->stats(),
         /*final_doc=*/true));
     delete telemetry;
+  }
+  if (!args.trace_path.empty() && sqm::obs::Enabled()) {
+    if (!sqm::obs::Tracer::Global().WriteChromeTraceFile(args.trace_path)) {
+      std::cerr << "party " << me << ": cannot write trace "
+                << args.trace_path << "\n";
+    }
   }
   if (!report.ok()) {
     std::cerr << "party " << me << ": " << report.status().ToString()

@@ -567,11 +567,12 @@ void CheckDpSpendCoverage(const Engine& engine, FlowAnalysis* out) {
     }
   }
 
-  // Roots: the SQM drivers.
+  // Roots: the SQM drivers and SqmPlan::Run, the one release executor.
   std::vector<size_t> roots;
   for (size_t i = 0; i < n; ++i) {
     const FunctionIR& fn = fns[i];
-    const bool driver_name = fn.name == "RunSqm" || fn.name == "RunPartySqm";
+    const bool driver_name = fn.name == "RunPartySqm" ||
+                             (fn.name == "Run" && fn.owner == "SqmPlan");
     const bool evaluator_method = fn.name.rfind("Evaluate", 0) == 0 &&
                                   fn.owner.find("Sqm") != std::string::npos;
     if (driver_name || evaluator_method) roots.push_back(i);
