@@ -1,11 +1,13 @@
 // Google-benchmark microbenchmarks for the substrates: field arithmetic,
 // Shamir sharing, samplers, quantization, BGW multiplication throughput,
-// and the eigensolvers. These bound the constants behind Table I's
+// the DP calibrators and the eigensolvers. These bound the constants behind Table I's
 // asymptotic complexities.
 
 #include <benchmark/benchmark.h>
 
 #include "core/quantize.h"
+#include "dp/gaussian.h"
+#include "dp/skellam.h"
 #include "math/eigen.h"
 #include "math/linalg.h"
 #include "mpc/field.h"
@@ -175,6 +177,33 @@ BENCHMARK(BM_BgwMulBatch)
     ->Args({4, 1024})
     ->Args({4, 16384})
     ->Args({5, 54400});
+
+// The DP calibrators: a bisection over mu (or the noise multiplier) whose
+// every step scans the alpha grid; the subsampled ones sum Lemma 11's log
+// terms at each order.
+void BM_CalibrateSkellamMuSingleRelease(benchmark::State& state) {
+  for (auto _ : state) {
+    auto mu = CalibrateSkellamMuSingleRelease(1.0, 1e-5, 10.0, 3.0);
+    benchmark::DoNotOptimize(mu);
+  }
+}
+BENCHMARK(BM_CalibrateSkellamMuSingleRelease)->Unit(benchmark::kMicrosecond);
+
+void BM_CalibrateSkellamMuSubsampled(benchmark::State& state) {
+  for (auto _ : state) {
+    auto mu = CalibrateSkellamMuSubsampled(1.0, 1e-5, 10.0, 3.0, 0.01, 10);
+    benchmark::DoNotOptimize(mu);
+  }
+}
+BENCHMARK(BM_CalibrateSkellamMuSubsampled)->Unit(benchmark::kMicrosecond);
+
+void BM_CalibrateDpSgdNoise(benchmark::State& state) {
+  for (auto _ : state) {
+    auto z = CalibrateDpSgdNoise(1.0, 1e-5, 0.01, 50);
+    benchmark::DoNotOptimize(z);
+  }
+}
+BENCHMARK(BM_CalibrateDpSgdNoise)->Unit(benchmark::kMicrosecond);
 
 void BM_Gram(benchmark::State& state) {
   const size_t n = state.range(0);

@@ -1,6 +1,7 @@
 #include "dp/gaussian.h"
 
 #include <cmath>
+#include <functional>
 
 #include "core/logging.h"
 #include "dp/rdp.h"
@@ -34,74 +35,57 @@ Result<double> CalibrateGaussianSigma(double epsilon, double delta,
         "CalibrateGaussianSigma: sensitivity must be positive");
   }
   // GaussianDelta is decreasing in sigma; bracket then bisect.
-  double lo = 1e-12 * l2_sensitivity;
-  double hi = l2_sensitivity;  // Grow until delta(hi) <= target.
-  size_t guard = 0;
-  while (GaussianDelta(epsilon, l2_sensitivity, hi) > delta) {
-    hi *= 2.0;
-    if (++guard > 200) {
-      return Status::Internal("sigma bracket expansion failed");
-    }
-  }
-  for (size_t iter = 0; iter < 200; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    if (GaussianDelta(epsilon, l2_sensitivity, mid) > delta) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return hi;
+  const auto above = [&](double sigma) {
+    return GaussianDelta(epsilon, l2_sensitivity, sigma) > delta;
+  };
+  SQM_ASSIGN_OR_RETURN(const double hi,
+                       GrowBracket(l2_sensitivity, 2.0, 200, "sigma", above));
+  return BisectDecreasing(1e-12 * l2_sensitivity, hi, 200, above);
 }
+
+namespace {
+
+// DP-SGD's subsampled curve at noise multiplier z: Gaussian steps of unit
+// sensitivity.
+const SubsampledCurve& GaussianSteps(SubsampledCurve& curve, double z) {
+  return curve.SetBase([z](size_t l) {
+    return GaussianRdp(static_cast<double>(l), 1.0, z);
+  });
+}
+
+}  // namespace
 
 double DpSgdEpsilon(double noise_multiplier, double q, size_t rounds,
                     double delta) {
-  SQM_CHECK(noise_multiplier > 0.0);
-  SQM_CHECK(q > 0.0 && q <= 1.0);
-  const auto tau_of_alpha = [&](double alpha) {
-    const auto base = [&](size_t l) {
-      return GaussianRdp(static_cast<double>(l), 1.0, noise_multiplier);
-    };
-    const double per_round =
-        SubsampledRdp(static_cast<size_t>(alpha), q, base);
-    return static_cast<double>(rounds) * per_round;
-  };
-  return BestEpsilonFromCurve(tau_of_alpha, DefaultAlphaGrid(), delta);
+  SubsampledCurve curve(q, rounds);
+  return BestEpsilonFromCurve(std::cref(GaussianSteps(curve, noise_multiplier)),
+                              DefaultAlphaGrid(), delta);
 }
 
 Result<double> CalibrateDpSgdNoise(double epsilon, double delta, double q,
                                    size_t rounds) {
-  if (epsilon <= 0.0 || delta <= 0.0 || delta >= 1.0) {
-    return Status::InvalidArgument(
-        "CalibrateDpSgdNoise: need epsilon > 0 and delta in (0, 1)");
-  }
+  SQM_ASSIGN_OR_RETURN(
+      const EpsilonTarget target,
+      EpsilonTarget::Make("CalibrateDpSgdNoise", epsilon, delta));
   if (rounds == 0) {
     return Status::InvalidArgument("CalibrateDpSgdNoise: rounds must be > 0");
   }
+  SubsampledCurve curve(q, rounds);
+  const auto misses = [&](double z) {
+    return target.MissedBy(std::cref(GaussianSteps(curve, z)));
+  };
   // Epsilon is decreasing in the noise multiplier; bracket then bisect.
+  SQM_ASSIGN_OR_RETURN(
+      const double hi, GrowBracket(1.0, 2.0, 100, "noise multiplier", misses));
   double lo = 1e-3;
-  double hi = 1.0;
   size_t guard = 0;
-  while (DpSgdEpsilon(hi, q, rounds, delta) > epsilon) {
-    hi *= 2.0;
-    if (++guard > 100) {
-      return Status::Internal("noise multiplier bracket expansion failed");
-    }
-  }
-  guard = 0;
-  while (DpSgdEpsilon(lo, q, rounds, delta) < epsilon && lo > 1e-9) {
+  while (BestEpsilonFromCurve(std::cref(GaussianSteps(curve, lo)),
+                              DefaultAlphaGrid(), delta) < epsilon &&
+         lo > 1e-9) {
     lo *= 0.5;
     if (++guard > 100) break;
   }
-  for (size_t iter = 0; iter < 100; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    if (DpSgdEpsilon(mid, q, rounds, delta) > epsilon) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return hi;
+  return BisectDecreasing(lo, hi, 100, misses);
 }
 
 }  // namespace sqm

@@ -23,7 +23,10 @@ double GaussianDelta(double epsilon, double l2_sensitivity, double sigma);
 
 /// Smallest sigma such that Gaussian noise with that standard deviation
 /// satisfies (epsilon, delta)-DP for the given L2 sensitivity. Bisection on
-/// the exact GaussianDelta; accurate to ~1e-12 relative.
+/// the exact GaussianDelta with BisectDecreasing (rdp.h): at most 200
+/// steps, stopping at the fixed point where a step leaves the bracket
+/// unchanged, so sigma is bit for bit what all 200 steps return, to the
+/// last double of the bracket.
 Result<double> CalibrateGaussianSigma(double epsilon, double delta,
                                       double l2_sensitivity);
 
@@ -39,6 +42,10 @@ double DpSgdEpsilon(double noise_multiplier, double q, size_t rounds,
 
 /// Smallest noise multiplier achieving (epsilon, delta) after `rounds`
 /// subsampled steps — the calibration used for the central DPSGD baseline.
+/// The same fixed-point bisection (at most 100 steps) on a SubsampledCurve,
+/// each step an EpsilonTarget::MissedBy scan, so the multiplier is bit for
+/// bit the 100-step one. An epsilon at or below the alpha grid's floor
+/// (0.0446 at delta = 1e-5) returns kInvalidArgument naming it.
 Result<double> CalibrateDpSgdNoise(double epsilon, double delta, double q,
                                    size_t rounds);
 

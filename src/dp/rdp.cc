@@ -50,10 +50,65 @@ PrivacyGuarantee GuaranteeFromCurve(
   return guarantee;
 }
 
-std::vector<double> DefaultAlphaGrid() {
-  std::vector<double> alphas;
-  for (size_t a = 2; a <= 128; ++a) alphas.push_back(static_cast<double>(a));
+const std::vector<double>& DefaultAlphaGrid() {
+  static const std::vector<double> alphas = [] {
+    std::vector<double> grid;
+    for (size_t a = 2; a <= 128; ++a) grid.push_back(static_cast<double>(a));
+    return grid;
+  }();
   return alphas;
+}
+
+double BisectDecreasing(double lo, double hi, size_t max_steps,
+                        const std::function<bool(double)>& above) {
+  for (size_t step = 0; step < max_steps; ++step) {
+    const double mid = 0.5 * (lo + hi);
+    double& end = above(mid) ? lo : hi;
+    if (end == mid) break;  // (lo, hi) is a fixed point of the step
+    end = mid;
+  }
+  return hi;
+}
+
+Result<double> GrowBracket(double hi, double growth, size_t max_growths,
+                           const std::string& what,
+                           const std::function<bool(double)>& above) {
+  for (size_t grown = 0; above(hi); ++grown) {
+    if (grown == max_growths) {
+      return Status::Internal(what + " bracket expansion failed");
+    }
+    hi *= growth;
+  }
+  return hi;
+}
+
+Result<EpsilonTarget> EpsilonTarget::Make(const std::string& who,
+                                          double epsilon, double delta) {
+  if (epsilon <= 0.0 || delta <= 0.0 || delta >= 1.0) {
+    return Status::InvalidArgument(
+        who + ": need epsilon > 0 and delta in (0, 1)");
+  }
+  std::vector<double> offsets;
+  for (double alpha : DefaultAlphaGrid()) {
+    offsets.push_back(RdpToEpsilon(alpha, 0.0, delta));
+  }
+  const double floor = *std::min_element(offsets.begin(), offsets.end());
+  if (epsilon <= floor) {
+    return Status::InvalidArgument(
+        who + ": epsilon " + std::to_string(epsilon) +
+        " is unreachable; Renyi orders up to 128 give at least " +
+        std::to_string(floor) + " at delta " + std::to_string(delta));
+  }
+  return EpsilonTarget(epsilon, std::move(offsets));
+}
+
+bool EpsilonTarget::MissedBy(
+    const std::function<double(double)>& tau_of_alpha) const {
+  for (size_t i = 0; i < offsets_.size(); ++i) {
+    const double tau = tau_of_alpha(DefaultAlphaGrid()[i]);
+    if (std::isfinite(tau) && tau + offsets_[i] <= epsilon_) return false;
+  }
+  return true;
 }
 
 double ComposeRdp(const std::vector<double>& taus) {
@@ -80,29 +135,51 @@ double LogSumExp(const std::vector<double>& xs) {
 
 double SubsampledRdp(size_t alpha, double q,
                      const std::function<double(size_t)>& tau_at_order) {
-  SQM_CHECK(alpha >= 2);
-  SQM_CHECK(q > 0.0 && q <= 1.0);
-  if (q == 1.0) return tau_at_order(alpha);
-
   const double a = static_cast<double>(alpha);
+  return SubsampledCurve(q, 1, {a}).SetBase(tau_at_order)(a);
+}
+
+SubsampledCurve::SubsampledCurve(double q, size_t rounds,
+                                 const std::vector<double>& alphas)
+    : q_(q),
+      rounds_(static_cast<double>(rounds)),
+      log_terms_(static_cast<size_t>(alphas.back()) + 1),
+      taus_(log_terms_.size()) {
+  SQM_CHECK(alphas.front() >= 2.0);
+  SQM_CHECK(q > 0.0 && q <= 1.0);
+  if (q == 1.0) return;
   const double log1mq = std::log1p(-q);
   const double logq = std::log(q);
+  for (double a : alphas) {
+    const size_t alpha = static_cast<size_t>(a);
+    // l in {0, 1} combine to (1-q)^{alpha-1} (alpha*q - q + 1); entry l - 1
+    // is C(alpha, l) (1-q)^{alpha-l} q^l, times e^{(l-1) tau_l} later.
+    std::vector<double>& terms = log_terms_[alpha];
+    terms.push_back((a - 1.0) * log1mq + std::log(a * q - q + 1.0));
+    for (size_t l = 2; l <= alpha; ++l) {
+      terms.push_back(LogBinomial(alpha, l) +
+                      (a - static_cast<double>(l)) * log1mq +
+                      static_cast<double>(l) * logq);
+    }
+  }
+}
 
-  std::vector<double> log_terms;
-  log_terms.reserve(alpha);
-  // l in {0, 1} combine to (1-q)^{alpha-1} (alpha*q - q + 1).
-  log_terms.push_back((a - 1.0) * log1mq + std::log(a * q - q + 1.0));
-  // l = 2..alpha: C(alpha, l) (1-q)^{alpha-l} q^l e^{(l-1) tau_l}.
-  for (size_t l = 2; l <= alpha; ++l) {
-    const double tau_l = tau_at_order(l);
-    log_terms.push_back(LogBinomial(alpha, l) +
-                        (a - static_cast<double>(l)) * log1mq +
-                        static_cast<double>(l) * logq +
-                        (static_cast<double>(l) - 1.0) * tau_l);
+const SubsampledCurve& SubsampledCurve::SetBase(
+    const std::function<double(size_t)>& tau_at_order) {
+  for (size_t l = 2; l < taus_.size(); ++l) taus_[l] = tau_at_order(l);
+  return *this;
+}
+
+double SubsampledCurve::operator()(double alpha) const {
+  const size_t order = static_cast<size_t>(alpha);
+  if (q_ == 1.0) return rounds_ * taus_[order];
+  terms_ = log_terms_[order];
+  for (size_t l = 2; l <= order; ++l) {
+    terms_[l - 1] += (static_cast<double>(l) - 1.0) * taus_[l];
   }
   // The terms' exact sum is >= 1 (it is 1 when every tau_l is 0), so RDP
   // is never negative; the clamp removes only the rounding of tau_l ~ 0.
-  return std::max(0.0, LogSumExp(log_terms) / (a - 1.0));
+  return rounds_ * std::max(0.0, LogSumExp(terms_) / (alpha - 1.0));
 }
 
 }  // namespace sqm

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
+#include <functional>
 
 #include "core/logging.h"
 #include "dp/rdp.h"
@@ -65,71 +65,46 @@ double SkellamEpsilonWithDropouts(double mu, size_t num_clients,
                                      l2_sensitivity, delta);
 }
 
-double SkellamSubsampledEpsilon(double mu, double l1_sensitivity,
-                                double l2_sensitivity, double q, size_t rounds,
-                                double delta) {
-  const auto tau_of_alpha = [&](double alpha) {
-    const auto base = [&](size_t l) {
-      // Lemma 7's tau_l = l*delta2^2/(4mu) + 3*delta1/(4mu): the Skellam
-      // bound at order l with the simple min-branch.
-      return SkellamRdp(static_cast<double>(l), l1_sensitivity,
-                        l2_sensitivity, mu);
-    };
-    const double per_round =
-        SubsampledRdp(static_cast<size_t>(alpha), q, base);
-    return static_cast<double>(rounds) * per_round;
-  };
-  return BestEpsilonFromCurve(tau_of_alpha, DefaultAlphaGrid(), delta);
-}
-
 namespace {
 
-/// Shared bisection driver: epsilon(mu) must be decreasing in mu.
-template <typename EpsilonFn>
-Result<double> CalibrateMu(double epsilon, double delta,
-                           const EpsilonFn& eps_of_mu) {
-  if (epsilon <= 0.0 || delta <= 0.0 || delta >= 1.0) {
-    return Status::InvalidArgument(
-        "Skellam calibration: need epsilon > 0 and delta in (0, 1)");
-  }
-  // Even infinite noise (tau = 0 at every order) converts to this epsilon
-  // on the alpha grid; no mu reaches a target at or below it.
-  const double floor = BestEpsilonFromCurve([](double) { return 0.0; },
-                                            DefaultAlphaGrid(), delta);
-  if (epsilon <= floor) {
-    return Status::InvalidArgument(
-        "Skellam calibration: epsilon " + std::to_string(epsilon) +
-        " is unreachable; Renyi orders up to 128 give at least " +
-        std::to_string(floor) + " at delta " + std::to_string(delta));
-  }
-  double lo = 1e-6;
-  double hi = 1.0;
-  size_t guard = 0;
-  while (eps_of_mu(hi) > epsilon) {
-    hi *= 4.0;
-    if (++guard > 400) {
-      return Status::Internal("mu bracket expansion failed");
-    }
-  }
-  for (size_t iter = 0; iter < 200; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    if (eps_of_mu(mid) > epsilon) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return hi;
+// Lemma 7's subsampled curve at noise mu. Its base tau_l =
+// l*delta2^2/(4mu) + 3*delta1/(4mu) is the Skellam bound at order l with
+// the simple min-branch.
+const SubsampledCurve& SkellamSteps(SubsampledCurve& curve, double l1,
+                                    double l2, double mu) {
+  return curve.SetBase([&](size_t l) {
+    return SkellamRdp(static_cast<double>(l), l1, l2, mu);
+  });
+}
+
+// misses(mu) is "epsilon(mu) > target"; epsilon falls in mu. Bracket, bisect.
+Result<double> CalibrateMu(const std::function<bool(double)>& misses) {
+  SQM_ASSIGN_OR_RETURN(const double hi,
+                       GrowBracket(1.0, 4.0, 400, "mu", misses));
+  return BisectDecreasing(1e-6, hi, 200, misses);
 }
 
 }  // namespace
 
+double SkellamSubsampledEpsilon(double mu, double l1_sensitivity,
+                                double l2_sensitivity, double q, size_t rounds,
+                                double delta) {
+  SubsampledCurve curve(q, rounds);
+  return BestEpsilonFromCurve(
+      std::cref(SkellamSteps(curve, l1_sensitivity, l2_sensitivity, mu)),
+      DefaultAlphaGrid(), delta);
+}
+
 Result<double> CalibrateSkellamMuSingleRelease(double epsilon, double delta,
                                                double l1_sensitivity,
                                                double l2_sensitivity) {
-  return CalibrateMu(epsilon, delta, [&](double mu) {
-    return SkellamEpsilonSingleRelease(mu, l1_sensitivity, l2_sensitivity,
-                                       delta);
+  SQM_ASSIGN_OR_RETURN(
+      const EpsilonTarget target,
+      EpsilonTarget::Make("Skellam calibration", epsilon, delta));
+  return CalibrateMu([&](double mu) {
+    return target.MissedBy([&](double alpha) {
+      return SkellamRdpServer(alpha, l1_sensitivity, l2_sensitivity, mu);
+    });
   });
 }
 
@@ -140,9 +115,13 @@ Result<double> CalibrateSkellamMuSubsampled(double epsilon, double delta,
   if (rounds == 0) {
     return Status::InvalidArgument("rounds must be > 0");
   }
-  return CalibrateMu(epsilon, delta, [&](double mu) {
-    return SkellamSubsampledEpsilon(mu, l1_sensitivity, l2_sensitivity, q,
-                                    rounds, delta);
+  SQM_ASSIGN_OR_RETURN(
+      const EpsilonTarget target,
+      EpsilonTarget::Make("Skellam calibration", epsilon, delta));
+  SubsampledCurve curve(q, rounds);
+  return CalibrateMu([&](double mu) {
+    return target.MissedBy(
+        std::cref(SkellamSteps(curve, l1_sensitivity, l2_sensitivity, mu)));
   });
 }
 

@@ -54,15 +54,23 @@ double SkellamSubsampledEpsilon(double mu, double l1_sensitivity,
                                 double delta);
 
 /// Smallest mu achieving (epsilon, delta) server-observed DP for a single
-/// release. Bisection; epsilon is decreasing in mu. Both calibrators
-/// return kInvalidArgument for an epsilon no mu reaches: at or below the
-/// alpha grid's floor (0.0446 at delta = 1e-5).
+/// release; epsilon is decreasing in mu. Both calibrators grow a bracket
+/// and bisect it with BisectDecreasing (rdp.h): at most 200 steps, stopping
+/// at the first step that leaves the bracket unchanged, which is a fixed
+/// point, so the mu returned is bit for bit the one all 200 steps give
+/// (about 55 steps run). Each step asks EpsilonTarget::MissedBy whether
+/// epsilon(mu) exceeds the target, with the alpha scan's mu-free parts
+/// computed once per calibration. Both return kInvalidArgument for an
+/// epsilon no mu reaches: at or below the alpha grid's floor (0.0446 at
+/// delta = 1e-5).
 Result<double> CalibrateSkellamMuSingleRelease(double epsilon, double delta,
                                                double l1_sensitivity,
                                                double l2_sensitivity);
 
 /// Smallest mu achieving (epsilon, delta) server-observed DP for R
-/// subsampled releases (Lemma 7 accounting).
+/// subsampled releases (Lemma 7 accounting). The same search on a
+/// SubsampledCurve: Lemma 11's mu-free log terms are computed once per
+/// calibration and the base taus once per step.
 Result<double> CalibrateSkellamMuSubsampled(double epsilon, double delta,
                                             double l1_sensitivity,
                                             double l2_sensitivity, double q,

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 namespace sqm {
 namespace {
@@ -86,6 +87,20 @@ TEST(GaussianDpTest, DpSgdCalibrationRoundTrips) {
   const double achieved = DpSgdEpsilon(z, 0.01, 50, 1e-5);
   EXPECT_LE(achieved, target_eps * (1.0 + 1e-6));
   EXPECT_GT(DpSgdEpsilon(z * 0.95, 0.01, 50, 1e-5), target_eps);
+}
+
+TEST(GaussianDpTest, DpSgdTargetsBelowTheFloorReturnInvalidArgument) {
+  // Orders up to 128 cannot convert any RDP curve below ~0.0446 at 1e-5,
+  // however much noise the steps carry.
+  for (double target_eps : {0.01, 0.04}) {
+    const Result<double> z = CalibrateDpSgdNoise(target_eps, 1e-5, 0.01, 10);
+    ASSERT_FALSE(z.ok());
+    EXPECT_EQ(z.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(z.status().message().find("0.0446"), std::string::npos)
+        << z.status().ToString();
+  }
+  // Just above the floor is reachable.
+  EXPECT_TRUE(CalibrateDpSgdNoise(0.05, 1e-5, 0.01, 10).ok());
 }
 
 TEST(GaussianDpTest, SubsamplingBeatsFullBatch) {
