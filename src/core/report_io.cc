@@ -117,11 +117,7 @@ void WriteLedgerEntryFields(JsonWriter& writer,
       .Field("epsilon", entry.epsilon)
       .Field("delta", entry.delta)
       .Field("best_alpha", entry.best_alpha)
-      .Field("cumulative_epsilon", entry.cumulative_epsilon)
-      .Field("contributors", static_cast<uint64_t>(entry.contributors))
-      .Field("expected_contributors",
-             static_cast<uint64_t>(entry.expected_contributors))
-      .Field("deficit_mu", entry.deficit_mu);
+      .Field("cumulative_epsilon", entry.cumulative_epsilon);
 }
 
 Result<obs::LedgerEntry> LedgerEntryFromJson(const JsonValue& object) {
@@ -150,13 +146,6 @@ Result<obs::LedgerEntry> LedgerEntryFromJson(const JsonValue& object) {
   SQM_ASSIGN_OR_RETURN(entry.best_alpha, NumberField(object, "best_alpha"));
   SQM_ASSIGN_OR_RETURN(entry.cumulative_epsilon,
                        NumberField(object, "cumulative_epsilon"));
-  SQM_ASSIGN_OR_RETURN(const uint64_t contributors,
-                       UintField(object, "contributors"));
-  entry.contributors = static_cast<size_t>(contributors);
-  SQM_ASSIGN_OR_RETURN(const uint64_t expected,
-                       UintField(object, "expected_contributors"));
-  entry.expected_contributors = static_cast<size_t>(expected);
-  SQM_ASSIGN_OR_RETURN(entry.deficit_mu, NumberField(object, "deficit_mu"));
   return entry;
 }
 
@@ -221,7 +210,6 @@ std::string SqmReportToJson(const SqmReport& report) {
   writer.EndArray();
   writer.Field("configured_mu", report.dropout.configured_mu)
       .Field("realized_mu", report.dropout.realized_mu)
-      .Field("topup_mu", report.dropout.topup_mu)
       .Field("configured_epsilon", report.dropout.configured_epsilon)
       .Field("realized_epsilon", report.dropout.realized_epsilon)
       .Field("delta", report.dropout.delta)
@@ -320,8 +308,6 @@ Result<SqmReport> SqmReportFromJson(const std::string& json) {
                        NumberField(*dropout, "configured_mu"));
   SQM_ASSIGN_OR_RETURN(report.dropout.realized_mu,
                        NumberField(*dropout, "realized_mu"));
-  SQM_ASSIGN_OR_RETURN(report.dropout.topup_mu,
-                       NumberField(*dropout, "topup_mu"));
   SQM_ASSIGN_OR_RETURN(report.dropout.configured_epsilon,
                        NumberField(*dropout, "configured_epsilon"));
   SQM_ASSIGN_OR_RETURN(report.dropout.realized_epsilon,

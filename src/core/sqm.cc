@@ -76,8 +76,6 @@ const char* DropoutPolicyToString(DropoutPolicy policy) {
       return "abort";
     case DropoutPolicy::kDegrade:
       return "degrade";
-    case DropoutPolicy::kTopUp:
-      return "topup";
   }
   return "unknown";
 }
@@ -85,9 +83,8 @@ const char* DropoutPolicyToString(DropoutPolicy policy) {
 Result<DropoutPolicy> DropoutPolicyFromString(const std::string& name) {
   if (name == "abort") return DropoutPolicy::kAbort;
   if (name == "degrade") return DropoutPolicy::kDegrade;
-  if (name == "topup") return DropoutPolicy::kTopUp;
   return Status::InvalidArgument("unknown dropout policy \"" + name +
-                                 "\" (expected abort, degrade, or topup)");
+                                 "\" (expected abort or degrade)");
 }
 
 SqmEvaluator::SqmEvaluator(SqmOptions options)

@@ -32,13 +32,11 @@ enum class MpcBackend {
 enum class DropoutPolicy {
   /// Legacy behavior: any transport failure aborts the whole run.
   kAbort,
-  /// Finish on the surviving >= 2t+1 quorum and release with the noise
-  /// deficit Sk((n-d)/n * mu); the report carries the honestly recomputed
-  /// realized (epsilon, delta).
+  /// Finish on the surviving >= 2t+1 quorum. A party that drops has
+  /// already dealt its Sk(mu/n) share (an undealt input fails the run), so
+  /// the release carries the full Sk(mu) and reports the configured
+  /// (epsilon, delta) together with who dropped.
   kDegrade,
-  /// Like kDegrade, but survivors first share compensating Skellam noise
-  /// totalling Sk(d/n * mu) so the release carries the full Sk(mu) again.
-  kTopUp,
 };
 
 const char* DropoutPolicyToString(DropoutPolicy policy);
@@ -89,7 +87,7 @@ struct SqmOptions {
 
   uint64_t seed = 42;
 
-  /// Dropout handling for the BGW backend. kDegrade/kTopUp attach a
+  /// Dropout handling for the BGW backend. kDegrade attaches a
   /// LivenessTracker, switch the protocol onto its quorum paths, and may
   /// resume a failed multiplication level from the phase checkpoint.
   DropoutPolicy dropout_policy = DropoutPolicy::kAbort;
@@ -97,16 +95,15 @@ struct SqmOptions {
   /// Unused; see MulBackend.
   MulBackend mul_backend = MulBackend::kGrr;
 
-  /// Delta at which degraded-mode (epsilon, delta) guarantees are
-  /// recomputed and reported.
+  /// Delta at which every BGW release's (epsilon, delta) is reported.
   double dp_delta = 1e-5;
 
   /// Bound c on ||x||_2 per record, used (with max_f_l2) to derive the
-  /// release's L1/L2 sensitivities for the dropout accounting.
+  /// release's L1/L2 sensitivities for the privacy accounting.
   double record_norm_bound = 1.0;
 
   /// Total attempts (first run + checkpoint resumes) for the BGW phase
-  /// under kDegrade/kTopUp before the failure is surfaced.
+  /// under kDegrade before the failure is surfaced.
   size_t mpc_max_attempts = 2;
 
   /// Upper bound on max_{||x||<=c} ||f(x)||_2, used for the field-capacity
@@ -155,8 +152,8 @@ struct SqmTiming {
   double simulated_network_seconds = 0.0;
   /// The paper's "time for noise injection" column: noise sampling plus
   /// the time spent dealing the noise inputs inside the real input round
-  /// (BGW; the top-up dealing counts too), or adding them in the clear
-  /// (plaintext). In party mode only this party's own dealing is timed.
+  /// (BGW), or adding them in the clear (plaintext). In party mode only
+  /// this party's own dealing is timed.
   double noise_injection_seconds = 0.0;
 
   double TotalSeconds() const {
@@ -166,7 +163,8 @@ struct SqmTiming {
 };
 
 /// Dropout outcome of one BGW-backed run: who survived, how much noise the
-/// release actually carried, and the honestly recomputed privacy guarantee.
+/// release carried and its privacy guarantee. Every completed release
+/// carries all n noise shares, so realized equals configured.
 struct DropoutReport {
   DropoutPolicy policy = DropoutPolicy::kAbort;
   size_t num_parties = 0;
@@ -174,9 +172,8 @@ struct DropoutReport {
   size_t num_dropped = 0;
   double configured_mu = 0.0;  ///< Sk(mu) the run was provisioned for.
   double realized_mu = 0.0;    ///< Noise the release actually carried.
-  double topup_mu = 0.0;       ///< Compensating noise added (kTopUp only).
   /// Single-release epsilon at `delta` for configured_mu / realized_mu
-  /// (equal when nothing dropped; 0 when mu == 0, i.e. no DP configured).
+  /// (0 when mu == 0, i.e. no DP configured).
   double configured_epsilon = 0.0;
   double realized_epsilon = 0.0;
   double delta = 0.0;

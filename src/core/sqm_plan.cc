@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "core/logging.h"
 #include "dp/accountant.h"
@@ -15,10 +14,9 @@
 //   Split(0x0c0eff)     coefficient rounding (quantize_coefficients only)
 //   Split(0xda7a)       data rounding; its Split(col) rounds column col
 //   Split(0x4015e + j)  client j's Sk(mu/n) noise share
-// and as separate roots:
+// and as a separate root:
 //   seed ^ 0xb9d7       BGW sharing randomness (Split(j) per party, taken
 //                       by BgwEngine / PartyProtocol::DeriveStream)
-//   seed ^ 0x70b        top-up noise, Split(j) per survivor j in order
 // Splits consume parent draws but never data, so deriving every stream up
 // front equals replaying the splits where the streams are used — which is
 // what lets one party hold exactly the values driver mode assigns it.
@@ -124,7 +122,7 @@ Result<SqmPlan> SqmPlan::Create(const PolynomialVector& f,
     plan.threshold_ = options.bgw_threshold == 0 ? (num_clients - 1) / 2
                                                  : options.bgw_threshold;
     SQM_RETURN_NOT_OK(ShamirScheme::Validate(num_clients, plan.threshold_));
-    // Turns the realized noise back into an honest (epsilon, delta).
+    // Turns the noise into the release's (epsilon, delta).
     if (options.mu > 0.0) {
       plan.sensitivity_ = PolynomialSensitivity(
           f, options.gamma, options.record_norm_bound, options.max_f_l2,
@@ -289,36 +287,6 @@ Circuit SqmPlan::BuildCircuit() const {
 
 uint64_t SqmPlan::protocol_seed() const { return options_.seed ^ 0xb9d7; }
 
-Result<double> SqmPlan::AddTopUp(const LivenessTracker& tracker,
-                                 BgwEngine* engine,
-                                 SharedVector* shares) const {
-  const size_t num_dropped = tracker.num_dead();
-  if (options_.dropout_policy != DropoutPolicy::kTopUp || options_.mu <= 0.0 ||
-      num_dropped == 0) {
-    return 0.0;
-  }
-  const std::vector<size_t> survivors = tracker.Survivors();
-  const double per_survivor_mu =
-      options_.mu * static_cast<double>(num_dropped) /
-      (static_cast<double>(num_clients_) *
-       static_cast<double>(survivors.size()));
-  Rng topup_root(options_.seed ^ 0x70bu);
-  double total_mu = 0.0;
-  for (size_t j : survivors) {
-    Rng stream = topup_root.Split(j);
-    std::vector<Field::Element> encoded;
-    if (engine->Hosts(j)) {
-      encoded = Field::EncodeVector(
-          SkellamSampler(per_survivor_mu).SampleVector(stream, output_dim()));
-    }
-    SQM_ASSIGN_OR_RETURN(const SharedVector extra,
-                         engine->ShareFrom(j, encoded, output_dim(), "topup"));
-    shares->Add(extra);
-    total_mu += per_survivor_mu;
-  }
-  return total_mu;
-}
-
 Result<SqmReport> SqmPlan::Run(const Inputs& inputs, BgwEngine* engine,
                                const Transport& transport,
                                const Recovery& recovery) const {
@@ -370,22 +338,13 @@ Result<SqmReport> SqmPlan::Run(const Inputs& inputs, BgwEngine* engine,
           engine->EvaluateToShares(circuit, hosted_inputs, checkpoint_ptr);
       Status failure = shares.status();
       if (shares.ok()) {
-        // kTopUp: before opening, the survivors deal compensating Skellam
-        // noise, restoring the release to the full Sk(mu). It reacts only
-        // to deaths known before the release; its streams are
-        // deterministic, so a retry on fresh shares adds the same values.
-        SharedVector out_shares = std::move(shares).ValueOrDie();
-        Result<double> topup_mu = AddTopUp(tracker, engine, &out_shares);
-        failure = topup_mu.status();
-        if (topup_mu.ok()) {
-          run.topup_mu = topup_mu.ValueOrDie();
-          Result<std::vector<int64_t>> opened = engine->OpenOutputs(out_shares);
-          if (opened.ok()) {
-            run.raw = std::move(opened).ValueOrDie();
-            break;
-          }
-          failure = opened.status();
+        Result<std::vector<int64_t>> opened =
+            engine->OpenOutputs(shares.ValueOrDie());
+        if (opened.ok()) {
+          run.raw = std::move(opened).ValueOrDie();
+          break;
         }
+        failure = opened.status();
         // Only an evaluation is retried, except under recovery: there a
         // full-quorum failure of the opening (a laggard peer still at its
         // resume barrier) must go back through the barrier like any
@@ -459,51 +418,38 @@ Result<SqmReport> SqmPlan::Finish(const Inputs& inputs, Execution run) const {
   report.transport = run.transport->Snapshot();
   report.timing.simulated_network_seconds = run.transport->SimulatedSeconds();
 
-  // ---- Dropout accounting. The census is taken only now, so it includes
+  // ---- Dropout report. The census is taken only now, so it includes
   // parties that died during the opening itself.
   const DropoutPolicy policy = options_.dropout_policy;
   const bool census = policy != DropoutPolicy::kAbort && run.tracker != nullptr;
-  const size_t num_dropped = census ? run.tracker->num_dead() : 0;
   const double mu = options_.mu;
   DropoutReport& dropout = report.dropout;
   dropout.policy = policy;
   dropout.num_parties = num_clients_;
-  dropout.num_dropped = num_dropped;
+  dropout.num_dropped = census ? run.tracker->num_dead() : 0;
   if (census) {
     dropout.survivors = run.tracker->Survivors();
   } else {
     for (size_t j = 0; j < num_clients_; ++j) dropout.survivors.push_back(j);
   }
   dropout.configured_mu = mu;
-  dropout.topup_mu = run.topup_mu;
-  dropout.realized_mu =
-      mu > 0.0 ? SkellamMuWithDropouts(mu, num_clients_, num_dropped) +
-                     run.topup_mu
-               : 0.0;
+  dropout.realized_mu = mu;
   dropout.delta = options_.dp_delta;
   dropout.mpc_attempts = run.attempts;
   dropout.resumed_from_level = run.resumed_from_level;
   if (mu <= 0.0) return report;
   dropout.configured_epsilon = SkellamEpsilonSingleRelease(
       mu, sensitivity_.l1, sensitivity_.l2, options_.dp_delta);
-  if (dropout.realized_mu <= 0.0) {
-    // Every noise contributor dropped: the release is unprotected.
-    dropout.realized_epsilon = std::numeric_limits<double>::infinity();
-    return report;
-  }
   PrivacyAccountant accountant;
   accountant.SetLedgerContext(options_.dp_delta, options_.gamma,
                               output_dim());
-  accountant.AddSkellamWithDropouts("sqm_release", sensitivity_.l1,
-                                    sensitivity_.l2, mu, num_clients_,
-                                    num_dropped);
-  if (run.topup_mu > 0.0) {
-    // The top-up restores noise without adding a release: account the
-    // single release at its total realized noise instead.
-    accountant.Reset();
-    accountant.AddSkellam("sqm_release", sensitivity_.l1, sensitivity_.l2,
-                          dropout.realized_mu);
-  }
+  // The release carries the full Sk(mu) under every policy: each client's
+  // Sk(mu/n) share is one of its circuit inputs, and EvaluateToShares
+  // returns OK only when every party's dealing landed (ShareFrom fails a
+  // dead dealer with kUnavailable). A party that drops later has already
+  // dealt its share. ResilienceTest.CrashSweepEveryPartyEveryPhase pins
+  // this: every crash at or before a party's own dealing refuses.
+  accountant.AddSkellam("sqm_release", sensitivity_.l1, sensitivity_.l2, mu);
   SQM_ASSIGN_OR_RETURN(const PrivacyGuarantee guarantee,
                        accountant.TotalGuarantee(options_.dp_delta));
   dropout.realized_epsilon = guarantee.epsilon;

@@ -73,19 +73,19 @@ class SqmPlan {
     std::function<Status(const Circuit& circuit, BgwCheckpoint*)> restore;
     /// After a failed attempt: meets the peers at the resume barrier and
     /// rewinds the checkpoint to the level every party can redo from. Set
-    /// means recovery is on, and a failure anywhere in evaluate, top-up
-    /// or open goes back through it.
+    /// means recovery is on, and a failure in evaluate or open goes back
+    /// through it.
     std::function<Status(BgwCheckpoint*)> barrier;
   };
 
   /// Algorithm 3 lines 9-11 for every BGW hosting: the circuit, evaluated
   /// on the hosted clients' inputs through `engine` over `transport`, the
-  /// kTopUp noise, the opening and the report. Under kDegrade/kTopUp it
-  /// attaches a LivenessTracker and retries a failed evaluation from its
-  /// checkpoint, up to options().mpc_max_attempts, while 2t+1 parties are
-  /// alive; without recovery a top-up or open failure is terminal. The
-  /// tracker Run attaches to `engine` lives only as long as the call, so
-  /// the engine serves this one release and no other.
+  /// opening and the report. Under kDegrade it attaches a LivenessTracker
+  /// and retries a failed evaluation from its checkpoint, up to
+  /// options().mpc_max_attempts, while 2t+1 parties are alive; without
+  /// recovery an open failure is terminal. The tracker Run attaches to
+  /// `engine` lives only as long as the call, so the engine serves this
+  /// one release and no other.
   Result<SqmReport> Run(const Inputs& inputs, BgwEngine* engine,
                         const Transport& transport,
                         const Recovery& recovery = {}) const;
@@ -115,13 +115,6 @@ class SqmPlan {
   /// going to the first clients.
   std::pair<size_t, size_t> ColumnRange(size_t j) const;
 
-  /// kTopUp compensation for the deaths `tracker` knows of: each survivor,
-  /// in order, deals Sk(dropped / (n * survivors) * mu) through `engine`
-  /// (sampled only where the engine hosts it) and the dealing is added to
-  /// `shares`. Returns the mu added, 0 when none is due.
-  Result<double> AddTopUp(const LivenessTracker& tracker, BgwEngine* engine,
-                          SharedVector* shares) const;
-
   /// What one execution measured; Finish turns it into the report.
   struct Execution {
     std::chrono::steady_clock::time_point compute_start;
@@ -130,7 +123,6 @@ class SqmPlan {
     double noise_deal_seconds = 0.0;
     const Transport* transport = nullptr;      ///< BGW only.
     const LivenessTracker* tracker = nullptr;  ///< BGW census; not kAbort.
-    double topup_mu = 0.0;
     size_t attempts = 0;
     size_t resumed_from_level = 0;
   };

@@ -108,38 +108,6 @@ void PrivacyAccountant::AddSkellam(const std::string& label,
   RecordLedgerEntry(std::move(entry));
 }
 
-void PrivacyAccountant::AddSkellamWithDropouts(
-    const std::string& label, double l1_sensitivity, double l2_sensitivity,
-    double mu, size_t num_clients, size_t num_dropped, double sampling_rate,
-    size_t count) {
-  const double realized_mu =
-      SkellamMuWithDropouts(mu, num_clients, num_dropped);
-  SQM_CHECK(realized_mu > 0.0);
-  PrivacyEvent event;
-  event.label = label;
-  event.rdp = [l1_sensitivity, l2_sensitivity, realized_mu](double alpha) {
-    return SkellamRdp(alpha, l1_sensitivity, l2_sensitivity, realized_mu);
-  };
-  event.sampling_rate = sampling_rate;
-  event.count = count;
-  events_.push_back(std::move(event));
-
-  // The charge is honest at the realized mu; the ledger keeps the deficit
-  // visible next to it.
-  obs::LedgerEntry entry;
-  entry.mechanism = "skellam_dropout";
-  entry.label = label;
-  entry.mu = realized_mu;
-  entry.l1_sensitivity = l1_sensitivity;
-  entry.l2_sensitivity = l2_sensitivity;
-  entry.sampling_rate = sampling_rate;
-  entry.count = count;
-  entry.contributors = num_clients - num_dropped;
-  entry.expected_contributors = num_clients;
-  entry.deficit_mu = mu - realized_mu;
-  RecordLedgerEntry(std::move(entry));
-}
-
 void PrivacyAccountant::AddEvent(PrivacyEvent event) {
   SQM_CHECK(event.rdp != nullptr);
   SQM_CHECK(event.count >= 1);

@@ -47,16 +47,6 @@ class PrivacyAccountant {
                   double l2_sensitivity, double mu,
                   double sampling_rate = 1.0, size_t count = 1);
 
-  /// Tracks a Skellam release whose configured Sk(mu) was degraded by
-  /// `num_dropped` of `num_clients` contributors dropping out: the curve
-  /// is charged at the realized Sk((n-d)/n * mu) — the honest accounting
-  /// for a kDegrade run.
-  void AddSkellamWithDropouts(const std::string& label,
-                              double l1_sensitivity, double l2_sensitivity,
-                              double mu, size_t num_clients,
-                              size_t num_dropped, double sampling_rate = 1.0,
-                              size_t count = 1);
-
   /// Tracks an arbitrary RDP curve.
   void AddEvent(PrivacyEvent event);
 
@@ -68,10 +58,10 @@ class PrivacyAccountant {
                         size_t dimension = 0);
 
   /// Spend timeline mirroring events(): one obs::LedgerEntry per Add*
-  /// call, with mechanism parameters, dropout-deficit context and (when a
-  /// ledger delta is set) the standalone and cumulative epsilon at that
-  /// point. Always recorded locally; also forwarded to
-  /// obs::PrivacyLedger::Global() while the observability switch is on.
+  /// call, with mechanism parameters and (when a ledger delta is set) the
+  /// standalone and cumulative epsilon at that point. Always recorded
+  /// locally; also forwarded to obs::PrivacyLedger::Global() while the
+  /// observability switch is on.
   const std::vector<obs::LedgerEntry>& ledger() const { return ledger_; }
 
   size_t num_events() const { return events_.size(); }
@@ -84,7 +74,7 @@ class PrivacyAccountant {
   Result<double> TotalEpsilon(double delta) const;
 
   /// Like TotalEpsilon, but also reports the minimizing Rényi order — the
-  /// form SqmReport records for degraded runs.
+  /// form SqmReport records for BGW releases.
   Result<PrivacyGuarantee> TotalGuarantee(double delta) const;
 
   /// Remaining repetitions of `event` that fit a target epsilon: the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <sstream>
 
 #include "core/logging.h"
 
@@ -94,10 +95,13 @@ Result<EpsilonTarget> EpsilonTarget::Make(const std::string& who,
   }
   const double floor = *std::min_element(offsets.begin(), offsets.end());
   if (epsilon <= floor) {
-    return Status::InvalidArgument(
-        who + ": epsilon " + std::to_string(epsilon) +
-        " is unreachable; Renyi orders up to 128 give at least " +
-        std::to_string(floor) + " at delta " + std::to_string(delta));
+    // The stream's default %g-style format: a delta of 1e-9 prints as
+    // 1e-09, where std::to_string's six decimals print 0.000000.
+    std::ostringstream message;
+    message << who << ": epsilon " << epsilon
+            << " is unreachable; Renyi orders up to 128 give at least "
+            << floor << " at delta " << delta;
+    return Status::InvalidArgument(message.str());
   }
   return EpsilonTarget(epsilon, std::move(offsets));
 }

@@ -46,25 +46,6 @@ double SkellamEpsilonSingleRelease(double mu, double l1_sensitivity,
   return BestEpsilonFromCurve(tau_of_alpha, DefaultAlphaGrid(), delta);
 }
 
-double SkellamMuWithDropouts(double mu, size_t num_clients,
-                             size_t num_dropped) {
-  SQM_CHECK(num_clients >= 1);
-  SQM_CHECK(num_dropped <= num_clients);
-  const double n = static_cast<double>(num_clients);
-  const double d = static_cast<double>(num_dropped);
-  return (n - d) / n * mu;
-}
-
-double SkellamEpsilonWithDropouts(double mu, size_t num_clients,
-                                  size_t num_dropped, double l1_sensitivity,
-                                  double l2_sensitivity, double delta) {
-  const double realized_mu =
-      SkellamMuWithDropouts(mu, num_clients, num_dropped);
-  SQM_CHECK(realized_mu > 0.0);
-  return SkellamEpsilonSingleRelease(realized_mu, l1_sensitivity,
-                                     l2_sensitivity, delta);
-}
-
 namespace {
 
 // Lemma 7's subsampled curve at noise mu. Its base tau_l =

@@ -35,18 +35,6 @@ double SkellamRdpClient(double alpha, double l1_sensitivity,
 double SkellamEpsilonSingleRelease(double mu, double l1_sensitivity,
                                    double l2_sensitivity, double delta);
 
-/// Effective aggregate noise parameter when `num_dropped` of `num_clients`
-/// Sk(mu/n) contributors are lost: the release carries Sk((n-d)/n * mu)
-/// instead of Sk(mu) (Skellam additivity; Agarwal et al.).
-double SkellamMuWithDropouts(double mu, size_t num_clients,
-                             size_t num_dropped);
-
-/// Realized epsilon of a single release whose noise suffered the dropout
-/// deficit above — the honest number a kDegrade run must report.
-double SkellamEpsilonWithDropouts(double mu, size_t num_clients,
-                                  size_t num_dropped, double l1_sensitivity,
-                                  double l2_sensitivity, double delta);
-
 /// Epsilon of R composed Poisson-subsampled SQM releases (the LR training
 /// loop of Lemma 7), server-observed.
 double SkellamSubsampledEpsilon(double mu, double l1_sensitivity,

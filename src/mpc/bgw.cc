@@ -75,14 +75,13 @@ Result<std::vector<int64_t>> BgwEngine::Evaluate(
 }
 
 Result<SharedVector> BgwEngine::ShareFrom(
-    size_t dealer, const std::vector<Field::Element>& values, size_t count,
-    const std::string& phase_label) {
+    size_t dealer, const std::vector<Field::Element>& values, size_t count) {
   SQM_CHECK(dealer < num_parties());
   if (Dead(dealer)) {
     return Status::Unavailable("input sharing impossible: dealer party " +
                                std::to_string(dealer) + " is dead");
   }
-  PhaseScope phase(network_, phase_label);
+  PhaseScope phase(network_, "input");
   // In driver mode the span sits on the dealer's track, so the trace shows
   // who did the work; a hosted party keeps every dealing on its own.
   obs::Span span("bgw.share", "mpc",

@@ -66,27 +66,26 @@ class BgwEngine {
       const Circuit& circuit, const std::vector<std::vector<int64_t>>& inputs);
 
   /// Phases 1 + 2 only: shares inputs, evaluates every gate level, and
-  /// returns the hosted parties' output-wire shares unopened (so callers
-  /// can, e.g., add top-up noise shares before release). Other parties'
-  /// input counts are read from the circuit — public structure. With a
-  /// non-null `checkpoint`, progress is recorded per completed
-  /// multiplication level and a previously valid checkpoint resumes
-  /// instead of restarting — input sharing is never repeated. An
-  /// input-phase failure is fatal (a lost input has no quorum to
-  /// reconstruct it) and leaves the checkpoint invalid. A valid checkpoint
-  /// taken on another circuit fails with kInvalidArgument.
+  /// returns the hosted parties' output-wire shares unopened. OK means
+  /// every party's dealing landed. Other parties' input counts are read
+  /// from the circuit — public structure. With a non-null `checkpoint`,
+  /// progress is recorded per completed multiplication level and a
+  /// previously valid checkpoint resumes instead of restarting — input
+  /// sharing is never repeated. An input-phase failure is fatal (a lost
+  /// input has no quorum to reconstruct it) and leaves the checkpoint
+  /// invalid. A valid checkpoint taken on another circuit fails with
+  /// kInvalidArgument.
   Result<SharedVector> EvaluateToShares(
       const Circuit& circuit, const std::vector<std::vector<int64_t>>& inputs,
       BgwCheckpoint* checkpoint = nullptr);
 
   /// One input-dealing round: `dealer` deals `count` elements and every
   /// hosted party receives its row. `values` (encoded) is read only when
-  /// the dealer is hosted. `phase_label` tags the traffic ("input",
-  /// "topup"). A dead dealer, or a failed receive, fails kUnavailable.
+  /// the dealer is hosted. The traffic is tagged "input". A dead dealer,
+  /// or a failed receive, fails kUnavailable under every policy.
   Result<SharedVector> ShareFrom(size_t dealer,
                                  const std::vector<Field::Element>& values,
-                                 size_t count,
-                                 const std::string& phase_label = "input");
+                                 size_t count);
 
   /// Phase 3: opens output shares to all parties (over the survivors when
   /// a tracker is attached) and returns the first hosted party's opening.

@@ -8,14 +8,6 @@
 
 namespace sqm {
 
-void SharedVector::Add(const SharedVector& other) {
-  SQM_CHECK(other.num_parties() == num_parties() && other.size() == size());
-  for (size_t r = 0; r < num_parties(); ++r) {
-    Field::AddVec(shares_[r].data(), other.shares_[r].data(),
-                  shares_[r].data(), size());
-  }
-}
-
 ShamirScheme::ShamirScheme(size_t num_parties, size_t threshold)
     : num_parties_(num_parties), threshold_(threshold) {
   SQM_CHECK(Validate(num_parties, threshold).ok());

@@ -28,9 +28,6 @@ class SharedVector {
     return shares_[party];
   }
 
-  /// Adds `other` row by row: local on every hosted party's shares.
-  void Add(const SharedVector& other);
-
  private:
   std::vector<std::vector<Field::Element>> shares_;
 };

@@ -1,7 +1,5 @@
 #include "obs/ledger.h"
 
-#include "core/json.h"
-
 namespace sqm::obs {
 
 PrivacyLedger& PrivacyLedger::Global() {
@@ -46,36 +44,6 @@ uint64_t PrivacyLedger::NextSequence() const {
 void PrivacyLedger::Clear() {
   MutexLock lock(mu_);
   entries_.clear();
-}
-
-std::string PrivacyLedger::ToJson(const std::vector<LedgerEntry>& entries) {
-  JsonWriter writer;
-  writer.BeginArray();
-  for (const LedgerEntry& entry : entries) {
-    writer.BeginObject()
-        .Field("sequence", entry.sequence)
-        .Field("elapsed_seconds", entry.elapsed_seconds)
-        .Field("mechanism", entry.mechanism)
-        .Field("label", entry.label)
-        .Field("mu", entry.mu)
-        .Field("gamma", entry.gamma)
-        .Field("dimension", static_cast<uint64_t>(entry.dimension))
-        .Field("l1_sensitivity", entry.l1_sensitivity)
-        .Field("l2_sensitivity", entry.l2_sensitivity)
-        .Field("sampling_rate", entry.sampling_rate)
-        .Field("count", entry.count)
-        .Field("epsilon", entry.epsilon)
-        .Field("delta", entry.delta)
-        .Field("best_alpha", entry.best_alpha)
-        .Field("cumulative_epsilon", entry.cumulative_epsilon)
-        .Field("contributors", static_cast<uint64_t>(entry.contributors))
-        .Field("expected_contributors",
-               static_cast<uint64_t>(entry.expected_contributors))
-        .Field("deficit_mu", entry.deficit_mu)
-        .EndObject();
-  }
-  writer.EndArray();
-  return writer.str();
 }
 
 }  // namespace sqm::obs

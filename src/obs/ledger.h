@@ -12,15 +12,15 @@
 namespace sqm::obs {
 
 /// One privacy spend: a mechanism release the accountant was charged for,
-/// with enough context (noise parameter, quantization scale, dropout
-/// deficit) to audit the run's privacy story after the fact. Entries are
+/// with enough context (noise parameter, quantization scale) to audit the
+/// run's privacy story after the fact. Entries are
 /// report data — they are recorded regardless of the kill switch (the
 /// switch only gates forwarding to the global ledger singleton).
 struct LedgerEntry {
   uint64_t sequence = 0;          ///< Global monotone id (stamped on append).
   double elapsed_seconds = 0.0;   ///< Since process trace epoch.
-  std::string mechanism;  ///< "gaussian" | "skellam" | "skellam_dropout" | "custom".
-  std::string label;      ///< Caller context, e.g. "pca_release", "dropout_topup".
+  std::string mechanism;  ///< "gaussian" | "skellam" | "custom".
+  std::string label;      ///< Caller context, e.g. "sqm_release".
 
   double mu = 0.0;      ///< Noise parameter (sigma for gaussian, mu for Skellam).
   double gamma = 0.0;   ///< Quantization scale in effect, 0 when not applicable.
@@ -34,10 +34,6 @@ struct LedgerEntry {
   double delta = 0.0;       ///< 0 when no delta context was configured.
   double best_alpha = 0.0;  ///< Minimizing Renyi order for the standalone bound.
   double cumulative_epsilon = 0.0;  ///< Accountant total after this entry.
-
-  size_t contributors = 0;           ///< Surviving noise contributors.
-  size_t expected_contributors = 0;  ///< Configured contributors.
-  double deficit_mu = 0.0;           ///< Configured minus realized mu (dropouts).
 };
 
 /// Process-wide, thread-safe timeline of privacy spends. PrivacyAccountant
@@ -64,8 +60,6 @@ class PrivacyLedger {
   /// Drops buffered entries. Sequence numbers keep increasing so
   /// EntriesSince cursors held across a Clear stay valid.
   void Clear();
-
-  static std::string ToJson(const std::vector<LedgerEntry>& entries);
 
  private:
   mutable Mutex mu_;

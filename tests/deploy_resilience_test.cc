@@ -1,7 +1,7 @@
 // Multi-process resilience: the coordinator launches a 5-party networked
 // run as real OS processes, one party is SIGKILLed mid-Mul (no goodbye
-// frame, sub-shares half-sent), and the survivors must finish and
-// re-account the privacy guarantee instead of hanging.
+// frame, sub-shares half-sent), and the survivors must finish with the
+// configured privacy guarantee instead of hanging.
 //
 // This is the one suite that exercises the deployment path end-to-end —
 // fork/exec, pre-bound listeners, TCP framing, crash detection via
@@ -9,7 +9,6 @@
 // it spawns the real sqm-coordinator binary (path baked in via
 // SQM_COORDINATOR_BIN) rather than simulating any layer.
 
-#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -107,29 +106,40 @@ TEST(DeployResilience, KillMidMulUnderDegradeReaccountsEpsilon) {
     EXPECT_NE(survivor, 2u) << "the killed party cannot be a survivor";
   }
 
-  // Party 2's Skellam contribution died with it: mu drops from 4 to
-  // 4 * 4/5 = 3.2 and the honest epsilon at the weaker noise must be
-  // strictly worse (larger) but still finite — degraded, not destroyed.
+  // Party 2 dealt its Sk(mu/n) share in its input round, before the kill,
+  // so the release carries the full Sk(4): the configured mu and epsilon,
+  // charged as one Skellam spend.
   EXPECT_DOUBLE_EQ(dropout.configured_mu, 4.0);
-  EXPECT_NEAR(dropout.realized_mu, 3.2, 1e-12);
-  EXPECT_DOUBLE_EQ(dropout.topup_mu, 0.0);
-  EXPECT_GT(dropout.realized_epsilon, dropout.configured_epsilon);
-  EXPECT_TRUE(std::isfinite(dropout.realized_epsilon));
+  EXPECT_DOUBLE_EQ(dropout.realized_mu, 4.0);
+  EXPECT_DOUBLE_EQ(dropout.realized_epsilon, dropout.configured_epsilon);
   EXPECT_GT(dropout.configured_epsilon, 0.0);
+  ASSERT_EQ(report.ledger.size(), 1u);
+  EXPECT_EQ(report.ledger[0].mechanism, "skellam");
+  EXPECT_DOUBLE_EQ(report.ledger[0].mu, 4.0);
 }
 
-TEST(DeployResilience, KillMidMulUnderTopupRestoresConfiguredMu) {
-  const sqm::SqmReport report = RunCrashScenario("topup");
-  const sqm::DropoutReport& dropout = report.dropout;
-
-  EXPECT_EQ(dropout.policy, sqm::DropoutPolicy::kTopUp);
-  EXPECT_EQ(dropout.num_dropped, 1u);
-  // Each of the 4 survivors adds mu/n = 0.8 of fresh noise, restoring the
-  // provisioned total: 3.2 + 4 * 0.8 / 4 ... i.e. realized_mu == 4.
-  EXPECT_NEAR(dropout.topup_mu, 0.8, 1e-12);
-  EXPECT_NEAR(dropout.realized_mu, 4.0, 1e-12);
-  EXPECT_NEAR(dropout.realized_epsilon, dropout.configured_epsilon,
-              1e-9 * dropout.configured_epsilon);
+TEST(DeployResilience, RetiredTopupPolicyIsRefusedBeforeAnyFork) {
+  const std::string dir = testing::TempDir() + "/deploy_retired_" +
+                          std::to_string(::getpid());
+  ASSERT_EQ(std::system(("mkdir -p " + dir).c_str()), 0);
+  {
+    std::ofstream config(dir + "/deploy.json", std::ios::trunc);
+    config << DeployConfig("topup");
+    ASSERT_TRUE(config.good());
+  }
+  const std::string command = std::string(SQM_COORDINATOR_BIN) +
+                              " --config=" + dir + "/deploy.json" +
+                              " --out-dir=" + dir + " > " + dir +
+                              "/coordinator.log 2>&1";
+  const int rc = std::system(command.c_str());
+  ASSERT_TRUE(WIFEXITED(rc));
+  EXPECT_NE(WEXITSTATUS(rc), 0);
+  const std::string log = ReadFileOrEmpty(dir + "/coordinator.log");
+  EXPECT_NE(log.find("abort"), std::string::npos) << log;
+  EXPECT_NE(log.find("degrade"), std::string::npos) << log;
+  // The resolved roster is written just before the first fork.
+  EXPECT_TRUE(ReadFileOrEmpty(dir + "/deploy_resolved.json").empty());
+  EXPECT_TRUE(ReadFileOrEmpty(dir + "/party_0.json").empty());
 }
 
 #else  // !SQM_DEPLOY_TEST_SUPPORTED

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/json.h"
 #include "dp/accountant.h"
 #include "obs/obs.h"
 
@@ -57,24 +56,6 @@ TEST_F(LedgerTest, ClearKeepsSequenceMonotone) {
   EXPECT_GT(after, before);
 }
 
-TEST_F(LedgerTest, ToJsonParses) {
-  obs::LedgerEntry entry;
-  entry.mechanism = "skellam";
-  entry.label = "json_spend";
-  entry.mu = 16.0;
-  entry.epsilon = 0.5;
-  obs::PrivacyLedger::Global().Append(entry);
-
-  const std::string json =
-      obs::PrivacyLedger::ToJson(obs::PrivacyLedger::Global().Entries());
-  const JsonValue root = ParseJson(json).ValueOrDie();
-  ASSERT_EQ(root.kind, JsonValue::Kind::kArray);
-  ASSERT_EQ(root.items.size(), 1u);
-  EXPECT_EQ(root.items[0].Find("mechanism")->string_value, "skellam");
-  EXPECT_EQ(root.items[0].Find("label")->string_value, "json_spend");
-  EXPECT_DOUBLE_EQ(root.items[0].Find("mu")->number, 16.0);
-}
-
 TEST_F(LedgerTest, AccountantForwardsSkellamSpends) {
   PrivacyAccountant accountant;
   accountant.SetLedgerContext(/*delta=*/1e-5, /*gamma=*/256.0,
@@ -111,26 +92,6 @@ TEST_F(LedgerTest, CumulativeEpsilonGrowsAcrossSpends) {
   // Both standalone spends are identical mechanisms.
   EXPECT_DOUBLE_EQ(accountant.ledger()[0].epsilon,
                    accountant.ledger()[1].epsilon);
-}
-
-TEST_F(LedgerTest, DropoutSpendCarriesDeficitContext) {
-  PrivacyAccountant accountant;
-  accountant.SetLedgerContext(1e-5);
-  accountant.AddSkellamWithDropouts("degraded", 2.0, 1.0, /*mu=*/100.0,
-                                    /*num_clients=*/5, /*num_dropped=*/1);
-  ASSERT_EQ(accountant.ledger().size(), 1u);
-  const obs::LedgerEntry& entry = accountant.ledger()[0];
-  EXPECT_EQ(entry.mechanism, "skellam_dropout");
-  EXPECT_EQ(entry.contributors, 4u);
-  EXPECT_EQ(entry.expected_contributors, 5u);
-  EXPECT_DOUBLE_EQ(entry.mu, 80.0);         // Realized (n-d)/n * mu.
-  EXPECT_DOUBLE_EQ(entry.deficit_mu, 20.0); // Configured minus realized.
-
-  // The global ledger got the same completed entry, not a partial copy.
-  const auto global = obs::PrivacyLedger::Global().Entries();
-  ASSERT_EQ(global.size(), 1u);
-  EXPECT_EQ(global[0].mechanism, "skellam_dropout");
-  EXPECT_DOUBLE_EQ(global[0].deficit_mu, 20.0);
 }
 
 TEST_F(LedgerTest, KillSwitchStopsGlobalForwardingNotLocalRecording) {

@@ -216,6 +216,26 @@ TEST(DeploymentConfigJson, NegativeChaosStallSecondsIsRejected) {
       << parsed.status().ToString();
 }
 
+TEST(DeploymentConfigJson, RetiredTopupPolicyIsRejected) {
+  std::string json = sqm::DeploymentConfigToJson(RecoveryConfig());
+  const std::string key = "\"dropout_policy\":\"abort\"";
+  const size_t at = json.find(key);
+  ASSERT_NE(at, std::string::npos) << json;
+  json.replace(at, key.size(), "\"dropout_policy\":\"topup\"");
+  sqm::Result<sqm::DeploymentConfig> parsed =
+      sqm::ParseDeploymentConfig(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  // The policy name is checked where options are built, which every party
+  // and the coordinator do before any traffic.
+  const sqm::Result<sqm::SqmOptions> options =
+      sqm::SqmOptionsFromDeployment(parsed.ValueOrDie());
+  EXPECT_EQ(options.status().code(), sqm::StatusCode::kInvalidArgument);
+  EXPECT_NE(options.status().message().find("abort"), std::string::npos)
+      << options.status().ToString();
+  EXPECT_NE(options.status().message().find("degrade"), std::string::npos)
+      << options.status().ToString();
+}
+
 TEST(PartyProtocol, FullQuorumFailurePrintsCensusMasksInHex) {
   // Five parties on one threaded transport in recovery mode, each with its
   // own tracker. Parties 0-3 multiply two public constants (no input
@@ -386,9 +406,9 @@ TEST(SqmPlanParity, DriverAndPartyRejectTheSameConfigs) {
   }
 }
 
-/// Census votes are one 64-bit dealer mask, so tracked (degrade, top-up)
-/// runs are refused above 64 clients before any traffic; abort runs run no
-/// census and take any client count.
+/// Census votes are one 64-bit dealer mask, so tracked (degrade) runs are
+/// refused above 64 clients before any traffic; abort runs run no census
+/// and take any client count.
 TEST(SqmPlanParity, CensusLimitRefusesOnlyTrackedRunsAbove64Clients) {
   constexpr size_t kClients = 65;
   sqm::DeploymentConfig config = BaseConfig(kClients);

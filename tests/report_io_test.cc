@@ -204,13 +204,12 @@ TEST(ReportIoTest, SqmReportRoundTripsThroughJson) {
   report.network.messages = 9;
   report.network.field_elements = 27;
   report.network.rounds = 4;
-  report.dropout.policy = DropoutPolicy::kTopUp;
+  report.dropout.policy = DropoutPolicy::kDegrade;
   report.dropout.num_parties = 5;
   report.dropout.num_dropped = 2;
   report.dropout.survivors = {0, 2, 4};
   report.dropout.configured_mu = 16.0;
   report.dropout.realized_mu = 9.6;
-  report.dropout.topup_mu = 6.4;
   report.dropout.configured_epsilon = 0.5;
   report.dropout.realized_epsilon = 0.8125;
   report.dropout.delta = 1e-6;
@@ -230,13 +229,12 @@ TEST(ReportIoTest, SqmReportRoundTripsThroughJson) {
   EXPECT_EQ(back.network.messages, report.network.messages);
   EXPECT_EQ(back.network.field_elements, report.network.field_elements);
   EXPECT_EQ(back.network.rounds, report.network.rounds);
-  EXPECT_EQ(back.dropout.policy, DropoutPolicy::kTopUp);
+  EXPECT_EQ(back.dropout.policy, DropoutPolicy::kDegrade);
   EXPECT_EQ(back.dropout.num_parties, 5u);
   EXPECT_EQ(back.dropout.num_dropped, 2u);
   EXPECT_EQ(back.dropout.survivors, report.dropout.survivors);
   EXPECT_EQ(back.dropout.configured_mu, 16.0);
   EXPECT_EQ(back.dropout.realized_mu, 9.6);
-  EXPECT_EQ(back.dropout.topup_mu, 6.4);
   EXPECT_EQ(back.dropout.realized_epsilon, 0.8125);
   EXPECT_EQ(back.dropout.delta, 1e-6);
   EXPECT_EQ(back.dropout.best_alpha, 12.5);
@@ -280,7 +278,7 @@ TEST(ReportIoTest, PrivacyLedgerRoundTripsThroughJson) {
   obs::LedgerEntry spend;
   spend.sequence = 7;
   spend.elapsed_seconds = 0.5;
-  spend.mechanism = "skellam_dropout";
+  spend.mechanism = "skellam";
   spend.label = "sqm_release";
   spend.mu = 80.0;
   spend.gamma = 256.0;
@@ -293,9 +291,6 @@ TEST(ReportIoTest, PrivacyLedgerRoundTripsThroughJson) {
   spend.delta = 1e-5;
   spend.best_alpha = 8.5;
   spend.cumulative_epsilon = 0.75;
-  spend.contributors = 4;
-  spend.expected_contributors = 5;
-  spend.deficit_mu = 20.0;
   report.ledger.push_back(spend);
 
   const std::string json = SqmReportToJson(report);
@@ -305,7 +300,7 @@ TEST(ReportIoTest, PrivacyLedgerRoundTripsThroughJson) {
   ASSERT_EQ(parsed.ValueOrDie().ledger.size(), 1u);
   const obs::LedgerEntry& back = parsed.ValueOrDie().ledger[0];
   EXPECT_EQ(back.sequence, 7u);
-  EXPECT_EQ(back.mechanism, "skellam_dropout");
+  EXPECT_EQ(back.mechanism, "skellam");
   EXPECT_EQ(back.label, "sqm_release");
   EXPECT_EQ(back.mu, 80.0);
   EXPECT_EQ(back.gamma, 256.0);
@@ -315,9 +310,6 @@ TEST(ReportIoTest, PrivacyLedgerRoundTripsThroughJson) {
   EXPECT_EQ(back.delta, 1e-5);
   EXPECT_EQ(back.best_alpha, 8.5);
   EXPECT_EQ(back.cumulative_epsilon, 0.75);
-  EXPECT_EQ(back.contributors, 4u);
-  EXPECT_EQ(back.expected_contributors, 5u);
-  EXPECT_EQ(back.deficit_mu, 20.0);
 }
 
 TEST(ReportIoTest, MissingPrivacyLedgerBlockLoadsAsEmpty) {
@@ -353,13 +345,13 @@ TEST(ReportIoTest, MalformedLedgerEntryFailsWithStatus) {
 }
 
 TEST(ReportIoTest, DropoutPolicyStringsRoundTrip) {
-  for (DropoutPolicy policy : {DropoutPolicy::kAbort, DropoutPolicy::kDegrade,
-                               DropoutPolicy::kTopUp}) {
+  for (DropoutPolicy policy : {DropoutPolicy::kAbort, DropoutPolicy::kDegrade}) {
     const auto back = DropoutPolicyFromString(DropoutPolicyToString(policy));
     ASSERT_TRUE(back.ok());
     EXPECT_EQ(back.ValueOrDie(), policy);
   }
   EXPECT_FALSE(DropoutPolicyFromString("nonsense").ok());
+  EXPECT_FALSE(DropoutPolicyFromString("topup").ok());  // Retired policy.
 }
 
 }  // namespace

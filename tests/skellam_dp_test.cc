@@ -163,6 +163,15 @@ TEST(SkellamDpTest, UnreachableTargetsReturnInvalidArgumentNamingTheFloor) {
   }
   // Just above the floor is reachable.
   EXPECT_TRUE(CalibrateSkellamMuSingleRelease(0.05, 1e-5, 10.0, 3.0).ok());
+  // A small delta prints in full, not rounded to six decimals.
+  const Result<double> tiny_delta =
+      CalibrateSkellamMuSingleRelease(0.1, 1e-9, 1.0, 1.0);
+  ASSERT_FALSE(tiny_delta.ok());
+  EXPECT_EQ(tiny_delta.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(tiny_delta.status().message().find("1e-09"), std::string::npos)
+      << tiny_delta.status().ToString();
+  EXPECT_EQ(tiny_delta.status().message().find("0.000000"), std::string::npos)
+      << tiny_delta.status().ToString();
 }
 
 TEST(SkellamDpTest, SubsampledEpsilonRisesInSampleRate) {

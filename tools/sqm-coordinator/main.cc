@@ -368,6 +368,14 @@ int main(int argc, char** argv) {
   }
   sqm::DeploymentConfig config = std::move(parsed).ValueOrDie();
   const size_t n = config.parties.size();
+  // Options every party would refuse (say, an unknown dropout policy)
+  // fail here, before any listener is bound or any party forked.
+  const sqm::Result<sqm::SqmOptions> options =
+      sqm::SqmOptionsFromDeployment(config);
+  if (!options.ok()) {
+    std::cerr << options.status().ToString() << "\n";
+    return 1;
+  }
 
   // Pre-bind every listener so (a) port 0 resolves before the roster is
   // distributed and (b) no party can fail a bind race against a stale
@@ -721,39 +729,32 @@ int main(int argc, char** argv) {
   // transport must release bit-identical raw values.
   bool lockstep_match = true;
   if (args.compare_lockstep && canonical < n) {
-    sqm::Result<sqm::SqmOptions> options =
-        sqm::SqmOptionsFromDeployment(config);
-    if (!options.ok()) {
-      std::cerr << options.status().ToString() << "\n";
+    const size_t cols = sqm::DeploymentCols(config);
+    const sqm::Matrix x =
+        sqm::GenerateDeploymentMatrix(config.rows, cols, config.data_seed);
+    sqm::Result<sqm::PolynomialVector> f =
+        sqm::ParsePolynomialVector(config.polynomial);
+    if (!f.ok()) {
+      std::cerr << f.status().ToString() << "\n";
       ok = false;
     } else {
-      const size_t cols = sqm::DeploymentCols(config);
-      const sqm::Matrix x = sqm::GenerateDeploymentMatrix(
-          config.rows, cols, config.data_seed);
-      sqm::Result<sqm::PolynomialVector> f =
-          sqm::ParsePolynomialVector(config.polynomial);
-      if (!f.ok()) {
-        std::cerr << f.status().ToString() << "\n";
+      sqm::SqmEvaluator evaluator(options.ValueOrDie());
+      sqm::Result<sqm::SqmReport> reference =
+          evaluator.Evaluate(f.ValueOrDie(), x);
+      if (!reference.ok()) {
+        std::cerr << "lockstep reference run failed: "
+                  << reference.status().ToString() << "\n";
+        ok = false;
+      } else if (reference.ValueOrDie().raw !=
+                 outcomes[canonical].report.raw) {
+        std::cerr << "networked release differs from the lockstep "
+                     "reference (bit-exactness violated)\n";
+        lockstep_match = false;
         ok = false;
       } else {
-        sqm::SqmEvaluator evaluator(options.ValueOrDie());
-        sqm::Result<sqm::SqmReport> reference =
-            evaluator.Evaluate(f.ValueOrDie(), x);
-        if (!reference.ok()) {
-          std::cerr << "lockstep reference run failed: "
-                    << reference.status().ToString() << "\n";
-          ok = false;
-        } else if (reference.ValueOrDie().raw !=
-                   outcomes[canonical].report.raw) {
-          std::cerr << "networked release differs from the lockstep "
-                       "reference (bit-exactness violated)\n";
-          lockstep_match = false;
-          ok = false;
-        } else {
-          std::cout << "lockstep comparison: bit-identical ("
-                    << outcomes[canonical].report.raw.size()
-                    << " outputs)\n";
-        }
+        std::cout << "lockstep comparison: bit-identical ("
+                  << outcomes[canonical].report.raw.size()
+                  << " outputs)\n";
       }
     }
   }

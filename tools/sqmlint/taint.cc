@@ -540,7 +540,7 @@ void CheckDpSpendCoverage(const Engine& engine, FlowAnalysis* out) {
 
   // Spend calls: the accountant's Add* family.
   static const std::set<std::string> kSpendCalls = {
-      "AddGaussian", "AddSkellam", "AddSkellamWithDropouts", "AddEvent"};
+      "AddGaussian", "AddSkellam", "AddEvent"};
 
   std::vector<bool> spends(n, false);
   std::vector<bool> draws(n, false);
