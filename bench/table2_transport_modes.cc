@@ -1,12 +1,9 @@
-// Table II companion: the same SQM release over BGW on four transport
-// configurations — the paper's lock-step simulation (deterministic, time =
-// rounds * 0.1 s), the threaded runtime on reliable links (real wall-clock
-// concurrency), the threaded runtime on lossy links (drops recovered by
-// timeout + retransmission), and real TCP over localhost (one transport
-// per party thread, full mesh on loopback sockets — the deployment path
-// sqm-party runs, minus process isolation). The released integers are
-// identical in all four; what changes is the clock being reported and the
-// traffic needed to get there.
+// Table II companion: the same SQM release over BGW on two transports —
+// the paper's lock-step simulation (deterministic, time = rounds * 0.1 s)
+// and real TCP over localhost (one transport per party thread, full mesh
+// on loopback sockets — the deployment path sqm-party runs, minus process
+// isolation). The released integers are identical in both; what changes
+// is the clock being reported.
 //
 // With --json=FILE the per-row numbers are also written as a JSON record
 // (scripts/check.sh archives it as BENCH_transport_modes.json).
@@ -110,10 +107,7 @@ struct Row {
   size_t n = 0;
   size_t m = 0;
   double lockstep_seconds = 0.0;
-  double threaded_seconds = 0.0;
-  double lossy_seconds = 0.0;
-  unsigned long long lossy_messages = 0;
-  unsigned long long lossy_retries = 0;
+  unsigned long long messages = 0;
   bool tcp_supported = false;
   double tcp_seconds = 0.0;
   bool match = false;
@@ -128,21 +122,18 @@ void WriteJson(const std::string& path, bool paper_scale,
   }
   std::fprintf(out,
                "{\"bench\":\"transport_modes\",\"scale\":\"%s\","
-               "\"modes\":[\"lockstep\",\"threaded\",\"threaded-lossy\","
-               "\"tcp-localhost\"],\"rows\":[",
+               "\"modes\":[\"lockstep\",\"tcp-localhost\"],\"rows\":[",
                paper_scale ? "paper" : "small");
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
     std::fprintf(
         out,
         "%s{\"n\":%zu,\"m\":%zu,\"lockstep_simulated_seconds\":%.6f,"
-        "\"threaded_wall_seconds\":%.6f,\"lossy_wall_seconds\":%.6f,"
-        "\"lossy_messages\":%llu,\"lossy_retries\":%llu,"
-        "\"tcp_supported\":%s,\"tcp_wall_seconds\":%.6f,\"match\":%s}",
-        i == 0 ? "" : ",", row.n, row.m, row.lockstep_seconds,
-        row.threaded_seconds, row.lossy_seconds, row.lossy_messages,
-        row.lossy_retries, row.tcp_supported ? "true" : "false",
-        row.tcp_seconds, row.match ? "true" : "false");
+        "\"messages\":%llu,\"tcp_supported\":%s,"
+        "\"tcp_wall_seconds\":%.6f,\"match\":%s}",
+        i == 0 ? "" : ",", row.n, row.m, row.lockstep_seconds, row.messages,
+        row.tcp_supported ? "true" : "false", row.tcp_seconds,
+        row.match ? "true" : "false");
   }
   std::fprintf(out, "]}\n");
   std::fclose(out);
@@ -160,27 +151,24 @@ int main(int argc, char** argv) {
                          : std::vector<size_t>{4, 8, 12};
   const double gamma = 18.0;
   const double latency = 0.1;  // The paper's per-round latency.
-  const double drop_probability = 0.05;
 
   bench::PrintHeader(
-      "Table II companion: lock-step simulated time vs threaded and TCP "
-      "wall-clock (m=" + std::to_string(m) + ", gamma=18, latency=0.1 s)",
-      "release f_i(x) = x_i * x_{i+1 mod n}; lossy = " +
-          std::to_string(drop_probability) + " drop probability per link; "
-          "tcp = n transports on loopback sockets (the sqm-party path)");
+      "Table II companion: lock-step simulated time vs TCP wall-clock (m=" +
+          std::to_string(m) + ", gamma=18, latency=0.1 s)",
+      "release f_i(x) = x_i * x_{i+1 mod n}; "
+      "tcp = n transports on loopback sockets (the sqm-party path)");
 
-  std::printf("\n%-6s %-4s %-14s %-14s %-14s %-12s %-9s %-9s %-6s\n", "n",
-              "P", "lockstep (s)", "threaded (s)", "lossy (s)", "tcp (s)",
-              "messages", "retries", "match");
+  std::printf("\n%-6s %-4s %-14s %-12s %-9s %-6s\n", "n", "P",
+              "lockstep (s)", "tcp (s)", "messages", "match");
   bench::PrintRule();
 
   std::vector<Row> rows;
   for (size_t n : dims) {
     // A pairwise-product release: n output dimensions, one batched Mul
     // round, the message pattern of the paper's quadratic (PCA-style)
-    // task. Expressed once as a deployment config so all four transports
-    // run byte-for-byte the same mechanism: the in-process modes derive
-    // their SqmOptions from it, the TCP mode runs it per party.
+    // task. Expressed once as a deployment config so both transports run
+    // byte-for-byte the same mechanism: the lock-step run derives its
+    // SqmOptions from it, the TCP mode runs it per party.
     DeploymentConfig deployment;
     deployment.run_id = 7000 + n;
     deployment.session_key = 0xbe4c;
@@ -209,17 +197,6 @@ int main(int argc, char** argv) {
     const SqmReport lockstep =
         SqmEvaluator(options).Evaluate(f.ValueOrDie(), x).ValueOrDie();
 
-    options.transport = TransportMode::kThreaded;
-    options.threaded.receive_timeout_seconds = 0.05;
-    options.threaded.max_retries = 8;
-    options.threaded.retry_backoff_seconds = 0.0005;
-    const SqmReport threaded =
-        SqmEvaluator(options).Evaluate(f.ValueOrDie(), x).ValueOrDie();
-
-    options.threaded.faults.all_links.drop_probability = drop_probability;
-    const SqmReport lossy =
-        SqmEvaluator(options).Evaluate(f.ValueOrDie(), x).ValueOrDie();
-
     const TcpRun tcp = RunTcpLocalhost(deployment);
     if (tcp.supported && !tcp.ok) {
       std::fprintf(stderr, "tcp run (n=%zu) failed: %s\n", n,
@@ -230,14 +207,11 @@ int main(int argc, char** argv) {
     row.n = n;
     row.m = m;
     row.lockstep_seconds = lockstep.transport.simulated_seconds;
-    row.threaded_seconds = threaded.transport.wall_seconds;
-    row.lossy_seconds = lossy.transport.wall_seconds;
-    row.lossy_messages = lossy.network.messages;
-    row.lossy_retries = lossy.transport.retries;
+    row.messages = lockstep.network.messages;
     row.tcp_supported = tcp.supported;
     row.tcp_seconds = tcp.wall_seconds;
-    row.match = threaded.raw == lockstep.raw && lossy.raw == lockstep.raw &&
-                (!tcp.supported || (tcp.ok && tcp.report.raw == lockstep.raw));
+    row.match =
+        !tcp.supported || (tcp.ok && tcp.report.raw == lockstep.raw);
     rows.push_back(row);
 
     char tcp_text[32];
@@ -246,19 +220,17 @@ int main(int argc, char** argv) {
     } else {
       std::snprintf(tcp_text, sizeof(tcp_text), "n/a");
     }
-    std::printf("%-6zu %-4zu %-14.3f %-14.4f %-14.4f %-12s %-9llu %-9llu %-6s\n",
-                n, n, row.lockstep_seconds, row.threaded_seconds,
-                row.lossy_seconds, tcp_text, row.lossy_messages,
-                row.lossy_retries, row.match ? "yes" : "NO");
+    std::printf("%-6zu %-4zu %-14.3f %-12s %-9llu %-6s\n", n, n,
+                row.lockstep_seconds, tcp_text, row.messages,
+                row.match ? "yes" : "NO");
   }
 
   std::printf(
       "\nReading: the lock-step column charges 0.1 s per synchronous round "
-      "(the paper's model); the other columns are real wall-clock. Reliable "
-      "threaded links finish in milliseconds, each recovered drop adds one "
-      "receive-timeout window, and the TCP column adds mesh establishment "
-      "plus kernel socket hops. The released integers match across all "
-      "transports — bit-exactness is independent of the execution model.\n");
+      "(the paper's model); the TCP column is real wall-clock, including "
+      "mesh establishment and kernel socket hops. The released integers "
+      "match across both transports — bit-exactness is independent of the "
+      "execution model.\n");
 
   if (!config.json_path.empty()) {
     WriteJson(config.json_path, config.paper_scale, rows);

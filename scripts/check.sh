@@ -71,9 +71,9 @@ else
       | tee "$build_dir/TIDY_report.txt"
 fi
 
-# Archive the transport-mode comparison (lockstep vs threaded vs lossy vs
-# tcp-localhost) so every gate run leaves a machine-readable record of the
-# bit-exactness-across-transports claim next to the build.
+# Archive the transport-mode comparison (lockstep simulated time vs
+# tcp-localhost wall time) so every gate run leaves a machine-readable
+# record of the bit-exactness-across-transports claim next to the build.
 "$build_dir"/bench/table2_transport_modes --scale=small \
     --json="$build_dir/BENCH_transport_modes.json"
 
@@ -104,15 +104,20 @@ fi
 # suite's threaded/TCP legs put the batched hot path under the
 # race detector too, as do the concurrent sampler draws (parties sample
 # their Skellam shares at the same time), the TCP transport suite
-# (listener shutdown waking the acceptor, then the thread joins), and the
-# resilience suite (crash sweeps over the threaded transport through the
-# quorum and abort paths), and the obs suites (the tracer's per-thread
-# buffers, and the durable trace rewritten while it is read). A separate
-# build tree keeps the instrumented objects out of the primary build.
+# (listener shutdown waking the acceptor, then the thread joins), the
+# resilience suite (crash schedules through the quorum and abort paths),
+# and the obs suites (the tracer's per-thread buffers, and the durable
+# trace rewritten while it is read). The party-thread transport suite and
+# the schedule fuzzer with its smoke run (crash schedules on the threaded
+# transport against lockstep, plus the party-thread message storm) run
+# there too: the mailboxes and the round barrier are where a race would
+# hide. A separate build tree keeps the
+# instrumented objects out of the primary build.
 tsan_dir="$build_dir-tsan"
 cmake -B "$tsan_dir" -S "$repo_root" -DSQM_SANITIZE=thread
 cmake --build "$tsan_dir" -j"$(nproc)"
 (cd "$tsan_dir" && ctest -L 'deploy|chaos|batch|sampler|tcp|resilience|obs' --output-on-failure)
+(cd "$tsan_dir" && ctest -R '^(ThreadedTransportTest\.|ScheduleFuzzTest\.|fuzz_smoke$)' --output-on-failure)
 
 # The benchmark gate: perfbench is a separate CMake project that compiles
 # src/ against its public headers (SqmOptions, SqmReport::timing and

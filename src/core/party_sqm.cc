@@ -80,7 +80,6 @@ Result<SqmOptions> SqmOptionsFromDeployment(const DeploymentConfig& config) {
   options.num_clients = config.parties.size();
   options.backend = MpcBackend::kBgw;
   options.bgw_threshold = config.bgw_threshold;
-  options.transport = TransportMode::kLockstep;
   options.seed = config.seed;
   SQM_ASSIGN_OR_RETURN(options.dropout_policy,
                        DropoutPolicyFromString(config.dropout_policy));

@@ -92,8 +92,6 @@ void WriteTransportStatsFields(JsonWriter& writer,
   }
   writer.EndArray();
   writer.Field("drops_injected", stats.drops_injected)
-      .Field("delays_injected", stats.delays_injected)
-      .Field("reorders_injected", stats.reorders_injected)
       .Field("receive_timeouts", stats.receive_timeouts)
       .Field("retries", stats.retries)
       .Field("crash_losses", stats.crash_losses)

@@ -35,28 +35,13 @@ Result<SqmReport> EvaluatePlaintext(const SqmPlan& plan,
 }
 
 /// Driver-mode BGW executor: one engine hosts every party in this process
-/// over one lockstep or threaded transport.
+/// over one lockstep transport.
 Result<SqmReport> EvaluateBgw(const SqmPlan& plan,
                               const SqmPlan::Inputs& inputs) {
   const SqmOptions& options = plan.options();
-  // The protocol code is transport-agnostic; the options pick the
-  // execution model (deterministic lock-step vs concurrent mailboxes with
-  // optional fault injection).
-  std::unique_ptr<Transport> network;
-  if (options.transport == TransportMode::kThreaded) {
-    ThreadedTransportOptions threaded = options.threaded;
-    threaded.per_round_latency_seconds = options.network_latency_seconds;
-    threaded.element_wire_bytes = Field::kWireBytes;
-    network = std::make_unique<ThreadedTransport>(plan.num_clients(),
-                                                  threaded);
-  } else {
-    auto lockstep = std::make_unique<LockstepTransport>(
-        plan.num_clients(), options.network_latency_seconds);
-    // Lockstep honors the crash component of the fault options, so the
-    // same dropout scenario runs under both transports.
-    lockstep->ScheduleCrashes(options.threaded.faults.EffectiveCrashes());
-    network = std::move(lockstep);
-  }
+  auto network = std::make_unique<LockstepTransport>(
+      plan.num_clients(), options.network_latency_seconds);
+  network->ScheduleCrashes(options.crashes);
   if (options.interceptor != nullptr) {
     network->SetInterceptor(options.interceptor);
   }

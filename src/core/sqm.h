@@ -8,7 +8,6 @@
 #include "core/sensitivity.h"
 #include "core/status.h"
 #include "math/matrix.h"
-#include "net/threaded.h"
 #include "net/transport.h"
 #include "obs/ledger.h"
 #include "poly/polynomial.h"
@@ -73,17 +72,9 @@ struct SqmOptions {
   /// Simulated per-round message latency (the paper uses 0.1 s).
   double network_latency_seconds = 0.0;
 
-  /// Which transport runs the BGW phase. kLockstep reproduces the paper's
-  /// deterministic single-machine simulation; kThreaded uses concurrent
-  /// mailboxes with blocking receives and (optionally) fault injection.
-  /// The released values are identical across transports — only timing,
-  /// traffic, and failure behavior differ.
+  /// Unused; see TransportMode. Every driver-mode release runs on
+  /// LockstepTransport.
   TransportMode transport = TransportMode::kLockstep;
-
-  /// Mailbox/timeout/retry/fault configuration when transport == kThreaded
-  /// (per_round_latency_seconds and element_wire_bytes are overridden from
-  /// this struct's siblings above).
-  ThreadedTransportOptions threaded;
 
   uint64_t seed = 42;
 
@@ -125,14 +116,19 @@ struct SqmOptions {
   /// and void the DP analysis).
   bool check_capacity = true;
 
-  /// Adversarial-conformance hooks (testing only; both default off so
-  /// production runs are byte-identical to before).
+  /// Testing hooks (all default off so production runs are byte-identical
+  /// to before).
   ///
   /// `interceptor` is installed on the internally constructed transport for
   /// the BGW phase — e.g. a testing::ByzantineInterceptor tampering with
   /// wire messages, or a testing::TranscriptRecorder capturing them. Must
   /// outlive the Evaluate call.
   MessageInterceptor* interceptor = nullptr;
+
+  /// Crash schedule installed on the internally constructed transport for
+  /// the BGW phase (LockstepTransport::ScheduleCrashes): the dropout
+  /// scenarios the kDegrade policy is tested against.
+  std::vector<CrashEvent> crashes;
 
   /// Enables the BGW conformance checks (see BgwEngine::set_verify_sharings)
   /// so a tampered run fails with kIntegrityViolation instead of releasing

@@ -40,8 +40,8 @@ class BgwEngine {
  public:
   /// Hosts every party (driver mode). `network` must outlive the engine
   /// and match the scheme's party count. Any Transport works: the
-  /// lock-step simulation for deterministic runs, a ThreadedTransport for
-  /// concurrent/faulty execution.
+  /// lock-step simulation for deterministic runs, a ThreadedTransport
+  /// driven from one thread.
   BgwEngine(ShamirScheme scheme, Transport* network, uint64_t seed);
 
   /// Hosts party `me` only (a deployment, or one party thread). `seed`

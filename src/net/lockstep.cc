@@ -19,19 +19,10 @@ void LockstepTransport::ScheduleCrashes(
   crashes_ = crashes;
 }
 
-bool LockstepTransport::HasCrashed(size_t party) const {
-  const uint64_t completed_rounds = stats().rounds;
-  for (const CrashEvent& event : crashes_) {
-    if (event.party == party && completed_rounds >= event.after_rounds) {
-      return true;
-    }
-  }
-  return false;
-}
-
 void LockstepTransport::Send(size_t from, size_t to, Payload payload) {
   CheckParty(from, to);
-  if (from != to && HasCrashed(from)) {
+  if (from != to && !crashes_.empty() &&
+      HasCrashed(crashes_, from, stats().rounds)) {
     RecordCrashLoss();
     obs::Tracer::Global().Instant("net.fault.crash_loss", "net",
                                   {{"from", static_cast<int64_t>(from)},
@@ -54,7 +45,8 @@ Result<Transport::Payload> LockstepTransport::Receive(size_t from,
                                                       size_t to) {
   CheckParty(from, to);
   auto& queue = queues_[ChannelIndex(from, to)];
-  if (queue.empty() && from != to && HasCrashed(from)) {
+  if (queue.empty() && from != to &&
+      HasCrashed(crashes_, from, stats().rounds)) {
     return Status::Unavailable("party " + std::to_string(from) +
                                " crashed; channel " + std::to_string(from) +
                                " -> " + std::to_string(to) + " is dead");

@@ -3,7 +3,6 @@
 
 #include <deque>
 
-#include "net/fault.h"
 #include "net/transport.h"
 
 namespace sqm {
@@ -20,7 +19,7 @@ namespace sqm {
 /// default 8-byte element width is the field's (Field::kWireBytes).
 ///
 /// Not thread-safe for Send/Receive (accounting snapshots are); use
-/// ThreadedTransport for concurrent parties.
+/// ThreadedTransport for party threads.
 class LockstepTransport : public Transport {
  public:
   LockstepTransport(size_t num_parties, double per_round_latency_seconds,
@@ -30,11 +29,10 @@ class LockstepTransport : public Transport {
   Result<Payload> Receive(size_t from, size_t to) override;
   bool HasPending(size_t from, size_t to) const override;
 
-  /// Installs a crash schedule (the only component of FaultOptions lockstep
-  /// honors; probabilistic link faults need the threaded transport). A
-  /// crashed party's sends are swallowed (counted as crash losses); a
-  /// Receive from a crashed party with nothing queued returns kUnavailable
-  /// — messages it sent before crashing remain deliverable.
+  /// Installs a crash schedule. A crashed party's sends are swallowed
+  /// (counted as crash losses); a Receive from a crashed party with nothing
+  /// queued returns kUnavailable — messages it sent before crashing remain
+  /// deliverable.
   void ScheduleCrashes(const std::vector<CrashEvent>& crashes);
 
   /// Zeroes counters; warns (and returns the count) when undelivered
@@ -43,8 +41,6 @@ class LockstepTransport : public Transport {
   size_t Reset() override;
 
  private:
-  bool HasCrashed(size_t party) const;
-
   std::vector<std::deque<Payload>> queues_;
   std::vector<CrashEvent> crashes_;
 };

@@ -20,8 +20,7 @@ inline constexpr size_t kDefaultElementWireBytes = 8;
 /// keeping its own sub-shares in memory; they are delivered but appear in
 /// no counter. `wire_bytes` is accumulated at Send time from the
 /// transport's configured serialized element width, so it reflects what a
-/// real wire would carry; retransmissions triggered by fault injection are
-/// charged again, like any resent packet.
+/// real wire would carry.
 struct NetworkStats {
   uint64_t messages = 0;        ///< Cross-party point-to-point sends.
   uint64_t field_elements = 0;  ///< Payload volume in field elements.
@@ -64,13 +63,15 @@ struct TransportStats {
   /// One entry per phase label, in first-use order.
   std::vector<PhaseStats> phases;
 
-  // Fault-injection and reliability counters (zero on lock-step transports).
-  uint64_t drops_injected = 0;     ///< Messages dropped by the injector.
-  uint64_t delays_injected = 0;    ///< Messages delivered late.
-  uint64_t reorders_injected = 0;  ///< Messages delivered out of order.
-  uint64_t receive_timeouts = 0;   ///< Blocking receives that timed out.
-  uint64_t retries = 0;            ///< Successful retransmissions.
-  uint64_t crash_losses = 0;       ///< Sends swallowed by a crashed party.
+  // Fault and reliability counters.
+  uint64_t drops_injected = 0;  ///< Frames TCP chaos dropped (partition).
+  /// Always 0: no transport delays or reorders messages. Kept because
+  /// perfbench/src/tracing_transport_check.cc prints both.
+  uint64_t delays_injected = 0;
+  uint64_t reorders_injected = 0;
+  uint64_t receive_timeouts = 0;  ///< Blocking receives that timed out.
+  uint64_t retries = 0;           ///< TCP links re-established.
+  uint64_t crash_losses = 0;      ///< Sends swallowed by a crashed party.
 
   /// Simulated communication time (rounds * per-round latency).
   double simulated_seconds = 0.0;

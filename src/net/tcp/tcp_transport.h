@@ -24,8 +24,8 @@ struct TcpPeer {
   uint16_t port = 0;
 };
 
-/// Seeded socket-level fault injection applied inside TcpTransport::Send —
-/// the real-socket analogue of the in-process FaultInjector. Every
+/// Seeded socket-level fault injection applied inside TcpTransport::Send
+/// (in-process transports know only crash schedules). Every
 /// decision derives deterministically from `seed` (mixed with the local
 /// party id, so faults are asymmetric across a mesh), injection can be
 /// scoped to one phase label, and `max_events` bounds the total damage so

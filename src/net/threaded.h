@@ -2,64 +2,38 @@
 #define SQM_NET_THREADED_H_
 
 #include <atomic>
-#include <chrono>
 #include <deque>
 #include <memory>
+#include <vector>
 
 #include "core/sync.h"
-#include "net/fault.h"
 #include "net/transport.h"
 
 namespace sqm {
 
 /// Configuration of a ThreadedTransport.
 struct ThreadedTransportOptions {
-  /// Added to the simulated clock per completed round (same meaning as in
-  /// the lock-step transport, so the two report comparable numbers).
-  double per_round_latency_seconds = 0.0;
-  /// Serialized element width for byte accounting (Field::kWireBytes for
-  /// the 61-bit field).
-  size_t element_wire_bytes = kDefaultElementWireBytes;
-  /// Bounded mailbox depth per directed channel; Send blocks while the
-  /// channel already holds this many undelivered messages (backpressure).
-  size_t mailbox_capacity = 256;
-  /// How long one blocking Receive waits (wall-clock) before declaring a
-  /// timeout. Messages known to be in flight (delayed by fault injection)
-  /// extend the wait — a timeout means "nothing is coming".
+  /// How long one blocking Receive waits (wall-clock) before it gives up.
   double receive_timeout_seconds = 0.25;
-  /// Retry budget per Receive after a timeout. A retry first asks for a
-  /// retransmission of a dropped message if one exists; otherwise it waits
-  /// another timeout window.
-  size_t max_retries = 3;
-  /// Backoff before a retry completes, doubled per attempt.
-  double retry_backoff_seconds = 0.001;
-  /// Fault injection; default-constructed = reliable links, no crash.
-  FaultOptions faults;
+  /// Scheduled party crashes, the same schedule LockstepTransport takes.
+  std::vector<CrashEvent> crashes;
 };
 
-/// Concurrent multi-party transport: every directed channel is a bounded
-/// MPSC mailbox guarded by a mutex + condition variables, so each party can
-/// run on its own thread. Receive blocks until a message is deliverable,
-/// with timeout, retry/backoff, and retransmission of fault-dropped
-/// messages; a FaultInjector decides per-message drops, delays, reordering
-/// and party crashes.
+/// Multi-party transport for party threads: every directed channel is a
+/// mailbox guarded by a mutex and a condition variable, so each party can
+/// run on its own thread (see net/runner.h) and call ArriveRound() at each
+/// round boundary; the round counter advances once per barrier generation.
+/// A single driver thread may instead call EndRound(), as it does on
+/// LockstepTransport. Links deliver in order and never lose a message; the
+/// only fault is the crash schedule.
 ///
-/// Execution modes:
-///  - Driver mode: one thread runs the whole protocol (as the lock-step
-///    simulation does) and calls EndRound(). Sends land in mailboxes and
-///    receives drain them; faults and retries still apply. This keeps the
-///    protocol code identical across transports.
-///  - Per-party mode: each party runs on its own thread (see
-///    net/runner.h) and calls ArriveRound() instead of EndRound(); the
-///    round counter advances once per barrier generation.
+/// Receive blocks for one timeout window. With nothing delivered by then
+/// it returns kUnavailable when the sender has crashed and
+/// kDeadlineExceeded otherwise. A crashed sender's messages are swallowed
+/// before the interceptor sees them, as on LockstepTransport.
 ///
-/// Retransmission model: a message dropped by fault injection is parked on
-/// its channel's retransmission buffer. When a Receive times out it
-/// "requests retransmission": the parked message is redelivered after the
-/// backoff and charged to the traffic counters again, exactly like a resent
-/// packet. A crashed sender's messages are swallowed outright — no
-/// retransmission — so receives from a crashed party fail with kUnavailable
-/// once the retry budget is spent.
+/// The party threads are barrier-synchronised, so a channel holds at most
+/// one round's messages and the mailboxes need no bound.
 class ThreadedTransport : public Transport {
  public:
   ThreadedTransport(size_t num_parties, ThreadedTransportOptions options);
@@ -81,28 +55,17 @@ class ThreadedTransport : public Transport {
 
   const ThreadedTransportOptions& options() const { return options_; }
 
-  /// Rounds completed so far (drives crash-at-round fault decisions).
+  /// Rounds completed so far (drives the crash schedule).
   uint64_t completed_rounds() const {
     return completed_rounds_.load(std::memory_order_acquire);
   }
 
  private:
-  struct Entry {
-    Payload payload;
-    std::chrono::steady_clock::time_point deliver_at;
-  };
   struct Mailbox {
     mutable Mutex mu;
     CondVar ready;  ///< Signaled on enqueue.
-    CondVar space;  ///< Signaled on dequeue.
-    std::deque<Entry> queue SQM_GUARDED_BY(mu);
-    /// Dropped messages awaiting re-send.
-    std::deque<Payload> retransmit SQM_GUARDED_BY(mu);
+    std::deque<Payload> queue SQM_GUARDED_BY(mu);
   };
-
-  /// Post-interceptor delivery of one cross-party payload: draws its
-  /// fault fate, accounts it, and lands it in the mailbox.
-  void DeliverFaulted(size_t from, size_t to, Payload payload);
 
   Mailbox& mailbox(size_t from, size_t to) {
     return *mailboxes_[ChannelIndex(from, to)];
@@ -111,8 +74,10 @@ class ThreadedTransport : public Transport {
     return *mailboxes_[ChannelIndex(from, to)];
   }
 
+  /// Appends `payload` to the (from -> to) mailbox and wakes a receiver.
+  void Enqueue(size_t from, size_t to, Payload payload);
+
   ThreadedTransportOptions options_;
-  FaultInjector faults_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::atomic<uint64_t> completed_rounds_{0};
 

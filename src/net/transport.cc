@@ -56,8 +56,6 @@ TransportStats Transport::Snapshot() const {
     }
   }
   snapshot.drops_injected = drops_;
-  snapshot.delays_injected = delays_;
-  snapshot.reorders_injected = reorders_;
   snapshot.receive_timeouts = timeouts_;
   snapshot.retries = retries_;
   snapshot.crash_losses = crash_losses_;
@@ -183,22 +181,6 @@ void Transport::RecordDrop() {
   MirrorToRegistry("net.fault.drops", 1);
 }
 
-void Transport::RecordDelay() {
-  {
-    MutexLock lock(mu_);
-    ++delays_;
-  }
-  MirrorToRegistry("net.fault.delays", 1);
-}
-
-void Transport::RecordReorder() {
-  {
-    MutexLock lock(mu_);
-    ++reorders_;
-  }
-  MirrorToRegistry("net.fault.reorders", 1);
-}
-
 void Transport::RecordTimeout() {
   {
     MutexLock lock(mu_);
@@ -268,7 +250,7 @@ void Transport::ResetAccounting() {
   phases_.clear();
   phases_.push_back(PhaseStats{"", NetworkStats{}});
   current_phase_ = 0;
-  drops_ = delays_ = reorders_ = timeouts_ = retries_ = crash_losses_ = 0;
+  drops_ = timeouts_ = retries_ = crash_losses_ = 0;
 }
 
 PhaseScope::PhaseScope(Transport* transport, const std::string& phase)

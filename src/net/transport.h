@@ -12,22 +12,44 @@
 
 namespace sqm {
 
-/// Which Transport implementation a pipeline should construct.
+/// Which Transport a driver-mode pipeline constructs. Every driver-mode
+/// release runs on LockstepTransport; the enum and SqmOptions::transport
+/// remain only because the perfbench workloads still set the field.
 enum class TransportMode {
   /// Deterministic single-threaded queues (the paper's simulation):
   /// Receive hard-fails when no message is pending.
   kLockstep,
-  /// Thread-safe bounded mailboxes with blocking receives, timeouts,
-  /// retry/backoff and optional fault injection (src/net/threaded.h).
-  kThreaded,
 };
 
+/// One scheduled party crash: `party` stops sending once `after_rounds`
+/// communication rounds have completed. after_rounds = 0 means the party
+/// never sends at all. A crashed party's sends are swallowed before the
+/// interceptor sees them. A party listed twice crashes at the earliest of
+/// its rounds. Crash schedules are the only in-process fault: both
+/// LockstepTransport and ThreadedTransport honor them.
+struct CrashEvent {
+  size_t party = 0;
+  uint64_t after_rounds = 0;
+};
+
+/// True if `crashes` has `party` crashed once `completed_rounds` rounds
+/// have finished.
+inline bool HasCrashed(const std::vector<CrashEvent>& crashes, size_t party,
+                       uint64_t completed_rounds) {
+  for (const CrashEvent& event : crashes) {
+    if (event.party == party && completed_rounds >= event.after_rounds) {
+      return true;
+    }
+  }
+  return false;
+}
+
 /// Wire-level message hook: sees (and may rewrite) every cross-party
-/// message at the instant it enters the wire, before fault injection and
-/// traffic accounting. This is the seam the adversarial conformance
-/// harness (src/testing/) attaches to — a ByzantineInterceptor tampers
-/// payloads, a TranscriptRecorder captures them — without the protocol
-/// layer knowing an observer exists.
+/// message at the instant it enters the wire, before traffic accounting.
+/// This is the seam the adversarial conformance harness (src/testing/)
+/// attaches to — a ByzantineInterceptor tampers payloads, a
+/// TranscriptRecorder captures them — without the protocol layer knowing
+/// an observer exists.
 ///
 /// Self-sends (from == to) model a party's own memory and are never
 /// presented to the interceptor: a wire adversary cannot touch them.
@@ -64,8 +86,9 @@ class MessageInterceptor {
 /// and the execution model. The same protocol code runs over
 ///  - LockstepTransport: the paper's single-machine simulation — queues in
 ///    program order, a simulated clock advancing per round,
-///  - ThreadedTransport: concurrent parties, lossy/delayed links, blocking
-///    receives with retry — the stepping stone to a real socket backend.
+///  - ThreadedTransport: one thread per party over mailboxes with a round
+///    barrier and blocking receives with a timeout,
+///  - TcpTransport: one process per party over real sockets.
 ///
 /// Accounting is uniform across implementations: global totals
 /// (NetworkStats), per-directed-channel counters, and per-phase counters
@@ -97,7 +120,7 @@ class Transport {
 
   /// Takes the oldest deliverable message on (from -> to). Lock-step
   /// implementations fail immediately when nothing is pending; threaded
-  /// implementations block up to their configured timeout and may retry.
+  /// implementations block up to their configured timeout.
   virtual Result<Payload> Receive(size_t from, size_t to) = 0;
 
   /// True if a message is ready for delivery on (from -> to).
@@ -111,11 +134,11 @@ class Transport {
 
   /// Drops undelivered messages and zeroes all counters; returns how many
   /// messages were dropped (logging a warning when nonzero). The dropped
-  /// count uniformly includes every undelivered message — queued entries
-  /// plus any retransmission buffers — across implementations, and the
-  /// drain + counter reset is atomic with respect to concurrent senders:
-  /// a message is either counted in pre-reset traffic and dropped, or
-  /// lands after the reset with fresh accounting, never half of each.
+  /// count uniformly includes every undelivered message across
+  /// implementations, and the drain + counter reset is atomic with respect
+  /// to concurrent senders: a message is either counted in pre-reset
+  /// traffic and dropped, or lands after the reset with fresh accounting,
+  /// never half of each.
   virtual size_t Reset() = 0;
 
   /// Simulated communication time so far (rounds * per-round latency).
@@ -135,8 +158,8 @@ class Transport {
 
   /// Installs a wire interceptor (non-owning; nullptr detaches). The
   /// interceptor must outlive the transport while attached. Interceptors
-  /// see every cross-party message before fault injection and accounting;
-  /// see MessageInterceptor for the contract.
+  /// see every cross-party message before accounting; see
+  /// MessageInterceptor for the contract.
   void SetInterceptor(MessageInterceptor* interceptor);
   MessageInterceptor* interceptor() const;
 
@@ -153,8 +176,6 @@ class Transport {
   void RecordSend(size_t from, size_t to, size_t elements);
   void RecordRound();
   void RecordDrop();
-  void RecordDelay();
-  void RecordReorder();
   void RecordTimeout();
   void RecordRetry();
   void RecordCrashLoss();
@@ -209,8 +230,6 @@ class Transport {
   // Index into phases_.
   size_t current_phase_ SQM_GUARDED_BY(mu_) = 0;
   uint64_t drops_ SQM_GUARDED_BY(mu_) = 0;
-  uint64_t delays_ SQM_GUARDED_BY(mu_) = 0;
-  uint64_t reorders_ SQM_GUARDED_BY(mu_) = 0;
   uint64_t timeouts_ SQM_GUARDED_BY(mu_) = 0;
   uint64_t retries_ SQM_GUARDED_BY(mu_) = 0;
   uint64_t crash_losses_ SQM_GUARDED_BY(mu_) = 0;

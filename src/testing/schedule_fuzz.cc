@@ -3,6 +3,7 @@
 #include "mpc/bgw.h"
 #include "mpc/field.h"
 #include "mpc/shamir.h"
+#include "net/liveness.h"
 #include "net/lockstep.h"
 #include "net/runner.h"
 #include "net/threaded.h"
@@ -85,12 +86,16 @@ Status ScheduleFuzzer::RunIteration(uint64_t iteration_seed) {
   const size_t n = options_.num_parties;
   SQM_RETURN_NOT_OK(ShamirScheme::Validate(n, options_.threshold));
 
-  // Everything below is a pure function of the iteration seed.
+  // Everything below is a pure function of the iteration seed. At most one
+  // crash: a quarter of the iterations run crash-free, the rest crash one
+  // party after 0..n+3 completed rounds (the probe has n dealing rounds,
+  // the Mul, its census and the open, so n+3 crashes after the release).
   Rng derive(iteration_seed);
-  const double drop = derive.NextDouble() * options_.max_drop_probability;
-  const double reorder =
-      derive.NextDouble() * options_.max_reorder_probability;
-  const double delay = derive.NextDouble() * options_.max_delay_mean_seconds;
+  const bool crash = derive.NextUint64() % 4 != 0;
+  const CrashEvent event{derive.NextUint64() % n,
+                         derive.NextUint64() % (n + 4)};
+  last_crashes_.clear();
+  if (crash) last_crashes_.push_back(event);
   std::vector<int64_t> x0(options_.vector_size);
   std::vector<int64_t> x1(options_.vector_size);
   for (auto& v : x0) v = static_cast<int64_t>(derive.NextBounded(2001)) - 1000;
@@ -98,109 +103,94 @@ Status ScheduleFuzzer::RunIteration(uint64_t iteration_seed) {
 
   // The probe: input sharing, a batched Mul, an inner product, one open.
   // Driver mode in both runs, so the global send order — and therefore the
-  // transcript — must be identical regardless of the fault schedule.
+  // transcript — is a function of the crash schedule alone.
   const Circuit probe = ProductProbeCircuit(options_.vector_size);
   const std::vector<std::vector<int64_t>> probe_inputs =
       ProductProbeInputs(n, x0, x1);
-  auto run_probe = [&](Transport* net,
+  auto run_probe = [&](Transport* net, TranscriptRecorder* recorder,
                        std::vector<int64_t>* outputs) -> Status {
+    net->SetInterceptor(recorder);
     BgwEngine engine(ShamirScheme(n, options_.threshold), net,
                      iteration_seed ^ 0xb9d7);
-    SQM_ASSIGN_OR_RETURN(*outputs, engine.Evaluate(probe, probe_inputs));
+    LivenessTracker tracker(n);
+    engine.set_liveness(&tracker);
+    Result<std::vector<int64_t>> released =
+        engine.Evaluate(probe, probe_inputs);
+    net->SetInterceptor(nullptr);
+    SQM_ASSIGN_OR_RETURN(*outputs, std::move(released));
     return Status::OK();
   };
+  const std::string where = "seed " + std::to_string(iteration_seed) + ": ";
 
-  // Reference: fault-free lockstep.
   TranscriptRecorder reference_recorder(n);
   std::vector<int64_t> reference_outputs;
-  {
-    LockstepTransport lockstep(n, 0.0, Field::kWireBytes);
-    lockstep.SetInterceptor(&reference_recorder);
-    SQM_RETURN_NOT_OK(run_probe(&lockstep, &reference_outputs));
-    lockstep.SetInterceptor(nullptr);
-  }
+  LockstepTransport lockstep(n, 0.0, Field::kWireBytes);
+  lockstep.ScheduleCrashes(last_crashes_);
+  const Status reference_status =
+      run_probe(&lockstep, &reference_recorder, &reference_outputs);
   last_reference_ = reference_recorder.transcript();
   last_outputs_ = reference_outputs;
 
-  // Expected plaintext values: the probe's inputs are small enough that
-  // the products never wrap the field.
-  std::vector<int64_t> expected(options_.vector_size, 0);
-  int64_t expected_ip = 0;
-  for (size_t t = 0; t < options_.vector_size; ++t) {
-    expected[t] = x0[t] * x1[t];
-    expected_ip += expected[t];
-  }
-  expected.push_back(expected_ip);
-  if (reference_outputs != expected) {
-    return Status::IntegrityViolation(
-        "seed " + std::to_string(iteration_seed) +
-        ": lockstep probe released wrong values");
-  }
-
-  // Faulted threaded run, driver mode.
   TranscriptRecorder threaded_recorder(n);
   std::vector<int64_t> threaded_outputs;
   ThreadedTransportOptions threaded_options;
-  threaded_options.element_wire_bytes = Field::kWireBytes;
   threaded_options.receive_timeout_seconds = 0.02;
-  threaded_options.max_retries = 6;
-  threaded_options.retry_backoff_seconds = 0.0005;
-  threaded_options.faults.all_links.drop_probability = drop;
-  threaded_options.faults.all_links.reorder_probability = reorder;
-  threaded_options.faults.all_links.delay_mean_seconds = delay;
-  threaded_options.faults.seed = iteration_seed ^ 0xfa017;
-  {
-    ThreadedTransport threaded(n, threaded_options);
-    threaded.SetInterceptor(&threaded_recorder);
-    SQM_RETURN_NOT_OK(run_probe(&threaded, &threaded_outputs));
-    const TransportStats stats = threaded.Snapshot();
-    accumulating_.drops_injected += stats.drops_injected;
-    accumulating_.delays_injected += stats.delays_injected;
-    accumulating_.reorders_injected += stats.reorders_injected;
-    accumulating_.retries += stats.retries;
-    threaded.SetInterceptor(nullptr);
-  }
+  threaded_options.crashes = last_crashes_;
+  ThreadedTransport threaded(n, threaded_options);
+  const Status threaded_status =
+      run_probe(&threaded, &threaded_recorder, &threaded_outputs);
   last_threaded_ = threaded_recorder.transcript();
 
-  if (threaded_outputs != reference_outputs) {
+  accumulating_.crashes_scheduled += last_crashes_.size();
+  if (threaded_status.code() != reference_status.code()) {
     return Status::IntegrityViolation(
-        "seed " + std::to_string(iteration_seed) +
-        ": threaded release diverged from the lockstep reference");
+        where + "threaded run ended " + threaded_status.ToString() +
+        " but the lockstep reference ended " + reference_status.ToString());
   }
-  const TranscriptDiff diff =
-      CompareTranscripts(last_reference_, last_threaded_);
-  if (!diff.identical) {
-    return Status::IntegrityViolation(
-        "seed " + std::to_string(iteration_seed) +
-        ": transcripts diverged: " + diff.description);
+  if (reference_status.ok()) {
+    // Expected plaintext values: the probe's inputs are small enough that
+    // the products never wrap the field.
+    std::vector<int64_t> expected(options_.vector_size, 0);
+    int64_t expected_ip = 0;
+    for (size_t t = 0; t < options_.vector_size; ++t) {
+      expected[t] = x0[t] * x1[t];
+      expected_ip += expected[t];
+    }
+    expected.push_back(expected_ip);
+    if (reference_outputs != expected) {
+      return Status::IntegrityViolation(
+          where + "lockstep probe released wrong values");
+    }
+    if (threaded_outputs != reference_outputs) {
+      return Status::IntegrityViolation(
+          where + "threaded release diverged from the lockstep reference");
+    }
+    const TranscriptDiff diff =
+        CompareTranscripts(last_reference_, last_threaded_);
+    if (!diff.identical) {
+      return Status::IntegrityViolation(where + "transcripts diverged: " +
+                                        diff.description);
+    }
+  } else {
+    ++accumulating_.probes_refused;
   }
 
   if (options_.storm_rounds > 0) {
-    SQM_RETURN_NOT_OK(RunStorm(iteration_seed, drop, reorder, delay));
+    SQM_RETURN_NOT_OK(RunStorm(iteration_seed));
   }
   return Status::OK();
 }
 
-Status ScheduleFuzzer::RunStorm(uint64_t iteration_seed,
-                                double drop_probability,
-                                double reorder_probability,
-                                double delay_mean_seconds) {
+Status ScheduleFuzzer::RunStorm(uint64_t iteration_seed) {
   const size_t n = options_.num_parties;
   ThreadedTransportOptions storm_options;
-  storm_options.element_wire_bytes = Field::kWireBytes;
   storm_options.receive_timeout_seconds = 0.05;
-  storm_options.max_retries = 6;
-  storm_options.retry_backoff_seconds = 0.0005;
-  storm_options.faults.all_links.drop_probability = drop_probability;
-  storm_options.faults.all_links.reorder_probability = reorder_probability;
-  storm_options.faults.all_links.delay_mean_seconds = delay_mean_seconds;
-  storm_options.faults.seed = iteration_seed ^ 0x5702a;
   ThreadedTransport storm(n, storm_options);
 
   // Every party on its own thread: all-to-all rounds of deterministic
   // content, verified element-by-element on receipt. The round barrier
-  // guarantees at most one in-flight message per channel, so reordering
-  // and delays may shuffle timing but never content.
+  // guarantees at most one in-flight message per channel, so thread
+  // interleavings may shuffle timing but never content.
   PartyRunner runner(n);
   return runner.Run([&](size_t party) -> Status {
     for (uint64_t round = 0; round < options_.storm_rounds; ++round) {

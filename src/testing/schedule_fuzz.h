@@ -7,13 +7,14 @@
 
 #include "core/status.h"
 #include "mpc/circuit.h"
+#include "net/transport.h"
 #include "testing/transcript.h"
 
 namespace sqm {
 namespace testing {
 
 /// Configuration of one schedule-exploration fuzz sweep. Everything an
-/// iteration does — fault probabilities, probe inputs, sharing randomness —
+/// iteration does — its crash schedule, probe inputs, sharing randomness —
 /// is derived from a single uint64 iteration seed, so any failure
 /// reproduces bit-exactly from the seed the report names.
 struct ScheduleFuzzOptions {
@@ -23,10 +24,6 @@ struct ScheduleFuzzOptions {
   size_t threshold = 2;
   /// Elements in each party's probe input vector.
   size_t vector_size = 6;
-  /// Per-iteration fault intensities are drawn uniformly from [0, max].
-  double max_drop_probability = 0.15;
-  double max_reorder_probability = 0.25;
-  double max_delay_mean_seconds = 0.001;
   /// Rounds of the per-party message-storm phase (0 disables it).
   size_t storm_rounds = 3;
   /// Stop at the first failing iteration (keeps its transcripts for
@@ -40,11 +37,8 @@ struct ScheduleFuzzReport {
   size_t failures = 0;
   uint64_t first_failing_seed = 0;  ///< Valid when failures > 0.
   std::string first_failure;        ///< Invariant that broke, human-readable.
-  /// Aggregate fault/reliability counters over all threaded runs.
-  uint64_t drops_injected = 0;
-  uint64_t delays_injected = 0;
-  uint64_t reorders_injected = 0;
-  uint64_t retries = 0;
+  size_t crashes_scheduled = 0;  ///< Iterations that drew a crash.
+  size_t probes_refused = 0;     ///< Iterations whose probe failed on both.
 };
 
 /// The conformance probe as a circuit: party 0 inputs a and party 1
@@ -58,22 +52,26 @@ std::vector<std::vector<int64_t>> ProductProbeInputs(
     size_t num_parties, const std::vector<int64_t>& a,
     const std::vector<int64_t>& b);
 
-/// Seeded schedule-exploration fuzzer for ThreadedTransport.
+/// Seeded schedule-exploration fuzzer: ThreadedTransport against the
+/// LockstepTransport reference under crash schedules.
 ///
-/// Each iteration derives a fault mix and probe inputs from its seed, then
-/// runs the same BGW probe (ProductProbeCircuit: input sharing, a batched
-/// multiplication, an inner product, opening) twice: once over a fault-free LockstepTransport
-/// (the reference) and once over a ThreadedTransport with the drawn drops,
-/// delays and reorders. Both runs record transcripts. The invariants:
+/// Each iteration derives at most one CrashEvent and the probe inputs from
+/// its seed, then runs the same BGW probe (ProductProbeCircuit: input
+/// sharing, a batched multiplication, an inner product, opening) under a
+/// LivenessTracker twice with that crash schedule: once over a
+/// LockstepTransport (the reference) and once over a ThreadedTransport.
+/// Both runs record transcripts. The invariants:
 ///
-///  1. the released values match the plaintext expectation exactly,
-///  2. the threaded release is bit-identical to the lockstep release,
-///  3. the two transcripts agree entry-by-entry (retransmissions recover
-///     drops without changing what was logically sent).
+///  1. both runs end with the same status code,
+///  2. when they release, the values match the plaintext expectation
+///     exactly and the threaded release is bit-identical to the lockstep
+///     one,
+///  3. and the two transcripts agree entry-by-entry (both transports
+///     swallow a crashed sender's messages before the interceptor).
 ///
 /// A final message-storm phase runs every party on its own thread
-/// (net/runner.h) against the same fault mix, verifying per-round content
-/// integrity under real interleavings — the part TSan watches.
+/// (net/runner.h), verifying per-round content integrity under real
+/// interleavings — the part TSan watches.
 class ScheduleFuzzer {
  public:
   explicit ScheduleFuzzer(ScheduleFuzzOptions options);
@@ -94,21 +92,24 @@ class ScheduleFuzzer {
   const Transcript& last_threaded_transcript() const {
     return last_threaded_;
   }
-  /// Values the most recent iteration's reference run released.
+  /// Values the most recent iteration's reference run released (empty
+  /// when the crash refused it).
   const std::vector<int64_t>& last_reference_outputs() const {
     return last_outputs_;
   }
+  /// The crash schedule the most recent iteration drew (empty or one).
+  const std::vector<CrashEvent>& last_crashes() const { return last_crashes_; }
 
   const ScheduleFuzzOptions& options() const { return options_; }
 
  private:
-  Status RunStorm(uint64_t iteration_seed, double drop_probability,
-                  double reorder_probability, double delay_mean_seconds);
+  Status RunStorm(uint64_t iteration_seed);
 
   ScheduleFuzzOptions options_;
   Transcript last_reference_;
   Transcript last_threaded_;
   std::vector<int64_t> last_outputs_;
+  std::vector<CrashEvent> last_crashes_;
   ScheduleFuzzReport accumulating_;
 };
 

@@ -12,8 +12,8 @@
 namespace sqm {
 namespace testing {
 
-/// Which directed traffic a tamper policy applies to — FaultInjector-style
-/// addressing (any party, a specific link, a phase label, a round window).
+/// Which directed traffic a tamper policy applies to (any party, a specific
+/// link, a phase label, a round window).
 struct TamperTarget {
   static constexpr size_t kAnyParty = std::numeric_limits<size_t>::max();
 

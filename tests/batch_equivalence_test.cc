@@ -294,10 +294,9 @@ TEST(ShamirBatchEquivalence, SurvivorShortfallFailsLikeScalar) {
 
 constexpr char kPolynomial[] = "x0*x1 + x2; x2*x2";
 
-sqm::SqmOptions DriverOptions(sqm::TransportMode transport) {
+sqm::SqmOptions DriverOptions() {
   sqm::SqmOptions options;
   options.backend = sqm::MpcBackend::kBgw;
-  options.transport = transport;
   options.gamma = 64.0;
   options.mu = 4.0;
   options.seed = 42;
@@ -313,27 +312,15 @@ sqm::Result<sqm::SqmReport> RunDriver(const sqm::SqmOptions& options) {
   return evaluator.Evaluate(f.ValueOrDie(), x);
 }
 
-TEST(ExecutionModeEquivalence, ThreadedReleasesMatchLockstep) {
-  const sqm::Result<sqm::SqmReport> reference =
-      RunDriver(DriverOptions(sqm::TransportMode::kLockstep));
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  const sqm::Result<sqm::SqmReport> threaded =
-      RunDriver(DriverOptions(sqm::TransportMode::kThreaded));
-  ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
-  ASSERT_FALSE(reference.ValueOrDie().raw.empty());
-  EXPECT_EQ(threaded.ValueOrDie().raw, reference.ValueOrDie().raw);
-}
-
 TEST(ExecutionModeEquivalence, QuorumPathReleaseEqualsAbort) {
   // Degrade policy with no crashes: the quorum machinery runs but every
   // party survives, so the release must equal the kAbort run bit for bit.
-  sqm::SqmOptions degrade_options =
-      DriverOptions(sqm::TransportMode::kLockstep);
+  sqm::SqmOptions degrade_options = DriverOptions();
   degrade_options.dropout_policy = sqm::DropoutPolicy::kDegrade;
   const sqm::Result<sqm::SqmReport> degrade = RunDriver(degrade_options);
   ASSERT_TRUE(degrade.ok()) << degrade.status().ToString();
   const sqm::Result<sqm::SqmReport> abort_run =
-      RunDriver(DriverOptions(sqm::TransportMode::kLockstep));
+      RunDriver(DriverOptions());
   ASSERT_TRUE(abort_run.ok()) << abort_run.status().ToString();
   EXPECT_EQ(degrade.ValueOrDie().raw, abort_run.ValueOrDie().raw);
 }
@@ -403,7 +390,7 @@ std::vector<sqm::SqmReport> RunNetworked(sqm::DeploymentConfig config) {
 TEST(ExecutionModeEquivalence, TcpReleasesMatchDriverBitForBit) {
   if (!TcpSupported()) GTEST_SKIP() << "no POSIX sockets on this platform";
   const sqm::Result<sqm::SqmReport> reference =
-      RunDriver(DriverOptions(sqm::TransportMode::kLockstep));
+      RunDriver(DriverOptions());
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
   const std::vector<sqm::SqmReport> parties = RunNetworked(TcpConfig(31));
@@ -434,7 +421,7 @@ TEST(ExecutionModeEquivalence, QuorumCensusCostsOneRoundPerMulLevelOnTcp) {
       sqm::ParsePolynomialVector(kPolynomial);
   ASSERT_TRUE(f.ok()) << f.status().ToString();
   sqm::Result<sqm::SqmPlan> plan = sqm::SqmPlan::Create(
-      f.ValueOrDie(), DriverOptions(sqm::TransportMode::kLockstep), 8, 3);
+      f.ValueOrDie(), DriverOptions(), 8, 3);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   const size_t mul_levels =
       plan.ValueOrDie().BuildCircuit().MultiplicativeDepth();
@@ -606,9 +593,7 @@ TEST(LevelLoopEquivalence, CensusUnderAPostInputCrashMatchesAcrossHostings) {
 
   sqm::ThreadedTransportOptions options;
   options.receive_timeout_seconds = 0.02;
-  options.max_retries = 2;
-  options.retry_backoff_seconds = 0.0005;
-  options.faults.crashes = {{kCrashed, kAfterInputs}};
+  options.crashes = {{kCrashed, kAfterInputs}};
   sqm::ThreadedTransport threaded(kLoopParties, options);
   std::vector<std::vector<int64_t>> outputs(kLoopParties);
   std::vector<std::vector<size_t>> survivors(kLoopParties);

@@ -142,6 +142,29 @@ TEST(DeployResilience, RetiredTopupPolicyIsRefusedBeforeAnyFork) {
   EXPECT_TRUE(ReadFileOrEmpty(dir + "/party_0.json").empty());
 }
 
+TEST(DeployResilience, MalformedNumericFlagPrintsUsageAndExitsTwo) {
+  // Flag values must parse whole: a malformed number prints usage and
+  // exits 2 before any config is read (the config path does not exist).
+  const std::string dir = testing::TempDir() + "/deploy_flags_" +
+                          std::to_string(::getpid());
+  ASSERT_EQ(std::system(("mkdir -p " + dir).c_str()), 0);
+  const std::string config = " --config=" + dir + "/missing.json";
+  const std::string commands[] = {
+      std::string(SQM_COORDINATOR_BIN) + config + " --timeout-seconds=soon",
+      std::string(SQM_COORDINATOR_BIN) + config + " --crash-party=1x",
+      std::string(SQM_PARTY_BIN) + config + " --party=abc",
+      std::string(SQM_PARTY_BIN) + config + " --party=1x",
+  };
+  for (const std::string& command : commands) {
+    const std::string log = dir + "/flags.log";
+    const int rc = std::system((command + " > " + log + " 2>&1").c_str());
+    ASSERT_TRUE(WIFEXITED(rc)) << command;
+    EXPECT_EQ(WEXITSTATUS(rc), 2) << command;
+    EXPECT_NE(ReadFileOrEmpty(log).find("usage"), std::string::npos)
+        << command;
+  }
+}
+
 #else  // !SQM_DEPLOY_TEST_SUPPORTED
 
 TEST(DeployResilience, SkippedWithoutForkExec) {

@@ -2,7 +2,7 @@
 // to be re-run under -DSQM_SANITIZE=thread. Two sweeps:
 //
 //   1. schedule fuzzing — N seeded iterations of the BGW probe over
-//      ThreadedTransport with derived fault mixes, transcript-compared
+//      ThreadedTransport with a derived crash schedule, transcript-compared
 //      against the lockstep reference (plus the threaded message storm);
 //   2. adversary conformance — every tamper kind against the checked BGW
 //      probe, asserting detect-or-release-unchanged.
@@ -101,14 +101,10 @@ int main(int argc, char** argv) {
             report.ValueOrDie().first_failing_seed));
     return 1;
   }
-  std::printf(
-      "  ok: %zu iterations (%llu drops, %llu delays, %llu reorders, "
-      "%llu retries injected)\n",
-      report.ValueOrDie().iterations_run,
-      static_cast<unsigned long long>(report.ValueOrDie().drops_injected),
-      static_cast<unsigned long long>(report.ValueOrDie().delays_injected),
-      static_cast<unsigned long long>(report.ValueOrDie().reorders_injected),
-      static_cast<unsigned long long>(report.ValueOrDie().retries));
+  std::printf("  ok: %zu iterations (%zu crashes scheduled, %zu refused)\n",
+              report.ValueOrDie().iterations_run,
+              report.ValueOrDie().crashes_scheduled,
+              report.ValueOrDie().probes_refused);
 
   // Adversary conformance sweep: detect-or-unchanged for every kind/phase.
   const TamperPolicy::Kind kKinds[] = {

@@ -7,9 +7,15 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include "core/json.h"
 #include "core/sqm.h"
+#include "mpc/bgw.h"
+#include "mpc/circuit.h"
+#include "mpc/shamir.h"
+#include "net/runner.h"
+#include "net/threaded.h"
 #include "obs/ledger.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
@@ -190,18 +196,42 @@ TEST_F(ObsPipelineTest, DisabledRunReleasesIdenticalValues) {
 }
 
 TEST_F(ObsPipelineTest, ThreadedTransportReconcilesToo) {
-  const Matrix x = SmallDatabase(6, kParties, 7);
-  const PolynomialVector f = PolynomialVector::OuterProduct(kParties);
-  SqmOptions options = PcaStyleOptions();
-  options.transport = TransportMode::kThreaded;
-  const SqmReport report =
-      SqmEvaluator(options).Evaluate(f, x).ValueOrDie();
+  // Party threads over one ThreadedTransport: every thread feeds the
+  // registry mirror, which must still reconcile exactly with the
+  // transport's own accounting.
+  ThreadedTransport network(kParties, ThreadedTransportOptions{});
+  Circuit circuit;
+  std::vector<Circuit::WireId> in(kParties);
+  for (size_t j = 0; j < kParties; ++j) in[j] = circuit.AddInput(j);
+  std::vector<int64_t> expected;
+  for (size_t j = 0; j < kParties; ++j) {
+    const size_t next = (j + 1) % kParties;
+    circuit.MarkOutput(circuit.AddMul(in[j], in[next]));
+    expected.push_back(static_cast<int64_t>((j + 1) * (next + 1)));
+  }
+  std::vector<std::vector<int64_t>> opened(kParties);
+  const Status status =
+      PartyRunner(kParties).Run([&](size_t me) -> Status {
+        BgwEngine engine(ShamirScheme(kParties, 2), &network, 99, me);
+        engine.set_round_barrier([&network, me] { network.ArriveRound(me); });
+        SQM_ASSIGN_OR_RETURN(
+            opened[me],
+            engine.Evaluate(circuit, {{static_cast<int64_t>(me) + 1}}));
+        return Status::OK();
+      });
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  for (size_t me = 0; me < kParties; ++me) {
+    EXPECT_EQ(opened[me], expected) << "party " << me;
+  }
 
+  const TransportStats stats = network.Snapshot();
   const obs::MetricsSnapshot snapshot = obs::Registry::Global().Snapshot();
+  EXPECT_GT(stats.totals.messages, 0u);
   EXPECT_EQ(snapshot.CounterValue("net.send.wire_bytes"),
-            report.transport.totals.wire_bytes);
+            stats.totals.wire_bytes);
   EXPECT_EQ(snapshot.CounterValue("net.send.messages"),
-            report.transport.totals.messages);
+            stats.totals.messages);
+  EXPECT_EQ(snapshot.CounterValue("net.rounds"), stats.totals.rounds);
 }
 
 }  // namespace

@@ -246,7 +246,6 @@ TEST(PartyProtocol, FullQuorumFailurePrintsCensusMasksInHex) {
   constexpr size_t kParties = 5;
   sqm::ThreadedTransportOptions options;
   options.receive_timeout_seconds = 0.02;
-  options.max_retries = 0;
   sqm::ThreadedTransport transport(kParties, options);
   std::vector<sqm::Status> results(kParties);
   const sqm::Status run =

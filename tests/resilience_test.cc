@@ -2,9 +2,9 @@
 // crashing any 2 parties mid-Mul under kDegrade completes the SQM release
 // with exactly the no-crash values and the configured (epsilon, delta);
 // crashing 3 fails fast with kUnavailable naming the quorum
-// shortfall — under both transports. Plus checkpoint resume after transient
-// timeouts and a crash sweep over every party x protocol phase (the
-// `resilience` ctest label's TSan target).
+// shortfall. Plus checkpoint resume after transient timeouts and a crash
+// sweep over every party x protocol phase, all on lockstep crash
+// schedules.
 
 #include <gtest/gtest.h>
 
@@ -19,18 +19,9 @@
 #include "mpc/shamir.h"
 #include "net/liveness.h"
 #include "net/lockstep.h"
-#include "net/threaded.h"
 
 namespace sqm {
 namespace {
-
-ThreadedTransportOptions FastOptions() {
-  ThreadedTransportOptions options;
-  options.receive_timeout_seconds = 0.02;
-  options.max_retries = 2;
-  options.retry_backoff_seconds = 0.0005;
-  return options;
-}
 
 // n = 7 clients (one column each), t = 2: quorum 2t+1 = 5, so any 2 crashes
 // are survivable and 3 are not. Two output dimensions, one of degree 3, so
@@ -91,8 +82,7 @@ TEST(ResilienceTest, DegradeSurvivesAnyTwoCrashesWithExactRelease) {
   for (size_t a = 0; a < kParties; ++a) {
     for (size_t b = a + 1; b < kParties; ++b) {
       SqmOptions crashed = options;
-      crashed.threaded.faults.crashes = {{a, kAfterInputs},
-                                         {b, kAfterInputs}};
+      crashed.crashes = {{a, kAfterInputs}, {b, kAfterInputs}};
       const auto result = SqmEvaluator(crashed).Evaluate(f, x);
       ASSERT_TRUE(result.ok())
           << "crash pair (" << a << "," << b
@@ -124,7 +114,7 @@ TEST(ResilienceTest, DegradeSurvivesAnyTwoCrashesWithExactRelease) {
 
 TEST(ResilienceTest, AbortPolicySurfacesCrashAsError) {
   SqmOptions options = AcceptanceOptions();
-  options.threaded.faults.crashes = {{3, kAfterInputs}};
+  options.crashes = {{3, kAfterInputs}};
   // dropout_policy defaults to kAbort: the legacy all-or-nothing behavior.
   const auto result =
       SqmEvaluator(options).Evaluate(AcceptanceF(), AcceptanceX());
@@ -135,47 +125,20 @@ TEST(ResilienceTest, AbortPolicySurfacesCrashAsError) {
 TEST(ResilienceTest, ThreeCrashesFailFastNamingQuorumShortfall) {
   const PolynomialVector f = AcceptanceF();
   const Matrix x = AcceptanceX();
-  for (const TransportMode mode :
-       {TransportMode::kLockstep, TransportMode::kThreaded}) {
-    SqmOptions options = AcceptanceOptions();
-    options.dropout_policy = DropoutPolicy::kDegrade;
-    options.transport = mode;
-    if (mode == TransportMode::kThreaded) options.threaded = FastOptions();
-    options.threaded.faults.crashes = {
-        {1, kAfterInputs}, {3, kAfterInputs}, {5, kAfterInputs}};
-    const auto result = SqmEvaluator(options).Evaluate(f, x);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
-    EXPECT_NE(result.status().message().find("quorum"), std::string::npos)
-        << result.status().ToString();
-  }
-}
-
-TEST(ResilienceTest, ThreadedDegradeMatchesLockstepRelease) {
-  const PolynomialVector f = AcceptanceF();
-  const Matrix x = AcceptanceX();
-
   SqmOptions options = AcceptanceOptions();
-  const SqmReport baseline = SqmEvaluator(options).Evaluate(f, x).ValueOrDie();
-
   options.dropout_policy = DropoutPolicy::kDegrade;
-  options.transport = TransportMode::kThreaded;
-  options.threaded = FastOptions();
-  options.threaded.faults.crashes = {{1, kAfterInputs}, {5, kAfterInputs}};
+  options.crashes = {{1, kAfterInputs}, {3, kAfterInputs}, {5, kAfterInputs}};
   const auto result = SqmEvaluator(options).Evaluate(f, x);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const SqmReport& report = result.ValueOrDie();
-  EXPECT_EQ(report.raw, baseline.raw);
-  EXPECT_EQ(report.dropout.survivors, (std::vector<size_t>{0, 2, 3, 4, 6}));
-  EXPECT_EQ(report.dropout.num_dropped, 2u);
-  EXPECT_DOUBLE_EQ(report.dropout.realized_epsilon,
-                   report.dropout.configured_epsilon);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
+  EXPECT_NE(result.status().message().find("quorum"), std::string::npos)
+      << result.status().ToString();
 }
 
 TEST(ResilienceTest, DropoutReportSerializesToJson) {
   SqmOptions options = AcceptanceOptions();
   options.dropout_policy = DropoutPolicy::kDegrade;
-  options.threaded.faults.crashes = {{0, kAfterInputs}, {4, kAfterInputs}};
+  options.crashes = {{0, kAfterInputs}, {4, kAfterInputs}};
   const SqmReport report =
       SqmEvaluator(options).Evaluate(AcceptanceF(), AcceptanceX()).ValueOrDie();
   const std::string json = SqmReportToJson(report);
@@ -291,9 +254,7 @@ TEST(ResilienceTest, CrashSweepEveryPartyEveryPhase) {
                                           uint64_t{5}, uint64_t{6}}) {
         SqmOptions crashed = noised;
         crashed.dropout_policy = DropoutPolicy::kDegrade;
-        crashed.transport = TransportMode::kThreaded;
-        crashed.threaded = FastOptions();
-        crashed.threaded.faults.crashes = {{party, after_rounds}};
+        crashed.crashes = {{party, after_rounds}};
         const auto result = SqmEvaluator(crashed).Evaluate(f, x);
         if (result.ok()) {
           ++completed;
@@ -326,34 +287,28 @@ TEST(ResilienceTest, CrashSweepEveryPartyEveryPhase) {
     EXPECT_EQ(refused, 8u) << "mu " << mu;
   }
 
-  // kAbort (no tracker) over both transports, at every round through the
-  // open: a crash before the party's own input round, mid-Mul, or during
-  // the open has nothing to degrade around and must surface as
-  // kUnavailable — 35 refusals per transport.
+  // kAbort (no tracker) at every round through the open: a crash before
+  // the party's own input round, mid-Mul, or during the open has nothing
+  // to degrade around and must surface as kUnavailable — 35 refusals.
   size_t abort_refused = 0;
-  for (const TransportMode mode :
-       {TransportMode::kLockstep, TransportMode::kThreaded}) {
-    for (size_t party = 0; party < 5; ++party) {
-      for (uint64_t after_rounds = 0; after_rounds <= 6; ++after_rounds) {
-        SqmOptions crashed = options;
-        crashed.transport = mode;
-        crashed.threaded = FastOptions();
-        crashed.threaded.faults.crashes = {{party, after_rounds}};
-        const auto result = SqmEvaluator(crashed).Evaluate(f, x);
-        if (result.ok()) {
-          EXPECT_EQ(result.ValueOrDie().raw, baseline.raw)
-              << "kAbort, party " << party << " after " << after_rounds
-              << " rounds";
-        } else {
-          ++abort_refused;
-          EXPECT_EQ(result.status().code(), StatusCode::kUnavailable)
-              << "kAbort, party " << party << " after " << after_rounds
-              << " rounds: " << result.status().ToString();
-        }
+  for (size_t party = 0; party < 5; ++party) {
+    for (uint64_t after_rounds = 0; after_rounds <= 6; ++after_rounds) {
+      SqmOptions crashed = options;
+      crashed.crashes = {{party, after_rounds}};
+      const auto result = SqmEvaluator(crashed).Evaluate(f, x);
+      if (result.ok()) {
+        EXPECT_EQ(result.ValueOrDie().raw, baseline.raw)
+            << "kAbort, party " << party << " after " << after_rounds
+            << " rounds";
+      } else {
+        ++abort_refused;
+        EXPECT_EQ(result.status().code(), StatusCode::kUnavailable)
+            << "kAbort, party " << party << " after " << after_rounds
+            << " rounds: " << result.status().ToString();
       }
     }
   }
-  EXPECT_EQ(abort_refused, 70u);
+  EXPECT_EQ(abort_refused, 35u);
 }
 
 }  // namespace

@@ -1,20 +1,16 @@
-// Tests of the concurrent transport runtime: blocking receives across
-// threads, timeout/retry recovery of fault-dropped messages, party crashes
-// surfacing as protocol errors, delayed and reordered delivery, mailbox
-// backpressure, and a per-party all-to-all stress run (the TSan target for
-// the `net` ctest label).
+// Tests of the party-thread transport: blocking receives across threads,
+// receive timeouts, party crashes surfacing as protocol errors, Reset, and
+// a per-party all-to-all stress run (the TSan target for the `net` ctest
+// label).
 
 #include "net/threaded.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <thread>
 #include <vector>
 
-#include "core/sqm.h"
-#include "mpc/field.h"
 #include "mpc/bgw.h"
 #include "mpc/shamir.h"
 #include "net/lockstep.h"
@@ -24,12 +20,10 @@ namespace sqm {
 namespace {
 
 ThreadedTransportOptions FastOptions() {
-  // Short windows keep the fault tests quick; values this small are fine
-  // because in-process "links" deliver in microseconds.
+  // A short window keeps the timeout tests quick; a value this small is
+  // fine because in-process "links" deliver in microseconds.
   ThreadedTransportOptions options;
   options.receive_timeout_seconds = 0.02;
-  options.max_retries = 2;
-  options.retry_backoff_seconds = 0.0005;
   return options;
 }
 
@@ -48,7 +42,7 @@ TEST(ThreadedTransportTest, BlockingReceiveWaitsForConcurrentSend) {
 
 TEST(ThreadedTransportTest, DriverModeBgwMatchesLockstep) {
   // The same single-driver BGW program over both transports: the values
-  // opened and every traffic counter must agree (faults disabled).
+  // opened and every traffic counter must agree.
   auto run = [](Transport* network) {
     BgwEngine engine(ShamirScheme(5, 2), network, 77);
     Circuit circuit;
@@ -61,10 +55,7 @@ TEST(ThreadedTransportTest, DriverModeBgwMatchesLockstep) {
   };
 
   LockstepTransport lockstep(5, 0.1);
-  ThreadedTransportOptions options = FastOptions();
-  options.per_round_latency_seconds = 0.1;
-  options.element_wire_bytes = Field::kWireBytes;
-  ThreadedTransport threaded(5, options);
+  ThreadedTransport threaded(5, FastOptions());
 
   const std::vector<int64_t> lockstep_opened = run(&lockstep);
   EXPECT_EQ(run(&threaded), lockstep_opened);
@@ -76,45 +67,21 @@ TEST(ThreadedTransportTest, DriverModeBgwMatchesLockstep) {
   EXPECT_EQ(actual.field_elements, expected.field_elements);
   EXPECT_EQ(actual.rounds, expected.rounds);
   EXPECT_EQ(actual.bytes(), expected.bytes());
-  EXPECT_DOUBLE_EQ(threaded.SimulatedSeconds(), lockstep.SimulatedSeconds());
 }
 
-TEST(ThreadedTransportTest, TimeoutThenRetryRecoversDroppedMessage) {
-  // Certain drop: the first receive attempt must time out, request a
-  // retransmission, and deliver the original payload on the retry.
-  ThreadedTransportOptions options = FastOptions();
-  options.faults.all_links.drop_probability = 1.0;
-  ThreadedTransport net(2, options);
-
-  net.Send(0, 1, {42, 43});
-  const Result<Transport::Payload> received = net.Receive(0, 1);
-  ASSERT_TRUE(received.ok()) << received.status().ToString();
-  EXPECT_EQ(received.ValueOrDie(), (Transport::Payload{42, 43}));
-
-  const TransportStats snapshot = net.Snapshot();
-  EXPECT_EQ(snapshot.drops_injected, 1u);
-  EXPECT_EQ(snapshot.receive_timeouts, 1u);
-  EXPECT_EQ(snapshot.retries, 1u);
-  // The retransmission is charged as fresh traffic, like a resent packet.
-  EXPECT_EQ(snapshot.totals.messages, 2u);
-  EXPECT_EQ(snapshot.totals.field_elements, 4u);
-}
-
-TEST(ThreadedTransportTest, SilentChannelExhaustsRetriesWithDeadline) {
+TEST(ThreadedTransportTest, SilentChannelTimesOutWithDeadline) {
   ThreadedTransport net(2, FastOptions());
   const Result<Transport::Payload> received = net.Receive(0, 1);
   ASSERT_FALSE(received.ok());
   EXPECT_EQ(received.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(net.Snapshot().receive_timeouts, 3u);  // 1 try + 2 retries.
+  EXPECT_EQ(net.Snapshot().receive_timeouts, 1u);  // One window, no retry.
 }
 
 TEST(ThreadedTransportTest, CrashedPartyMidMulFailsWithUnavailable) {
   // Party 2 crashes after the two input rounds; the Mul that follows cannot
   // gather its re-shares and must fail gracefully instead of aborting.
   ThreadedTransportOptions options = FastOptions();
-  options.max_retries = 1;
-  options.faults.crash_party = 2;
-  options.faults.crash_after_rounds = 2;
+  options.crashes = {{2, 2}};
   ThreadedTransport net(3, options);
 
   BgwEngine engine(ShamirScheme(3, 1), &net, 5);
@@ -128,66 +95,16 @@ TEST(ThreadedTransportTest, CrashedPartyMidMulFailsWithUnavailable) {
   EXPECT_EQ(net.Snapshot().crash_losses, 2u);
 }
 
-TEST(ThreadedTransportTest, DelayedDeliveryExtendsTheWait) {
-  // The injected delay exceeds the receive timeout; because the message is
-  // known to be in flight, the receive waits it out instead of timing out.
-  ThreadedTransportOptions options = FastOptions();
-  options.faults.all_links.delay_mean_seconds = 0.03;
-  ThreadedTransport net(2, options);
-
-  net.Send(0, 1, {5});
-  const Result<Transport::Payload> received = net.Receive(0, 1);
-  ASSERT_TRUE(received.ok()) << received.status().ToString();
-  EXPECT_EQ(received.ValueOrDie(), (Transport::Payload{5}));
-  const TransportStats snapshot = net.Snapshot();
-  EXPECT_EQ(snapshot.delays_injected, 1u);
-  EXPECT_EQ(snapshot.receive_timeouts, 0u);
-}
-
-TEST(ThreadedTransportTest, ReorderedMessagesJumpTheQueue) {
-  ThreadedTransportOptions options = FastOptions();
-  options.faults.all_links.reorder_probability = 1.0;
-  ThreadedTransport net(2, options);
-
-  net.Send(0, 1, {1});  // Queue empty: nothing to jump ahead of.
-  net.Send(0, 1, {2});  // Reordered in front of {1}.
-  EXPECT_EQ(net.Receive(0, 1).ValueOrDie(), (Transport::Payload{2}));
-  EXPECT_EQ(net.Receive(0, 1).ValueOrDie(), (Transport::Payload{1}));
-  EXPECT_EQ(net.Snapshot().reorders_injected, 1u);
-}
-
-TEST(ThreadedTransportTest, BoundedMailboxExertsBackpressure) {
-  ThreadedTransportOptions options = FastOptions();
-  options.mailbox_capacity = 1;
-  ThreadedTransport net(2, options);
-
-  net.Send(0, 1, {1});  // Fills the channel.
-  std::atomic<bool> drained{false};
-  std::thread receiver([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    drained.store(true);
-    EXPECT_EQ(net.Receive(0, 1).ValueOrDie(), (Transport::Payload{1}));
-    EXPECT_EQ(net.Receive(0, 1).ValueOrDie(), (Transport::Payload{2}));
-  });
-  net.Send(0, 1, {2});  // Must block until the receiver drains {1}.
-  EXPECT_TRUE(drained.load());
-  receiver.join();
-}
-
-TEST(ThreadedTransportTest, ResetDrainsQueuesAndRetransmissions) {
-  ThreadedTransportOptions options = FastOptions();
-  options.faults.all_links.drop_probability = 1.0;
-  ThreadedTransport net(2, options);
-  net.Send(0, 1, {1});  // Dropped: parked for retransmission.
-
-  ThreadedTransport clean(2, FastOptions());
-  clean.Send(0, 1, {1});
-  clean.Send(1, 0, {2});
-  clean.EndRound();
-  EXPECT_EQ(clean.Reset(), 2u);
-  EXPECT_EQ(clean.stats().messages, 0u);
-  EXPECT_EQ(clean.completed_rounds(), 0u);
-  EXPECT_EQ(net.Reset(), 1u);  // The parked retransmission counts too.
+TEST(ThreadedTransportTest, ResetDrainsQueues) {
+  ThreadedTransport net(2, FastOptions());
+  net.Send(0, 1, {1});
+  net.Send(1, 0, {2});
+  net.EndRound();
+  EXPECT_EQ(net.Reset(), 2u);
+  EXPECT_EQ(net.stats().messages, 0u);
+  EXPECT_EQ(net.completed_rounds(), 0u);
+  EXPECT_FALSE(net.HasPending(0, 1));
+  EXPECT_FALSE(net.HasPending(1, 0));
 }
 
 TEST(ThreadedTransportTest, PerPartyAllToAllStress) {
@@ -222,42 +139,6 @@ TEST(ThreadedTransportTest, PerPartyAllToAllStress) {
   EXPECT_EQ(snapshot.totals.messages, kRounds * kParties * (kParties - 1));
   EXPECT_EQ(snapshot.totals.field_elements, 3 * snapshot.totals.messages);
   EXPECT_EQ(snapshot.channels.size(), kParties * (kParties - 1));
-}
-
-TEST(ThreadedTransportTest, SqmPipelineSurvivesDropsAndMatchesLockstep) {
-  // End to end: the full SQM release over BGW on a lossy threaded transport
-  // must reconstruct exactly the values the deterministic lock-step
-  // simulation releases — retries make the loss invisible to the protocol.
-  PolynomialVector f;
-  Polynomial p;
-  p.AddTerm(Monomial::Power(1.0, 0, 3));
-  p.AddTerm(Monomial(1.5, {{1, 1}, {2, 1}}));
-  f.AddDimension(p);
-  Matrix x{{0.2, -0.3, 0.4}, {0.5, 0.1, -0.2}, {-0.4, 0.6, 0.3}};
-
-  SqmOptions options;
-  options.gamma = 512.0;
-  options.mu = 0.0;
-  options.backend = MpcBackend::kBgw;
-  options.max_f_l2 = 4.0;
-  const SqmReport lockstep =
-      SqmEvaluator(options).Evaluate(f, x).ValueOrDie();
-
-  options.transport = TransportMode::kThreaded;
-  options.threaded = FastOptions();
-  options.threaded.max_retries = 6;
-  options.threaded.faults.all_links.drop_probability = 0.1;
-  const SqmReport threaded =
-      SqmEvaluator(options).Evaluate(f, x).ValueOrDie();
-
-  EXPECT_EQ(threaded.raw, lockstep.raw);
-  EXPECT_EQ(threaded.estimate, lockstep.estimate);
-  // Loss shows up in the transport report, not the release.
-  EXPECT_GT(threaded.transport.drops_injected, 0u);
-  EXPECT_EQ(threaded.transport.retries, threaded.transport.drops_injected);
-  EXPECT_GT(threaded.transport.wall_seconds, 0.0);
-  EXPECT_EQ(threaded.network.messages,
-            lockstep.network.messages + threaded.transport.retries);
 }
 
 }  // namespace

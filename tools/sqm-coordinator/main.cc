@@ -42,6 +42,8 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -108,11 +110,29 @@ bool ParseFlag(const std::string& arg, const std::string& name,
   return true;
 }
 
+/// Matches --name=VALUE and parses the whole VALUE as a decimal integer
+/// ("1x" and "abc" are malformed). A malformed VALUE still matches but sets
+/// *malformed, so the caller prints usage and exits 2.
 bool ParseLongFlag(const std::string& arg, const std::string& name,
-                   long* out) {
+                   long* out, bool* malformed) {
   std::string text;
   if (!ParseFlag(arg, name, &text)) return false;
-  *out = std::stol(text);
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  if (ec != std::errc() || ptr != end) *malformed = true;
+  return true;
+}
+
+/// ParseLongFlag for a finite decimal number.
+bool ParseDoubleFlag(const std::string& arg, const std::string& name,
+                     double* out, bool* malformed) {
+  std::string text;
+  if (!ParseFlag(arg, name, &text)) return false;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  if (ec != std::errc() || ptr != end || !std::isfinite(*out)) {
+    *malformed = true;
+  }
   return true;
 }
 
@@ -323,33 +343,28 @@ int main(int argc, char** argv) {
   Args args;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    std::string value_text;
+    bool malformed = false;
     if (ParseFlag(arg, "config", &args.config_path) ||
         ParseFlag(arg, "out-dir", &args.out_dir) ||
         ParseFlag(arg, "party-bin", &args.party_bin) ||
         ParseFlag(arg, "trace-validate", &args.trace_validate) ||
-        ParseLongFlag(arg, "crash-party", &args.crash_party) ||
-        ParseLongFlag(arg, "crash-at-mul-level",
-                      &args.crash_at_mul_level)) {
-      continue;
-    }
-    if (arg == "--compare-lockstep") {
+        ParseLongFlag(arg, "crash-party", &args.crash_party, &malformed) ||
+        ParseLongFlag(arg, "crash-at-mul-level", &args.crash_at_mul_level,
+                      &malformed) ||
+        ParseDoubleFlag(arg, "timeout-seconds", &args.timeout_seconds,
+                        &malformed) ||
+        ParseDoubleFlag(arg, "stats-interval", &args.stats_interval,
+                        &malformed)) {
+      if (!malformed) continue;
+    } else if (arg == "--compare-lockstep") {
       args.compare_lockstep = true;
       continue;
-    }
-    if (arg == "--crash-every-incarnation") {
+    } else if (arg == "--crash-every-incarnation") {
       args.crash_every_incarnation = true;
       continue;
     }
-    if (ParseFlag(arg, "timeout-seconds", &value_text)) {
-      args.timeout_seconds = std::stod(value_text);
-      continue;
-    }
-    if (ParseFlag(arg, "stats-interval", &value_text)) {
-      args.stats_interval = std::stod(value_text);
-      continue;
-    }
-    std::cerr << "unknown flag: " << arg << "\n";
+    std::cerr << (malformed ? "malformed flag value: " : "unknown flag: ")
+              << arg << "\n";
     return Usage(argv[0]);
   }
   if (!args.trace_validate.empty()) return ValidateTrace(args.trace_validate);

@@ -26,6 +26,7 @@
 // there (docs/OBSERVABILITY.md).
 // See docs/DEPLOYMENT.md.
 
+#include <charconv>
 #include <csignal>
 #include <cstdint>
 #include <fstream>
@@ -68,11 +69,16 @@ bool ParseFlag(const std::string& arg, const std::string& name,
   return true;
 }
 
+/// Matches --name=VALUE and parses the whole VALUE as a decimal integer
+/// ("1x" and "abc" are malformed). A malformed VALUE still matches but sets
+/// *malformed, so the caller prints usage and exits 2.
 bool ParseLongFlag(const std::string& arg, const std::string& name,
-                   long* out) {
+                   long* out, bool* malformed) {
   std::string text;
   if (!ParseFlag(arg, name, &text)) return false;
-  *out = std::stol(text);
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  if (ec != std::errc() || ptr != end) *malformed = true;
   return true;
 }
 
@@ -144,23 +150,25 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     long fd = -1;
+    bool malformed = false;
     if (ParseFlag(arg, "config", &args.config_path) ||
-        ParseLongFlag(arg, "party", &args.party) ||
+        ParseLongFlag(arg, "party", &args.party, &malformed) ||
         ParseFlag(arg, "report", &args.report_path) ||
         ParseFlag(arg, "trace", &args.trace_path) ||
         ParseFlag(arg, "telemetry-host", &args.telemetry_host) ||
-        ParseLongFlag(arg, "telemetry-port", &args.telemetry_port) ||
-        ParseLongFlag(arg, "crash-at-mul-level",
-                      &args.crash_at_mul_level) ||
+        ParseLongFlag(arg, "telemetry-port", &args.telemetry_port,
+                      &malformed) ||
+        ParseLongFlag(arg, "crash-at-mul-level", &args.crash_at_mul_level,
+                      &malformed) ||
         ParseFlag(arg, "checkpoint-dir", &args.checkpoint_dir) ||
-        ParseLongFlag(arg, "incarnation", &args.incarnation)) {
-      continue;
-    }
-    if (ParseLongFlag(arg, "listen-fd", &fd)) {
+        ParseLongFlag(arg, "incarnation", &args.incarnation, &malformed)) {
+      if (!malformed) continue;
+    } else if (ParseLongFlag(arg, "listen-fd", &fd, &malformed)) {
       args.listen_fd = static_cast<int>(fd);
-      continue;
+      if (!malformed) continue;
     }
-    std::cerr << "unknown flag: " << arg << "\n";
+    std::cerr << (malformed ? "malformed flag value: " : "unknown flag: ")
+              << arg << "\n";
     return Usage(argv[0]);
   }
   if (args.config_path.empty() || args.party < 0 || args.incarnation < 0) {

@@ -513,8 +513,7 @@ void CheckSocketDiscipline(const Project& /*project*/, const SourceFile& file,
 // hammers a dead peer every 50 ms forever, or the poll loop that never
 // checks its deadline. Pacing is visible lexically — the loop header or
 // the sleep statement names a backoff, deadline, remaining-time, window or
-// jitter value (InterruptibleSleep, the dialer backoff, the threaded
-// transport's exponential retry all do).
+// jitter value (InterruptibleSleep and the dialer backoff both do).
 // ---------------------------------------------------------------------------
 void CheckRetryDiscipline(const Project& /*project*/, const SourceFile& file,
                           std::vector<Finding>* findings) {
