@@ -25,7 +25,10 @@ repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 build_dir=${build_dir:-"$repo_root/build"}
 baseline="$repo_root/tools/sqmlint/baseline.json"
 
-cmake -B "$build_dir" -S "$repo_root"
+# The main build is warning-free and kept so: -Werror makes a new warning
+# fail the gate instead of scrolling past in the build log. (The TSan
+# build below is not held to it.)
+cmake -B "$build_dir" -S "$repo_root" -DSQM_WERROR=ON
 
 if [ "$lint_only" = 1 ]; then
   cmake --build "$build_dir" -j"$(nproc)" --target sqmlint

@@ -14,7 +14,8 @@ namespace sqm::net {
 /// deployment must be upgraded atomically, not limped through.
 /// Version 2 added the u32 incarnation field (party restart generation).
 /// Version 3 added the optional trace-context block (flags bit 0) and the
-/// telemetry frame kinds (5-7) used on the coordinator control stream.
+/// telemetry frame kinds used on the coordinator control stream (5-6; a
+/// state-snapshot kind 7 was retired and is now an unknown type).
 inline constexpr uint16_t kTcpWireVersion = 3;
 
 /// Flags bit 0: the 16-byte trace-context block (u64 trace_id, u64
@@ -44,11 +45,6 @@ enum class FrameType : uint8_t {
   /// (the party's receive time on its own clock). The coordinator stamps
   /// t_c1 at echo receipt and estimates offset = (t_c0 + t_c1)/2 - t_p.
   kTelemetryClock = 6,
-  /// Periodic party -> coordinator state snapshot. The payload packs a
-  /// JSON document as [byte_len, ceil(len/8) * u64 words]; see
-  /// docs/OBSERVABILITY.md for the schema (phase, metrics registry,
-  /// transport totals).
-  kTelemetrySnapshot = 7,
 };
 
 /// One decoded frame. The length prefix (u32, little-endian, counting the

@@ -131,9 +131,6 @@ Result<DeploymentConfig> ParseDeploymentConfig(const std::string& json) {
   SQM_RETURN_NOT_OK(ReadDouble(root, "reconnect_backoff_seconds",
                                &config.reconnect_backoff_seconds));
   SQM_RETURN_NOT_OK(ReadBool(root, "obs_enabled", &config.obs_enabled));
-  SQM_RETURN_NOT_OK(
-      ReadDouble(root, "telemetry_snapshot_interval_seconds",
-                 &config.telemetry_snapshot_interval_seconds));
   SQM_RETURN_NOT_OK(ReadSize(root, "max_restarts", &config.max_restarts));
   SQM_RETURN_NOT_OK(ReadDouble(root, "restart_backoff_seconds",
                                &config.restart_backoff_seconds));
@@ -169,11 +166,6 @@ Result<DeploymentConfig> ParseDeploymentConfig(const std::string& json) {
     return Status::InvalidArgument(
         "deployment config: timeouts must be positive "
         "(backoff may be zero)");
-  }
-  if (config.telemetry_snapshot_interval_seconds <= 0.0) {
-    return Status::InvalidArgument(
-        "deployment config: telemetry_snapshot_interval_seconds must be "
-        "positive");
   }
   if (config.max_restarts > 0 && config.recovery_deadline_seconds <= 0.0) {
     return Status::InvalidArgument(
@@ -239,8 +231,6 @@ std::string DeploymentConfigToJson(const DeploymentConfig& config) {
           static_cast<uint64_t>(config.max_reconnect_attempts));
   w.Field("reconnect_backoff_seconds", config.reconnect_backoff_seconds);
   w.Field("obs_enabled", config.obs_enabled);
-  w.Field("telemetry_snapshot_interval_seconds",
-          config.telemetry_snapshot_interval_seconds);
   w.Field("max_restarts", static_cast<uint64_t>(config.max_restarts));
   w.Field("restart_backoff_seconds", config.restart_backoff_seconds);
   w.Field("recovery_deadline_seconds", config.recovery_deadline_seconds);

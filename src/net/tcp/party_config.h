@@ -67,9 +67,6 @@ struct DeploymentConfig {
   /// no trace context. Released values are bit-identical either way
   /// (obs_distributed_test proves it).
   bool obs_enabled = true;
-  /// Cadence of the party -> coordinator telemetry snapshots (and of the
-  /// durable trace rewrites that keep pre-crash spans on disk).
-  double telemetry_snapshot_interval_seconds = 0.25;
 
   /// Supervised recovery (docs/DEPLOYMENT.md "Recovery & supervision").
   /// max_restarts > 0 makes the coordinator respawn a dead party up to

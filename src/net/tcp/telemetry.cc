@@ -1,12 +1,8 @@
 #include "net/tcp/telemetry.h"
 
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
 #include <utility>
 
-#include "core/json.h"
-#include "core/logging.h"
 #include "obs/obs.h"
 
 namespace sqm::net {
@@ -21,6 +17,9 @@ constexpr int kClockProbes = 5;
 /// stop flag is noticed and the upper bound probe echoes wait on top of the
 /// true network delay.
 constexpr double kPollSeconds = 0.05;
+
+/// Period of the client's on_tick (sqm-party's durable trace rewrite).
+constexpr double kTickSeconds = 0.25;
 
 Status SendTelemetryFrame(const Socket& sock, const Frame& frame,
                           uint64_t session_key) {
@@ -68,102 +67,7 @@ Result<Frame> ReadTelemetryFrame(const Socket& sock, uint64_t session_key,
   return DecodeFrame(body.data(), len, session_key);
 }
 
-/// Re-serializes a parsed JsonValue, preserving exact integers. Lets the
-/// fleet document embed a party's snapshot as a real JSON value instead
-/// of splicing raw text.
-void WriteJsonValueInto(JsonWriter& writer, const JsonValue& value) {
-  switch (value.kind) {
-    case JsonValue::Kind::kNull:
-      // JsonWriter has no null; the fleet schema never produces one
-      // (absent members are skipped), so encode as false defensively.
-      writer.Value(false);
-      break;
-    case JsonValue::Kind::kBool:
-      writer.Value(value.bool_value);
-      break;
-    case JsonValue::Kind::kNumber:
-      if (value.is_integer) {
-        if (value.is_negative) {
-          writer.Value(value.int_value);
-        } else {
-          writer.Value(value.uint_value);
-        }
-      } else {
-        writer.Value(value.number);
-      }
-      break;
-    case JsonValue::Kind::kString:
-      writer.Value(value.string_value);
-      break;
-    case JsonValue::Kind::kArray:
-      writer.BeginArray();
-      for (const JsonValue& item : value.items) {
-        WriteJsonValueInto(writer, item);
-      }
-      writer.EndArray();
-      break;
-    case JsonValue::Kind::kObject:
-      writer.BeginObject();
-      for (const auto& [key, member] : value.members) {
-        writer.Key(key);
-        WriteJsonValueInto(writer, member);
-      }
-      writer.EndObject();
-      break;
-  }
-}
-
-double NumberOr(const JsonValue* value, double fallback) {
-  if (value == nullptr || value->kind != JsonValue::Kind::kNumber) {
-    return fallback;
-  }
-  return value->number;
-}
-
-uint64_t UintOr(const JsonValue* value, uint64_t fallback) {
-  if (value == nullptr || value->kind != JsonValue::Kind::kNumber ||
-      !value->is_integer || value->is_negative) {
-    return fallback;
-  }
-  return value->uint_value;
-}
-
 }  // namespace
-
-std::vector<uint64_t> PackTelemetryJson(const std::string& json) {
-  std::vector<uint64_t> payload;
-  payload.reserve(1 + (json.size() + 7) / 8);
-  payload.push_back(static_cast<uint64_t>(json.size()));
-  for (size_t i = 0; i < json.size(); i += 8) {
-    uint64_t word = 0;
-    for (size_t k = 0; k < 8 && i + k < json.size(); ++k) {
-      word |= static_cast<uint64_t>(static_cast<uint8_t>(json[i + k]))
-              << (8 * k);
-    }
-    payload.push_back(word);
-  }
-  return payload;
-}
-
-Result<std::string> UnpackTelemetryJson(const std::vector<uint64_t>& payload) {
-  if (payload.empty()) {
-    return Status::IntegrityViolation("telemetry snapshot payload empty");
-  }
-  const uint64_t len = payload[0];
-  if (len > (payload.size() - 1) * 8) {
-    return Status::IntegrityViolation(
-        "telemetry snapshot length " + std::to_string(len) +
-        " exceeds payload of " + std::to_string(payload.size() - 1) +
-        " words");
-  }
-  std::string json;
-  json.resize(static_cast<size_t>(len));
-  for (size_t i = 0; i < json.size(); ++i) {
-    json[i] = static_cast<char>(
-        (payload[1 + i / 8] >> (8 * (i % 8))) & 0xFF);
-  }
-  return json;
-}
 
 // ---------------------------------------------------------------------------
 // TelemetryClient
@@ -189,10 +93,6 @@ Status TelemetryClient::SendFrame(FrameType type,
   return SendTelemetryFrame(sock_, frame, options_.session_key);
 }
 
-Status TelemetryClient::SendSnapshot(const std::string& json) {
-  return SendFrame(FrameType::kTelemetrySnapshot, PackTelemetryJson(json));
-}
-
 Status TelemetryClient::Start() {
   const auto deadline =
       std::chrono::steady_clock::now() +
@@ -209,14 +109,12 @@ Status TelemetryClient::Start() {
 }
 
 void TelemetryClient::Run() {
-  // Backdate the first tick so the initial snapshot (and the first durable
-  // trace rewrite) lands immediately: a party crashing early in the
-  // protocol must still have shipped a baseline.
+  // Backdate the first tick so the first durable trace rewrite lands
+  // immediately.
   auto last_tick = std::chrono::steady_clock::now() -
                    std::chrono::duration_cast<
                        std::chrono::steady_clock::duration>(
-                       std::chrono::duration<double>(
-                           options_.snapshot_interval_seconds));
+                       std::chrono::duration<double>(kTickSeconds));
   while (!stop_.load()) {
     Result<Frame> frame =
         ReadTelemetryFrame(sock_, options_.session_key, stop_);
@@ -251,28 +149,18 @@ void TelemetryClient::Run() {
     }
     const auto now = std::chrono::steady_clock::now();
     if (std::chrono::duration<double>(now - last_tick).count() >=
-        options_.snapshot_interval_seconds) {
+        kTickSeconds) {
       last_tick = now;
       if (options_.on_tick) options_.on_tick();
-      if (options_.build_snapshot) {
-        if (!SendSnapshot(options_.build_snapshot()).ok()) {
-          running_.store(false);
-          return;
-        }
-      }
     }
   }
 }
 
-void TelemetryClient::Stop(const std::string& final_snapshot_json) {
+void TelemetryClient::Stop() {
   stop_.store(true);
   if (thread_.joinable()) thread_.join();
   if (sock_.valid() && running_.load()) {
-    // Best effort: the protocol is already finished, so a dead coordinator
-    // costs nothing but this party's row in the fleet view.
-    if (!final_snapshot_json.empty()) {
-      (void)SendSnapshot(final_snapshot_json);
-    }
+    // Best effort: the protocol is already finished.
     (void)SendFrame(FrameType::kBye, {});
   }
   running_.store(false);
@@ -284,10 +172,7 @@ void TelemetryClient::Stop(const std::string& final_snapshot_json) {
 
 TelemetryServer::TelemetryServer(uint64_t session_key, uint64_t run_id,
                                  size_t num_parties)
-    : session_key_(session_key), run_id_(run_id) {
-  MutexLock lock(mu_);
-  parties_.resize(num_parties);
-}
+    : session_key_(session_key), run_id_(run_id), num_parties_(num_parties) {}
 
 TelemetryServer::~TelemetryServer() { Stop(); }
 
@@ -343,25 +228,12 @@ void TelemetryServer::ServeStream(Socket sock) {
   }
   if (!hello.ok()) return;
   const Frame opener = std::move(hello).ValueOrDie();
-  size_t num_parties = 0;
-  {
-    MutexLock lock(mu_);
-    num_parties = parties_.size();
-  }
   if (opener.type != FrameType::kTelemetryHello ||
-      opener.run_id != run_id_ || opener.from >= num_parties) {
+      opener.run_id != run_id_ || opener.from >= num_parties_) {
     return;
   }
   const uint32_t party = opener.from;
   const uint32_t incarnation = opener.incarnation;
-  {
-    MutexLock lock(mu_);
-    PartyTelemetry& state = parties_[party];
-    state.seen = true;
-    state.connected = true;
-    state.incarnation = incarnation;
-    state.clock_rtt_micros = -1;  // Fresh estimate for this incarnation.
-  }
 
   uint64_t next_seq = 1;
   auto send_frame = [&](FrameType type,
@@ -378,6 +250,7 @@ void TelemetryServer::ServeStream(Socket sock) {
   };
 
   int probes_done = 0;
+  int64_t best_rtt = -1;
   uint64_t outstanding_t_c0 = 0;
   auto send_probe = [&]() -> bool {
     outstanding_t_c0 = obs::NowMicros();
@@ -409,14 +282,10 @@ void TelemetryServer::ServeStream(Socket sock) {
       // NTP-style midpoint estimate: assuming symmetric path delay, the
       // party stamped t_p when the coordinator clock read (t_c0+t_c1)/2.
       const int64_t offset = (t_c0 + static_cast<int64_t>(t_c1)) / 2 - t_p;
-      {
+      if (best_rtt < 0 || rtt < best_rtt) {
+        best_rtt = rtt;
         MutexLock lock(mu_);
-        PartyTelemetry& state = parties_[party];
-        if (state.clock_rtt_micros < 0 || rtt < state.clock_rtt_micros) {
-          state.clock_rtt_micros = rtt;
-          state.clock_offset_micros = offset;
-          state.offsets_by_incarnation[incarnation] = offset;
-        }
+        offsets_[{party, incarnation}] = offset;
       }
       outstanding_t_c0 = 0;
       if (++probes_done < kClockProbes) {
@@ -424,142 +293,23 @@ void TelemetryServer::ServeStream(Socket sock) {
       }
       continue;
     }
-    if (received.type == FrameType::kTelemetrySnapshot) {
-      Result<std::string> json = UnpackTelemetryJson(received.payload);
-      if (json.ok()) ApplySnapshot(party, json.ValueOrDie());
-      continue;
-    }
     break;  // Data/handshake frames never belong on this stream.
   }
-  MutexLock lock(mu_);
-  parties_[party].connected = false;
-}
-
-void TelemetryServer::ApplySnapshot(uint32_t party, const std::string& json) {
-  Result<JsonValue> parsed = ParseJson(json);
-  if (!parsed.ok()) {
-    SQM_LOG(kWarning) << "telemetry: party " << party
-                      << " sent an unparseable snapshot: "
-                      << parsed.status();
-    return;
-  }
-  const JsonValue& doc = parsed.ValueOrDie();
-  MutexLock lock(mu_);
-  PartyTelemetry& state = parties_[party];
-  ++state.snapshots;
-  state.latest_json = json;
-  state.incarnation = static_cast<uint32_t>(
-      UintOr(doc.Find("incarnation"), state.incarnation));
-  const JsonValue* final_member = doc.Find("final");
-  if (final_member != nullptr &&
-      final_member->kind == JsonValue::Kind::kBool) {
-    state.final_seen = state.final_seen || final_member->bool_value;
-  }
-  const JsonValue* phase = doc.Find("phase");
-  if (phase != nullptr && phase->kind == JsonValue::Kind::kString) {
-    state.phase = phase->string_value;
-  }
-  if (const JsonValue* net = doc.Find("net");
-      net != nullptr && net->kind == JsonValue::Kind::kObject) {
-    state.net_messages = UintOr(net->Find("messages"), state.net_messages);
-    state.net_field_elements =
-        UintOr(net->Find("field_elements"), state.net_field_elements);
-    state.net_wire_bytes =
-        UintOr(net->Find("wire_bytes"), state.net_wire_bytes);
-    state.net_rounds = UintOr(net->Find("rounds"), state.net_rounds);
-  }
-  state.ledger_epsilon =
-      NumberOr(doc.Find("ledger_epsilon"), state.ledger_epsilon);
-}
-
-PartyTelemetry TelemetryServer::Party(size_t party) const {
-  MutexLock lock(mu_);
-  SQM_CHECK(party < parties_.size());
-  return parties_[party];
-}
-
-std::vector<PartyTelemetry> TelemetryServer::Fleet() const {
-  MutexLock lock(mu_);
-  return parties_;
 }
 
 Result<int64_t> TelemetryServer::ClockOffsetMicros(
     size_t party, uint32_t incarnation) const {
-  MutexLock lock(mu_);
-  if (party >= parties_.size()) {
+  if (party >= num_parties_) {
     return Status::InvalidArgument("party out of range");
   }
-  const auto it = parties_[party].offsets_by_incarnation.find(incarnation);
-  if (it == parties_[party].offsets_by_incarnation.end()) {
+  MutexLock lock(mu_);
+  const auto it = offsets_.find({static_cast<uint32_t>(party), incarnation});
+  if (it == offsets_.end()) {
     return Status::NotFound("no clock estimate for party " +
                             std::to_string(party) + " incarnation " +
                             std::to_string(incarnation));
   }
   return it->second;
-}
-
-std::string TelemetryServer::FleetMetricsJson() const {
-  const std::vector<PartyTelemetry> fleet = Fleet();
-  JsonWriter writer;
-  writer.BeginObject();
-  writer.Field("run_id", run_id_);
-  writer.BeginArray("parties");
-  for (size_t j = 0; j < fleet.size(); ++j) {
-    const PartyTelemetry& state = fleet[j];
-    writer.BeginObject();
-    writer.Field("party", static_cast<uint64_t>(j));
-    writer.Field("connected", state.connected);
-    writer.Field("final", state.final_seen);
-    writer.Field("incarnation", static_cast<uint64_t>(state.incarnation));
-    writer.Field("snapshots", state.snapshots);
-    writer.Field("clock_offset_micros", state.clock_offset_micros);
-    writer.Field("clock_rtt_micros", state.clock_rtt_micros);
-    writer.Field("phase", state.phase);
-    writer.Key("net");
-    writer.BeginObject();
-    writer.Field("messages", state.net_messages);
-    writer.Field("field_elements", state.net_field_elements);
-    writer.Field("wire_bytes", state.net_wire_bytes);
-    writer.Field("rounds", state.net_rounds);
-    writer.EndObject();
-    writer.Field("ledger_epsilon", state.ledger_epsilon);
-    if (!state.latest_json.empty()) {
-      Result<JsonValue> parsed = ParseJson(state.latest_json);
-      if (parsed.ok()) {
-        writer.Key("state");
-        WriteJsonValueInto(writer, parsed.ValueOrDie());
-      }
-    }
-    writer.EndObject();
-  }
-  writer.EndArray();
-  writer.EndObject();
-  return writer.str();
-}
-
-std::string TelemetryServer::RenderFleetTable() const {
-  const std::vector<PartyTelemetry> fleet = Fleet();
-  std::string out =
-      "party inc state phase        msgs     elems        bytes  rounds"
-      "   eps      offset_us\n";
-  for (size_t j = 0; j < fleet.size(); ++j) {
-    const PartyTelemetry& state = fleet[j];
-    const char* status = !state.seen        ? "-"
-                         : state.final_seen ? "final"
-                         : state.connected  ? "live"
-                                            : "lost";
-    char line[160];
-    std::snprintf(line, sizeof(line),
-                  "%5zu %3u %-5s %-10s %6" PRIu64 " %9" PRIu64 " %12" PRIu64
-                  " %7" PRIu64 " %7.3f %10" PRId64 "\n",
-                  j, state.incarnation, status,
-                  state.phase.empty() ? "-" : state.phase.c_str(),
-                  state.net_messages, state.net_field_elements,
-                  state.net_wire_bytes, state.net_rounds,
-                  state.ledger_epsilon, state.clock_offset_micros);
-    out += line;
-  }
-  return out;
 }
 
 }  // namespace sqm::net

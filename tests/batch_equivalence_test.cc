@@ -401,14 +401,17 @@ TEST(ExecutionModeEquivalence, TcpReleasesMatchDriverBitForBit) {
   }
 }
 
-TEST(ExecutionModeEquivalence, LeftoverMulBackendKeyLeavesTheConfigAlone) {
-  // Configs written while the multiplication backend was selectable may
-  // still carry the key. Whatever it names, the parser skips it, so the
-  // parties run exactly the config TcpReleasesMatchDriverBitForBit runs.
+TEST(ExecutionModeEquivalence, LeftoverRetiredKeysLeaveTheConfigAlone) {
+  // Configs written while the multiplication backend was selectable, or
+  // while the telemetry stream shipped periodic snapshots, may still carry
+  // those keys. Whatever they hold, the parser skips them, so the parties
+  // run exactly the config TcpReleasesMatchDriverBitForBit runs.
   const std::string json = sqm::DeploymentConfigToJson(TcpConfig(31));
   ASSERT_EQ(json.front(), '{') << json;
   sqm::Result<sqm::DeploymentConfig> parsed = sqm::ParseDeploymentConfig(
-      "{\"mul_backend\":\"preprocessed\"," + json.substr(1));
+      "{\"mul_backend\":\"preprocessed\","
+      "\"telemetry_snapshot_interval_seconds\":0.05," +
+      json.substr(1));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(sqm::DeploymentConfigToJson(parsed.ValueOrDie()), json);
 }

@@ -143,8 +143,9 @@ TEST(DeployResilience, RetiredTopupPolicyIsRefusedBeforeAnyFork) {
 }
 
 TEST(DeployResilience, MalformedNumericFlagPrintsUsageAndExitsTwo) {
-  // Flag values must parse whole: a malformed number prints usage and
-  // exits 2 before any config is read (the config path does not exist).
+  // Flag values must parse whole and fit their range: a malformed number
+  // prints usage and exits 2 before any config is read (the config path
+  // does not exist).
   const std::string dir = testing::TempDir() + "/deploy_flags_" +
                           std::to_string(::getpid());
   ASSERT_EQ(std::system(("mkdir -p " + dir).c_str()), 0);
@@ -154,6 +155,11 @@ TEST(DeployResilience, MalformedNumericFlagPrintsUsageAndExitsTwo) {
       std::string(SQM_COORDINATOR_BIN) + config + " --crash-party=1x",
       std::string(SQM_PARTY_BIN) + config + " --party=abc",
       std::string(SQM_PARTY_BIN) + config + " --party=1x",
+      // Out of range for the u16 port and the u32 restart generation: a
+      // narrowing cast would wrap them to 4464 and 0.
+      std::string(SQM_PARTY_BIN) + config + " --party=0 --telemetry-port=70000",
+      std::string(SQM_PARTY_BIN) + config +
+          " --party=0 --incarnation=4294967296",
   };
   for (const std::string& command : commands) {
     const std::string log = dir + "/flags.log";

@@ -37,8 +37,8 @@ TEST(LogisticGradientPolynomialTest, MatchesNumericGradient) {
 
   const std::vector<double> x{0.1, 0.4, -0.3};
   for (int y : {0, 1}) {
-    std::vector<double> record = x;
-    record.push_back(static_cast<double>(y));
+    const std::vector<double> record{x[0], x[1], x[2],
+                                     static_cast<double>(y)};
     const std::vector<double> grad = f.Evaluate(record);
     double u = 0.0;
     for (size_t j = 0; j < 3; ++j) u += w[j] * x[j];

@@ -43,7 +43,9 @@ TEST(ShamirTest, ShareBatchWithTailIsBitIdenticalToShareBatch) {
               scheme.ShareBatch(secrets, whole))
         << "tail " << tail;
     EXPECT_EQ(split.NextUint64(), whole.NextUint64()) << "tail " << tail;
-    if (tail == 0) EXPECT_EQ(tail_seconds, 0.0);
+    if (tail == 0) {
+      EXPECT_EQ(tail_seconds, 0.0);
+    }
   }
 }
 

@@ -211,10 +211,31 @@ TEST(TcpFrame, UnknownFlagBitsRejected) {
   EXPECT_EQ(decoded.status().code(), sqm::StatusCode::kIntegrityViolation);
 }
 
+TEST(TcpFrame, UnknownFrameTypesAreRejected) {
+  // The type byte lives at body offset 2. Type 7 was the retired telemetry
+  // snapshot; it now decodes like any other unknown type. Re-MAC each
+  // patched body so the type check itself must fire.
+  for (const uint8_t type : {0, 7, 8, 255}) {
+    std::vector<uint8_t> wire = EncodeFrame(SampleFrame(), kKey);
+    wire[4 + 2] = type;
+    uint64_t k0 = 0, k1 = 0;
+    sqm::net::DeriveMacKey(kKey, &k0, &k1);
+    const uint64_t mac = SipHash24(k0, k1, Body(wire), BodyLen(wire) - 8);
+    std::memcpy(wire.data() + wire.size() - 8, &mac, 8);
+    sqm::Result<Frame> decoded =
+        DecodeFrame(Body(wire), BodyLen(wire), kKey);
+    ASSERT_FALSE(decoded.ok()) << "type " << int{type};
+    EXPECT_EQ(decoded.status().code(), sqm::StatusCode::kIntegrityViolation);
+    EXPECT_NE(decoded.status().message().find(
+                  "unknown tcp frame type " + std::to_string(type)),
+              std::string::npos)
+        << decoded.status().ToString();
+  }
+}
+
 TEST(TcpFrame, TelemetryFrameTypesRoundTrip) {
   for (const FrameType type :
-       {FrameType::kTelemetryHello, FrameType::kTelemetryClock,
-        FrameType::kTelemetrySnapshot}) {
+       {FrameType::kTelemetryHello, FrameType::kTelemetryClock}) {
     Frame frame;
     frame.type = type;
     frame.from = 2;

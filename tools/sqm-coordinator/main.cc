@@ -3,7 +3,7 @@
 //
 //   sqm-coordinator --config=deploy.json --out-dir=/tmp/run
 //       [--compare-lockstep] [--crash-party=N --crash-at-mul-level=L]
-//       [--party-bin=PATH] [--timeout-seconds=S] [--stats-interval=S]
+//       [--party-bin=PATH] [--timeout-seconds=S]
 //   sqm-coordinator --trace-validate=merged_trace.json
 //
 // The coordinator pre-binds every roster port (resolving port 0 to an
@@ -14,10 +14,7 @@
 //   - checks that every surviving party released bit-identical raw values,
 //   - merges the per-party, per-incarnation trace files into one
 //     clock-aligned Perfetto timeline (<out-dir>/merged_trace.json) using
-//     the offsets estimated on the telemetry channel,
-//   - aggregates the parties' live telemetry into a fleet view
-//     (<out-dir>/fleet_metrics.json; --stats-interval=S prints an
-//     sqm-top-style table every S seconds while the run is live),
+//     the clock offsets measured on each party's telemetry control stream,
 //   - optionally (--compare-lockstep) replays the same config in-process
 //     on the deterministic lockstep transport and requires the networked
 //     release to match it bit for bit,
@@ -98,8 +95,6 @@ struct Args {
   /// casualty even under supervision.
   bool crash_every_incarnation = false;
   double timeout_seconds = 120.0;
-  /// > 0: print the live fleet table every this many seconds.
-  double stats_interval = 0.0;
 };
 
 bool ParseFlag(const std::string& arg, const std::string& name,
@@ -141,8 +136,7 @@ int Usage(const char* argv0) {
             << " --config=FILE [--out-dir=DIR] [--compare-lockstep]"
                " [--crash-party=N --crash-at-mul-level=L]"
                " [--crash-every-incarnation]"
-               " [--party-bin=PATH] [--timeout-seconds=S]"
-               " [--stats-interval=S]\n"
+               " [--party-bin=PATH] [--timeout-seconds=S]\n"
                "       "
             << argv0 << " --trace-validate=FILE\n";
   return 2;
@@ -286,20 +280,15 @@ struct PartyOutcome {
 /// (outcomes[j].pid now names the new incarnation) and supervision
 /// continues; false lets the death stand. Never consulted after the
 /// watchdog fires — those deaths are the watchdog's own SIGKILLs.
-///
-/// `on_poll` runs once per supervision loop iteration (~20 ms): the live
-/// fleet-table printer hooks in here.
 void AwaitChildren(std::vector<PartyOutcome>& outcomes,
                    std::chrono::steady_clock::time_point deadline,
-                   const std::function<bool(size_t)>& try_restart,
-                   const std::function<void()>& on_poll) {
+                   const std::function<bool(size_t)>& try_restart) {
   size_t remaining = 0;
   for (const PartyOutcome& outcome : outcomes) {
     if (outcome.pid > 0) ++remaining;
   }
   bool killed = false;
   while (remaining > 0) {
-    if (on_poll) on_poll();
     bool reaped_one = false;
     for (size_t j = 0; j < outcomes.size(); ++j) {
       PartyOutcome& outcome = outcomes[j];
@@ -352,8 +341,6 @@ int main(int argc, char** argv) {
         ParseLongFlag(arg, "crash-at-mul-level", &args.crash_at_mul_level,
                       &malformed) ||
         ParseDoubleFlag(arg, "timeout-seconds", &args.timeout_seconds,
-                        &malformed) ||
-        ParseDoubleFlag(arg, "stats-interval", &args.stats_interval,
                         &malformed)) {
       if (!malformed) continue;
     } else if (arg == "--compare-lockstep") {
@@ -425,8 +412,8 @@ int main(int argc, char** argv) {
 
   // The telemetry control channel: one extra coordinator-side listener the
   // parties dial back on. Purely observational, so a failed bind degrades
-  // to "no fleet view" instead of failing the run. Skipped entirely when
-  // the config turns the obs kill switch off.
+  // to an unaligned trace merge instead of failing the run. Skipped
+  // entirely when the config turns the obs kill switch off.
   std::unique_ptr<sqm::net::TelemetryServer> telemetry;
   uint16_t telemetry_port = 0;
   if (config.obs_enabled) {
@@ -594,38 +581,17 @@ int main(int argc, char** argv) {
   // Parent: release every listener — the children own them now.
   listeners.clear();
 
-  // The live fleet table (--stats-interval), fed by the telemetry server.
-  auto last_stats = std::chrono::steady_clock::now();
-  std::function<void()> on_poll;
-  if (telemetry != nullptr && args.stats_interval > 0.0) {
-    on_poll = [&] {
-      const auto now = std::chrono::steady_clock::now();
-      if (std::chrono::duration<double>(now - last_stats).count() <
-          args.stats_interval) {
-        return;
-      }
-      last_stats = now;
-      std::cout << telemetry->RenderFleetTable() << std::flush;
-    };
-  }
-
   AwaitChildren(outcomes,
                 std::chrono::steady_clock::now() +
                     std::chrono::duration_cast<
                         std::chrono::steady_clock::duration>(
                         std::chrono::duration<double>(
                             args.timeout_seconds)),
-                try_restart, on_poll);
+                try_restart);
 
-  // Every stream has gone quiet (the parties exited); freeze the fleet
-  // view before reading offsets out of it.
-  if (telemetry != nullptr) {
-    telemetry->Stop();
-    if (!WriteFile(args.out_dir + "/fleet_metrics.json",
-                   telemetry->FleetMetricsJson())) {
-      std::cerr << "cannot write fleet_metrics.json\n";
-    }
-  }
+  // Every stream has gone quiet (the parties exited); freeze the clock
+  // estimates before the merge reads them.
+  if (telemetry != nullptr) telemetry->Stop();
 
   // Collect reports from the parties that produced one.
   bool ok = true;
@@ -675,32 +641,6 @@ int main(int argc, char** argv) {
         std::cerr << "party " << j << " released different raw values than "
                   << "party " << canonical << "\n";
         parties_agree = false;
-        ok = false;
-      }
-    }
-  }
-
-  // The telemetry plane must agree with the parties' own accounting: a
-  // party that shipped its final snapshot reported its FROZEN transport
-  // totals there, so the fleet view reconciles byte-for-byte with the
-  // party's report. A divergence means the control stream lost or
-  // misattributed data — fail loudly.
-  bool telemetry_reconciles = true;
-  if (telemetry != nullptr) {
-    for (size_t j = 0; j < n; ++j) {
-      if (!outcomes[j].report_loaded) continue;
-      const sqm::net::PartyTelemetry state = telemetry->Party(j);
-      if (!state.final_seen) continue;
-      const sqm::NetworkStats& totals = outcomes[j].report.transport.totals;
-      if (state.net_wire_bytes != totals.wire_bytes ||
-          state.net_messages != totals.messages ||
-          state.net_field_elements != totals.field_elements ||
-          state.net_rounds != totals.rounds) {
-        std::cerr << "party " << j << " telemetry does not reconcile: "
-                  << "fleet view has " << state.net_wire_bytes
-                  << " wire bytes, report has " << totals.wire_bytes
-                  << "\n";
-        telemetry_reconciles = false;
         ok = false;
       }
     }
@@ -783,7 +723,6 @@ int main(int argc, char** argv) {
   summary.Field("lockstep_compared", args.compare_lockstep);
   summary.Field("lockstep_match", lockstep_match);
   summary.Field("telemetry_enabled", telemetry != nullptr);
-  summary.Field("telemetry_reconciles", telemetry_reconciles);
   summary.BeginArray("party_outcomes");
   for (size_t j = 0; j < n; ++j) {
     summary.BeginObject();

@@ -19,9 +19,10 @@
 // --checkpoint-dir enables durable checkpoints (and, with the config's
 // recovery fields, supervised rejoin); --incarnation=K marks this process
 // as the K-th supervised respawn, making it resume from its checkpoint.
-// --telemetry-port connects the live telemetry channel back to the
-// coordinator: clock-offset probes, periodic state snapshots, and (via the
-// periodic durable trace rewrite) pre-crash spans that survive SIGKILL.
+// --telemetry-port connects the telemetry control stream back to the
+// coordinator: it answers the clock-offset probes the trace merge needs, and
+// its 0.25-s tick rewrites the durable trace so pre-crash spans survive
+// SIGKILL.
 // --trace is also the crash dump: fatal exits and SIGTERM flush the trace
 // there (docs/OBSERVABILITY.md).
 // See docs/DEPLOYMENT.md.
@@ -31,18 +32,16 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 
-#include "core/json.h"
 #include "core/party_sqm.h"
 #include "core/report_io.h"
 #include "core/status.h"
 #include "net/tcp/party_config.h"
 #include "net/tcp/tcp_transport.h"
 #include "net/tcp/telemetry.h"
-#include "obs/ledger.h"
-#include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
 
@@ -69,16 +68,19 @@ bool ParseFlag(const std::string& arg, const std::string& name,
   return true;
 }
 
-/// Matches --name=VALUE and parses the whole VALUE as a decimal integer
-/// ("1x" and "abc" are malformed). A malformed VALUE still matches but sets
-/// *malformed, so the caller prints usage and exits 2.
-bool ParseLongFlag(const std::string& arg, const std::string& name,
-                   long* out, bool* malformed) {
+/// Matches --name=VALUE and parses the whole VALUE as a decimal integer in
+/// [lo, hi] ("1x", "abc" and out-of-range values are malformed, so no flag
+/// wraps through a narrowing cast). A malformed VALUE still matches but
+/// sets *malformed, so the caller prints usage and exits 2.
+bool ParseLongFlag(const std::string& arg, const std::string& name, long lo,
+                   long hi, long* out, bool* malformed) {
   std::string text;
   if (!ParseFlag(arg, name, &text)) return false;
   const char* end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
-  if (ec != std::errc() || ptr != end) *malformed = true;
+  if (ec != std::errc() || ptr != end || *out < lo || *out > hi) {
+    *malformed = true;
+  }
   return true;
 }
 
@@ -110,60 +112,33 @@ extern "C" void HandleSigTerm(int) {
   _exit(143);
 }
 
-/// The telemetry snapshot document (docs/OBSERVABILITY.md "Snapshot
-/// schema"). Live snapshots read the transport's running totals; the final
-/// snapshot reads the report's frozen totals so the fleet view reconciles
-/// exactly with party_<j>.json.
-std::string BuildSnapshot(uint64_t run_id, size_t party,
-                          uint32_t incarnation, const std::string& phase,
-                          const sqm::NetworkStats& net, bool final_doc) {
-  sqm::JsonWriter w;
-  w.BeginObject();
-  w.Field("run_id", run_id);
-  w.Field("party", static_cast<uint64_t>(party));
-  w.Field("incarnation", static_cast<uint64_t>(incarnation));
-  w.Field("final", final_doc);
-  w.Field("phase", phase);
-  w.Key("net");
-  w.BeginObject();
-  w.Field("messages", net.messages);
-  w.Field("field_elements", net.field_elements);
-  w.Field("wire_bytes", net.wire_bytes);
-  w.Field("rounds", net.rounds);
-  w.EndObject();
-  const std::vector<sqm::obs::LedgerEntry> spends =
-      sqm::obs::PrivacyLedger::Global().Entries();
-  w.Field("ledger_epsilon",
-          spends.empty() ? 0.0 : spends.back().cumulative_epsilon);
-  // The metrics registry rides along whole.
-  w.Key("metrics");
-  std::string doc = w.str();
-  doc += sqm::obs::Registry::Global().SnapshotJson();
-  doc += "}";
-  return doc;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   Args args;
+  constexpr long kLongMax = std::numeric_limits<long>::max();
+  constexpr long kU32Max = std::numeric_limits<uint32_t>::max();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     long fd = -1;
     bool malformed = false;
     if (ParseFlag(arg, "config", &args.config_path) ||
-        ParseLongFlag(arg, "party", &args.party, &malformed) ||
+        ParseLongFlag(arg, "party", 0, kU32Max, &args.party, &malformed) ||
         ParseFlag(arg, "report", &args.report_path) ||
         ParseFlag(arg, "trace", &args.trace_path) ||
         ParseFlag(arg, "telemetry-host", &args.telemetry_host) ||
-        ParseLongFlag(arg, "telemetry-port", &args.telemetry_port,
-                      &malformed) ||
-        ParseLongFlag(arg, "crash-at-mul-level", &args.crash_at_mul_level,
-                      &malformed) ||
+        ParseLongFlag(arg, "telemetry-port", 0,
+                      std::numeric_limits<uint16_t>::max(),
+                      &args.telemetry_port, &malformed) ||
+        ParseLongFlag(arg, "crash-at-mul-level", 0, kLongMax,
+                      &args.crash_at_mul_level, &malformed) ||
         ParseFlag(arg, "checkpoint-dir", &args.checkpoint_dir) ||
-        ParseLongFlag(arg, "incarnation", &args.incarnation, &malformed)) {
+        ParseLongFlag(arg, "incarnation", 0, kU32Max, &args.incarnation,
+                      &malformed)) {
       if (!malformed) continue;
-    } else if (ParseLongFlag(arg, "listen-fd", &fd, &malformed)) {
+    } else if (ParseLongFlag(arg, "listen-fd", 0,
+                             std::numeric_limits<int>::max(), &fd,
+                             &malformed)) {
       args.listen_fd = static_cast<int>(fd);
       if (!malformed) continue;
     }
@@ -171,9 +146,7 @@ int main(int argc, char** argv) {
               << arg << "\n";
     return Usage(argv[0]);
   }
-  if (args.config_path.empty() || args.party < 0 || args.incarnation < 0) {
-    return Usage(argv[0]);
-  }
+  if (args.config_path.empty() || args.party < 0) return Usage(argv[0]);
 
   std::ifstream config_file(args.config_path);
   if (!config_file) {
@@ -234,8 +207,8 @@ int main(int argc, char** argv) {
     sqm::obs::Tracer::Global().WriteChromeTraceFile(args.trace_path);
   }
 
-  // Live telemetry channel back to the coordinator (observational only: a
-  // refused connection or a dead coordinator never stops the protocol).
+  // Telemetry control stream back to the coordinator (observational only:
+  // a refused connection or a dead coordinator never stops the protocol).
   sqm::net::TelemetryClient* telemetry = nullptr;
   if (sqm::obs::Enabled() && args.telemetry_port > 0) {
     sqm::net::TelemetryClientOptions opts;
@@ -245,17 +218,10 @@ int main(int argc, char** argv) {
     opts.run_id = config.run_id;
     opts.party = static_cast<uint32_t>(me);
     opts.incarnation = incarnation;
-    opts.snapshot_interval_seconds =
-        config.telemetry_snapshot_interval_seconds;
-    const uint64_t run_id = config.run_id;
-    opts.build_snapshot = [wire, run_id, me, incarnation] {
-      return BuildSnapshot(run_id, me, incarnation, wire->phase(),
-                           wire->stats(), /*final_doc=*/false);
-    };
     if (!args.trace_path.empty()) {
       const std::string trace_path = args.trace_path;
       opts.on_tick = [trace_path] {
-        // Durable trace: rewrite every interval so a SIGKILL mid-protocol
+        // Durable trace: rewrite every tick so a SIGKILL mid-protocol
         // still leaves this incarnation's pre-crash spans on disk for the
         // coordinator's merge.
         sqm::obs::Tracer::Global().WriteChromeTraceFile(trace_path);
@@ -288,14 +254,8 @@ int main(int argc, char** argv) {
   wire->Shutdown();
 
   if (telemetry != nullptr) {
-    // Final snapshot from the report's FROZEN totals (the transport is
-    // shut down), so fleet_metrics.json reconciles byte-for-byte with
-    // this party's own report. Stopping joins the tick thread before the
-    // final trace write below.
-    telemetry->Stop(BuildSnapshot(
-        config.run_id, me, incarnation, "done",
-        report.ok() ? report.ValueOrDie().transport.totals : wire->stats(),
-        /*final_doc=*/true));
+    // Stopping joins the tick thread before the final trace write below.
+    telemetry->Stop();
     delete telemetry;
   }
   if (!args.trace_path.empty() && sqm::obs::Enabled()) {

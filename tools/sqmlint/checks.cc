@@ -713,7 +713,7 @@ void CheckBatchDiscipline(const Project& /*project*/, const SourceFile& file,
 // tracer buffers `const char*` names raw (no copy), and dynamic metric
 // names explode registry cardinality — so the name argument of every
 // SQM_OBS_* metric macro and Span declaration must be a string literal.
-// Span argument regions are exported into traces and telemetry snapshots
+// Span argument regions are exported into traces and metric exports
 // that leave the process, so secret-lexicon identifiers must not appear
 // there (the same rule secret-taint enforces on the metric macros and
 // AddArg).
@@ -782,7 +782,7 @@ void CheckObsDiscipline(const Project& /*project*/, const SourceFile& file,
              "secret-lexicon identifier '" + toks[j].text +
                  "' reaches the exported argument region of '" + name +
                  "'; span annotations and metrics leave "
-                 "the process via traces and telemetry snapshots");
+                 "the process via traces and metric exports");
       break;  // One secret finding per argument region.
     }
   }

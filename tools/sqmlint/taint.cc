@@ -63,7 +63,7 @@ const std::set<std::string>& StatementSinks() {
 }
 
 /// Call-shaped sinks whose argument region leaves the process through the
-/// observability plane (traces, telemetry snapshots, JSON artifacts).
+/// observability plane (traces, metric exports, JSON artifacts).
 const std::set<std::string>& ObsCallSinks() {
   static const std::set<std::string> kNames = {
       "SQM_OBS_COUNTER_ADD", "SQM_OBS_COUNTER_INC", "SQM_OBS_GAUGE_SET",
