@@ -1,7 +1,7 @@
 // Observability overhead: the same BGW-backed SQM release measured three
-// ways — instrumentation collecting (tracer + metrics + ledger all live),
-// instrumentation killed at run time (obs::SetEnabled(false): every macro
-// and span checks one relaxed atomic and bails), and, when the build was
+// ways — instrumentation collecting (tracer + ledger live), instrumentation
+// killed at run time (obs::SetEnabled(false): every span and ledger
+// forward checks one relaxed atomic and bails), and, when the build was
 // configured with -DSQM_OBS=OFF, the compile-time zero. The claim being
 // checked is the PR's acceptance bar: <= 5% wall-clock overhead with
 // collection on, ~0% with the kill switch.
@@ -9,10 +9,13 @@
 // Two sections: the in-process evaluator (pure collection cost), then a
 // tcp-localhost mode — every party a thread over a real loopback mesh, the
 // sqm-party wire path — where the traced run also pays the trace-context
-// frame-header bytes and the per-frame net.send/net.recv spans. Output is
-// the usual table plus a JSON line per row; --json=FILE archives all rows
-// as one machine-readable record (scripts/check.sh keeps it as
-// BENCH_obs_overhead.json).
+// frame-header bytes and the per-frame net.send/net.recv spans. Killed and
+// traced reps alternate, and each pair swaps which leg runs first, so
+// neither leg always inherits the other's warm caches or (over TCP) its
+// TIME_WAIT sockets. Each leg reports its median with the p25 and p75 of
+// its reps. Output is the usual table plus a JSON line per row;
+// --json=FILE archives all rows as one machine-readable record
+// (scripts/check.sh keeps it as BENCH_obs_overhead.json).
 
 #include <chrono>
 #include <cstdio>
@@ -28,29 +31,85 @@
 #include "net/tcp/party_config.h"
 #include "net/tcp/socket.h"
 #include "net/tcp/tcp_transport.h"
-#include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
 #include "sampling/rng.h"
 
 namespace {
 
-double MedianRunSeconds(const sqm::PolynomialVector& f, const sqm::Matrix& x,
-                        const sqm::SqmOptions& options, int reps) {
-  std::vector<double> seconds;
-  seconds.reserve(reps);
-  for (int r = 0; r < reps; ++r) {
-    // Fresh buffers each rep so instrumented runs pay steady-state
-    // collection cost, not buffer-growth amortization artifacts.
-    sqm::obs::Tracer::Global().Clear();
-    const auto start = std::chrono::steady_clock::now();
-    const sqm::SqmReport report =
-        sqm::SqmEvaluator(options).Evaluate(f, x).ValueOrDie();
-    const auto stop = std::chrono::steady_clock::now();
-    if (report.raw.empty()) std::abort();  // Keep the work observable.
-    seconds.push_back(std::chrono::duration<double>(stop - start).count());
+/// One leg's wall-clock seconds over its reps.
+struct Quartiles {
+  double p25 = 0.0;
+  double p50 = 0.0;
+  double p75 = 0.0;
+};
+
+Quartiles QuartilesOf(const std::vector<double>& seconds) {
+  return {sqm::Quantile(seconds, 0.25), sqm::Quantile(seconds, 0.5),
+          sqm::Quantile(seconds, 0.75)};
+}
+
+struct PairedLegs {
+  bool ok = true;
+  Quartiles killed;
+  Quartiles traced;
+
+  double Overhead() const {
+    return killed.p50 > 0.0 ? (traced.p50 - killed.p50) / killed.p50 : 0.0;
   }
-  return sqm::Quantile(seconds, 0.5);
+};
+
+/// Runs `reps` (killed, traced) pairs, the traced leg first in every odd
+/// pair. `timed_run(traced)` performs one rep with obs::Enabled() already
+/// set to `traced` and returns its wall seconds, or a negative value on
+/// failure, which ends the measurement with ok = false. Collection is off
+/// again on return.
+template <typename TimedRun>
+PairedLegs MeasurePairs(int reps, TimedRun timed_run) {
+  std::vector<double> killed;
+  std::vector<double> traced;
+  PairedLegs legs;
+  for (int r = 0; r < reps && legs.ok; ++r) {
+    for (int leg = 0; leg < 2 && legs.ok; ++leg) {
+      const bool trace = (leg == 0) == (r % 2 == 1);
+      sqm::obs::SetEnabled(trace);
+      // Fresh buffers each rep so instrumented runs pay steady-state
+      // collection cost, not buffer-growth amortization artifacts.
+      sqm::obs::Tracer::Global().Clear();
+      const double seconds = timed_run(trace);
+      legs.ok = seconds >= 0.0;
+      (trace ? traced : killed).push_back(seconds);
+    }
+  }
+  sqm::obs::SetEnabled(false);
+  if (legs.ok) {
+    legs.killed = QuartilesOf(killed);
+    legs.traced = QuartilesOf(traced);
+  }
+  return legs;
+}
+
+/// The JSON fields both sections share: each leg's median (the
+/// `*_seconds` keys) with its p25/p75, and the overhead of the medians.
+std::string LegsJson(const PairedLegs& legs) {
+  char fields[320];
+  std::snprintf(fields, sizeof(fields),
+                "\"killed_seconds\":%.9f,\"killed_p25\":%.9f,"
+                "\"killed_p75\":%.9f,\"traced_seconds\":%.9f,"
+                "\"traced_p25\":%.9f,\"traced_p75\":%.9f,"
+                "\"overhead\":%.6f",
+                legs.killed.p50, legs.killed.p25, legs.killed.p75,
+                legs.traced.p50, legs.traced.p25, legs.traced.p75,
+                legs.Overhead());
+  return fields;
+}
+
+/// "median [p25, p75]" for the printed tables.
+std::string LegText(const Quartiles& q) {
+  char text[64];
+  std::snprintf(text, sizeof(text), "%.6f [%.6f, %.6f]", q.p50, q.p25,
+                q.p75);
+  return text;
 }
 
 struct TcpRun {
@@ -129,19 +188,6 @@ TcpRun RunTcpLocalhost(sqm::DeploymentConfig config) {
   return result;
 }
 
-double MedianTcpSeconds(const sqm::DeploymentConfig& config, int reps,
-                        TcpRun* last) {
-  std::vector<double> seconds;
-  seconds.reserve(reps);
-  for (int r = 0; r < reps; ++r) {
-    sqm::obs::Tracer::Global().Clear();
-    *last = RunTcpLocalhost(config);
-    if (!last->ok) return 0.0;
-    seconds.push_back(last->wall_seconds);
-  }
-  return sqm::Quantile(seconds, 0.5);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -156,9 +202,10 @@ int main(int argc, char** argv) {
 
   bench::PrintHeader(
       "Observability overhead: traced vs kill-switched SQM release "
-      "(BGW, m=" + std::to_string(m) + ", median of " +
-          std::to_string(reps) + " reps)",
-      "overhead = (traced - killed) / killed; acceptance bar is <= 5%");
+      "(BGW, m=" + std::to_string(m) + ", " + std::to_string(reps) +
+          " interleaved pairs, median [p25, p75])",
+      "overhead = (traced - killed) / killed on the medians; acceptance "
+      "bar is <= 5%");
 
 #ifdef SQM_OBS_DISABLED
   std::printf("\nBuilt with -DSQM_OBS=OFF: Enabled() is a compile-time "
@@ -171,7 +218,7 @@ int main(int argc, char** argv) {
     json_rows.push_back(row);
   };
 
-  std::printf("\n%-6s %-14s %-14s %-10s %-10s %-10s\n", "n", "killed (s)",
+  std::printf("\n%-6s %-32s %-32s %-10s %-10s %-10s\n", "n", "killed (s)",
               "traced (s)", "overhead", "events", "match");
   bench::PrintRule();
 
@@ -188,13 +235,18 @@ int main(int argc, char** argv) {
     options.backend = MpcBackend::kBgw;
     options.quantize_coefficients = false;
 
-    obs::SetEnabled(false);
-    const double killed = MedianRunSeconds(f, x, options, reps);
-    const SqmReport dark = SqmEvaluator(options).Evaluate(f, x).ValueOrDie();
+    const PairedLegs legs = MeasurePairs(reps, [&](bool) {
+      const auto start = std::chrono::steady_clock::now();
+      const SqmReport report =
+          SqmEvaluator(options).Evaluate(f, x).ValueOrDie();
+      const auto stop = std::chrono::steady_clock::now();
+      if (report.raw.empty()) std::abort();  // Keep the work observable.
+      return std::chrono::duration<double>(stop - start).count();
+    });
 
+    const SqmReport dark = SqmEvaluator(options).Evaluate(f, x).ValueOrDie();
     obs::SetEnabled(true);
-    obs::Registry::Global().ResetAll();
-    const double traced = MedianRunSeconds(f, x, options, reps);
+    obs::Tracer::Global().Clear();
     const SqmReport lit = SqmEvaluator(options).Evaluate(f, x).ValueOrDie();
     const uint64_t events = obs::Tracer::Global().num_events();
     obs::SetEnabled(false);
@@ -202,22 +254,16 @@ int main(int argc, char** argv) {
     // Same seed, same options: instrumentation must not perturb the
     // released integers.
     const bool match = lit.raw == dark.raw;
-    const double overhead = killed > 0.0 ? (traced - killed) / killed : 0.0;
 
-    std::printf("%-6zu %-14.6f %-14.6f %-9.2f%% %-10llu %-10s\n", n, killed,
-                traced, overhead * 100.0,
+    std::printf("%-6zu %-32s %-32s %-9.2f%% %-10llu %-10s\n", n,
+                LegText(legs.killed).c_str(), LegText(legs.traced).c_str(),
+                legs.Overhead() * 100.0,
                 static_cast<unsigned long long>(events),
                 match ? "yes" : "NO");
-    char row[256];
-    std::snprintf(row, sizeof(row),
-                  "{\"bench\":\"obs_overhead\",\"mode\":\"inprocess\","
-                  "\"n\":%zu,\"m\":%zu,"
-                  "\"killed_seconds\":%.9f,\"traced_seconds\":%.9f,"
-                  "\"overhead\":%.6f,\"trace_events\":%llu,\"match\":%s}",
-                  n, m, killed, traced, overhead,
-                  static_cast<unsigned long long>(events),
-                  match ? "true" : "false");
-    record(row);
+    record("{\"bench\":\"obs_overhead\",\"mode\":\"inprocess\",\"n\":" +
+           std::to_string(n) + ",\"m\":" + std::to_string(m) + "," +
+           LegsJson(legs) + ",\"trace_events\":" + std::to_string(events) +
+           ",\"match\":" + (match ? "true" : "false") + "}");
   }
 
   // tcp-localhost: the sqm-party wire path. The traced leg pays spans AND
@@ -227,9 +273,9 @@ int main(int argc, char** argv) {
   if (net::TcpSupported()) {
     bench::PrintHeader(
         "tcp-localhost: " + std::to_string(reps) +
-            " reps, 3 parties as threads over loopback sockets",
+            " interleaved pairs, 3 parties as threads over loopback sockets",
         "traced leg also carries trace context in every frame header");
-    std::printf("\n%-6s %-14s %-14s %-10s %-10s\n", "n", "killed (s)",
+    std::printf("\n%-6s %-32s %-32s %-10s %-10s\n", "n", "killed (s)",
                 "traced (s)", "overhead", "match");
     bench::PrintRule();
 
@@ -246,38 +292,32 @@ int main(int argc, char** argv) {
     deployment.seed = 42;
     deployment.quantize_coefficients = false;
 
-    obs::SetEnabled(false);
     TcpRun killed_run;
-    const double tcp_killed = MedianTcpSeconds(deployment, reps, &killed_run);
-
-    obs::SetEnabled(true);
-    obs::Registry::Global().ResetAll();
-    // A nonzero trace id is what puts trace context on the wire.
-    obs::Tracer::SetTraceId(0x0b5ebe4c51ULL | 1);
     TcpRun traced_run;
-    const double tcp_traced = MedianTcpSeconds(deployment, reps, &traced_run);
+    const PairedLegs legs = MeasurePairs(reps, [&](bool traced) {
+      // A nonzero trace id is what puts trace context on the wire.
+      obs::Tracer::SetTraceId(traced ? (0x0b5ebe4c51ULL | 1) : 0);
+      TcpRun& run = traced ? traced_run : killed_run;
+      run = RunTcpLocalhost(deployment);
+      return run.ok ? run.wall_seconds : -1.0;
+    });
     obs::Tracer::SetTraceId(0);
-    obs::SetEnabled(false);
 
-    if (!killed_run.ok || !traced_run.ok) {
+    if (!legs.ok) {
       std::printf("tcp-localhost run failed: %s\n",
                   (!killed_run.ok ? killed_run : traced_run).error.c_str());
     } else {
       const bool tcp_match = killed_run.raw == traced_run.raw;
-      const double tcp_overhead =
-          tcp_killed > 0.0 ? (tcp_traced - tcp_killed) / tcp_killed : 0.0;
-      std::printf("%-6zu %-14.6f %-14.6f %-9.2f%% %-10s\n",
-                  deployment.parties.size(), tcp_killed, tcp_traced,
-                  tcp_overhead * 100.0, tcp_match ? "yes" : "NO");
-      char row[256];
-      std::snprintf(row, sizeof(row),
-                    "{\"bench\":\"obs_overhead\",\"mode\":\"tcp-localhost\","
-                    "\"n\":%zu,\"m\":%zu,"
-                    "\"killed_seconds\":%.9f,\"traced_seconds\":%.9f,"
-                    "\"overhead\":%.6f,\"match\":%s}",
-                    deployment.parties.size(), deployment.rows, tcp_killed,
-                    tcp_traced, tcp_overhead, tcp_match ? "true" : "false");
-      record(row);
+      std::printf("%-6zu %-32s %-32s %-9.2f%% %-10s\n",
+                  deployment.parties.size(), LegText(legs.killed).c_str(),
+                  LegText(legs.traced).c_str(), legs.Overhead() * 100.0,
+                  tcp_match ? "yes" : "NO");
+      record("{\"bench\":\"obs_overhead\",\"mode\":\"tcp-localhost\","
+             "\"n\":" +
+             std::to_string(deployment.parties.size()) +
+             ",\"m\":" + std::to_string(deployment.rows) + "," +
+             LegsJson(legs) + ",\"match\":" + (tcp_match ? "true" : "false") +
+             "}");
     }
   }
 

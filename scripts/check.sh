@@ -122,6 +122,17 @@ cmake --build "$tsan_dir" -j"$(nproc)"
 (cd "$tsan_dir" && ctest -L 'deploy|chaos|batch|sampler|tcp|resilience|obs' --output-on-failure)
 (cd "$tsan_dir" && ctest -R '^(ThreadedTransportTest\.|ScheduleFuzzTest\.|fuzz_smoke$)' --output-on-failure)
 
+# The compile-time half of the dual kill switch: -DSQM_OBS=OFF pins
+# obs::Enabled() to constant false, so every span and ledger forward folds
+# away. A separate tree builds it and runs the whole suite there (the obs
+# suites drop out by design, tests/CMakeLists.txt), so a site that only
+# compiles, or only releases the right values, with instrumentation in
+# fails here.
+obsoff_dir="$build_dir-obsoff"
+cmake -B "$obsoff_dir" -S "$repo_root" -DSQM_OBS=OFF
+cmake --build "$obsoff_dir" -j"$(nproc)"
+(cd "$obsoff_dir" && ctest --output-on-failure -j"$(nproc)")
+
 # The benchmark gate: perfbench is a separate CMake project that compiles
 # src/ against its public headers (SqmOptions, SqmReport::timing and
 # ::transport, RunPartySqm, TcpOptionsFromDeployment, the bgw.* span

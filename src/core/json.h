@@ -11,8 +11,8 @@
 namespace sqm {
 
 /// Minimal JSON writer used to persist experiment artifacts — release
-/// reports, timing breakdowns, network counters, Chrome trace-event files,
-/// metrics snapshots — so downstream analysis (plotting the reproduced
+/// reports, timing breakdowns, network counters, Chrome trace-event files
+/// — so downstream analysis (plotting the reproduced
 /// figures, regression-tracking the tables, loading a trace in Perfetto)
 /// does not have to scrape stdout. ParseJson below is the matching
 /// consumer, used to reload reports and transcripts for replay.

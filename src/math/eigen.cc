@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "math/linalg.h"
-#include "obs/metrics.h"
 #include "sampling/rng.h"
 
 namespace sqm {
@@ -42,11 +41,7 @@ Result<EigenDecomposition> JacobiEigenSymmetric(const Matrix& a,
     double off = 0.0;
     for (size_t i = 0; i < n; ++i)
       for (size_t j = i + 1; j < n; ++j) off += d(i, j) * d(i, j);
-    // The gauge tracks convergence of the current decomposition; the
-    // counter accumulates sweeps across calls.
-    SQM_OBS_GAUGE_SET("eigen.jacobi.off_diag_norm", std::sqrt(off));
     if (off < 1e-24) break;
-    SQM_OBS_COUNTER_INC("eigen.jacobi.sweeps");
 
     for (size_t p = 0; p < n; ++p) {
       for (size_t q = p + 1; q < n; ++q) {

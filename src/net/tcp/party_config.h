@@ -63,7 +63,7 @@ struct DeploymentConfig {
 
   /// Runtime observability kill switch for the whole fleet: false makes
   /// every process call obs::SetEnabled(false) before any protocol work,
-  /// so no spans, metrics or telemetry streams exist and the wire carries
+  /// so no spans, ledger stream or telemetry stream exist and the wire carries
   /// no trace context. Released values are bit-identical either way
   /// (obs_distributed_test proves it).
   bool obs_enabled = true;

@@ -78,7 +78,9 @@ bool TcpSupported() { return SQM_HAVE_POSIX_SOCKETS != 0; }
 
 #if SQM_HAVE_POSIX_SOCKETS
 
-Result<Socket> ListenOn(const std::string& host, uint16_t port) {
+namespace {
+
+Result<Socket> BindAndListen(const sockaddr_in& addr, const std::string& host) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return Status::IoError(ErrnoMessage("socket"));
   Socket sock(fd);
@@ -86,12 +88,6 @@ Result<Socket> ListenOn(const std::string& host, uint16_t port) {
   const int one = 1;
   if (::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one)) != 0) {
     return Status::IoError(ErrnoMessage("setsockopt(SO_REUSEADDR)"));
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("not a numeric IPv4 address: " + host);
   }
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
       0) {
@@ -101,6 +97,47 @@ Result<Socket> ListenOn(const std::string& host, uint16_t port) {
     return Status::IoError(ErrnoMessage("listen"));
   }
   return sock;
+}
+
+// A port that is free for UDP on `addr`, chosen by the kernel; 0 if none.
+uint16_t UdpChosenPort(sockaddr_in addr) {
+  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+  if (fd < 0) return 0;
+  Socket sock(fd);
+  addr.sin_port = 0;
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
+    return 0;
+  }
+  return LocalPort(sock).ValueOr(0);
+}
+
+}  // namespace
+
+Result<Socket> ListenOn(const std::string& host, uint16_t port) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+    return Status::InvalidArgument("not a numeric IPv4 address: " + host);
+  }
+  if (port == 0) {
+    // The kernel's TCP search for port 0 skips every port that holds a
+    // TIME_WAIT entry; once a busy host's entries fill the ephemeral range
+    // it costs milliseconds per bind. An explicit bind under SO_REUSEADDR
+    // may share its port with TIME_WAIT entries of SO_REUSEADDR sockets,
+    // so take the port the kernel picks for UDP (microseconds) and fall
+    // back to port 0 when every port tried is taken.
+    for (int attempt = 0; attempt < 8; ++attempt) {
+      const uint16_t candidate = UdpChosenPort(addr);
+      if (candidate == 0) break;
+      sockaddr_in chosen = addr;
+      chosen.sin_port = htons(candidate);
+      Result<Socket> sock = BindAndListen(chosen, host);
+      if (sock.ok()) return sock;
+    }
+  }
+  return BindAndListen(addr, host);
 }
 
 Result<uint16_t> LocalPort(const Socket& socket) {

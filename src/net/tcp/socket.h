@@ -39,8 +39,10 @@ class Socket {
   int fd_ = -1;
 };
 
-/// Creates a TCP listener bound to host:port (port 0 = ephemeral) with
-/// SO_REUSEADDR, backlog accepted. `host` must be a numeric IPv4 address
+/// Creates a TCP listener bound to host:port (port 0 = ephemeral: a port
+/// the kernel picks for UDP, which may share its number with TIME_WAIT
+/// entries, else the kernel's TCP pick) with SO_REUSEADDR, backlog
+/// accepted. `host` must be a numeric IPv4 address
 /// ("127.0.0.1", "0.0.0.0") — deployment configs carry resolved addresses.
 Result<Socket> ListenOn(const std::string& host, uint16_t port);
 

@@ -444,10 +444,17 @@ void TcpTransport::AcceptSideMain(size_t peer) {
     }
     if (conn == nullptr) continue;
     const Status terminal = ReadLoop(peer, conn);
-    if (ShuttingDown()) return;
     if (terminal.code() == StatusCode::kUnavailable && PeerDead(peer)) {
-      return;  // Goodbye path.
+      // Goodbye path. The dialer closes right after its goodbye; wait for
+      // that close (bounded by the receive timeout) so this side never
+      // closes first (see Shutdown).
+      uint8_t byte = 0;
+      size_t got = 0;
+      const Status closed = ReadFull(conn->sock, &byte, 1, &got);
+      (void)closed;  // EOF, reset or timeout: each ends the wait.
+      return;
     }
+    if (ShuttingDown()) return;
     {
       // Only demote the link if this reader's connection is still the
       // installed one (the acceptor may have replaced it already).
@@ -818,15 +825,24 @@ void TcpTransport::Shutdown() {
     (void)sent;  // A peer that is already gone cannot hear the goodbye.
   }
 
-  // Wake blocked readers and the acceptor (a shut-down listener makes its
-  // poll return POLLHUP at once), then join everything. Sockets close when
-  // the last shared_ptr reference (reader or link slot) releases.
+  // Only the dialing side closes a link first. Links this party dialed are
+  // shut down here; an accepted link's reader ends when its dialer closes,
+  // which the goodbye above prompts (the dialer's ReadLoop marks this party
+  // dead and DialerMain returns), or at its 0.25 s receive timeout. The
+  // side that closes first keeps the connection in TIME_WAIT for 60 s, so
+  // this puts it on the dialer's ephemeral port and never on a listener's
+  // port: back-to-back sessions that each bind port 0 would otherwise fill
+  // the range that bind searches, and each bind would then cost
+  // milliseconds of kernel time.
   {
     MutexLock lock(mu_);
-    for (Link& link : links_) {
-      if (link.conn != nullptr) ShutdownBoth(link.conn->sock);
+    for (size_t peer = 0; peer < me_; ++peer) {
+      if (links_[peer].conn != nullptr) ShutdownBoth(links_[peer].conn->sock);
     }
   }
+  // A shut-down listener makes the acceptor's poll return POLLHUP at once.
+  // Sockets close when the last shared_ptr reference (reader or link slot)
+  // releases.
   ShutdownBoth(listener_);
   for (std::thread& thread : threads_) {
     if (thread.joinable()) thread.join();

@@ -137,10 +137,10 @@ struct TcpTransportOptions {
 /// protocol layer's LivenessTracker maps to an immediate kDead verdict.
 ///
 /// Accounting goes through the shared Transport hooks, so TransportStats
-/// and the obs registry's "net.*" counters reconcile exactly as they do
-/// for the in-process transports: sends count at the instant the frame is
-/// handed to the wire (delivered or not), receives are never counted,
-/// self-sends bypass both the socket layer and the statistics.
+/// counts exactly as it does for the in-process transports: sends count
+/// at the instant the frame is handed to the wire (delivered or not),
+/// receives are never counted, self-sends bypass both the socket layer and
+/// the statistics.
 class TcpTransport : public Transport {
  public:
   /// Builds the transport and establishes the full mesh, blocking up to
@@ -177,6 +177,8 @@ class TcpTransport : public Transport {
   /// Sends goodbye frames on all live links and tears the mesh down
   /// (idempotent; also run by the destructor). After a graceful shutdown
   /// peers mark this party departed without burning reconnect attempts.
+  /// Links this party dialed close at once; an accepted link waits for its
+  /// dialer to close first (up to the 0.25 s receive timeout).
   void Shutdown();
 
   /// The port the local listener is actually bound to (resolves port 0).

@@ -1,7 +1,6 @@
 #include "net/transport.h"
 
 #include "core/logging.h"
-#include "obs/metrics.h"
 
 namespace sqm {
 
@@ -124,85 +123,47 @@ std::vector<Transport::Payload> Transport::InterceptSend(size_t from,
   return deliveries;
 }
 
-void Transport::MirrorToRegistry(const char* name, uint64_t n) {
-  if (!obs::Enabled()) return;
-  // No static cache here: the metric name varies per call site, and these
-  // paths already pay a mutex, so one registry map lookup is in the noise.
-  obs::Registry::Global().GetCounter(name).Add(n);
-}
-
 void Transport::RecordSend(size_t from, size_t to, size_t elements) {
   const uint64_t bytes =
       static_cast<uint64_t>(elements) * element_wire_bytes_;
-  {
-    MutexLock lock(mu_);
-    totals_.messages += 1;
-    totals_.field_elements += elements;
-    totals_.wire_bytes += bytes;
-    ChannelStats& channel = channels_[ChannelIndex(from, to)];
-    channel.messages += 1;
-    channel.field_elements += elements;
-    channel.wire_bytes += bytes;
-    NetworkStats& phase = phases_[current_phase_].traffic;
-    phase.messages += 1;
-    phase.field_elements += elements;
-    phase.wire_bytes += bytes;
-  }
-  // Mirror the same quantities into the metrics registry (outside mu_ —
-  // counters are atomic) so TransportStats and the registry agree exactly.
-  if (obs::Enabled()) {
-    static obs::Counter& messages =
-        obs::Registry::Global().GetCounter("net.send.messages");
-    static obs::Counter& field_elements =
-        obs::Registry::Global().GetCounter("net.send.field_elements");
-    static obs::Counter& wire_bytes =
-        obs::Registry::Global().GetCounter("net.send.wire_bytes");
-    messages.Add(1);
-    field_elements.Add(elements);
-    wire_bytes.Add(bytes);
-    SQM_OBS_HISTOGRAM_RECORD("net.send.elements_per_message", elements);
-  }
+  MutexLock lock(mu_);
+  totals_.messages += 1;
+  totals_.field_elements += elements;
+  totals_.wire_bytes += bytes;
+  ChannelStats& channel = channels_[ChannelIndex(from, to)];
+  channel.messages += 1;
+  channel.field_elements += elements;
+  channel.wire_bytes += bytes;
+  NetworkStats& phase = phases_[current_phase_].traffic;
+  phase.messages += 1;
+  phase.field_elements += elements;
+  phase.wire_bytes += bytes;
 }
 
 void Transport::RecordRound() {
-  {
-    MutexLock lock(mu_);
-    totals_.rounds += 1;
-    phases_[current_phase_].traffic.rounds += 1;
-  }
-  MirrorToRegistry("net.rounds", 1);
+  MutexLock lock(mu_);
+  totals_.rounds += 1;
+  phases_[current_phase_].traffic.rounds += 1;
 }
 
 void Transport::RecordDrop() {
-  {
-    MutexLock lock(mu_);
-    ++drops_;
-  }
-  MirrorToRegistry("net.fault.drops", 1);
+  MutexLock lock(mu_);
+  ++drops_;
 }
 
 void Transport::RecordTimeout() {
-  {
-    MutexLock lock(mu_);
-    ++timeouts_;
-  }
-  MirrorToRegistry("net.recv.timeouts", 1);
+  MutexLock lock(mu_);
+  ++timeouts_;
 }
 
 void Transport::RecordRetry() {
-  {
-    MutexLock lock(mu_);
-    ++retries_;
-  }
-  MirrorToRegistry("net.recv.retries", 1);
+  MutexLock lock(mu_);
+  ++retries_;
 }
 
 void Transport::RecordCrashLoss() {
-  {
-    MutexLock lock(mu_);
-    ++crash_losses_;
-  }
-  MirrorToRegistry("net.fault.crash_losses", 1);
+  MutexLock lock(mu_);
+  ++crash_losses_;
 }
 
 void Transport::WarnDroppedOnReset(const char* transport_name,

@@ -212,9 +212,6 @@ class Transport {
                                      Payload payload);
 
  private:
-  /// Adds to the "net.*" registry counter `name` iff observability is on.
-  void MirrorToRegistry(const char* name, uint64_t n);
-
   const size_t num_parties_;
   const double per_round_latency_;
   const size_t element_wire_bytes_;

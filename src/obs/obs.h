@@ -8,8 +8,8 @@
 ///
 ///   * Compile time: configuring with -DSQM_OBS=OFF defines
 ///     SQM_OBS_DISABLED, which pins Enabled() to a constant false so every
-///     instrumentation site (spans, counter macros, ledger forwarding)
-///     folds away to nothing — the zero-instrumentation build.
+///     instrumentation site (spans, instants, ledger forwarding) folds
+///     away to nothing — the zero-instrumentation build.
 ///   * Run time: obs::SetEnabled(false) turns collection off in an
 ///     instrumented build; the residual cost at each site is one relaxed
 ///     atomic load and a predictable branch.

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "core/logging.h"
-#include "obs/metrics.h"
 
 namespace sqm {
 namespace {
@@ -62,7 +61,6 @@ DiscreteGaussianSampler::DiscreteGaussianSampler(double sigma)
 }
 
 int64_t DiscreteGaussianSampler::Sample(Rng& rng) const {
-  SQM_OBS_COUNTER_INC("sampler.dgauss.draws");
   const double sigma_sq = sigma_ * sigma_;
   for (;;) {
     const int64_t y = SampleDiscreteLaplace(t_, rng);
@@ -71,7 +69,6 @@ int64_t DiscreteGaussianSampler::Sample(Rng& rng) const {
         sigma_sq / static_cast<double>(t_);
     const double gamma = shift * shift / (2.0 * sigma_sq);
     if (BernoulliExp(gamma, rng)) return y;
-    SQM_OBS_COUNTER_INC("sampler.dgauss.rejections");
   }
 }
 

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "core/logging.h"
-#include "obs/metrics.h"
 
 namespace sqm {
 
@@ -35,7 +34,6 @@ std::vector<int64_t> PoissonSampler::SampleVector(Rng& rng,
 }
 
 int64_t PoissonSampler::SampleKnuth(Rng& rng) const {
-  SQM_OBS_COUNTER_INC("sampler.poisson.knuth_draws");
   // Multiply uniforms until the product drops below e^{-mu}.
   const double limit = std::exp(-mu_);
   int64_t k = 0;
@@ -48,7 +46,6 @@ int64_t PoissonSampler::SampleKnuth(Rng& rng) const {
 }
 
 int64_t PoissonSampler::SamplePtrs(Rng& rng) const {
-  SQM_OBS_COUNTER_INC("sampler.poisson.ptrs_draws");
   // Hörmann (1993), "The transformed rejection method for generating Poisson
   // random variables", algorithm PTRS. Exact for mu >= 10.
   for (;;) {
@@ -57,10 +54,7 @@ int64_t PoissonSampler::SamplePtrs(Rng& rng) const {
     const double us = 0.5 - std::fabs(u);
     const double kf = std::floor((2.0 * a_ / us + b_) * u + mu_ + 0.43);
     if (us >= 0.07 && v <= v_r_) return static_cast<int64_t>(kf);
-    if (kf < 0.0 || (us < 0.013 && v > us)) {
-      SQM_OBS_COUNTER_INC("sampler.poisson.ptrs_rejections");
-      continue;
-    }
+    if (kf < 0.0 || (us < 0.013 && v > us)) continue;
     const double k = kf;
     const double lhs =
         std::log(v * inv_alpha_ / (a_ / (us * us) + b_));
@@ -69,7 +63,6 @@ int64_t PoissonSampler::SamplePtrs(Rng& rng) const {
     int sign = 0;
     const double rhs = k * log_mu_ - mu_ - ::lgamma_r(k + 1.0, &sign);
     if (lhs <= rhs) return static_cast<int64_t>(kf);
-    SQM_OBS_COUNTER_INC("sampler.poisson.ptrs_rejections");
   }
 }
 

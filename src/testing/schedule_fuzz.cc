@@ -100,6 +100,9 @@ Status ScheduleFuzzer::RunIteration(uint64_t iteration_seed) {
   std::vector<int64_t> x1(options_.vector_size);
   for (auto& v : x0) v = static_cast<int64_t>(derive.NextBounded(2001)) - 1000;
   for (auto& v : x1) v = static_cast<int64_t>(derive.NextBounded(2001)) - 1000;
+  // Half the iterations run without a LivenessTracker (invariant 1 in the
+  // header says why). Drawn last, so it shifts none of the draws above.
+  const bool tracked = derive.NextUint64() % 2 == 0;
 
   // The probe: input sharing, a batched Mul, an inner product, one open.
   // Driver mode in both runs, so the global send order — and therefore the
@@ -113,7 +116,7 @@ Status ScheduleFuzzer::RunIteration(uint64_t iteration_seed) {
     BgwEngine engine(ShamirScheme(n, options_.threshold), net,
                      iteration_seed ^ 0xb9d7);
     LivenessTracker tracker(n);
-    engine.set_liveness(&tracker);
+    if (tracked) engine.set_liveness(&tracker);
     Result<std::vector<int64_t>> released =
         engine.Evaluate(probe, probe_inputs);
     net->SetInterceptor(nullptr);
@@ -165,14 +168,14 @@ Status ScheduleFuzzer::RunIteration(uint64_t iteration_seed) {
       return Status::IntegrityViolation(
           where + "threaded release diverged from the lockstep reference");
     }
-    const TranscriptDiff diff =
-        CompareTranscripts(last_reference_, last_threaded_);
-    if (!diff.identical) {
-      return Status::IntegrityViolation(where + "transcripts diverged: " +
-                                        diff.description);
-    }
   } else {
     ++accumulating_.probes_refused;
+  }
+  const TranscriptDiff diff =
+      CompareTranscripts(last_reference_, last_threaded_);
+  if (!diff.identical) {
+    return Status::IntegrityViolation(where + "transcripts diverged: " +
+                                      diff.description);
   }
 
   if (options_.storm_rounds > 0) {

@@ -55,19 +55,23 @@ std::vector<std::vector<int64_t>> ProductProbeInputs(
 /// Seeded schedule-exploration fuzzer: ThreadedTransport against the
 /// LockstepTransport reference under crash schedules.
 ///
-/// Each iteration derives at most one CrashEvent and the probe inputs from
-/// its seed, then runs the same BGW probe (ProductProbeCircuit: input
-/// sharing, a batched multiplication, an inner product, opening) under a
-/// LivenessTracker twice with that crash schedule: once over a
-/// LockstepTransport (the reference) and once over a ThreadedTransport.
-/// Both runs record transcripts. The invariants:
+/// Each iteration derives at most one CrashEvent, the probe inputs and
+/// whether the probe runs under a LivenessTracker from its seed, then runs
+/// the same BGW probe (ProductProbeCircuit: input sharing, a batched
+/// multiplication, an inner product, opening) twice with that crash
+/// schedule: once over a LockstepTransport (the reference) and once over a
+/// ThreadedTransport. Both runs record transcripts. The invariants:
 ///
-///  1. both runs end with the same status code,
+///  1. both runs end with the same status code (without a tracker each
+///     receive's own code reaches the caller, so a threaded timeout where
+///     lockstep names a crashed sender breaks it; a tracker would turn
+///     both into kUnavailable),
 ///  2. when they release, the values match the plaintext expectation
 ///     exactly and the threaded release is bit-identical to the lockstep
 ///     one,
-///  3. and the two transcripts agree entry-by-entry (both transports
-///     swallow a crashed sender's messages before the interceptor).
+///  3. and the two transcripts agree entry-by-entry, whether or not the
+///     probe released (both transports swallow a crashed sender's
+///     messages before the interceptor).
 ///
 /// A final message-storm phase runs every party on its own thread
 /// (net/runner.h), verifying per-round content integrity under real

@@ -1,8 +1,8 @@
 // End-to-end observability: a full SQM run (n = 5 parties, PCA-style
 // second-moment release over BGW) must leave behind (1) a Chrome trace
-// with per-party share / mul / open spans, (2) registry traffic counters
-// that reconcile EXACTLY with the transport's own accounting, and (3) a
-// privacy ledger embedded in the report.
+// with per-party share / mul / open spans, (2) transport totals that equal
+// the sum of their channels, and (3) a privacy ledger embedded in the
+// report.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -17,7 +17,6 @@
 #include "net/runner.h"
 #include "net/threaded.h"
 #include "obs/ledger.h"
-#include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
 #include "sampling/rng.h"
@@ -44,13 +43,12 @@ SqmOptions PcaStyleOptions() {
   return options;
 }
 
-/// Fresh global obs state per test: counters zeroed, trace and global
-/// ledger emptied, switch on.
+/// Fresh global obs state per test: trace and global ledger emptied,
+/// switch on.
 class ObsPipelineTest : public ::testing::Test {
  protected:
   void SetUp() override {
     obs::SetEnabled(true);
-    obs::Registry::Global().ResetAll();
     obs::Tracer::Global().Clear();
     obs::PrivacyLedger::Global().Clear();
   }
@@ -115,14 +113,12 @@ TEST_F(ObsPipelineTest, ChromeTraceJsonLoadsWithNamedPartyRows) {
   }
 }
 
-TEST_F(ObsPipelineTest, RegistryTrafficMatchesTransportStatsExactly) {
+TEST_F(ObsPipelineTest, TransportTotalsEqualTheSumOfTheirChannels) {
   const Matrix x = SmallDatabase(8, kParties, 3);
   const PolynomialVector f = PolynomialVector::OuterProduct(kParties);
   const SqmReport report =
       SqmEvaluator(PcaStyleOptions()).Evaluate(f, x).ValueOrDie();
 
-  const obs::MetricsSnapshot snapshot = obs::Registry::Global().Snapshot();
-  // Satellite invariant: totals == sum of per-channel == registry counter.
   uint64_t channel_bytes = 0;
   uint64_t channel_messages = 0;
   for (const ChannelStats& channel : report.transport.channels) {
@@ -131,14 +127,6 @@ TEST_F(ObsPipelineTest, RegistryTrafficMatchesTransportStatsExactly) {
   }
   EXPECT_EQ(report.transport.totals.wire_bytes, channel_bytes);
   EXPECT_EQ(report.transport.totals.messages, channel_messages);
-  EXPECT_EQ(snapshot.CounterValue("net.send.wire_bytes"),
-            report.transport.totals.wire_bytes);
-  EXPECT_EQ(snapshot.CounterValue("net.send.messages"),
-            report.transport.totals.messages);
-  EXPECT_EQ(snapshot.CounterValue("net.send.field_elements"),
-            report.transport.totals.field_elements);
-  EXPECT_EQ(snapshot.CounterValue("net.rounds"),
-            report.transport.totals.rounds);
   EXPECT_GT(report.transport.totals.wire_bytes, 0u);
 }
 
@@ -162,7 +150,7 @@ TEST_F(ObsPipelineTest, ReportEmbedsPrivacyLedger) {
   EXPECT_GE(obs::PrivacyLedger::Global().size(), 1u);
 }
 
-TEST_F(ObsPipelineTest, KillSwitchSuppressesTraceAndMetricsButNotReport) {
+TEST_F(ObsPipelineTest, KillSwitchSuppressesTraceAndLedgerButNotReport) {
   const Matrix x = SmallDatabase(6, kParties, 5);
   const PolynomialVector f = PolynomialVector::OuterProduct(kParties);
 
@@ -172,9 +160,6 @@ TEST_F(ObsPipelineTest, KillSwitchSuppressesTraceAndMetricsButNotReport) {
   obs::SetEnabled(true);
 
   EXPECT_EQ(obs::Tracer::Global().num_events(), 0u);
-  EXPECT_EQ(obs::Registry::Global().Snapshot().CounterValue(
-                "net.send.messages"),
-            0u);
   EXPECT_EQ(obs::PrivacyLedger::Global().size(), 0u);
   // The report's own data is NOT gated: transport accounting and the
   // local ledger mirror are results, not telemetry.
@@ -195,10 +180,10 @@ TEST_F(ObsPipelineTest, DisabledRunReleasesIdenticalValues) {
   EXPECT_EQ(traced.raw, dark.raw);  // Instrumentation never perturbs results.
 }
 
-TEST_F(ObsPipelineTest, ThreadedTransportReconcilesToo) {
-  // Party threads over one ThreadedTransport: every thread feeds the
-  // registry mirror, which must still reconcile exactly with the
-  // transport's own accounting.
+TEST_F(ObsPipelineTest, ThreadedPartiesReleaseTheExpectedProducts) {
+  // Party threads over one ThreadedTransport with tracing on, so the TSan
+  // leg sees the parties emit spans at once: every party opens the same
+  // products.
   ThreadedTransport network(kParties, ThreadedTransportOptions{});
   Circuit circuit;
   std::vector<Circuit::WireId> in(kParties);
@@ -223,15 +208,7 @@ TEST_F(ObsPipelineTest, ThreadedTransportReconcilesToo) {
   for (size_t me = 0; me < kParties; ++me) {
     EXPECT_EQ(opened[me], expected) << "party " << me;
   }
-
-  const TransportStats stats = network.Snapshot();
-  const obs::MetricsSnapshot snapshot = obs::Registry::Global().Snapshot();
-  EXPECT_GT(stats.totals.messages, 0u);
-  EXPECT_EQ(snapshot.CounterValue("net.send.wire_bytes"),
-            stats.totals.wire_bytes);
-  EXPECT_EQ(snapshot.CounterValue("net.send.messages"),
-            stats.totals.messages);
-  EXPECT_EQ(snapshot.CounterValue("net.rounds"), stats.totals.rounds);
+  EXPECT_GT(network.Snapshot().totals.messages, 0u);
 }
 
 }  // namespace

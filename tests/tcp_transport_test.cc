@@ -8,8 +8,12 @@
 #include "net/tcp/tcp_transport.h"
 
 #include <chrono>
+#include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -218,6 +222,49 @@ TEST_F(TcpTransportTest, ShutdownDoesNotWaitOutTheAcceptPoll) {
   // Party 0 runs an acceptor blocked in a 250 ms accept poll; shutting
   // the listener down must wake it instead of waiting the poll out.
   EXPECT_LT(ShutdownMillis(*mesh_[0]), 100.0);
+}
+
+/// Remote ports of the TIME_WAIT entries in /proc/net/tcp whose local port
+/// is `port`; nullopt where the table cannot be read.
+std::optional<std::set<unsigned long>> TimeWaitRemotesOn(uint16_t port) {
+  std::ifstream table("/proc/net/tcp");
+  if (!table) return std::nullopt;
+  const auto port_of = [](const std::string& address) {
+    return std::stoul(address.substr(address.find(':') + 1), nullptr, 16);
+  };
+  std::set<unsigned long> remotes;
+  std::string line;
+  std::getline(table, line);  // Header.
+  while (std::getline(table, line)) {
+    std::istringstream fields(line);
+    std::string slot, local, remote, state;
+    fields >> slot >> local >> remote >> state;
+    if (state == "06" && port_of(local) == port) {  // TCP_TIME_WAIT.
+      remotes.insert(port_of(remote));
+    }
+  }
+  return remotes;
+}
+
+TEST_F(TcpTransportTest, TimeWaitStaysOffTheListenerPort) {
+  // Party 0 only accepts. Even when it shuts down first, its links must
+  // close from the dialing side, so their TIME_WAIT entries sit on the
+  // dialers' ephemeral ports and none on party 0's listener port. Entries
+  // already there belong to earlier connections (a port-0 listener may
+  // share its port with them) and are left out.
+  const uint16_t listener = mesh_[0]->listen_port();
+  const std::optional<std::set<unsigned long>> before =
+      TimeWaitRemotesOn(listener);
+  if (!before.has_value()) GTEST_SKIP() << "/proc/net/tcp not readable";
+  for (const auto& transport : mesh_) transport->Shutdown();
+  const std::optional<std::set<unsigned long>> after =
+      TimeWaitRemotesOn(listener);
+  ASSERT_TRUE(after.has_value());
+  for (unsigned long remote : *after) {
+    EXPECT_EQ(before->count(remote), 1u)
+        << "TIME_WAIT on listener port " << listener << " toward port "
+        << remote;
+  }
 }
 
 TEST(TcpTransportMesh, LinkUpIsATraceInstantPerPeer) {

@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
   const auto incarnation = static_cast<uint32_t>(args.incarnation);
 
   // The fleet-wide runtime kill switch: with obs_enabled=false this
-  // process runs with zero observability (no spans, no metrics, no
+  // process runs with zero observability (no spans, no global ledger, no
   // telemetry stream, context-free frames) and must release
   // bit-identical values.
   if (!config.obs_enabled) sqm::obs::SetEnabled(false);

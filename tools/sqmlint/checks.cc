@@ -120,9 +120,6 @@ void CheckSecretTaint(const Project& /*project*/, const SourceFile& file,
       "SQM_LOG", "SQM_LOG_IF", "SQM_VLOG", "printf", "fprintf",
       "puts",    "fputs",      "cout",     "cerr",   "clog"};
   static const std::set<std::string> kMemberCallSinks = {"AddArg", "Field"};
-  static const std::set<std::string> kMacroCallSinks = {
-      "SQM_OBS_COUNTER_ADD", "SQM_OBS_COUNTER_INC", "SQM_OBS_GAUGE_SET",
-      "SQM_OBS_HISTOGRAM_RECORD"};
 
   const Tokens& toks = file.tokens;
   for (size_t i = 0; i < toks.size(); ++i) {
@@ -142,12 +139,10 @@ void CheckSecretTaint(const Project& /*project*/, const SourceFile& file,
         if (depth == 0 && IsPunct(toks[j], ";")) break;
       }
       end = j;
-    } else if (kMemberCallSinks.count(name) > 0 || kMacroCallSinks.count(name) > 0) {
-      if (kMemberCallSinks.count(name) > 0) {
-        if (i == 0 || !(IsPunct(toks[i - 1], ".") ||
-                        IsPunct(toks[i - 1], "->"))) {
-          continue;  // sqm::Field the class, not JsonWriter::Field.
-        }
+    } else if (kMemberCallSinks.count(name) > 0) {
+      if (i == 0 || !(IsPunct(toks[i - 1], ".") ||
+                      IsPunct(toks[i - 1], "->"))) {
+        continue;  // sqm::Field the class, not JsonWriter::Field.
       }
       if (i + 1 >= toks.size() || !IsPunct(toks[i + 1], "(")) continue;
       begin = i + 2;
@@ -709,37 +704,26 @@ void CheckBatchDiscipline(const Project& /*project*/, const SourceFile& file,
 }
 
 // ---------------------------------------------------------------------------
-// obs-discipline: observability names are static identity, not data. The
-// tracer buffers `const char*` names raw (no copy), and dynamic metric
-// names explode registry cardinality — so the name argument of every
-// SQM_OBS_* metric macro and Span declaration must be a string literal.
-// Span argument regions are exported into traces and metric exports
-// that leave the process, so secret-lexicon identifiers must not appear
-// there (the same rule secret-taint enforces on the metric macros and
-// AddArg).
+// obs-discipline: span names are static identity, not data. The tracer
+// stores `const char*` names without copying them, so the name argument of
+// every Span declaration must be a string literal. Span and AddArg
+// argument regions are exported into traces that leave the process, so
+// secret-lexicon identifiers must not appear there (the same rule
+// secret-taint enforces on AddArg).
 // ---------------------------------------------------------------------------
 void CheckObsDiscipline(const Project& /*project*/, const SourceFile& file,
                         std::vector<Finding>* findings) {
   if (PathInModule(file.path, "src/testing/")) return;
-  static const std::set<std::string> kNameFirstMacros = {
-      "SQM_OBS_COUNTER_ADD", "SQM_OBS_COUNTER_INC", "SQM_OBS_GAUGE_SET",
-      "SQM_OBS_HISTOGRAM_RECORD"};
 
-  // src/obs/ is where the macros and Span are DEFINED: their parameter
-  // lists and forwarding bodies are not call sites, so the literal-name
-  // rule only applies outside the module (the secret scan stays global).
+  // src/obs/ is where Span is DEFINED: its parameter lists and forwarding
+  // bodies are not call sites, so the literal-name rule only applies
+  // outside the module (the secret scan stays global).
   const bool in_obs_module = PathInModule(file.path, "src/obs/");
 
   const Tokens& toks = file.tokens;
   for (size_t i = 0; i < toks.size(); ++i) {
     if (!IsIdent(toks[i])) continue;
     const std::string& name = toks[i].text;
-    // The `#define NAME(...)` line itself is never a call site.
-    if (i > 0 && IsIdent(toks[i - 1]) && toks[i - 1].text == "define") {
-      continue;
-    }
-
-    const bool is_macro = kNameFirstMacros.count(name) > 0;
     // Span is only checked in declaration form `Span ident(...)` (with or
     // without a namespace qualifier before it): matching `Span(` directly
     // would trip on the constructor signatures in obs/trace.h.
@@ -753,9 +737,7 @@ void CheckObsDiscipline(const Project& /*project*/, const SourceFile& file,
         (IsPunct(toks[i - 1], ".") || IsPunct(toks[i - 1], "->"));
 
     size_t open;
-    if (is_macro && i + 1 < toks.size() && IsPunct(toks[i + 1], "(")) {
-      open = i + 1;
-    } else if (is_span_decl) {
+    if (is_span_decl) {
       open = i + 2;
     } else if (is_add_arg && i + 1 < toks.size() &&
                IsPunct(toks[i + 1], "(")) {
@@ -770,10 +752,9 @@ void CheckObsDiscipline(const Project& /*project*/, const SourceFile& file,
         toks[open + 1].kind != TokenKind::kString) {
       Report(findings, "obs-discipline", file, toks[i].line,
              "name passed to '" + name +
-                 "' is not a string literal; observability names are "
-                 "static identity (the tracer buffers keep the "
-                 "pointer raw, and dynamic metric names explode "
-                 "cardinality)");
+                 "' is not a string literal; span names are static "
+                 "identity (the tracer stores the pointer without "
+                 "copying the name)");
     }
 
     for (size_t j = open + 1; j + 1 < end; ++j) {
@@ -781,8 +762,7 @@ void CheckObsDiscipline(const Project& /*project*/, const SourceFile& file,
       Report(findings, "obs-discipline", file, toks[j].line,
              "secret-lexicon identifier '" + toks[j].text +
                  "' reaches the exported argument region of '" + name +
-                 "'; span annotations and metrics leave "
-                 "the process via traces and metric exports");
+                 "'; span annotations leave the process via traces");
       break;  // One secret finding per argument region.
     }
   }
@@ -841,8 +821,8 @@ const std::vector<Check>& AllChecks() {
        "span kernels replace",
        CheckBatchDiscipline},
       {"obs-discipline",
-       "non-literal observability names, or secret-lexicon identifiers in "
-       "exported span/metric argument regions",
+       "non-literal span names, or secret-lexicon identifiers in exported "
+       "span argument regions",
        CheckObsDiscipline},
   };
   return kChecks;

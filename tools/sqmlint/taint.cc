@@ -62,15 +62,6 @@ const std::set<std::string>& StatementSinks() {
   return kNames;
 }
 
-/// Call-shaped sinks whose argument region leaves the process through the
-/// observability plane (traces, metric exports, JSON artifacts).
-const std::set<std::string>& ObsCallSinks() {
-  static const std::set<std::string> kNames = {
-      "SQM_OBS_COUNTER_ADD", "SQM_OBS_COUNTER_INC", "SQM_OBS_GAUGE_SET",
-      "SQM_OBS_HISTOGRAM_RECORD"};
-  return kNames;
-}
-
 /// Member-call sinks (require '.'/'->'): span annotations and JSON
 /// serialization.
 const std::set<std::string>& ObsMemberSinks() {
@@ -398,12 +389,11 @@ void CheckTaintToSinks(const Engine& engine, FlowAnalysis* out) {
 
     // Call-shaped sinks from the IR.
     for (const CallSite& call : fn.calls) {
-      const bool obs_macro = ObsCallSinks().count(call.callee) > 0;
       const bool obs_member =
           ObsMemberSinks().count(call.callee) > 0 && call.member;
       const bool wire = WireSinks().count(call.callee) > 0 && call.member &&
                         !InWireSeam(file.path);
-      if (!obs_macro && !obs_member && !wire) continue;
+      if (!obs_member && !wire) continue;
       for (const CallArg& arg : call.args) {
         const Mask m = engine.EvalRange(fn, arg.range, vars, 0);
         if (m == 0) continue;
