@@ -63,8 +63,8 @@ PathCost RunCircuitPath(const Matrix& batch,
   const SqmReport report = evaluator.Evaluate(f, batch).ValueOrDie();
   PathCost cost;
   cost.seconds = SecondsSince(start);
-  cost.elements = report.network.field_elements;
-  cost.rounds = report.network.rounds;
+  cost.elements = report.transport.totals.field_elements;
+  cost.rounds = report.transport.totals.rounds;
   cost.release = report.raw;
   return cost;
 }

@@ -207,7 +207,7 @@ int main(int argc, char** argv) {
     row.n = n;
     row.m = m;
     row.lockstep_seconds = lockstep.transport.simulated_seconds;
-    row.messages = lockstep.network.messages;
+    row.messages = lockstep.transport.totals.messages;
     row.tcp_supported = tcp.supported;
     row.tcp_seconds = tcp.wall_seconds;
     row.match =

@@ -90,9 +90,9 @@ inline TimingRow TimeLrRelease(size_t m, size_t n, size_t clients,
   TimingRow row;
   row.overall_seconds = report.timing.TotalSeconds();
   row.noise_seconds = report.timing.noise_injection_seconds;
-  row.messages = report.network.messages;
-  row.elements = report.network.field_elements;
-  row.rounds = report.network.rounds;
+  row.messages = report.transport.totals.messages;
+  row.elements = report.transport.totals.field_elements;
+  row.rounds = report.transport.totals.rounds;
   return row;
 }
 

@@ -90,12 +90,13 @@ int main() {
     std::printf("  %-46s exact %10.4f | released %10.4f\n", labels[t],
                 exact[t], report.estimate[t]);
   }
+  const NetworkStats& traffic = report.transport.totals;
   std::printf("\nNo silo saw the other's columns (BGW: %llu messages, "
               "%llu rounds); the release itself is differentially "
               "private, so even a data-extraction attack on the published "
               "statistics is bounded by (%.2g, %.0e).\n",
-              static_cast<unsigned long long>(report.network.messages),
-              static_cast<unsigned long long>(report.network.rounds),
-              epsilon, delta);
+              static_cast<unsigned long long>(traffic.messages),
+              static_cast<unsigned long long>(traffic.rounds), epsilon,
+              delta);
   return 0;
 }

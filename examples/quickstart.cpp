@@ -74,12 +74,12 @@ int main() {
               ci.lower, ci.upper, ci.noise_std);
   std::printf("Noise parameter mu = %.3g; quantization gamma = %g\n", mu,
               gamma);
+  const NetworkStats& traffic = report.transport.totals;
   std::printf("BGW traffic: %llu messages, %llu field elements, %llu "
               "rounds\n",
-              static_cast<unsigned long long>(report.network.messages),
-              static_cast<unsigned long long>(
-                  report.network.field_elements),
-              static_cast<unsigned long long>(report.network.rounds));
+              static_cast<unsigned long long>(traffic.messages),
+              static_cast<unsigned long long>(traffic.field_elements),
+              static_cast<unsigned long long>(traffic.rounds));
   std::printf("Client-observed RDP at alpha=8: tau = %.4g (server: "
               "%.4g)\n",
               SkellamRdpClient(8.0, sens.l1, sens.l2, mu, 3),

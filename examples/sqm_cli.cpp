@@ -319,11 +319,11 @@ int main(int argc, char** argv) {
     std::printf("\nWARNING: --no-noise set, the release is NOT private.\n");
   }
   if (args.use_bgw) {
+    const NetworkStats& traffic = report.transport.totals;
     std::printf("bgw: %llu messages, %llu field elements, %llu rounds\n",
-                static_cast<unsigned long long>(report.network.messages),
-                static_cast<unsigned long long>(
-                    report.network.field_elements),
-                static_cast<unsigned long long>(report.network.rounds));
+                static_cast<unsigned long long>(traffic.messages),
+                static_cast<unsigned long long>(traffic.field_elements),
+                static_cast<unsigned long long>(traffic.rounds));
   }
   return 0;
 }

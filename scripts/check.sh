@@ -1,15 +1,13 @@
 #!/usr/bin/env sh
 # One-shot verification gate: configure, build, run the full test suite
 # (which includes the sqmlint repo scan under the `lint` label), then run
-# sqmlint once more directly — against the committed baseline ratchet —
-# so its diff-style report plus the JSON/SARIF artifacts land next to the
-# bench records in the build tree.
+# sqmlint once more directly so its diff-style report and the JSON
+# findings land next to the bench records in the build tree.
 #
 # Usage: scripts/check.sh [--lint-only] [build-dir]   (default: build)
 #
-#   --lint-only   Fast path for pre-commit: build just the linter, run the
-#                 baseline-gated scan (plus JSON/SARIF artifacts), skip
-#                 the test suite, benches, tidy and the TSan build.
+#   --lint-only   Build just the linter and run the scan; skip the test
+#                 suite, benches, tidy and the sanitizer and obs-off trees.
 set -eu
 
 lint_only=0
@@ -23,7 +21,6 @@ done
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 build_dir=${build_dir:-"$repo_root/build"}
-baseline="$repo_root/tools/sqmlint/baseline.json"
 
 # The main build is warning-free and kept so: -Werror makes a new warning
 # fail the gate instead of scrolling past in the build log. (The TSan
@@ -37,27 +34,21 @@ else
   (cd "$build_dir" && ctest --output-on-failure -j"$(nproc)")
 fi
 
-# The ratcheted scan. A failure here means either a finding missing from
-# the committed baseline (fix or declassify it — do not grow the baseline)
-# or a stale baseline entry (delete it — the ratchet only tightens). The
-# delta summary is archived beside the machine-readable findings. No
-# pipeline: POSIX sh has no pipefail and the linter's exit code is the
-# gate.
+# The scan: any active finding fails the gate (fix it, or declassify a
+# secret flow with its reason). perfbench/ belongs to the benchmark and is
+# not scanned. No pipeline: POSIX sh has no pipefail and the linter's exit
+# code is the gate.
 lint_status=0
-(cd "$repo_root" && "$build_dir"/tools/sqmlint/sqmlint \
-    --baseline="$baseline" \
-    --json="$build_dir/sqmlint.json" \
-    --sarif="$build_dir/sqmlint.sarif" \
+"$build_dir"/tools/sqmlint/sqmlint --json="$build_dir/sqmlint.json" \
     "$repo_root/src" "$repo_root/tests" "$repo_root/tools" \
-    > "$build_dir/sqmlint_baseline_delta.txt") || lint_status=$?
-cat "$build_dir/sqmlint_baseline_delta.txt"
+    "$repo_root/bench" "$repo_root/examples" || lint_status=$?
 if [ "$lint_status" != 0 ]; then
-  echo "check.sh: sqmlint baseline gate failed (see delta above)"
+  echo "check.sh: sqmlint gate failed (findings above)"
   exit "$lint_status"
 fi
 
 if [ "$lint_only" = 1 ]; then
-  echo "check.sh: lint gate passed (artifacts in $build_dir/sqmlint.{json,sarif})"
+  echo "check.sh: lint gate passed (findings in $build_dir/sqmlint.json)"
   exit 0
 fi
 

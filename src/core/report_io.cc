@@ -185,12 +185,6 @@ std::string SqmReportToJson(const SqmReport& report) {
              report.timing.noise_injection_seconds)
       .Field("total_seconds", report.timing.TotalSeconds())
       .EndObject();
-  writer.Key("network").BeginObject()
-      .Field("messages", report.network.messages)
-      .Field("field_elements", report.network.field_elements)
-      .Field("bytes", report.network.bytes())
-      .Field("rounds", report.network.rounds)
-      .EndObject();
   writer.Key("transport").BeginObject();
   WriteTransportStatsFields(writer, report.transport);
   writer.EndObject();
@@ -264,16 +258,6 @@ Result<SqmReport> SqmReportFromJson(const std::string& json) {
   SQM_ASSIGN_OR_RETURN(report.timing.noise_injection_seconds,
                        NumberField(*timing, "noise_injection_seconds"));
 
-  SQM_ASSIGN_OR_RETURN(const JsonValue* network,
-                       RequireMember(root, "network"));
-  SQM_RETURN_NOT_OK(
-      RequireKind(*network, JsonValue::Kind::kObject, "network"));
-  SQM_ASSIGN_OR_RETURN(report.network.messages,
-                       UintField(*network, "messages"));
-  SQM_ASSIGN_OR_RETURN(report.network.field_elements,
-                       UintField(*network, "field_elements"));
-  SQM_ASSIGN_OR_RETURN(report.network.rounds, UintField(*network, "rounds"));
-
   SQM_ASSIGN_OR_RETURN(const JsonValue* dropout,
                        RequireMember(root, "dropout"));
   SQM_RETURN_NOT_OK(
@@ -322,64 +306,62 @@ Result<SqmReport> SqmReportFromJson(const std::string& json) {
   report.dropout.resumed_from_level =
       static_cast<size_t>(resumed_from_level);
 
-  // Transport accounting. Older archived reports predate the block; the
-  // totals also back the coordinator's telemetry reconciliation check, so
-  // when the block exists it must parse.
-  if (const JsonValue* transport = root.Find("transport")) {
-    SQM_RETURN_NOT_OK(
-        RequireKind(*transport, JsonValue::Kind::kObject, "transport"));
-    SQM_ASSIGN_OR_RETURN(const uint64_t transport_parties,
-                         UintField(*transport, "num_parties"));
-    report.transport.num_parties = static_cast<size_t>(transport_parties);
-    SQM_ASSIGN_OR_RETURN(const JsonValue* totals,
-                         RequireMember(*transport, "totals"));
-    SQM_RETURN_NOT_OK(
-        RequireKind(*totals, JsonValue::Kind::kObject, "transport.totals"));
-    SQM_ASSIGN_OR_RETURN(report.transport.totals.messages,
-                         UintField(*totals, "messages"));
-    SQM_ASSIGN_OR_RETURN(report.transport.totals.field_elements,
-                         UintField(*totals, "field_elements"));
-    SQM_ASSIGN_OR_RETURN(report.transport.totals.wire_bytes,
-                         UintField(*totals, "bytes"));
-    SQM_ASSIGN_OR_RETURN(report.transport.totals.rounds,
-                         UintField(*totals, "rounds"));
-    if (const JsonValue* channels = transport->Find("channels")) {
-      SQM_RETURN_NOT_OK(RequireKind(*channels, JsonValue::Kind::kArray,
-                                    "transport.channels"));
-      for (const JsonValue& item : channels->items) {
-        SQM_RETURN_NOT_OK(RequireKind(item, JsonValue::Kind::kObject,
-                                      "transport.channels[i]"));
-        ChannelStats channel;
-        SQM_ASSIGN_OR_RETURN(const uint64_t from, UintField(item, "from"));
-        SQM_ASSIGN_OR_RETURN(const uint64_t to, UintField(item, "to"));
-        channel.from = static_cast<size_t>(from);
-        channel.to = static_cast<size_t>(to);
-        SQM_ASSIGN_OR_RETURN(channel.messages,
-                             UintField(item, "messages"));
-        SQM_ASSIGN_OR_RETURN(channel.field_elements,
-                             UintField(item, "field_elements"));
-        SQM_ASSIGN_OR_RETURN(channel.wire_bytes, UintField(item, "bytes"));
-        report.transport.channels.push_back(channel);
-      }
+  // Transport accounting: the report's one copy of its traffic.
+  SQM_ASSIGN_OR_RETURN(const JsonValue* transport,
+                       RequireMember(root, "transport"));
+  SQM_RETURN_NOT_OK(
+      RequireKind(*transport, JsonValue::Kind::kObject, "transport"));
+  SQM_ASSIGN_OR_RETURN(const uint64_t transport_parties,
+                       UintField(*transport, "num_parties"));
+  report.transport.num_parties = static_cast<size_t>(transport_parties);
+  SQM_ASSIGN_OR_RETURN(const JsonValue* totals,
+                       RequireMember(*transport, "totals"));
+  SQM_RETURN_NOT_OK(
+      RequireKind(*totals, JsonValue::Kind::kObject, "transport.totals"));
+  SQM_ASSIGN_OR_RETURN(report.transport.totals.messages,
+                       UintField(*totals, "messages"));
+  SQM_ASSIGN_OR_RETURN(report.transport.totals.field_elements,
+                       UintField(*totals, "field_elements"));
+  SQM_ASSIGN_OR_RETURN(report.transport.totals.wire_bytes,
+                       UintField(*totals, "bytes"));
+  SQM_ASSIGN_OR_RETURN(report.transport.totals.rounds,
+                       UintField(*totals, "rounds"));
+  if (const JsonValue* channels = transport->Find("channels")) {
+    SQM_RETURN_NOT_OK(RequireKind(*channels, JsonValue::Kind::kArray,
+                                  "transport.channels"));
+    for (const JsonValue& item : channels->items) {
+      SQM_RETURN_NOT_OK(RequireKind(item, JsonValue::Kind::kObject,
+                                    "transport.channels[i]"));
+      ChannelStats channel;
+      SQM_ASSIGN_OR_RETURN(const uint64_t from, UintField(item, "from"));
+      SQM_ASSIGN_OR_RETURN(const uint64_t to, UintField(item, "to"));
+      channel.from = static_cast<size_t>(from);
+      channel.to = static_cast<size_t>(to);
+      SQM_ASSIGN_OR_RETURN(channel.messages,
+                           UintField(item, "messages"));
+      SQM_ASSIGN_OR_RETURN(channel.field_elements,
+                           UintField(item, "field_elements"));
+      SQM_ASSIGN_OR_RETURN(channel.wire_bytes, UintField(item, "bytes"));
+      report.transport.channels.push_back(channel);
     }
-    if (const JsonValue* phases = transport->Find("phases")) {
-      SQM_RETURN_NOT_OK(RequireKind(*phases, JsonValue::Kind::kArray,
-                                    "transport.phases"));
-      for (const JsonValue& item : phases->items) {
-        SQM_RETURN_NOT_OK(RequireKind(item, JsonValue::Kind::kObject,
-                                      "transport.phases[i]"));
-        PhaseStats phase;
-        SQM_ASSIGN_OR_RETURN(phase.phase, StringField(item, "phase"));
-        SQM_ASSIGN_OR_RETURN(phase.traffic.messages,
-                             UintField(item, "messages"));
-        SQM_ASSIGN_OR_RETURN(phase.traffic.field_elements,
-                             UintField(item, "field_elements"));
-        SQM_ASSIGN_OR_RETURN(phase.traffic.wire_bytes,
-                             UintField(item, "bytes"));
-        SQM_ASSIGN_OR_RETURN(phase.traffic.rounds,
-                             UintField(item, "rounds"));
-        report.transport.phases.push_back(std::move(phase));
-      }
+  }
+  if (const JsonValue* phases = transport->Find("phases")) {
+    SQM_RETURN_NOT_OK(RequireKind(*phases, JsonValue::Kind::kArray,
+                                  "transport.phases"));
+    for (const JsonValue& item : phases->items) {
+      SQM_RETURN_NOT_OK(RequireKind(item, JsonValue::Kind::kObject,
+                                    "transport.phases[i]"));
+      PhaseStats phase;
+      SQM_ASSIGN_OR_RETURN(phase.phase, StringField(item, "phase"));
+      SQM_ASSIGN_OR_RETURN(phase.traffic.messages,
+                           UintField(item, "messages"));
+      SQM_ASSIGN_OR_RETURN(phase.traffic.field_elements,
+                           UintField(item, "field_elements"));
+      SQM_ASSIGN_OR_RETURN(phase.traffic.wire_bytes,
+                           UintField(item, "bytes"));
+      SQM_ASSIGN_OR_RETURN(phase.traffic.rounds,
+                           UintField(item, "rounds"));
+      report.transport.phases.push_back(std::move(phase));
     }
   }
 

@@ -46,10 +46,7 @@ Result<SqmReport> EvaluateBgw(const SqmPlan& plan,
     network->SetInterceptor(options.interceptor);
   }
   BgwEngine engine(plan.scheme(), network.get(), plan.protocol_seed());
-  if (options.verify_sharings &&
-      options.dropout_policy == DropoutPolicy::kAbort) {
-    engine.set_verify_sharings(true);
-  }
+  engine.set_verify_sharings(options.verify_sharings);
   return plan.Run(inputs, &engine, *network);
 }
 

@@ -132,8 +132,9 @@ struct SqmOptions {
 
   /// Enables the BGW conformance checks (see BgwEngine::set_verify_sharings)
   /// so a tampered run fails with kIntegrityViolation instead of releasing
-  /// a silently wrong estimate. Only honored under DropoutPolicy::kAbort —
-  /// the quorum paths have their own share-selection semantics.
+  /// a silently wrong estimate. Requires DropoutPolicy::kAbort: the quorum
+  /// paths have their own share-selection semantics, so asking for both is
+  /// kInvalidArgument before any traffic.
   bool verify_sharings = false;
 };
 
@@ -186,10 +187,8 @@ struct SqmReport {
   /// Integer outputs y-hat before down-scaling (what the MPC opens).
   std::vector<int64_t> raw;
   SqmTiming timing;
-  /// Network counters (zero in plaintext mode).
-  NetworkStats network;
-  /// Full transport accounting: per-channel and per-phase breakdowns plus
-  /// fault/retry counters (empty in plaintext mode).
+  /// Transport accounting: traffic totals, per-channel and per-phase
+  /// breakdowns plus fault/retry counters (empty in plaintext mode).
   TransportStats transport;
   /// Dropout outcome (BGW backend; default-constructed in plaintext mode
   /// and in runs where every party survived under kAbort).

@@ -103,6 +103,13 @@ Result<SqmPlan> SqmPlan::Create(const PolynomialVector& f,
         "dealer mask), got " + std::to_string(num_clients) +
         "; use the abort policy or fewer clients");
   }
+  if (options.verify_sharings &&
+      options.dropout_policy != DropoutPolicy::kAbort) {
+    return Status::InvalidArgument(
+        "verify_sharings requires dropout policy abort, got " +
+        std::string(DropoutPolicyToString(options.dropout_policy)) +
+        ": the degrade quorum paths do not run the conformance checks");
+  }
   if (options.gamma < 1.0) {
     return Status::InvalidArgument("gamma must be >= 1");
   }
@@ -414,7 +421,6 @@ Result<SqmReport> SqmPlan::Finish(const Inputs& inputs, Execution run) const {
     report.estimate.push_back(static_cast<double>(value) / qf_.output_scale);
   }
   if (run.transport == nullptr) return report;
-  report.network = run.transport->stats();
   report.transport = run.transport->Snapshot();
   report.timing.simulated_network_seconds = run.transport->SimulatedSeconds();
 

@@ -183,9 +183,7 @@ Result<LogisticResult> TrainSqmLogistic(const VflDataset& train,
         report.timing.simulated_network_seconds;
     result.timing.noise_injection_seconds +=
         report.timing.noise_injection_seconds;
-    result.network.messages += report.network.messages;
-    result.network.field_elements += report.network.field_elements;
-    result.network.rounds += report.network.rounds;
+    result.network += report.transport.totals;
   }
 
   LogisticResult finished = FinishResult(std::move(w), clean_train,

@@ -144,7 +144,7 @@ Result<PcaResult> SqmPca(const Matrix& x, const PcaOptions& options) {
       FinishFromCovariance(clean, covariance, options.k, options.seed));
   result.mu = mu;
   result.timing = report.timing;
-  result.network = report.network;
+  result.network = report.transport.totals;
   return result;
 }
 

@@ -331,6 +331,26 @@ TEST(AdversaryTest, SqmEndToEndTamperIsDetected) {
       << tampered.status().ToString();
 }
 
+TEST(AdversaryTest, VerifySharingsUnderDegradeIsRefusedBeforeTraffic) {
+  // The degrade quorum paths do not run the conformance checks, so a
+  // tampered degrade run would release unchecked: asking for both is
+  // refused at validation, before any message moves.
+  const Matrix x = TinyDatabase();
+  const PolynomialVector f = PolynomialVector::OuterProduct(3);
+  TranscriptRecorder recorder(3);
+  SqmOptions options = BgwSqmOptions();
+  options.verify_sharings = true;
+  options.dropout_policy = DropoutPolicy::kDegrade;
+  options.interceptor = &recorder;
+  const auto run = SqmEvaluator(options).Evaluate(f, x);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+  const std::string message = run.status().ToString();
+  EXPECT_NE(message.find("verify_sharings"), std::string::npos) << message;
+  EXPECT_NE(message.find("degrade"), std::string::npos) << message;
+  EXPECT_TRUE(recorder.transcript().entries.empty());
+}
+
 TEST(AdversaryTest, SqmTranscriptSupportsPrivacyVerification) {
   // Record a full SQM BGW run and check the transcript-privacy property: a
   // sub-threshold coalition's received messages are indistinguishable from

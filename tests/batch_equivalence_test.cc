@@ -438,8 +438,8 @@ TEST(ExecutionModeEquivalence, QuorumCensusCostsOneRoundPerMulLevelOnTcp) {
   ASSERT_EQ(degrade.size(), 3u);
 
   EXPECT_EQ(degrade[0].raw, abort_run[0].raw);
-  EXPECT_EQ(degrade[0].network.rounds,
-            abort_run[0].network.rounds + mul_levels);
+  EXPECT_EQ(degrade[0].transport.totals.rounds,
+            abort_run[0].transport.totals.rounds + mul_levels);
   bool census = false;
   for (const auto& phase : degrade[0].transport.phases) {
     if (phase.phase == "census") {

@@ -10,6 +10,7 @@
 #include "dp/skellam.h"
 #include "math/stats.h"
 #include "mpc/bgw.h"
+#include "mpc/field.h"
 #include "net/lockstep.h"
 #include "vfl/logistic.h"
 #include "vfl/pca.h"
@@ -41,8 +42,8 @@ TEST(IntegrationTest, FullSqmPipelineOverBgwRecoversPolynomialSum) {
   const SqmReport report =
       SqmEvaluator(options).Evaluate(f, x).ValueOrDie();
   EXPECT_NEAR(report.estimate[0], exact, 0.01);
-  EXPECT_GT(report.network.messages, 0u);
-  EXPECT_GT(report.network.rounds, 0u);
+  EXPECT_GT(report.transport.totals.messages, 0u);
+  EXPECT_GT(report.transport.totals.rounds, 0u);
 }
 
 TEST(IntegrationTest, AggregateNoiseVarianceMatchesCalibratedMu) {
@@ -140,6 +141,33 @@ TEST(IntegrationTest, SqmLogisticOverBgwMatchesPlaintextTraining) {
     EXPECT_NEAR(plain.weights[j], mpc.weights[j], 1e-12);
   }
   EXPECT_GT(mpc.network.messages, 0u);
+}
+
+TEST(IntegrationTest, SqmLogisticOverBgwCountsWireBytes) {
+  // Every epoch's release adds its transport totals to the result. Each
+  // epoch's cross-party sends carry Field::kWireBytes per element, so the
+  // summed bytes are that width times the summed elements: nonzero for a
+  // BGW run.
+  SyntheticLrSpec spec;
+  spec.rows = 120;
+  spec.cols = 4;
+  spec.seed = 33;
+  const TrainTestSplit split =
+      SplitTrainTest(GenerateLrDataset(spec), 0.7, 2).ValueOrDie();
+  LogisticOptions options;
+  options.epsilon = 4.0;
+  options.sample_rate = 0.1;
+  options.rounds = 3;
+  options.gamma = 256.0;
+  options.seed = 11;
+  options.backend = MpcBackend::kBgw;
+  const LogisticResult mpc =
+      TrainSqmLogistic(split.train, split.test, options).ValueOrDie();
+
+  EXPECT_GT(mpc.network.field_elements, 0u);
+  EXPECT_GT(mpc.network.bytes(), 0u);
+  EXPECT_EQ(mpc.network.wire_bytes,
+            mpc.network.field_elements * Field::kWireBytes);
 }
 
 TEST(IntegrationTest, ServerEpsilonIndependentOfClientCount) {

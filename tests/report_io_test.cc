@@ -107,7 +107,7 @@ TEST(ReportIoTest, SqmReportContainsAllSections) {
   report.estimate = {1.5, -2.0};
   report.raw = {3, -4};
   report.timing.quantize_seconds = 0.25;
-  report.network.messages = 9;
+  report.transport.totals.messages = 9;
   const std::string json = SqmReportToJson(report);
   EXPECT_NE(json.find("\"estimate\":[1.5,-2]"), std::string::npos) << json;
   EXPECT_NE(json.find("\"raw\":[3,-4]"), std::string::npos);
@@ -201,9 +201,10 @@ TEST(ReportIoTest, SqmReportRoundTripsThroughJson) {
   report.timing.mpc_compute_seconds = 1.5;
   report.timing.simulated_network_seconds = 0.75;
   report.timing.noise_injection_seconds = 0.0625;
-  report.network.messages = 9;
-  report.network.field_elements = 27;
-  report.network.rounds = 4;
+  report.transport.totals.messages = 9;
+  report.transport.totals.field_elements = 27;
+  report.transport.totals.wire_bytes = 216;
+  report.transport.totals.rounds = 4;
   report.dropout.policy = DropoutPolicy::kDegrade;
   report.dropout.num_parties = 5;
   report.dropout.num_dropped = 2;
@@ -226,9 +227,12 @@ TEST(ReportIoTest, SqmReportRoundTripsThroughJson) {
   EXPECT_EQ(back.timing.quantize_seconds, report.timing.quantize_seconds);
   EXPECT_EQ(back.timing.noise_injection_seconds,
             report.timing.noise_injection_seconds);
-  EXPECT_EQ(back.network.messages, report.network.messages);
-  EXPECT_EQ(back.network.field_elements, report.network.field_elements);
-  EXPECT_EQ(back.network.rounds, report.network.rounds);
+  EXPECT_EQ(back.transport.totals.messages, report.transport.totals.messages);
+  EXPECT_EQ(back.transport.totals.field_elements,
+            report.transport.totals.field_elements);
+  EXPECT_EQ(back.transport.totals.wire_bytes,
+            report.transport.totals.wire_bytes);
+  EXPECT_EQ(back.transport.totals.rounds, report.transport.totals.rounds);
   EXPECT_EQ(back.dropout.policy, DropoutPolicy::kDegrade);
   EXPECT_EQ(back.dropout.num_parties, 5u);
   EXPECT_EQ(back.dropout.num_dropped, 2u);
@@ -269,6 +273,13 @@ TEST(ReportIoTest, SqmReportFromJsonRejectsStructuralMistakes) {
   ASSERT_NE(policy_pos, std::string::npos);
   policy.replace(policy_pos, 16, "\"policy\":\"shrug\"");
   EXPECT_FALSE(SqmReportFromJson(policy).ok());
+
+  // A missing transport block: it is the report's only traffic count.
+  std::string untracked = good;
+  const size_t transport_pos = untracked.find("\"transport\":");
+  ASSERT_NE(transport_pos, std::string::npos);
+  untracked.replace(transport_pos, 12, "\"transpxrt\":");
+  EXPECT_FALSE(SqmReportFromJson(untracked).ok());
 }
 
 TEST(ReportIoTest, PrivacyLedgerRoundTripsThroughJson) {

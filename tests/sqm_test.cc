@@ -156,8 +156,8 @@ TEST(SqmTest, BgwBackendMatchesPlaintextExactly) {
   const SqmReport bgw = SqmEvaluator(options).Evaluate(f, x).ValueOrDie();
 
   EXPECT_EQ(plain.raw, bgw.raw);
-  EXPECT_GT(bgw.network.messages, 0u);
-  EXPECT_EQ(plain.network.messages, 0u);
+  EXPECT_GT(bgw.transport.totals.messages, 0u);
+  EXPECT_EQ(plain.transport.totals.messages, 0u);
 }
 
 TEST(SqmTest, BgwBackendWithCoefficientQuantization) {
@@ -278,7 +278,7 @@ TEST(SqmTest, SimulatedLatencyAccountedInBgw) {
       SqmEvaluator(options).Evaluate(f, x).ValueOrDie();
   EXPECT_GT(report.timing.simulated_network_seconds, 0.0);
   EXPECT_DOUBLE_EQ(report.timing.simulated_network_seconds,
-                   0.1 * static_cast<double>(report.network.rounds));
+                   0.1 * static_cast<double>(report.transport.totals.rounds));
 }
 
 }  // namespace

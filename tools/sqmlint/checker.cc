@@ -142,73 +142,6 @@ SourceFile MakeSourceFile(const std::string& path,
   return file;
 }
 
-/// Pre-pass: record every function name declared with return type Status
-/// or Result<...>. Token shapes matched (optionally with qualifiers):
-///   Status Name (            Result < ... > Name (
-///   Status Qual::Name (      sqm::Status Name (
-/// `other_names` collects names declared with any other identifier-shaped
-/// return type ("void Add(", "Element Sub("): a name in both sets is
-/// ambiguous without type resolution and is dropped from the lexicon (the
-/// [[nodiscard]] attribute still covers those call sites at compile time).
-void CollectStatusFunctions(const SourceFile& file,
-                            std::set<std::string>* names,
-                            std::set<std::string>* other_names) {
-  static const std::set<std::string> kNotAReturnType = {
-      "return", "co_return", "co_await", "co_yield", "new",  "delete",
-      "throw",  "case",      "goto",     "else",     "do",   "if",
-      "while",  "for",       "switch",   "sizeof",   "not",  "and",
-      "or",     "operator",  "explicit", "typename", "using"};
-  const std::vector<Token>& toks = file.tokens;
-  for (size_t i = 0; i < toks.size(); ++i) {
-    if (toks[i].kind != TokenKind::kIdentifier) continue;
-    const std::string& t = toks[i].text;
-    if (t != "Status" && t != "Result") {
-      // `T Name (` with a plain-identifier return type T.
-      if (kNotAReturnType.count(t) == 0 && i + 2 < toks.size() &&
-          toks[i + 1].kind == TokenKind::kIdentifier &&
-          kNotAReturnType.count(toks[i + 1].text) == 0 &&
-          toks[i + 2].kind == TokenKind::kPunct && toks[i + 2].text == "(") {
-        other_names->insert(toks[i + 1].text);
-      }
-      continue;
-    }
-    // Member access like value.Status() is not a return type.
-    if (i > 0 && toks[i - 1].kind == TokenKind::kPunct &&
-        (toks[i - 1].text == "." || toks[i - 1].text == "->")) {
-      continue;
-    }
-    size_t j = i + 1;
-    if (t == "Result") {
-      if (j >= toks.size() || toks[j].text != "<") continue;
-      int depth = 0;
-      while (j < toks.size()) {
-        if (toks[j].text == "<") ++depth;
-        if (toks[j].text == ">") --depth;
-        if (toks[j].text == ">>") depth -= 2;
-        ++j;
-        if (depth <= 0) break;
-      }
-    }
-    // Optional & / * between type and declarator.
-    while (j < toks.size() && toks[j].kind == TokenKind::kPunct &&
-           (toks[j].text == "&" || toks[j].text == "*")) {
-      ++j;
-    }
-    // Qualified declarator: Name (:: Name)* then '('.
-    if (j >= toks.size() || toks[j].kind != TokenKind::kIdentifier) continue;
-    std::string last = toks[j].text;
-    ++j;
-    while (j + 1 < toks.size() && toks[j].text == "::" &&
-           toks[j + 1].kind == TokenKind::kIdentifier) {
-      last = toks[j + 1].text;
-      j += 2;
-    }
-    if (j < toks.size() && toks[j].text == "(" && last != "operator") {
-      names->insert(last);
-    }
-  }
-}
-
 }  // namespace
 
 bool PathInModule(const std::string& path, const std::string& needle) {
@@ -249,24 +182,13 @@ std::vector<std::string> IdentifierWords(const std::string& identifier) {
 }
 
 Project BuildProject(
-    const std::vector<std::pair<std::string, std::string>>& files,
-    bool with_flow) {
+    const std::vector<std::pair<std::string, std::string>>& files) {
   Project project;
   project.files.reserve(files.size());
   for (const auto& [path, content] : files) {
     project.files.push_back(MakeSourceFile(path, content));
   }
-  std::set<std::string> other_names;
-  for (const SourceFile& file : project.files) {
-    CollectStatusFunctions(file, &project.status_functions, &other_names);
-  }
-  for (const std::string& name : other_names) {
-    project.status_functions.erase(name);
-  }
-  if (with_flow) {
-    project.flow =
-        std::make_shared<const FlowAnalysis>(RunFlowAnalysis(project));
-  }
+  project.flow = std::make_shared<const FlowAnalysis>(RunFlowAnalysis(project));
   return project;
 }
 
@@ -422,42 +344,6 @@ std::string RenderJson(const Project& project,
   out << "],\"summary\":{\"files\":" << project.files.size()
       << ",\"active\":" << active
       << ",\"suppressed\":" << findings.size() - active << "}}";
-  return out.str();
-}
-
-std::string RenderSarif(const Project& project,
-                        const std::vector<Finding>& findings) {
-  (void)project;
-  std::ostringstream out;
-  out << "{\"$schema\":"
-         "\"https://json.schemastore.org/sarif-2.1.0.json\","
-         "\"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{"
-         "\"name\":\"sqmlint\",\"version\":\"2.0.0\","
-         "\"informationUri\":\"docs/STATIC_ANALYSIS.md\",\"rules\":[";
-  bool first = true;
-  for (const Check& check : AllChecks()) {
-    if (!first) out << ",";
-    first = false;
-    out << "{\"id\":\"" << JsonEscape(check.name)
-        << "\",\"shortDescription\":{\"text\":\""
-        << JsonEscape(check.description) << "\"}}";
-  }
-  out << "]}},\"results\":[";
-  for (size_t i = 0; i < findings.size(); ++i) {
-    const Finding& f = findings[i];
-    if (i > 0) out << ",";
-    out << "{\"ruleId\":\"" << JsonEscape(f.check) << "\",\"level\":\""
-        << (f.suppressed ? "note" : "error") << "\",\"message\":{\"text\":\""
-        << JsonEscape(f.message) << "\"},\"locations\":[{"
-        << "\"physicalLocation\":{\"artifactLocation\":{\"uri\":\""
-        << JsonEscape(f.path) << "\"},\"region\":{\"startLine\":"
-        << (f.line > 0 ? f.line : 1) << "}}}]";
-    if (f.suppressed) {
-      out << ",\"suppressions\":[{\"kind\":\"inSource\"}]";
-    }
-    out << "}";
-  }
-  out << "]}]}";
   return out.str();
 }
 

@@ -15,7 +15,7 @@ struct FlowAnalysis;
 
 /// One diagnostic produced by a check.
 struct Finding {
-  std::string check;    ///< Check name ("unchecked-status", ...).
+  std::string check;    ///< Check name ("taint-flow", ...).
   std::string path;     ///< As the file was given to the tool.
   int line = 0;         ///< 1-based.
   std::string message;  ///< One sentence; no trailing period needed.
@@ -44,14 +44,10 @@ struct SourceFile {
   std::vector<Finding> suppression_errors;
 };
 
-/// The whole analysis input plus cross-file facts gathered in a pre-pass.
+/// The whole analysis input plus the interprocedural results over it.
 struct Project {
   std::vector<SourceFile> files;
-  /// Names of functions declared (anywhere in the project) with return type
-  /// Status or Result<...> — the lexicon behind unchecked-status.
-  std::set<std::string> status_functions;
-  /// Interprocedural taint / coverage results (taint.h); null when the
-  /// flow engine was skipped (--no-flow fast fallback). shared_ptr so
+  /// Interprocedural taint / coverage results (taint.h). shared_ptr so
   /// Project copies stay cheap and valid.
   std::shared_ptr<const FlowAnalysis> flow;
 };
@@ -68,13 +64,10 @@ struct Check {
 const std::vector<Check>& AllChecks();
 
 /// Builds a Project from in-memory (path, content) pairs: lexes each file,
-/// resolves suppressions, runs the cross-file pre-pass, and (unless
-/// `with_flow` is false — the fast lexicon-only fallback) the
-/// interprocedural flow analysis. The test suite uses this directly with
-/// fixture snippets.
+/// resolves suppressions and runs the interprocedural flow analysis. The
+/// test suite uses this directly with fixture snippets.
 Project BuildProject(
-    const std::vector<std::pair<std::string, std::string>>& files,
-    bool with_flow = true);
+    const std::vector<std::pair<std::string, std::string>>& files);
 
 /// Recursively collects C++ sources (.h .hpp .cc .cpp .cxx) under each
 /// path (files are taken as-is), reads them, and returns (path, content)
@@ -104,12 +97,6 @@ std::string RenderHuman(const Project& project,
 ///  "summary":{files,active,suppressed}}.
 std::string RenderJson(const Project& project,
                        const std::vector<Finding>& findings);
-
-/// SARIF 2.1.0 rendering: one run, one rule per registered check, one
-/// result per finding (suppressed findings carry a `suppressions` block,
-/// so SARIF viewers show them as reviewed). Paths are emitted as given.
-std::string RenderSarif(const Project& project,
-                        const std::vector<Finding>& findings);
 
 // --- helpers shared by checks (defined in checker.cc) ---
 

@@ -1,4 +1,3 @@
-#include <array>
 #include <set>
 #include <string>
 #include <vector>
@@ -39,131 +38,6 @@ void Report(std::vector<Finding>* findings, const char* check,
   finding.line = line;
   finding.message = std::move(message);
   findings->push_back(std::move(finding));
-}
-
-// ---------------------------------------------------------------------------
-// unchecked-status: a call to a function declared to return Status or
-// Result<T>, used as a bare expression statement (its value discarded).
-// The compiler-side half of this check is the [[nodiscard]] attribute on
-// Status/Result in core/status.h; this pass keeps the rule enforced even
-// in builds that swallow warnings, and localizes the diagnostic.
-// ---------------------------------------------------------------------------
-void CheckUncheckedStatus(const Project& project, const SourceFile& file,
-                          std::vector<Finding>* findings) {
-  const Tokens& toks = file.tokens;
-  for (size_t i = 0; i < toks.size(); ++i) {
-    if (!IsIdent(toks[i])) continue;
-    // Statement start: after ; { } ), after else/do, or at file start.
-    // (':' is deliberately not a start: it is usually the ternary colon,
-    // whose value is consumed — label statements are the rare loss.)
-    bool starts = i == 0;
-    if (i > 0) {
-      const Token& prev = toks[i - 1];
-      starts = IsPunct(prev, ";") || IsPunct(prev, "{") ||
-               IsPunct(prev, "}") || IsPunct(prev, ")") ||
-               (IsIdent(prev) && (prev.text == "else" || prev.text == "do"));
-      // `(void)Foo();` is an explicit, intentional discard.
-      if (IsPunct(prev, ")") && i >= 3 && IsPunct(toks[i - 3], "(") &&
-          IsIdent(toks[i - 2]) && toks[i - 2].text == "void") {
-        starts = false;
-      }
-    }
-    if (!starts) continue;
-
-    // Identifier chain: id ((:: | . | ->) id)* then '(' args ')' ';'.
-    size_t j = i;
-    std::string last = toks[j].text;
-    while (j + 2 < toks.size() &&
-           (IsPunct(toks[j + 1], "::") || IsPunct(toks[j + 1], ".") ||
-            IsPunct(toks[j + 1], "->")) &&
-           IsIdent(toks[j + 2])) {
-      j += 2;
-      last = toks[j].text;
-    }
-    if (j + 1 >= toks.size() || !IsPunct(toks[j + 1], "(")) continue;
-    const size_t after = SkipParens(toks, j + 1);
-    if (after >= toks.size() || !IsPunct(toks[after], ";")) continue;
-    if (project.status_functions.count(last) == 0) continue;
-    Report(findings, "unchecked-status", file, toks[j].line,
-           "result of '" + last +
-               "' (returns Status/Result) is discarded; check it, propagate "
-               "it, or make the discard explicit with (void)");
-  }
-}
-
-// ---------------------------------------------------------------------------
-// secret-taint: identifiers from the secret lexicon (shares, sub-shares,
-// masks, raw noise samples — values that must stay inside the MPC
-// boundary) appearing in the argument region of a logging / tracing /
-// serialization sink. src/testing/ is the allowlisted boundary: the
-// adversarial harness logs tampered wire payloads by design.
-// ---------------------------------------------------------------------------
-bool IsSecretIdentifier(const std::string& identifier) {
-  static const std::set<std::string> kSecretWords = {
-      "share", "shares", "subshare", "subshares", "secret", "secrets",
-      "mask",  "masks"};
-  const std::vector<std::string> words = IdentifierWords(identifier);
-  bool raw = false, noise = false, sample = false;
-  for (const std::string& word : words) {
-    if (kSecretWords.count(word) > 0) return true;
-    raw = raw || word == "raw";
-    noise = noise || word == "noise";
-    sample = sample || word == "sample" || word == "samples";
-  }
-  return (raw || noise) && sample;
-}
-
-void CheckSecretTaint(const Project& /*project*/, const SourceFile& file,
-                      std::vector<Finding>* findings) {
-  if (PathInModule(file.path, "src/testing/")) return;
-  static const std::set<std::string> kStatementSinks = {
-      "SQM_LOG", "SQM_LOG_IF", "SQM_VLOG", "printf", "fprintf",
-      "puts",    "fputs",      "cout",     "cerr",   "clog"};
-  static const std::set<std::string> kMemberCallSinks = {"AddArg", "Field"};
-
-  const Tokens& toks = file.tokens;
-  for (size_t i = 0; i < toks.size(); ++i) {
-    if (!IsIdent(toks[i])) continue;
-    const std::string& name = toks[i].text;
-
-    size_t begin = 0, end = 0;  // Argument region [begin, end).
-    if (kStatementSinks.count(name) > 0) {
-      // Scan to the terminating ';' at the statement's paren depth.
-      begin = i + 1;
-      int depth = 0;
-      size_t j = begin;
-      for (; j < toks.size(); ++j) {
-        if (IsPunct(toks[j], "(")) ++depth;
-        if (IsPunct(toks[j], ")")) --depth;
-        if (depth < 0) break;
-        if (depth == 0 && IsPunct(toks[j], ";")) break;
-      }
-      end = j;
-    } else if (kMemberCallSinks.count(name) > 0) {
-      if (i == 0 || !(IsPunct(toks[i - 1], ".") ||
-                      IsPunct(toks[i - 1], "->"))) {
-        continue;  // sqm::Field the class, not JsonWriter::Field.
-      }
-      if (i + 1 >= toks.size() || !IsPunct(toks[i + 1], "(")) continue;
-      begin = i + 2;
-      end = SkipParens(toks, i + 1);
-      if (end > begin) --end;  // Drop the closing ')'.
-    } else {
-      continue;
-    }
-
-    for (size_t j = begin; j < end && j < toks.size(); ++j) {
-      if (!IsIdent(toks[j])) continue;
-      if (!IsSecretIdentifier(toks[j].text)) continue;
-      Report(findings, "secret-taint", file, toks[j].line,
-             "secret-lexicon identifier '" + toks[j].text +
-                 "' reaches sink '" + name +
-                 "'; shares, masks and raw noise samples must not be "
-                 "logged or serialized outside the MPC boundary "
-                 "(src/testing/ is the allowlisted harness)");
-      break;  // One finding per sink region.
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -476,7 +350,8 @@ void CheckSocketDiscipline(const Project& /*project*/, const SourceFile& file,
 
     // Inside the wrapper module: the call's int/ssize_t result must be
     // consumed. Bare `::shutdown(fd, ...);` as a statement discards the
-    // error. Mirrors the unchecked-status statement-start logic.
+    // error (a plain int return, which [[nodiscard]] on Status does not
+    // cover).
     const size_t start = scoped ? i - 1 : i;
     bool starts = start == 0;
     if (start > 0) {
@@ -706,64 +581,32 @@ void CheckBatchDiscipline(const Project& /*project*/, const SourceFile& file,
 // ---------------------------------------------------------------------------
 // obs-discipline: span names are static identity, not data. The tracer
 // stores `const char*` names without copying them, so the name argument of
-// every Span declaration must be a string literal. Span and AddArg
-// argument regions are exported into traces that leave the process, so
-// secret-lexicon identifiers must not appear there (the same rule
-// secret-taint enforces on AddArg).
+// every Span declaration must be a string literal. (Secrets reaching an
+// exported span argument are taint-flow's: AddArg and the Span
+// declaration's arguments are among its sinks.)
 // ---------------------------------------------------------------------------
 void CheckObsDiscipline(const Project& /*project*/, const SourceFile& file,
                         std::vector<Finding>* findings) {
-  if (PathInModule(file.path, "src/testing/")) return;
-
   // src/obs/ is where Span is DEFINED: its parameter lists and forwarding
-  // bodies are not call sites, so the literal-name rule only applies
-  // outside the module (the secret scan stays global).
-  const bool in_obs_module = PathInModule(file.path, "src/obs/");
-
+  // bodies are not call sites. src/testing/ is the harness.
+  if (PathInModule(file.path, "src/obs/") ||
+      PathInModule(file.path, "src/testing/")) {
+    return;
+  }
   const Tokens& toks = file.tokens;
-  for (size_t i = 0; i < toks.size(); ++i) {
-    if (!IsIdent(toks[i])) continue;
-    const std::string& name = toks[i].text;
+  for (size_t i = 0; i + 3 < toks.size(); ++i) {
     // Span is only checked in declaration form `Span ident(...)` (with or
     // without a namespace qualifier before it): matching `Span(` directly
     // would trip on the constructor signatures in obs/trace.h.
-    const bool is_span_decl = name == "Span" && i + 2 < toks.size() &&
-                              IsIdent(toks[i + 1]) &&
-                              IsPunct(toks[i + 2], "(");
-    // AddArg member calls: secret scan only (the key is argument 1, and
-    // annotation values routinely are variables).
-    const bool is_add_arg =
-        name == "AddArg" && i > 0 &&
-        (IsPunct(toks[i - 1], ".") || IsPunct(toks[i - 1], "->"));
-
-    size_t open;
-    if (is_span_decl) {
-      open = i + 2;
-    } else if (is_add_arg && i + 1 < toks.size() &&
-               IsPunct(toks[i + 1], "(")) {
-      open = i + 1;
-    } else {
+    if (!IsIdent(toks[i]) || toks[i].text != "Span" ||
+        !IsIdent(toks[i + 1]) || !IsPunct(toks[i + 2], "(")) {
       continue;
     }
-    const size_t end = SkipParens(toks, open);  // Just past ')'.
-    if (end <= open + 1) continue;
-
-    if (!is_add_arg && !in_obs_module && open + 1 < end &&
-        toks[open + 1].kind != TokenKind::kString) {
+    if (toks[i + 3].kind != TokenKind::kString) {
       Report(findings, "obs-discipline", file, toks[i].line,
-             "name passed to '" + name +
-                 "' is not a string literal; span names are static "
-                 "identity (the tracer stores the pointer without "
-                 "copying the name)");
-    }
-
-    for (size_t j = open + 1; j + 1 < end; ++j) {
-      if (!IsIdent(toks[j]) || !IsSecretIdentifier(toks[j].text)) continue;
-      Report(findings, "obs-discipline", file, toks[j].line,
-             "secret-lexicon identifier '" + toks[j].text +
-                 "' reaches the exported argument region of '" + name +
-                 "'; span annotations leave the process via traces");
-      break;  // One secret finding per argument region.
+             "name passed to 'Span' is not a string literal; span names are "
+             "static identity (the tracer stores the pointer without "
+             "copying the name)");
     }
   }
 }
@@ -782,8 +625,9 @@ void CheckSecretBranch(const Project& project, const SourceFile& file,
 const std::vector<Check>& AllChecks() {
   static const std::vector<Check> kChecks = {
       {"taint-flow",
-       "interprocedural secret value (share/mask/triple/raw draw) reaching "
-       "a log, obs-export or un-MACed wire sink",
+       "secret value (flowing from a share/mask/raw-draw source or a "
+       "secret-named parameter, or itself secret-named) reaching a log, "
+       "obs-export or un-MACed wire sink",
        CheckTaintFlow},
       {"dp-spend-coverage",
        "sampler draw reachable from the SQM drivers with no accountant "
@@ -793,12 +637,6 @@ const std::vector<Check>& AllChecks() {
        "secret-tainted value steering a branch, loop bound or array index "
        "in src/mpc/ outside constant-time helpers",
        CheckSecretBranch},
-      {"unchecked-status",
-       "discarded call result of a Status/Result-returning function",
-       CheckUncheckedStatus},
-      {"secret-taint",
-       "secret-lexicon identifier flowing into a logging/serialization sink",
-       CheckSecretTaint},
       {"rng-discipline",
        "std/libc randomness outside src/sampling/, wall clock in "
        "deterministic modules",
@@ -820,9 +658,7 @@ const std::vector<Check>& AllChecks() {
        "element-wise scalar Field ops in MPC hot paths that the batched "
        "span kernels replace",
        CheckBatchDiscipline},
-      {"obs-discipline",
-       "non-literal span names, or secret-lexicon identifiers in exported "
-       "span argument regions",
+      {"obs-discipline", "non-literal span names",
        CheckObsDiscipline},
   };
   return kChecks;

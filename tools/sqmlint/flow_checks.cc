@@ -2,8 +2,8 @@
 // (IR, symbol graph, worklist taint propagation) runs once per project in
 // BuildProject (taint.cc); these per-file check functions just surface the
 // precomputed findings through the same Check interface the lexicon
-// checks use, so suppression resolution, rendering, JSON/SARIF output and
-// the baseline ratchet treat both engines identically.
+// checks use, so suppression resolution and rendering treat both engines
+// identically.
 
 #include "sqmlint/checker.h"
 #include "sqmlint/taint.h"
@@ -14,7 +14,6 @@ namespace {
 void SurfaceFlowFindings(const char* check, const Project& project,
                          const SourceFile& file,
                          std::vector<Finding>* findings) {
-  if (project.flow == nullptr) return;  // --no-flow fast fallback.
   for (const FlowFinding* flow : project.flow->For(check, file.path)) {
     Finding finding;
     finding.check = flow->check;

@@ -1,89 +1,32 @@
 // sqmlint — domain-aware static analysis for this repo's MPC/DP invariants.
 //
 // Usage:
-//   sqmlint [--json[=FILE]] [--sarif=FILE] [--baseline=FILE]
-//           [--write-baseline=FILE] [--changed-only=GITREF] [--no-flow]
-//           [--show-suppressed] [--check=a,b] [--list-checks] PATH...
+//   sqmlint [--json[=FILE]] [--show-suppressed] [--check=a,b]
+//           [--list-checks] PATH...
 //
-// Exit codes: 0 clean, 1 active findings (or baseline delta), 2 usage or
-// I/O error.
+// Exit codes: 0 clean, 1 active findings, 2 usage or I/O error.
 
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "sqmlint/baseline.h"
 #include "sqmlint/checker.h"
-#include "sqmlint/symbols.h"
 
 namespace {
 
 void PrintUsage(std::FILE* to) {
   std::fprintf(
       to,
-      "usage: sqmlint [--json[=FILE]] [--sarif=FILE] [--baseline=FILE]\n"
-      "               [--write-baseline=FILE] [--changed-only=GITREF]\n"
-      "               [--no-flow] [--show-suppressed] [--check=a,b]\n"
+      "usage: sqmlint [--json[=FILE]] [--show-suppressed] [--check=a,b]\n"
       "               [--list-checks] PATH...\n"
       "Scans C++ sources (.h .hpp .cc .cpp .cxx; directories are walked\n"
-      "recursively) for violations of the repo's MPC/DP invariants.\n"
+      "recursively) for violations of the repo's MPC/DP invariants and\n"
+      "exits 1 on any active finding.\n"
       "Suppress one line with        // sqmlint:allow(<check-name>)\n"
-      "Declassify a secret flow with // sqmlint:declassify(<why it is safe>)\n"
-      "--baseline gates on the committed ratchet: findings not in the\n"
-      "baseline fail, and so do baseline entries that no longer fire (the\n"
-      "baseline only shrinks). --changed-only=REF reports only findings in\n"
-      "files touched since REF (plus their transitive includers); the whole\n"
-      "project is still analyzed so interprocedural results stay exact.\n");
-}
-
-bool WriteTextFile(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  out << content;
-  return static_cast<bool>(out);
-}
-
-/// Files changed vs. `ref`, as git-relative paths, C++ sources only.
-/// Runs git in the current directory — invoke from the repo root (as
-/// scripts/check.sh and the documented pre-commit hook do).
-bool GitChangedFiles(const std::string& ref, std::set<std::string>* out,
-                     std::string* error) {
-  const std::string cmd =
-      "git diff --name-only --diff-filter=d " + ref + " -- 2>/dev/null";
-  std::FILE* pipe = popen(cmd.c_str(), "r");
-  if (pipe == nullptr) {
-    *error = "failed to run git diff";
-    return false;
-  }
-  std::string output;
-  char buf[4096];
-  size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), pipe)) > 0) {
-    output.append(buf, got);
-  }
-  const int status = pclose(pipe);
-  if (status != 0) {
-    *error = "git diff --name-only " + ref + " failed (bad ref?)";
-    return false;
-  }
-  std::istringstream lines(output);
-  std::string line;
-  static const char* const kExts[] = {".h", ".hpp", ".cc", ".cpp", ".cxx"};
-  while (std::getline(lines, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    for (const char* ext : kExts) {
-      const size_t n = std::string(ext).size();
-      if (line.size() > n && line.compare(line.size() - n, n, ext) == 0) {
-        out->insert(line);
-        break;
-      }
-    }
-  }
-  return true;
+      "Declassify a secret flow with // sqmlint:declassify(<why it is safe>)\n");
 }
 
 }  // namespace
@@ -91,11 +34,6 @@ bool GitChangedFiles(const std::string& ref, std::set<std::string>* out,
 int main(int argc, char** argv) {
   bool json = false;
   std::string json_file;
-  std::string sarif_file;
-  std::string baseline_file;
-  std::string write_baseline_file;
-  std::string changed_ref;
-  bool with_flow = true;
   bool show_suppressed = false;
   std::set<std::string> only;
   std::vector<std::string> paths;
@@ -107,16 +45,6 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--json=", 0) == 0) {
       json = true;
       json_file = arg.substr(7);
-    } else if (arg.rfind("--sarif=", 0) == 0) {
-      sarif_file = arg.substr(8);
-    } else if (arg.rfind("--baseline=", 0) == 0) {
-      baseline_file = arg.substr(11);
-    } else if (arg.rfind("--write-baseline=", 0) == 0) {
-      write_baseline_file = arg.substr(17);
-    } else if (arg.rfind("--changed-only=", 0) == 0) {
-      changed_ref = arg.substr(15);
-    } else if (arg == "--no-flow") {
-      with_flow = false;
     } else if (arg == "--show-suppressed") {
       show_suppressed = true;
     } else if (arg == "--list-checks") {
@@ -168,106 +96,24 @@ int main(int argc, char** argv) {
   }
   if (!errors.empty()) return 2;
 
-  const sqmlint::Project project = sqmlint::BuildProject(sources, with_flow);
-  std::vector<sqmlint::Finding> findings = sqmlint::RunChecks(project, only);
+  const sqmlint::Project project = sqmlint::BuildProject(sources);
+  const std::vector<sqmlint::Finding> findings =
+      sqmlint::RunChecks(project, only);
 
-  // --changed-only: the analysis above ran over the whole project (so
-  // cross-TU taint and coverage are exact); only the *report* narrows to
-  // files touched since the ref plus everything that includes them.
-  if (!changed_ref.empty()) {
-    std::set<std::string> changed;
-    std::string error;
-    if (!GitChangedFiles(changed_ref, &changed, &error)) {
-      std::fprintf(stderr, "sqmlint: %s\n", error.c_str());
-      return 2;
-    }
-    const sqmlint::SymbolTable table = sqmlint::SymbolTable::Build(project);
-    const std::set<std::string> closure = table.IncluderClosure(changed);
-    std::vector<sqmlint::Finding> kept;
-    for (sqmlint::Finding& finding : findings) {
-      bool in_scope = false;
-      for (const std::string& path : closure) {
-        if (finding.path == path ||
-            sqmlint::PathEndsWith(finding.path, path)) {
-          in_scope = true;
-          break;
-        }
-      }
-      if (in_scope) kept.push_back(std::move(finding));
-    }
-    findings = std::move(kept);
+  // --json alone takes stdout; --json=FILE writes the file and leaves the
+  // human report on stdout.
+  if (json && json_file.empty()) {
+    std::cout << sqmlint::RenderJson(project, findings) << "\n";
+  } else {
+    std::cout << sqmlint::RenderHuman(project, findings, show_suppressed);
   }
-
-  if (!write_baseline_file.empty()) {
-    const sqmlint::Baseline baseline =
-        sqmlint::BaselineFromFindings(project, findings);
-    const std::string text = sqmlint::RenderBaseline(baseline);
-    if (!WriteTextFile(write_baseline_file, text)) {
-      std::fprintf(stderr, "sqmlint: cannot write '%s'\n",
-                   write_baseline_file.c_str());
-      return 2;
-    }
-    std::fprintf(stderr, "sqmlint: wrote baseline with %zu entries to %s\n",
-                 baseline.entries.size(), write_baseline_file.c_str());
-  }
-
-  if (json) {
-    const std::string rendered = sqmlint::RenderJson(project, findings);
-    if (json_file.empty()) {
-      std::cout << rendered << "\n";
-    } else if (!WriteTextFile(json_file, rendered + "\n")) {
+  if (!json_file.empty()) {
+    std::ofstream out(json_file, std::ios::binary);
+    out << sqmlint::RenderJson(project, findings) << "\n";
+    if (!out) {
       std::fprintf(stderr, "sqmlint: cannot write '%s'\n", json_file.c_str());
       return 2;
     }
   }
-  if (!sarif_file.empty()) {
-    const std::string rendered = sqmlint::RenderSarif(project, findings);
-    if (!WriteTextFile(sarif_file, rendered + "\n")) {
-      std::fprintf(stderr, "sqmlint: cannot write '%s'\n", sarif_file.c_str());
-      return 2;
-    }
-  }
-  if (!json) {
-    std::cout << sqmlint::RenderHuman(project, findings, show_suppressed);
-  }
-
-  // Ratchet mode: active findings are judged against the committed
-  // baseline instead of gating directly.
-  if (!baseline_file.empty()) {
-    std::ifstream in(baseline_file, std::ios::binary);
-    if (!in) {
-      std::fprintf(stderr, "sqmlint: cannot read baseline '%s'\n",
-                   baseline_file.c_str());
-      return 2;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    sqmlint::Baseline baseline;
-    std::string error;
-    if (!sqmlint::ParseBaseline(buf.str(), &baseline, &error)) {
-      std::fprintf(stderr, "sqmlint: %s\n", error.c_str());
-      return 2;
-    }
-    const sqmlint::BaselineDelta delta =
-        sqmlint::CompareBaseline(project, findings, baseline);
-    std::printf(
-        "sqmlint baseline: %zu matched, %zu fresh, %zu stale "
-        "(baseline entries: %zu)\n",
-        delta.matched, delta.fresh.size(), delta.stale.size(),
-        baseline.entries.size());
-    for (const sqmlint::Finding& finding : delta.fresh) {
-      std::printf("  FRESH %s:%d: [%s] %s\n", finding.path.c_str(),
-                  finding.line, finding.check.c_str(),
-                  finding.message.c_str());
-    }
-    for (const sqmlint::BaselineEntry& entry : delta.stale) {
-      std::printf(
-          "  STALE [%s] %s: '%s' no longer fires — remove it from the "
-          "baseline (the ratchet only tightens)\n",
-          entry.check.c_str(), entry.path.c_str(), entry.fingerprint.c_str());
-    }
-    return delta.Clean() ? 0 : 1;
-  }
-
   return sqmlint::CountActive(findings) == 0 ? 0 : 1;
 }

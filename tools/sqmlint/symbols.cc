@@ -1,39 +1,10 @@
 #include "sqmlint/symbols.h"
 
-#include <algorithm>
+#include <set>
 
 #include "sqmlint/checker.h"
 
 namespace sqmlint {
-
-std::vector<std::string> ExtractQuotedIncludes(const std::string& content) {
-  std::vector<std::string> includes;
-  size_t pos = 0;
-  while ((pos = content.find("#include", pos)) != std::string::npos) {
-    size_t q1 = content.find_first_of("\"<\n", pos + 8);
-    if (q1 == std::string::npos) break;
-    if (content[q1] == '"') {
-      const size_t q2 = content.find('"', q1 + 1);
-      if (q2 != std::string::npos) {
-        includes.push_back(content.substr(q1 + 1, q2 - q1 - 1));
-        pos = q2 + 1;
-        continue;
-      }
-    }
-    pos = q1 + 1;
-  }
-  return includes;
-}
-
-bool PathEndsWith(const std::string& path, const std::string& suffix) {
-  if (suffix.empty() || suffix.size() > path.size()) return false;
-  if (path.compare(path.size() - suffix.size(), suffix.size(), suffix) != 0) {
-    return false;
-  }
-  if (path.size() == suffix.size()) return true;
-  const char before = path[path.size() - suffix.size() - 1];
-  return before == '/' || before == '\\';
-}
 
 SymbolTable SymbolTable::Build(const Project& project) {
   SymbolTable table;
@@ -42,9 +13,6 @@ SymbolTable SymbolTable::Build(const Project& project) {
     for (FunctionIR& fn : fns) {
       table.by_name_[fn.name].push_back(table.functions_.size());
       table.functions_.push_back(std::move(fn));
-    }
-    for (const std::string& inc : ExtractQuotedIncludes(file.content)) {
-      table.included_by_[inc].insert(file.path);
     }
   }
   // Call graph edges by callee name.
@@ -90,23 +58,6 @@ std::vector<const FunctionIR*> SymbolTable::Callees(
   std::vector<const FunctionIR*> out;
   for (size_t i : callees_[IndexOf(fn)]) out.push_back(&functions_[i]);
   return out;
-}
-
-std::set<std::string> SymbolTable::IncluderClosure(
-    const std::set<std::string>& roots) const {
-  std::set<std::string> closure = roots;
-  std::vector<std::string> worklist(roots.begin(), roots.end());
-  while (!worklist.empty()) {
-    const std::string current = worklist.back();
-    worklist.pop_back();
-    for (const auto& [inc, includers] : included_by_) {
-      if (!PathEndsWith(current, inc)) continue;
-      for (const std::string& includer : includers) {
-        if (closure.insert(includer).second) worklist.push_back(includer);
-      }
-    }
-  }
-  return closure;
 }
 
 }  // namespace sqmlint

@@ -2,7 +2,6 @@
 #define SQM_TOOLS_SQMLINT_SYMBOLS_H_
 
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -13,8 +12,8 @@ namespace sqmlint {
 struct Project;
 
 /// Cross-translation-unit view of the project: every recovered function
-/// definition, indexed by name, plus the call graph between them and the
-/// include graph between files. Function resolution is name-based (the
+/// definition, indexed by name, plus the call graph between them.
+/// Function resolution is name-based (the
 /// lexer has no types): a call site resolves to every definition sharing
 /// its name, and analyses union the candidates — the conservative choice
 /// for a linter.
@@ -39,26 +38,12 @@ class SymbolTable {
   /// Stable index of a function within functions().
   size_t IndexOf(const FunctionIR* fn) const;
 
-  /// Files that (transitively) include any file in `roots`, plus the
-  /// roots themselves. Paths are matched by suffix: git reports
-  /// "src/mpc/field.h" while the scan may hold "/abs/src/mpc/field.h".
-  std::set<std::string> IncluderClosure(
-      const std::set<std::string>& roots) const;
-
  private:
   std::vector<FunctionIR> functions_;
   std::map<std::string, std::vector<size_t>> by_name_;
   std::vector<std::vector<size_t>> callees_;  ///< fn index -> fn indices.
   std::vector<std::vector<size_t>> callers_;
-  std::map<std::string, std::set<std::string>> included_by_;  ///< hdr -> incs.
 };
-
-/// The `#include "..."` targets of one file's content (quoted includes
-/// only; system headers are outside the project by definition).
-std::vector<std::string> ExtractQuotedIncludes(const std::string& content);
-
-/// True when `path` ends with `suffix` at a path-component boundary.
-bool PathEndsWith(const std::string& path, const std::string& suffix);
 
 }  // namespace sqmlint
 

@@ -93,19 +93,47 @@ bool IsHarnessFile(const std::string& path) {
          PathInModule(path, "src/testing/");
 }
 
+/// The secret lexicon: an identifier with one of these words names a
+/// value that must stay inside the MPC boundary (shares, sub-shares,
+/// masks, raw noise samples). Matching is per identifier word, so
+/// `shared_state` is not a share.
+bool IsSecretIdentifier(const std::string& identifier) {
+  static const std::set<std::string> kSecretWords = {
+      "share", "shares", "subshare", "subshares", "secret", "secrets",
+      "mask",  "masks"};
+  bool raw = false, noise = false, sample = false;
+  for (const std::string& word : IdentifierWords(identifier)) {
+    if (kSecretWords.count(word) > 0) return true;
+    raw = raw || word == "raw";
+    noise = noise || word == "noise";
+    sample = sample || word == "sample" || word == "samples";
+  }
+  return (raw || noise) && sample;
+}
+
+/// Real taint: which parameters of each function are proven to carry a
+/// secret, and where each one came from.
+struct Taint {
+  std::vector<Mask> params;  ///< By function index: tainted param bits.
+  std::vector<std::map<int, std::string>> origin;  ///< Param -> provenance.
+};
+
 struct Engine {
   const Project& project;
   SymbolTable symbols;
   std::vector<Mask> returns_mask;        ///< By function index.
-  std::vector<Mask> ext_taint;           ///< Param bits proven tainted.
-  std::vector<std::map<int, std::string>> ext_origin;
   std::vector<std::string> local_origin;  ///< First source call, rendered.
+  /// Seeded at source calls only: what secret-branch reads.
+  Taint sources;
+  /// Seeded at source calls and at secret-named parameters of non-harness
+  /// functions (a share a caller hands in has no source call): what the
+  /// taint-flow sinks read.
+  Taint secrets;
 
-  explicit Engine(const Project& p) : project(p), symbols(SymbolTable::Build(p)) {
+  explicit Engine(const Project& p)
+      : project(p), symbols(SymbolTable::Build(p)) {
     const size_t n = symbols.functions().size();
     returns_mask.assign(n, 0);
-    ext_taint.assign(n, 0);
-    ext_origin.resize(n);
     local_origin.resize(n);
   }
 
@@ -264,25 +292,22 @@ struct Engine {
 
   // ---- phase 2: real taint propagation -----------------------------------
 
-  /// Seed mask for the real pass: parameters proven tainted by a caller.
-  Mask RealSeed(size_t fn_index) const { return ext_taint[fn_index]; }
-
-  std::string OriginOf(const FunctionIR& fn, Mask mask) const {
+  std::string OriginOf(const FunctionIR& fn, Mask mask,
+                       const Taint& taint) const {
     const size_t i = symbols.IndexOf(&fn);
     if ((mask & kSourceBit) && !local_origin[i].empty()) {
       return local_origin[i];
     }
     for (size_t p = 0; p < fn.params.size(); ++p) {
       if ((mask & ParamBit(p)) == 0) continue;
-      auto it = ext_origin[i].find(static_cast<int>(p));
-      if (it != ext_origin[i].end()) return it->second;
+      auto it = taint.origin[i].find(static_cast<int>(p));
+      if (it != taint.origin[i].end()) return it->second;
     }
     return "secret source";
   }
 
-  void PropagateRealTaint() {
+  void RecordLocalOrigins() {
     const auto& fns = symbols.functions();
-    // Record each function's first local source call for provenance.
     for (size_t i = 0; i < fns.size(); ++i) {
       for (const CallSite& call : fns[i].calls) {
         if (!IsSourceCall(call)) continue;
@@ -291,6 +316,36 @@ struct Engine {
         break;
       }
     }
+  }
+
+  /// No tainted parameters, or (with `secret_params`) the secret-named
+  /// parameters of every non-harness function.
+  Taint Seeds(bool secret_params) const {
+    const auto& fns = symbols.functions();
+    Taint seeds;
+    seeds.params.assign(fns.size(), 0);
+    seeds.origin.resize(fns.size());
+    for (size_t i = 0; i < fns.size() && secret_params; ++i) {
+      const FunctionIR& fn = fns[i];
+      if (IsHarnessFile(fn.file->path)) continue;
+      for (size_t p = 0; p < fn.params.size() && p < kMaxParams; ++p) {
+        if (fn.params[p].empty() || !IsSecretIdentifier(fn.params[p])) {
+          continue;
+        }
+        seeds.params[i] |= ParamBit(p);
+        seeds.origin[i][static_cast<int>(p)] =
+            "secret-named parameter '" + fn.params[p] + "' of '" +
+            fn.Qualified() + "' (" + fn.file->path + ":" +
+            std::to_string(fn.line) + ")";
+      }
+    }
+    return seeds;
+  }
+
+  /// Pushes `taint` from call arguments into callee parameters to a
+  /// fixpoint; source calls taint locally through Converge.
+  Taint Propagate(Taint taint) const {
+    const auto& fns = symbols.functions();
     std::deque<size_t> queue;
     std::vector<bool> queued(fns.size(), true);
     for (size_t i = 0; i < fns.size(); ++i) queue.push_back(i);
@@ -302,7 +357,7 @@ struct Engine {
       queued[i] = false;
       const FunctionIR& fn = fns[i];
       if (IsHarnessFile(fn.file->path)) continue;
-      const auto vars = Converge(fn, RealSeed(i));
+      const auto vars = Converge(fn, taint.params[i]);
       // Push taint into callee parameters.
       for (const CallSite& call : fn.calls) {
         if (call.args.empty()) continue;
@@ -316,13 +371,14 @@ struct Engine {
             const size_t d = symbols.IndexOf(def);
             if (a >= def->params.size()) continue;
             const Mask bit = ParamBit(a);
-            if (ext_taint[d] & bit) continue;
-            ext_taint[d] |= bit;
+            if (taint.params[d] & bit) continue;
+            taint.params[d] |= bit;
             std::string param_name = def->params[a].empty()
                                          ? "#" + std::to_string(a)
                                          : "'" + def->params[a] + "'";
-            ext_origin[d][static_cast<int>(a)] =
-                "argument " + param_name + " tainted by " + OriginOf(fn, m) +
+            taint.origin[d][static_cast<int>(a)] =
+                "argument " + param_name + " tainted by " +
+                OriginOf(fn, m, taint) +
                 " (passed from '" + fn.Qualified() + "', " + fn.file->path +
                 ":" + std::to_string(call.line) + ")";
             if (!queued[d]) {
@@ -333,6 +389,7 @@ struct Engine {
         }
       }
     }
+    return taint;
   }
 };
 
@@ -379,58 +436,98 @@ bool InsideConstantTimeHelper(const std::vector<Token>& toks, size_t idx,
   return false;
 }
 
+/// The first secret-named identifier in `range`, or nullptr. A lexicon
+/// name in a sink region leaks whatever its provenance: a parameter, a
+/// member (`sub_shares_`), a local, an accessor call (`sharing.shares(0)`).
+const Token* SecretName(const std::vector<Token>& toks, TokenRange range) {
+  for (size_t k = range.begin; k < range.end && k < toks.size(); ++k) {
+    if (IsIdent(toks[k]) && IsSecretIdentifier(toks[k].text)) return &toks[k];
+  }
+  return nullptr;
+}
+
+/// The analyzed function whose body holds token `k`, innermost first;
+/// nullptr when the IR recovered none (the lexicon still applies there).
+const FunctionIR* Enclosing(const std::vector<const FunctionIR*>& fns,
+                            size_t k) {
+  const FunctionIR* best = nullptr;
+  for (const FunctionIR* fn : fns) {
+    if (fn->body.begin > k || k >= fn->body.end) continue;
+    if (best == nullptr || fn->body.begin > best->body.begin) best = fn;
+  }
+  return best;
+}
+
+/// Scans every sink in every non-harness file: log/stdio statements (to
+/// the ';' at the statement's depth), obs exports (`.AddArg(...)`,
+/// `.Field(...)`, the arguments of a `Span s(...)` declaration) and
+/// un-MACed wire sends (`.Send(...)`/`.Broadcast(...)` outside the seam).
+/// A region fires when it carries flow taint or names a secret.
 void CheckTaintToSinks(const Engine& engine, FlowAnalysis* out) {
+  const Taint& taint = engine.secrets;
+  std::map<const SourceFile*, std::vector<const FunctionIR*>> fns_by_file;
   for (const FunctionIR& fn : engine.symbols.functions()) {
-    const SourceFile& file = *fn.file;
+    fns_by_file[fn.file].push_back(&fn);
+  }
+  for (const SourceFile& file : engine.project.files) {
     if (IsHarnessFile(file.path)) continue;
-    const size_t i = engine.symbols.IndexOf(&fn);
-    const auto vars = engine.Converge(fn, engine.RealSeed(i));
     const std::vector<Token>& toks = file.tokens;
-
-    // Call-shaped sinks from the IR.
-    for (const CallSite& call : fn.calls) {
-      const bool obs_member =
-          ObsMemberSinks().count(call.callee) > 0 && call.member;
-      const bool wire = WireSinks().count(call.callee) > 0 && call.member &&
-                        !InWireSeam(file.path);
-      if (!obs_member && !wire) continue;
-      for (const CallArg& arg : call.args) {
-        const Mask m = engine.EvalRange(fn, arg.range, vars, 0);
-        if (m == 0) continue;
-        std::string kind =
-            wire ? "un-MACed transport send (only the frame.cc MAC path may "
-                   "carry secret payloads)"
-                 : "observability export";
-        Emit(out, file, "taint-flow", call.line,
-             "secret value reaches sink '" + call.callee + "' (" + kind +
-                 "); origin: " + engine.OriginOf(fn, m));
-        break;
-      }
-    }
-
-    // Statement-shaped sinks: scan the body tokens.
-    for (size_t k = fn.body.begin; k < fn.body.end; ++k) {
-      if (!IsIdent(toks[k]) || StatementSinks().count(toks[k].text) == 0) {
+    const std::vector<const FunctionIR*>& fns = fns_by_file[&file];
+    const FunctionIR* converged = nullptr;
+    std::map<std::string, Mask> vars;
+    for (size_t k = 0; k < toks.size(); ++k) {
+      if (!IsIdent(toks[k])) continue;
+      const std::string& name = toks[k].text;
+      const bool member =
+          k > 0 && (IsPunct(toks[k - 1], ".") || IsPunct(toks[k - 1], "->"));
+      const bool call = k + 1 < toks.size() && IsPunct(toks[k + 1], "(");
+      TokenRange region;
+      std::string kind;
+      if (StatementSinks().count(name) > 0) {
+        int depth = 0;
+        size_t e = k + 1;
+        for (; e < toks.size(); ++e) {
+          if (IsPunct(toks[e], "(")) ++depth;
+          if (IsPunct(toks[e], ")")) --depth;
+          if (depth < 0) break;
+          if (depth == 0 && IsPunct(toks[e], ";")) break;
+        }
+        region = TokenRange{k + 1, e};
+        kind = "log/stdio";
+      } else if (member && call && ObsMemberSinks().count(name) > 0) {
+        region = TokenRange{k + 2, SkipParenGroup(toks, k + 1) - 1};
+        kind = "observability export";
+      } else if (name == "Span" && k + 2 < toks.size() &&
+                 IsIdent(toks[k + 1]) && IsPunct(toks[k + 2], "(")) {
+        region = TokenRange{k + 3, SkipParenGroup(toks, k + 2) - 1};
+        kind = "observability export";
+      } else if (member && call && WireSinks().count(name) > 0 &&
+                 !InWireSeam(file.path)) {
+        region = TokenRange{k + 2, SkipParenGroup(toks, k + 1) - 1};
+        kind =
+            "un-MACed transport send (only the frame.cc MAC path may carry "
+            "secret payloads)";
+      } else {
         continue;
       }
-      // Region: to the ';' at this statement's depth.
-      int depth = 0;
-      size_t e = k + 1;
-      for (; e < fn.body.end; ++e) {
-        if (IsPunct(toks[e], "(")) ++depth;
-        if (IsPunct(toks[e], ")")) --depth;
-        if (depth < 0) break;
-        if (depth == 0 && IsPunct(toks[e], ";")) break;
+
+      std::string origin;
+      const FunctionIR* fn = Enclosing(fns, k);
+      if (fn != nullptr && fn != converged) {
+        vars = engine.Converge(*fn, taint.params[engine.symbols.IndexOf(fn)]);
+        converged = fn;
       }
-      const Mask m = engine.EvalRange(fn, TokenRange{k + 1, e}, vars, 0);
-      if (m == 0) {
-        k = e;
+      const Mask m = fn == nullptr ? 0 : engine.EvalRange(*fn, region, vars, 0);
+      if (m != 0) {
+        origin = engine.OriginOf(*fn, m, taint);
+      } else if (const Token* secret = SecretName(toks, region)) {
+        origin = "secret-named identifier '" + secret->text + "'";
+      } else {
         continue;
       }
       Emit(out, file, "taint-flow", toks[k].line,
-           "secret value reaches sink '" + toks[k].text +
-               "' (log/stdio); origin: " + engine.OriginOf(fn, m));
-      k = e;
+           "secret value reaches sink '" + name + "' (" + kind +
+               "); origin: " + origin);
     }
   }
 }
@@ -440,7 +537,7 @@ void CheckSecretBranch(const Engine& engine, FlowAnalysis* out) {
     const SourceFile& file = *fn.file;
     if (!PathInModule(file.path, "src/mpc/")) continue;
     const size_t i = engine.symbols.IndexOf(&fn);
-    const auto vars = engine.Converge(fn, engine.RealSeed(i));
+    const auto vars = engine.Converge(fn, engine.sources.params[i]);
     if (vars.empty()) continue;
     const std::vector<Token>& toks = file.tokens;
 
@@ -469,7 +566,7 @@ void CheckSecretBranch(const Engine& engine, FlowAnalysis* out) {
                  "addressing leak through timing and cache side channels; "
                  "route it through a constant-time helper or declassify "
                  "with justification; origin: " +
-                 engine.OriginOf(fn, it->second));
+                 engine.OriginOf(fn, it->second, engine.sources));
         return;
       }
     };
@@ -620,7 +717,9 @@ FlowAnalysis RunFlowAnalysis(const Project& project) {
   FlowAnalysis out;
   Engine engine(project);
   engine.ComputeSummaries();
-  engine.PropagateRealTaint();
+  engine.RecordLocalOrigins();
+  engine.sources = engine.Propagate(engine.Seeds(/*secret_params=*/false));
+  engine.secrets = engine.Propagate(engine.Seeds(/*secret_params=*/true));
   CheckTaintToSinks(engine, &out);
   CheckSecretBranch(engine, &out);
   CheckDpSpendCoverage(engine, &out);

@@ -34,12 +34,16 @@ struct FlowFinding {
 ///   2. *Real taint*: sources (ShamirScheme::Share*, sampler draws) seed
 ///      concrete taint, which flows through assignments, call returns (via
 ///      the summaries) and call arguments (marking callee parameters
-///      tainted, with provenance), again to a fixpoint.
+///      tainted, with provenance), again to a fixpoint. A second pass
+///      also seeds every secret-named parameter (the share/mask/raw-noise
+///      lexicon) of a non-harness function.
 ///   3. *Checks* read the converged state: sink regions (logging, obs
-///      export, un-MACed wire sends) holding real taint, secret values
-///      steering control flow or indexing in src/mpc/, and sampler draws
-///      reachable from the SQM drivers with no accountant spend on the
-///      path.
+///      export, un-MACed wire sends) of a non-harness file holding taint
+///      of the second pass or naming a secret (any lexicon identifier:
+///      member, local or accessor call), secret
+///      values from sources steering control flow or indexing in src/mpc/,
+///      and sampler draws reachable from the SQM drivers with no
+///      accountant spend on the path.
 struct FlowAnalysis {
   /// check name -> path -> findings, pre-sorted by line.
   std::map<std::string, std::map<std::string, std::vector<FlowFinding>>>
