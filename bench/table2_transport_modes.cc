@@ -183,7 +183,10 @@ int main(int argc, char** argv) {
     std::string poly;
     for (size_t i = 0; i < n; ++i) {
       if (i > 0) poly += "; ";
-      poly += "x" + std::to_string(i) + "*x" + std::to_string((i + 1) % n);
+      poly += 'x';
+      poly += std::to_string(i);
+      poly += "*x";
+      poly += std::to_string((i + 1) % n);
     }
     deployment.polynomial = poly;
 

@@ -88,7 +88,6 @@ Result<SqmOptions> SqmOptionsFromDeployment(const DeploymentConfig& config) {
   options.mpc_max_attempts = config.mpc_max_attempts;
   options.max_f_l2 = config.max_f_l2;
   options.quantize_coefficients = config.quantize_coefficients;
-  options.check_capacity = config.check_capacity;
   return options;
 }
 

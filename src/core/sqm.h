@@ -111,11 +111,6 @@ struct SqmOptions {
   /// coefficients.
   bool quantize_coefficients = true;
 
-  /// When true, Evaluate refuses parameter combinations whose release could
-  /// exceed the field's centered range (silent wrap would corrupt results
-  /// and void the DP analysis).
-  bool check_capacity = true;
-
   /// Testing hooks (all default off so production runs are byte-identical
   /// to before).
   ///

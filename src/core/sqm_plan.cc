@@ -116,10 +116,8 @@ Result<SqmPlan> SqmPlan::Create(const PolynomialVector& f,
   if (options.mu < 0.0) {
     return Status::InvalidArgument("mu must be >= 0");
   }
-  if (options.check_capacity) {
-    SQM_RETURN_NOT_OK(CheckFieldCapacity(rows, options.gamma, f.Degree(),
-                                         options.max_f_l2, options.mu));
-  }
+  SQM_RETURN_NOT_OK(CheckFieldCapacity(rows, options.gamma, f.Degree(),
+                                       options.max_f_l2, options.mu));
 
   SqmPlan plan(options);
   plan.rows_ = rows;

@@ -40,17 +40,6 @@ Matrix Gram(const Matrix& x) {
   return c;
 }
 
-std::vector<double> MatVec(const Matrix& a, const std::vector<double>& v) {
-  SQM_CHECK(a.cols() == v.size());
-  std::vector<double> y(a.rows(), 0.0);
-  for (size_t i = 0; i < a.rows(); ++i) {
-    double acc = 0.0;
-    for (size_t j = 0; j < a.cols(); ++j) acc += a(i, j) * v[j];
-    y[i] = acc;
-  }
-  return y;
-}
-
 double Dot(const std::vector<double>& u, const std::vector<double>& v) {
   SQM_CHECK(u.size() == v.size());
   double acc = 0.0;
@@ -59,12 +48,6 @@ double Dot(const std::vector<double>& u, const std::vector<double>& v) {
 }
 
 double Norm2(const std::vector<double>& v) { return std::sqrt(Dot(v, v)); }
-
-double Norm1(const std::vector<double>& v) {
-  double acc = 0.0;
-  for (double x : v) acc += std::fabs(x);
-  return acc;
-}
 
 double FrobeniusNorm(const Matrix& a) {
   double acc = 0.0;

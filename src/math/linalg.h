@@ -17,17 +17,11 @@ Matrix MatMul(const Matrix& a, const Matrix& b);
 /// records, i.e. the PCA target function of Section V-A.
 Matrix Gram(const Matrix& x);
 
-/// y = A * v (v as column vector).
-std::vector<double> MatVec(const Matrix& a, const std::vector<double>& v);
-
 /// Inner product <u, v>.
 double Dot(const std::vector<double>& u, const std::vector<double>& v);
 
 /// L2 norm of v.
 double Norm2(const std::vector<double>& v);
-
-/// L1 norm of v.
-double Norm1(const std::vector<double>& v);
 
 /// Frobenius norm of A.
 double FrobeniusNorm(const Matrix& a);

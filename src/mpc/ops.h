@@ -43,18 +43,16 @@ Result<StructuredCircuit> NoisyCovarianceUpper(
 /// Inputs for a structured gradient release. Logistic regression (Eq. 9
 /// quantized as in Lemma 7): data scaled by gamma, weights pre-scaled by
 /// gamma * w/4, the 1/2 coefficient by gamma^2 / 2, the label coefficient
-/// by -gamma. Linear regression (vfl/linear.h's <w, x> x - y x): weights
-/// ~ gamma * w, targets ~ gamma, label coefficient ~ -gamma and
-/// half_coefficient = 0 — the logistic gradient without its c x term.
+/// by -gamma. With half_coefficient = 0 it is the logistic gradient without
+/// its c x term.
 struct StructuredGradientInputs {
   /// d feature columns; client j owns column j (each m entries).
   std::vector<std::vector<int64_t>> feature_columns;
-  /// Quantized labels (or regression targets), owned by the label client
-  /// (party index d).
+  /// Quantized labels, owned by the label client (party index d).
   std::vector<int64_t> labels;
   /// Public quantized weights w-hat[j].
   std::vector<int64_t> weights;
-  /// Public quantized coefficient c-hat ~ gamma^2 / 2 (0 for linear).
+  /// Public quantized coefficient c-hat ~ gamma^2 / 2.
   int64_t half_coefficient = 0;
   /// Public quantized label coefficient l-hat ~ -gamma.
   int64_t label_coefficient = 0;

@@ -121,7 +121,6 @@ Result<DeploymentConfig> ParseDeploymentConfig(const std::string& json) {
       ReadSize(root, "mpc_max_attempts", &config.mpc_max_attempts));
   SQM_RETURN_NOT_OK(ReadBool(root, "quantize_coefficients",
                              &config.quantize_coefficients));
-  SQM_RETURN_NOT_OK(ReadBool(root, "check_capacity", &config.check_capacity));
   SQM_RETURN_NOT_OK(ReadDouble(root, "receive_timeout_seconds",
                                &config.receive_timeout_seconds));
   SQM_RETURN_NOT_OK(ReadDouble(root, "connect_timeout_seconds",
@@ -224,7 +223,6 @@ std::string DeploymentConfigToJson(const DeploymentConfig& config) {
   w.Field("mpc_max_attempts",
           static_cast<uint64_t>(config.mpc_max_attempts));
   w.Field("quantize_coefficients", config.quantize_coefficients);
-  w.Field("check_capacity", config.check_capacity);
   w.Field("receive_timeout_seconds", config.receive_timeout_seconds);
   w.Field("connect_timeout_seconds", config.connect_timeout_seconds);
   w.Field("max_reconnect_attempts",

@@ -53,7 +53,6 @@ struct DeploymentConfig {
   double max_f_l2 = 1.0;
   size_t mpc_max_attempts = 2;
   bool quantize_coefficients = true;
-  bool check_capacity = true;
 
   /// Transport tuning (TcpTransportOptions mirror).
   double receive_timeout_seconds = 2.0;

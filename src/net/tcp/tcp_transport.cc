@@ -48,7 +48,7 @@ double UnitDouble(uint64_t h) {
 }  // namespace
 
 TcpTransport::TcpTransport(const TcpTransportOptions& options)
-    : Transport(options.peers.size(), options.per_round_latency_seconds,
+    : Transport(options.peers.size(), /*per_round_latency_seconds=*/0.0,
                 options.element_wire_bytes),
       options_(options),
       me_(options.local_party) {

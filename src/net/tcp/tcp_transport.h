@@ -76,7 +76,6 @@ struct TcpTransportOptions {
   /// are rejected (stale daemons, crossed ports).
   uint64_t run_id = 0;
 
-  double per_round_latency_seconds = 0.0;
   size_t element_wire_bytes = kDefaultElementWireBytes;
 
   /// How long one Receive waits for a pending message before returning

@@ -402,15 +402,17 @@ TEST(ExecutionModeEquivalence, TcpReleasesMatchDriverBitForBit) {
 }
 
 TEST(ExecutionModeEquivalence, LeftoverRetiredKeysLeaveTheConfigAlone) {
-  // Configs written while the multiplication backend was selectable, or
-  // while the telemetry stream shipped periodic snapshots, may still carry
-  // those keys. Whatever they hold, the parser skips them, so the parties
-  // run exactly the config TcpReleasesMatchDriverBitForBit runs.
+  // Configs written while the multiplication backend was selectable, while
+  // the telemetry stream shipped periodic snapshots, or while the capacity
+  // guard could be switched off may still carry those keys. Whatever they
+  // hold, the parser skips them, so the parties run exactly the config
+  // TcpReleasesMatchDriverBitForBit runs.
   const std::string json = sqm::DeploymentConfigToJson(TcpConfig(31));
   ASSERT_EQ(json.front(), '{') << json;
   sqm::Result<sqm::DeploymentConfig> parsed = sqm::ParseDeploymentConfig(
       "{\"mul_backend\":\"preprocessed\","
-      "\"telemetry_snapshot_interval_seconds\":0.05," +
+      "\"telemetry_snapshot_interval_seconds\":0.05,"
+      "\"check_capacity\":false," +
       json.substr(1));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(sqm::DeploymentConfigToJson(parsed.ValueOrDie()), json);

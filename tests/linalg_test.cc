@@ -37,15 +37,9 @@ TEST(LinalgTest, GramIsSymmetric) {
       EXPECT_DOUBLE_EQ(gram(i, j), gram(j, i));
 }
 
-TEST(LinalgTest, MatVec) {
-  Matrix a{{1, 2}, {3, 4}};
-  EXPECT_EQ(MatVec(a, {1, 1}), (std::vector<double>{3, 7}));
-}
-
 TEST(LinalgTest, DotAndNorms) {
   EXPECT_DOUBLE_EQ(Dot({1, 2, 3}, {4, 5, 6}), 32.0);
   EXPECT_DOUBLE_EQ(Norm2({3, 4}), 5.0);
-  EXPECT_DOUBLE_EQ(Norm1({-3, 4, -5}), 12.0);
 }
 
 TEST(LinalgTest, FrobeniusNorm) {

@@ -28,6 +28,7 @@
 #include "obs/obs.h"
 #include "obs/trace.h"
 #include "poly/parser.h"
+#include "testing/transcript.h"
 
 namespace {
 
@@ -403,6 +404,41 @@ TEST(SqmPlanParity, DriverAndPartyRejectTheSameConfigs) {
     EXPECT_EQ(party.code(), c.expected) << party.ToString();
     EXPECT_EQ(transport.stats().messages, 0u) << "rejected after traffic";
   }
+}
+
+/// The field-capacity guard has no off switch. A config written while it
+/// had one may still carry `"check_capacity": false`; the parser skips the
+/// key, so a gamma that could wrap the field is refused in both modes
+/// before any traffic.
+TEST(SqmPlanParity, RetiredCapacitySwitchCannotTurnTheGuardOff) {
+  sqm::DeploymentConfig base = BaseConfig(3);
+  base.gamma = 1e9;
+  const std::string json = sqm::DeploymentConfigToJson(base);
+  ASSERT_EQ(json.front(), '{') << json;
+  const sqm::Result<sqm::DeploymentConfig> parsed =
+      sqm::ParseDeploymentConfig("{\"check_capacity\":false," +
+                                 json.substr(1));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const sqm::DeploymentConfig& config = parsed.ValueOrDie();
+
+  sqm::Result<sqm::SqmOptions> options =
+      sqm::SqmOptionsFromDeployment(config);
+  ASSERT_TRUE(options.ok()) << options.status().ToString();
+  sqm::testing::TranscriptRecorder recorder(config.parties.size());
+  options.ValueOrDie().interceptor = &recorder;
+  const sqm::Matrix x = sqm::GenerateDeploymentMatrix(
+      config.rows, sqm::DeploymentCols(config), config.data_seed);
+  const sqm::PolynomialVector f =
+      sqm::ParsePolynomialVector(config.polynomial).ValueOrDie();
+  const sqm::Status driver =
+      sqm::SqmEvaluator(options.ValueOrDie()).Evaluate(f, x).status();
+  EXPECT_EQ(driver.code(), sqm::StatusCode::kOutOfRange) << driver.ToString();
+  EXPECT_EQ(recorder.size(), 0u) << "driver rejected after traffic";
+
+  sqm::LockstepTransport transport(config.parties.size(), 0.0, 8);
+  const sqm::Status party = sqm::RunPartySqm(config, 0, &transport).status();
+  EXPECT_EQ(party.code(), sqm::StatusCode::kOutOfRange) << party.ToString();
+  EXPECT_EQ(transport.stats().messages, 0u) << "party rejected after traffic";
 }
 
 /// Census votes are one 64-bit dealer mask, so tracked (degrade) runs are
