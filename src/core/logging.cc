@@ -3,13 +3,9 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <mutex>
 #include <utility>
 #include <vector>
-
-#include "core/json.h"
-#include "obs/obs.h"
 
 namespace sqm {
 namespace {
@@ -32,13 +28,12 @@ const char* LevelName(LogLevel level) {
   return "?";
 }
 
-/// Mutable logger state behind one mutex: sink, per-module overrides and
-/// fatal hooks. Heap-allocated and never destroyed so logging from
-/// detached threads during process exit stays safe.
+/// Mutable logger state behind one mutex: sink and fatal hooks.
+/// Heap-allocated and never destroyed so logging from detached threads
+/// during process exit stays safe.
 struct LoggerState {
   std::mutex mu;
   LogSink sink;  // Null: default stderr sink.
-  std::map<std::string, int> module_levels;
   std::vector<std::function<void()>> fatal_hooks;
 };
 
@@ -93,52 +88,10 @@ LogLevel Logger::GetLevel() {
   return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed));
 }
 
-void Logger::SetModuleLevel(const std::string& module, LogLevel level) {
-  LoggerState& state = State();
-  std::lock_guard<std::mutex> lock(state.mu);
-  state.module_levels[module] = static_cast<int>(level);
-}
-
-void Logger::ClearModuleLevel(const std::string& module) {
-  LoggerState& state = State();
-  std::lock_guard<std::mutex> lock(state.mu);
-  state.module_levels.erase(module);
-}
-
-void Logger::ClearModuleLevels() {
-  LoggerState& state = State();
-  std::lock_guard<std::mutex> lock(state.mu);
-  state.module_levels.clear();
-}
-
-bool Logger::ShouldLog(LogLevel level, const std::string& module) {
-  int threshold = g_level.load(std::memory_order_relaxed);
-  if (!module.empty()) {
-    LoggerState& state = State();
-    std::lock_guard<std::mutex> lock(state.mu);
-    auto it = state.module_levels.find(module);
-    if (it != state.module_levels.end()) threshold = it->second;
-  }
-  return static_cast<int>(level) >= threshold;
-}
-
 void Logger::SetSink(LogSink sink) {
   LoggerState& state = State();
   std::lock_guard<std::mutex> lock(state.mu);
   state.sink = std::move(sink);
-}
-
-std::string Logger::RecordToJsonLine(const LogRecord& record) {
-  JsonWriter writer;
-  writer.BeginObject()
-      .Field("ts", record.elapsed_seconds)
-      .Field("level", LevelName(record.level))
-      .Field("module", record.module)
-      .Field("file", record.file)
-      .Field("line", record.line)
-      .Field("message", record.message)
-      .EndObject();
-  return writer.str();
 }
 
 void Logger::AddFatalHook(std::function<void()> hook) {
@@ -147,39 +100,9 @@ void Logger::AddFatalHook(std::function<void()> hook) {
   state.fatal_hooks.push_back(std::move(hook));
 }
 
-std::string Logger::ModuleFromFile(const char* file) {
-  if (file == nullptr) return "";
-  const std::string path(file);
-  // Prefer the segment after the last "src/" so absolute paths work too.
-  const size_t src = path.rfind("src/");
-  size_t begin;
-  if (src != std::string::npos) {
-    begin = src + 4;
-  } else {
-    const size_t slash = path.find('/');
-    if (slash == std::string::npos) return "";
-    begin = 0;
-  }
-  const size_t end = path.find('/', begin);
-  if (end == std::string::npos) return "";  // A bare filename under src/.
-  return path.substr(begin, end - begin);
-}
-
 void Logger::Log(LogLevel level, const std::string& message) {
-  LogAt(level, "", 0, message);
-}
-
-void Logger::LogAt(LogLevel level, const char* file, int line,
-                   const std::string& message) {
-  LogRecord record;
-  record.level = level;
-  record.file = file == nullptr ? "" : file;
-  record.line = line;
-  record.module = ModuleFromFile(record.file);
-  record.message = message;
-  record.elapsed_seconds = static_cast<double>(obs::NowMicros()) * 1e-6;
-  if (ShouldLog(level, record.module)) {
-    Dispatch(record);
+  if (static_cast<int>(level) >= g_level.load(std::memory_order_relaxed)) {
+    Dispatch(LogRecord{level, message});
   }
   if (level == LogLevel::kFatal) {
     RunFatalHooks();
@@ -196,8 +119,8 @@ void CheckFailed(const char* file, int line, const char* expression) {
   message += file;
   message += ":";
   message += std::to_string(line);
-  Logger::LogAt(LogLevel::kFatal, file, line, message);
-  std::abort();  // Unreachable: LogAt aborts on kFatal.
+  Logger::Log(LogLevel::kFatal, message);
+  std::abort();  // Unreachable: Log aborts on kFatal.
 }
 
 }  // namespace internal

@@ -19,11 +19,7 @@ enum class LogLevel : int {
 /// One log emission, as handed to sinks.
 struct LogRecord {
   LogLevel level = LogLevel::kInfo;
-  const char* file = "";    ///< __FILE__ of the call site ("" for legacy).
-  int line = 0;
-  std::string module;       ///< Source subsystem, e.g. "net", "mpc".
   std::string message;
-  double elapsed_seconds = 0.0;  ///< Since the process trace epoch.
 };
 
 /// A pluggable destination for log records. Sinks are called under the
@@ -31,8 +27,7 @@ struct LogRecord {
 /// concurrent party threads can no longer interleave bytes within a line.
 using LogSink = std::function<void(const LogRecord&)>;
 
-/// Thread-safe logger. Messages at or above the effective threshold (the
-/// per-module override when one is set, else the global level) go to the
+/// Thread-safe logger. Messages at or above the global level go to the
 /// installed sink — by default one atomic "[LEVEL] message" line on stderr.
 /// kFatal runs the registered fatal hooks (e.g. the tracer's crash flush)
 /// and aborts. Benchmarks and tests raise the threshold to keep output
@@ -43,25 +38,9 @@ class Logger {
   static void SetLevel(LogLevel level);
   static LogLevel GetLevel();
 
-  /// Per-module threshold override (module = path segment after "src/",
-  /// e.g. "net"). Wins over the global level for that module's call sites.
-  static void SetModuleLevel(const std::string& module, LogLevel level);
-  static void ClearModuleLevel(const std::string& module);
-  static void ClearModuleLevels();
-
-  /// Whether a record at `level` from `module` would be emitted.
-  static bool ShouldLog(LogLevel level, const std::string& module);
-
   /// Replaces the output sink; a null sink restores the default stderr
   /// sink. The sink runs under the logger mutex — keep it fast.
   static void SetSink(LogSink sink);
-
-  /// A record rendered as one JSON object (no trailing newline) — the
-  /// building block for JSON-lines sinks:
-  ///   Logger::SetSink([&](const LogRecord& r) {
-  ///     stream << Logger::RecordToJsonLine(r) << '\n';
-  ///   });
-  static std::string RecordToJsonLine(const LogRecord& record);
 
   /// Registers a hook run (once each) on the fatal path before abort.
   /// Used by obs::Tracer to flush the active trace from crashes.
@@ -69,14 +48,6 @@ class Logger {
 
   /// Emits one formatted line ("[LEVEL] message"). Aborts on kFatal.
   static void Log(LogLevel level, const std::string& message);
-
-  /// Full-context emission used by SQM_LOG; derives the module from file.
-  static void LogAt(LogLevel level, const char* file, int line,
-                    const std::string& message);
-
-  /// "src/net/threaded.cc" -> "net"; files outside src/ map to their
-  /// directory name, bare filenames to "".
-  static std::string ModuleFromFile(const char* file);
 };
 
 namespace internal {
@@ -86,9 +57,7 @@ namespace internal {
 class LogMessage {
  public:
   explicit LogMessage(LogLevel level) : level_(level) {}
-  LogMessage(LogLevel level, const char* file, int line)
-      : level_(level), file_(file), line_(line) {}
-  ~LogMessage() { Logger::LogAt(level_, file_, line_, stream_.str()); }
+  ~LogMessage() { Logger::Log(level_, stream_.str()); }
 
   LogMessage(const LogMessage&) = delete;
   LogMessage& operator=(const LogMessage&) = delete;
@@ -101,8 +70,6 @@ class LogMessage {
 
  private:
   LogLevel level_;
-  const char* file_ = "";
-  int line_ = 0;
   std::ostringstream stream_;
 };
 
@@ -114,9 +81,8 @@ class LogMessage {
 }  // namespace internal
 
 /// Usage: SQM_LOG(kInfo) << "epoch " << e << " done";
-#define SQM_LOG(severity)                                     \
-  ::sqm::internal::LogMessage(::sqm::LogLevel::severity,      \
-                              __FILE__, __LINE__)
+#define SQM_LOG(severity) \
+  ::sqm::internal::LogMessage(::sqm::LogLevel::severity)
 
 /// Precondition check that survives release builds. On failure, emits the
 /// failed expression and location in one atomic write, flushes the active

@@ -7,6 +7,36 @@
 #include "obs/trace.h"
 
 namespace sqm {
+namespace {
+
+/// Evaluation point of party j (0-based): alpha_j = j + 1.
+Field::Element Alpha(size_t party) {
+  return static_cast<Field::Element>(party + 1);
+}
+
+/// Lagrange coefficients L_j for evaluating at x: sum_j L_j *
+/// phi(alpha_{parties[j]}) = phi(x) for any polynomial of degree <
+/// parties.size(). `x` must differ from every alpha_{parties[j]}.
+std::vector<Field::Element> LagrangeAt(const std::vector<size_t>& parties,
+                                       Field::Element x) {
+  std::vector<Field::Element> coeffs(parties.size());
+  for (size_t j = 0; j < parties.size(); ++j) {
+    const Field::Element xj = Alpha(parties[j]);
+    Field::Element num = 1;
+    Field::Element den = 1;
+    for (size_t l = 0; l < parties.size(); ++l) {
+      if (l == j) continue;
+      const Field::Element xl = Alpha(parties[l]);
+      // L_j(x) = prod_{l != j} (x - x_l) / (x_j - x_l).
+      num = Field::Mul(num, Field::Sub(x, xl));
+      den = Field::Mul(den, Field::Sub(xj, xl));
+    }
+    coeffs[j] = Field::Mul(num, Field::Inv(den));
+  }
+  return coeffs;
+}
+
+}  // namespace
 
 ShamirScheme::ShamirScheme(size_t num_parties, size_t threshold)
     : num_parties_(num_parties), threshold_(threshold) {
@@ -17,7 +47,7 @@ ShamirScheme::ShamirScheme(size_t num_parties, size_t threshold)
   for (size_t j = 0; j < num_parties_; ++j) {
     vandermonde_[j].resize(threshold_ + 1);
     vandermonde_[j][0] = 1;
-    const Field::Element x = EvaluationPoint(j);
+    const Field::Element x = Alpha(j);
     for (size_t e = 1; e <= threshold_; ++e) {
       vandermonde_[j][e] = Field::Mul(vandermonde_[j][e - 1], x);
     }
@@ -45,11 +75,6 @@ Status ShamirScheme::Validate(size_t num_parties, size_t threshold) {
   return Status::OK();
 }
 
-Field::Element ShamirScheme::EvaluationPoint(size_t party) const {
-  SQM_CHECK(party < num_parties_);
-  return static_cast<Field::Element>(party + 1);
-}
-
 std::vector<Field::Element> ShamirScheme::Share(Field::Element secret,
                                                 Rng& rng) const {
   // Random polynomial phi(x) = secret + c_1 x + ... + c_t x^t.
@@ -61,7 +86,7 @@ std::vector<Field::Element> ShamirScheme::Share(Field::Element secret,
   std::vector<Field::Element> shares(num_parties_);
   for (size_t j = 0; j < num_parties_; ++j) {
     // Horner evaluation at alpha_j.
-    const Field::Element x = EvaluationPoint(j);
+    const Field::Element x = Alpha(j);
     Field::Element acc = coeffs[threshold_];
     for (size_t i = threshold_; i-- > 0;) {
       acc = Field::Add(Field::Mul(acc, x), coeffs[i]);
@@ -202,17 +227,6 @@ Result<Field::Element> ShamirScheme::ReconstructFromSubset(
   return acc;
 }
 
-Field::Element ShamirScheme::ReconstructDegree2t(
-    const std::vector<Field::Element>& shares) const {
-  SQM_CHECK(shares.size() == num_parties_);
-  const size_t needed = 2 * threshold_ + 1;
-  Field::Element acc = 0;
-  for (size_t j = 0; j < needed; ++j) {
-    acc = Field::Add(acc, Field::Mul(lagrange_2t_[j], shares[j]));
-  }
-  return acc;
-}
-
 Result<std::vector<size_t>> ShamirScheme::SelectSurvivorBasis(
     const std::vector<size_t>& survivors, size_t degree) const {
   const size_t needed = degree + 1;
@@ -260,26 +274,8 @@ Result<Field::Element> ShamirScheme::ReconstructFromSurvivors(
 
 std::vector<Field::Element> ShamirScheme::LagrangeAtZero(
     const std::vector<size_t>& parties) const {
+  for (size_t party : parties) SQM_CHECK(party < num_parties_);
   return LagrangeAt(parties, 0);
-}
-
-std::vector<Field::Element> ShamirScheme::LagrangeAt(
-    const std::vector<size_t>& parties, Field::Element x) const {
-  std::vector<Field::Element> coeffs(parties.size());
-  for (size_t j = 0; j < parties.size(); ++j) {
-    const Field::Element xj = EvaluationPoint(parties[j]);
-    Field::Element num = 1;
-    Field::Element den = 1;
-    for (size_t l = 0; l < parties.size(); ++l) {
-      if (l == j) continue;
-      const Field::Element xl = EvaluationPoint(parties[l]);
-      // L_j(x) = prod_{l != j} (x - x_l) / (x_j - x_l).
-      num = Field::Mul(num, Field::Sub(x, xl));
-      den = Field::Mul(den, Field::Sub(xj, xl));
-    }
-    coeffs[j] = Field::Mul(num, Field::Inv(den));
-  }
-  return coeffs;
 }
 
 Status ShamirScheme::CheckConsistentSharing(
@@ -288,12 +284,13 @@ Status ShamirScheme::CheckConsistentSharing(
   SQM_CHECK(shares.size() == num_parties_);
   const size_t basis_size = degree + 1;
   if (parties.size() <= basis_size) return Status::OK();  // No redundancy.
+  for (size_t party : parties) SQM_CHECK(party < num_parties_);
   const std::vector<size_t> basis(parties.begin(),
                                   parties.begin() + basis_size);
   for (size_t j = basis_size; j < parties.size(); ++j) {
     const size_t party = parties[j];
     const std::vector<Field::Element> weights =
-        LagrangeAt(basis, EvaluationPoint(party));
+        LagrangeAt(basis, Alpha(party));
     Field::Element predicted = 0;
     for (size_t l = 0; l < basis.size(); ++l) {
       predicted =

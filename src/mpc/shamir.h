@@ -53,9 +53,6 @@ class ShamirScheme {
   size_t num_parties() const { return num_parties_; }
   size_t threshold() const { return threshold_; }
 
-  /// Evaluation point assigned to party j (0-based): alpha_j = j + 1.
-  Field::Element EvaluationPoint(size_t party) const;
-
   /// Splits `secret` into one share per party using randomness from `rng`.
   std::vector<Field::Element> Share(Field::Element secret, Rng& rng) const;
 
@@ -121,12 +118,6 @@ class ShamirScheme {
   Result<Field::Element> ReconstructFromSubset(
       const std::vector<std::pair<size_t, Field::Element>>& shares) const;
 
-  /// Reconstructs a value shared with a *degree-2t* polynomial — the result
-  /// of parties locally multiplying two degree-t sharings. Needs all
-  /// 2t+1 <= n shares. Used by the BGW degree-reduction step.
-  Field::Element ReconstructDegree2t(
-      const std::vector<Field::Element>& shares) const;
-
   /// Quorum reconstruction: interpolates a degree-`degree` sharing from the
   /// shares of the listed survivor parties only. `shares` is the full
   /// n-length vector indexed by party; entries of non-survivors are ignored
@@ -144,12 +135,6 @@ class ShamirScheme {
   /// alpha_{parties[j]}.
   std::vector<Field::Element> LagrangeAtZero(
       const std::vector<size_t>& parties) const;
-
-  /// Lagrange coefficients L_j for evaluating at an arbitrary point x:
-  /// sum_j L_j * phi(alpha_{parties[j]}) = phi(x) for any polynomial of
-  /// degree < parties.size(). `x` must differ from every alpha_{parties[j]}.
-  std::vector<Field::Element> LagrangeAt(const std::vector<size_t>& parties,
-                                         Field::Element x) const;
 
   /// Conformance check: do the listed parties' share points all lie on ONE
   /// polynomial of degree <= `degree`? Interpolates from the first

@@ -16,11 +16,9 @@ const char* PartyLivenessToString(PartyLiveness state) {
   return "unknown";
 }
 
-LivenessTracker::LivenessTracker(size_t num_parties, LivenessOptions options)
-    : options_(options), num_parties_(num_parties), states_(num_parties) {
+LivenessTracker::LivenessTracker(size_t num_parties)
+    : num_parties_(num_parties), states_(num_parties) {
   SQM_CHECK(num_parties >= 1);
-  SQM_CHECK(options_.suspect_after >= 1);
-  SQM_CHECK(options_.dead_after >= options_.suspect_after);
 }
 
 PartyLiveness LivenessTracker::state(size_t party) const {
@@ -43,9 +41,9 @@ void LivenessTracker::RecordFailure(size_t party, StatusCode code) {
     return;
   }
   ++s.consecutive_failures;
-  if (s.consecutive_failures >= options_.dead_after) {
+  if (s.consecutive_failures >= kDeadAfter) {
     s.liveness = PartyLiveness::kDead;
-  } else if (s.consecutive_failures >= options_.suspect_after) {
+  } else if (s.consecutive_failures >= kSuspectAfter) {
     s.liveness = PartyLiveness::kSuspected;
   }
 }

@@ -12,8 +12,8 @@ namespace sqm {
 /// Failure-detector verdict for one party.
 ///
 /// State machine (per party, monotone towards kDead):
-///   kAlive --(timeout failures >= suspect_after)--> kSuspected
-///   kSuspected --(timeout failures >= dead_after)--> kDead
+///   kAlive --(kSuspectAfter consecutive timeouts)--> kSuspected
+///   kSuspected --(kDeadAfter consecutive timeouts)--> kDead
 ///   kSuspected --(successful receive)--> kAlive
 ///   any --(kUnavailable receive, i.e. the transport knows the peer
 ///          crashed)--> kDead
@@ -27,15 +27,12 @@ enum class PartyLiveness { kAlive, kSuspected, kDead };
 
 const char* PartyLivenessToString(PartyLiveness state);
 
-/// Thresholds converting per-receive failures into liveness verdicts.
-struct LivenessOptions {
-  /// Consecutive timed-out receives before a party becomes kSuspected.
-  size_t suspect_after = 1;
-  /// Consecutive timed-out receives before a suspected party is declared
-  /// kDead. kUnavailable (the transport's "peer crashed" verdict) kills
-  /// immediately regardless of this budget.
-  size_t dead_after = 2;
-};
+/// Consecutive timed-out receives before a party becomes kSuspected.
+inline constexpr size_t kSuspectAfter = 1;
+/// Consecutive timed-out receives before a suspected party is declared
+/// kDead. kUnavailable (the transport's "peer crashed" verdict) kills
+/// immediately regardless of this budget.
+inline constexpr size_t kDeadAfter = 2;
 
 /// Shared failure detector for one protocol run.
 ///
@@ -46,11 +43,9 @@ struct LivenessOptions {
 /// threads of a ThreadedTransport run may record outcomes concurrently.
 class LivenessTracker {
  public:
-  explicit LivenessTracker(size_t num_parties,
-                           LivenessOptions options = LivenessOptions{});
+  explicit LivenessTracker(size_t num_parties);
 
   size_t num_parties() const { return num_parties_; }
-  const LivenessOptions& options() const { return options_; }
 
   PartyLiveness state(size_t party) const;
   bool IsDead(size_t party) const;
@@ -97,7 +92,6 @@ class LivenessTracker {
     size_t consecutive_failures = 0;
   };
 
-  LivenessOptions options_;
   const size_t num_parties_;
   mutable Mutex mu_;
   std::vector<State> states_ SQM_GUARDED_BY(mu_);

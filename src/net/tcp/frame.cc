@@ -234,7 +234,7 @@ Result<Frame> DecodeFrame(const uint8_t* body, size_t len,
     return Status::IntegrityViolation("tcp frame header truncated");
   }
   if (type < static_cast<uint8_t>(FrameType::kHello) ||
-      type > static_cast<uint8_t>(FrameType::kTelemetryClock)) {
+      type > static_cast<uint8_t>(FrameType::kBye)) {
     return Status::IntegrityViolation("unknown tcp frame type " +
                                       std::to_string(type));
   }

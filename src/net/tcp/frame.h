@@ -13,9 +13,9 @@ namespace sqm::net {
 /// frames with a different version outright (kIntegrityViolation): a mixed
 /// deployment must be upgraded atomically, not limped through.
 /// Version 2 added the u32 incarnation field (party restart generation).
-/// Version 3 added the optional trace-context block (flags bit 0) and the
-/// telemetry frame kinds used on the coordinator control stream (5-6; a
-/// state-snapshot kind 7 was retired and is now an unknown type).
+/// Version 3 added the optional trace-context block (flags bit 0). Kinds
+/// 5-7 belonged to a retired telemetry control stream and are now unknown
+/// types.
 inline constexpr uint16_t kTcpWireVersion = 3;
 
 /// Flags bit 0: the 16-byte trace-context block (u64 trace_id, u64
@@ -36,15 +36,6 @@ enum class FrameType : uint8_t {
   /// Graceful goodbye: the peer finished its run and is closing. Receivers
   /// mark the link cleanly departed instead of starting reconnect attempts.
   kBye = 4,
-  /// Telemetry stream opener, party -> coordinator: `from` is the party,
-  /// `incarnation` its restart generation. Telemetry frames never appear
-  /// on party-to-party links (the data ReadLoop rejects them).
-  kTelemetryHello = 5,
-  /// Clock-offset probe. Coordinator -> party: payload [t_c0] (coordinator
-  /// send time, micros). Party -> coordinator echo: payload [t_c0, t_p]
-  /// (the party's receive time on its own clock). The coordinator stamps
-  /// t_c1 at echo receipt and estimates offset = (t_c0 + t_c1)/2 - t_p.
-  kTelemetryClock = 6,
 };
 
 /// One decoded frame. The length prefix (u32, little-endian, counting the

@@ -62,8 +62,8 @@ struct DeploymentConfig {
 
   /// Runtime observability kill switch for the whole fleet: false makes
   /// every process call obs::SetEnabled(false) before any protocol work,
-  /// so no spans, ledger stream or telemetry stream exist and the wire carries
-  /// no trace context. Released values are bit-identical either way
+  /// so no spans, ledger stream or trace file exist and the wire carries no
+  /// trace context. Released values are bit-identical either way
   /// (obs_distributed_test proves it).
   bool obs_enabled = true;
 

@@ -18,7 +18,7 @@ namespace sqm::obs {
 /// switch only gates forwarding to the global ledger singleton).
 struct LedgerEntry {
   uint64_t sequence = 0;          ///< Global monotone id (stamped on append).
-  double elapsed_seconds = 0.0;   ///< Since process trace epoch.
+  double elapsed_seconds = 0.0;   ///< Seconds on the trace clock (NowMicros).
   std::string mechanism;  ///< "gaussian" | "skellam" | "custom".
   std::string label;      ///< Caller context, e.g. "sqm_release".
 

@@ -11,11 +11,9 @@ std::atomic<bool> g_enabled{true};
 #endif
 
 uint64_t NowMicros() {
-  static const std::chrono::steady_clock::time_point epoch =
-      std::chrono::steady_clock::now();
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - epoch)
+          std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
 

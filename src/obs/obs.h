@@ -41,9 +41,10 @@ inline void SetEnabled(bool on) {
 
 #endif  // SQM_OBS_DISABLED
 
-/// Microseconds since the process trace epoch (first call), on the steady
-/// clock. All spans, trace events and ledger timestamps share this epoch so
-/// they line up on one timeline.
+/// Microseconds on the steady clock (CLOCK_MONOTONIC on Linux), with no
+/// per-process epoch. Every process on a host reads the same clock, so the
+/// spans, trace events and ledger timestamps of all local processes lie on
+/// one timeline and a merge of their traces needs no offset.
 uint64_t NowMicros();
 
 }  // namespace sqm::obs

@@ -32,8 +32,6 @@ const char* PhaseLetter(TraceEvent::Type type) {
       return "X";
     case TraceEvent::Type::kInstant:
       return "i";
-    case TraceEvent::Type::kCounter:
-      return "C";
     case TraceEvent::Type::kFlowStart:
       return "s";
     case TraceEvent::Type::kFlowFinish:
@@ -86,17 +84,6 @@ void Tracer::Instant(const char* name, const char* category,
   event.type = TraceEvent::Type::kInstant;
   event.track = CurrentTrack();
   event.ts_micros = NowMicros();
-  Emit(event);
-}
-
-void Tracer::CounterValue(const char* name, int64_t value) {
-  if (!Enabled()) return;
-  TraceEvent event;
-  event.name = name;
-  event.type = TraceEvent::Type::kCounter;
-  event.track = CurrentTrack();
-  event.ts_micros = NowMicros();
-  event.AddArg("value", value);
   Emit(event);
 }
 
@@ -408,7 +395,6 @@ Result<std::string> MergeChromeTraces(const std::vector<TraceDoc>& traces) {
     }
 
     const JsonValue* events = docs[i].Find("traceEvents");
-    const int64_t offset = traces[i].clock_offset_micros;
     for (const JsonValue& event : events->items) {
       const JsonValue* ph = event.Find("ph");
       if (ph != nullptr && ph->string_value == "f") {
@@ -423,17 +409,6 @@ Result<std::string> MergeChromeTraces(const std::vector<TraceDoc>& traces) {
           writer.Field("pid", pid);
           continue;
         }
-        // Clock alignment: shift every timestamp by the document's offset
-        // so all processes land on the merger's timeline. Metadata records
-        // carry no ts; durations are clock-rate-local and stay put.
-        if (key == "ts" && offset != 0 &&
-            member.kind == JsonValue::Kind::kNumber && member.is_integer) {
-          const int64_t ts = member.is_negative
-                                 ? member.int_value
-                                 : static_cast<int64_t>(member.uint_value);
-          writer.Field("ts", ts + offset);
-          continue;
-        }
         writer.Key(key);
         EmitJsonValue(writer, member);
       }
@@ -444,16 +419,6 @@ Result<std::string> MergeChromeTraces(const std::vector<TraceDoc>& traces) {
   writer.Field("displayTimeUnit", "ms");
   writer.EndObject();
   return writer.str();
-}
-
-Result<std::string> MergeChromeTraces(
-    const std::vector<std::pair<std::string, std::string>>& traces) {
-  std::vector<TraceDoc> docs(traces.size());
-  for (size_t i = 0; i < traces.size(); ++i) {
-    docs[i].name = traces[i].first;
-    docs[i].json = traces[i].second;
-  }
-  return MergeChromeTraces(docs);
 }
 
 }  // namespace sqm::obs

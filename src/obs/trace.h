@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/status.h"
@@ -23,7 +22,6 @@ struct TraceEvent {
   enum class Type : uint8_t {
     kComplete,    ///< A span: [ts, ts+dur).
     kInstant,     ///< A point event (fault injected, checkpoint resume, ...).
-    kCounter,     ///< A sampled counter value (args[0].value).
     kFlowStart,   ///< Start of a cross-track/cross-process arrow (ph "s").
     kFlowFinish,  ///< End of the arrow with the same flow_id (ph "f").
   };
@@ -74,9 +72,6 @@ class Tracer {
   /// up to TraceEvent::kMaxArgs integer arguments.
   void Instant(const char* name, const char* category = "sqm",
                std::initializer_list<TraceEvent::Arg> args = {});
-
-  /// Convenience: a counter sample on the current track, stamped now.
-  void CounterValue(const char* name, int64_t value);
 
   /// Convenience: flow-arrow endpoints on the current track, stamped now.
   /// A kFlowStart and a kFlowFinish with the same `flow_id` render as one
@@ -157,32 +152,25 @@ class Tracer {
 };
 
 /// One per-process trace document for MergeChromeTraces: the Chrome JSON
-/// text, the label for its process group, the clock offset (added to every
-/// event timestamp, mapping the source process's steady clock onto the
-/// merger's timeline — the coordinator estimates it per party at the
-/// telemetry handshake), and the pid to merge under. Two documents may
-/// share a pid: a party's pre- and post-crash incarnations merge onto ONE
-/// party track, so a restart reads as a gap, not a new process.
+/// text, the label for its process group, and the pid to merge under. Two
+/// documents may share a pid: a party's pre- and post-crash incarnations
+/// merge onto ONE party track, so a restart reads as a gap, not a new
+/// process.
 struct TraceDoc {
   std::string name;
   std::string json;
-  int64_t clock_offset_micros = 0;
   uint64_t pid = 0;  ///< 0: assigned from the document's index + 1.
 };
 
-/// Merges Chrome trace-event documents from several processes (each as
+/// Merges Chrome trace-event documents from processes on one host (each as
 /// produced by ToChromeTraceJson / WriteChromeTraceFile) into one
-/// timeline: document i's events are rewritten to its TraceDoc pid, every
-/// "ts" is shifted by the document's clock offset, a process_name metadata
-/// record labels the pid, and the event lists are concatenated. The
-/// multi-process coordinator uses this to fold the n sqm-party trace files
-/// plus its own into one clock-aligned file a single Perfetto tab can
-/// read, with one labeled process group per party.
+/// timeline: document i's events are rewritten to its TraceDoc pid, a
+/// process_name metadata record labels the pid, and the event lists are
+/// concatenated. Timestamps are kept as they are: every local process
+/// stamps them on the same steady clock (NowMicros). The multi-process
+/// coordinator uses this to fold the sqm-party trace files into one file a
+/// single Perfetto tab can read, with one labeled process group per party.
 Result<std::string> MergeChromeTraces(const std::vector<TraceDoc>& traces);
-
-/// Back-compat shape: (name, json) pairs, no clock alignment, pid = i + 1.
-Result<std::string> MergeChromeTraces(
-    const std::vector<std::pair<std::string, std::string>>& traces);
 
 /// RAII span: measures construction-to-destruction on the current track.
 /// Free (no clock read, no buffer touch) when the kill switch is off.

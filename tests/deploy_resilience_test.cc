@@ -155,9 +155,8 @@ TEST(DeployResilience, MalformedNumericFlagPrintsUsageAndExitsTwo) {
       std::string(SQM_COORDINATOR_BIN) + config + " --crash-party=1x",
       std::string(SQM_PARTY_BIN) + config + " --party=abc",
       std::string(SQM_PARTY_BIN) + config + " --party=1x",
-      // Out of range for the u16 port and the u32 restart generation: a
-      // narrowing cast would wrap them to 4464 and 0.
-      std::string(SQM_PARTY_BIN) + config + " --party=0 --telemetry-port=70000",
+      // Out of range for the u32 restart generation: a narrowing cast
+      // would wrap it to 0.
       std::string(SQM_PARTY_BIN) + config +
           " --party=0 --incarnation=4294967296",
   };

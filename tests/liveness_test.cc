@@ -22,7 +22,7 @@ TEST(LivenessTest, StartsAllAlive) {
 }
 
 TEST(LivenessTest, TimeoutsWalkAliveSuspectedDead) {
-  LivenessTracker tracker(3, LivenessOptions{1, 2});
+  LivenessTracker tracker(3);
   tracker.RecordFailure(1, StatusCode::kDeadlineExceeded);
   EXPECT_EQ(tracker.state(1), PartyLiveness::kSuspected);
   EXPECT_EQ(tracker.num_alive(), 3u);  // Suspected still counts alive.
@@ -33,14 +33,14 @@ TEST(LivenessTest, TimeoutsWalkAliveSuspectedDead) {
 }
 
 TEST(LivenessTest, SuccessClearsSuspicion) {
-  LivenessTracker tracker(3, LivenessOptions{1, 3});
-  tracker.RecordFailure(2, StatusCode::kDeadlineExceeded);
+  LivenessTracker tracker(3);
   tracker.RecordFailure(2, StatusCode::kDeadlineExceeded);
   EXPECT_EQ(tracker.state(2), PartyLiveness::kSuspected);
   tracker.RecordSuccess(2);
   EXPECT_EQ(tracker.state(2), PartyLiveness::kAlive);
-  // The failure counter restarted: three more timeouts to die, not one.
-  tracker.RecordFailure(2, StatusCode::kDeadlineExceeded);
+  // The failure counter restarted: the next timeout only suspects again
+  // (without the reset it would be the second and kill); a second one
+  // in a row kills.
   tracker.RecordFailure(2, StatusCode::kDeadlineExceeded);
   EXPECT_EQ(tracker.state(2), PartyLiveness::kSuspected);
   tracker.RecordFailure(2, StatusCode::kDeadlineExceeded);

@@ -1,15 +1,16 @@
 // The distributed observability plane, end to end: a 5-process networked
-// run must yield (a) one merged, clock-aligned Perfetto timeline whose
-// net.link flow arrows connect a sender's net.send span to the receiver's
-// net.recv span ACROSS process boundaries, and (b) — with the runtime kill
-// switch off — a bit-identical release with no telemetry artifacts at all
-// (the telemetry-never-changes-results invariant).
+// run must yield (a) one merged Perfetto timeline on the host's shared
+// steady clock whose net.link flow arrows connect a sender's net.send span
+// to the receiver's net.recv span ACROSS process boundaries, never
+// finishing before they start, and (b) — with the runtime kill switch
+// off — a bit-identical release with no telemetry artifacts at all (the
+// telemetry-never-changes-results invariant).
 //
 // The supervised-restart suite SIGKILLs party 2 mid-Mul and checks the
-// trace side of recovery: the pre-crash incarnation's spans survive (the
-// telemetry tick rewrites the trace file durably), both incarnations merge
-// onto ONE party track, and the respawn's span-id namespace shares no ids
-// with its pre-crash self.
+// trace side of recovery: the pre-crash incarnation's spans survive
+// (sqm-party's tick rewrites the trace file durably), both incarnations
+// merge onto ONE party track, and the respawn's span-id namespace shares
+// no ids with its pre-crash self.
 
 #include <cstdlib>
 #include <fstream>
@@ -106,16 +107,21 @@ RunResult RunCoordinator(const std::string& name,
   return result;
 }
 
-/// Flow-arrow ids of the given phase ("s" or "f") with the pid that
-/// recorded each, keyed by id.
-std::map<uint64_t, std::set<uint64_t>> FlowPidsByPhase(
+/// One flow-arrow endpoint: the pid that recorded it and its timestamp.
+struct FlowEnd {
+  uint64_t pid = 0;
+  uint64_t ts = 0;
+};
+
+/// Flow-arrow endpoints of the given phase ("s" or "f"), keyed by id.
+std::map<uint64_t, std::vector<FlowEnd>> FlowEndsByPhase(
     const JsonValue& trace, const std::string& phase) {
-  std::map<uint64_t, std::set<uint64_t>> out;
+  std::map<uint64_t, std::vector<FlowEnd>> out;
   for (const JsonValue& event : trace.Find("traceEvents")->items) {
     const JsonValue* ph = event.Find("ph");
     if (ph == nullptr || ph->string_value != phase) continue;
-    out[event.Find("id")->uint_value].insert(
-        event.Find("pid")->uint_value);
+    out[event.Find("id")->uint_value].push_back(
+        {event.Find("pid")->uint_value, event.Find("ts")->uint_value});
   }
   return out;
 }
@@ -130,27 +136,33 @@ TEST(ObsDistributed, MergedTraceEndToEnd) {
 
   // The merged timeline links sends to receives across processes: at
   // least one net.link flow id must have its start ("s") and finish
-  // ("f") recorded by DIFFERENT pids.
+  // ("f") recorded by DIFFERENT pids. Every process stamps the same
+  // steady clock, so no finish precedes its start.
   const std::string merged_text =
       ReadFileOrEmpty(result.dir + "/merged_trace.json");
   ASSERT_FALSE(merged_text.empty());
   const JsonValue merged = ParseJson(merged_text).ValueOrDie();
-  const auto starts = FlowPidsByPhase(merged, "s");
-  const auto finishes = FlowPidsByPhase(merged, "f");
+  const auto starts = FlowEndsByPhase(merged, "s");
+  const auto finishes = FlowEndsByPhase(merged, "f");
   EXPECT_FALSE(starts.empty());
   size_t cross_process_links = 0;
-  for (const auto& [id, finish_pids] : finishes) {
+  for (const auto& [id, finish_ends] : finishes) {
     const auto start = starts.find(id);
     if (start == starts.end()) continue;
-    for (const uint64_t finish_pid : finish_pids) {
-      if (start->second.count(finish_pid) == 0) ++cross_process_links;
+    ASSERT_EQ(start->second.size(), 1u) << "flow id " << id;
+    const FlowEnd& send = start->second[0];
+    for (const FlowEnd& finish : finish_ends) {
+      if (finish.pid != send.pid) ++cross_process_links;
+      EXPECT_GE(finish.ts, send.ts)
+          << "flow id " << id << " finishes before its start";
     }
   }
   EXPECT_GT(cross_process_links, 0u)
       << "no flow arrow crosses a process boundary";
 
   // The coordinator's own validator accepts the merged document
-  // (monotone, properly nested span intervals; no dangling flows).
+  // (monotone, properly nested span intervals; no dangling or backwards
+  // flows).
   const int rc = std::system(
       (std::string(SQM_COORDINATOR_BIN) + " --trace-validate=" +
        result.dir + "/merged_trace.json > /dev/null 2>&1")
@@ -167,7 +179,7 @@ TEST(ObsDistributed, RestartKeepsOnePartyTrackWithFreshSpanIds) {
             std::string::npos)
       << result.coordinator_json;
 
-  // The pre-crash incarnation's trace survived the SIGKILL (the telemetry
+  // The pre-crash incarnation's trace survived the SIGKILL (sqm-party's
   // tick rewrites it durably), and the respawn wrote its own file.
   const std::string pre_text =
       ReadFileOrEmpty(result.dir + "/party_2.inc0.trace.json");
@@ -241,14 +253,11 @@ TEST(ObsDistributed, RestartKeepsOnePartyTrackWithFreshSpanIds) {
 TEST(ObsDistributed, KillSwitchLeavesNoArtifactsAndIdenticalRelease) {
   // Runtime kill switch off: --compare-lockstep still passes (the
   // coordinator's exit code asserts the bit-identical release), and NO
-  // observability artifact exists — no telemetry channel, no trace files,
-  // no merged timeline.
+  // observability artifact exists — no trace files, no merged timeline.
   const RunResult result =
       RunCoordinator("dark", DeployConfig(203, /*obs_enabled=*/false),
                      "--compare-lockstep");
   EXPECT_NE(result.coordinator_json.find("\"lockstep_match\":true"),
-            std::string::npos);
-  EXPECT_NE(result.coordinator_json.find("\"telemetry_enabled\":false"),
             std::string::npos)
       << result.coordinator_json;
   EXPECT_FALSE(FileExists(result.dir + "/merged_trace.json"));

@@ -102,14 +102,6 @@ TEST_F(TraceTest, InstantEventRecorded) {
   EXPECT_EQ(events[0].type, TraceEvent::Type::kInstant);
 }
 
-TEST_F(TraceTest, CounterEventRecorded) {
-  Tracer::Global().CounterValue("test.counter_event", 17);
-  const auto events = EventsNamed("test.counter_event");
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].type, TraceEvent::Type::kCounter);
-  EXPECT_EQ(events[0].args[0].value, 17);
-}
-
 TEST_F(TraceTest, ArgsBeyondCapacityAreDropped) {
   TraceEvent event;
   for (int i = 0; i < TraceEvent::kMaxArgs + 3; ++i) {
@@ -227,7 +219,7 @@ TEST_F(TraceTest, SpanIdNamespaceKeepsIncarnationsCollisionFree) {
   Tracer::SetSpanIdNamespace(1);
 }
 
-TEST_F(TraceTest, MergeAppliesClockOffsetAndSharesPidAcrossIncarnations) {
+TEST_F(TraceTest, MergeSharesPidAcrossIncarnations) {
   // Two incarnations of "party 2", each a tiny single-span document.
   {
     Span span("test.pre_crash", "test");
@@ -242,11 +234,9 @@ TEST_F(TraceTest, MergeAppliesClockOffsetAndSharesPidAcrossIncarnations) {
   std::vector<TraceDoc> docs(2);
   docs[0].name = "party 2";
   docs[0].json = pre;
-  docs[0].clock_offset_micros = 1000000;
   docs[0].pid = 3;
   docs[1].name = "party 2";
   docs[1].json = post;
-  docs[1].clock_offset_micros = -250;
   docs[1].pid = 3;
   const Result<std::string> merged = MergeChromeTraces(docs);
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
@@ -265,7 +255,6 @@ TEST_F(TraceTest, MergeAppliesClockOffsetAndSharesPidAcrossIncarnations) {
     if (name->string_value == "test.pre_crash") {
       found_pre = true;
       EXPECT_EQ(event.Find("pid")->uint_value, 3u);
-      EXPECT_GE(event.Find("ts")->uint_value, 1000000u);
     }
     if (name->string_value == "test.post_crash") {
       found_post = true;
@@ -295,8 +284,11 @@ TEST_F(TraceTest, MergePrunesFlowFinishesWhoseStartDiedWithTheSender) {
   }
   const std::string receiver = Tracer::Global().ToChromeTraceJson();
 
-  const std::vector<std::pair<std::string, std::string>> inputs = {
-      {"party 0", sender}, {"party 1", receiver}};
+  std::vector<TraceDoc> inputs(2);
+  inputs[0].name = "party 0";
+  inputs[0].json = sender;
+  inputs[1].name = "party 1";
+  inputs[1].json = receiver;
   const Result<std::string> merged = MergeChromeTraces(inputs);
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
   const JsonValue root = ParseJson(merged.ValueOrDie()).ValueOrDie();

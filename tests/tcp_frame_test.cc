@@ -212,10 +212,11 @@ TEST(TcpFrame, UnknownFlagBitsRejected) {
 }
 
 TEST(TcpFrame, UnknownFrameTypesAreRejected) {
-  // The type byte lives at body offset 2. Type 7 was the retired telemetry
-  // snapshot; it now decodes like any other unknown type. Re-MAC each
-  // patched body so the type check itself must fire.
-  for (const uint8_t type : {0, 7, 8, 255}) {
+  // The type byte lives at body offset 2. Types 5-7 were the retired
+  // telemetry control stream's hello, clock probe and snapshot; they now
+  // decode like any other unknown type. Re-MAC each patched body so the
+  // type check itself must fire.
+  for (const uint8_t type : {0, 5, 6, 7, 8, 255}) {
     std::vector<uint8_t> wire = EncodeFrame(SampleFrame(), kKey);
     wire[4 + 2] = type;
     uint64_t k0 = 0, k1 = 0;
@@ -230,26 +231,6 @@ TEST(TcpFrame, UnknownFrameTypesAreRejected) {
                   "unknown tcp frame type " + std::to_string(type)),
               std::string::npos)
         << decoded.status().ToString();
-  }
-}
-
-TEST(TcpFrame, TelemetryFrameTypesRoundTrip) {
-  for (const FrameType type :
-       {FrameType::kTelemetryHello, FrameType::kTelemetryClock}) {
-    Frame frame;
-    frame.type = type;
-    frame.from = 2;
-    frame.to = 0xFFFFFFFFu;  // kTelemetryCoordinatorId.
-    frame.incarnation = 1;
-    frame.run_id = 9;
-    frame.payload = {123456789, 987654321};
-    const std::vector<uint8_t> wire = EncodeFrame(frame, kKey);
-    sqm::Result<Frame> decoded =
-        DecodeFrame(Body(wire), BodyLen(wire), kKey);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_EQ(decoded.ValueOrDie().type, type);
-    EXPECT_EQ(decoded.ValueOrDie().to, frame.to);
-    EXPECT_EQ(decoded.ValueOrDie().payload, frame.payload);
   }
 }
 

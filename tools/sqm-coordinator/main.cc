@@ -13,8 +13,9 @@
 // watchdog, then:
 //   - checks that every surviving party released bit-identical raw values,
 //   - merges the per-party, per-incarnation trace files into one
-//     clock-aligned Perfetto timeline (<out-dir>/merged_trace.json) using
-//     the clock offsets measured on each party's telemetry control stream,
+//     Perfetto timeline (<out-dir>/merged_trace.json); every party runs on
+//     this host and stamps its trace on the same steady clock, so the
+//     merge needs no clock offset,
 //   - optionally (--compare-lockstep) replays the same config in-process
 //     on the deterministic lockstep transport and requires the networked
 //     release to match it bit for bit,
@@ -31,8 +32,8 @@
 //
 // --trace-validate=FILE is a standalone mode: it loads a merged trace and
 // asserts every per-(pid, tid) track holds properly nested span intervals
-// and every flow-arrow finish has a matching start, exiting 0 iff the
-// document is a causally consistent timeline.
+// and every flow-arrow finish has a matching start stamped no later than
+// it, exiting 0 iff the document is a causally consistent timeline.
 //
 // Exit 0 iff every party that was expected to survive exited cleanly and
 // all bit-exactness checks passed. See docs/DEPLOYMENT.md.
@@ -47,7 +48,6 @@
 #include <functional>
 #include <iostream>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -71,7 +71,6 @@
 #include "core/status.h"
 #include "net/tcp/party_config.h"
 #include "net/tcp/socket.h"
-#include "net/tcp/telemetry.h"
 #include "obs/trace.h"
 #include "poly/parser.h"
 
@@ -161,7 +160,9 @@ bool WriteFile(const std::string& path, const std::string& content) {
 /// Asserts that, per (pid, tid) track, complete spans form properly
 /// nested intervals — a child span starts after its parent and ends no
 /// later — and that every flow finish ("f") has a flow start ("s") with
-/// the same id somewhere in the document. Prints what it checked.
+/// the same id somewhere in the document, stamped no later than the
+/// finish (all processes share one clock, so a receive never precedes its
+/// send). Prints what it checked.
 int ValidateTrace(const std::string& path) {
   std::string text;
   if (!ReadFile(path, &text)) {
@@ -184,8 +185,9 @@ int ValidateTrace(const std::string& path) {
     int64_t end = 0;
   };
   std::map<std::pair<int64_t, int64_t>, std::vector<Interval>> tracks;
-  std::map<uint64_t, size_t> flow_starts;
-  std::map<uint64_t, size_t> flow_finishes;
+  // Flow id -> earliest start stamp / every finish stamp.
+  std::map<uint64_t, int64_t> flow_starts;
+  std::map<uint64_t, std::vector<int64_t>> flow_finishes;
   size_t spans = 0;
   auto int_member = [](const sqm::JsonValue& obj, const char* key,
                        int64_t fallback) -> int64_t {
@@ -211,9 +213,12 @@ int ValidateTrace(const std::string& path) {
       tracks[{pid, tid}].push_back(
           Interval{ts, ts + int_member(event, "dur", 0)});
     } else if (ph->string_value == "s") {
-      ++flow_starts[static_cast<uint64_t>(int_member(event, "id", 0))];
+      const auto id = static_cast<uint64_t>(int_member(event, "id", 0));
+      const auto [it, fresh] = flow_starts.emplace(id, ts);
+      if (!fresh) it->second = std::min(it->second, ts);
     } else if (ph->string_value == "f") {
-      ++flow_finishes[static_cast<uint64_t>(int_member(event, "id", 0))];
+      flow_finishes[static_cast<uint64_t>(int_member(event, "id", 0))]
+          .push_back(ts);
     }
   }
   size_t violations = 0;
@@ -240,19 +245,29 @@ int ValidateTrace(const std::string& path) {
     }
   }
   size_t dangling = 0;
-  for (const auto& [id, count] : flow_finishes) {
-    if (flow_starts.find(id) == flow_starts.end()) {
+  size_t backwards = 0;
+  for (const auto& [id, finish_stamps] : flow_finishes) {
+    const auto start = flow_starts.find(id);
+    if (start == flow_starts.end()) {
       ++dangling;
       std::cerr << "trace-validate: flow finish id " << id
                 << " has no matching start\n";
+      continue;
+    }
+    for (const int64_t ts : finish_stamps) {
+      if (ts >= start->second) continue;
+      ++backwards;
+      std::cerr << "trace-validate: flow id " << id << " finishes at " << ts
+                << ", before its start at " << start->second << "\n";
     }
   }
   std::cout << "trace-validate: " << spans << " spans on "
             << tracks.size() << " tracks, " << flow_starts.size()
             << " flow starts, " << flow_finishes.size()
             << " flow finishes; " << violations << " nesting violations, "
-            << dangling << " dangling flows\n";
-  return (violations == 0 && dangling == 0) ? 0 : 1;
+            << dangling << " dangling flows, " << backwards
+            << " flow finishes before their start\n";
+  return (violations == 0 && dangling == 0 && backwards == 0) ? 0 : 1;
 }
 
 }  // namespace
@@ -410,37 +425,6 @@ int main(int argc, char** argv) {
     listeners.push_back(std::move(listener).ValueOrDie());
   }
 
-  // The telemetry control channel: one extra coordinator-side listener the
-  // parties dial back on. Purely observational, so a failed bind degrades
-  // to an unaligned trace merge instead of failing the run. Skipped
-  // entirely when the config turns the obs kill switch off.
-  std::unique_ptr<sqm::net::TelemetryServer> telemetry;
-  uint16_t telemetry_port = 0;
-  if (config.obs_enabled) {
-    sqm::Result<sqm::net::Socket> listener =
-        sqm::net::ListenOn("127.0.0.1", 0);
-    if (listener.ok() &&
-        sqm::net::SetCloseOnExec(listener.ValueOrDie(), true).ok()) {
-      sqm::Result<uint16_t> port =
-          sqm::net::LocalPort(listener.ValueOrDie());
-      if (port.ok()) {
-        telemetry_port = port.ValueOrDie();
-        telemetry = std::make_unique<sqm::net::TelemetryServer>(
-            config.session_key, config.run_id, n);
-        const sqm::Status started =
-            telemetry->Start(std::move(listener).ValueOrDie());
-        if (!started.ok()) {
-          std::cerr << "telemetry disabled: " << started.ToString() << "\n";
-          telemetry.reset();
-          telemetry_port = 0;
-        }
-      }
-    }
-    if (telemetry == nullptr) {
-      std::cerr << "telemetry disabled: cannot bind control listener\n";
-    }
-  }
-
   const std::string resolved_path = args.out_dir + "/deploy_resolved.json";
   if (!WriteFile(resolved_path, sqm::DeploymentConfigToJson(config))) {
     std::cerr << "cannot write " << resolved_path
@@ -491,10 +475,6 @@ int main(int argc, char** argv) {
         "--report=" + report_paths[j],
         "--trace=" + trace_path(j, incarnation),
     };
-    if (telemetry_port != 0) {
-      child_args.push_back("--telemetry-port=" +
-                           std::to_string(telemetry_port));
-    }
     if (supervised) {
       child_args.push_back("--checkpoint-dir=" + checkpoint_dirs[j]);
       child_args.push_back("--incarnation=" + std::to_string(incarnation));
@@ -589,10 +569,6 @@ int main(int argc, char** argv) {
                             args.timeout_seconds)),
                 try_restart);
 
-  // Every stream has gone quiet (the parties exited); freeze the clock
-  // estimates before the merge reads them.
-  if (telemetry != nullptr) telemetry->Stop();
-
   // Collect reports from the parties that produced one.
   bool ok = true;
   size_t canonical = n;
@@ -646,10 +622,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Merge every (party, incarnation) trace into one clock-aligned
-  // timeline: all of a party's incarnations share one pid (one Perfetto
-  // process group), and each document's timestamps are shifted by the
-  // clock offset estimated for that incarnation on the telemetry channel.
+  // Merge every (party, incarnation) trace into one timeline: all of a
+  // party's incarnations share one pid (one Perfetto process group), and
+  // their timestamps already share this host's steady clock.
   std::vector<sqm::obs::TraceDoc> traces;
   for (size_t j = 0; j < n; ++j) {
     for (size_t incarnation = 0; incarnation <= outcomes[j].restarts;
@@ -660,13 +635,6 @@ int main(int argc, char** argv) {
       doc.name = "party " + std::to_string(j);
       doc.json = std::move(trace_text);
       doc.pid = j + 1;
-      if (telemetry != nullptr) {
-        sqm::Result<int64_t> offset = telemetry->ClockOffsetMicros(
-            j, static_cast<uint32_t>(incarnation));
-        if (offset.ok()) {
-          doc.clock_offset_micros = offset.ValueOrDie();
-        }
-      }
       traces.push_back(std::move(doc));
     }
   }
@@ -722,7 +690,6 @@ int main(int argc, char** argv) {
   summary.Field("parties_agree", parties_agree);
   summary.Field("lockstep_compared", args.compare_lockstep);
   summary.Field("lockstep_match", lockstep_match);
-  summary.Field("telemetry_enabled", telemetry != nullptr);
   summary.BeginArray("party_outcomes");
   for (size_t j = 0; j < n; ++j) {
     summary.BeginObject();

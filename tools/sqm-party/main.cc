@@ -9,7 +9,6 @@
 //   sqm-party --config=deploy.json --party=2
 //       [--listen-fd=7] [--report=party2.json] [--trace=party2.trace.json]
 //       [--crash-at-mul-level=L] [--checkpoint-dir=DIR] [--incarnation=K]
-//       [--telemetry-port=P] [--telemetry-host=H]
 //
 // --listen-fd adopts a pre-bound listening socket (the coordinator binds
 // every roster port before forking so no party can lose a bind race).
@@ -19,29 +18,30 @@
 // --checkpoint-dir enables durable checkpoints (and, with the config's
 // recovery fields, supervised rejoin); --incarnation=K marks this process
 // as the K-th supervised respawn, making it resume from its checkpoint.
-// --telemetry-port connects the telemetry control stream back to the
-// coordinator: it answers the clock-offset probes the trace merge needs, and
-// its 0.25-s tick rewrites the durable trace so pre-crash spans survive
-// SIGKILL.
-// --trace is also the crash dump: fatal exits and SIGTERM flush the trace
-// there (docs/OBSERVABILITY.md).
+// --trace names the durable trace: a tick thread rewrites it every 0.25 s
+// so pre-crash spans survive SIGKILL, and fatal exits and SIGTERM flush it
+// there too (docs/OBSERVABILITY.md).
 // See docs/DEPLOYMENT.md.
 
 #include <charconv>
+#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 
 #include "core/party_sqm.h"
 #include "core/report_io.h"
 #include "core/status.h"
+#include "core/sync.h"
 #include "net/tcp/party_config.h"
 #include "net/tcp/tcp_transport.h"
-#include "net/tcp/telemetry.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
 
@@ -53,8 +53,6 @@ struct Args {
   int listen_fd = -1;
   std::string report_path;
   std::string trace_path;
-  std::string telemetry_host = "127.0.0.1";
-  long telemetry_port = 0;
   long crash_at_mul_level = -1;
   std::string checkpoint_dir;
   long incarnation = 0;
@@ -88,8 +86,7 @@ int Usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " --config=FILE --party=N [--listen-fd=FD] [--report=FILE]"
                " [--trace=FILE] [--crash-at-mul-level=L]"
-               " [--checkpoint-dir=DIR] [--incarnation=K]"
-               " [--telemetry-port=P] [--telemetry-host=H]\n";
+               " [--checkpoint-dir=DIR] [--incarnation=K]\n";
   return 2;
 }
 
@@ -112,6 +109,42 @@ extern "C" void HandleSigTerm(int) {
   _exit(143);
 }
 
+/// The durable trace's tick: rewrites the trace file every 0.25 s until
+/// destroyed, so a SIGKILL mid-protocol still leaves this incarnation's
+/// pre-crash spans on disk for the coordinator's merge. The destructor
+/// joins the thread, so no write of its own overlaps the caller's.
+class TraceTicker {
+ public:
+  explicit TraceTicker(std::string path)
+      : path_(std::move(path)), thread_([this] { Run(); }) {}
+  TraceTicker(const TraceTicker&) = delete;
+  TraceTicker& operator=(const TraceTicker&) = delete;
+  ~TraceTicker() {
+    {
+      sqm::MutexLock lock(mu_);
+      stop_ = true;
+    }
+    wake_.NotifyAll();
+    thread_.join();
+  }
+
+ private:
+  void Run() {
+    sqm::MutexLock lock(mu_);
+    while (!wake_.WaitUntil(
+        mu_, std::chrono::steady_clock::now() + std::chrono::milliseconds(250),
+        [this]() SQM_REQUIRES(mu_) { return stop_; })) {
+      sqm::obs::Tracer::Global().WriteChromeTraceFile(path_);
+    }
+  }
+
+  const std::string path_;
+  sqm::Mutex mu_;
+  sqm::CondVar wake_;
+  bool stop_ SQM_GUARDED_BY(mu_) = false;
+  std::thread thread_;  ///< Last: starts once the members above exist.
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -126,10 +159,6 @@ int main(int argc, char** argv) {
         ParseLongFlag(arg, "party", 0, kU32Max, &args.party, &malformed) ||
         ParseFlag(arg, "report", &args.report_path) ||
         ParseFlag(arg, "trace", &args.trace_path) ||
-        ParseFlag(arg, "telemetry-host", &args.telemetry_host) ||
-        ParseLongFlag(arg, "telemetry-port", 0,
-                      std::numeric_limits<uint16_t>::max(),
-                      &args.telemetry_port, &malformed) ||
         ParseLongFlag(arg, "crash-at-mul-level", 0, kLongMax,
                       &args.crash_at_mul_level, &malformed) ||
         ParseFlag(arg, "checkpoint-dir", &args.checkpoint_dir) ||
@@ -168,8 +197,8 @@ int main(int argc, char** argv) {
 
   // The fleet-wide runtime kill switch: with obs_enabled=false this
   // process runs with zero observability (no spans, no global ledger, no
-  // telemetry stream, context-free frames) and must release
-  // bit-identical values.
+  // trace file, context-free frames) and must release bit-identical
+  // values.
   if (!config.obs_enabled) sqm::obs::SetEnabled(false);
 
   if (sqm::obs::Enabled()) {
@@ -201,38 +230,12 @@ int main(int argc, char** argv) {
 
   // Baseline durable trace before any protocol work: even a party killed
   // in its very first phase leaves this incarnation's file for the
-  // coordinator's merge. Written before the telemetry client starts, whose
-  // tick keeps rewriting it after: one thread writes the file at a time.
+  // coordinator's merge. Written before the ticker starts, which keeps
+  // rewriting it after: one thread writes the file at a time.
+  std::unique_ptr<TraceTicker> ticker;
   if (sqm::obs::Enabled() && !args.trace_path.empty()) {
     sqm::obs::Tracer::Global().WriteChromeTraceFile(args.trace_path);
-  }
-
-  // Telemetry control stream back to the coordinator (observational only:
-  // a refused connection or a dead coordinator never stops the protocol).
-  sqm::net::TelemetryClient* telemetry = nullptr;
-  if (sqm::obs::Enabled() && args.telemetry_port > 0) {
-    sqm::net::TelemetryClientOptions opts;
-    opts.host = args.telemetry_host;
-    opts.port = static_cast<uint16_t>(args.telemetry_port);
-    opts.session_key = config.session_key;
-    opts.run_id = config.run_id;
-    opts.party = static_cast<uint32_t>(me);
-    opts.incarnation = incarnation;
-    if (!args.trace_path.empty()) {
-      const std::string trace_path = args.trace_path;
-      opts.on_tick = [trace_path] {
-        // Durable trace: rewrite every tick so a SIGKILL mid-protocol
-        // still leaves this incarnation's pre-crash spans on disk for the
-        // coordinator's merge.
-        sqm::obs::Tracer::Global().WriteChromeTraceFile(trace_path);
-      };
-    }
-    telemetry = new sqm::net::TelemetryClient(std::move(opts));
-    const sqm::Status started = telemetry->Start();
-    if (!started.ok()) {
-      std::cerr << "party " << me << ": telemetry disabled: "
-                << started.ToString() << "\n";
-    }
+    ticker = std::make_unique<TraceTicker>(args.trace_path);
   }
 
   sqm::PartySqmHooks hooks;
@@ -253,11 +256,7 @@ int main(int argc, char** argv) {
       sqm::RunPartySqm(config, me, wire, hooks);
   wire->Shutdown();
 
-  if (telemetry != nullptr) {
-    // Stopping joins the tick thread before the final trace write below.
-    telemetry->Stop();
-    delete telemetry;
-  }
+  ticker.reset();  // Joins the tick thread before the final write below.
   if (!args.trace_path.empty() && sqm::obs::Enabled()) {
     if (!sqm::obs::Tracer::Global().WriteChromeTraceFile(args.trace_path)) {
       std::cerr << "party " << me << ": cannot write trace "
