@@ -95,23 +95,21 @@ fi
 # Recovery gate under ThreadSanitizer: the deploy + chaos suites exercise
 # SIGKILL, reconnect and resume-barrier paths where a data race would be
 # silent corruption in the release build, and the batch differential
-# suite's threaded/TCP legs put the batched hot path under the
-# race detector too, as do the concurrent sampler draws (parties sample
-# their Skellam shares at the same time), the TCP transport suite
-# (listener shutdown waking the acceptor, then the thread joins), the
-# resilience suite (crash schedules through the quorum and abort paths),
-# and the obs suites (the tracer's per-thread buffers, and the durable
-# trace rewritten while it is read). The party-thread transport suite and
-# the schedule fuzzer with its smoke run (crash schedules on the threaded
-# transport against lockstep, plus the party-thread message storm) run
-# there too: the mailboxes and the round barrier are where a race would
-# hide. A separate build tree keeps the
-# instrumented objects out of the primary build.
+# suite's party threads (one TcpTransport each over a loopback mesh) put
+# the batched hot path and the census under the race detector too, as do
+# the concurrent sampler draws (parties sample their Skellam shares at the
+# same time), the TCP transport suite (listener shutdown waking the
+# acceptor, then the thread joins), the resilience suite (crash schedules
+# through the quorum and abort paths), and the obs suites (party threads
+# and TCP reader threads emitting spans together, and the durable trace
+# rewritten while it is read). The schedule fuzzer and its smoke run
+# (crash schedules on the lock-step transport) run there too. A separate
+# build tree keeps the instrumented objects out of the primary build.
 tsan_dir="$build_dir-tsan"
 cmake -B "$tsan_dir" -S "$repo_root" -DSQM_SANITIZE=thread
 cmake --build "$tsan_dir" -j"$(nproc)"
 (cd "$tsan_dir" && ctest -L 'deploy|chaos|batch|sampler|tcp|resilience|obs' --output-on-failure)
-(cd "$tsan_dir" && ctest -R '^(ThreadedTransportTest\.|ScheduleFuzzTest\.|fuzz_smoke$)' --output-on-failure)
+(cd "$tsan_dir" && ctest -R '^(ScheduleFuzzTest\.|fuzz_smoke$)' --output-on-failure)
 
 # The compile-time half of the dual kill switch: -DSQM_OBS=OFF pins
 # obs::Enabled() to constant false, so every span and ledger forward folds

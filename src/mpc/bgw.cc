@@ -25,14 +25,6 @@ BgwEngine::BgwEngine(ShamirScheme scheme, Transport* network, uint64_t seed,
                         PartyProtocol::DeriveStream(seed, me), me);
 }
 
-void BgwEngine::EndRound() {
-  if (round_fn_) {
-    round_fn_();
-  } else {
-    network_->EndRound();
-  }
-}
-
 int32_t BgwEngine::Track() const {
   return hosts_all() ? obs::Tracer::CurrentTrack()
                      : static_cast<int32_t>(first_);
@@ -92,7 +84,7 @@ Result<SharedVector> BgwEngine::ShareFrom(
     SQM_CHECK(values.size() == count);
     parties_[dealer - first_].DealInput(values);
   }
-  EndRound();
+  network_->EndRound();
 
   SharedVector dealt(parties_.size(), count);
   for (size_t i = 0; i < parties_.size(); ++i) {
@@ -124,7 +116,7 @@ Status BgwEngine::Mul(SharedVector* a, SharedVector* b) {
     deal.AddArg("party", static_cast<int64_t>(p));
     parties_[i].MulDeal(&a->shares(i), &b->shares(i));
   }
-  EndRound();
+  network_->EndRound();
   for (size_t i = 0; i < parties_.size(); ++i) {
     if (Dead(first_ + i)) continue;
     SQM_RETURN_NOT_OK(parties_[i].MulCollect(k));
@@ -134,7 +126,7 @@ Status BgwEngine::Mul(SharedVector* a, SharedVector* b) {
     for (size_t i = 0; i < parties_.size(); ++i) {
       if (!Dead(first_ + i)) parties_[i].CensusSend();
     }
-    EndRound();
+    network_->EndRound();
     for (size_t i = 0; i < parties_.size(); ++i) {
       if (Dead(first_ + i)) continue;
       SQM_RETURN_NOT_OK(parties_[i].CensusTally());
@@ -276,7 +268,7 @@ Result<std::vector<int64_t>> BgwEngine::OpenOutputs(
     broadcast.AddArg("party", static_cast<int64_t>(p));
     parties_[i].OpenSend(out_shares.shares(i));
   }
-  EndRound();
+  network_->EndRound();
 
   // The release is the first hosted survivor's opening. Equivocation —
   // different shares to different recipients — is visible only across

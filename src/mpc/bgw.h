@@ -38,14 +38,13 @@ struct BgwExecutionReport {
 /// 2t+1 dealers the census agreed, and a failed level can be retried.
 class BgwEngine {
  public:
-  /// Hosts every party (driver mode). `network` must outlive the engine
-  /// and match the scheme's party count. Any Transport works: the
-  /// lock-step simulation for deterministic runs, a ThreadedTransport
-  /// driven from one thread.
+  /// Hosts every party (driver mode). `network` must outlive the engine,
+  /// match the scheme's party count and carry every party's traffic (the
+  /// lock-step simulation).
   BgwEngine(ShamirScheme scheme, Transport* network, uint64_t seed);
 
-  /// Hosts party `me` only (a deployment, or one party thread). `seed`
-  /// must equal the driver's for bit-identical execution.
+  /// Hosts party `me` only (a deployment: one TcpTransport per party).
+  /// `seed` must equal the driver's for bit-identical execution.
   BgwEngine(ShamirScheme scheme, Transport* network, uint64_t seed,
             size_t me);
 
@@ -110,13 +109,6 @@ class BgwEngine {
   /// Noise dealing time summed over the hosted parties.
   double noise_deal_seconds() const;
 
-  /// Overrides how a round end is signaled (default:
-  /// transport->EndRound()). Party threads sharing one ThreadedTransport
-  /// pass [&] { transport.ArriveRound(me); }.
-  void set_round_barrier(std::function<void()> fn) {
-    round_fn_ = std::move(fn);
-  }
-
   /// Called at the start of every multiplication level with the level
   /// index. The sqm-party daemon's --crash-at-mul-level hook (raising
   /// SIGKILL mid-protocol for the resilience tests) attaches here.
@@ -143,7 +135,6 @@ class BgwEngine {
   const BgwExecutionReport& last_report() const { return last_report_; }
 
  private:
-  void EndRound();
   /// Discards every deliverable message addressed to a hosted party.
   size_t DrainPending();
   bool Dead(size_t party) const {
@@ -172,7 +163,6 @@ class BgwEngine {
   LivenessTracker* liveness_ = nullptr;
   bool verify_sharings_ = false;
   bool recovery_mode_ = false;
-  std::function<void()> round_fn_;
   std::function<void(size_t)> mul_level_hook_;
   std::function<void(const BgwCheckpoint&)> checkpoint_sink_;
   BgwExecutionReport last_report_;

@@ -122,8 +122,8 @@ class PartyProtocol {
   ///    markers (a peer that finished its barrier first may send one final
   ///    marker round into our next protocol phase).
   /// Requires a LivenessTracker, one hosted party per process and an
-  /// immediate-delivery transport (TCP or threaded; the lockstep transport
-  /// defers delivery to EndRound and cannot run the barrier's resend loop).
+  /// immediate-delivery transport (TCP; the lockstep transport defers
+  /// delivery to EndRound and cannot run the barrier's resend loop).
   void set_recovery_mode(bool on) { recovery_mode_ = on; }
 
   /// Resynchronization point after a failed level or a supervised restart.

@@ -39,8 +39,8 @@ inline constexpr size_t kDeadAfter = 2;
 /// Protocol layers (PartyProtocol, BgwEngine, the SQM pipeline) feed every
 /// receive outcome into one tracker, so a party declared dead during the
 /// input phase is skipped — no further timeout windows burned on it — in
-/// every later multiplication and opening round. Thread-safe: per-party
-/// threads of a ThreadedTransport run may record outcomes concurrently.
+/// every later multiplication and opening round. Thread-safe: several
+/// threads may record outcomes concurrently.
 class LivenessTracker {
  public:
   explicit LivenessTracker(size_t num_parties);

@@ -68,16 +68,11 @@ bool LockstepTransport::HasPending(size_t from, size_t to) const {
 
 size_t LockstepTransport::Reset() {
   size_t dropped = 0;
-  std::vector<ResetDrop> per_channel;
-  for (size_t index = 0; index < queues_.size(); ++index) {
-    auto& queue = queues_[index];
-    if (queue.empty()) continue;
+  for (auto& queue : queues_) {
     dropped += queue.size();
-    per_channel.push_back(ResetDrop{index / num_parties(),
-                                    index % num_parties(), queue.size()});
     queue.clear();
   }
-  WarnDroppedOnReset("LockstepTransport", dropped, per_channel);
+  WarnDroppedOnReset("LockstepTransport", dropped);
   ResetAccounting();
   return dropped;
 }

@@ -18,8 +18,8 @@ namespace sqm {
 /// Tables II/IV/V report simulated latency plus measured compute time. The
 /// default 8-byte element width is the field's (Field::kWireBytes).
 ///
-/// Not thread-safe for Send/Receive (accounting snapshots are); use
-/// ThreadedTransport for party threads.
+/// Not thread-safe for Send/Receive (accounting snapshots are); party
+/// threads each run their own TcpTransport.
 class LockstepTransport : public Transport {
  public:
   LockstepTransport(size_t num_parties, double per_round_latency_seconds,

@@ -45,6 +45,32 @@ double UnitDouble(uint64_t h) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
+/// The 4-byte little-endian length prefix of a frame on the stream.
+uint32_t FrameLength(const uint8_t bytes[4]) {
+  uint32_t len = 0;
+  for (int i = 0; i < 4; ++i) {
+    len |= static_cast<uint32_t>(bytes[i]) << (8 * i);
+  }
+  return len;
+}
+
+/// Reads and decodes one payload-free handshake frame (`what` names it in
+/// the length error). Socket failures keep their own codes; a bad length
+/// or a frame that fails to decode is kIntegrityViolation.
+Result<Frame> ReadHandshakeFrame(const Socket& sock, uint64_t session_key,
+                                 const char* what) {
+  uint8_t len_bytes[4];
+  SQM_RETURN_NOT_OK(ReadAll(sock, len_bytes, 4));
+  const uint32_t len = FrameLength(len_bytes);
+  if (len < 8 || len > MaxEncodedFrameBytes(0)) {
+    return Status::IntegrityViolation(std::string(what) + " frame length " +
+                                      std::to_string(len) + " out of range");
+  }
+  std::vector<uint8_t> body(len);
+  SQM_RETURN_NOT_OK(ReadAll(sock, body.data(), len));
+  return DecodeFrame(body.data(), len, session_key);
+}
+
 }  // namespace
 
 TcpTransport::TcpTransport(const TcpTransportOptions& options)
@@ -214,20 +240,9 @@ Status TcpTransport::DialHandshake(const std::shared_ptr<Conn>& conn,
       EncodeFrame(hello, options_.session_key);
   SQM_RETURN_NOT_OK(WriteAll(conn->sock, wire.data(), wire.size()));
 
-  uint8_t len_bytes[4];
-  SQM_RETURN_NOT_OK(ReadAll(conn->sock, len_bytes, 4));
-  uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<uint32_t>(len_bytes[i]) << (8 * i);
-  }
-  if (len < 8 || len > MaxEncodedFrameBytes(0)) {
-    return Status::IntegrityViolation("handshake ack frame length " +
-                                      std::to_string(len) + " out of range");
-  }
-  std::vector<uint8_t> body(len);
-  SQM_RETURN_NOT_OK(ReadAll(conn->sock, body.data(), len));
-  SQM_ASSIGN_OR_RETURN(
-      const Frame ack, DecodeFrame(body.data(), len, options_.session_key));
+  SQM_ASSIGN_OR_RETURN(const Frame ack,
+                       ReadHandshakeFrame(conn->sock, options_.session_key,
+                                          "handshake ack"));
   if (ack.type != FrameType::kHelloAck || ack.from != peer ||
       ack.to != me_ || ack.run_id != options_.run_id) {
     return Status::IntegrityViolation(
@@ -260,20 +275,14 @@ void TcpTransport::AcceptorMain() {
     // run and this recipient before any payload is believed.
     const Status armed = SetRecvTimeout(conn->sock, 2.0);
     if (!armed.ok()) continue;
-    uint8_t len_bytes[4];
-    if (!ReadAll(conn->sock, len_bytes, 4).ok()) continue;
-    uint32_t len = 0;
-    for (int i = 0; i < 4; ++i) {
-      len |= static_cast<uint32_t>(len_bytes[i]) << (8 * i);
-    }
-    if (len < 8 || len > MaxEncodedFrameBytes(0)) continue;
-    std::vector<uint8_t> body(len);
-    if (!ReadAll(conn->sock, body.data(), len).ok()) continue;
-    Result<Frame> hello =
-        DecodeFrame(body.data(), len, options_.session_key);
+    Result<Frame> hello = ReadHandshakeFrame(
+        conn->sock, options_.session_key, "handshake hello");
     if (!hello.ok()) {
-      SQM_LOG(kWarning) << "TcpTransport party " << me_
-                        << ": rejected connection: " << hello.status();
+      // A dialer that vanished mid-handshake is not worth a warning.
+      if (hello.status().code() == StatusCode::kIntegrityViolation) {
+        SQM_LOG(kWarning) << "TcpTransport party " << me_
+                          << ": rejected connection: " << hello.status();
+      }
       continue;
     }
     const Frame& frame = hello.ValueOrDie();
@@ -493,10 +502,7 @@ Status TcpTransport::ReadLoop(size_t peer,
       }
       return header;
     }
-    uint32_t len = 0;
-    for (int i = 0; i < 4; ++i) {
-      len |= static_cast<uint32_t>(len_bytes[i]) << (8 * i);
-    }
+    const uint32_t len = FrameLength(len_bytes);
     if (len < 8 || len > MaxEncodedFrameBytes(kMaxFrameElements)) {
       return Status::IntegrityViolation(
           "tcp frame length " + std::to_string(len) + " out of range");
@@ -748,19 +754,14 @@ bool TcpTransport::HasPending(size_t from, size_t to) const {
 
 size_t TcpTransport::Reset() {
   size_t dropped = 0;
-  std::vector<ResetDrop> per_channel;
   {
     MutexLock lock(mu_);
-    for (size_t from = 0; from < inboxes_.size(); ++from) {
-      std::deque<Payload>& inbox = inboxes_[from];
-      if (!inbox.empty()) {
-        dropped += inbox.size();
-        per_channel.push_back(ResetDrop{from, me_, inbox.size()});
-        inbox.clear();
-      }
+    for (std::deque<Payload>& inbox : inboxes_) {
+      dropped += inbox.size();
+      inbox.clear();
     }
   }
-  WarnDroppedOnReset("TcpTransport", dropped, per_channel);
+  WarnDroppedOnReset("TcpTransport", dropped);
   ResetAccounting();
   return dropped;
 }

@@ -167,37 +167,11 @@ void Transport::RecordCrashLoss() {
 }
 
 void Transport::WarnDroppedOnReset(const char* transport_name,
-                                   size_t dropped,
-                                   const std::vector<ResetDrop>& per_channel) {
+                                   size_t dropped) {
   if (dropped == 0) return;
-  uint64_t warnings = 0;
-  uint64_t lifetime = 0;
-  {
-    MutexLock lock(mu_);
-    ++reset_warnings_;
-    reset_dropped_total_ += dropped;
-    warnings = reset_warnings_;
-    lifetime = reset_dropped_total_;
-  }
-  // Per-peer attribution: a partition strands messages on one peer's
-  // channels, a crash strands them everywhere — the breakdown tells the
-  // two apart from one log line.
-  std::string breakdown;
-  for (const ResetDrop& drop : per_channel) {
-    if (drop.count == 0) continue;
-    if (!breakdown.empty()) breakdown += ", ";
-    breakdown += std::to_string(drop.from) + "->" + std::to_string(drop.to) +
-                 ":" + std::to_string(drop.count);
-  }
-  std::string cumulative;
-  if (warnings > 1) {
-    cumulative = "; " + std::to_string(lifetime) + " across " +
-                 std::to_string(warnings) + " resets";
-  }
   SQM_LOG(kWarning) << transport_name << "::Reset dropped " << dropped
-                    << " undelivered message(s) on " << per_channel.size()
-                    << " channel(s) [" << breakdown << "]" << cumulative
-                    << "; a correct synchronous protocol drains every round";
+                    << " undelivered message(s); a correct synchronous "
+                       "protocol drains every round";
 }
 
 void Transport::ResetAccounting() {

@@ -25,8 +25,8 @@ enum class TransportMode {
 /// communication rounds have completed. after_rounds = 0 means the party
 /// never sends at all. A crashed party's sends are swallowed before the
 /// interceptor sees them. A party listed twice crashes at the earliest of
-/// its rounds. Crash schedules are the only in-process fault: both
-/// LockstepTransport and ThreadedTransport honor them.
+/// its rounds. Crash schedules are the only in-process fault; only
+/// LockstepTransport takes them.
 struct CrashEvent {
   size_t party = 0;
   uint64_t after_rounds = 0;
@@ -53,8 +53,8 @@ inline bool HasCrashed(const std::vector<CrashEvent>& crashes, size_t party,
 ///
 /// Self-sends (from == to) model a party's own memory and are never
 /// presented to the interceptor: a wire adversary cannot touch them.
-/// Implementations must be thread-safe when attached to a
-/// ThreadedTransport (concurrent senders call OnSend concurrently).
+/// Implementations must be thread-safe when one instance is attached to
+/// transports sending on different threads.
 class MessageInterceptor {
  public:
   virtual ~MessageInterceptor() = default;
@@ -86,9 +86,8 @@ class MessageInterceptor {
 /// and the execution model. The same protocol code runs over
 ///  - LockstepTransport: the paper's single-machine simulation — queues in
 ///    program order, a simulated clock advancing per round,
-///  - ThreadedTransport: one thread per party over mailboxes with a round
-///    barrier and blocking receives with a timeout,
-///  - TcpTransport: one process per party over real sockets.
+///  - TcpTransport: one process per party over real sockets (tests run
+///    one per thread over loopback).
 ///
 /// Accounting is uniform across implementations: global totals
 /// (NetworkStats), per-directed-channel counters, and per-phase counters
@@ -119,17 +118,16 @@ class Transport {
   virtual void Send(size_t from, size_t to, Payload payload) = 0;
 
   /// Takes the oldest deliverable message on (from -> to). Lock-step
-  /// implementations fail immediately when nothing is pending; threaded
-  /// implementations block up to their configured timeout.
+  /// fails immediately when nothing is pending; TCP blocks up to its
+  /// configured timeout.
   virtual Result<Payload> Receive(size_t from, size_t to) = 0;
 
   /// True if a message is ready for delivery on (from -> to).
   virtual bool HasPending(size_t from, size_t to) const = 0;
 
   /// Marks the end of a synchronous round: advances the simulated clock and
-  /// the round counter. In threaded per-party execution use a round barrier
-  /// (ThreadedTransport::ArriveRound) instead of calling this from every
-  /// party.
+  /// the round counter. Every party ends each round on its own transport;
+  /// a driver hosting all parties ends it once.
   virtual void EndRound();
 
   /// Drops undelivered messages and zeroes all counters; returns how many
@@ -183,24 +181,9 @@ class Transport {
   /// Zeroes every counter and phase (used by Reset implementations).
   void ResetAccounting();
 
-  /// One undelivered-message tally found by a Reset, attributed to its
-  /// channel so recovery debugging can tell a partition (one peer's
-  /// channels piled up) from a crash (every channel piled up).
-  struct ResetDrop {
-    size_t from = 0;
-    size_t to = 0;
-    size_t count = 0;
-  };
-
-  /// Emits the single coalesced warning for a Reset that found undelivered
-  /// messages: one summary line with the total message count, a per-peer
-  /// breakdown (`from->to:count` for every affected channel), and (from
-  /// the second occurrence on) the cumulative total across this
-  /// transport's lifetime — never one line per channel, so reconnect loops
-  /// that Reset repeatedly cannot flood the log. No-op when `dropped` is
-  /// zero. The lifetime totals survive ResetAccounting.
-  void WarnDroppedOnReset(const char* transport_name, size_t dropped,
-                          const std::vector<ResetDrop>& per_channel);
+  /// Logs one warning line when a Reset dropped `dropped` > 0 undelivered
+  /// messages.
+  static void WarnDroppedOnReset(const char* transport_name, size_t dropped);
 
   /// Runs the attached interceptor (if any) on one outgoing message and
   /// returns the payloads to actually enqueue: usually {payload}; empty
@@ -230,10 +213,6 @@ class Transport {
   uint64_t timeouts_ SQM_GUARDED_BY(mu_) = 0;
   uint64_t retries_ SQM_GUARDED_BY(mu_) = 0;
   uint64_t crash_losses_ SQM_GUARDED_BY(mu_) = 0;
-  // Lifetime Reset-drop telemetry (deliberately not zeroed by
-  // ResetAccounting — it summarizes across resets).
-  uint64_t reset_warnings_ SQM_GUARDED_BY(mu_) = 0;
-  uint64_t reset_dropped_total_ SQM_GUARDED_BY(mu_) = 0;
 };
 
 /// RAII phase label: sets the transport's phase on construction and

@@ -24,8 +24,6 @@ struct ScheduleFuzzOptions {
   size_t threshold = 2;
   /// Elements in each party's probe input vector.
   size_t vector_size = 6;
-  /// Rounds of the per-party message-storm phase (0 disables it).
-  size_t storm_rounds = 3;
   /// Stop at the first failing iteration (keeps its transcripts for
   /// replay); false sweeps every seed and counts failures.
   bool stop_on_failure = true;
@@ -38,7 +36,7 @@ struct ScheduleFuzzReport {
   uint64_t first_failing_seed = 0;  ///< Valid when failures > 0.
   std::string first_failure;        ///< Invariant that broke, human-readable.
   size_t crashes_scheduled = 0;  ///< Iterations that drew a crash.
-  size_t probes_refused = 0;     ///< Iterations whose probe failed on both.
+  size_t probes_refused = 0;     ///< Iterations whose probe did not release.
 };
 
 /// The conformance probe as a circuit: party 0 inputs a and party 1
@@ -52,30 +50,20 @@ std::vector<std::vector<int64_t>> ProductProbeInputs(
     size_t num_parties, const std::vector<int64_t>& a,
     const std::vector<int64_t>& b);
 
-/// Seeded schedule-exploration fuzzer: ThreadedTransport against the
-/// LockstepTransport reference under crash schedules.
+/// Seeded schedule-exploration fuzzer over LockstepTransport under crash
+/// schedules.
 ///
 /// Each iteration derives at most one CrashEvent, the probe inputs and
 /// whether the probe runs under a LivenessTracker from its seed, then runs
-/// the same BGW probe (ProductProbeCircuit: input sharing, a batched
-/// multiplication, an inner product, opening) twice with that crash
-/// schedule: once over a LockstepTransport (the reference) and once over a
-/// ThreadedTransport. Both runs record transcripts. The invariants:
+/// the BGW probe (ProductProbeCircuit: input sharing, a batched
+/// multiplication, an inner product, opening) in driver mode with that
+/// crash schedule, recording its transcript. The invariants:
 ///
-///  1. both runs end with the same status code (without a tracker each
-///     receive's own code reaches the caller, so a threaded timeout where
-///     lockstep names a crashed sender breaks it; a tracker would turn
-///     both into kUnavailable),
-///  2. when they release, the values match the plaintext expectation
-///     exactly and the threaded release is bit-identical to the lockstep
-///     one,
-///  3. and the two transcripts agree entry-by-entry, whether or not the
-///     probe released (both transports swallow a crashed sender's
-///     messages before the interceptor).
-///
-/// A final message-storm phase runs every party on its own thread
-/// (net/runner.h), verifying per-round content integrity under real
-/// interleavings — the part TSan watches.
+///  1. only a crash that took effect refuses the probe, and it does so
+///     with kUnavailable,
+///  2. a release matches the plaintext expectation exactly,
+///  3. and the transcript carries no message from the crashed party once
+///     its crash round has passed, whether or not the probe released.
 class ScheduleFuzzer {
  public:
   explicit ScheduleFuzzer(ScheduleFuzzOptions options);
@@ -88,13 +76,10 @@ class ScheduleFuzzer {
   /// failure the report named. OK iff every invariant held.
   Status RunIteration(uint64_t iteration_seed);
 
-  /// Transcripts of the most recent iteration (reference and threaded),
-  /// for replay and divergence inspection.
+  /// Transcript of the most recent iteration, for replay and divergence
+  /// inspection.
   const Transcript& last_reference_transcript() const {
     return last_reference_;
-  }
-  const Transcript& last_threaded_transcript() const {
-    return last_threaded_;
   }
   /// Values the most recent iteration's reference run released (empty
   /// when the crash refused it).
@@ -107,11 +92,8 @@ class ScheduleFuzzer {
   const ScheduleFuzzOptions& options() const { return options_; }
 
  private:
-  Status RunStorm(uint64_t iteration_seed);
-
   ScheduleFuzzOptions options_;
   Transcript last_reference_;
-  Transcript last_threaded_;
   std::vector<int64_t> last_outputs_;
   std::vector<CrashEvent> last_crashes_;
   ScheduleFuzzReport accumulating_;

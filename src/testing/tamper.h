@@ -91,8 +91,8 @@ struct TamperRecord {
 
 /// Man-in-the-middle Transport decorator: applies an ordered list of
 /// TamperPolicies to every matching wire message. Attach with
-/// Transport::SetInterceptor. Thread-safe (ThreadedTransport senders call
-/// OnSend concurrently); deterministic given the send order.
+/// Transport::SetInterceptor. Thread-safe (senders on different threads
+/// may call OnSend concurrently); deterministic given the send order.
 class ByzantineInterceptor : public MessageInterceptor {
  public:
   ByzantineInterceptor() = default;

@@ -56,8 +56,8 @@ TranscriptDiff CompareTranscripts(const Transcript& a, const Transcript& b);
 /// ByzantineInterceptor in front (Chain) to record the on-the-wire truth
 /// *after* tampering: swallowed messages are not recorded, replays are
 /// recorded as separate entries. Thread-safe; entries are globally ordered
-/// by the interceptor's own lock (on a ThreadedTransport, concurrent sends
-/// are recorded in their serialization order).
+/// by the interceptor's own lock (concurrent sends are recorded in their
+/// serialization order).
 class TranscriptRecorder : public MessageInterceptor {
  public:
   explicit TranscriptRecorder(size_t num_parties) {

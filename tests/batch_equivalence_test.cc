@@ -1,8 +1,8 @@
 // Differential-equivalence harness for the batched hot path: every batched
 // kernel (Field *Vec, Shamir ShareBatch/ReconstructBatch) must be
 // bit-identical to the element-at-a-time reference it replaced, and one
-// release must come out bit-identical across all three transports
-// (lockstep, threaded, TCP) and both dropout paths under identical seeds.
+// release must come out bit-identical across both transports (lockstep
+// and TCP) and both dropout paths under identical seeds.
 // These are not statistical comparisons — a single differing bit anywhere
 // is a failure, because every recorded transcript, golden pin, and
 // published experiment depends on exact reproducibility.
@@ -10,9 +10,7 @@
 // docs/TESTING.md "Differential equivalence" describes the tier; the
 // companion pins live in golden_stream_test.cc.
 
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,11 +23,9 @@
 #include "mpc/shamir.h"
 #include "net/liveness.h"
 #include "net/lockstep.h"
-#include "net/runner.h"
-#include "net/threaded.h"
 #include "net/tcp/party_config.h"
 #include "net/tcp/socket.h"
-#include "net/tcp/tcp_transport.h"
+#include "loopback_mesh.h"
 #include "poly/parser.h"
 #include "sampling/rng.h"
 
@@ -38,9 +34,6 @@ namespace {
 using sqm::Field;
 using sqm::Rng;
 using sqm::ShamirScheme;
-using sqm::net::ListenOn;
-using sqm::net::LocalPort;
-using sqm::net::Socket;
 using sqm::net::TcpSupported;
 
 // Adversarial operands for the branchless kernels: the canonical boundary
@@ -327,7 +320,7 @@ TEST(ExecutionModeEquivalence, QuorumPathReleaseEqualsAbort) {
 
 // ---------------------------------------------------------------------------
 // Real loopback TCP: every party its own thread with real sockets, exactly
-// as the sqm-party daemon runs. Same helpers as party_protocol_test.cc.
+// as the sqm-party daemon runs (tests/loopback_mesh.h).
 
 sqm::DeploymentConfig TcpConfig(uint64_t run_id) {
   sqm::DeploymentConfig config;
@@ -346,43 +339,19 @@ sqm::DeploymentConfig TcpConfig(uint64_t run_id) {
   return config;
 }
 
-std::vector<sqm::SqmReport> RunNetworked(sqm::DeploymentConfig config) {
-  const size_t n = config.parties.size();
-  std::vector<Socket> listeners;
-  for (size_t i = 0; i < n; ++i) {
-    sqm::Result<Socket> listener = ListenOn("127.0.0.1", 0);
-    EXPECT_TRUE(listener.ok()) << listener.status().ToString();
-    sqm::Result<uint16_t> port = LocalPort(listener.ValueOrDie());
-    EXPECT_TRUE(port.ok()) << port.status().ToString();
-    config.parties[i].port = port.ValueOrDie();
-    listeners.push_back(std::move(listener.ValueOrDie()));
-  }
-  std::vector<sqm::SqmReport> reports(n);
-  std::vector<std::string> errors(n);
-  std::vector<std::thread> threads;
-  for (size_t i = 0; i < n; ++i) {
-    const int fd = listeners[i].Release();
-    threads.emplace_back([&, i, fd] {
-      sqm::Result<std::unique_ptr<sqm::TcpTransport>> transport =
-          sqm::TcpTransport::Create(
-              sqm::TcpOptionsFromDeployment(config, i, fd));
-      if (!transport.ok()) {
-        errors[i] = "transport: " + transport.status().ToString();
-        return;
-      }
-      sqm::Result<sqm::SqmReport> report =
-          sqm::RunPartySqm(config, i, transport.ValueOrDie().get());
-      transport.ValueOrDie()->Shutdown();
-      if (!report.ok()) {
-        errors[i] = report.status().ToString();
-        return;
-      }
-      reports[i] = report.ValueOrDie();
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_TRUE(errors[i].empty()) << "party " << i << ": " << errors[i];
+std::vector<sqm::SqmReport> RunNetworked(const sqm::DeploymentConfig& config) {
+  std::vector<sqm::SqmReport> reports(config.parties.size());
+  const std::vector<sqm::testing::LoopbackParty> parties =
+      sqm::testing::RunOnLoopback(
+          sqm::TcpOptionsFromDeployment(config, 0, -1),
+          [&](size_t me, sqm::Transport* transport) -> sqm::Status {
+            SQM_ASSIGN_OR_RETURN(reports[me],
+                                 sqm::RunPartySqm(config, me, transport));
+            return sqm::Status::OK();
+          });
+  for (size_t i = 0; i < parties.size(); ++i) {
+    EXPECT_TRUE(parties[i].status.ok())
+        << "party " << i << ": " << parties[i].status.ToString();
   }
   return reports;
 }
@@ -495,7 +464,8 @@ std::vector<std::vector<int64_t>> LevelLoopInputs() {
 
 struct LoopRun {
   std::vector<std::vector<int64_t>> outputs;  ///< [party] opened outputs.
-  sqm::NetworkStats stats;
+  sqm::NetworkStats stats;  ///< Messages and bytes summed over the parties.
+  std::vector<uint64_t> rounds;  ///< [party] rounds its transport ended.
 };
 
 LoopRun RunLoopDriver(bool trackers) {
@@ -512,46 +482,55 @@ LoopRun RunLoopDriver(bool trackers) {
   run.outputs.assign(kLoopParties, outputs.ok() ? outputs.ValueOrDie()
                                                 : std::vector<int64_t>{});
   run.stats = network.stats();
+  run.rounds.assign(kLoopParties, run.stats.rounds);
   return run;
 }
 
-// Every party on its own thread over one ThreadedTransport, with the
-// transport's round barrier as each party's round end; each party keeps
-// its own tracker when `trackers` is set (so the census runs).
+// Every party on its own thread over its own TcpTransport on a loopback
+// mesh; each party keeps its own tracker when `trackers` is set (so the
+// census runs).
 LoopRun RunLoopParties(bool trackers) {
-  sqm::ThreadedTransport network(kLoopParties, sqm::ThreadedTransportOptions{});
   const sqm::Circuit circuit = LevelLoopCircuit();
   const std::vector<std::vector<int64_t>> inputs = LevelLoopInputs();
   LoopRun run;
   run.outputs.resize(kLoopParties);
-  const sqm::Status status =
-      sqm::PartyRunner(kLoopParties).Run([&](size_t me) -> sqm::Status {
-        sqm::BgwEngine engine(ShamirScheme(kLoopParties, kLoopThreshold),
-                              &network, kLoopSeed, me);
-        engine.set_round_barrier([&network, me] { network.ArriveRound(me); });
-        sqm::LivenessTracker tracker(kLoopParties);
-        if (trackers) engine.set_liveness(&tracker);
-        SQM_ASSIGN_OR_RETURN(const sqm::SharedVector shares,
-                             engine.EvaluateToShares(circuit, {inputs[me]}));
-        SQM_ASSIGN_OR_RETURN(run.outputs[me], engine.OpenOutputs(shares));
-        return sqm::Status::OK();
-      });
-  EXPECT_TRUE(status.ok()) << status.ToString();
-  run.stats = network.stats();
+  const std::vector<sqm::testing::LoopbackParty> parties =
+      sqm::testing::RunOnLoopback(
+          sqm::testing::LoopbackOptions(kLoopParties, 5.0),
+          [&](size_t me, sqm::Transport* transport) -> sqm::Status {
+            sqm::BgwEngine engine(ShamirScheme(kLoopParties, kLoopThreshold),
+                                  transport, kLoopSeed, me);
+            sqm::LivenessTracker tracker(kLoopParties);
+            if (trackers) engine.set_liveness(&tracker);
+            SQM_ASSIGN_OR_RETURN(
+                const sqm::SharedVector shares,
+                engine.EvaluateToShares(circuit, {inputs[me]}));
+            SQM_ASSIGN_OR_RETURN(run.outputs[me], engine.OpenOutputs(shares));
+            return sqm::Status::OK();
+          });
+  for (const sqm::testing::LoopbackParty& party : parties) {
+    EXPECT_TRUE(party.status.ok()) << party.status.ToString();
+    run.stats.messages += party.stats.totals.messages;
+    run.stats.field_elements += party.stats.totals.field_elements;
+    run.stats.wire_bytes += party.stats.totals.wire_bytes;
+    run.rounds.push_back(party.stats.totals.rounds);
+  }
   return run;
 }
 
 TEST(LevelLoopEquivalence, PartyThreadsMatchDriverOutputsAndTraffic) {
+  if (!TcpSupported()) GTEST_SKIP() << "no POSIX sockets on this platform";
   const LoopRun driver = RunLoopDriver(/*trackers=*/false);
   ASSERT_EQ(driver.outputs[0].size(), kLoopParties);
   const LoopRun parties = RunLoopParties(/*trackers=*/false);
   EXPECT_EQ(parties.outputs, driver.outputs);
   EXPECT_EQ(parties.stats.messages, driver.stats.messages);
   EXPECT_EQ(parties.stats.bytes(), driver.stats.bytes());
-  EXPECT_EQ(parties.stats.rounds, driver.stats.rounds);
+  EXPECT_EQ(parties.rounds, driver.rounds);
 }
 
 TEST(LevelLoopEquivalence, PartyThreadsWithCensusMatchDriverOutputs) {
+  if (!TcpSupported()) GTEST_SKIP() << "no POSIX sockets on this platform";
   const LoopRun driver = RunLoopDriver(/*trackers=*/true);
   EXPECT_EQ(driver.outputs, RunLoopDriver(/*trackers=*/false).outputs);
   const LoopRun parties = RunLoopParties(/*trackers=*/true);
@@ -559,17 +538,18 @@ TEST(LevelLoopEquivalence, PartyThreadsWithCensusMatchDriverOutputs) {
   // Both hostings run the census, one round per multiplication level.
   EXPECT_EQ(driver.stats.rounds,
             RunLoopDriver(/*trackers=*/false).stats.rounds + 3);
-  EXPECT_EQ(parties.stats.rounds, driver.stats.rounds);
+  EXPECT_EQ(parties.rounds, driver.rounds);
   EXPECT_EQ(parties.stats.messages, driver.stats.messages);
   EXPECT_EQ(parties.stats.bytes(), driver.stats.bytes());
 }
 
 
 // One post-input crash under a tracker: a driver hosting all five parties
-// on a LockstepTransport and five single-party engines on threads over one
-// ThreadedTransport both run the census, so they must agree on the
+// on a LockstepTransport and five single-party engines on threads over a
+// loopback TCP mesh both run the census, so they must agree on the
 // release, the survivors and the round count.
 TEST(LevelLoopEquivalence, CensusUnderAPostInputCrashMatchesAcrossHostings) {
+  if (!TcpSupported()) GTEST_SKIP() << "no POSIX sockets on this platform";
   constexpr size_t kThreshold = 1;  // Quorum 2t+1 = 3 of 5.
   constexpr size_t kCrashed = 2;
   constexpr uint64_t kAfterInputs = kLoopParties;  // One round per dealer.
@@ -596,44 +576,44 @@ TEST(LevelLoopEquivalence, CensusUnderAPostInputCrashMatchesAcrossHostings) {
   EXPECT_EQ(driver_tracker.Survivors(), (std::vector<size_t>{0, 1, 3, 4}));
   EXPECT_EQ(lockstep.stats().rounds, kLoopParties + kPostInputRounds);
 
-  sqm::ThreadedTransportOptions options;
-  options.receive_timeout_seconds = 0.02;
-  options.crashes = {{kCrashed, kAfterInputs}};
-  sqm::ThreadedTransport threaded(kLoopParties, options);
   std::vector<std::vector<int64_t>> outputs(kLoopParties);
   std::vector<std::vector<size_t>> survivors(kLoopParties);
-  const sqm::Status status =
-      sqm::PartyRunner(kLoopParties).Run([&](size_t me) -> sqm::Status {
-        sqm::BgwEngine engine(ShamirScheme(kLoopParties, kThreshold),
-                              &threaded, kLoopSeed, me);
-        engine.set_round_barrier([&threaded, me] { threaded.ArriveRound(me); });
-        sqm::LivenessTracker tracker(kLoopParties);
-        engine.set_liveness(&tracker);
-        if (me == kCrashed) {
-          // The crashed party deals and receives the inputs, then goes
-          // silent: it only keeps the round barrier.
-          for (size_t j = 0; j < kLoopParties; ++j) {
-            std::vector<Field::Element> encoded;
-            if (j == me) encoded = Field::EncodeVector(inputs[me]);
-            SQM_RETURN_NOT_OK(engine.ShareFrom(j, encoded, 1).status());
-          }
-          for (size_t r = 0; r < kPostInputRounds; ++r) {
-            threaded.ArriveRound(me);
-          }
-          return sqm::Status::OK();
-        }
-        SQM_ASSIGN_OR_RETURN(outputs[me],
-                             engine.Evaluate(circuit, {inputs[me]}));
-        survivors[me] = tracker.Survivors();
-        return sqm::Status::OK();
-      });
-  ASSERT_TRUE(status.ok()) << status.ToString();
+  const std::vector<sqm::testing::LoopbackParty> parties =
+      sqm::testing::RunOnLoopback(
+          sqm::testing::LoopbackOptions(kLoopParties, 5.0),
+          [&](size_t me, sqm::Transport* transport) -> sqm::Status {
+            sqm::BgwEngine engine(ShamirScheme(kLoopParties, kThreshold),
+                                  transport, kLoopSeed, me);
+            sqm::LivenessTracker tracker(kLoopParties);
+            engine.set_liveness(&tracker);
+            if (me == kCrashed) {
+              // The crashed party deals and receives the inputs, then
+              // returns: its goodbye makes every later receive from it
+              // kUnavailable.
+              for (size_t j = 0; j < kLoopParties; ++j) {
+                std::vector<Field::Element> encoded;
+                if (j == me) encoded = Field::EncodeVector(inputs[me]);
+                SQM_RETURN_NOT_OK(engine.ShareFrom(j, encoded, 1).status());
+              }
+              return sqm::Status::OK();
+            }
+            SQM_ASSIGN_OR_RETURN(outputs[me],
+                                 engine.Evaluate(circuit, {inputs[me]}));
+            survivors[me] = tracker.Survivors();
+            return sqm::Status::OK();
+          });
   for (size_t me = 0; me < kLoopParties; ++me) {
-    if (me == kCrashed) continue;
+    ASSERT_TRUE(parties[me].status.ok())
+        << "party " << me << ": " << parties[me].status.ToString();
+    if (me == kCrashed) {
+      EXPECT_EQ(parties[me].stats.totals.rounds, kAfterInputs);
+      continue;
+    }
     EXPECT_EQ(outputs[me], expected) << "party " << me;
     EXPECT_EQ(survivors[me], driver_tracker.Survivors()) << "party " << me;
+    EXPECT_EQ(parties[me].stats.totals.rounds, lockstep.stats().rounds)
+        << "party " << me;
   }
-  EXPECT_EQ(threaded.stats().rounds, lockstep.stats().rounds);
 }
 
 }  // namespace

@@ -25,6 +25,8 @@
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/wait.h>
 #include <unistd.h>
+
+#include "scratch_dir.h"
 #define SQM_DEPLOY_TEST_SUPPORTED 1
 #endif
 
@@ -95,12 +97,11 @@ struct RunResult {
 /// Runs the coordinator on `config` with party 2 crashing at Mul level 1
 /// and returns party 0's report; `expect_ok` is the required coordinator
 /// exit status. Fails the test on any setup error.
-RunResult RunScenario(const std::string& name, const std::string& config_text,
+RunResult RunScenario(const std::string& dir,
+                      const std::string& config_text,
                       const std::string& extra_flags, bool expect_ok) {
   RunResult result;
-  result.dir = testing::TempDir() + "/chaos_" + name + "_" +
-               std::to_string(::getpid());
-  EXPECT_EQ(std::system(("mkdir -p " + result.dir).c_str()), 0);
+  result.dir = dir;
   {
     std::ofstream config(result.dir + "/deploy.json", std::ios::trunc);
     config << config_text;
@@ -131,8 +132,9 @@ TEST(DeployChaos, KillMidMulRecoversFullQuorumBitIdentical) {
   // --compare-lockstep makes the coordinator itself require the networked
   // release to be bit-identical to the in-process lockstep run; its exit
   // code carries that assertion.
+  const sqm::testing::ScratchDir dir("chaos_recover");
   const RunResult result = RunScenario(
-      "recover", DeployConfig(91, /*chaos=*/false), "--compare-lockstep",
+      dir.path(), DeployConfig(91, /*chaos=*/false), "--compare-lockstep",
       /*expect_ok=*/true);
   const sqm::DropoutReport& dropout = result.report.dropout;
 
@@ -163,8 +165,9 @@ TEST(DeployChaos, SocketChaosPlusKillStillBitIdentical) {
   // asymmetric partition toward party 3 — recovery must shrug all of it
   // off: every lost frame fails its level for everyone (full-quorum
   // census), the barrier resynchronizes, the redo retransmits.
+  const sqm::testing::ScratchDir dir("chaos_storm");
   const RunResult result = RunScenario(
-      "storm", DeployConfig(92, /*chaos=*/true), "--compare-lockstep",
+      dir.path(), DeployConfig(92, /*chaos=*/true), "--compare-lockstep",
       /*expect_ok=*/true);
   const sqm::DropoutReport& dropout = result.report.dropout;
 
@@ -182,8 +185,9 @@ TEST(DeployChaos, ExhaustedRestartsFallBackToDegrade) {
   // then positively declare it dead (reconnect + rejoin window) and fall
   // back to the degrade path. Party 2 dealt its noise share before the
   // first kill, so the release keeps the configured mu and epsilon.
+  const sqm::testing::ScratchDir dir("chaos_exhaust");
   const RunResult result = RunScenario(
-      "exhaust", DeployConfig(93, /*chaos=*/false),
+      dir.path(), DeployConfig(93, /*chaos=*/false),
       "--crash-every-incarnation", /*expect_ok=*/true);
   const sqm::DropoutReport& dropout = result.report.dropout;
 

@@ -22,6 +22,8 @@
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/wait.h>
 #include <unistd.h>
+
+#include "scratch_dir.h"
 #define SQM_DEPLOY_TEST_SUPPORTED 1
 #endif
 
@@ -63,13 +65,11 @@ std::string ReadFileOrEmpty(const std::string& path) {
   return in ? buffer.str() : std::string();
 }
 
-/// Runs the coordinator for `policy` with party 2 crashing at Mul level 1
-/// and returns party 0's report. Fails the test on any setup error.
-sqm::SqmReport RunCrashScenario(const std::string& policy) {
-  const std::string dir =
-      testing::TempDir() + "/deploy_" + policy + "_" +
-      std::to_string(::getpid());
-  EXPECT_EQ(std::system(("mkdir -p " + dir).c_str()), 0);
+/// Runs the coordinator for `policy` in `dir` with party 2 crashing at
+/// Mul level 1 and returns party 0's report. Fails the test on any setup
+/// error.
+sqm::SqmReport RunCrashScenario(const std::string& dir,
+                                const std::string& policy) {
   {
     std::ofstream config(dir + "/deploy.json", std::ios::trunc);
     config << DeployConfig(policy);
@@ -95,7 +95,8 @@ sqm::SqmReport RunCrashScenario(const std::string& policy) {
 }
 
 TEST(DeployResilience, KillMidMulUnderDegradeReaccountsEpsilon) {
-  const sqm::SqmReport report = RunCrashScenario("degrade");
+  const sqm::testing::ScratchDir scratch("deploy_degrade");
+  const sqm::SqmReport report = RunCrashScenario(scratch.path(), "degrade");
   const sqm::DropoutReport& dropout = report.dropout;
 
   EXPECT_EQ(dropout.policy, sqm::DropoutPolicy::kDegrade);
@@ -119,9 +120,8 @@ TEST(DeployResilience, KillMidMulUnderDegradeReaccountsEpsilon) {
 }
 
 TEST(DeployResilience, RetiredTopupPolicyIsRefusedBeforeAnyFork) {
-  const std::string dir = testing::TempDir() + "/deploy_retired_" +
-                          std::to_string(::getpid());
-  ASSERT_EQ(std::system(("mkdir -p " + dir).c_str()), 0);
+  const sqm::testing::ScratchDir scratch("deploy_retired");
+  const std::string& dir = scratch.path();
   {
     std::ofstream config(dir + "/deploy.json", std::ios::trunc);
     config << DeployConfig("topup");
@@ -146,9 +146,8 @@ TEST(DeployResilience, MalformedNumericFlagPrintsUsageAndExitsTwo) {
   // Flag values must parse whole and fit their range: a malformed number
   // prints usage and exits 2 before any config is read (the config path
   // does not exist).
-  const std::string dir = testing::TempDir() + "/deploy_flags_" +
-                          std::to_string(::getpid());
-  ASSERT_EQ(std::system(("mkdir -p " + dir).c_str()), 0);
+  const sqm::testing::ScratchDir scratch("deploy_flags");
+  const std::string& dir = scratch.path();
   const std::string config = " --config=" + dir + "/missing.json";
   const std::string commands[] = {
       std::string(SQM_COORDINATOR_BIN) + config + " --timeout-seconds=soon",

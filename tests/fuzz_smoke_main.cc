@@ -2,8 +2,8 @@
 // to be re-run under -DSQM_SANITIZE=thread. Two sweeps:
 //
 //   1. schedule fuzzing — N seeded iterations of the BGW probe over
-//      ThreadedTransport with a derived crash schedule, transcript-compared
-//      against the lockstep reference (plus the threaded message storm);
+//      LockstepTransport with a derived crash schedule, each release
+//      checked against plaintext and each transcript against the crash;
 //   2. adversary conformance — every tamper kind against the checked BGW
 //      probe, asserting detect-or-release-unchanged.
 //
@@ -68,7 +68,6 @@ bool DetectOrUnchanged(TamperPolicy policy, std::string* what) {
 int main(int argc, char** argv) {
   ScheduleFuzzOptions options;
   options.iterations = 8;
-  options.storm_rounds = 2;
   options.stop_on_failure = false;
   for (int i = 1; i < argc - 1; ++i) {
     if (std::strcmp(argv[i], "--iterations") == 0) {

@@ -80,8 +80,8 @@ TEST(LivenessTest, ToStringCoversAllStates) {
 }
 
 TEST(LivenessTest, ConcurrentRecordingIsSafe) {
-  // Per-party threads of a ThreadedTransport run hammer one tracker; TSan
-  // (the net/resilience sanitizer config) verifies the locking.
+  // Eight threads hammer one tracker; TSan (the net/resilience sanitizer
+  // config) verifies the locking.
   LivenessTracker tracker(8);
   std::vector<std::thread> threads;
   for (size_t t = 0; t < 8; ++t) {

@@ -27,6 +27,8 @@
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/wait.h>
 #include <unistd.h>
+
+#include "scratch_dir.h"
 #define SQM_DEPLOY_TEST_SUPPORTED 1
 #endif
 
@@ -36,6 +38,7 @@ namespace {
 
 using sqm::JsonValue;
 using sqm::ParseJson;
+using sqm::testing::ScratchDir;
 
 /// 5-party roster, quorum 3, one restart — deploy_chaos_test's recovery
 /// shape plus the observability kill switch.
@@ -83,13 +86,11 @@ struct RunResult {
   std::string coordinator_json;
 };
 
-RunResult RunCoordinator(const std::string& name,
+RunResult RunCoordinator(const std::string& dir,
                          const std::string& config_text,
                          const std::string& extra_flags) {
   RunResult result;
-  result.dir = testing::TempDir() + "/obsdist_" + name + "_" +
-               std::to_string(::getpid());
-  EXPECT_EQ(std::system(("mkdir -p " + result.dir).c_str()), 0);
+  result.dir = dir;
   {
     std::ofstream config(result.dir + "/deploy.json", std::ios::trunc);
     config << config_text;
@@ -127,8 +128,9 @@ std::map<uint64_t, std::vector<FlowEnd>> FlowEndsByPhase(
 }
 
 TEST(ObsDistributed, MergedTraceEndToEnd) {
+  const ScratchDir dir("obsdist_merged");
   const RunResult result =
-      RunCoordinator("merged", DeployConfig(201, /*obs_enabled=*/true),
+      RunCoordinator(dir.path(), DeployConfig(201, /*obs_enabled=*/true),
                      "--compare-lockstep");
   EXPECT_NE(result.coordinator_json.find("\"lockstep_match\":true"),
             std::string::npos)
@@ -172,8 +174,9 @@ TEST(ObsDistributed, MergedTraceEndToEnd) {
 }
 
 TEST(ObsDistributed, RestartKeepsOnePartyTrackWithFreshSpanIds) {
+  const ScratchDir dir("obsdist_restart");
   const RunResult result = RunCoordinator(
-      "restart", DeployConfig(202, /*obs_enabled=*/true),
+      dir.path(), DeployConfig(202, /*obs_enabled=*/true),
       "--compare-lockstep --crash-party=2 --crash-at-mul-level=1");
   EXPECT_NE(result.coordinator_json.find("\"restarts\":1"),
             std::string::npos)
@@ -254,8 +257,9 @@ TEST(ObsDistributed, KillSwitchLeavesNoArtifactsAndIdenticalRelease) {
   // Runtime kill switch off: --compare-lockstep still passes (the
   // coordinator's exit code asserts the bit-identical release), and NO
   // observability artifact exists — no trace files, no merged timeline.
+  const ScratchDir dir("obsdist_dark");
   const RunResult result =
-      RunCoordinator("dark", DeployConfig(203, /*obs_enabled=*/false),
+      RunCoordinator(dir.path(), DeployConfig(203, /*obs_enabled=*/false),
                      "--compare-lockstep");
   EXPECT_NE(result.coordinator_json.find("\"lockstep_match\":true"),
             std::string::npos)

@@ -14,8 +14,7 @@
 #include "mpc/bgw.h"
 #include "mpc/circuit.h"
 #include "mpc/shamir.h"
-#include "net/runner.h"
-#include "net/threaded.h"
+#include "loopback_mesh.h"
 #include "obs/ledger.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
@@ -180,11 +179,11 @@ TEST_F(ObsPipelineTest, DisabledRunReleasesIdenticalValues) {
   EXPECT_EQ(traced.raw, dark.raw);  // Instrumentation never perturbs results.
 }
 
-TEST_F(ObsPipelineTest, ThreadedPartiesReleaseTheExpectedProducts) {
-  // Party threads over one ThreadedTransport with tracing on, so the TSan
-  // leg sees the parties emit spans at once: every party opens the same
-  // products.
-  ThreadedTransport network(kParties, ThreadedTransportOptions{});
+TEST_F(ObsPipelineTest, PartyThreadsReleaseTheExpectedProducts) {
+  if (!net::TcpSupported()) GTEST_SKIP() << "no POSIX sockets";
+  // Party threads over a loopback TCP mesh with tracing on, so the TSan
+  // leg sees the parties and their transports' reader threads emit spans
+  // at once: every party opens the same products.
   Circuit circuit;
   std::vector<Circuit::WireId> in(kParties);
   for (size_t j = 0; j < kParties; ++j) in[j] = circuit.AddInput(j);
@@ -195,20 +194,22 @@ TEST_F(ObsPipelineTest, ThreadedPartiesReleaseTheExpectedProducts) {
     expected.push_back(static_cast<int64_t>((j + 1) * (next + 1)));
   }
   std::vector<std::vector<int64_t>> opened(kParties);
-  const Status status =
-      PartyRunner(kParties).Run([&](size_t me) -> Status {
-        BgwEngine engine(ShamirScheme(kParties, 2), &network, 99, me);
-        engine.set_round_barrier([&network, me] { network.ArriveRound(me); });
+  const std::vector<testing::LoopbackParty> parties = testing::RunOnLoopback(
+      testing::LoopbackOptions(kParties, 5.0),
+      [&](size_t me, Transport* transport) -> Status {
+        BgwEngine engine(ShamirScheme(kParties, 2), transport, 99, me);
         SQM_ASSIGN_OR_RETURN(
             opened[me],
             engine.Evaluate(circuit, {{static_cast<int64_t>(me) + 1}}));
         return Status::OK();
       });
-  ASSERT_TRUE(status.ok()) << status.ToString();
+  uint64_t messages = 0;
   for (size_t me = 0; me < kParties; ++me) {
+    ASSERT_TRUE(parties[me].status.ok()) << parties[me].status.ToString();
     EXPECT_EQ(opened[me], expected) << "party " << me;
+    messages += parties[me].stats.totals.messages;
   }
-  EXPECT_GT(network.Snapshot().totals.messages, 0u);
+  EXPECT_GT(messages, 0u);
 }
 
 }  // namespace

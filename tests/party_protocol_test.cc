@@ -8,9 +8,8 @@
 // code the sqm-party daemon runs.
 
 #include <functional>
-#include <memory>
+#include <latch>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,11 +19,9 @@
 #include "mpc/bgw.h"
 #include "net/liveness.h"
 #include "net/lockstep.h"
-#include "net/runner.h"
 #include "net/tcp/party_config.h"
 #include "net/tcp/socket.h"
-#include "net/tcp/tcp_transport.h"
-#include "net/threaded.h"
+#include "loopback_mesh.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
 #include "poly/parser.h"
@@ -32,9 +29,6 @@
 
 namespace {
 
-using sqm::net::ListenOn;
-using sqm::net::LocalPort;
-using sqm::net::Socket;
 using sqm::net::TcpSupported;
 
 sqm::DeploymentConfig BaseConfig(size_t n) {
@@ -56,44 +50,19 @@ sqm::DeploymentConfig BaseConfig(size_t n) {
 
 /// Runs every party of `config` as a thread over a real loopback mesh and
 /// returns the n reports (all asserted ok).
-std::vector<sqm::SqmReport> RunNetworked(sqm::DeploymentConfig config) {
-  const size_t n = config.parties.size();
-  std::vector<Socket> listeners;
-  for (size_t i = 0; i < n; ++i) {
-    sqm::Result<Socket> listener = ListenOn("127.0.0.1", 0);
-    EXPECT_TRUE(listener.ok()) << listener.status().ToString();
-    sqm::Result<uint16_t> port = LocalPort(listener.ValueOrDie());
-    EXPECT_TRUE(port.ok()) << port.status().ToString();
-    config.parties[i].port = port.ValueOrDie();
-    listeners.push_back(std::move(listener.ValueOrDie()));
-  }
-
-  std::vector<sqm::SqmReport> reports(n);
-  std::vector<std::string> errors(n);
-  std::vector<std::thread> threads;
-  for (size_t i = 0; i < n; ++i) {
-    const int fd = listeners[i].Release();
-    threads.emplace_back([&, i, fd] {
-      sqm::Result<std::unique_ptr<sqm::TcpTransport>> transport =
-          sqm::TcpTransport::Create(
-              sqm::TcpOptionsFromDeployment(config, i, fd));
-      if (!transport.ok()) {
-        errors[i] = "transport: " + transport.status().ToString();
-        return;
-      }
-      sqm::Result<sqm::SqmReport> report =
-          sqm::RunPartySqm(config, i, transport.ValueOrDie().get());
-      transport.ValueOrDie()->Shutdown();
-      if (!report.ok()) {
-        errors[i] = report.status().ToString();
-        return;
-      }
-      reports[i] = report.ValueOrDie();
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_TRUE(errors[i].empty()) << "party " << i << ": " << errors[i];
+std::vector<sqm::SqmReport> RunNetworked(const sqm::DeploymentConfig& config) {
+  std::vector<sqm::SqmReport> reports(config.parties.size());
+  const std::vector<sqm::testing::LoopbackParty> parties =
+      sqm::testing::RunOnLoopback(
+          sqm::TcpOptionsFromDeployment(config, 0, -1),
+          [&](size_t me, sqm::Transport* transport) -> sqm::Status {
+            SQM_ASSIGN_OR_RETURN(reports[me],
+                                 sqm::RunPartySqm(config, me, transport));
+            return sqm::Status::OK();
+          });
+  for (size_t i = 0; i < parties.size(); ++i) {
+    EXPECT_TRUE(parties[i].status.ok())
+        << "party " << i << ": " << parties[i].status.ToString();
   }
   return reports;
 }
@@ -238,38 +207,39 @@ TEST(DeploymentConfigJson, RetiredTopupPolicyIsRejected) {
 }
 
 TEST(PartyProtocol, FullQuorumFailurePrintsCensusMasksInHex) {
-  // Five parties on one threaded transport in recovery mode, each with its
-  // own tracker. Parties 0-3 multiply two public constants (no input
-  // rounds); party 4 only arrives at the two round barriers (sub-shares,
-  // census) and never deals or votes. Its
-  // missing batch times out without killing it (recovery mode), so every
-  // multiplier's census agrees on dealers 0-3 against five alive parties.
+  if (!TcpSupported()) GTEST_SKIP() << "no POSIX sockets on this platform";
+  // Five parties on a loopback mesh in recovery mode, each with its own
+  // tracker. Parties 0-3 multiply two public constants (no input rounds);
+  // party 4 stays connected and silent until they return, never dealing
+  // or voting. Its missing batch times out without killing it (recovery
+  // mode), so every multiplier's census agrees on dealers 0-3 against
+  // five alive parties.
   constexpr size_t kParties = 5;
-  sqm::ThreadedTransportOptions options;
-  options.receive_timeout_seconds = 0.02;
-  sqm::ThreadedTransport transport(kParties, options);
+  std::latch multipliers_done(kParties - 1);
   std::vector<sqm::Status> results(kParties);
-  const sqm::Status run =
-      sqm::PartyRunner(kParties).Run([&](size_t me) -> sqm::Status {
-        if (me == 4) {
-          transport.ArriveRound(me);
-          transport.ArriveRound(me);
-          return sqm::Status::OK();
-        }
-        sqm::LivenessTracker tracker(kParties);
-        sqm::BgwEngine engine(sqm::ShamirScheme(kParties, 2), &transport, 99,
-                              me);
-        engine.set_liveness(&tracker);
-        engine.set_recovery_mode(true);
-        engine.set_round_barrier(
-            [&transport, me] { transport.ArriveRound(me); });
-        sqm::Circuit circuit;
-        circuit.MarkOutput(circuit.AddMul(circuit.AddConstant(1),
-                                          circuit.AddConstant(3)));
-        results[me] = engine.EvaluateToShares(circuit, {{}}).status();
-        return sqm::Status::OK();
-      });
-  ASSERT_TRUE(run.ok()) << run.ToString();
+  const std::vector<sqm::testing::LoopbackParty> parties =
+      sqm::testing::RunOnLoopback(
+          sqm::testing::LoopbackOptions(kParties, 0.5),
+          [&](size_t me, sqm::Transport* transport) -> sqm::Status {
+            if (me == 4) {
+              multipliers_done.wait();
+              return sqm::Status::OK();
+            }
+            sqm::LivenessTracker tracker(kParties);
+            sqm::BgwEngine engine(sqm::ShamirScheme(kParties, 2), transport,
+                                  99, me);
+            engine.set_liveness(&tracker);
+            engine.set_recovery_mode(true);
+            sqm::Circuit circuit;
+            circuit.MarkOutput(circuit.AddMul(circuit.AddConstant(1),
+                                              circuit.AddConstant(3)));
+            results[me] = engine.EvaluateToShares(circuit, {{}}).status();
+            multipliers_done.count_down();
+            return sqm::Status::OK();
+          });
+  for (size_t me = 0; me < kParties; ++me) {
+    ASSERT_TRUE(parties[me].status.ok()) << parties[me].status.ToString();
+  }
   for (size_t me = 0; me < 4; ++me) {
     EXPECT_EQ(results[me].code(), sqm::StatusCode::kUnavailable)
         << results[me].ToString();

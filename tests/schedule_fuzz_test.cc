@@ -1,5 +1,5 @@
 // Schedule-exploration fuzzing: deterministic BGW probes over
-// ThreadedTransport under seeded crash schedules, with transcript
+// LockstepTransport under seeded crash schedules, with transcript
 // record/replay as the repro mechanism. Any failure the fuzzer reports
 // must reproduce bit-exactly from its iteration seed alone.
 
@@ -24,7 +24,6 @@ using testing::TranscriptDiff;
 ScheduleFuzzOptions FastOptions() {
   ScheduleFuzzOptions options;
   options.iterations = 4;
-  options.storm_rounds = 2;
   return options;
 }
 
@@ -45,7 +44,6 @@ TEST(ScheduleFuzzTest, IterationIsDeterministicFromItsSeed) {
   ScheduleFuzzer first(FastOptions());
   ASSERT_TRUE(first.RunIteration(kSeed).ok());
   const Transcript reference_a = first.last_reference_transcript();
-  const Transcript threaded_a = first.last_threaded_transcript();
   const std::vector<int64_t> outputs_a = first.last_reference_outputs();
 
   ScheduleFuzzer second(FastOptions());
@@ -53,16 +51,11 @@ TEST(ScheduleFuzzTest, IterationIsDeterministicFromItsSeed) {
   EXPECT_TRUE(
       CompareTranscripts(reference_a, second.last_reference_transcript())
           .identical);
-  EXPECT_TRUE(
-      CompareTranscripts(threaded_a, second.last_threaded_transcript())
-          .identical);
   EXPECT_EQ(outputs_a, second.last_reference_outputs());
 }
 
 TEST(ScheduleFuzzTest, DifferentSeedsExerciseDifferentExecutions) {
-  ScheduleFuzzOptions options = FastOptions();
-  options.storm_rounds = 0;  // Only the probe matters here.
-  ScheduleFuzzer fuzzer(options);
+  ScheduleFuzzer fuzzer(FastOptions());
   ASSERT_TRUE(fuzzer.RunIteration(1).ok());
   const Transcript first = fuzzer.last_reference_transcript();
   ASSERT_TRUE(fuzzer.RunIteration(2).ok());
@@ -76,8 +69,7 @@ TEST(ScheduleFuzzTest, RecordedTranscriptReplaysToTheSameRelease) {
   // Bit-exact repro via replay: feed the recorded reference transcript into
   // a fresh LockstepTransport and reconstruct the opened values straight
   // from the open-phase wire messages.
-  ScheduleFuzzOptions options = FastOptions();
-  options.storm_rounds = 0;
+  const ScheduleFuzzOptions options = FastOptions();
   ScheduleFuzzer fuzzer(options);
   // The replay needs a full open: take the first iteration from 0xfeed on
   // that drew no crash.
@@ -125,9 +117,7 @@ TEST(ScheduleFuzzTest, RecordedTranscriptReplaysToTheSameRelease) {
 }
 
 TEST(ScheduleFuzzTest, TranscriptsSurviveJsonRoundTrip) {
-  ScheduleFuzzOptions options = FastOptions();
-  options.storm_rounds = 0;
-  ScheduleFuzzer fuzzer(options);
+  ScheduleFuzzer fuzzer(FastOptions());
   ASSERT_TRUE(fuzzer.RunIteration(0xabcULL).ok());
   const Transcript& original = fuzzer.last_reference_transcript();
   const std::string json = testing::TranscriptToJson(original);

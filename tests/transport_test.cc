@@ -1,7 +1,8 @@
 // Tests of the lock-step transport and the accounting layer shared by all
 // Transport implementations: the default wire width is the field's,
 // out-of-order channel draining, per-channel and per-phase
-// breakdowns, configurable wire widths, and Reset's dropped-message report.
+// breakdowns, configurable wire widths, Reset's dropped-message report,
+// and a crash schedule failing a Mul with its losses counted.
 
 #include "net/lockstep.h"
 
@@ -100,6 +101,23 @@ TEST(LockstepTransportTest, ResetReportsDroppedMessages) {
   EXPECT_EQ(net.stats().messages, 0u);
   // A clean transport has nothing to drop — and nothing to warn about.
   EXPECT_EQ(net.Reset(), 0u);
+}
+
+TEST(LockstepTransportTest, CrashedPartyMidMulFailsWithUnavailable) {
+  // Party 2 crashes after the two input rounds; the Mul that follows cannot
+  // gather its re-shares and must fail gracefully instead of aborting.
+  LockstepTransport net(3, 0.0);
+  net.ScheduleCrashes({{2, 2}});
+
+  BgwEngine engine(ShamirScheme(3, 1), &net, 5);
+  Circuit circuit;
+  circuit.MarkOutput(circuit.AddMul(circuit.AddInput(0), circuit.AddInput(1)));
+  const Result<SharedVector> product =
+      engine.EvaluateToShares(circuit, {{6}, {7}, {}});
+  ASSERT_FALSE(product.ok());
+  EXPECT_EQ(product.status().code(), StatusCode::kUnavailable);
+  // The crashed party's two cross-party re-shares were swallowed.
+  EXPECT_EQ(net.Snapshot().crash_losses, 2u);
 }
 
 TEST(LockstepTransportTest, PerChannelAccounting) {
