@@ -15,7 +15,8 @@ namespace sqm {
 /// — so downstream analysis (plotting the reproduced
 /// figures, regression-tracking the tables, loading a trace in Perfetto)
 /// does not have to scrape stdout. ParseJson below is the matching
-/// consumer, used to reload reports and transcripts for replay.
+/// consumer, used to reload release reports, deployment configs and
+/// traces.
 ///
 /// Lives in the base layer (alongside status and logging) so every
 /// subsystem — including the observability runtime in src/obs/ — can emit
@@ -59,9 +60,10 @@ class JsonWriter {
 };
 
 /// A parsed JSON value. Numbers keep their exact integer representation
-/// alongside the double: field elements go up to 2^61 - 2, beyond double's
-/// 2^53 of integer precision, so a transcript round-tripped through the
-/// double would silently corrupt shares.
+/// alongside the double: a deployment config's run_id, session_key, seed
+/// and data_seed are full 64-bit values, beyond double's 2^53 of integer
+/// precision, so a config read through the double would silently change
+/// its session key and seeds.
 struct JsonValue {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
 

@@ -149,22 +149,6 @@ Result<obs::LedgerEntry> LedgerEntryFromJson(const JsonValue& object) {
 
 }  // namespace
 
-std::string NetworkStatsToJson(const NetworkStats& stats) {
-  JsonWriter writer;
-  writer.BeginObject();
-  WriteNetworkStatsFields(writer, stats);
-  writer.EndObject();
-  return writer.str();
-}
-
-std::string TransportStatsToJson(const TransportStats& stats) {
-  JsonWriter writer;
-  writer.BeginObject();
-  WriteTransportStatsFields(writer, stats);
-  writer.EndObject();
-  return writer.str();
-}
-
 std::string SqmReportToJson(const SqmReport& report) {
   JsonWriter writer;
   writer.BeginObject();
@@ -227,16 +211,6 @@ Result<SqmReport> SqmReportFromJson(const std::string& json) {
   SQM_RETURN_NOT_OK(RequireKind(root, JsonValue::Kind::kObject, "<root>"));
   SqmReport report;
 
-  SQM_ASSIGN_OR_RETURN(const JsonValue* estimate,
-                       RequireMember(root, "estimate"));
-  SQM_RETURN_NOT_OK(
-      RequireKind(*estimate, JsonValue::Kind::kArray, "estimate"));
-  for (const JsonValue& item : estimate->items) {
-    SQM_RETURN_NOT_OK(
-        RequireKind(item, JsonValue::Kind::kNumber, "estimate[i]"));
-    report.estimate.push_back(item.number);
-  }
-
   SQM_ASSIGN_OR_RETURN(const JsonValue* raw, RequireMember(root, "raw"));
   SQM_RETURN_NOT_OK(RequireKind(*raw, JsonValue::Kind::kArray, "raw"));
   for (const JsonValue& item : raw->items) {
@@ -244,30 +218,14 @@ Result<SqmReport> SqmReportFromJson(const std::string& json) {
     report.raw.push_back(v);
   }
 
-  SQM_ASSIGN_OR_RETURN(const JsonValue* timing,
-                       RequireMember(root, "timing"));
-  SQM_RETURN_NOT_OK(RequireKind(*timing, JsonValue::Kind::kObject, "timing"));
-  SQM_ASSIGN_OR_RETURN(report.timing.quantize_seconds,
-                       NumberField(*timing, "quantize_seconds"));
-  SQM_ASSIGN_OR_RETURN(report.timing.noise_sampling_seconds,
-                       NumberField(*timing, "noise_sampling_seconds"));
-  SQM_ASSIGN_OR_RETURN(report.timing.mpc_compute_seconds,
-                       NumberField(*timing, "mpc_compute_seconds"));
-  SQM_ASSIGN_OR_RETURN(report.timing.simulated_network_seconds,
-                       NumberField(*timing, "simulated_network_seconds"));
-  SQM_ASSIGN_OR_RETURN(report.timing.noise_injection_seconds,
-                       NumberField(*timing, "noise_injection_seconds"));
-
   SQM_ASSIGN_OR_RETURN(const JsonValue* dropout,
                        RequireMember(root, "dropout"));
   SQM_RETURN_NOT_OK(
       RequireKind(*dropout, JsonValue::Kind::kObject, "dropout"));
-  SQM_ASSIGN_OR_RETURN(const JsonValue* policy,
-                       RequireMember(*dropout, "policy"));
-  SQM_RETURN_NOT_OK(
-      RequireKind(*policy, JsonValue::Kind::kString, "dropout.policy"));
+  SQM_ASSIGN_OR_RETURN(const std::string policy,
+                       StringField(*dropout, "policy"));
   SQM_ASSIGN_OR_RETURN(report.dropout.policy,
-                       DropoutPolicyFromString(policy->string_value));
+                       DropoutPolicyFromString(policy));
   SQM_ASSIGN_OR_RETURN(const uint64_t num_parties,
                        UintField(*dropout, "num_parties"));
   report.dropout.num_parties = static_cast<size_t>(num_parties);
@@ -305,65 +263,6 @@ Result<SqmReport> SqmReportFromJson(const std::string& json) {
                        UintField(*dropout, "resumed_from_level"));
   report.dropout.resumed_from_level =
       static_cast<size_t>(resumed_from_level);
-
-  // Transport accounting: the report's one copy of its traffic.
-  SQM_ASSIGN_OR_RETURN(const JsonValue* transport,
-                       RequireMember(root, "transport"));
-  SQM_RETURN_NOT_OK(
-      RequireKind(*transport, JsonValue::Kind::kObject, "transport"));
-  SQM_ASSIGN_OR_RETURN(const uint64_t transport_parties,
-                       UintField(*transport, "num_parties"));
-  report.transport.num_parties = static_cast<size_t>(transport_parties);
-  SQM_ASSIGN_OR_RETURN(const JsonValue* totals,
-                       RequireMember(*transport, "totals"));
-  SQM_RETURN_NOT_OK(
-      RequireKind(*totals, JsonValue::Kind::kObject, "transport.totals"));
-  SQM_ASSIGN_OR_RETURN(report.transport.totals.messages,
-                       UintField(*totals, "messages"));
-  SQM_ASSIGN_OR_RETURN(report.transport.totals.field_elements,
-                       UintField(*totals, "field_elements"));
-  SQM_ASSIGN_OR_RETURN(report.transport.totals.wire_bytes,
-                       UintField(*totals, "bytes"));
-  SQM_ASSIGN_OR_RETURN(report.transport.totals.rounds,
-                       UintField(*totals, "rounds"));
-  if (const JsonValue* channels = transport->Find("channels")) {
-    SQM_RETURN_NOT_OK(RequireKind(*channels, JsonValue::Kind::kArray,
-                                  "transport.channels"));
-    for (const JsonValue& item : channels->items) {
-      SQM_RETURN_NOT_OK(RequireKind(item, JsonValue::Kind::kObject,
-                                    "transport.channels[i]"));
-      ChannelStats channel;
-      SQM_ASSIGN_OR_RETURN(const uint64_t from, UintField(item, "from"));
-      SQM_ASSIGN_OR_RETURN(const uint64_t to, UintField(item, "to"));
-      channel.from = static_cast<size_t>(from);
-      channel.to = static_cast<size_t>(to);
-      SQM_ASSIGN_OR_RETURN(channel.messages,
-                           UintField(item, "messages"));
-      SQM_ASSIGN_OR_RETURN(channel.field_elements,
-                           UintField(item, "field_elements"));
-      SQM_ASSIGN_OR_RETURN(channel.wire_bytes, UintField(item, "bytes"));
-      report.transport.channels.push_back(channel);
-    }
-  }
-  if (const JsonValue* phases = transport->Find("phases")) {
-    SQM_RETURN_NOT_OK(RequireKind(*phases, JsonValue::Kind::kArray,
-                                  "transport.phases"));
-    for (const JsonValue& item : phases->items) {
-      SQM_RETURN_NOT_OK(RequireKind(item, JsonValue::Kind::kObject,
-                                    "transport.phases[i]"));
-      PhaseStats phase;
-      SQM_ASSIGN_OR_RETURN(phase.phase, StringField(item, "phase"));
-      SQM_ASSIGN_OR_RETURN(phase.traffic.messages,
-                           UintField(item, "messages"));
-      SQM_ASSIGN_OR_RETURN(phase.traffic.field_elements,
-                           UintField(item, "field_elements"));
-      SQM_ASSIGN_OR_RETURN(phase.traffic.wire_bytes,
-                           UintField(item, "bytes"));
-      SQM_ASSIGN_OR_RETURN(phase.traffic.rounds,
-                           UintField(item, "rounds"));
-      report.transport.phases.push_back(std::move(phase));
-    }
-  }
 
   // Pre-observability reports have no ledger block; load those as empty
   // rather than failing, so archived artifacts stay readable.

@@ -1,10 +1,7 @@
 #ifndef SQM_CORE_REPORT_IO_H_
 #define SQM_CORE_REPORT_IO_H_
 
-#include <cstdint>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "core/json.h"
 #include "core/sqm.h"
@@ -16,23 +13,18 @@ namespace sqm {
 // them for existing consumers.
 
 /// Serializes an SQM release report (estimates, raw integers, timing,
-/// network counters, transport breakdowns, privacy ledger) to a JSON
-/// object.
+/// the transport block — totals, per-channel and per-phase traffic,
+/// fault/retry counters, clocks — dropout accounting and privacy ledger)
+/// to a JSON object.
 std::string SqmReportToJson(const SqmReport& report);
 
-/// Reloads a report written by SqmReportToJson: estimate, raw, timing,
-/// network, dropout and privacy-ledger blocks (transport breakdowns are not
-/// reloaded; a missing privacy_ledger block — pre-observability reports —
-/// loads as an empty ledger). Malformed or structurally wrong documents
-/// fail with a Status, never a crash.
+/// Reloads the parts of a SqmReportToJson document that its readers use:
+/// `raw` and `dropout` (both required) and `privacy_ledger` (a missing
+/// block — pre-observability reports — loads as an empty ledger). The
+/// estimate, timing and transport blocks are not reloaded and stay
+/// default in the result. Malformed or structurally wrong documents fail
+/// with a Status, never a crash.
 Result<SqmReport> SqmReportFromJson(const std::string& json);
-
-/// Serializes network counters alone.
-std::string NetworkStatsToJson(const NetworkStats& stats);
-
-/// Serializes a full transport snapshot: totals, per-channel and per-phase
-/// breakdowns, fault/retry counters, simulated and wall clocks.
-std::string TransportStatsToJson(const TransportStats& stats);
 
 }  // namespace sqm
 

@@ -106,12 +106,6 @@ Field::Element ShamirScheme::Reconstruct(
   return acc;
 }
 
-Result<Field::Element> ShamirScheme::ReconstructChecked(
-    const std::vector<Field::Element>& shares) const {
-  SQM_RETURN_NOT_OK(CheckConsistentSharing(shares, threshold_));
-  return Reconstruct(shares);
-}
-
 std::vector<std::vector<Field::Element>> ShamirScheme::ShareBatch(
     const std::vector<Field::Element>& secrets, Rng& rng) const {
   const size_t d = secrets.size();
@@ -197,34 +191,6 @@ Result<std::vector<Field::Element>> ShamirScheme::ReconstructBatchFromSurvivors(
   Field::LinearCombination(basis.data(), lagrange.data(), basis.size(),
                            out.data(), d);
   return out;
-}
-
-Result<Field::Element> ShamirScheme::ReconstructFromSubset(
-    const std::vector<std::pair<size_t, Field::Element>>& shares) const {
-  if (shares.size() < threshold_ + 1) {
-    return Status::InvalidArgument(
-        "not enough shares to reconstruct: need threshold+1");
-  }
-  std::vector<size_t> parties;
-  parties.reserve(threshold_ + 1);
-  for (const auto& [party, unused] : shares) {
-    if (party >= num_parties_) {
-      return Status::InvalidArgument("share from unknown party index");
-    }
-    for (size_t seen : parties) {
-      if (seen == party) {
-        return Status::InvalidArgument("duplicate party index in shares");
-      }
-    }
-    parties.push_back(party);
-    if (parties.size() == threshold_ + 1) break;
-  }
-  const std::vector<Field::Element> lagrange = LagrangeAtZero(parties);
-  Field::Element acc = 0;
-  for (size_t j = 0; j < parties.size(); ++j) {
-    acc = Field::Add(acc, Field::Mul(lagrange[j], shares[j].second));
-  }
-  return acc;
 }
 
 Result<std::vector<size_t>> ShamirScheme::SelectSurvivorBasis(

@@ -86,15 +86,8 @@ class ShamirScheme {
 
   /// Reconstructs the secret from the full share vector (degree-t
   /// interpolation using the first threshold+1 shares; the trailing n-t-1
-  /// shares are ignored — see ReconstructChecked).
+  /// shares are ignored — CheckConsistentSharing checks all n).
   Field::Element Reconstruct(
-      const std::vector<Field::Element>& shares) const;
-
-  /// Status-returning variant of the full-share consistency check: fails
-  /// with kIntegrityViolation if any of the n shares (including the
-  /// trailing ones Reconstruct never touches) is off the degree-t
-  /// polynomial, otherwise returns the reconstructed secret.
-  Result<Field::Element> ReconstructChecked(
       const std::vector<Field::Element>& shares) const;
 
   /// Batched reconstruction of d secrets from per-party d-rows
@@ -112,11 +105,6 @@ class ShamirScheme {
   Result<std::vector<Field::Element>> ReconstructBatchFromSurvivors(
       const std::vector<std::vector<Field::Element>>& rows,
       const std::vector<size_t>& survivors, size_t degree) const;
-
-  /// Reconstructs from an arbitrary subset of (party index, share) pairs.
-  /// Needs at least threshold+1 pairs with distinct parties.
-  Result<Field::Element> ReconstructFromSubset(
-      const std::vector<std::pair<size_t, Field::Element>>& shares) const;
 
   /// Quorum reconstruction: interpolates a degree-`degree` sharing from the
   /// shares of the listed survivor parties only. `shares` is the full

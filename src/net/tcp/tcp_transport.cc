@@ -75,7 +75,7 @@ Result<Frame> ReadHandshakeFrame(const Socket& sock, uint64_t session_key,
 
 TcpTransport::TcpTransport(const TcpTransportOptions& options)
     : Transport(options.peers.size(), /*per_round_latency_seconds=*/0.0,
-                options.element_wire_bytes),
+                kDefaultElementWireBytes),
       options_(options),
       me_(options.local_party) {
   MutexLock lock(mu_);

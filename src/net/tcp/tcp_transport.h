@@ -76,8 +76,6 @@ struct TcpTransportOptions {
   /// are rejected (stale daemons, crossed ports).
   uint64_t run_id = 0;
 
-  size_t element_wire_bytes = kDefaultElementWireBytes;
-
   /// How long one Receive waits for a pending message before returning
   /// kDeadlineExceeded (a liveness strike for the caller's tracker).
   double receive_timeout_seconds = 2.0;

@@ -40,9 +40,10 @@ ScheduleFuzzer::ScheduleFuzzer(ScheduleFuzzOptions options)
 
 Result<ScheduleFuzzReport> ScheduleFuzzer::Run() {
   accumulating_ = ScheduleFuzzReport{};
-  Rng seed_stream(options_.seed);
   for (size_t i = 0; i < options_.iterations; ++i) {
-    const uint64_t iteration_seed = seed_stream.NextUint64();
+    // Iteration i runs seed + i, so a sweep from a failing iteration's
+    // seed starts with exactly that iteration.
+    const uint64_t iteration_seed = options_.seed + i;
     const Status status = RunIteration(iteration_seed);
     ++accumulating_.iterations_run;
     if (!status.ok()) {
@@ -83,7 +84,7 @@ Status ScheduleFuzzer::RunIteration(uint64_t iteration_seed) {
   // The probe: input sharing, a batched Mul, an inner product, one open,
   // in driver mode, so the global send order — and therefore the
   // transcript — is a function of the seed alone.
-  TranscriptRecorder recorder(n);
+  TranscriptRecorder recorder;
   LockstepTransport lockstep(n, 0.0, Field::kWireBytes);
   lockstep.ScheduleCrashes(last_crashes_);
   lockstep.SetInterceptor(&recorder);

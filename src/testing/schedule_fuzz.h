@@ -18,14 +18,16 @@ namespace testing {
 /// is derived from a single uint64 iteration seed, so any failure
 /// reproduces bit-exactly from the seed the report names.
 struct ScheduleFuzzOptions {
+  /// Iteration i of the sweep runs iteration seed `seed + i`.
   uint64_t seed = 0xf022ed5eedULL;
   size_t iterations = 8;
   size_t num_parties = 5;
   size_t threshold = 2;
   /// Elements in each party's probe input vector.
   size_t vector_size = 6;
-  /// Stop at the first failing iteration (keeps its transcripts for
-  /// replay); false sweeps every seed and counts failures.
+  /// Stop at the first failing iteration (its transcript stays readable
+  /// through last_reference_transcript()); false sweeps every seed and
+  /// counts failures.
   bool stop_on_failure = true;
 };
 
@@ -76,8 +78,7 @@ class ScheduleFuzzer {
   /// failure the report named. OK iff every invariant held.
   Status RunIteration(uint64_t iteration_seed);
 
-  /// Transcript of the most recent iteration, for replay and divergence
-  /// inspection.
+  /// Transcript of the most recent iteration, for inspection.
   const Transcript& last_reference_transcript() const {
     return last_reference_;
   }

@@ -2,136 +2,8 @@
 
 #include <algorithm>
 
-#include "core/report_io.h"
-
 namespace sqm {
 namespace testing {
-
-std::string TranscriptToJson(const Transcript& transcript) {
-  JsonWriter writer;
-  writer.BeginObject();
-  writer.Field("num_parties", static_cast<uint64_t>(transcript.num_parties));
-  writer.BeginArray("entries");
-  for (const TranscriptEntry& entry : transcript.entries) {
-    writer.BeginObject()
-        .Field("round", entry.round)
-        .Field("phase", entry.phase)
-        .Field("from", static_cast<uint64_t>(entry.from))
-        .Field("to", static_cast<uint64_t>(entry.to));
-    writer.BeginArray("payload");
-    for (uint64_t v : entry.payload) writer.Value(v);
-    writer.EndArray();
-    writer.EndObject();
-  }
-  writer.EndArray();
-  writer.EndObject();
-  return writer.str();
-}
-
-namespace {
-
-Result<uint64_t> UintMember(const JsonValue& object, const std::string& key) {
-  const JsonValue* member = object.Find(key);
-  if (member == nullptr) {
-    return Status::IoError("transcript entry is missing \"" + key + "\"");
-  }
-  if (member->kind != JsonValue::Kind::kNumber || !member->is_integer ||
-      member->is_negative) {
-    return Status::IoError("transcript field \"" + key +
-                           "\" is not an unsigned integer");
-  }
-  return member->uint_value;
-}
-
-}  // namespace
-
-Result<Transcript> TranscriptFromJson(const std::string& json) {
-  SQM_ASSIGN_OR_RETURN(const JsonValue root, ParseJson(json));
-  if (root.kind != JsonValue::Kind::kObject) {
-    return Status::IoError("transcript document is not a JSON object");
-  }
-  Transcript transcript;
-  SQM_ASSIGN_OR_RETURN(const uint64_t num_parties,
-                       UintMember(root, "num_parties"));
-  transcript.num_parties = static_cast<size_t>(num_parties);
-  const JsonValue* entries = root.Find("entries");
-  if (entries == nullptr || entries->kind != JsonValue::Kind::kArray) {
-    return Status::IoError("transcript is missing its \"entries\" array");
-  }
-  transcript.entries.reserve(entries->items.size());
-  for (const JsonValue& item : entries->items) {
-    if (item.kind != JsonValue::Kind::kObject) {
-      return Status::IoError("transcript entry is not a JSON object");
-    }
-    TranscriptEntry entry;
-    SQM_ASSIGN_OR_RETURN(entry.round, UintMember(item, "round"));
-    const JsonValue* phase = item.Find("phase");
-    if (phase == nullptr || phase->kind != JsonValue::Kind::kString) {
-      return Status::IoError("transcript entry is missing its phase label");
-    }
-    entry.phase = phase->string_value;
-    SQM_ASSIGN_OR_RETURN(const uint64_t from, UintMember(item, "from"));
-    SQM_ASSIGN_OR_RETURN(const uint64_t to, UintMember(item, "to"));
-    entry.from = static_cast<size_t>(from);
-    entry.to = static_cast<size_t>(to);
-    if (entry.from >= transcript.num_parties ||
-        entry.to >= transcript.num_parties) {
-      return Status::IoError("transcript entry addresses a party out of "
-                             "range");
-    }
-    const JsonValue* payload = item.Find("payload");
-    if (payload == nullptr || payload->kind != JsonValue::Kind::kArray) {
-      return Status::IoError("transcript entry is missing its payload");
-    }
-    entry.payload.reserve(payload->items.size());
-    for (const JsonValue& element : payload->items) {
-      if (element.kind != JsonValue::Kind::kNumber || !element.is_integer ||
-          element.is_negative) {
-        return Status::IoError(
-            "transcript payload element is not an unsigned integer");
-      }
-      entry.payload.push_back(element.uint_value);
-    }
-    transcript.entries.push_back(std::move(entry));
-  }
-  return transcript;
-}
-
-TranscriptDiff CompareTranscripts(const Transcript& a, const Transcript& b) {
-  TranscriptDiff diff;
-  if (a.num_parties != b.num_parties) {
-    diff.identical = false;
-    diff.description = "party counts differ (" +
-                       std::to_string(a.num_parties) + " vs " +
-                       std::to_string(b.num_parties) + ")";
-    return diff;
-  }
-  const size_t common = std::min(a.entries.size(), b.entries.size());
-  for (size_t i = 0; i < common; ++i) {
-    if (a.entries[i] == b.entries[i]) continue;
-    diff.identical = false;
-    diff.first_divergence = i;
-    const TranscriptEntry& ea = a.entries[i];
-    const TranscriptEntry& eb = b.entries[i];
-    diff.description =
-        "entry " + std::to_string(i) + " differs: (round " +
-        std::to_string(ea.round) + ", " + ea.phase + ", " +
-        std::to_string(ea.from) + "->" + std::to_string(ea.to) + ", " +
-        std::to_string(ea.payload.size()) + " elements) vs (round " +
-        std::to_string(eb.round) + ", " + eb.phase + ", " +
-        std::to_string(eb.from) + "->" + std::to_string(eb.to) + ", " +
-        std::to_string(eb.payload.size()) + " elements)";
-    return diff;
-  }
-  if (a.entries.size() != b.entries.size()) {
-    diff.identical = false;
-    diff.first_divergence = common;
-    diff.description = "transcript lengths differ (" +
-                       std::to_string(a.entries.size()) + " vs " +
-                       std::to_string(b.entries.size()) + " entries)";
-  }
-  return diff;
-}
 
 MessageInterceptor::SendVerdict TranscriptRecorder::OnSend(
     const WireContext& context, std::vector<uint64_t>& payload) {
@@ -171,32 +43,6 @@ size_t TranscriptRecorder::size() const {
 void TranscriptRecorder::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   transcript_.entries.clear();
-}
-
-Status ReplayIntoLockstep(const Transcript& transcript,
-                          LockstepTransport* transport) {
-  if (transport->num_parties() != transcript.num_parties) {
-    return Status::InvalidArgument(
-        "replay transport has " + std::to_string(transport->num_parties()) +
-        " parties, transcript was recorded with " +
-        std::to_string(transcript.num_parties));
-  }
-  uint64_t replayed_rounds = 0;
-  for (const TranscriptEntry& entry : transcript.entries) {
-    if (entry.round < replayed_rounds) {
-      return Status::InvalidArgument(
-          "transcript entries are not in round order — not a recorded "
-          "execution");
-    }
-    while (replayed_rounds < entry.round) {
-      transport->EndRound();
-      ++replayed_rounds;
-    }
-    transport->SetPhase(entry.phase);
-    transport->Send(entry.from, entry.to, entry.payload);
-  }
-  transport->SetPhase("");
-  return Status::OK();
 }
 
 std::vector<uint64_t> TranscriptPrivacyVerifier::CoalitionView(
@@ -239,15 +85,6 @@ Status TranscriptPrivacyVerifier::CheckCoalitionUniform(
         "): shares leak information below the threshold");
   }
   return Status::OK();
-}
-
-Result<ChiSquareResult> TranscriptPrivacyVerifier::CompareViews(
-    const Transcript& a, const Transcript& b,
-    const std::vector<size_t>& coalition) const {
-  const std::vector<uint64_t> view_a = CoalitionView(a, coalition);
-  const std::vector<uint64_t> view_b = CoalitionView(b, coalition);
-  return ChiSquareTwoSample(BinTopBits(view_a, options_.bins),
-                            BinTopBits(view_b, options_.bins));
 }
 
 }  // namespace testing

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "net/lockstep.h"
 #include "net/transport.h"
 #include "testing/stat_check.h"
 
@@ -29,28 +28,11 @@ struct TranscriptEntry {
 };
 
 /// Everything that crossed the wire in one protocol execution, in global
-/// send order. Driver-mode runs produce the same global order under every
-/// transport, which is what makes transcript equality a fuzz invariant and
-/// replay bit-exact.
+/// send order. A driver-mode run's order is a function of its seeds, so two
+/// runs from the same seed record equal `entries`.
 struct Transcript {
-  size_t num_parties = 0;
   std::vector<TranscriptEntry> entries;
 };
-
-/// Serializes a transcript to JSON; payload elements round-trip exactly
-/// (field elements exceed double precision, so the parser's integer path
-/// matters here).
-std::string TranscriptToJson(const Transcript& transcript);
-Result<Transcript> TranscriptFromJson(const std::string& json);
-
-/// First divergence between two transcripts.
-struct TranscriptDiff {
-  bool identical = true;
-  size_t first_divergence = 0;  ///< Entry index (min size when lengths differ).
-  std::string description;      ///< Human-readable divergence summary.
-};
-
-TranscriptDiff CompareTranscripts(const Transcript& a, const Transcript& b);
 
 /// MessageInterceptor that captures every cross-party message. Chain a
 /// ByzantineInterceptor in front (Chain) to record the on-the-wire truth
@@ -60,10 +42,6 @@ TranscriptDiff CompareTranscripts(const Transcript& a, const Transcript& b);
 /// serialization order).
 class TranscriptRecorder : public MessageInterceptor {
  public:
-  explicit TranscriptRecorder(size_t num_parties) {
-    transcript_.num_parties = num_parties;
-  }
-
   /// Runs `next` (non-owning, may be nullptr) before recording — the
   /// tamper-then-record composition.
   void Chain(MessageInterceptor* next) { next_ = next; }
@@ -80,15 +58,6 @@ class TranscriptRecorder : public MessageInterceptor {
   mutable std::mutex mu_;
   Transcript transcript_;
 };
-
-/// Feeds a recorded transcript back into a LockstepTransport: every entry
-/// is enqueued on its original channel with its original phase label, with
-/// EndRound() reproducing the original round boundaries. After replay, a
-/// consumer draining the open-phase broadcasts reconstructs the released
-/// values bit-exactly — the repro path for schedule-fuzz failures.
-/// Fails when the transport's party count does not match.
-Status ReplayIntoLockstep(const Transcript& transcript,
-                          LockstepTransport* transport);
 
 /// Statistical transcript-privacy verifier, generalizing
 /// tests/mpc_privacy_test.cc: everything a small coalition receives from
@@ -121,12 +90,6 @@ class TranscriptPrivacyVerifier {
   /// is distinguishable from uniform.
   Status CheckCoalitionUniform(const Transcript& transcript,
                                const std::vector<size_t>& coalition) const;
-
-  /// Two-sample test: are the coalition's views under two different input
-  /// databases distinguishable? (They must not be, below threshold.)
-  Result<ChiSquareResult> CompareViews(
-      const Transcript& a, const Transcript& b,
-      const std::vector<size_t>& coalition) const;
 
  private:
   Options options_;

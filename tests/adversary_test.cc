@@ -337,7 +337,7 @@ TEST(AdversaryTest, VerifySharingsUnderDegradeIsRefusedBeforeTraffic) {
   // refused at validation, before any message moves.
   const Matrix x = TinyDatabase();
   const PolynomialVector f = PolynomialVector::OuterProduct(3);
-  TranscriptRecorder recorder(3);
+  TranscriptRecorder recorder;
   SqmOptions options = BgwSqmOptions();
   options.verify_sharings = true;
   options.dropout_policy = DropoutPolicy::kDegrade;
@@ -358,7 +358,7 @@ TEST(AdversaryTest, SqmTranscriptSupportsPrivacyVerification) {
   const Matrix x = TinyDatabase();
   const PolynomialVector f = PolynomialVector::OuterProduct(3);
   SqmOptions options = BgwSqmOptions();
-  TranscriptRecorder recorder(3);  // num_clients = columns = 3.
+  TranscriptRecorder recorder;
   options.interceptor = &recorder;
   ASSERT_TRUE(SqmEvaluator(options).Evaluate(f, x).ok());
   const Transcript transcript = recorder.transcript();

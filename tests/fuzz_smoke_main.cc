@@ -8,10 +8,15 @@
 //      probe, asserting detect-or-release-unchanged.
 //
 // Usage: fuzz_smoke [--iterations N] [--seed S]
-// On failure it prints the iteration seed; reproduce with
+// N >= 1; S is decimal or 0x-prefixed hex. Iteration i of the sweep runs
+// iteration seed S + i. On failure it prints the first failing iteration
+// seed; reproduce with
 //   fuzz_smoke --iterations 1 --seed <S>
-// or ScheduleFuzzer::RunIteration(<S>) under a debugger.
+// or ScheduleFuzzer::RunIteration(<S>) under a debugger. Malformed
+// arguments print usage and exit 2.
 
+#include <cctype>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -63,17 +68,40 @@ bool DetectOrUnchanged(TamperPolicy policy, std::string* what) {
   return false;
 }
 
+/// Parses all of `text` as an unsigned 64-bit integer (decimal, or hex
+/// with a 0x prefix); false on anything else, a sign included.
+bool ParseUint64(const char* text, uint64_t* out) {
+  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text, &end, 0);
+  if (errno != 0 || *end != '\0') return false;
+  *out = value;
+  return true;
+}
+
+int Usage() {
+  std::fprintf(stderr,
+               "usage: fuzz_smoke [--iterations N] [--seed S]\n"
+               "  N >= 1; S is decimal or 0x-prefixed hex\n");
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   ScheduleFuzzOptions options;
   options.iterations = 8;
   options.stop_on_failure = false;
-  for (int i = 1; i < argc - 1; ++i) {
-    if (std::strcmp(argv[i], "--iterations") == 0) {
-      options.iterations = static_cast<size_t>(std::atoll(argv[i + 1]));
+  for (int i = 1; i < argc; i += 2) {
+    uint64_t value = 0;
+    if (i + 1 >= argc || !ParseUint64(argv[i + 1], &value)) return Usage();
+    if (std::strcmp(argv[i], "--iterations") == 0 && value >= 1) {
+      options.iterations = static_cast<size_t>(value);
     } else if (std::strcmp(argv[i], "--seed") == 0) {
-      options.seed = std::strtoull(argv[i + 1], nullptr, 0);
+      options.seed = value;
+    } else {
+      return Usage();
     }
   }
 

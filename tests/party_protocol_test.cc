@@ -125,6 +125,24 @@ TEST(DeploymentConfigJson, RecoveryAndChaosKnobsRoundTrip) {
   EXPECT_EQ(got.chaos_partition_sends, 2u);
 }
 
+TEST(DeploymentConfigJson, SixtyFourBitIdsAndSeedsRoundTripExactly) {
+  // Values above 2^53 have no exact double: the parser's integer path is
+  // what keeps the session key and the seeds of a deployment intact.
+  sqm::DeploymentConfig config = BaseConfig(3);
+  config.run_id = (uint64_t{1} << 53) + 1;
+  config.session_key = 0xfedcba9876543211ULL;
+  config.seed = 0xffffffffffffffffULL;
+  config.data_seed = 0x9e3779b97f4a7c15ULL;
+  sqm::Result<sqm::DeploymentConfig> parsed =
+      sqm::ParseDeploymentConfig(sqm::DeploymentConfigToJson(config));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const sqm::DeploymentConfig& got = parsed.ValueOrDie();
+  EXPECT_EQ(got.run_id, config.run_id);
+  EXPECT_EQ(got.session_key, config.session_key);
+  EXPECT_EQ(got.seed, config.seed);
+  EXPECT_EQ(got.data_seed, config.data_seed);
+}
+
 TEST(DeploymentConfigJson, NegativeMaxRestartsIsRejected) {
   std::string json = sqm::DeploymentConfigToJson(RecoveryConfig());
   const std::string key = "\"max_restarts\":2";
@@ -394,7 +412,7 @@ TEST(SqmPlanParity, RetiredCapacitySwitchCannotTurnTheGuardOff) {
   sqm::Result<sqm::SqmOptions> options =
       sqm::SqmOptionsFromDeployment(config);
   ASSERT_TRUE(options.ok()) << options.status().ToString();
-  sqm::testing::TranscriptRecorder recorder(config.parties.size());
+  sqm::testing::TranscriptRecorder recorder;
   options.ValueOrDie().interceptor = &recorder;
   const sqm::Matrix x = sqm::GenerateDeploymentMatrix(
       config.rows, sqm::DeploymentCols(config), config.data_seed);

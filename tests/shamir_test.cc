@@ -58,33 +58,12 @@ TEST(ShamirTest, AnySubsetOfThresholdPlusOneReconstructs) {
   for (size_t a = 0; a < 5; ++a) {
     for (size_t b = a + 1; b < 5; ++b) {
       for (size_t c = b + 1; c < 5; ++c) {
-        const auto value = scheme.ReconstructFromSubset(
-            {{a, shares[a]}, {b, shares[b]}, {c, shares[c]}});
+        const auto value =
+            scheme.ReconstructFromSurvivors(shares, {a, b, c}, 2);
         EXPECT_EQ(value.ValueOrDie(), secret);
       }
     }
   }
-}
-
-TEST(ShamirTest, SubsetReconstructionValidatesInput) {
-  ShamirScheme scheme(5, 2);
-  Rng rng(3);
-  const auto shares = scheme.Share(Field::Encode(7), rng);
-  // Too few shares.
-  EXPECT_FALSE(
-      scheme.ReconstructFromSubset({{0, shares[0]}, {1, shares[1]}}).ok());
-  // Duplicate party.
-  EXPECT_FALSE(scheme
-                   .ReconstructFromSubset({{0, shares[0]},
-                                           {0, shares[0]},
-                                           {1, shares[1]}})
-                   .ok());
-  // Out-of-range party.
-  EXPECT_FALSE(scheme
-                   .ReconstructFromSubset({{0, shares[0]},
-                                           {1, shares[1]},
-                                           {9, shares[2]}})
-                   .ok());
 }
 
 TEST(ShamirTest, ThresholdSharesLookUniform) {
@@ -185,6 +164,8 @@ TEST(ShamirTest, SurvivorReconstructionValidatesInput) {
   // Out-of-range survivor index.
   EXPECT_FALSE(
       scheme.ReconstructFromSurvivors(shares, {0, 1, 9}, 2).ok());
+  // Too few survivors for a degree-t sharing.
+  EXPECT_FALSE(scheme.ReconstructFromSurvivors(shares, {0, 1}, 2).ok());
   // Duplicates do not count twice towards the quorum.
   const auto dup =
       scheme.ReconstructFromSurvivors(shares, {0, 0, 1}, 2);
@@ -196,24 +177,24 @@ TEST(ShamirTest, SurvivorReconstructionValidatesInput) {
   EXPECT_EQ(Field::Decode(value.ValueOrDie()), 11);
 }
 
-TEST(ShamirTest, ReconstructCheckedDetectsTamperedTrailingShare) {
+TEST(ShamirTest, ConsistencyCheckDetectsTamperedTrailingShare) {
   // Reconstruct interpolates from the first threshold+1 shares only; a
-  // tampered TRAILING share would be silently ignored. ReconstructChecked
-  // verifies all n points lie on the polynomial before returning.
+  // tampered TRAILING share would be silently ignored.
+  // CheckConsistentSharing verifies all n points lie on one polynomial.
   ShamirScheme scheme(5, 2);
   Rng rng(31);
   std::vector<Field::Element> shares = scheme.Share(Field::Encode(77), rng);
-  const auto clean = scheme.ReconstructChecked(shares);
-  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
-  EXPECT_EQ(Field::Decode(clean.ValueOrDie()), 77);
+  const Status clean = scheme.CheckConsistentSharing(shares, 2);
+  ASSERT_TRUE(clean.ok()) << clean.ToString();
+  EXPECT_EQ(Field::Decode(scheme.Reconstruct(shares)), 77);
 
   shares.back() = Field::Add(shares.back(), 1);
-  // The default path cannot see the tamper (it never touches share 4)...
+  // Reconstruct cannot see the tamper (it never touches share 4)...
   EXPECT_EQ(Field::Decode(scheme.Reconstruct(shares)), 77);
-  // ...the checked path must.
-  const auto tampered = scheme.ReconstructChecked(shares);
-  EXPECT_EQ(tampered.status().code(), StatusCode::kIntegrityViolation)
-      << tampered.status().ToString();
+  // ...the consistency check must.
+  const Status tampered = scheme.CheckConsistentSharing(shares, 2);
+  EXPECT_EQ(tampered.code(), StatusCode::kIntegrityViolation)
+      << tampered.ToString();
 }
 
 TEST(ShamirTest, LagrangeCoefficientsSumToOneForConstantPolynomial) {

@@ -43,8 +43,8 @@ void Report(std::vector<Finding>* findings, const char* check,
 // ---------------------------------------------------------------------------
 // rng-discipline: all randomness flows through sqm::Rng (src/sampling/);
 // std engines and libc rand are banned elsewhere, and protocol-
-// deterministic modules must not read wall-clock time (same transcript in,
-// same transcript out — the replay and fuzz harnesses depend on it).
+// deterministic modules must not read wall-clock time (a fuzz iteration,
+// golden pin or deployment re-runs bit-exactly from its seed).
 // ---------------------------------------------------------------------------
 void CheckRngDiscipline(const Project& /*project*/, const SourceFile& file,
                         std::vector<Finding>* findings) {
@@ -102,9 +102,8 @@ void CheckRngDiscipline(const Project& /*project*/, const SourceFile& file,
         !member) {
       Report(findings, "rng-discipline", file, toks[i].line,
              "wall-clock call '" + name +
-                 "()' in a protocol-deterministic module; the transcript "
-                 "replay and schedule-fuzz invariants require identical "
-                 "re-runs");
+                 "()' in a protocol-deterministic module; seeded re-runs "
+                 "(schedule fuzzing, golden pins) must be identical");
     }
   }
 }
